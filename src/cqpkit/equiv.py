@@ -15,9 +15,13 @@ block act like an inert internal step, which is exactly what makes a
 protocol with compensating corrections equal to its deterministic
 specification.
 
-Termination is observable: the initial partition separates states with no
-outgoing transitions from the rest, so a process that stops is never
-equated with one that can still act.
+Termination is observable but τ-closed: every state with no outgoing
+transitions gets a tick edge into one shared sink, and the tick is a
+visible label. A process that has stopped therefore differs from one that
+can still perform a visible action, while an internal step before stopping
+is inert like any other: ``τ.0`` and ``0`` are equivalent. This is what
+lets ``semantics.step`` give deterministic internal steps (call unfolding,
+``new``, qubit allocation, gates) priority without changing verdicts.
 
 Label matching is quantum-aware: output labels carrying qubits compare by
 the reduced density matrix of the transmitted qubits, entrywise within a
@@ -47,6 +51,7 @@ PROB_TOL = 1e-6
 LABEL_TOL = 1e-9
 
 _TAU_CLASS = -1
+_TICK_CLASS = -2
 
 
 def labels_match(l1, l2, q1: DensityMatrix | None = None, q2: DensityMatrix | None = None,
@@ -154,9 +159,13 @@ class EquivalenceVerdict:
 class _Graph:
     kinds: list[str]
     out_edges: list[list[tuple]]  # per state: (label_class, is_tau, is_prob, prob, dst, label)
+    sink: int  # target of every tick edge; not a state of any input system
 
 
 def _build_graph(systems: list[PLTS], classes: _LabelClasses) -> tuple[_Graph, list[int]]:
+    """Join the systems into one graph of label classes, and give every
+    state without outgoing edges a tick edge into a shared sink (the last
+    state)."""
     kinds: list[str] = []
     out_edges: list[list[tuple]] = []
     initials: list[int] = []
@@ -174,7 +183,13 @@ def _build_graph(systems: list[PLTS], classes: _LabelClasses) -> tuple[_Graph, l
                 entry = (cls, cls == _TAU_CLASS, False, None, offset + e.dst, e.label)
             out_edges[offset + e.src].append(entry)
         offset += len(plts.states)
-    return _Graph(kinds, out_edges), initials
+    sink = offset
+    for edges in out_edges:
+        if not edges:
+            edges.append((_TICK_CLASS, False, False, None, sink, None))
+    kinds.append("nondet")
+    out_edges.append([])
+    return _Graph(kinds, out_edges, sink), initials
 
 
 def _signature(graph: _Graph, s: int, block_of: list[int]) -> frozenset:
@@ -230,16 +245,6 @@ def _refine(
     """
     n = len(graph.kinds)
     block_of = [0] * n
-    has_terminal = False
-    for s in range(n):
-        if not graph.out_edges[s]:
-            block_of[s] = 1
-            has_terminal = True
-    if watch is not None and block_of[watch[0]] != block_of[watch[1]]:
-        a_term = not graph.out_edges[watch[0]]
-        desc = "one process has stopped while the other can still act"
-        return block_of, Witness("label", desc)
-
     while True:
         sigs = [_signature(graph, s, block_of) for s in range(n)]
         dists = [_block_distribution(graph, s, block_of) for s in range(n)]
@@ -316,6 +321,8 @@ def _witness_for_split(graph, watch, sigs, dists, block_of, prob_tol, classes) -
     def shown_label(cls: int) -> str:
         if cls == _TAU_CLASS:
             return "tau"
+        if cls == _TICK_CLASS:
+            return "termination"
         return render_label(classes.reps[cls]) if classes else f"label#{cls}"
 
     # Prefer a probabilistic account: a visible action one side offers with
@@ -384,7 +391,7 @@ def bisimulation_partition(
     graph, _ = _build_graph(systems, classes)
     block_of, _ = _refine(graph, prob_tol)
     blocks: dict[int, set[int]] = {}
-    for s, b in enumerate(block_of):
+    for s, b in enumerate(block_of[: graph.sink]):
         blocks.setdefault(b, set()).add(s)
     return Partition(tuple(frozenset(b) for _, b in sorted(blocks.items())))
 
@@ -399,11 +406,13 @@ def minimize(p: PLTS, prob_tol: float = PROB_TOL, label_tol: float = LABEL_TOL) 
     dists = {}
     kinds = {}
     members_by_block: dict[int, list[int]] = {}
-    for s, b in enumerate(block_of):
+    for s, b in enumerate(block_of[: graph.sink]):
         members_by_block.setdefault(b, []).append(s)
     for bid, members in members_by_block.items():
         rep = members[0]
-        sigs[bid] = _signature(graph, rep, block_of)
+        sigs[bid] = {
+            item for item in _signature(graph, rep, block_of) if item[0] != _TICK_CLASS
+        }
         if all(graph.kinds[s] == "prob" for s in members):
             d = _block_distribution(graph, rep, block_of)
             if not (len(d) == 1 and bid in d):

@@ -2,11 +2,13 @@
 
 A configuration pairs a global quantum state with a running process term
 plus the bindings from source names to runtime values (qubit ids, classical
-bits, channel ids). ``step`` enumerates every enabled transition of a
-configuration; ``explore`` closes a configuration under ``step`` into a
-finite probabilistic labelled transition system (PLTS) whose states
-alternate between nondeterministic choice and probability distributions;
-``run_sampled`` walks one seeded path for simulation.
+bits, channel ids). ``step`` enumerates the enabled transitions of a
+configuration, giving priority to one deterministic internal step when a
+component can take one (see its docstring); ``explore`` closes a
+configuration under ``step`` into a finite probabilistic labelled
+transition system (PLTS) whose states alternate between nondeterministic
+choice and probability distributions; ``run_sampled`` walks one seeded
+path for simulation.
 
 Communication is synchronous (handshake), as in pi-calculus. A measurement
 sitting inside an output payload is forced first as an internal
@@ -219,23 +221,24 @@ class Configuration:
         """Raise OwnershipViolation if a qubit is shared across a parallel split."""
 
         def qubits_of(term: ProcessTerm) -> set[int]:
+            # One bottom-up walk: a parallel composition binds no names, so
+            # its qubits are the union of its two sides'.
+            if isinstance(term, Parallel):
+                left = qubits_of(term.left)
+                right = qubits_of(term.right)
+                shared = left & right
+                if shared:
+                    raise OwnershipViolation(
+                        f"qubit id(s) {sorted(shared)} bound under two parallel components"
+                    )
+                return left | right
             return {
                 self.bindings[n].qid
                 for n in free_names(term)
                 if isinstance(self.bindings.get(n), QubitVal)
             }
 
-        def walk(term: ProcessTerm):
-            if isinstance(term, Parallel):
-                shared = qubits_of(term.left) & qubits_of(term.right)
-                if shared:
-                    raise OwnershipViolation(
-                        f"qubit id(s) {sorted(shared)} bound under two parallel components"
-                    )
-                walk(term.left)
-                walk(term.right)
-
-        walk(self.term)
+        qubits_of(self.term)
 
 
 @dataclass(frozen=True)
@@ -486,79 +489,115 @@ def _gate_for(config: Configuration, ref) -> qstate.Gate:
     raise TypeError(f"not a gate reference: {ref!r}")
 
 
-def step(config: Configuration, alphabet: dict | None = None) -> list[Transition]:
-    """Enumerate all enabled transitions in a fixed, deterministic order.
+# Heads whose step is a deterministic τ touching only the component's own
+# qubits and fresh names; ``step`` gives them priority when reducing.
+_DETERMINISTIC_TAU = (Call, QbitAlloc, NewChannel, GateAction)
+
+
+def _deterministic_tau(config: Configuration, path: tuple, head: ProcessTerm) -> Transition:
+    """The single τ transition of a component headed by a call, an
+    allocation, a channel restriction or a gate."""
+    if isinstance(head, Call):
+        d = config.program.definition(head.process)
+        body = substitute(d.body, dict(zip(d.params, head.args)))
+        cfg = _advance(config, path, body)
+    elif isinstance(head, QbitAlloc):
+        qvec = qstate.alloc_qubits(config.qstate, len(head.binders), cap=config.qubit_cap)
+        bindings = dict(config.bindings)
+        fresh = config.next_fresh
+        mapping = {}
+        base = config.qstate.num_qubits
+        for i, binder in enumerate(head.binders):
+            runtime_name = f"{binder}~{fresh}"
+            fresh += 1
+            mapping[binder] = runtime_name
+            bindings[runtime_name] = QubitVal(base + i)
+        cont = substitute(head.continuation, mapping)
+        cfg = _advance(config, path, cont, qvec=qvec, new_bindings=bindings, next_fresh=fresh)
+    elif isinstance(head, NewChannel):
+        bindings = dict(config.bindings)
+        fresh = config.next_fresh
+        runtime_name = f"{head.binder}~{fresh}"
+        bindings[runtime_name] = ChannelVal(config.next_channel)
+        cont = substitute(head.continuation, {head.binder: runtime_name})
+        cfg = _advance(
+            config,
+            path,
+            cont,
+            new_bindings=bindings,
+            next_channel=config.next_channel + 1,
+            next_fresh=fresh + 1,
+        )
+    else:
+        qids = _qubit_ids(config, head.targets)
+        gate = _gate_for(config, head.gate)
+        qvec = qstate.apply_gate(config.qstate, gate, qids)
+        cfg = _advance(config, path, head.continuation, qvec=qvec)
+    return Transition(TAU, ((1.0, cfg),))
+
+
+def step(
+    config: Configuration, alphabet: dict | None = None, *, reduce: bool = True
+) -> list[Transition]:
+    """Enumerate the enabled transitions in a fixed, deterministic order.
 
     ``alphabet`` maps visible channel ids to the value tuples the
     environment may inject on them; without it, external inputs stay
     disabled (they simply do not fire).
 
-    Call unfolding is prioritized: while any component head is a call, the
-    only enabled transition is unfolding the first one. Unfolding touches
-    neither the quantum state nor any channel, so it commutes with every
-    other transition and the reduction is invisible to branching
-    bisimilarity; it just keeps the interleaving of pure rewrites out of
-    the state space.
+    Priority rule (``reduce=True``): scanning the parallel components in
+    order, the first one headed by a call, a qubit allocation, a channel
+    restriction ``new`` or a gate gives the only transition, a τ to a
+    single successor, and no other successor is built. Such a step is
+    confluent with every other enabled step and inert:
+
+    - it reads and writes only the qubits its component owns, and disjoint
+      ownership (checked on every step) means no other component can
+      touch them, while a visible output of another component is labelled
+      with the reduced density matrix of that component's own qubits,
+      which a unitary on other qubits leaves unchanged;
+    - it uses only fresh names and fresh channels, so it enables or
+      disables nothing else;
+    - it can be postponed only finitely often, since the parser's
+      ``_check_calls`` rejects recursion and so there are no τ-cycles to
+      hide it on;
+    - the checker treats termination as τ-closed (``equiv``): a τ before
+      a component stops is inert, so giving it priority cannot turn
+      "stopped now" into "stops later" in a way the checker would see.
+
+    This is partial τ-confluence reduction (Groote & van de Pol, "State
+    space reduction using partial τ-confluence", MFCS 2000); the checker's
+    verdicts are unchanged because the reduced system is branching
+    bisimilar to the full one. The same teleport-versus-identity checks
+    are the case study of Ardeshir-Larijani, Gay & Nagarajan, "Equivalence
+    checking of quantum protocols" (TACAS 2013).
+
+    What stays out: measurement forcing, outputs, inputs and internal
+    communication keep the full enumeration. A probabilistic τ does not
+    commute branch by branch with visible outputs of entangled qubits
+    (Baier, D'Argenio & Größer, "Partial order reduction for probabilistic
+    branching time", QAPL 2005), and communications can disable each other.
+
+    ``reduce=False`` enumerates every interleaving, with only call
+    unfolding prioritized; it is the reference the reduction is tested
+    against.
     """
     alphabet = alphabet or {}
-    transitions: list[Transition] = []
     comps = list(_components(config.term))
-
+    prioritized = _DETERMINISTIC_TAU if reduce else (Call,)
     for path, head in comps:
-        if isinstance(head, Call):
-            d = config.program.definition(head.process)
-            body = substitute(d.body, dict(zip(d.params, head.args)))
-            cfg = _advance(config, path, body)
-            return [Transition(TAU, ((1.0, cfg),))]
+        if isinstance(head, prioritized):
+            return [_deterministic_tau(config, path, head)]
 
+    transitions: list[Transition] = []
     for path, head in comps:
         if isinstance(head, Nil):
             continue
         if isinstance(head, Hole):
             raise RuntimeProcessError("cannot execute a context hole")
 
-        if isinstance(head, QbitAlloc):
-            count = len(head.binders)
-            qvec = qstate.alloc_qubits(config.qstate, count, cap=config.qubit_cap)
-            bindings = dict(config.bindings)
-            fresh = config.next_fresh
-            mapping = {}
-            base = config.qstate.num_qubits
-            for i, binder in enumerate(head.binders):
-                runtime_name = f"{binder}~{fresh}"
-                fresh += 1
-                mapping[binder] = runtime_name
-                bindings[runtime_name] = QubitVal(base + i)
-            cont = substitute(head.continuation, mapping)
-            cfg = _advance(
-                config, path, cont, qvec=qvec, new_bindings=bindings, next_fresh=fresh
-            )
-            transitions.append(Transition(TAU, ((1.0, cfg),)))
-            continue
-
-        if isinstance(head, NewChannel):
-            bindings = dict(config.bindings)
-            fresh = config.next_fresh
-            runtime_name = f"{head.binder}~{fresh}"
-            bindings[runtime_name] = ChannelVal(config.next_channel)
-            cont = substitute(head.continuation, {head.binder: runtime_name})
-            cfg = _advance(
-                config,
-                path,
-                cont,
-                new_bindings=bindings,
-                next_channel=config.next_channel + 1,
-                next_fresh=fresh + 1,
-            )
-            transitions.append(Transition(TAU, ((1.0, cfg),)))
-            continue
-
-        if isinstance(head, GateAction):
-            qids = _qubit_ids(config, head.targets)
-            gate = _gate_for(config, head.gate)
-            qvec = qstate.apply_gate(config.qstate, gate, qids)
-            cfg = _advance(config, path, head.continuation, qvec=qvec)
-            transitions.append(Transition(TAU, ((1.0, cfg),)))
+        if isinstance(head, _DETERMINISTIC_TAU):
+            transitions.append(_deterministic_tau(config, path, head))
             continue
 
         if isinstance(head, Output):
@@ -803,6 +842,8 @@ def explore(
     max_states: int = DEFAULT_MAX_STATES,
     alphabet: dict | None = None,
     collect_merged: list | None = None,
+    *,
+    reduce: bool = True,
 ) -> PLTS:
     """Breadth-first closure of a configuration under ``step``.
 
@@ -813,6 +854,9 @@ def explore(
     ``collect_merged``, if supplied, receives a (kept, dropped) pair for
     every configuration that deduplication merged into an existing state;
     tests use it to spot-check that merged configurations behave alike.
+
+    ``reduce`` is passed to ``step``: the default explores one order of
+    independent deterministic τ steps, ``reduce=False`` every interleaving.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
@@ -844,7 +888,7 @@ def explore(
         sid = queue[head]
         head += 1
         cfg = states[sid].config
-        transitions = step(cfg, alphabet)
+        transitions = step(cfg, alphabet, reduce=reduce)
         if not transitions:
             states[sid].terminal = True
             continue
@@ -877,7 +921,9 @@ def run_sampled(
     max_steps: int | None = None,
 ) -> list[TraceStep]:
     """One seeded path: the first enabled transition in enumeration order,
-    with probabilistic outcomes resolved by a deterministic PRNG."""
+    with probabilistic outcomes resolved by a deterministic PRNG. Under the
+    priority rule of ``step``, a deterministic τ is the only transition
+    offered, so none is built only to be dropped."""
     rng = random.Random(seed)
     trace: list[TraceStep] = []
     current = config

@@ -167,7 +167,6 @@ class ProcessDef:
 @dataclass(frozen=True)
 class Program:
     definitions: tuple[ProcessDef, ...]
-    main: Call | None = None
 
     def definition(self, name: str) -> ProcessDef:
         for d in self.definitions:

@@ -27,6 +27,8 @@ from cqpkit.semantics import (
     explore,
     initial_configuration,
 )
+from cqpkit.syntax import parse_program
+from cqpkit.typecheck import parse_signatures
 from support import SQ2, insert_tau, random_plts
 
 
@@ -122,9 +124,10 @@ def test_coin_vs_deterministic_probability_witness(coin_program):
 # ---------------------------------------------------------------------------
 
 def test_minimize_compresses_tau_chain():
+    # Termination is tau-closed, so tau.tau.tau.0 collapses onto 0.
     plts = chain(TAU, TAU, TAU)
     small = minimize(plts)
-    assert len(small.states) == 2
+    assert len(small.states) == 1
     assert branching_bisim(plts, small).equivalent
 
 
@@ -306,6 +309,42 @@ def test_partition_separates_terminal_states():
     for t in terminal:
         for l in live:
             assert block_of[t] != block_of[l]
+
+
+# ---------------------------------------------------------------------------
+# Termination
+# ---------------------------------------------------------------------------
+
+TERMINATION_SRC = """
+//: Stop : ^[Bit]
+//: ViaCall : ^[Bit]
+//: ViaNew : ^[Bit]
+//: Done :
+//: Send : ^[Bit]
+//: Idle : ^[Bit]
+Stop(c) = c?[v] . 0
+ViaCall(c) = c?[v] . Done()
+ViaNew(c) = c?[v] . (new d) 0
+Done() = 0
+Send(out) = out![0] . 0
+Idle(out) = 0
+"""
+
+
+@pytest.mark.parametrize("right", ["ViaCall", "ViaNew"])
+def test_internal_step_before_termination_is_inert(right):
+    program = parse_program(TERMINATION_SRC)
+    sigs = parse_signatures(TERMINATION_SRC)
+    assert check_equivalence(program, "Stop", program, right, sigs).equivalent
+
+
+def test_termination_differs_from_visible_action():
+    program = parse_program(TERMINATION_SRC)
+    sigs = parse_signatures(TERMINATION_SRC)
+    verdict = check_equivalence(program, "Send", program, "Idle", sigs)
+    assert not verdict.equivalent
+    assert branching_bisim(chain(TAU), chain()).equivalent
+    assert not branching_bisim(chain(CommLabel("out", 0, "c", (0,))), chain()).equivalent
 
 
 # ---------------------------------------------------------------------------

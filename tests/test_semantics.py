@@ -1,9 +1,12 @@
 """Operational semantics: stepping, exploration, sampling."""
 
+import random
+
 import numpy as np
 import pytest
 
 from cqpkit import corpus, qstate, semantics
+from cqpkit.equiv import branching_bisim, check_equivalence, input_instantiations
 from cqpkit.semantics import (
     DEFAULT_TEST_QUBITS,
     CommLabel,
@@ -19,7 +22,8 @@ from cqpkit.semantics import (
     step,
 )
 from cqpkit.syntax import parse_program
-from support import SQ2
+from cqpkit.typecheck import parse_signatures
+from support import SQ2, random_typed_program
 
 
 def teleport_alphabet(test_state=DEFAULT_TEST_QUBITS[2]):
@@ -175,11 +179,23 @@ def test_per_branch_determinism(teleport_program):
             np.testing.assert_allclose(e.label.qubit_dm.matrix, projector, atol=1e-9)
 
 
+DIAMOND = "P() = (qbit x,y) ({x *= X} . 0 | {y *= X} . 0)"
+
+
 def test_interleaving_diamond_merges():
-    program = parse_program("P() = (qbit x,y) ({x *= X} . 0 | {y *= X} . 0)")
-    plts = explore(initial_configuration(program, "P"))
+    program = parse_program(DIAMOND)
+    plts = explore(initial_configuration(program, "P"), reduce=False)
     # init, allocated, two mid states, one merged final state
     assert len(plts.states) == 5
+    assert sum(1 for s in plts.states if s.terminal) == 1
+
+
+def test_reduced_diamond_is_one_path():
+    program = parse_program(DIAMOND)
+    plts = explore(initial_configuration(program, "P"))
+    # init, allocated, left gate done, both gates done
+    assert len(plts.states) == 4
+    assert len(plts.edges) == len(plts.states) - 1
     assert sum(1 for s in plts.states if s.terminal) == 1
 
 
@@ -195,16 +211,17 @@ def test_merged_configurations_step_alike():
     )
     harness, harness_sigs, _src = corpus.load_corpus_file("teleport_harness.cqp")
     merged = []
-    explore(initial_configuration(diamond, "P"), collect_merged=merged)
-    explore(initial_configuration(wide, "P"), collect_merged=merged)
+    explore(initial_configuration(diamond, "P"), collect_merged=merged, reduce=False)
+    explore(initial_configuration(wide, "P"), collect_merged=merged, reduce=False)
     explore(
         initial_configuration(harness, "Harness", signatures=harness_sigs),
         collect_merged=merged,
+        reduce=False,
     )
     assert len(merged) >= 50
     for kept, dropped in merged[:50]:
-        t_kept = step(kept)
-        t_dropped = step(dropped)
+        t_kept = step(kept, reduce=False)
+        t_dropped = step(dropped, reduce=False)
         assert len(t_kept) == len(t_dropped)
         for a, b in zip(t_kept, t_dropped):
             assert type(a.label) is type(b.label)
@@ -212,6 +229,71 @@ def test_merged_configurations_step_alike():
             for (pa, ca), (pb, cb) in zip(a.outcomes, b.outcomes):
                 assert abs(pa - pb) <= 1e-9
                 assert ca.qstate.num_qubits == cb.qstate.num_qubits
+
+
+# ---------------------------------------------------------------------------
+# Reduction against full interleaving
+# ---------------------------------------------------------------------------
+
+def chain_source(max_k: int) -> str:
+    """Teleport chains Chain_k(a,b) = (new m)(Chain_{k-1}(a,m) | Teleport(m,b)),
+    with Chain_1 = Teleport, and Chain2H: Chain2 followed by a hop applying H."""
+    def entry(k):
+        return "Teleport" if k == 1 else f"Chain{k}"
+
+    lines = [
+        corpus.read_corpus_file("teleport.cqp"),
+        "//: Identity : ^[Qbit], ^[Qbit]",
+        "Identity(c, d) = c?[x] . d![x] . 0",
+        "//: HopH : ^[Qbit], ^[Qbit]",
+        "HopH(c, d) = c?[x] . {x *= H} . d![x] . 0",
+        "//: Chain2H : ^[Qbit], ^[Qbit]",
+        "Chain2H(a, b) = (new m) (Chain2(a, m) | HopH(m, b))",
+    ]
+    for k in range(2, max_k + 1):
+        lines += [
+            f"//: Chain{k} : ^[Qbit], ^[Qbit]",
+            f"Chain{k}(a, b) = (new m) ({entry(k - 1)}(a, m) | Teleport(m, b))",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def assert_reduction_bisimilar(program, signatures, entry):
+    config = initial_configuration(program, entry, signatures=signatures)
+    for alphabet in input_instantiations(program, entry, program, entry, signatures):
+        reduced = explore(config, alphabet=alphabet)
+        full = explore(config, alphabet=alphabet, reduce=False)
+        verdict = branching_bisim(reduced, full)
+        assert verdict.equivalent, f"{entry} under {alphabet}: {verdict.render()}"
+
+
+def test_reduction_bisimilar_on_corpus_and_chains():
+    for entry in corpus.CORPUS:
+        if entry.entry is None:
+            continue
+        program, signatures, _src = corpus.load_corpus_file(entry.path)
+        assert_reduction_bisimilar(program, signatures, entry.entry)
+    source = chain_source(2)
+    program, signatures = parse_program(source), parse_signatures(source)
+    for entry in ("Chain2", "Chain2H"):
+        assert_reduction_bisimilar(program, signatures, entry)
+
+
+def test_reduction_bisimilar_on_random_typed_programs():
+    rng = random.Random(404)
+    for _ in range(400):
+        program, signatures = random_typed_program(rng)
+        assert_reduction_bisimilar(program, signatures, "Gen")
+
+
+def test_four_hop_chain_equals_identity_under_default_cap():
+    source = chain_source(4)
+    program, signatures = parse_program(source), parse_signatures(source)
+    verdict = check_equivalence(
+        program, "Chain4", program, "Identity", signatures,
+        test_qubits=(DEFAULT_TEST_QUBITS[2],),
+    )
+    assert verdict.equivalent
 
 
 def test_exploration_cap(teleport_program):
