@@ -15,6 +15,7 @@ carry one qubit each.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
 
@@ -74,8 +75,6 @@ def fill(context: ProcessContext | ProcessTerm, plug: ProcessTerm) -> ProcessTer
     if isinstance(term, Parallel):
         return Parallel(left=fill(term.left, plug), right=fill(term.right, plug))
     if isinstance(term, (Input, Output, GateAction, QbitAlloc, NewChannel)):
-        import dataclasses
-
         return dataclasses.replace(term, continuation=fill(term.continuation, plug))
     return term
 

@@ -1,17 +1,28 @@
 """Probabilistic branching bisimilarity of explored transition systems.
 
-The relation refines a partition of the two systems' joint state space
-until stable. Two states stay together only if
+One pass over the two systems' joint state space, in reverse topological
+order, gives every state its class: the classes of a state's successors are
+final when the state is reached, and its class is hash-consed from them.
 
-- every visible step of one (and every internal step that changes block)
-  is matched by the other after inert internal steps that remain inside
-  the source's block, and
-- probabilistic states assign equal probability (within a tolerance) to
-  every block of the current partition, where a nondeterministic state
-  counts as assigning probability 1 to its own block.
+- A nondeterministic state's signature is the set of its (label, successor
+  class) pairs. If an internal step leads to a class whose signature covers
+  all of those pairs, that step is inert and the state joins the class.
+- A probabilistic state's key is its mass per successor class, rounded to
+  the ``PROB_TOL`` grid. A state whose whole mass goes to one
+  nondeterministic class joins that class instead.
 
-The second condition lets a measurement whose branches all rejoin the same
-block act like an inert internal step, which is exactly what makes a
+The pass needs acyclic input, since a cycle has no such order; a cyclic
+system raises ``ValueError``. Every system ``semantics.explore`` builds is
+acyclic, because the parser rejects recursive definitions. Cyclic systems
+would need the general algorithm of Groote, Jansen, Keiren & Wijs, "An
+O(m log n) algorithm for computing stuttering equivalence and branching
+bisimulation" (ACM TOCL 2017). Rounding to the grid is transitive and does
+not depend on the order in which states are numbered, unlike a pairwise
+tolerance; the price is that two masses less than ``PROB_TOL`` apart
+separate when a grid midpoint falls between them.
+
+The probabilistic rule lets a measurement whose branches all rejoin the same
+class act like an inert internal step, which is exactly what makes a
 protocol with compensating corrections equal to its deterministic
 specification.
 
@@ -54,8 +65,7 @@ _TAU_CLASS = -1
 _TICK_CLASS = -2
 
 
-def labels_match(l1, l2, q1: DensityMatrix | None = None, q2: DensityMatrix | None = None,
-                 tol: float = LABEL_TOL) -> bool:
+def labels_match(l1, l2, q1: DensityMatrix | None = None, q2: DensityMatrix | None = None) -> bool:
     """Observable equality of labels; qubit payloads compare by density matrix.
 
     ``q1``/``q2`` override the density matrices attached to the labels.
@@ -66,7 +76,7 @@ def labels_match(l1, l2, q1: DensityMatrix | None = None, q2: DensityMatrix | No
         return (
             isinstance(l1, ProbLabel)
             and isinstance(l2, ProbLabel)
-            and abs(l1.probability - l2.probability) <= tol
+            and abs(l1.probability - l2.probability) <= LABEL_TOL
         )
     if not (isinstance(l1, CommLabel) and isinstance(l2, CommLabel)):
         return False
@@ -91,7 +101,7 @@ def labels_match(l1, l2, q1: DensityMatrix | None = None, q2: DensityMatrix | No
     d2 = q2 if q2 is not None else l2.qubit_dm
     if (d1 is None) != (d2 is None):
         return False
-    if d1 is not None and not density_matrices_equal(d1, d2, tol):
+    if d1 is not None and not density_matrices_equal(d1, d2, LABEL_TOL):
         return False
     return True
 
@@ -99,15 +109,14 @@ def labels_match(l1, l2, q1: DensityMatrix | None = None, q2: DensityMatrix | No
 class _LabelClasses:
     """Interns labels into integer classes under tolerant matching."""
 
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self):
         self.reps: list = []
 
     def of(self, label) -> int:
         if isinstance(label, Tau):
             return _TAU_CLASS
         for i, rep in enumerate(self.reps):
-            if labels_match(rep, label, tol=self.tol):
+            if labels_match(rep, label):
                 return i
         self.reps.append(label)
         return len(self.reps) - 1
@@ -158,7 +167,7 @@ class EquivalenceVerdict:
 @dataclass
 class _Graph:
     kinds: list[str]
-    out_edges: list[list[tuple]]  # per state: (label_class, is_tau, is_prob, prob, dst, label)
+    out_edges: list[list[tuple]]  # per state: (label_class, prob, dst); prob set on ProbLabel only
     sink: int  # target of every tick edge; not a state of any input system
 
 
@@ -177,136 +186,101 @@ def _build_graph(systems: list[PLTS], classes: _LabelClasses) -> tuple[_Graph, l
             out_edges.append([])
         for e in plts.edges:
             if isinstance(e.label, ProbLabel):
-                entry = (None, False, True, e.label.probability, offset + e.dst, e.label)
+                entry = (None, e.label.probability, offset + e.dst)
             else:
-                cls = classes.of(e.label)
-                entry = (cls, cls == _TAU_CLASS, False, None, offset + e.dst, e.label)
+                entry = (classes.of(e.label), None, offset + e.dst)
             out_edges[offset + e.src].append(entry)
         offset += len(plts.states)
     sink = offset
     for edges in out_edges:
         if not edges:
-            edges.append((_TICK_CLASS, False, False, None, sink, None))
+            edges.append((_TICK_CLASS, None, sink))
     kinds.append("nondet")
     out_edges.append([])
     return _Graph(kinds, out_edges, sink), initials
 
 
-def _signature(graph: _Graph, s: int, block_of: list[int]) -> frozenset:
-    home = block_of[s]
-    closure = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for cls, is_tau, is_prob, _p, dst, _lbl in graph.out_edges[u]:
-            if (is_tau or is_prob) and block_of[dst] == home and dst not in closure:
-                closure.add(dst)
-                stack.append(dst)
-    sig = set()
-    for u in closure:
-        for cls, is_tau, is_prob, _p, dst, _lbl in graph.out_edges[u]:
-            if is_prob:
-                continue
-            if is_tau:
-                if block_of[dst] != home:
-                    sig.add((_TAU_CLASS, block_of[dst]))
-            else:
-                sig.add((cls, block_of[dst]))
-    return frozenset(sig)
+def _classify(graph: _Graph) -> tuple[list[int], list[tuple]]:
+    """Branching bisimulation classes of an acyclic graph in one pass.
 
-
-def _block_distribution(graph: _Graph, s: int, block_of: list[int]) -> dict[int, float]:
-    if graph.kinds[s] != "prob":
-        return {block_of[s]: 1.0}
-    dist: dict[int, float] = {}
-    for _cls, _is_tau, is_prob, p, dst, _lbl in graph.out_edges[s]:
-        if is_prob:
-            dist[block_of[dst]] = dist.get(block_of[dst], 0.0) + p
-    return dist
-
-
-def _dists_equal(a: dict[int, float], b: dict[int, float], tol: float) -> bool:
-    for key in set(a) | set(b):
-        if abs(a.get(key, 0.0) - b.get(key, 0.0)) > tol:
-            return False
-    return True
-
-
-def _refine(
-    graph: _Graph,
-    prob_tol: float,
-    watch: tuple[int, int] | None = None,
-    classes: _LabelClasses | None = None,
-) -> tuple[list[int], Witness | None]:
-    """Signature refinement to the coarsest stable partition.
-
-    If ``watch`` names two states, returns a witness for the split that
-    first separates them (and stops refining further).
+    Returns the class of every state, and per class either
+    ``("nondet", signature)``, a frozenset of (label class, target class)
+    pairs, or ``("prob", distribution)``, the mass per target class of the
+    class's first member. States are visited in reverse topological order,
+    so the classes of a state's successors are final when it is reached.
     """
     n = len(graph.kinds)
-    block_of = [0] * n
-    while True:
-        sigs = [_signature(graph, s, block_of) for s in range(n)]
-        dists = [_block_distribution(graph, s, block_of) for s in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    pending = [len(edges) for edges in graph.out_edges]
+    for s, edges in enumerate(graph.out_edges):
+        for _cls, _p, dst in edges:
+            preds[dst].append(s)
+    order = [s for s in range(n) if not pending[s]]
+    class_of = [-1] * n
+    shapes: list[tuple] = []
+    ids: dict[tuple, int] = {}
 
-        members_by_block: dict[int, list[int]] = {}
-        for s in range(n):
-            members_by_block.setdefault(block_of[s], []).append(s)
+    def intern(key: tuple, shape: tuple) -> int:
+        if key not in ids:
+            ids[key] = len(shapes)
+            shapes.append(shape)
+        return ids[key]
 
-        new_block_of = [0] * n
-        next_id = 0
-        changed = False
-        for bid in sorted(members_by_block):
-            groups: list[dict] = []
-            for s in members_by_block[bid]:
-                placed = False
-                for g in groups:
-                    if g["sig"] == sigs[s] and _dists_equal(g["dist"], dists[s], prob_tol):
-                        g["members"].append(s)
-                        placed = True
-                        break
-                if not placed:
-                    groups.append({"sig": sigs[s], "dist": dists[s], "members": [s]})
-            if len(groups) > 1:
-                changed = True
-            for g in groups:
-                for s in g["members"]:
-                    new_block_of[s] = next_id
-                next_id += 1
+    for s in order:
+        if graph.kinds[s] == "prob":
+            mass: dict[int, float] = {}
+            for _cls, p, dst in graph.out_edges[s]:
+                mass[class_of[dst]] = mass.get(class_of[dst], 0.0) + p
+            targets = list(mass)
+            if len(targets) == 1 and shapes[targets[0]][0] == "nondet":
+                # Every branch rejoins one class: the measurement is inert.
+                class_of[s] = targets[0]
+            else:
+                key = ("prob", frozenset((c, round(m / PROB_TOL)) for c, m in mass.items()))
+                class_of[s] = intern(key, ("prob", mass))
+        else:
+            sig = frozenset((cls, class_of[dst]) for cls, _p, dst in graph.out_edges[s])
+            for cls, target in sig:
+                kind, target_sig = shapes[target]
+                if (
+                    cls == _TAU_CLASS
+                    and kind == "nondet"
+                    and sig <= target_sig | {(_TAU_CLASS, target)}
+                ):
+                    # An inert internal step: the target can match every move.
+                    # At most one target qualifies, since a qualifying
+                    # signature names every other target, and a signature
+                    # names only classes interned before it.
+                    sig = target_sig
+                    break
+            class_of[s] = intern(("nondet", sig), ("nondet", sig))
+        for u in preds[s]:
+            pending[u] -= 1
+            if not pending[u]:
+                order.append(u)
+    if len(order) < n:
+        raise ValueError("transition system has a cycle")
+    return class_of, shapes
 
-        if watch is not None and new_block_of[watch[0]] != new_block_of[watch[1]]:
-            w = _witness_for_split(
-                graph, watch, sigs, dists, block_of, prob_tol, classes
-            )
-            return new_block_of, w
-        block_of = new_block_of
-        if not changed:
-            return block_of, None
 
-
-def _offer_probability(graph: _Graph, s: int, cls: int, blk: int, block_of: list[int]) -> float:
+def _offer_probability(graph: _Graph, s: int, cls: int, target: int, class_of: list[int]) -> float:
     """Probability of eventually performing an edge of label class ``cls``
-    into block ``blk``, following internal steps only (nondeterminism
+    into class ``target``, following internal steps only (nondeterminism
     resolved by the maximizing scheduler)."""
     memo: dict[int, float] = {}
 
     def go(u: int) -> float:
         if u in memo:
             return memo[u]
-        memo[u] = 0.0  # cycle guard
         if graph.kinds[u] == "prob":
-            total = 0.0
-            for _c, _t, is_prob, p, dst, _l in graph.out_edges[u]:
-                if is_prob:
-                    total += p * go(dst)
-            memo[u] = total
-            return total
+            memo[u] = sum(p * go(dst) for _c, p, dst in graph.out_edges[u])
+            return memo[u]
         best = 0.0
-        for c, is_tau, _is_prob, _p, dst, _l in graph.out_edges[u]:
-            if c == cls and block_of[dst] == blk:
+        for c, _p, dst in graph.out_edges[u]:
+            if c == cls and class_of[dst] == target:
                 best = 1.0
                 break
-            if is_tau:
+            if c == _TAU_CLASS:
                 best = max(best, go(dst))
         memo[u] = best
         return best
@@ -314,25 +288,30 @@ def _offer_probability(graph: _Graph, s: int, cls: int, blk: int, block_of: list
     return go(s)
 
 
-def _witness_for_split(graph, watch, sigs, dists, block_of, prob_tol, classes) -> Witness:
-    a, b = watch
-    sig_a, sig_b = sigs[a], sigs[b]
+def _witness_for_split(graph, a, b, class_of, shapes, classes) -> Witness:
+    def sig_dist(s: int) -> tuple[frozenset, dict]:
+        kind, body = shapes[class_of[s]]
+        if kind == "prob":
+            return frozenset(), body
+        return body, {class_of[s]: 1.0}
+
+    (sig_a, da), (sig_b, db) = sig_dist(a), sig_dist(b)
 
     def shown_label(cls: int) -> str:
         if cls == _TAU_CLASS:
             return "tau"
         if cls == _TICK_CLASS:
             return "termination"
-        return render_label(classes.reps[cls]) if classes else f"label#{cls}"
+        return render_label(classes.reps[cls])
 
     # Prefer a probabilistic account: a visible action one side offers with
     # different probability mass than the other.
     for cls, blk in sorted(sig_a | sig_b):
         if cls == _TAU_CLASS:
             continue
-        pa = _offer_probability(graph, a, cls, blk, block_of)
-        pb = _offer_probability(graph, b, cls, blk, block_of)
-        if abs(pa - pb) > prob_tol and {pa, pb} != {0.0, 1.0}:
+        pa = _offer_probability(graph, a, cls, blk, class_of)
+        pb = _offer_probability(graph, b, cls, blk, class_of)
+        if abs(pa - pb) > PROB_TOL and {pa, pb} != {0.0, 1.0}:
             return Witness(
                 "probability",
                 f"probability of offering {shown_label(cls)} after internal steps "
@@ -351,10 +330,9 @@ def _witness_for_split(graph, watch, sigs, dists, block_of, prob_tol, classes) -
             f"only the {side} process offers {shown_label(cls)} into block {blk}",
             label=shown_label(cls),
         )
-    da, db = dists[a], dists[b]
     for key in sorted(set(da) | set(db)):
         pa, pb = da.get(key, 0.0), db.get(key, 0.0)
-        if abs(pa - pb) > prob_tol:
+        if abs(pa - pb) > PROB_TOL:
             return Witness(
                 "probability",
                 f"probability of reaching block {key} differs: {pa:.6f} vs {pb:.6f}",
@@ -364,109 +342,78 @@ def _witness_for_split(graph, watch, sigs, dists, block_of, prob_tol, classes) -
     return Witness("label", "states separated by refinement")
 
 
-def branching_bisim(
-    p1: PLTS,
-    p2: PLTS,
-    prob_tol: float = PROB_TOL,
-    label_tol: float = LABEL_TOL,
-) -> EquivalenceVerdict:
-    """Decide probabilistic branching bisimilarity of two finite PLTSs."""
-    classes = _LabelClasses(label_tol)
-    graph, initials = _build_graph([p1, p2], classes)
-    block_of, witness = _refine(
-        graph, prob_tol, watch=(initials[0], initials[1]), classes=classes
-    )
-    if block_of[initials[0]] == block_of[initials[1]]:
+def branching_bisim(p1: PLTS, p2: PLTS) -> EquivalenceVerdict:
+    """Decide probabilistic branching bisimilarity of two finite PLTSs.
+
+    Both systems are classified in one bottom-up pass (``_classify``), and
+    they are equivalent when their initial states share a class. The pass
+    fixes a state's class from the classes of its successors, so the systems
+    must be acyclic; a cycle raises ``ValueError``. Probability masses are
+    compared after rounding to the ``PROB_TOL`` grid, which is transitive
+    and independent of state numbering, but two masses closer than
+    ``PROB_TOL`` still separate when a grid midpoint falls between them.
+    """
+    classes = _LabelClasses()
+    graph, (a, b) = _build_graph([p1, p2], classes)
+    class_of, shapes = _classify(graph)
+    if class_of[a] == class_of[b]:
         return EquivalenceVerdict(True)
-    if witness is None:
-        witness = Witness("label", "initial states are not related")
-    return EquivalenceVerdict(False, witness)
+    return EquivalenceVerdict(False, _witness_for_split(graph, a, b, class_of, shapes, classes))
 
 
-def bisimulation_partition(
-    systems: list[PLTS], prob_tol: float = PROB_TOL, label_tol: float = LABEL_TOL
-) -> Partition:
+def bisimulation_partition(systems: list[PLTS]) -> Partition:
     """The coarsest stable partition over the disjoint union of the systems."""
-    classes = _LabelClasses(label_tol)
-    graph, _ = _build_graph(systems, classes)
-    block_of, _ = _refine(graph, prob_tol)
+    graph, _ = _build_graph(systems, _LabelClasses())
+    class_of, _ = _classify(graph)
     blocks: dict[int, set[int]] = {}
-    for s, b in enumerate(block_of[: graph.sink]):
-        blocks.setdefault(b, set()).add(s)
+    for s, c in enumerate(class_of[: graph.sink]):
+        blocks.setdefault(c, set()).add(s)
     return Partition(tuple(frozenset(b) for _, b in sorted(blocks.items())))
 
 
-def minimize(p: PLTS, prob_tol: float = PROB_TOL, label_tol: float = LABEL_TOL) -> PLTS:
-    """Quotient a PLTS by the bisimulation fixpoint, dropping inert steps."""
-    classes = _LabelClasses(label_tol)
-    graph, initials = _build_graph([p], classes)
-    block_of, _ = _refine(graph, prob_tol)
+def minimize(p: PLTS) -> PLTS:
+    """Quotient a PLTS by branching bisimilarity, dropping inert steps."""
+    classes = _LabelClasses()
+    graph, (initial,) = _build_graph([p], classes)
+    class_of, shapes = _classify(graph)
 
-    sigs = {}
-    dists = {}
-    kinds = {}
-    members_by_block: dict[int, list[int]] = {}
-    for s, b in enumerate(block_of[: graph.sink]):
-        members_by_block.setdefault(b, []).append(s)
-    for bid, members in members_by_block.items():
-        rep = members[0]
-        sigs[bid] = {
-            item for item in _signature(graph, rep, block_of) if item[0] != _TICK_CLASS
-        }
-        if all(graph.kinds[s] == "prob" for s in members):
-            d = _block_distribution(graph, rep, block_of)
-            if not (len(d) == 1 and bid in d):
-                kinds[bid] = "prob"
-                dists[bid] = d
-                continue
-        kinds[bid] = "nondet"
-
-    def rep_label(cls: int, target_bid: int):
+    def rep_label(cls: int):
         if cls == _TAU_CLASS:
             return semantics.TAU
         return classes.reps[cls]
 
-    # Breadth-first over quotient blocks for stable state numbering.
-    order: list[int] = []
-    index: dict[int, int] = {}
-    queue = [block_of[initials[0]]]
-    index[queue[0]] = 0
-    order.append(queue[0])
-    head = 0
-    edges_by_block: dict[int, list[tuple]] = {}
-    while head < len(queue):
-        bid = queue[head]
-        head += 1
-        outgoing: list[tuple] = []
-        if kinds[bid] == "prob":
-            for target_bid, prob in sorted(dists[bid].items()):
-                outgoing.append((ProbLabel(prob), target_bid))
+    # Breadth-first over quotient classes for stable state numbering.
+    order = [class_of[initial]]
+    index = {order[0]: 0}
+    edges_by_class: dict[int, list[tuple]] = {}
+    for c in order:
+        kind, body = shapes[c]
+        if kind == "prob":
+            outgoing = [(ProbLabel(prob), target) for target, prob in sorted(body.items())]
         else:
-            for cls, target_bid in sorted(
-                sigs[bid], key=lambda item: (item[1], item[0])
-            ):
-                outgoing.append((rep_label(cls, target_bid), target_bid))
-        edges_by_block[bid] = outgoing
-        for _lbl, target_bid in outgoing:
-            if target_bid not in index:
-                index[target_bid] = len(order)
-                order.append(target_bid)
-                queue.append(target_bid)
+            outgoing = [
+                (rep_label(cls), target)
+                for cls, target in sorted(body, key=lambda item: (item[1], item[0]))
+                if cls != _TICK_CLASS
+            ]
+        edges_by_class[c] = outgoing
+        for _lbl, target in outgoing:
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
 
     states = []
     edges = []
-    for bid in order:
-        sid = index[bid]
-        outgoing = edges_by_block[bid]
-        states.append(
-            PLTSState(sid, kinds[bid], terminal=not outgoing, config=None)
-        )
-        for lbl, target_bid in outgoing:
-            edges.append(PLTSEdge(sid, lbl, index[target_bid]))
+    for c in order:
+        sid = index[c]
+        outgoing = edges_by_class[c]
+        states.append(PLTSState(sid, shapes[c][0], terminal=not outgoing, config=None))
+        for lbl, target in outgoing:
+            edges.append(PLTSEdge(sid, lbl, index[target]))
     return PLTS(states, edges, 0)
 
 
-def plts_isomorphic(a: PLTS, b: PLTS, label_tol: float = LABEL_TOL) -> bool:
+def plts_isomorphic(a: PLTS, b: PLTS) -> bool:
     """Exact graph isomorphism respecting kinds, terminal flags and labels.
 
     Backtracking matcher; intended for the small quotient systems produced
@@ -484,7 +431,7 @@ def plts_isomorphic(a: PLTS, b: PLTS, label_tol: float = LABEL_TOL) -> bool:
             return False
         if isinstance(e1.label, ProbLabel):
             return abs(e1.label.probability - e2.label.probability) <= PROB_TOL
-        return labels_match(e1.label, e2.label, tol=label_tol)
+        return labels_match(e1.label, e2.label)
 
     def try_map(x: int, y: int) -> bool:
         if x in mapping:
@@ -580,8 +527,6 @@ def check_equivalence(
     signatures_b: dict | None = None,
     test_qubits=semantics.DEFAULT_TEST_QUBITS,
     max_states: int = semantics.DEFAULT_MAX_STATES,
-    prob_tol: float = PROB_TOL,
-    label_tol: float = LABEL_TOL,
 ) -> EquivalenceVerdict:
     """Conjoin branching bisimilarity over every external-input instantiation."""
     if signatures_b is None:
@@ -596,7 +541,7 @@ def check_equivalence(
     for alphabet in instantiations:
         plts_a = semantics.explore(cfg_a, max_states=max_states, alphabet=alphabet)
         plts_b = semantics.explore(cfg_b, max_states=max_states, alphabet=alphabet)
-        verdict = branching_bisim(plts_a, plts_b, prob_tol=prob_tol, label_tol=label_tol)
+        verdict = branching_bisim(plts_a, plts_b)
         if not verdict.equivalent:
             witness = verdict.witness
             if witness is not None:

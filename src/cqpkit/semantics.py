@@ -200,23 +200,6 @@ class Configuration:
     def display_channel(self, cid: int) -> str:
         return self.channel_names.get(cid, f"#chan{cid}")
 
-    def ownership(self) -> dict[int, tuple]:
-        """Derived map from qubit id to the owning component's tree path."""
-        owners: dict[int, tuple] = {}
-
-        def walk(term: ProcessTerm, path: tuple):
-            if isinstance(term, Parallel):
-                walk(term.left, path + (0,))
-                walk(term.right, path + (1,))
-                return
-            for name in free_names(term):
-                v = self.bindings.get(name)
-                if isinstance(v, QubitVal):
-                    owners.setdefault(v.qid, path)
-
-        walk(self.term, ())
-        return owners
-
     def check_ownership(self):
         """Raise OwnershipViolation if a qubit is shared across a parallel split."""
 

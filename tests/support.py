@@ -12,6 +12,7 @@ import random
 
 import numpy as np
 
+from cqpkit.equiv import _TAU_CLASS, PROB_TOL
 from cqpkit.semantics import (
     PLTS,
     TAU,
@@ -218,6 +219,81 @@ def insert_tau(plts: PLTS, target: int) -> PLTS:
     edges.append(PLTSEdge(new_id, TAU, target))
     initial = new_id if plts.initial == target else plts.initial
     return PLTS(states, edges, initial)
+
+
+# ---------------------------------------------------------------------------
+# Round-based bisimulation oracle
+# ---------------------------------------------------------------------------
+
+def refine_partition(graph) -> list[int]:
+    """Block of every state of an ``equiv._Graph`` under the coarsest stable
+    partition, by repeated whole-graph signature refinement.
+
+    Each round gives every state a signature (its visible and block-changing
+    internal steps after inert internal and probabilistic steps inside its
+    block) and a distribution over blocks, and splits blocks first-fit by
+    both, with masses equal within ``PROB_TOL``. It shares no code with
+    ``equiv._classify``'s one bottom-up pass.
+    """
+    n = len(graph.kinds)
+
+    def signature(s: int, block_of: list[int]) -> frozenset:
+        home = block_of[s]
+        closure = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for cls, p, dst in graph.out_edges[u]:
+                inert = p is not None or cls == _TAU_CLASS
+                if inert and block_of[dst] == home and dst not in closure:
+                    closure.add(dst)
+                    stack.append(dst)
+        sig = set()
+        for u in closure:
+            for cls, p, dst in graph.out_edges[u]:
+                if p is None and not (cls == _TAU_CLASS and block_of[dst] == home):
+                    sig.add((cls, block_of[dst]))
+        return frozenset(sig)
+
+    def distribution(s: int, block_of: list[int]) -> dict[int, float]:
+        if graph.kinds[s] != "prob":
+            return {block_of[s]: 1.0}
+        dist: dict[int, float] = {}
+        for _cls, p, dst in graph.out_edges[s]:
+            if p is not None:
+                dist[block_of[dst]] = dist.get(block_of[dst], 0.0) + p
+        return dist
+
+    def dists_equal(a: dict[int, float], b: dict[int, float]) -> bool:
+        return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= PROB_TOL for k in set(a) | set(b))
+
+    block_of = [0] * n
+    while True:
+        sigs = [signature(s, block_of) for s in range(n)]
+        dists = [distribution(s, block_of) for s in range(n)]
+        members_by_block: dict[int, list[int]] = {}
+        for s in range(n):
+            members_by_block.setdefault(block_of[s], []).append(s)
+        new_block_of = [0] * n
+        next_id = 0
+        changed = False
+        for bid in sorted(members_by_block):
+            groups: list[tuple] = []  # (signature, distribution, members)
+            for s in members_by_block[bid]:
+                for sig, dist, members in groups:
+                    if sig == sigs[s] and dists_equal(dist, dists[s]):
+                        members.append(s)
+                        break
+                else:
+                    groups.append((sigs[s], dists[s], [s]))
+            changed |= len(groups) > 1
+            for _sig, _dist, members in groups:
+                for s in members:
+                    new_block_of[s] = next_id
+                next_id += 1
+        block_of = new_block_of
+        if not changed:
+            return block_of
 
 
 # ---------------------------------------------------------------------------

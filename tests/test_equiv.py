@@ -8,9 +8,13 @@ import pytest
 from cqpkit import qstate
 from cqpkit.equiv import (
     EquivalenceVerdict,
+    _build_graph,
+    _classify,
+    _LabelClasses,
     bisimulation_partition,
     branching_bisim,
     check_equivalence,
+    input_instantiations,
     labels_match,
     minimize,
     plts_isomorphic,
@@ -29,7 +33,13 @@ from cqpkit.semantics import (
 )
 from cqpkit.syntax import parse_program
 from cqpkit.typecheck import parse_signatures
-from support import SQ2, insert_tau, random_plts
+from support import (
+    SQ2,
+    insert_tau,
+    random_plts,
+    random_typed_program,
+    refine_partition,
+)
 
 
 def dm_of(amps) -> qstate.DensityMatrix:
@@ -280,6 +290,76 @@ def test_near_identical_probabilities_within_tolerance_match():
         0,
     )
     assert branching_bisim(a, b).equivalent
+
+
+def coin_system(heads_masses, reached: int) -> PLTS:
+    """Coins numbered in the given order; each sends its heads mass to an
+    output ``c![0]`` and the rest to ``c![1]``. The initial state steps by
+    tau into coin number ``reached`` only."""
+    heads, tails = CommLabel("out", 0, "c", (0,)), CommLabel("out", 0, "c", (1,))
+    states = [PLTSState(0, "nondet")]
+    edges = []
+    for i, mass in enumerate(heads_masses):
+        coin = len(states)
+        states += [PLTSState(coin, "prob")] + [PLTSState(coin + k, "nondet") for k in (1, 2)]
+        states += [PLTSState(coin + k, "nondet", True) for k in (3, 4)]
+        edges += [
+            PLTSEdge(coin, ProbLabel(mass), coin + 1),
+            PLTSEdge(coin, ProbLabel(1.0 - mass), coin + 2),
+            PLTSEdge(coin + 1, heads, coin + 3),
+            PLTSEdge(coin + 2, tails, coin + 4),
+        ]
+        if i == reached:
+            edges.append(PLTSEdge(0, TAU, coin))
+    return PLTS(states, edges, 0)
+
+
+def test_verdict_does_not_depend_on_state_numbering():
+    # The heads masses differ by 1.6e-6 > PROB_TOL. An unreachable fair coin
+    # lies within PROB_TOL of one of them, so grouping masses first-fit within
+    # a tolerance would make the verdict depend on how states are numbered.
+    a = coin_system([0.5 + 0.8e-6, 0.5], reached=0)
+    a_renumbered = coin_system([0.5, 0.5 + 0.8e-6], reached=1)
+    b = coin_system([0.5 + 1.6e-6], reached=0)
+    pairs = [(a, b), (b, a), (a_renumbered, b), (b, a_renumbered)]
+    assert [branching_bisim(x, y).equivalent for x, y in pairs] == [False] * 4
+
+
+def test_cyclic_input_is_rejected():
+    loop = PLTS(
+        [PLTSState(0, "nondet"), PLTSState(1, "nondet")],
+        [PLTSEdge(0, TAU, 1), PLTSEdge(1, TAU, 0)],
+        0,
+    )
+    with pytest.raises(ValueError, match="transition system has a cycle"):
+        branching_bisim(loop, chain())
+    with pytest.raises(ValueError, match="transition system has a cycle"):
+        minimize(loop)
+
+
+def assert_classes_match_refinement(systems):
+    graph, _ = _build_graph(systems, _LabelClasses())
+    class_of, _ = _classify(graph)
+    oracle = refine_partition(graph)
+    # Equal as equivalence relations: the pairing of the two labelings is a bijection.
+    assert len(set(class_of)) == len(set(oracle)) == len(set(zip(class_of, oracle)))
+
+
+def test_one_pass_classes_match_round_based_refinement():
+    rng = random.Random(2017)
+    for _ in range(200):
+        plts = random_plts(rng)
+        live = [s.id for s in plts.states if not s.terminal and s.kind == "nondet"]
+        assert_classes_match_refinement([plts])
+        assert_classes_match_refinement([plts, random_plts(rng)])
+        assert_classes_match_refinement([plts, insert_tau(plts, rng.choice(live))])
+    for _ in range(200):
+        program, signatures = random_typed_program(rng)
+        config = initial_configuration(program, "Gen", signatures=signatures)
+        for alphabet in input_instantiations(program, "Gen", program, "Gen", signatures):
+            reduced = explore(config, alphabet=alphabet)
+            full = explore(config, alphabet=alphabet, reduce=False)
+            assert_classes_match_refinement([reduced, full])
 
 
 # ---------------------------------------------------------------------------
