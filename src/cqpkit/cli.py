@@ -42,6 +42,21 @@ class _Parser(argparse.ArgumentParser):
         raise _CliExit(EXIT_USAGE, f"{self.prog}: error: {message}")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _read_file(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -292,14 +307,14 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="sample one seeded execution trace")
     p_run.add_argument("file")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--max-steps", type=int, default=None)
+    p_run.add_argument("--max-steps", type=_int_at_least(0), default=None)
     p_run.add_argument("--json", action="store_true")
     common(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_exp = sub.add_parser("explore", help="exhaustively explore to a PLTS")
     p_exp.add_argument("file")
-    p_exp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p_exp.add_argument("--max-states", type=_int_at_least(1), default=DEFAULT_MAX_STATES)
     p_exp.add_argument("--dump-plts", action="store_true", help="print the PLTS as JSON")
     p_exp.add_argument("--json", action="store_true")
     common(p_exp)
@@ -310,7 +325,7 @@ def build_parser() -> _Parser:
     p_eq.add_argument("right")
     p_eq.add_argument("--left-entry")
     p_eq.add_argument("--right-entry")
-    p_eq.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p_eq.add_argument("--max-states", type=_int_at_least(1), default=DEFAULT_MAX_STATES)
     p_eq.add_argument("--json", action="store_true")
     common(p_eq, entry=False)
     p_eq.set_defaults(func=_cmd_equiv)

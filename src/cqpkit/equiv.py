@@ -35,17 +35,23 @@ lets ``semantics.step`` give deterministic internal steps (call unfolding,
 ``new``, qubit allocation, gates) priority without changing verdicts.
 
 Label matching is quantum-aware: output labels carrying qubits compare by
-the reduced density matrix of the transmitted qubits, entrywise within a
-tolerance, which is insensitive to global phase and to how the rest of the
-system is entangled with bookkeeping qubits left behind.
+the reduced density matrix of the transmitted qubits, which is insensitive
+to global phase and to how the rest of the system is entangled with
+bookkeeping qubits left behind. Each label has one key (``label_key``) with
+the matrix rounded to the ``LABEL_TOL`` grid, and labels match when their
+keys are equal. Like the ``PROB_TOL`` grid, this is transitive and does not
+depend on the order in which labels are met; the price is that two matrices
+closer than ``LABEL_TOL`` still split when a grid midpoint falls between
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import semantics
-from .qstate import DensityMatrix, density_matrices_equal
 from .semantics import (
     PLTS,
     CommLabel,
@@ -53,8 +59,6 @@ from .semantics import (
     PLTSState,
     ProbLabel,
     Tau,
-    TestQubit,
-    QubitSlot,
     render_label,
 )
 
@@ -65,61 +69,43 @@ _TAU_CLASS = -1
 _TICK_CLASS = -2
 
 
-def labels_match(l1, l2, q1: DensityMatrix | None = None, q2: DensityMatrix | None = None) -> bool:
-    """Observable equality of labels; qubit payloads compare by density matrix.
+def label_key(label) -> tuple:
+    """``(kind, channel, values, dm)``: labels match when their keys are
+    equal. ``dm`` is the density matrix of an output's qubits rounded to
+    the ``LABEL_TOL`` grid, real and imaginary parts interleaved, or None;
+    the values compare exactly, qubit slots by position and test qubits by
+    name and amplitudes."""
+    if isinstance(label, Tau):
+        return ("tau", None, (), None)
+    if not isinstance(label, CommLabel):
+        raise TypeError(f"not a label: {label!r}")
+    dm = label.qubit_dm
+    if dm is not None:
+        dm = np.rint(dm.matrix.view(np.float64) / LABEL_TOL).astype(np.int64).tobytes()
+    return (label.kind, label.channel, label.values, dm)
 
-    ``q1``/``q2`` override the density matrices attached to the labels.
-    """
-    if isinstance(l1, Tau) or isinstance(l2, Tau):
-        return isinstance(l1, Tau) and isinstance(l2, Tau)
-    if isinstance(l1, ProbLabel) or isinstance(l2, ProbLabel):
-        return (
-            isinstance(l1, ProbLabel)
-            and isinstance(l2, ProbLabel)
-            and abs(l1.probability - l2.probability) <= LABEL_TOL
-        )
-    if not (isinstance(l1, CommLabel) and isinstance(l2, CommLabel)):
-        return False
-    if l1.kind != l2.kind or l1.channel != l2.channel:
-        return False
-    if len(l1.values) != len(l2.values):
-        return False
-    for v1, v2 in zip(l1.values, l2.values):
-        if isinstance(v1, QubitSlot) or isinstance(v2, QubitSlot):
-            if not (isinstance(v1, QubitSlot) and isinstance(v2, QubitSlot)):
-                return False
-            if v1.index != v2.index:
-                return False
-        elif isinstance(v1, TestQubit) or isinstance(v2, TestQubit):
-            if not (isinstance(v1, TestQubit) and isinstance(v2, TestQubit)):
-                return False
-            if v1.name != v2.name or v1.amp0 != v2.amp0 or v1.amp1 != v2.amp1:
-                return False
-        elif v1 != v2:
-            return False
-    d1 = q1 if q1 is not None else l1.qubit_dm
-    d2 = q2 if q2 is not None else l2.qubit_dm
-    if (d1 is None) != (d2 is None):
-        return False
-    if d1 is not None and not density_matrices_equal(d1, d2, LABEL_TOL):
-        return False
-    return True
+
+def labels_match(l1, l2) -> bool:
+    """Observable equality of labels; qubit payloads compare by density matrix."""
+    return label_key(l1) == label_key(l2)
 
 
 class _LabelClasses:
-    """Interns labels into integer classes under tolerant matching."""
+    """Interns labels into integer classes by ``label_key``; ``reps`` holds
+    the first label of each class, for witness text."""
 
     def __init__(self):
         self.reps: list = []
+        self.ids: dict[tuple, int] = {}
 
     def of(self, label) -> int:
         if isinstance(label, Tau):
             return _TAU_CLASS
-        for i, rep in enumerate(self.reps):
-            if labels_match(rep, label):
-                return i
-        self.reps.append(label)
-        return len(self.reps) - 1
+        key = label_key(label)
+        if key not in self.ids:
+            self.ids[key] = len(self.reps)
+            self.reps.append(label)
+        return self.ids[key]
 
 
 @dataclass(frozen=True)

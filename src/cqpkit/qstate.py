@@ -292,13 +292,6 @@ def states_equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float =
     return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
 
 
-def density_matrices_equal(a: DensityMatrix, b: DensityMatrix, tol: float = ATOL) -> bool:
-    """Entrywise comparison; density matrices are already phase-insensitive."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    return bool(np.allclose(a.matrix, b.matrix, atol=tol, rtol=0.0))
-
-
 def dirac(state: StateVector, decimals: int = 4) -> str:
     """Render a state as e.g. ``0.7071|00> + 0.7071|11>``."""
     n = state.num_qubits

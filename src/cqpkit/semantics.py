@@ -35,7 +35,6 @@ from .qstate import DEFAULT_QUBIT_CAP, DensityMatrix, StateVector
 from .syntax import (
     BitLit,
     Call,
-    Expression,
     FixedGate,
     GateAction,
     Hole,
@@ -51,6 +50,7 @@ from .syntax import (
     SigmaGate,
     TupleExpr,
     Var,
+    canonical_form,
     free_names,
     substitute,
 )
@@ -686,14 +686,18 @@ def step(
 # ---------------------------------------------------------------------------
 
 def canonical_key(config: Configuration) -> tuple:
-    """Discrete part of configuration identity: the term serialized with
-    positional names for binders and a first-occurrence numbering of hidden
-    channels. Configurations with equal keys are merged when their quantum
-    states agree up to global phase."""
+    """Discrete part of configuration identity: the number of qubits and
+    the term's ``canonical_form``, with every free name replaced by the
+    value it is bound to and hidden channels numbered by first occurrence.
+    Configurations with equal keys are merged when their quantum states
+    agree up to global phase."""
+    bindings = config.bindings
     hidden: dict[int, str] = {}
-    counter = [0]
 
-    def value_token(v) -> str:
+    def resolve(name: str) -> str:
+        if name not in bindings:
+            return f"?{name}"
+        v = bindings[name]
         if isinstance(v, QubitVal):
             return f"q{v.qid}"
         if isinstance(v, ChannelVal):
@@ -704,67 +708,7 @@ def canonical_key(config: Configuration) -> tuple:
             return "(" + ",".join(str(b) for b in v) + ")"
         return f"b{v}"
 
-    def name_token(name: str, env: dict) -> str:
-        if name in env:
-            return env[name]
-        if name in config.bindings:
-            return value_token(config.bindings[name])
-        return f"?{name}"
-
-    def expr_token(e: Expression, env: dict) -> str:
-        if isinstance(e, Var):
-            return name_token(e.name, env)
-        if isinstance(e, BitLit):
-            return f"b{e.value}"
-        if isinstance(e, MeasureExpr):
-            return "m(" + ",".join(name_token(n, env) for n in e.names) + ")"
-        if isinstance(e, TupleExpr):
-            return "(" + ",".join(expr_token(x, env) for x in e.items) + ")"
-        raise TypeError(f"not an expression: {e!r}")
-
-    def bind_all(binders, env: dict) -> dict:
-        env = dict(env)
-        for b in binders:
-            counter[0] += 1
-            env[b] = f"v{counter[0]}"
-        return env
-
-    def ser(term: ProcessTerm, env: dict) -> str:
-        if isinstance(term, Nil):
-            return "0"
-        if isinstance(term, Hole):
-            return "HOLE"
-        if isinstance(term, Input):
-            env2 = bind_all(term.binders, env)
-            return (
-                f"in({name_token(term.channel, env)};{len(term.binders)};"
-                f"{ser(term.continuation, env2)})"
-            )
-        if isinstance(term, Output):
-            payload = ",".join(expr_token(e, env) for e in term.payload)
-            return f"out({name_token(term.channel, env)};{payload};{ser(term.continuation, env)})"
-        if isinstance(term, GateAction):
-            gate = (
-                term.gate.name
-                if isinstance(term.gate, FixedGate)
-                else f"sigma[{name_token(term.gate.index_var, env)}]"
-            )
-            targets = ",".join(name_token(t, env) for t in term.targets)
-            return f"act({targets};{gate};{ser(term.continuation, env)})"
-        if isinstance(term, QbitAlloc):
-            env2 = bind_all(term.binders, env)
-            return f"qbit({len(term.binders)};{ser(term.continuation, env2)})"
-        if isinstance(term, NewChannel):
-            env2 = bind_all((term.binder,), env)
-            return f"new({ser(term.continuation, env2)})"
-        if isinstance(term, Parallel):
-            return f"par({ser(term.left, env)}|{ser(term.right, env)})"
-        if isinstance(term, Call):
-            args = ",".join(name_token(a, env) for a in term.args)
-            return f"call({term.process};{args})"
-        raise TypeError(f"not a process term: {term!r}")
-
-    return (config.qstate.num_qubits, ser(config.term, {}))
+    return (config.qstate.num_qubits, canonical_form(config.term, resolve))
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +768,6 @@ def explore(
     config: Configuration,
     max_states: int = DEFAULT_MAX_STATES,
     alphabet: dict | None = None,
-    collect_merged: list | None = None,
     *,
     reduce: bool = True,
 ) -> PLTS:
@@ -833,10 +776,6 @@ def explore(
     Configurations equal up to bound-name renaming, hidden-channel
     bijection, and global phase are merged. Transitions with more than one
     outcome go through an intermediate probabilistic state.
-
-    ``collect_merged``, if supplied, receives a (kept, dropped) pair for
-    every configuration that deduplication merged into an existing state;
-    tests use it to spot-check that merged configurations behave alike.
 
     ``reduce`` is passed to ``step``: the default explores one order of
     independent deterministic τ steps, ``reduce=False`` every interleaving.
@@ -852,10 +791,7 @@ def explore(
     def intern(cfg: Configuration) -> int:
         key = canonical_key(cfg)
         for sid in buckets.get(key, []):
-            known = states[sid].config
-            if qstate.states_equal_up_to_global_phase(known.qstate, cfg.qstate):
-                if collect_merged is not None and known is not cfg:
-                    collect_merged.append((known, cfg))
+            if qstate.states_equal_up_to_global_phase(states[sid].config.qstate, cfg.qstate):
                 return sid
         if len(states) >= max_states:
             raise ExplorationLimitError(max_states)

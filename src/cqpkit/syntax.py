@@ -706,93 +706,77 @@ def substitute(term: ProcessTerm, mapping: dict[str, str]) -> ProcessTerm:
     raise TypeError(f"not a process term: {term!r}")
 
 
-def alpha_equivalent(a: ProcessTerm, b: ProcessTerm) -> bool:
-    """Structural equality up to consistent renaming of bound names."""
+def canonical_form(term: ProcessTerm, free) -> str:
+    """Serialize ``term`` so that terms equal up to renaming of bound names,
+    and only those, get the same string.
 
-    def expr_eq(x: Expression, y: Expression, env_a, env_b) -> bool:
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Var):
-            return env_a.get(x.name, x.name) == env_b.get(y.name, y.name)
-        if isinstance(x, BitLit):
-            return x.value == y.value
-        if isinstance(x, MeasureExpr):
-            return len(x.names) == len(y.names) and all(
-                env_a.get(n, n) == env_b.get(m, m) for n, m in zip(x.names, y.names)
-            )
-        if isinstance(x, TupleExpr):
-            return len(x.items) == len(y.items) and all(
-                expr_eq(i, j, env_a, env_b) for i, j in zip(x.items, y.items)
-            )
-        return False
-
+    Binders become ``v1``, ``v2``, ... in the order the walk meets them, so
+    a bound name is known by its binder's position. Every free name ``n``
+    becomes ``free(n)``; the caller picks tokens that cannot collide with
+    the binder tokens or with literals (``b0``, ``b1``), and may map two
+    free names to one token to identify them. Input and qubit binders are
+    counted, so ``c?[x,y] . 0`` and ``c?[x] . 0`` differ.
+    """
     counter = [0]
 
-    def go(x: ProcessTerm, y: ProcessTerm, env_a: dict, env_b: dict) -> bool:
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, (Nil, Hole)):
-            return True
-        if isinstance(x, Input):
-            if env_a.get(x.channel, x.channel) != env_b.get(y.channel, y.channel):
-                return False
-            if len(x.binders) != len(y.binders):
-                return False
-            ea, eb = dict(env_a), dict(env_b)
-            for bx, by in zip(x.binders, y.binders):
-                counter[0] += 1
-                marker = f"α{counter[0]}"
-                ea[bx] = marker
-                eb[by] = marker
-            return go(x.continuation, y.continuation, ea, eb)
-        if isinstance(x, Output):
-            if env_a.get(x.channel, x.channel) != env_b.get(y.channel, y.channel):
-                return False
-            if len(x.payload) != len(y.payload):
-                return False
-            if not all(expr_eq(i, j, env_a, env_b) for i, j in zip(x.payload, y.payload)):
-                return False
-            return go(x.continuation, y.continuation, env_a, env_b)
-        if isinstance(x, GateAction):
-            if len(x.targets) != len(y.targets):
-                return False
-            if not all(
-                env_a.get(t, t) == env_b.get(u, u) for t, u in zip(x.targets, y.targets)
-            ):
-                return False
-            if type(x.gate) is not type(y.gate):
-                return False
-            if isinstance(x.gate, FixedGate):
-                if x.gate.name != y.gate.name:
-                    return False
-            else:
-                if env_a.get(x.gate.index_var, x.gate.index_var) != env_b.get(
-                    y.gate.index_var, y.gate.index_var
-                ):
-                    return False
-            return go(x.continuation, y.continuation, env_a, env_b)
-        if isinstance(x, QbitAlloc):
-            if len(x.binders) != len(y.binders):
-                return False
-            ea, eb = dict(env_a), dict(env_b)
-            for bx, by in zip(x.binders, y.binders):
-                counter[0] += 1
-                marker = f"α{counter[0]}"
-                ea[bx] = marker
-                eb[by] = marker
-            return go(x.continuation, y.continuation, ea, eb)
-        if isinstance(x, NewChannel):
-            counter[0] += 1
-            marker = f"α{counter[0]}"
-            ea = dict(env_a, **{x.binder: marker})
-            eb = dict(env_b, **{y.binder: marker})
-            return go(x.continuation, y.continuation, ea, eb)
-        if isinstance(x, Parallel):
-            return go(x.left, y.left, env_a, env_b) and go(x.right, y.right, env_a, env_b)
-        if isinstance(x, Call):
-            if x.process != y.process or len(x.args) != len(y.args):
-                return False
-            return all(env_a.get(p, p) == env_b.get(q, q) for p, q in zip(x.args, y.args))
-        return False
+    def name(n: str, env: dict) -> str:
+        return env[n] if n in env else free(n)
 
-    return go(a, b, {}, {})
+    def expr(e: Expression, env: dict) -> str:
+        if isinstance(e, Var):
+            return name(e.name, env)
+        if isinstance(e, BitLit):
+            return f"b{e.value}"
+        if isinstance(e, MeasureExpr):
+            return "m(" + ",".join(name(n, env) for n in e.names) + ")"
+        if isinstance(e, TupleExpr):
+            return "(" + ",".join(expr(x, env) for x in e.items) + ")"
+        raise TypeError(f"not an expression: {e!r}")
+
+    def bind(binders, env: dict) -> dict:
+        env = dict(env)
+        for b in binders:
+            counter[0] += 1
+            env[b] = f"v{counter[0]}"
+        return env
+
+    def ser(t: ProcessTerm, env: dict) -> str:
+        if isinstance(t, Nil):
+            return "0"
+        if isinstance(t, Hole):
+            return "HOLE"
+        if isinstance(t, Input):
+            inner = bind(t.binders, env)
+            return f"in({name(t.channel, env)};{len(t.binders)};{ser(t.continuation, inner)})"
+        if isinstance(t, Output):
+            payload = ",".join(expr(e, env) for e in t.payload)
+            return f"out({name(t.channel, env)};{payload};{ser(t.continuation, env)})"
+        if isinstance(t, GateAction):
+            gate = (
+                t.gate.name
+                if isinstance(t.gate, FixedGate)
+                else f"sigma[{name(t.gate.index_var, env)}]"
+            )
+            targets = ",".join(name(x, env) for x in t.targets)
+            return f"act({targets};{gate};{ser(t.continuation, env)})"
+        if isinstance(t, QbitAlloc):
+            inner = bind(t.binders, env)
+            return f"qbit({len(t.binders)};{ser(t.continuation, inner)})"
+        if isinstance(t, NewChannel):
+            return f"new({ser(t.continuation, bind((t.binder,), env))})"
+        if isinstance(t, Parallel):
+            return f"par({ser(t.left, env)}|{ser(t.right, env)})"
+        if isinstance(t, Call):
+            return f"call({t.process};{','.join(name(a, env) for a in t.args)})"
+        raise TypeError(f"not a process term: {t!r}")
+
+    return ser(term, {})
+
+
+def _quoted(n: str) -> str:
+    return "'" + n
+
+
+def alpha_equivalent(a: ProcessTerm, b: ProcessTerm) -> bool:
+    """Structural equality up to consistent renaming of bound names."""
+    return canonical_form(a, _quoted) == canonical_form(b, _quoted)

@@ -24,8 +24,10 @@ from cqpkit.semantics import (
 from cqpkit.syntax import (
     BitLit,
     Call,
+    Expression,
     FixedGate,
     GateAction,
+    Hole,
     Input,
     MeasureExpr,
     NewChannel,
@@ -388,6 +390,174 @@ def alpha_variant(term: ProcessTerm, rng: random.Random, salt: list | None = Non
             right=alpha_variant(term.right, rng, salt),
         )
     return term
+
+
+_GATE_CYCLE = ("H", "X", "Z", "I")
+
+
+def perturb(term: ProcessTerm, rng: random.Random) -> ProcessTerm:
+    """A copy of ``term`` with one edit at a random site: one free name
+    occurrence renamed to ``u``, one fixed gate swapped for another, or an
+    unused binder ``u`` added to an input or qubit allocation. A term with no
+    such site comes back unchanged."""
+    counter = [0]
+    target = [-1]
+
+    def hit() -> bool:
+        counter[0] += 1
+        return counter[0] - 1 == target[0]
+
+    def name(n: str, bound: frozenset) -> str:
+        return "u" if n not in bound and hit() else n
+
+    def expr(e, bound):
+        if isinstance(e, Var):
+            return Var(name=name(e.name, bound))
+        if isinstance(e, MeasureExpr):
+            return MeasureExpr(names=tuple(name(n, bound) for n in e.names))
+        if isinstance(e, TupleExpr):
+            return TupleExpr(items=tuple(expr(x, bound) for x in e.items))
+        return e
+
+    def widened(binders: tuple) -> tuple:
+        return binders + ("u",) if hit() else binders
+
+    def go(t: ProcessTerm, bound: frozenset) -> ProcessTerm:
+        if isinstance(t, Input):
+            return Input(
+                channel=name(t.channel, bound),
+                binders=widened(t.binders),
+                continuation=go(t.continuation, bound | set(t.binders)),
+            )
+        if isinstance(t, Output):
+            return Output(
+                channel=name(t.channel, bound),
+                payload=tuple(expr(e, bound) for e in t.payload),
+                continuation=go(t.continuation, bound),
+            )
+        if isinstance(t, GateAction):
+            targets = tuple(name(x, bound) for x in t.targets)
+            if isinstance(t.gate, SigmaGate):
+                gate = SigmaGate(index_var=name(t.gate.index_var, bound))
+            elif hit():
+                gate = FixedGate(name=_GATE_CYCLE[(_GATE_CYCLE.index(t.gate.name) + 1) % 4])
+            else:
+                gate = t.gate
+            return GateAction(targets=targets, gate=gate, continuation=go(t.continuation, bound))
+        if isinstance(t, QbitAlloc):
+            return QbitAlloc(
+                binders=widened(t.binders),
+                continuation=go(t.continuation, bound | set(t.binders)),
+            )
+        if isinstance(t, NewChannel):
+            return NewChannel(binder=t.binder, continuation=go(t.continuation, bound | {t.binder}))
+        if isinstance(t, Parallel):
+            return Parallel(left=go(t.left, bound), right=go(t.right, bound))
+        if isinstance(t, Call):
+            return Call(process=t.process, args=tuple(name(a, bound) for a in t.args))
+        return t
+
+    go(term, frozenset())
+    if not counter[0]:
+        return term
+    target[0] = rng.randrange(counter[0])
+    counter[0] = 0
+    return go(term, frozenset())
+
+
+def alpha_equivalent_oracle(a: ProcessTerm, b: ProcessTerm) -> bool:
+    """Structural equality up to consistent renaming of bound names, by
+    walking both terms in lockstep and giving each pair of corresponding
+    binders one shared marker. It shares no code with
+    ``syntax.alpha_equivalent``, which compares canonical forms."""
+
+    def expr_eq(x: Expression, y: Expression, env_a, env_b) -> bool:
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Var):
+            return env_a.get(x.name, x.name) == env_b.get(y.name, y.name)
+        if isinstance(x, BitLit):
+            return x.value == y.value
+        if isinstance(x, MeasureExpr):
+            return len(x.names) == len(y.names) and all(
+                env_a.get(n, n) == env_b.get(m, m) for n, m in zip(x.names, y.names)
+            )
+        if isinstance(x, TupleExpr):
+            return len(x.items) == len(y.items) and all(
+                expr_eq(i, j, env_a, env_b) for i, j in zip(x.items, y.items)
+            )
+        return False
+
+    counter = [0]
+
+    def go(x: ProcessTerm, y: ProcessTerm, env_a: dict, env_b: dict) -> bool:
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (Nil, Hole)):
+            return True
+        if isinstance(x, Input):
+            if env_a.get(x.channel, x.channel) != env_b.get(y.channel, y.channel):
+                return False
+            if len(x.binders) != len(y.binders):
+                return False
+            ea, eb = dict(env_a), dict(env_b)
+            for bx, by in zip(x.binders, y.binders):
+                counter[0] += 1
+                marker = f"α{counter[0]}"
+                ea[bx] = marker
+                eb[by] = marker
+            return go(x.continuation, y.continuation, ea, eb)
+        if isinstance(x, Output):
+            if env_a.get(x.channel, x.channel) != env_b.get(y.channel, y.channel):
+                return False
+            if len(x.payload) != len(y.payload):
+                return False
+            if not all(expr_eq(i, j, env_a, env_b) for i, j in zip(x.payload, y.payload)):
+                return False
+            return go(x.continuation, y.continuation, env_a, env_b)
+        if isinstance(x, GateAction):
+            if len(x.targets) != len(y.targets):
+                return False
+            if not all(
+                env_a.get(t, t) == env_b.get(u, u) for t, u in zip(x.targets, y.targets)
+            ):
+                return False
+            if type(x.gate) is not type(y.gate):
+                return False
+            if isinstance(x.gate, FixedGate):
+                if x.gate.name != y.gate.name:
+                    return False
+            else:
+                if env_a.get(x.gate.index_var, x.gate.index_var) != env_b.get(
+                    y.gate.index_var, y.gate.index_var
+                ):
+                    return False
+            return go(x.continuation, y.continuation, env_a, env_b)
+        if isinstance(x, QbitAlloc):
+            if len(x.binders) != len(y.binders):
+                return False
+            ea, eb = dict(env_a), dict(env_b)
+            for bx, by in zip(x.binders, y.binders):
+                counter[0] += 1
+                marker = f"α{counter[0]}"
+                ea[bx] = marker
+                eb[by] = marker
+            return go(x.continuation, y.continuation, ea, eb)
+        if isinstance(x, NewChannel):
+            counter[0] += 1
+            marker = f"α{counter[0]}"
+            ea = dict(env_a, **{x.binder: marker})
+            eb = dict(env_b, **{y.binder: marker})
+            return go(x.continuation, y.continuation, ea, eb)
+        if isinstance(x, Parallel):
+            return go(x.left, y.left, env_a, env_b) and go(x.right, y.right, env_a, env_b)
+        if isinstance(x, Call):
+            if x.process != y.process or len(x.args) != len(y.args):
+                return False
+            return all(env_a.get(p, p) == env_b.get(q, q) for p, q in zip(x.args, y.args))
+        return False
+
+    return go(a, b, {}, {})
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output formats, golden stability."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from cqpkit import cli
 from cqpkit.corpus import corpus_path
@@ -308,6 +310,21 @@ def test_usage_error_exit_64(capsys):
     assert run_cli(capsys, "equiv")[0] == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("explore", "teleport.cqp", "--max-states", "0"),
+        ("equiv", "teleport.cqp", "identity.cqp", "--max-states", "0"),
+        ("run", "bell.cqp", "--max-steps", "-3"),
+    ],
+)
+def test_bad_limit_is_a_usage_error(capsys, argv):
+    command, *files, flag, value = argv
+    code, _out, err = run_cli(capsys, command, *map(cpath, files), flag, value)
+    assert code == 64
+    assert err.startswith("usage:") and flag in err
+
+
 def test_missing_file_exit_66(capsys):
     code, _out, err = run_cli(capsys, "parse", "no/such/file.cqp")
     assert code == 66
@@ -322,8 +339,13 @@ def test_unknown_entry_is_an_error(capsys):
 
 
 def test_module_entrypoint_runs():
+    # The child process imports the same cqpkit as this one.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "cqpkit", "parse", cpath("identity.cqp")],
+        env=env,
         capture_output=True,
         text=True,
         check=False,

@@ -1,6 +1,7 @@
 """Probabilistic branching bisimilarity, minimization, label matching."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_explicit_density_matrix_override():
     b = out_qubit(0, dm_of([0, 1]))
     assert not labels_match(a, b)
     same = dm_of([SQ2, SQ2])
-    assert labels_match(a, b, q1=same, q2=same)
+    assert labels_match(replace(a, qubit_dm=same), replace(b, qubit_dm=same))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +323,24 @@ def test_verdict_does_not_depend_on_state_numbering():
     a_renumbered = coin_system([0.5, 0.5 + 0.8e-6], reached=1)
     b = coin_system([0.5 + 1.6e-6], reached=0)
     pairs = [(a, b), (b, a), (a_renumbered, b), (b, a_renumbered)]
+    assert [branching_bisim(x, y).equivalent for x, y in pairs] == [False] * 4
+
+
+def test_label_classes_do_not_depend_on_order():
+    # The output matrices of A and B differ by 1.6e-9 > LABEL_TOL. An
+    # unreachable output in A2 lies within LABEL_TOL of both, so grouping
+    # labels first-fit within a tolerance would join them when it comes first.
+    def half_half(shift):
+        return qstate.DensityMatrix(1, np.diag([0.5 + shift, 0.5 - shift]).astype(complex))
+
+    a = chain(out_qubit(0, half_half(0.0)))
+    b = chain(out_qubit(0, half_half(1.6e-9)))
+    a2 = PLTS(
+        a.states + [PLTSState(2, "nondet"), PLTSState(3, "nondet", True)],
+        [PLTSEdge(2, out_qubit(0, half_half(0.8e-9)), 3)] + a.edges,
+        a.initial,
+    )
+    pairs = [(a, b), (b, a), (a2, b), (b, a2)]
     assert [branching_bisim(x, y).equivalent for x, y in pairs] == [False] * 4
 
 

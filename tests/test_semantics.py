@@ -199,7 +199,7 @@ def test_reduced_diamond_is_one_path():
     assert sum(1 for s in plts.states if s.terminal) == 1
 
 
-def test_merged_configurations_step_alike():
+def test_merged_configurations_step_alike(monkeypatch):
     """Re-expand deduplicated configurations one level: the kept and the
     dropped configuration must offer the same transitions."""
     diamond = parse_program(
@@ -210,14 +210,38 @@ def test_merged_configurations_step_alike():
         "| ({y *= X} . 0 | {z *= Z} . 0))"
     )
     harness, harness_sigs, _src = corpus.load_corpus_file("teleport_harness.cqp")
+    # ``intern`` looks ``canonical_key`` up as a module global, so recording
+    # its calls yields every configuration an exploration interns.
+    interned = []
+    real_key = semantics.canonical_key
+
+    def recording_key(cfg):
+        key = real_key(cfg)
+        interned.append((key, cfg))
+        return key
+
+    monkeypatch.setattr(semantics, "canonical_key", recording_key)
     merged = []
-    explore(initial_configuration(diamond, "P"), collect_merged=merged, reduce=False)
-    explore(initial_configuration(wide, "P"), collect_merged=merged, reduce=False)
-    explore(
+    for config in (
+        initial_configuration(diamond, "P"),
+        initial_configuration(wide, "P"),
         initial_configuration(harness, "Harness", signatures=harness_sigs),
-        collect_merged=merged,
-        reduce=False,
-    )
+    ):
+        interned.clear()
+        explore(config, reduce=False)
+        # Pair each configuration with the first earlier one it merges into.
+        buckets: dict[tuple, list] = {}
+        for key, cfg in interned:
+            bucket = buckets.setdefault(key, [])
+            known = next(
+                (k for k in bucket
+                 if qstate.states_equal_up_to_global_phase(k.qstate, cfg.qstate)),
+                None,
+            )
+            if known is None:
+                bucket.append(cfg)
+            else:
+                merged.append((known, cfg))
     assert len(merged) >= 50
     for kept, dropped in merged[:50]:
         t_kept = step(kept, reduce=False)

@@ -30,7 +30,7 @@ from cqpkit.syntax import (
     pretty_print_program,
     substitute,
 )
-from support import alpha_variant, random_term
+from support import alpha_equivalent_oracle, alpha_variant, perturb, random_term
 
 TELEPORT_SOURCE = """
 Alice(q, in, out) = in?[u] . {u,q *= CNot} . {u *= H} . out![measure u,q] . 0
@@ -224,6 +224,20 @@ def test_alpha_equivalence_relation_on_random_terms():
         assert alpha_equivalent(t, v1) and alpha_equivalent(v1, t)  # symmetric
         assert alpha_equivalent(v1, v2)
         assert alpha_equivalent(t, v2)  # transitive across the chain
+
+
+def test_alpha_equivalent_agrees_with_pairwise_oracle():
+    rng = random.Random(2026)
+    differing = 0
+    for _ in range(200):
+        t = random_term(rng)
+        for other in (t, alpha_variant(t, rng), random_term(rng), perturb(t, rng)):
+            want = alpha_equivalent_oracle(t, other)
+            assert alpha_equivalent(t, other) == want
+            assert alpha_equivalent(other, t) == want
+            differing += not want
+    # Independent terms and perturbed copies mostly differ, so both answers occur.
+    assert differing >= 300
 
 
 def test_alpha_distinguishes_structure():
