@@ -3,6 +3,9 @@
 Exit codes: 0 success (or EQUIVALENT), 1 expected failure (diagnostics
 found, NOT EQUIVALENT, parse failure under ``parse``), 2 internal or input
 error, 64 usage error, 66 unreadable file, 70 state cap exceeded.
+
+``run``, ``explore`` and ``equiv`` type-check their programs first and
+print the diagnostics and exit 1 when the checker rejects one.
 """
 
 from __future__ import annotations
@@ -74,6 +77,23 @@ def _load(path: str, parse_exit: int = EXIT_ERROR):
         raise _CliExit(parse_exit, f"{path}:{exc}") from exc
     except typecheck.SignatureError as exc:
         raise _CliExit(EXIT_ERROR, f"{path}: {exc}") from exc
+    return program, signatures
+
+
+def _diagnostics(program, signatures: dict, path: str) -> list:
+    try:
+        return typecheck.typecheck_program(program, signatures)
+    except typecheck.SignatureError as exc:
+        raise _CliExit(EXIT_ERROR, f"{path}: {exc}") from exc
+
+
+def _load_well_typed(path: str):
+    """``_load``, then refuse a program the linear type checker rejects:
+    running it could clone or reuse a qubit that was sent away."""
+    program, signatures = _load(path)
+    diagnostics = _diagnostics(program, signatures, path)
+    if diagnostics:
+        raise _CliExit(EXIT_FAIL, "\n".join(d.render(path) for d in diagnostics))
     return program, signatures
 
 
@@ -154,10 +174,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_typecheck(args) -> int:
     program, signatures = _load(args.file)
-    try:
-        diagnostics = typecheck.typecheck_program(program, signatures)
-    except typecheck.SignatureError as exc:
-        raise _CliExit(EXIT_ERROR, f"{args.file}: {exc}") from exc
+    diagnostics = _diagnostics(program, signatures, args.file)
     if args.json:
         doc = {
             "diagnostics": [
@@ -179,7 +196,7 @@ def _cmd_typecheck(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    program, signatures = _load(args.file)
+    program, signatures = _load_well_typed(args.file)
     entry = _pick_entry(program, args.entry)
     test_qubits = _test_qubits(args.qubit_tests)
     config = semantics.initial_configuration(
@@ -212,7 +229,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    program, signatures = _load(args.file)
+    program, signatures = _load_well_typed(args.file)
     entry = _pick_entry(program, args.entry)
     test_qubits = _test_qubits(args.qubit_tests)
     config = semantics.initial_configuration(
@@ -244,8 +261,8 @@ def _require_signature(signatures: dict, entry: str, path: str):
 
 
 def _cmd_equiv(args) -> int:
-    program_a, sigs_a = _load(args.left)
-    program_b, sigs_b = _load(args.right)
+    program_a, sigs_a = _load_well_typed(args.left)
+    program_b, sigs_b = _load_well_typed(args.right)
     entry_a = _pick_entry(program_a, args.left_entry)
     entry_b = _pick_entry(program_b, args.right_entry)
     _require_signature(sigs_a, entry_a, args.left)

@@ -2,7 +2,8 @@
 
 Holds normalized amplitude vectors over n qubits and the handful of
 operations the process semantics needs: allocation, unitary gates,
-projective measurement, partial trace, and phase-insensitive equality.
+projective measurement, factoring out basis-state qubits, partial trace,
+and phase-insensitive equality.
 
 Conventions used throughout the package:
 
@@ -267,6 +268,34 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
         bits = tuple((r >> (k - 1 - j)) & 1 for j in range(k))
         outcomes.append(MeasurementOutcome(bits, p, StateVector(n, _prune(post))))
     return outcomes
+
+
+def drop_basis_qubits(state: StateVector, candidates) -> tuple[StateVector, dict[int, int]]:
+    """Factor out each candidate qubit whose amplitudes are exactly zero on
+    one basis value.
+
+    Such a qubit is an exact tensor factor |b>, with b the value whose
+    amplitudes are not all zero, so tensoring each dropped |b> back in at
+    its old position rebuilds ``state`` exactly. The remaining qubits keep their
+    relative order and are renumbered 0, 1, ... from the least significant
+    end. Returns the remaining state and a map from each dropped qubit to
+    its b. Candidates in superposition or entangled with other qubits stay.
+    """
+    n = state.num_qubits
+    psi = state.amplitudes.reshape([2] * n)  # axis a holds qubit n-1-a
+    index: list = [slice(None)] * n
+    dropped = {}
+    for q in _check_targets(state, candidates):
+        axis = n - 1 - q
+        leading = (slice(None),) * axis
+        for b in (0, 1):
+            if not psi[leading + (1 - b,)].any():
+                index[axis] = b
+                dropped[q] = b
+                break
+    if not dropped:
+        return state, dropped
+    return StateVector(n - len(dropped), psi[tuple(index)]), dropped
 
 
 def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:

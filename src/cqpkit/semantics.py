@@ -19,6 +19,13 @@ instantiated from a finite alphabet of injectable values; qubit inputs come
 from a small test set of single-qubit states. Outputs carrying qubits are
 labelled with the reduced density matrix of the transmitted qubits, which
 is all an observer can see of them.
+
+Every successor drops its dead qubits that sit in a basis state: qubits no
+free name of the term refers to any more, such as those measured into a
+payload, whose amplitudes are exactly zero on one basis value
+(``Configuration`` says why that is sound). Measurement branches that
+differ only in such qubits then become one configuration, and the qubit
+cap bounds the qubits held at one time rather than all ever allocated.
 """
 
 from __future__ import annotations
@@ -183,6 +190,20 @@ class Configuration:
     Treated as immutable; every step produces fresh copies. ``channel_names``
     maps visible channel ids (assigned positionally from the entry call) to
     their display names; hidden channels get ids from ``next_channel``.
+
+    A qubit is *live* when a free name of ``term`` is bound to it and
+    *dead* otherwise: it was measured into a payload, sent away, or its
+    binder went out of scope. Every name is freshened when bound, so
+    nothing can refer to a dead qubit again. ``step`` drops each dead qubit
+    whose amplitudes are exactly zero on one basis value (measurement and
+    gate pruning leave such exact zeros). That qubit is an exact tensor
+    factor |b> of ``qstate``: no gate or measurement acts on it again, and
+    the reduced density matrix of any other qubits, which is all an output
+    label shows, is the same with or without it. So configurations that
+    differ only in such qubits, such as the measurement branches of a
+    teleport after the correction, are the same configuration. A dead
+    qubit in superposition or entangled with others stays in ``qstate``;
+    it still shapes the reduced state of its partners.
     """
 
     qstate: StateVector
@@ -200,8 +221,10 @@ class Configuration:
     def display_channel(self, cid: int) -> str:
         return self.channel_names.get(cid, f"#chan{cid}")
 
-    def check_ownership(self):
-        """Raise OwnershipViolation if a qubit is shared across a parallel split."""
+    def check_ownership(self) -> set[int]:
+        """Raise OwnershipViolation if a qubit is shared across a parallel
+        split; otherwise return the live qubits, those bound to a free name
+        of the term."""
 
         def qubits_of(term: ProcessTerm) -> set[int]:
             # One bottom-up walk: a parallel composition binds no names, so
@@ -221,7 +244,7 @@ class Configuration:
                 if isinstance(self.bindings.get(n), QubitVal)
             }
 
-        qubits_of(self.term)
+        return qubits_of(self.term)
 
 
 @dataclass(frozen=True)
@@ -413,27 +436,44 @@ def _force_first_measure(exprs):
 
 
 def _advance(
-    config: Configuration,
-    path: tuple,
-    new_head: ProcessTerm,
-    *,
-    qvec: StateVector | None = None,
-    new_bindings: dict | None = None,
-    next_channel: int | None = None,
-    next_fresh: int | None = None,
+    config: Configuration, path: tuple, new_head: ProcessTerm, **changes
 ) -> Configuration:
-    bindings = config.bindings if new_bindings is None else new_bindings
+    """The successor with ``new_head`` in place of the component at ``path``
+    and the other ``Configuration`` fields in ``changes`` replaced."""
     term = _simplify(_rebuild(config.term, path, new_head))
-    out = dataclasses.replace(
-        config,
-        qstate=config.qstate if qvec is None else qvec,
-        bindings=bindings,
-        term=term,
-        next_channel=config.next_channel if next_channel is None else next_channel,
-        next_fresh=config.next_fresh if next_fresh is None else next_fresh,
-    )
-    out.check_ownership()
-    return out
+    return _finish(dataclasses.replace(config, term=term, **changes))
+
+
+def _finish(config: Configuration) -> Configuration:
+    """Check a freshly built successor and drop its dead basis qubits.
+
+    Every successor ``step`` builds passes through here. Without a dead
+    qubit (the common case) the configuration is returned as it is.
+    """
+    live = config.check_ownership()
+    if len(live) == config.qstate.num_qubits:
+        return config
+    return _drop_dead_qubits(config, live)
+
+
+def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
+    """Remove the dead qubits that sit in a basis state (see ``Configuration``)
+    and renumber the others in their old order. Bindings of the survivors
+    are rewritten, those of the dropped qubits deleted; bit and channel
+    bindings stay."""
+    dead = [q for q in range(config.qstate.num_qubits) if q not in live]
+    qvec, dropped = qstate.drop_basis_qubits(config.qstate, dead)
+    if not dropped:
+        return config
+    kept = [q for q in range(config.qstate.num_qubits) if q not in dropped]
+    renumber = {q: i for i, q in enumerate(kept)}
+    bindings = {}
+    for name, v in config.bindings.items():
+        if not isinstance(v, QubitVal):
+            bindings[name] = v
+        elif v.qid in renumber:
+            bindings[name] = QubitVal(renumber[v.qid])
+    return dataclasses.replace(config, qstate=qvec, bindings=bindings)
 
 
 def _bind_received(
@@ -496,7 +536,7 @@ def _deterministic_tau(config: Configuration, path: tuple, head: ProcessTerm) ->
             mapping[binder] = runtime_name
             bindings[runtime_name] = QubitVal(base + i)
         cont = substitute(head.continuation, mapping)
-        cfg = _advance(config, path, cont, qvec=qvec, new_bindings=bindings, next_fresh=fresh)
+        cfg = _advance(config, path, cont, qstate=qvec, bindings=bindings, next_fresh=fresh)
     elif isinstance(head, NewChannel):
         bindings = dict(config.bindings)
         fresh = config.next_fresh
@@ -507,7 +547,7 @@ def _deterministic_tau(config: Configuration, path: tuple, head: ProcessTerm) ->
             config,
             path,
             cont,
-            new_bindings=bindings,
+            bindings=bindings,
             next_channel=config.next_channel + 1,
             next_fresh=fresh + 1,
         )
@@ -515,7 +555,7 @@ def _deterministic_tau(config: Configuration, path: tuple, head: ProcessTerm) ->
         qids = _qubit_ids(config, head.targets)
         gate = _gate_for(config, head.gate)
         qvec = qstate.apply_gate(config.qstate, gate, qids)
-        cfg = _advance(config, path, head.continuation, qvec=qvec)
+        cfg = _advance(config, path, head.continuation, qstate=qvec)
     return Transition(TAU, ((1.0, cfg),))
 
 
@@ -596,7 +636,7 @@ def step(
                         continuation=head.continuation,
                         pos=head.pos,
                     )
-                    cfg = _advance(config, path, new_head, qvec=o.post_state)
+                    cfg = _advance(config, path, new_head, qstate=o.post_state)
                     dist.append((o.probability, cfg))
                 transitions.append(Transition(TAU, tuple(dist)))
                 continue
@@ -644,9 +684,7 @@ def step(
                     cont, bindings, fresh = _bind_received(
                         tmp, head.binders, runtime_values, head.continuation
                     )
-                    cfg = _advance(
-                        tmp, path, cont, new_bindings=bindings, next_fresh=fresh
-                    )
+                    cfg = _advance(tmp, path, cont, bindings=bindings, next_fresh=fresh)
                     label = CommLabel(
                         "in", cid, config.display_channel(cid), tuple(label_values)
                     )
@@ -672,10 +710,9 @@ def step(
             )
             term = _rebuild(config.term, out_path, out_head.continuation)
             term = _simplify(_rebuild(term, in_path, cont))
-            cfg = dataclasses.replace(
-                config, bindings=bindings, term=term, next_fresh=fresh
+            cfg = _finish(
+                dataclasses.replace(config, bindings=bindings, term=term, next_fresh=fresh)
             )
-            cfg.check_ownership()
             transitions.append(Transition(TAU, ((1.0, cfg),)))
 
     return transitions
@@ -776,6 +813,12 @@ def explore(
     Configurations equal up to bound-name renaming, hidden-channel
     bijection, and global phase are merged. Transitions with more than one
     outcome go through an intermediate probabilistic state.
+
+    ``step`` has already dropped the dead basis-state qubits of every
+    successor (see ``Configuration``), so two configurations that differ
+    only in such qubits, like the four branches of a teleport after Bob's
+    correction, get the same key and are merged. The qubit cap of an
+    allocation or input counts only this compacted vector.
 
     ``reduce`` is passed to ``step``: the default explores one order of
     independent deterministic τ steps, ``reduce=False`` every interleaving.

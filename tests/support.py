@@ -560,6 +560,20 @@ def alpha_equivalent_oracle(a: ProcessTerm, b: ProcessTerm) -> bool:
     return go(a, b, {}, {})
 
 
+def reachable_outputs(plts: PLTS, start: int) -> list[PLTSEdge]:
+    """Every output edge on some path from state ``start``."""
+    succ = plts.successors()
+    seen, stack, found = {start}, [start], []
+    while stack:
+        for e in succ[stack.pop()]:
+            if isinstance(e.label, CommLabel) and e.label.kind == "out":
+                found.append(e)
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Random well-typed programs
 # ---------------------------------------------------------------------------

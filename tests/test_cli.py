@@ -325,6 +325,24 @@ def test_bad_limit_is_a_usage_error(capsys, argv):
     assert err.startswith("usage:") and flag in err
 
 
+REUSED_AFTER_SEND = "//: P : ^[Qbit]\nP(c) = (qbit x) c![x] . c![x] . 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("run", "{f}"), ("explore", "{f}"), ("equiv", "{f}", "{id}"), ("equiv", "{id}", "{f}")],
+)
+def test_ill_typed_program_is_refused(tmp_path, capsys, argv):
+    bad = tmp_path / "reuse.cqp"
+    bad.write_text(REUSED_AFTER_SEND)
+    code, out, err = run_cli(
+        capsys, *(a.format(f=bad, id=cpath("identity.cqp")) for a in argv)
+    )
+    assert code == 1
+    assert out == ""
+    assert "QubitUsedAfterSend" in err and "reuse.cqp:2:" in err
+
+
 def test_missing_file_exit_66(capsys):
     code, _out, err = run_cli(capsys, "parse", "no/such/file.cqp")
     assert code == 66

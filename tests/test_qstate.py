@@ -11,6 +11,7 @@ from cqpkit.qstate import (
     append_qubit,
     apply_gate,
     dirac,
+    drop_basis_qubits,
     measure,
     reduced_density_matrix,
     standard_gate,
@@ -331,3 +332,45 @@ def test_dirac_rendering():
     assert dirac(BELL) == "0.7071|00⟩ + 0.7071|11⟩"
     assert dirac(sv(SQ2, -SQ2)) == "0.7071|0⟩ - 0.7071|1⟩"
     assert dirac(sv(0, 1j)) == "(0.0000+1.0000i)|1⟩"
+
+
+# ---------------------------------------------------------------------------
+# Dropping basis-state qubits
+# ---------------------------------------------------------------------------
+
+def test_drop_basis_qubits_factors_out_exactly():
+    """Tensoring the dropped basis factors back onto the result, by an
+    explicit index loop, rebuilds the input vector; candidates that are in
+    superposition or entangled stay."""
+    rng = np.random.default_rng(99)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        basis = {q: int(rng.integers(0, 2)) for q in range(n) if rng.random() < 0.5}
+        rest = [q for q in range(n) if q not in basis]
+        inner = random_state_amps(rng, len(rest))
+        amps = np.zeros(2**n, dtype=complex)
+        for j, a in enumerate(inner):
+            index = sum(b << q for q, b in basis.items())
+            index += sum(((j >> k) & 1) << q for k, q in enumerate(rest))
+            amps[index] = a
+        candidates = [q for q in range(n) if rng.random() < 0.7]
+        out, dropped = drop_basis_qubits(StateVector(n, amps), candidates)
+        assert dropped == {q: b for q, b in basis.items() if q in candidates}
+        kept = [q for q in range(n) if q not in dropped]
+        assert out.num_qubits == len(kept)
+        rebuilt = np.zeros(2**n, dtype=complex)
+        for j, a in enumerate(out.amplitudes):
+            index = sum(b << q for q, b in dropped.items())
+            index += sum(((j >> k) & 1) << q for k, q in enumerate(kept))
+            rebuilt[index] = a
+        np.testing.assert_array_equal(rebuilt, amps)
+
+
+def test_drop_basis_qubits_keeps_entangled_and_superposed():
+    state = apply_gate(alloc_qubits(StateVector.empty(), 3), standard_gate("H"), [0])
+    state = apply_gate(state, standard_gate("CNot"), [0, 1])
+    out, dropped = drop_basis_qubits(state, [1, 2])
+    assert dropped == {2: 0}
+    assert states_equal_up_to_global_phase(out, BELL)
+    plus = sv(SQ2, SQ2)
+    assert drop_basis_qubits(plus, [0]) == (plus, {})

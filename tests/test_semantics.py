@@ -1,5 +1,6 @@
 """Operational semantics: stepping, exploration, sampling."""
 
+import itertools
 import random
 
 import numpy as np
@@ -23,7 +24,7 @@ from cqpkit.semantics import (
 )
 from cqpkit.syntax import parse_program
 from cqpkit.typecheck import parse_signatures
-from support import SQ2, random_typed_program
+from support import SQ2, random_typed_program, reachable_outputs
 
 
 def teleport_alphabet(test_state=DEFAULT_TEST_QUBITS[2]):
@@ -134,7 +135,7 @@ def test_explore_teleport_shape(teleport_program):
     outputs = [
         e for e in plts.edges if isinstance(e.label, CommLabel) and e.label.kind == "out"
     ]
-    assert len(outputs) == 4
+    assert len(outputs) == 1
     assert all(plts.states[e.dst].terminal for e in outputs)
 
 
@@ -162,8 +163,11 @@ def test_probability_conservation_at_prob_states(teleport_program, coin_program)
 
 
 def test_per_branch_determinism(teleport_program):
-    """Every measurement branch delivers the input projector exactly."""
+    """Every measurement branch delivers the input projector exactly. The
+    branches merge before the output, so each is checked on the outputs
+    reachable from it."""
     program, signatures = teleport_program
+    checks = 0
     for test_state in DEFAULT_TEST_QUBITS:
         psi = np.array([test_state.amp0, test_state.amp1], dtype=complex)
         projector = np.outer(psi, psi.conj())
@@ -174,9 +178,17 @@ def test_per_branch_determinism(teleport_program):
             for e in plts.edges
             if isinstance(e.label, CommLabel) and e.label.kind == "out"
         ]
-        assert len(outputs) == 4
-        for e in outputs:
-            np.testing.assert_allclose(e.label.qubit_dm.matrix, projector, atol=1e-9)
+        assert len(outputs) == 1
+        (fork,) = [s for s in plts.states if s.kind == "prob"]
+        branches = plts.successors()[fork.id]
+        assert len(branches) == 4
+        for branch in branches:
+            reached = reachable_outputs(plts, branch.dst)
+            assert reached
+            for e in reached:
+                np.testing.assert_allclose(e.label.qubit_dm.matrix, projector, atol=1e-9)
+            checks += 1
+    assert checks == 16
 
 
 DIAMOND = "P() = (qbit x,y) ({x *= X} . 0 | {y *= X} . 0)"
@@ -185,8 +197,9 @@ DIAMOND = "P() = (qbit x,y) ({x *= X} . 0 | {y *= X} . 0)"
 def test_interleaving_diamond_merges():
     program = parse_program(DIAMOND)
     plts = explore(initial_configuration(program, "P"), reduce=False)
-    # init, allocated, two mid states, one merged final state
-    assert len(plts.states) == 5
+    # init, allocated, one merged mid state (the qubit a finished component
+    # held is dead and dropped), one merged final state
+    assert len(plts.states) == 4
     assert sum(1 for s in plts.states if s.terminal) == 1
 
 
@@ -261,7 +274,8 @@ def test_merged_configurations_step_alike(monkeypatch):
 
 def chain_source(max_k: int) -> str:
     """Teleport chains Chain_k(a,b) = (new m)(Chain_{k-1}(a,m) | Teleport(m,b)),
-    with Chain_1 = Teleport, and Chain2H: Chain2 followed by a hop applying H."""
+    with Chain_1 = Teleport, and Chain_kH: Chain_k followed by a hop
+    applying H."""
     def entry(k):
         return "Teleport" if k == 1 else f"Chain{k}"
 
@@ -271,13 +285,13 @@ def chain_source(max_k: int) -> str:
         "Identity(c, d) = c?[x] . d![x] . 0",
         "//: HopH : ^[Qbit], ^[Qbit]",
         "HopH(c, d) = c?[x] . {x *= H} . d![x] . 0",
-        "//: Chain2H : ^[Qbit], ^[Qbit]",
-        "Chain2H(a, b) = (new m) (Chain2(a, m) | HopH(m, b))",
     ]
     for k in range(2, max_k + 1):
         lines += [
             f"//: Chain{k} : ^[Qbit], ^[Qbit]",
             f"Chain{k}(a, b) = (new m) ({entry(k - 1)}(a, m) | Teleport(m, b))",
+            f"//: Chain{k}H : ^[Qbit], ^[Qbit]",
+            f"Chain{k}H(a, b) = (new m) (Chain{k}(a, m) | HopH(m, b))",
         ]
     return "\n".join(lines) + "\n"
 
@@ -291,33 +305,112 @@ def assert_reduction_bisimilar(program, signatures, entry):
         assert verdict.equivalent, f"{entry} under {alphabet}: {verdict.render()}"
 
 
-def test_reduction_bisimilar_on_corpus_and_chains():
+def corpus_and_chain_entries():
+    """(program, signatures, entry) of every corpus entry, Chain2 and Chain2H."""
     for entry in corpus.CORPUS:
-        if entry.entry is None:
-            continue
-        program, signatures, _src = corpus.load_corpus_file(entry.path)
-        assert_reduction_bisimilar(program, signatures, entry.entry)
+        if entry.entry is not None:
+            program, signatures, _src = corpus.load_corpus_file(entry.path)
+            yield program, signatures, entry.entry
     source = chain_source(2)
     program, signatures = parse_program(source), parse_signatures(source)
     for entry in ("Chain2", "Chain2H"):
-        assert_reduction_bisimilar(program, signatures, entry)
+        yield program, signatures, entry
 
 
-def test_reduction_bisimilar_on_random_typed_programs():
+def random_entries():
+    """(program, signatures, entry) of 400 random well-typed programs."""
     rng = random.Random(404)
     for _ in range(400):
         program, signatures = random_typed_program(rng)
-        assert_reduction_bisimilar(program, signatures, "Gen")
+        yield program, signatures, "Gen"
+
+
+def test_reduction_bisimilar_on_corpus_and_chains():
+    for case in corpus_and_chain_entries():
+        assert_reduction_bisimilar(*case)
+
+
+def test_reduction_bisimilar_on_random_typed_programs():
+    for case in random_entries():
+        assert_reduction_bisimilar(*case)
 
 
 def test_four_hop_chain_equals_identity_under_default_cap():
-    source = chain_source(4)
+    source = chain_source(5)
     program, signatures = parse_program(source), parse_signatures(source)
     verdict = check_equivalence(
         program, "Chain4", program, "Identity", signatures,
         test_qubits=(DEFAULT_TEST_QUBITS[2],),
     )
     assert verdict.equivalent
+    assert check_equivalence(program, "Chain5", program, "Identity", signatures).equivalent
+    verdict = check_equivalence(program, "Chain5H", program, "Identity", signatures)
+    assert not verdict.equivalent
+    # H fixes only |+> of the default set; the witness must name another input.
+    moved = [q.name for q in DEFAULT_TEST_QUBITS if q.name != "|+>"]
+    assert any(f"[{name}]" in verdict.witness.instantiation for name in moved)
+    # The measurement branches of each hop merge after the correction, so
+    # each hop adds a fixed number of states instead of multiplying by 4.
+    counts = [
+        len(explore(initial_configuration(program, entry, signatures=signatures),
+                    alphabet=teleport_alphabet()).states)
+        for entry in ("Teleport", "Chain2", "Chain3", "Chain4", "Chain5")
+    ]
+    assert counts == [21, 43, 65, 87, 109]
+
+
+# ---------------------------------------------------------------------------
+# Dropping dead qubits against keeping them
+# ---------------------------------------------------------------------------
+
+def explore_keeping_dead_qubits(config, alphabet, reduce):
+    """``explore`` with every dead qubit left in the state vector."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_drop_dead_qubits", lambda config, live: config)
+        return explore(config, alphabet=alphabet, reduce=reduce)
+
+
+def assert_drop_bisimilar(program, signatures, entry):
+    config = initial_configuration(program, entry, signatures=signatures)
+    for alphabet in input_instantiations(program, entry, program, entry, signatures):
+        for reduce in (True, False):
+            dropped = explore(config, alphabet=alphabet, reduce=reduce)
+            kept = explore_keeping_dead_qubits(config, alphabet, reduce)
+            verdict = branching_bisim(dropped, kept)
+            assert verdict.equivalent, (
+                f"{entry} under {alphabet}, reduce={reduce}: {verdict.render()}"
+            )
+
+
+def test_dropping_dead_qubits_is_bisimilar_to_keeping_them():
+    for case in itertools.chain(corpus_and_chain_entries(), random_entries()):
+        assert_drop_bisimilar(*case)
+
+
+def test_entangled_dead_qubits_stay():
+    """After the CNot, x is dead but entangled with y; after the output both
+    are dead and still entangled. Neither may be dropped: the label must
+    show y's mixed reduced state, and the terminal state keeps 2 qubits."""
+    program = parse_program("P(out) = (qbit x,y) {x *= H} . {x,y *= CNot} . out![y] . 0")
+    plts = explore(initial_configuration(program, "P"))
+    (out,) = [e for e in plts.edges if isinstance(e.label, CommLabel)]
+    np.testing.assert_allclose(out.label.qubit_dm.matrix, np.eye(2) / 2, atol=1e-12)
+    (terminal,) = [s for s in plts.states if s.terminal]
+    assert terminal.config.qstate.num_qubits == 2
+
+
+def test_sequential_programs_run_past_the_qubit_cap():
+    """13 qubits one after another, each measured before the next is
+    allocated: at most one is ever live, so the default cap of 12 holds."""
+    steps = [f"(qbit x{i}) {{x{i} *= H}} . c![measure x{i}]" for i in range(13)]
+    program = parse_program(f"P(c) = {' . '.join(steps)} . 0")
+    config = initial_configuration(program, "P")
+    assert config.qubit_cap == 12
+    trace = run_sampled(config, seed=1)
+    outputs = [ts for ts in trace if isinstance(ts.label, CommLabel)]
+    assert len(outputs) == 13
+    assert step(trace[-1].config) == []
+    assert len(explore(config).states) == 79
 
 
 def test_exploration_cap(teleport_program):
@@ -396,7 +489,10 @@ def test_harness_teleports_plus_state_for_any_seed():
         fidelity = float(np.real(plus.conj() @ rho.matrix @ plus))
         assert fidelity >= 1.0 - 1e-9
         np.testing.assert_allclose(rho.matrix, projector, atol=1e-9)
-        seen_branches.add(qstate.dirac(final.qstate))
+        # The measured qubits are dropped, leaving only the received one.
+        assert final.qstate.num_qubits == 1
+        (r_name,) = [n for n in final.bindings if n.startswith("r~")]
+        seen_branches.add(final.bindings[r_name])
     assert len(seen_branches) >= 2  # different seeds collapse differently
 
 
