@@ -149,6 +149,19 @@ def _full_alphabet(program, entry: str, signatures: dict, test_qubits) -> dict:
     return alphabet
 
 
+def _initial_run(args):
+    """The initial configuration and full input alphabet of the entry of
+    ``args.file``, refused when the program is ill-typed; shared by ``run``
+    and ``explore``."""
+    program, signatures = _load_well_typed(args.file)
+    entry = _pick_entry(program, args.entry)
+    test_qubits = _test_qubits(args.qubit_tests)
+    config = semantics.initial_configuration(
+        program, entry, signatures=signatures if entry in signatures else None
+    )
+    return config, _full_alphabet(program, entry, signatures, test_qubits)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -196,13 +209,7 @@ def _cmd_typecheck(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    program, signatures = _load_well_typed(args.file)
-    entry = _pick_entry(program, args.entry)
-    test_qubits = _test_qubits(args.qubit_tests)
-    config = semantics.initial_configuration(
-        program, entry, signatures=signatures if entry in signatures else None
-    )
-    alphabet = _full_alphabet(program, entry, signatures, test_qubits)
+    config, alphabet = _initial_run(args)
     trace = semantics.run_sampled(config, args.seed, alphabet, max_steps=args.max_steps)
     if args.json:
         steps = []
@@ -229,13 +236,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    program, signatures = _load_well_typed(args.file)
-    entry = _pick_entry(program, args.entry)
-    test_qubits = _test_qubits(args.qubit_tests)
-    config = semantics.initial_configuration(
-        program, entry, signatures=signatures if entry in signatures else None
-    )
-    alphabet = _full_alphabet(program, entry, signatures, test_qubits)
+    config, alphabet = _initial_run(args)
     plts = semantics.explore(config, max_states=args.max_states, alphabet=alphabet)
     if args.dump_plts or args.json:
         print(plts.dump_json())

@@ -47,7 +47,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -399,64 +399,6 @@ def minimize(p: PLTS) -> PLTS:
     return PLTS(states, edges, 0)
 
 
-def plts_isomorphic(a: PLTS, b: PLTS) -> bool:
-    """Exact graph isomorphism respecting kinds, terminal flags and labels.
-
-    Backtracking matcher; intended for the small quotient systems produced
-    by ``minimize``.
-    """
-    if len(a.states) != len(b.states) or len(a.edges) != len(b.edges):
-        return False
-    succ_a = a.successors()
-    succ_b = b.successors()
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def edge_match(e1: PLTSEdge, e2: PLTSEdge) -> bool:
-        if isinstance(e1.label, ProbLabel) != isinstance(e2.label, ProbLabel):
-            return False
-        if isinstance(e1.label, ProbLabel):
-            return abs(e1.label.probability - e2.label.probability) <= PROB_TOL
-        return labels_match(e1.label, e2.label)
-
-    def try_map(x: int, y: int) -> bool:
-        if x in mapping:
-            return mapping[x] == y
-        if y in used:
-            return False
-        sa, sb = a.states[x], b.states[y]
-        if sa.kind != sb.kind or sa.terminal != sb.terminal:
-            return False
-        ea, eb = succ_a[x], succ_b[y]
-        if len(ea) != len(eb):
-            return False
-        mapping[x] = y
-        used.add(y)
-
-        def assign(i: int, taken: set[int]) -> bool:
-            if i == len(ea):
-                return True
-            for j in range(len(eb)):
-                if j in taken or not edge_match(ea[i], eb[j]):
-                    continue
-                snapshot = dict(mapping), set(used)
-                if try_map(ea[i].dst, eb[j].dst) and assign(i + 1, taken | {j}):
-                    return True
-                mapping.clear()
-                mapping.update(snapshot[0])
-                used.clear()
-                used.update(snapshot[1])
-            return False
-
-        if assign(0, set()):
-            return True
-        del mapping[x]
-        used.discard(y)
-        return False
-
-    return try_map(a.initial, b.initial)
-
-
 # ---------------------------------------------------------------------------
 # Program-level driver
 # ---------------------------------------------------------------------------
@@ -531,15 +473,9 @@ def check_equivalence(
         if not verdict.equivalent:
             witness = verdict.witness
             if witness is not None:
-                witness = Witness(
-                    witness.kind,
-                    witness.description,
-                    label=witness.label,
-                    left_probability=witness.left_probability,
-                    right_probability=witness.right_probability,
-                    instantiation=_describe_instantiation(
-                        alphabet, cfg_a.channel_names
-                    ),
+                witness = replace(
+                    witness,
+                    instantiation=_describe_instantiation(alphabet, cfg_a.channel_names),
                 )
             return EquivalenceVerdict(False, witness)
     return EquivalenceVerdict(True)

@@ -1,7 +1,7 @@
 """Dense state-vector quantum simulation.
 
 Holds normalized amplitude vectors over n qubits and the handful of
-operations the process semantics needs: allocation, unitary gates,
+operations the process semantics needs: appending qubits, unitary gates,
 projective measurement, factoring out basis-state qubits, partial trace,
 and phase-insensitive equality.
 
@@ -9,8 +9,9 @@ Conventions used throughout the package:
 
 - Qubit 0 is the *least significant* bit of the basis-state index, so a
   ket written ``|b_{n-1} ... b_1 b_0>`` has qubit i at position b_i.
-  Freshly allocated qubits take the next higher index, which makes
-  allocation a simple zero-pad of the amplitude vector.
+  Appended qubits, whether allocated as |0> or received as input, take
+  the next higher indices, so appending is a Kronecker product with the
+  new qubit on the left.
 - A k-qubit gate applied with target list ``[t0, ..., t_{k-1}]`` reads
   its matrix index with t0 as the most significant local bit. CNot with
   targets ``[c, t]`` therefore has the usual "first symbol is the
@@ -35,7 +36,7 @@ _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 
 class CapacityError(Exception):
-    """Raised when an allocation would exceed the qubit cap."""
+    """Raised when appending qubits would exceed the qubit cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,26 +190,18 @@ def _prune(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def alloc_qubits(state: StateVector, count: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Tensor ``count`` fresh |0> qubits onto the high end of ``state``."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    n = state.num_qubits + count
+def append_qubits(state: StateVector, qubits, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+    """Tensor fresh qubits onto the high end of ``state``. ``qubits`` lists
+    the ``(amp0, amp1)`` of each; the first takes the lowest new index."""
+    if not qubits:
+        raise ValueError("no qubits to append")
+    n = state.num_qubits + len(qubits)
     if n > cap:
-        raise CapacityError(f"allocation of {count} qubit(s) would exceed cap of {cap}")
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[: state.amplitudes.shape[0]] = state.amplitudes
+        raise CapacityError(f"allocation of {len(qubits)} qubit(s) would exceed cap of {cap}")
+    amps = state.amplitudes
+    for amp0, amp1 in qubits:
+        amps = np.multiply.outer(np.array([amp0, amp1], dtype=np.complex128), amps).reshape(-1)
     return StateVector(n, amps)
-
-
-def append_qubit(
-    state: StateVector, amp0: complex, amp1: complex, cap: int = DEFAULT_QUBIT_CAP
-) -> StateVector:
-    """Tensor one fresh qubit in state amp0|0> + amp1|1> onto the high end."""
-    if state.num_qubits + 1 > cap:
-        raise CapacityError(f"allocation of 1 qubit would exceed cap of {cap}")
-    qubit = np.array([amp0, amp1], dtype=np.complex128)
-    return StateVector(state.num_qubits + 1, np.kron(qubit, state.amplitudes))
 
 
 def _check_targets(state: StateVector, targets) -> list[int]:

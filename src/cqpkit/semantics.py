@@ -31,6 +31,7 @@ cap bounds the qubits held at one time rather than all ever allocated.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -117,6 +118,8 @@ DEFAULT_TEST_QUBITS = (
 )
 
 BASIS_TEST_QUBITS = DEFAULT_TEST_QUBITS[:2]
+
+_KET0 = DEFAULT_TEST_QUBITS[0]  # the state of a freshly allocated qubit
 
 
 @dataclass(frozen=True)
@@ -393,63 +396,39 @@ def _eval_slots(config: Configuration, exprs) -> list:
     return slots
 
 
-def _payload_has_measure(exprs) -> bool:
-    for e in exprs:
-        if isinstance(e, MeasureExpr):
-            return True
-        if isinstance(e, TupleExpr) and _payload_has_measure(e.items):
-            return True
-    return False
-
-
-def _force_first_measure(exprs):
-    """Replace the leftmost MeasureExpr with a placeholder filled per outcome.
-
-    Returns (names, rebuild) where rebuild(bits) is the payload with the
-    measured result spliced in as literals.
-    """
+def _measure_path(exprs) -> tuple | None:
+    """Index path to the leftmost measurement of a payload, through nested
+    tuples, or None when the payload has none."""
     for i, e in enumerate(exprs):
         if isinstance(e, MeasureExpr):
-            names = e.names
+            return (i,)
+        if isinstance(e, TupleExpr):
+            inner = _measure_path(e.items)
+            if inner is not None:
+                return (i,) + inner
+    return None
 
-            def rebuild(bits, i=i, exprs=exprs):
-                lit = (
-                    BitLit(value=bits[0])
-                    if len(bits) == 1
-                    else TupleExpr(items=tuple(BitLit(value=b) for b in bits))
-                )
-                return tuple(exprs[:i]) + (lit,) + tuple(exprs[i + 1 :])
 
-            return names, rebuild
-        if isinstance(e, TupleExpr) and _payload_has_measure(e.items):
-            names, inner = _force_first_measure(e.items)
-
-            def rebuild(bits, i=i, exprs=exprs, inner=inner):
-                return (
-                    tuple(exprs[:i])
-                    + (TupleExpr(items=inner(bits)),)
-                    + tuple(exprs[i + 1 :])
-                )
-
-            return names, rebuild
-    raise ValueError("no measurement in payload")
+def _splice(exprs, path: tuple, lit) -> tuple:
+    """``exprs`` with the expression at index ``path`` replaced by ``lit``."""
+    i = path[0]
+    if len(path) > 1:
+        lit = TupleExpr(items=_splice(exprs[i].items, path[1:], lit))
+    return exprs[:i] + (lit,) + exprs[i + 1 :]
 
 
 def _advance(
     config: Configuration, path: tuple, new_head: ProcessTerm, **changes
 ) -> Configuration:
-    """The successor with ``new_head`` in place of the component at ``path``
-    and the other ``Configuration`` fields in ``changes`` replaced."""
-    term = _simplify(_rebuild(config.term, path, new_head))
-    return _finish(dataclasses.replace(config, term=term, **changes))
-
-
-def _finish(config: Configuration) -> Configuration:
-    """Check a freshly built successor and drop its dead basis qubits.
+    """The successor with the ``Configuration`` fields in ``changes``
+    replaced and then ``new_head`` in place of the component at ``path``,
+    checked for ownership and with its dead basis qubits dropped.
 
     Every successor ``step`` builds passes through here. Without a dead
     qubit (the common case) the configuration is returned as it is.
     """
+    term = _simplify(_rebuild(changes.pop("term", config.term), path, new_head))
+    config = dataclasses.replace(config, term=term, **changes)
     live = config.check_ownership()
     if len(live) == config.qstate.num_qubits:
         return config
@@ -476,12 +455,25 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
     return dataclasses.replace(config, qstate=qvec, bindings=bindings)
 
 
-def _bind_received(
-    config: Configuration, binders, values, cont: ProcessTerm
-) -> tuple[ProcessTerm, dict, int]:
-    """Bind received slot values to (freshened) binders inside ``cont``."""
+def _bind(
+    config: Configuration, path: tuple, binders, values, cont: ProcessTerm, **changes
+) -> Configuration:
+    """The successor in which the component at ``path`` goes on as ``cont``
+    with ``binders`` bound to ``values``; ``changes`` as in ``_advance``.
+
+    This is the only place that makes runtime names: each binder gets the
+    fresh name ``binder~n``, so no two bindings clash and nothing can name
+    a dead qubit again. Each ``TestQubit`` among the values is first
+    appended to the state as a new qubit, in order, and bound as its id.
+    One binder receiving several bits binds them as one tuple.
+    """
+    qubits = [(v.amp0, v.amp1) for v in values if isinstance(v, TestQubit)]
+    if qubits:
+        changes["qstate"] = qstate.append_qubits(config.qstate, qubits, cap=config.qubit_cap)
+        new_ids = itertools.count(config.qstate.num_qubits)
+        values = [QubitVal(next(new_ids)) if isinstance(v, TestQubit) else v for v in values]
     if len(binders) == len(values):
-        pairs = list(zip(binders, values))
+        pairs = zip(binders, values)
     elif len(binders) == 1 and len(values) > 1 and all(isinstance(v, int) for v in values):
         pairs = [(binders[0], tuple(values))]
     else:
@@ -492,11 +484,12 @@ def _bind_received(
     fresh = config.next_fresh
     mapping = {}
     for binder, value in pairs:
-        runtime_name = f"{binder}~{fresh}"
-        fresh += 1
-        mapping[binder] = runtime_name
+        mapping[binder] = runtime_name = f"{binder}~{fresh}"
         bindings[runtime_name] = value
-    return substitute(cont, mapping), bindings, fresh
+        fresh += 1
+    return _advance(
+        config, path, substitute(cont, mapping), bindings=bindings, next_fresh=fresh, **changes
+    )
 
 
 def _gate_for(config: Configuration, ref) -> qstate.Gate:
@@ -518,38 +511,25 @@ _DETERMINISTIC_TAU = (Call, QbitAlloc, NewChannel, GateAction)
 
 
 def _deterministic_tau(config: Configuration, path: tuple, head: ProcessTerm) -> Transition:
-    """The single τ transition of a component headed by a call, an
-    allocation, a channel restriction or a gate."""
+    """The single τ transition of a component headed by a call, a qubit
+    allocation, a channel restriction or a gate. Allocation binds one
+    fresh |0> qubit per binder and ``new`` one fresh channel, both through
+    ``_bind``."""
     if isinstance(head, Call):
         d = config.program.definition(head.process)
         body = substitute(d.body, dict(zip(d.params, head.args)))
         cfg = _advance(config, path, body)
     elif isinstance(head, QbitAlloc):
-        qvec = qstate.alloc_qubits(config.qstate, len(head.binders), cap=config.qubit_cap)
-        bindings = dict(config.bindings)
-        fresh = config.next_fresh
-        mapping = {}
-        base = config.qstate.num_qubits
-        for i, binder in enumerate(head.binders):
-            runtime_name = f"{binder}~{fresh}"
-            fresh += 1
-            mapping[binder] = runtime_name
-            bindings[runtime_name] = QubitVal(base + i)
-        cont = substitute(head.continuation, mapping)
-        cfg = _advance(config, path, cont, qstate=qvec, bindings=bindings, next_fresh=fresh)
+        zeros = (_KET0,) * len(head.binders)
+        cfg = _bind(config, path, head.binders, zeros, head.continuation)
     elif isinstance(head, NewChannel):
-        bindings = dict(config.bindings)
-        fresh = config.next_fresh
-        runtime_name = f"{head.binder}~{fresh}"
-        bindings[runtime_name] = ChannelVal(config.next_channel)
-        cont = substitute(head.continuation, {head.binder: runtime_name})
-        cfg = _advance(
+        cfg = _bind(
             config,
             path,
-            cont,
-            bindings=bindings,
+            (head.binder,),
+            (ChannelVal(config.next_channel),),
+            head.continuation,
             next_channel=config.next_channel + 1,
-            next_fresh=fresh + 1,
         )
     else:
         qids = _qubit_ids(config, head.targets)
@@ -604,6 +584,12 @@ def step(
     ``reduce=False`` enumerates every interleaving, with only call
     unfolding prioritized; it is the reference the reduction is tested
     against.
+
+    Every successor is built one of two ways. A step that binds names
+    (input, internal communication, ``qbit`` and ``new``) goes through
+    ``_bind``, which appends received test qubits and fresh |0> qubits to
+    the state; every other step replaces its component's head through
+    ``_advance``.
     """
     alphabet = alphabet or {}
     comps = list(_components(config.term))
@@ -613,6 +599,7 @@ def step(
             return [_deterministic_tau(config, path, head)]
 
     transitions: list[Transition] = []
+    senders, receivers = [], []  # (path, head, channel id) ready to communicate
     for path, head in comps:
         if isinstance(head, Nil):
             continue
@@ -624,15 +611,19 @@ def step(
             continue
 
         if isinstance(head, Output):
-            if _payload_has_measure(head.payload):
-                names, rebuild_payload = _force_first_measure(head.payload)
-                qids = _qubit_ids(config, names)
-                outcomes = qstate.measure(config.qstate, qids)
+            measured = _measure_path(head.payload)
+            if measured is not None:
+                exprs = head.payload
+                for i in measured[:-1]:
+                    exprs = exprs[i].items
+                qids = _qubit_ids(config, exprs[measured[-1]].names)
                 dist = []
-                for o in outcomes:
+                for o in qstate.measure(config.qstate, qids):
+                    bits = tuple(BitLit(value=b) for b in o.result)
+                    lit = bits[0] if len(bits) == 1 else TupleExpr(items=bits)
                     new_head = Output(
                         channel=head.channel,
-                        payload=rebuild_payload(o.result),
+                        payload=_splice(head.payload, measured, lit),
                         continuation=head.continuation,
                         pos=head.pos,
                     )
@@ -641,11 +632,11 @@ def step(
                 transitions.append(Transition(TAU, tuple(dist)))
                 continue
             cid = _channel_id(config, head.channel)
+            senders.append((path, head, cid))
             if config.is_visible(cid):
-                slots = _eval_slots(config, head.payload)
                 label_values = []
                 sent_qubits = []
-                for v in slots:
+                for v in _eval_slots(config, head.payload):
                     if isinstance(v, QubitVal):
                         label_values.append(QubitSlot(len(sent_qubits)))
                         sent_qubits.append(v.qid)
@@ -665,54 +656,26 @@ def step(
 
         if isinstance(head, Input):
             cid = _channel_id(config, head.channel)
+            receivers.append((path, head, cid))
             if config.is_visible(cid) and cid in alphabet:
                 for value_tuple in alphabet[cid]:
-                    qvec = config.qstate
-                    runtime_values = []
-                    label_values = []
-                    for v in value_tuple:
-                        if isinstance(v, TestQubit):
-                            qvec = qstate.append_qubit(
-                                qvec, v.amp0, v.amp1, cap=config.qubit_cap
-                            )
-                            runtime_values.append(QubitVal(qvec.num_qubits - 1))
-                            label_values.append(v)
-                        else:
-                            runtime_values.append(v)
-                            label_values.append(v)
-                    tmp = dataclasses.replace(config, qstate=qvec)
-                    cont, bindings, fresh = _bind_received(
-                        tmp, head.binders, runtime_values, head.continuation
-                    )
-                    cfg = _advance(tmp, path, cont, bindings=bindings, next_fresh=fresh)
-                    label = CommLabel(
-                        "in", cid, config.display_channel(cid), tuple(label_values)
-                    )
+                    cfg = _bind(config, path, head.binders, value_tuple, head.continuation)
+                    label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
                     transitions.append(Transition(label, ((1.0, cfg),)))
             continue
 
         raise TypeError(f"not a process term: {head!r}")
 
     # Internal synchronous communication between any two parallel components
-    # sharing a channel, hidden or visible.
-    for i, (out_path, out_head) in enumerate(comps):
-        if not isinstance(out_head, Output) or _payload_has_measure(out_head.payload):
-            continue
-        out_cid = _channel_id(config, out_head.channel)
-        for j, (in_path, in_head) in enumerate(comps):
-            if i == j or not isinstance(in_head, Input):
-                continue
-            if _channel_id(config, in_head.channel) != out_cid:
+    # sharing a channel, hidden or visible: the receiver binds the sender's
+    # slots in the term where the sender has already moved on.
+    for out_path, out_head, out_cid in senders:
+        for in_path, in_head, in_cid in receivers:
+            if in_cid != out_cid:
                 continue
             values = _eval_slots(config, out_head.payload)
-            cont, bindings, fresh = _bind_received(
-                config, in_head.binders, values, in_head.continuation
-            )
-            term = _rebuild(config.term, out_path, out_head.continuation)
-            term = _simplify(_rebuild(term, in_path, cont))
-            cfg = _finish(
-                dataclasses.replace(config, bindings=bindings, term=term, next_fresh=fresh)
-            )
+            sent = _rebuild(config.term, out_path, out_head.continuation)
+            cfg = _bind(config, in_path, in_head.binders, values, in_head.continuation, term=sent)
             transitions.append(Transition(TAU, ((1.0, cfg),)))
 
     return transitions

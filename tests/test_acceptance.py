@@ -75,7 +75,7 @@ def test_criterion_2_per_branch_determinism(capsys):
 
 
 def test_criterion_3_entanglement_statistics(capsys):
-    state = qstate.alloc_qubits(qstate.StateVector.empty(), 2)
+    state = qstate.append_qubits(qstate.StateVector.empty(), [(1, 0)] * 2)
     state = qstate.apply_gate(state, qstate.standard_gate("H"), [0])
     state = qstate.apply_gate(state, qstate.standard_gate("CNot"), [0, 1])
     outcomes = qstate.measure(state, [0])

@@ -18,7 +18,6 @@ from cqpkit.equiv import (
     input_instantiations,
     labels_match,
     minimize,
-    plts_isomorphic,
 )
 from cqpkit.semantics import (
     DEFAULT_TEST_QUBITS,
@@ -37,6 +36,7 @@ from cqpkit.typecheck import parse_signatures
 from support import (
     SQ2,
     insert_tau,
+    plts_isomorphic,
     random_plts,
     random_typed_program,
     refine_partition,

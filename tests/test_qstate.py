@@ -7,8 +7,7 @@ from cqpkit.qstate import (
     DensityMatrix,
     Gate,
     StateVector,
-    alloc_qubits,
-    append_qubit,
+    append_qubits,
     apply_gate,
     dirac,
     drop_basis_qubits,
@@ -41,21 +40,21 @@ BELL = sv(SQ2, 0, 0, SQ2)
 # ---------------------------------------------------------------------------
 
 def test_alloc_from_empty():
-    out = alloc_qubits(StateVector.empty(), 1)
+    out = append_qubits(StateVector.empty(), [(1, 0)])
     assert out.num_qubits == 1
     np.testing.assert_allclose(out.amplitudes, [1, 0])
 
 
 def test_alloc_appends_zero_at_high_index():
     one = sv(0, 1)
-    out = alloc_qubits(one, 1)
+    out = append_qubits(one, [(1, 0)])
     # |01>: old qubit still 1, new qubit reads 0 in the high position.
     np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0])
     assert dirac(out) == "1.0000|01⟩"
 
 
 def test_alloc_two_then_entangle_gives_bell_pair():
-    state = alloc_qubits(sv(1, 0), 2)
+    state = append_qubits(sv(1, 0), [(1, 0)] * 2)
     state = apply_gate(state, standard_gate("H"), [1])
     state = apply_gate(state, standard_gate("CNot"), [1, 2])
     rho = reduced_density_matrix(state, [2, 1])
@@ -66,14 +65,21 @@ def test_alloc_two_then_entangle_gives_bell_pair():
 
 def test_alloc_capacity_error():
     with pytest.raises(CapacityError):
-        alloc_qubits(StateVector.empty(), 13)
+        append_qubits(StateVector.empty(), [(1, 0)] * 13)
     with pytest.raises(CapacityError):
-        alloc_qubits(alloc_qubits(StateVector.empty(), 8), 8)
+        append_qubits(append_qubits(StateVector.empty(), [(1, 0)] * 8), [(1, 0)] * 8)
 
 
 def test_append_qubit_arbitrary_state():
-    out = append_qubit(sv(1, 0), SQ2, SQ2)
+    out = append_qubits(sv(1, 0), [(SQ2, SQ2)])
     np.testing.assert_allclose(out.amplitudes, [SQ2, 0, SQ2, 0])
+    # Two qubits: the first appended becomes qubit 1, the second qubit 2.
+    rng = np.random.default_rng(5)
+    base = random_state_amps(rng, 1)
+    psi, phi = random_state_amps(rng, 1), random_state_amps(rng, 1)
+    out = append_qubits(sv(*base), [(psi[0], psi[1]), (phi[0], phi[1])])
+    assert out.num_qubits == 3
+    np.testing.assert_allclose(out.amplitudes, np.kron(phi, np.kron(psi, base)), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,7 @@ def test_bell_half_is_maximally_mixed():
 def test_product_state_keeps_its_factor():
     rng = np.random.default_rng(3)
     psi = random_state_amps(rng, 1)
-    state = append_qubit(sv(1, 0), psi[0], psi[1])  # psi on qubit 1, |0> on qubit 0
+    state = append_qubits(sv(1, 0), [(psi[0], psi[1])])  # psi on qubit 1, |0> on qubit 0
     rho = reduced_density_matrix(state, [1])
     np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-12)
 
@@ -367,7 +373,7 @@ def test_drop_basis_qubits_factors_out_exactly():
 
 
 def test_drop_basis_qubits_keeps_entangled_and_superposed():
-    state = apply_gate(alloc_qubits(StateVector.empty(), 3), standard_gate("H"), [0])
+    state = apply_gate(append_qubits(StateVector.empty(), [(1, 0)] * 3), standard_gate("H"), [0])
     state = apply_gate(state, standard_gate("CNot"), [0, 1])
     out, dropped = drop_basis_qubits(state, [1, 2])
     assert dropped == {2: 0}

@@ -13,12 +13,14 @@ from cqpkit.semantics import (
     CommLabel,
     ExplorationLimitError,
     OwnershipViolation,
+    ProbLabel,
     RuntimeProcessError,
     Tau,
     canonical_key,
     explore,
     initial_configuration,
     input_used_channels,
+    render_label,
     run_sampled,
     step,
 )
@@ -397,6 +399,56 @@ def test_entangled_dead_qubits_stay():
     np.testing.assert_allclose(out.label.qubit_dm.matrix, np.eye(2) / 2, atol=1e-12)
     (terminal,) = [s for s in plts.states if s.terminal]
     assert terminal.config.qstate.num_qubits == 2
+
+
+def output_distribution(plts) -> dict[str, float]:
+    """Probability of each rendered output label over the paths from the
+    initial state, multiplying the probabilistic edges along the way."""
+    succ = plts.successors()
+    found: dict[str, float] = {}
+    stack = [(plts.initial, 1.0)]
+    while stack:
+        sid, p = stack.pop()
+        for e in succ[sid]:
+            q = p * e.label.probability if isinstance(e.label, ProbLabel) else p
+            if isinstance(e.label, CommLabel) and e.label.kind == "out":
+                name = render_label(e.label)
+                found[name] = found.get(name, 0.0) + q
+            stack.append((e.dst, q))
+    return found
+
+
+def test_nested_and_repeated_measurements_in_one_payload():
+    """Both measurements of the payload are forced, the one nested in the
+    tuple first; the bits land in their slots."""
+    source = (
+        "//: Q : ^[Bit,Bit,Bit]\n"
+        "Q(c) = (qbit x,y) {x *= H} . c![(0, measure x), measure y] . 0\n"
+    )
+    program, signatures = parse_program(source), parse_signatures(source)
+    plts = explore(initial_configuration(program, "Q", signatures=signatures))
+    dist = output_distribution(plts)
+    assert sorted(dist) == ["c![0,0,0]", "c![0,1,0]"]
+    for p in dist.values():
+        assert abs(p - 0.5) <= 1e-9
+
+
+def test_multi_slot_input_keeps_qubit_order():
+    """The qubits of one input are bound to the binders in slot order:
+    x receives the first test qubit."""
+    source = (
+        "//: P : ^[Qbit,Qbit], ^[Qbit]\n"
+        "P(c, d) = c?[x,y] . d![x] . 0\n"
+    )
+    program, signatures = parse_program(source), parse_signatures(source)
+    zero, one = DEFAULT_TEST_QUBITS[:2]
+    for first, second, projector in ((zero, one, [[1, 0], [0, 0]]), (one, zero, [[0, 0], [0, 1]])):
+        config = initial_configuration(program, "P", signatures=signatures)
+        plts = explore(config, alphabet={0: [(first, second)]})
+        (out,) = [
+            e for e in plts.edges if isinstance(e.label, CommLabel) and e.label.kind == "out"
+        ]
+        np.testing.assert_allclose(out.label.qubit_dm.matrix, projector, atol=1e-12)
 
 
 def test_sequential_programs_run_past_the_qubit_cap():
