@@ -11,7 +11,10 @@ print the diagnostics and exit 1 when the checker rejects one.
 from __future__ import annotations
 
 import argparse
+import cmath
+import dataclasses
 import json
+import math
 import sys
 
 from . import equiv, qstate, semantics, typecheck
@@ -64,7 +67,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliExit(EXIT_FILE, f"cannot read {path}: {exc}") from exc
 
 
@@ -125,15 +128,21 @@ def _test_qubits(spec: str) -> tuple:
             entries = json.loads(raw)
             out = []
             for e in entries:
+                name = e["name"]
+                if not isinstance(name, str):
+                    raise ValueError(f"test state name {name!r} is not a string")
                 (r0, i0), (r1, i1) = e["amplitudes"]
                 a0, a1 = complex(r0, i0), complex(r1, i1)
-                if abs(abs(a0) ** 2 + abs(a1) ** 2 - 1.0) > qstate.ATOL:
-                    raise ValueError(f"test state {e['name']!r} is not normalized")
-                out.append(TestQubit(e["name"], a0, a1))
+                if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
+                    raise ValueError(f"test state {name!r} has a non-finite amplitude")
+                norm = math.hypot(a0.real, a0.imag, a1.real, a1.imag)
+                if abs(norm * norm - 1.0) > qstate.ATOL:
+                    raise ValueError(f"test state {name!r} is not normalized")
+                out.append(TestQubit(name, a0, a1))
             if not out:
                 raise ValueError("empty test set")
             return tuple(out)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise _CliExit(EXIT_ERROR, f"bad qubit test set: {exc}") from exc
     raise _CliExit(EXIT_ERROR, f"--qubit-tests must be basis, default or file:<path>")
 
@@ -283,16 +292,7 @@ def _cmd_equiv(args) -> int:
     except ValueError as exc:
         raise _CliExit(EXIT_ERROR, str(exc)) from exc
     if args.json:
-        witness = None
-        if verdict.witness is not None:
-            witness = {
-                "kind": verdict.witness.kind,
-                "description": verdict.witness.description,
-                "label": verdict.witness.label,
-                "left_probability": verdict.witness.left_probability,
-                "right_probability": verdict.witness.right_probability,
-                "instantiation": verdict.witness.instantiation,
-            }
+        witness = None if verdict.witness is None else dataclasses.asdict(verdict.witness)
         print(json.dumps({"equivalent": verdict.equivalent, "witness": witness}, indent=2))
     else:
         print(verdict.render())

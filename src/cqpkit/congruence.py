@@ -6,204 +6,123 @@ evidence: it generates random well-typed contexts (parallel observers,
 channel relays, wrappings of the plugged process's input and output) and
 checks that two already-equivalent processes stay equivalent inside each.
 
-A context is a process term with exactly one hole. Filling the hole does
-*not* rename anything: the plugged process's free channel names are
-captured by the context's binders, which is what makes a context a context.
-Every template here plugs a call ``Entry(hin, hout)`` whose two channels
-carry one qubit each.
+A context is ``.cqp`` process source holding exactly one call
+``PLUG(hin,hout)``. Plugging a process renames that call to the process's
+entry name and parses the result, and renames nothing else: the plugged
+process's free channel names are captured by the context's binders, which
+is what makes a context a context. Every template here plugs a call
+``Entry(hin, hout)`` whose two channels carry one qubit each.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
+import re
 from dataclasses import dataclass, field
 
 from . import equiv, semantics, typecheck
-from .syntax import (
-    Call,
-    GateAction,
-    FixedGate,
-    Hole,
-    Input,
-    MeasureExpr,
-    NewChannel,
-    Nil,
-    Output,
-    Parallel,
-    ProcessDef,
-    ProcessTerm,
-    Program,
-    QbitAlloc,
-    Var,
-    pretty_print,
-)
+from .syntax import ProcessDef, ProcessTerm, Program, parse_process, pretty_print
 from .typecheck import BIT, QBIT, ChannelType
 
 QUBIT_CHANNEL = ChannelType((QBIT,))
 BIT_CHANNEL = ChannelType((BIT,))
 
+_PLUG = re.compile(r"\bPLUG\b")
+
 
 @dataclass(frozen=True)
 class ProcessContext:
-    """A term with exactly one hole plus the visible channels it exposes."""
+    """``.cqp`` process source with exactly one ``PLUG(hin,hout)`` call,
+    plus the visible channels the context exposes.
+
+    Plugging renames only the ``PLUG`` call, so the plugged process's free
+    channels ``hin`` and ``hout`` are captured by the context's binders:
+    a ``(new ...)`` in ``source``, or one of ``params``.
+    """
 
     name: str
-    term: ProcessTerm
+    source: str
     params: tuple  # of (channel name, ChannelType)
 
     def __post_init__(self):
-        if _count_holes(self.term) != 1:
-            raise ValueError(f"context {self.name!r} must have exactly one hole")
+        if len(_PLUG.findall(self.source)) != 1:
+            raise ValueError(f"context {self.name!r} must have exactly one PLUG call")
 
 
-def _count_holes(term: ProcessTerm) -> int:
-    if isinstance(term, Hole):
-        return 1
-    if isinstance(term, Parallel):
-        return _count_holes(term.left) + _count_holes(term.right)
-    if isinstance(term, (Input, Output, GateAction, QbitAlloc, NewChannel)):
-        return _count_holes(term.continuation)
-    return 0
-
-
-def fill(context: ProcessContext | ProcessTerm, plug: ProcessTerm) -> ProcessTerm:
-    """Replace the hole with ``plug``; free names of ``plug`` are captured."""
-    term = context.term if isinstance(context, ProcessContext) else context
-    if isinstance(term, Hole):
-        return plug
-    if isinstance(term, Parallel):
-        return Parallel(left=fill(term.left, plug), right=fill(term.right, plug))
-    if isinstance(term, (Input, Output, GateAction, QbitAlloc, NewChannel)):
-        return dataclasses.replace(term, continuation=fill(term.continuation, plug))
-    return term
+def plug(context: ProcessContext, entry: str) -> ProcessTerm:
+    """Parse ``context`` with its ``PLUG`` call renamed to ``entry``."""
+    return parse_process(_PLUG.sub(entry, context.source))
 
 
 # ---------------------------------------------------------------------------
 # Context templates
 # ---------------------------------------------------------------------------
 
-def _gates(rng: random.Random, target: str, cont: ProcessTerm, max_gates: int = 2) -> ProcessTerm:
+def _gates(rng: random.Random, target: str, max_gates: int = 2) -> str:
+    """Up to ``max_gates`` random gate prefixes on ``target``, as source text;
+    the gate drawn last acts first."""
+    prefix = ""
     for _ in range(rng.randint(0, max_gates)):
-        name = rng.choice(["I", "H", "X", "Z"])
-        cont = GateAction(targets=(target,), gate=FixedGate(name=name), continuation=cont)
-    return cont
-
-
-def _feeder(rng: random.Random, channel: str, qubit: str, cont: ProcessTerm) -> ProcessTerm:
-    """Allocate a qubit, scramble it a little, send it on ``channel``."""
-    send = Output(channel=channel, payload=(Var(name=qubit),), continuation=cont)
-    return QbitAlloc(binders=(qubit,), continuation=_gates(rng, qubit, send))
+        prefix = f"{{{target} *= {rng.choice(['I', 'H', 'X', 'Z'])}}} . " + prefix
+    return prefix
 
 
 def _tpl_trivial(rng: random.Random) -> ProcessContext:
     return ProcessContext(
         "trivial-hole",
-        Hole(),
+        "PLUG(hin,hout)",
         (("hin", QUBIT_CHANNEL), ("hout", QUBIT_CHANNEL)),
     )
 
 
 def _tpl_feeder(rng: random.Random) -> ProcessContext:
-    term = NewChannel(
-        binder="hin",
-        continuation=Parallel(left=Hole(), right=_feeder(rng, "hin", "z", Nil())),
+    """Allocate a qubit, scramble it a little, send it on ``hin``."""
+    return ProcessContext(
+        "parallel-feeder",
+        f"(new hin) (PLUG(hin,hout) | (qbit z) {_gates(rng, 'z')}hin![z] . 0)",
+        (("hout", QUBIT_CHANNEL),),
     )
-    return ProcessContext("parallel-feeder", term, (("hout", QUBIT_CHANNEL),))
 
 
 def _tpl_observer(rng: random.Random) -> ProcessContext:
-    receive = Input(
-        channel="hout",
-        binders=("w",),
-        continuation=_gates(
-            rng,
-            "w",
-            Output(
-                channel="res",
-                payload=(MeasureExpr(names=("w",)),),
-                continuation=Nil(),
-            ),
-            max_gates=1,
-        ),
+    # The observer's gates are drawn before the feeder's.
+    measure = f"hout?[w] . {_gates(rng, 'w', 1)}res![measure w] . 0"
+    return ProcessContext(
+        "feed-and-measure",
+        f"(new hin) (new hout) (PLUG(hin,hout) | (qbit z) {_gates(rng, 'z')}hin![z] . {measure})",
+        (("res", BIT_CHANNEL),),
     )
-    term = NewChannel(
-        binder="hin",
-        continuation=NewChannel(
-            binder="hout",
-            continuation=Parallel(left=Hole(), right=_feeder(rng, "hin", "z", receive)),
-        ),
-    )
-    return ProcessContext("feed-and-measure", term, (("res", BIT_CHANNEL),))
 
 
 def _tpl_out_relay(rng: random.Random) -> ProcessContext:
-    relay = Input(
-        channel="hout",
-        binders=("z",),
-        continuation=_gates(
-            rng, "z", Output(channel="d", payload=(Var(name="z"),), continuation=Nil()), 1
-        ),
-    )
-    term = NewChannel(binder="hout", continuation=Parallel(left=Hole(), right=relay))
     return ProcessContext(
-        "output-relay", term, (("hin", QUBIT_CHANNEL), ("d", QUBIT_CHANNEL))
+        "output-relay",
+        f"(new hout) (PLUG(hin,hout) | hout?[z] . {_gates(rng, 'z', 1)}d![z] . 0)",
+        (("hin", QUBIT_CHANNEL), ("d", QUBIT_CHANNEL)),
     )
 
 
 def _tpl_in_relay(rng: random.Random) -> ProcessContext:
-    relay = Input(
-        channel="e",
-        binders=("z",),
-        continuation=Output(channel="hin", payload=(Var(name="z"),), continuation=Nil()),
-    )
-    term = NewChannel(binder="hin", continuation=Parallel(left=relay, right=Hole()))
     return ProcessContext(
-        "input-relay", term, (("e", QUBIT_CHANNEL), ("hout", QUBIT_CHANNEL))
+        "input-relay",
+        "(new hin) (e?[z] . hin![z] . 0 | PLUG(hin,hout))",
+        (("e", QUBIT_CHANNEL), ("hout", QUBIT_CHANNEL)),
     )
 
 
 def _tpl_noise(rng: random.Random) -> ProcessContext:
-    noise = QbitAlloc(
-        binders=("w",),
-        continuation=GateAction(
-            targets=("w",),
-            gate=FixedGate(name="H"),
-            continuation=Output(
-                channel="n", payload=(MeasureExpr(names=("w",)),), continuation=Nil()
-            ),
-        ),
-    )
-    term = Parallel(left=Hole(), right=noise)
     return ProcessContext(
         "parallel-noise",
-        term,
+        "(PLUG(hin,hout) | (qbit w) {w *= H} . n![measure w] . 0)",
         (("hin", QUBIT_CHANNEL), ("hout", QUBIT_CHANNEL), ("n", BIT_CHANNEL)),
     )
 
 
 def _tpl_double_relay(rng: random.Random) -> ProcessContext:
-    relay_in = Input(
-        channel="e",
-        binders=("z",),
-        continuation=Output(channel="hin", payload=(Var(name="z"),), continuation=Nil()),
-    )
-    relay_out = Input(
-        channel="hout",
-        binders=("w",),
-        continuation=Output(channel="d", payload=(Var(name="w"),), continuation=Nil()),
-    )
-    term = NewChannel(
-        binder="hin",
-        continuation=NewChannel(
-            binder="hout",
-            continuation=Parallel(
-                left=relay_in, right=Parallel(left=Hole(), right=relay_out)
-            ),
-        ),
-    )
     return ProcessContext(
-        "double-relay", term, (("e", QUBIT_CHANNEL), ("d", QUBIT_CHANNEL))
+        "double-relay",
+        "(new hin) (new hout) (e?[z] . hin![z] . 0 | (PLUG(hin,hout) | hout?[w] . d![w] . 0))",
+        (("e", QUBIT_CHANNEL), ("d", QUBIT_CHANNEL)),
     )
 
 
@@ -266,9 +185,7 @@ def _context_program(
     while main_name in existing:
         main_name = f"CtxMain_{k}"
         k += 1
-    plug = Call(process=entry, args=("hin", "hout"))
-    body = fill(context, plug)
-    main = ProcessDef(main_name, tuple(n for n, _t in context.params), body)
+    main = ProcessDef(main_name, tuple(n for n, _t in context.params), plug(context, entry))
     new_program = Program(program.definitions + (main,))
     new_sigs = dict(signatures)
     new_sigs[main_name] = tuple(t for _n, t in context.params)
@@ -306,7 +223,7 @@ def check_congruence_samples(
         context = generate_context(rng)
         prog_a, sigs_a, main_a = _context_program(program_a, signatures_a, entry_a, context)
         prog_b, sigs_b, main_b = _context_program(program_b, signatures_b, entry_b, context)
-        source = pretty_print(fill(context, Call(process=entry_a, args=("hin", "hout"))))
+        source = pretty_print(prog_a.definition(main_a).body)
         diags = typecheck.typecheck_program(prog_a, sigs_a) + typecheck.typecheck_program(
             prog_b, sigs_b
         )

@@ -45,7 +45,6 @@ from .syntax import (
     Call,
     FixedGate,
     GateAction,
-    Hole,
     Input,
     MeasureExpr,
     NewChannel,
@@ -603,9 +602,6 @@ def step(
     for path, head in comps:
         if isinstance(head, Nil):
             continue
-        if isinstance(head, Hole):
-            raise RuntimeProcessError("cannot execute a context hole")
-
         if isinstance(head, _DETERMINISTIC_TAU):
             transitions.append(_deterministic_tau(config, path, head))
             continue
@@ -895,7 +891,7 @@ def input_used_channels(program: Program, entry_name: str) -> set[int]:
         walk(d.body, dict(zip(d.params, args_abs)))
 
     def walk(term: ProcessTerm, env: dict):
-        if isinstance(term, (Nil, Hole)):
+        if isinstance(term, Nil):
             return
         if isinstance(term, Input):
             pos = env.get(term.channel)

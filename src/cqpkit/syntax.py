@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-KEYWORDS = {"qbit", "new", "measure", "sigma"}
 GATE_NAMES = {"I", "X", "Z", "H", "CNot"}
 NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
@@ -149,11 +148,6 @@ class Parallel(ProcessTerm):
 class Call(ProcessTerm):
     process: str = ""
     args: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Hole(ProcessTerm):
-    """Placeholder inside a process context; never produced by the parser."""
 
 
 @dataclass(frozen=True)
@@ -555,8 +549,6 @@ def pretty_print(term: ProcessTerm) -> str:
         return f"({pretty_print(term.left)} | {pretty_print(term.right)})"
     if isinstance(term, Call):
         return f"{term.process}({','.join(term.args)})"
-    if isinstance(term, Hole):
-        return "HOLE"
     raise TypeError(f"not a process term: {term!r}")
 
 
@@ -584,7 +576,7 @@ def _expr_names(e: Expression) -> frozenset[str]:
 
 def free_names(term: ProcessTerm) -> frozenset[str]:
     """Free value names of a term; process names in calls are not included."""
-    if isinstance(term, (Nil, Hole)):
+    if isinstance(term, Nil):
         return frozenset()
     if isinstance(term, Input):
         return frozenset({term.channel}) | (free_names(term.continuation) - frozenset(term.binders))
@@ -658,7 +650,7 @@ def substitute(term: ProcessTerm, mapping: dict[str, str]) -> ProcessTerm:
         cont = substitute(cont, renaming)
         return tuple(new_binders), substitute(cont, inner)
 
-    if isinstance(term, (Nil, Hole)):
+    if isinstance(term, Nil):
         return term
     if isinstance(term, Input):
         binders, cont = rebind(term.binders, term.continuation)
@@ -743,8 +735,6 @@ def canonical_form(term: ProcessTerm, free) -> str:
     def ser(t: ProcessTerm, env: dict) -> str:
         if isinstance(t, Nil):
             return "0"
-        if isinstance(t, Hole):
-            return "HOLE"
         if isinstance(t, Input):
             inner = bind(t.binders, env)
             return f"in({name(t.channel, env)};{len(t.binders)};{ser(t.continuation, inner)})"

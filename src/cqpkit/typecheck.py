@@ -29,7 +29,6 @@ from .syntax import (
     Expression,
     FixedGate,
     GateAction,
-    Hole,
     Input,
     MeasureExpr,
     NewChannel,
@@ -264,7 +263,7 @@ class _Checker:
         return b
 
     def check(self, term: ProcessTerm, env: TypeEnv) -> TypeEnv:
-        if isinstance(term, (Nil, Hole)):
+        if isinstance(term, Nil):
             return env
 
         if isinstance(term, Input):

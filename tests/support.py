@@ -27,7 +27,6 @@ from cqpkit.syntax import (
     Expression,
     FixedGate,
     GateAction,
-    Hole,
     Input,
     MeasureExpr,
     NewChannel,
@@ -551,7 +550,7 @@ def alpha_equivalent_oracle(a: ProcessTerm, b: ProcessTerm) -> bool:
     def go(x: ProcessTerm, y: ProcessTerm, env_a: dict, env_b: dict) -> bool:
         if type(x) is not type(y):
             return False
-        if isinstance(x, (Nil, Hole)):
+        if isinstance(x, Nil):
             return True
         if isinstance(x, Input):
             if env_a.get(x.channel, x.channel) != env_b.get(y.channel, y.channel):

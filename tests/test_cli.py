@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output formats, golden stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqpkit import cli
-from cqpkit.corpus import corpus_path
+from cqpkit.corpus import CORPUS, corpus_path
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -349,6 +353,55 @@ def test_missing_file_exit_66(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse", "{f}"),
+        ("typecheck", "{f}"),
+        ("run", "{f}"),
+        ("explore", "{f}"),
+        ("equiv", "{f}", "{id}"),
+        ("equiv", "{id}", "{f}"),
+        ("run", "{id}", "--qubit-tests", "file:{f}"),
+    ],
+)
+def test_non_utf8_file_exit_66(tmp_path, capsys, argv):
+    bad = tmp_path / "utf16.cqp"
+    bad.write_bytes(b"\xff\xfeP() = 0\n")
+    code, _out, err = run_cli(
+        capsys, *(a.format(f=bad, id=cpath("identity.cqp")) for a in argv)
+    )
+    assert code == 66
+    assert "cannot read" in err and "utf16.cqp" in err
+    assert "Traceback" not in err
+
+
+def _one_state(name, amplitudes):
+    return f'[{{"name": {name}, "amplitudes": {amplitudes}}}]'
+
+
+@pytest.mark.parametrize("command", ["run", "explore", "equiv"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        _one_state('"bad"', "[[NaN, 0], [0, 0]]"),
+        _one_state('"bad"', "[[0, 0], [Infinity, 0]]"),
+        _one_state('"bad"', "[[1e200, 0], [0, 0]]"),
+        _one_state('"bad"', "[[1" + "0" * 400 + ", 0], [0, 0]]"),
+        _one_state("[1]", "[[1, 0], [0, 0]]"),
+        "[" * 100_000,
+    ],
+    ids=["nan", "infinity", "float-overflow", "int-overflow", "list-name", "deep-nesting"],
+)
+def test_bad_qubit_test_file_is_an_input_error(tmp_path, capsys, command, content):
+    path = tmp_path / "tests.json"
+    path.write_text(content)
+    files = [cpath("teleport.cqp")] + ([cpath("identity.cqp")] if command == "equiv" else [])
+    code, _out, err = run_cli(capsys, command, *files, "--qubit-tests", f"file:{path}")
+    assert code == 2
+    assert err.startswith("bad qubit test set")
+
+
 def test_unknown_entry_is_an_error(capsys):
     code, _out, _err = run_cli(
         capsys, "run", cpath("teleport.cqp"), "--entry", "Missing"
@@ -370,3 +423,50 @@ def test_module_entrypoint_runs():
     )
     assert result.returncode == 0
     assert "Identity" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: no input makes ``cqp`` raise or exit with an undocumented code
+# ---------------------------------------------------------------------------
+
+CORPUS_SOURCES = [corpus_path(e.path).read_bytes() for e in CORPUS]
+FRAGMENTS = [b"(", b")", b"|", b".", b",", b"0", b"1", b"x", b"c", b"?[x]", b"![x]",
+             b"(qbit y)", b"(new c)", b"{x *= H}", b"measure x", b"P(c)", b"//: P : ^[Qbit]\n"]
+COMMANDS = [
+    ("parse", "{f}"),
+    ("typecheck", "{f}"),
+    ("run", "{f}", "--max-steps", "50"),
+    ("explore", "{f}", "--max-states", "300"),
+    ("equiv", "{f}", "{id}", "--max-states", "300"),
+]
+
+
+@st.composite
+def mutated_corpus_source(draw):
+    """A corpus file with a few byte ranges replaced by grammar fragments,
+    other parts of the file, or random bytes."""
+    data = bytearray(draw(st.sampled_from(CORPUS_SOURCES)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 12)))
+        k = draw(st.integers(0, len(data)))
+        data[i:j] = draw(
+            st.sampled_from(FRAGMENTS)
+            | st.just(bytes(data[k : k + 12]))
+            | st.binary(max_size=3)
+        )
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    source=st.binary(max_size=64) | mutated_corpus_source(),
+    command=st.sampled_from(COMMANDS),
+)
+def test_fuzzed_sources_exit_with_a_documented_code(tmp_path_factory, source, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cqp"
+    path.write_bytes(source)
+    argv = [a.format(f=path, id=cpath("identity.cqp")) for a in command]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 64, 66, 70)

@@ -1,6 +1,7 @@
 """Congruence sampling: C[A] ~ C[B] for generated contexts."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,30 +9,29 @@ from cqpkit import congruence, equiv
 from cqpkit.congruence import (
     ProcessContext,
     check_congruence_samples,
-    fill,
     generate_context,
+    plug,
 )
-from cqpkit.syntax import Call, Hole, Nil, Parallel, parse_process, pretty_print
+from cqpkit.syntax import pretty_print
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_context_requires_exactly_one_hole():
     with pytest.raises(ValueError):
-        ProcessContext("none", Nil(), ())
+        ProcessContext("none", "0", ())
     with pytest.raises(ValueError):
-        ProcessContext(
-            "two", Parallel(left=Hole(), right=Hole()), ()
-        )
+        ProcessContext("two", "(PLUG(hin,hout) | PLUG(hin,hout))", ())
 
 
-def test_fill_replaces_the_hole_and_captures_names():
+def test_plug_renames_only_the_plug_call_and_captures_names():
     context = ProcessContext(
         "wrap",
-        Parallel(left=Hole(), right=parse_process("hin![x] . 0")),
+        "(PLUG(hin,hout) | hin![x] . 0)",
         (("hin", congruence.QUBIT_CHANNEL),),
     )
-    plug = Call(process="Teleport", args=("hin", "hout"))
-    filled = fill(context, plug)
-    assert pretty_print(filled) == "(Teleport(hin,hout) | hin![x] . 0)"
+    plugged = plug(context, "Teleport")
+    assert pretty_print(plugged) == "(Teleport(hin,hout) | hin![x] . 0)"
 
 
 def test_trivial_context_reduces_to_base_equivalence(
@@ -51,6 +51,25 @@ def test_trivial_context_reduces_to_base_equivalence(
         program_t, "Teleport", program_i, "Identity", sigs_t, sigs_i
     )
     assert wrapped.equivalent == direct.equivalent is True
+
+
+def test_contexts_match_golden(teleport_program):
+    """The 50 contexts of the ``congruence`` benchmark workload (seed 2024),
+    each plugged with ``Teleport``, render exactly as recorded."""
+    program, sigs = teleport_program
+    rng = random.Random(2024)
+    lines = []
+    for _ in range(50):
+        context = generate_context(rng)
+        plugged, _sigs, main = congruence._context_program(
+            program, sigs, "Teleport", context
+        )
+        d = plugged.definition(main)
+        lines.append(
+            f"{context.name}: {d.name}({','.join(d.params)}) = {pretty_print(d.body)}"
+        )
+    golden = (GOLDEN / "congruence_contexts_seed2024.txt").read_text()
+    assert "\n".join(lines) + "\n" == golden
 
 
 def test_generator_is_seed_deterministic():
