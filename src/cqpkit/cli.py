@@ -165,9 +165,7 @@ def _initial_run(args):
     program, signatures = _load_well_typed(args.file)
     entry = _pick_entry(program, args.entry)
     test_qubits = _test_qubits(args.qubit_tests)
-    config = semantics.initial_configuration(
-        program, entry, signatures=signatures if entry in signatures else None
-    )
+    config = semantics.initial_configuration(program, entry, signatures=signatures)
     return config, _full_alphabet(program, entry, signatures, test_qubits)
 
 
@@ -247,7 +245,7 @@ def _cmd_run(args) -> int:
 def _cmd_explore(args) -> int:
     config, alphabet = _initial_run(args)
     plts = semantics.explore(config, max_states=args.max_states, alphabet=alphabet)
-    if args.dump_plts or args.json:
+    if args.json:
         print(plts.dump_json())
     else:
         nondet = sum(1 for s in plts.states if s.kind == "nondet")
@@ -333,7 +331,6 @@ def build_parser() -> _Parser:
     p_exp = sub.add_parser("explore", help="exhaustively explore to a PLTS")
     p_exp.add_argument("file")
     p_exp.add_argument("--max-states", type=_int_at_least(1), default=DEFAULT_MAX_STATES)
-    p_exp.add_argument("--dump-plts", action="store_true", help="print the PLTS as JSON")
     p_exp.add_argument("--json", action="store_true")
     common(p_exp)
     p_exp.set_defaults(func=_cmd_explore)

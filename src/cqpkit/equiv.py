@@ -109,20 +109,6 @@ class _LabelClasses:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Disjoint blocks of state indices covering the joint state space."""
-
-    blocks: tuple
-
-    def block_of(self) -> dict[int, int]:
-        out = {}
-        for i, block in enumerate(self.blocks):
-            for s in block:
-                out[s] = i
-        return out
-
-
-@dataclass(frozen=True)
 class Witness:
     """First observable difference found between the two initial states."""
 
@@ -345,16 +331,6 @@ def branching_bisim(p1: PLTS, p2: PLTS) -> EquivalenceVerdict:
     if class_of[a] == class_of[b]:
         return EquivalenceVerdict(True)
     return EquivalenceVerdict(False, _witness_for_split(graph, a, b, class_of, shapes, classes))
-
-
-def bisimulation_partition(systems: list[PLTS]) -> Partition:
-    """The coarsest stable partition over the disjoint union of the systems."""
-    graph, _ = _build_graph(systems, _LabelClasses())
-    class_of, _ = _classify(graph)
-    blocks: dict[int, set[int]] = {}
-    for s, c in enumerate(class_of[: graph.sink]):
-        blocks.setdefault(c, set()).add(s)
-    return Partition(tuple(frozenset(b) for _, b in sorted(blocks.items())))
 
 
 def minimize(p: PLTS) -> PLTS:

@@ -1,14 +1,17 @@
 """Executable operational semantics over process configurations.
 
-A configuration pairs a global quantum state with a running process term
-plus the bindings from source names to runtime values (qubit ids, classical
-bits, channel ids). ``step`` enumerates the enabled transitions of a
-configuration, giving priority to one deterministic internal step when a
-component can take one (see its docstring); ``explore`` closes a
-configuration under ``step`` into a finite probabilistic labelled
-transition system (PLTS) whose states alternate between nondeterministic
-choice and probability distributions; ``run_sampled`` walks one seeded
-path for simulation.
+A configuration pairs a global quantum state with its running parallel
+components, kept as a flat tuple, plus the bindings from source names to
+runtime values (qubit ids, classical bits, channel ids). Holding the
+components flat builds in the structural congruences ``P | 0 ≡ P`` and
+``(P | Q) | R ≡ P | (Q | R)``: a component whose head becomes a parallel
+composition is spliced into its parts, and one that reaches ``0`` is
+dropped. ``step`` enumerates the enabled transitions of a configuration,
+giving priority to one deterministic internal step when a component can
+take one (see its docstring); ``explore`` closes a configuration under
+``step`` into a finite probabilistic labelled transition system (PLTS)
+whose states alternate between nondeterministic choice and probability
+distributions; ``run_sampled`` walks one seeded path for simulation.
 
 Communication is synchronous (handshake), as in pi-calculus. A measurement
 sitting inside an output payload is forced first as an internal
@@ -21,7 +24,7 @@ labelled with the reduced density matrix of the transmitted qubits, which
 is all an observer can see of them.
 
 Every successor drops its dead qubits that sit in a basis state: qubits no
-free name of the term refers to any more, such as those measured into a
+free name of a component refers to any more, such as those measured into a
 payload, whose amplitudes are exactly zero on one basis value
 (``Configuration`` says why that is sound). Measurement branches that
 differ only in such qubits then become one configuration, and the qubit
@@ -31,6 +34,7 @@ cap bounds the qubits held at one time rather than all ever allocated.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .qstate import DEFAULT_QUBIT_CAP, DensityMatrix, StateVector
+from .qstate import DensityMatrix, StateVector
 from .syntax import (
     BitLit,
     Call,
@@ -187,13 +191,16 @@ def render_label(label) -> str:
 
 @dataclass(eq=False)
 class Configuration:
-    """Snapshot of one run: quantum state, name bindings, remaining term.
+    """Snapshot of one run: quantum state, name bindings, running components.
 
-    Treated as immutable; every step produces fresh copies. ``channel_names``
-    maps visible channel ids (assigned positionally from the entry call) to
-    their display names; hidden channels get ids from ``next_channel``.
+    Treated as immutable; every step produces fresh copies. ``procs`` holds
+    the parallel components in left-to-right order; none of them is a
+    parallel composition or ``0`` (``_flatten``), so a finished run has
+    none. ``channel_names`` maps visible channel ids (the entry's channel
+    parameters, numbered by position) to their display names; hidden
+    channels get ids from ``next_channel``.
 
-    A qubit is *live* when a free name of ``term`` is bound to it and
+    A qubit is *live* when a free name of some component is bound to it and
     *dead* otherwise: it was measured into a payload, sent away, or its
     binder went out of scope. Every name is freshened when bound, so
     nothing can refer to a dead qubit again. ``step`` drops each dead qubit
@@ -210,12 +217,18 @@ class Configuration:
 
     qstate: StateVector
     bindings: dict
-    term: ProcessTerm
+    procs: tuple  # of ProcessTerm
     channel_names: dict[int, str]
     next_channel: int
     next_fresh: int
     program: Program
-    qubit_cap: int = DEFAULT_QUBIT_CAP
+
+    @property
+    def term(self) -> ProcessTerm:
+        """The components folded left to right into one term, for display."""
+        if not self.procs:
+            return Nil()
+        return functools.reduce(lambda l, r: Parallel(left=l, right=r), self.procs)
 
     def is_visible(self, cid: int) -> bool:
         return cid in self.channel_names
@@ -224,29 +237,23 @@ class Configuration:
         return self.channel_names.get(cid, f"#chan{cid}")
 
     def check_ownership(self) -> set[int]:
-        """Raise OwnershipViolation if a qubit is shared across a parallel
-        split; otherwise return the live qubits, those bound to a free name
-        of the term."""
-
-        def qubits_of(term: ProcessTerm) -> set[int]:
-            # One bottom-up walk: a parallel composition binds no names, so
-            # its qubits are the union of its two sides'.
-            if isinstance(term, Parallel):
-                left = qubits_of(term.left)
-                right = qubits_of(term.right)
-                shared = left & right
-                if shared:
-                    raise OwnershipViolation(
-                        f"qubit id(s) {sorted(shared)} bound under two parallel components"
-                    )
-                return left | right
-            return {
+        """Raise OwnershipViolation if a qubit is bound in two components;
+        otherwise return the live qubits, those bound to a free name of some
+        component."""
+        owned: set[int] = set()
+        for proc in self.procs:
+            mine = {
                 self.bindings[n].qid
-                for n in free_names(term)
+                for n in free_names(proc)
                 if isinstance(self.bindings.get(n), QubitVal)
             }
-
-        return qubits_of(self.term)
+            shared = owned & mine
+            if shared:
+                raise OwnershipViolation(
+                    f"qubit id(s) {sorted(shared)} bound under two parallel components"
+                )
+            owned |= mine
+        return owned
 
 
 @dataclass(frozen=True)
@@ -265,52 +272,26 @@ class TraceStep:
 
 
 def initial_configuration(
-    program: Program,
-    entry: str | Call,
-    external_channels=None,
-    signatures: dict | None = None,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
+    program: Program, entry: str, signatures: dict | None = None
 ) -> Configuration:
-    """Instantiate an entry call with its channel parameters bound to fresh
-    visible channel ids (numbered by parameter position)."""
-    if isinstance(entry, Call):
-        entry_name = entry.process
-        external_channels = list(entry.args)
-    else:
-        entry_name = entry
+    """Instantiate an entry process with its channel parameters bound to
+    visible channel ids numbered by parameter position."""
     try:
-        d = program.definition(entry_name)
+        d = program.definition(entry)
     except KeyError:
-        raise RuntimeProcessError(f"unknown process {entry_name!r}") from None
-    if external_channels is None:
-        external_channels = list(d.params)
-    if len(external_channels) != len(d.params):
-        raise RuntimeProcessError(
-            f"{entry_name!r} takes {len(d.params)} argument(s), got {len(external_channels)}"
-        )
-    if signatures is not None and entry_name in signatures:
-        for p, t in zip(d.params, signatures[entry_name]):
+        raise RuntimeProcessError(f"unknown process {entry!r}") from None
+    if signatures is not None and entry in signatures:
+        for p, t in zip(d.params, signatures[entry]):
             if not isinstance(t, ChannelType):
-                raise RuntimeProcessError(
-                    f"entry parameter {p!r} of {entry_name!r} is not a channel"
-                )
-    bindings = {}
-    channel_names = {}
-    mapping = {}
-    for i, (param, ext) in enumerate(zip(d.params, external_channels)):
-        bindings[ext] = ChannelVal(i)
-        channel_names[i] = ext
-        mapping[param] = ext
-    term = substitute(d.body, mapping)
+                raise RuntimeProcessError(f"entry parameter {p!r} of {entry!r} is not a channel")
     return Configuration(
         qstate=StateVector.empty(),
-        bindings=bindings,
-        term=term,
-        channel_names=channel_names,
-        next_channel=len(external_channels),
+        bindings={p: ChannelVal(i) for i, p in enumerate(d.params)},
+        procs=_flatten(d.body),
+        channel_names=dict(enumerate(d.params)),
+        next_channel=len(d.params),
         next_fresh=0,
         program=program,
-        qubit_cap=qubit_cap,
     )
 
 
@@ -318,34 +299,14 @@ def initial_configuration(
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _components(term: ProcessTerm, path=()):
+def _flatten(term: ProcessTerm) -> tuple:
+    """The parallel components of ``term`` in left-to-right order, without
+    the finished ones (``0``)."""
     if isinstance(term, Parallel):
-        yield from _components(term.left, path + (0,))
-        yield from _components(term.right, path + (1,))
-    else:
-        yield path, term
-
-
-def _rebuild(term: ProcessTerm, path: tuple, new_sub: ProcessTerm) -> ProcessTerm:
-    if not path:
-        return new_sub
-    assert isinstance(term, Parallel)
-    if path[0] == 0:
-        return Parallel(left=_rebuild(term.left, path[1:], new_sub), right=term.right)
-    return Parallel(left=term.left, right=_rebuild(term.right, path[1:], new_sub))
-
-
-def _simplify(term: ProcessTerm) -> ProcessTerm:
-    """Drop finished components: (0 | P) and (P | 0) collapse to P."""
-    if isinstance(term, Parallel):
-        left = _simplify(term.left)
-        right = _simplify(term.right)
-        if isinstance(left, Nil):
-            return right
-        if isinstance(right, Nil):
-            return left
-        return Parallel(left=left, right=right)
-    return term
+        return _flatten(term.left) + _flatten(term.right)
+    if isinstance(term, Nil):
+        return ()
+    return (term,)
 
 
 def _lookup(config: Configuration, name: str):
@@ -416,18 +377,19 @@ def _splice(exprs, path: tuple, lit) -> tuple:
     return exprs[:i] + (lit,) + exprs[i + 1 :]
 
 
-def _advance(
-    config: Configuration, path: tuple, new_head: ProcessTerm, **changes
-) -> Configuration:
+def _advance(config: Configuration, heads: dict, **changes) -> Configuration:
     """The successor with the ``Configuration`` fields in ``changes``
-    replaced and then ``new_head`` in place of the component at ``path``,
-    checked for ownership and with its dead basis qubits dropped.
+    replaced and each component ``i`` in ``heads`` replaced by
+    ``_flatten(heads[i])``, checked for ownership and with its dead basis
+    qubits dropped.
 
     Every successor ``step`` builds passes through here. Without a dead
     qubit (the common case) the configuration is returned as it is.
     """
-    term = _simplify(_rebuild(changes.pop("term", config.term), path, new_head))
-    config = dataclasses.replace(config, term=term, **changes)
+    procs = config.procs
+    for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
+        procs = procs[:i] + _flatten(heads[i]) + procs[i + 1 :]
+    config = dataclasses.replace(config, procs=procs, **changes)
     live = config.check_ownership()
     if len(live) == config.qstate.num_qubits:
         return config
@@ -454,11 +416,10 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
     return dataclasses.replace(config, qstate=qvec, bindings=bindings)
 
 
-def _bind(
-    config: Configuration, path: tuple, binders, values, cont: ProcessTerm, **changes
-) -> Configuration:
-    """The successor in which the component at ``path`` goes on as ``cont``
-    with ``binders`` bound to ``values``; ``changes`` as in ``_advance``.
+def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes) -> Configuration:
+    """The successor in which component ``i`` goes on as ``heads[i]`` with
+    ``binders`` bound to ``values``; ``heads`` and ``changes`` otherwise as
+    in ``_advance``.
 
     This is the only place that makes runtime names: each binder gets the
     fresh name ``binder~n``, so no two bindings clash and nothing can name
@@ -468,7 +429,7 @@ def _bind(
     """
     qubits = [(v.amp0, v.amp1) for v in values if isinstance(v, TestQubit)]
     if qubits:
-        changes["qstate"] = qstate.append_qubits(config.qstate, qubits, cap=config.qubit_cap)
+        changes["qstate"] = qstate.append_qubits(config.qstate, qubits)
         new_ids = itertools.count(config.qstate.num_qubits)
         values = [QubitVal(next(new_ids)) if isinstance(v, TestQubit) else v for v in values]
     if len(binders) == len(values):
@@ -486,9 +447,8 @@ def _bind(
         mapping[binder] = runtime_name = f"{binder}~{fresh}"
         bindings[runtime_name] = value
         fresh += 1
-    return _advance(
-        config, path, substitute(cont, mapping), bindings=bindings, next_fresh=fresh, **changes
-    )
+    heads = {**heads, i: substitute(heads[i], mapping)}
+    return _advance(config, heads, bindings=bindings, next_fresh=fresh, **changes)
 
 
 def _gate_for(config: Configuration, ref) -> qstate.Gate:
@@ -509,32 +469,32 @@ def _gate_for(config: Configuration, ref) -> qstate.Gate:
 _DETERMINISTIC_TAU = (Call, QbitAlloc, NewChannel, GateAction)
 
 
-def _deterministic_tau(config: Configuration, path: tuple, head: ProcessTerm) -> Transition:
-    """The single τ transition of a component headed by a call, a qubit
+def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm) -> Transition:
+    """The single τ transition of component ``i``, headed by a call, a qubit
     allocation, a channel restriction or a gate. Allocation binds one
     fresh |0> qubit per binder and ``new`` one fresh channel, both through
     ``_bind``."""
     if isinstance(head, Call):
         d = config.program.definition(head.process)
         body = substitute(d.body, dict(zip(d.params, head.args)))
-        cfg = _advance(config, path, body)
+        cfg = _advance(config, {i: body})
     elif isinstance(head, QbitAlloc):
         zeros = (_KET0,) * len(head.binders)
-        cfg = _bind(config, path, head.binders, zeros, head.continuation)
+        cfg = _bind(config, {i: head.continuation}, i, head.binders, zeros)
     elif isinstance(head, NewChannel):
         cfg = _bind(
             config,
-            path,
+            {i: head.continuation},
+            i,
             (head.binder,),
             (ChannelVal(config.next_channel),),
-            head.continuation,
             next_channel=config.next_channel + 1,
         )
     else:
         qids = _qubit_ids(config, head.targets)
         gate = _gate_for(config, head.gate)
         qvec = qstate.apply_gate(config.qstate, gate, qids)
-        cfg = _advance(config, path, head.continuation, qstate=qvec)
+        cfg = _advance(config, {i: head.continuation}, qstate=qvec)
     return Transition(TAU, ((1.0, cfg),))
 
 
@@ -547,8 +507,8 @@ def step(
     environment may inject on them; without it, external inputs stay
     disabled (they simply do not fire).
 
-    Priority rule (``reduce=True``): scanning the parallel components in
-    order, the first one headed by a call, a qubit allocation, a channel
+    Priority rule (``reduce=True``): scanning ``config.procs`` in order,
+    the first component headed by a call, a qubit allocation, a channel
     restriction ``new`` or a gate gives the only transition, a τ to a
     single successor, and no other successor is built. Such a step is
     confluent with every other enabled step and inert:
@@ -588,30 +548,28 @@ def step(
     (input, internal communication, ``qbit`` and ``new``) goes through
     ``_bind``, which appends received test qubits and fresh |0> qubits to
     the state; every other step replaces its component's head through
-    ``_advance``.
+    ``_advance``. Either way, a new head that is a parallel composition is
+    spliced into its parts, and one that is ``0`` is dropped.
     """
     alphabet = alphabet or {}
-    comps = list(_components(config.term))
     prioritized = _DETERMINISTIC_TAU if reduce else (Call,)
-    for path, head in comps:
+    for i, head in enumerate(config.procs):
         if isinstance(head, prioritized):
-            return [_deterministic_tau(config, path, head)]
+            return [_deterministic_tau(config, i, head)]
 
     transitions: list[Transition] = []
-    senders, receivers = [], []  # (path, head, channel id) ready to communicate
-    for path, head in comps:
-        if isinstance(head, Nil):
-            continue
+    senders, receivers = [], []  # (index, head, channel id) ready to communicate
+    for i, head in enumerate(config.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
-            transitions.append(_deterministic_tau(config, path, head))
+            transitions.append(_deterministic_tau(config, i, head))
             continue
 
         if isinstance(head, Output):
             measured = _measure_path(head.payload)
             if measured is not None:
                 exprs = head.payload
-                for i in measured[:-1]:
-                    exprs = exprs[i].items
+                for k in measured[:-1]:
+                    exprs = exprs[k].items
                 qids = _qubit_ids(config, exprs[measured[-1]].names)
                 dist = []
                 for o in qstate.measure(config.qstate, qids):
@@ -623,12 +581,12 @@ def step(
                         continuation=head.continuation,
                         pos=head.pos,
                     )
-                    cfg = _advance(config, path, new_head, qstate=o.post_state)
+                    cfg = _advance(config, {i: new_head}, qstate=o.post_state)
                     dist.append((o.probability, cfg))
                 transitions.append(Transition(TAU, tuple(dist)))
                 continue
             cid = _channel_id(config, head.channel)
-            senders.append((path, head, cid))
+            senders.append((i, head, cid))
             if config.is_visible(cid):
                 label_values = []
                 sent_qubits = []
@@ -646,16 +604,16 @@ def step(
                 label = CommLabel(
                     "out", cid, config.display_channel(cid), tuple(label_values), dm
                 )
-                cfg = _advance(config, path, head.continuation)
+                cfg = _advance(config, {i: head.continuation})
                 transitions.append(Transition(label, ((1.0, cfg),)))
             continue
 
         if isinstance(head, Input):
             cid = _channel_id(config, head.channel)
-            receivers.append((path, head, cid))
+            receivers.append((i, head, cid))
             if config.is_visible(cid) and cid in alphabet:
                 for value_tuple in alphabet[cid]:
-                    cfg = _bind(config, path, head.binders, value_tuple, head.continuation)
+                    cfg = _bind(config, {i: head.continuation}, i, head.binders, value_tuple)
                     label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
                     transitions.append(Transition(label, ((1.0, cfg),)))
             continue
@@ -664,14 +622,14 @@ def step(
 
     # Internal synchronous communication between any two parallel components
     # sharing a channel, hidden or visible: the receiver binds the sender's
-    # slots in the term where the sender has already moved on.
-    for out_path, out_head, out_cid in senders:
-        for in_path, in_head, in_cid in receivers:
+    # slots while the sender moves on to its continuation.
+    for out_i, out_head, out_cid in senders:
+        for in_i, in_head, in_cid in receivers:
             if in_cid != out_cid:
                 continue
             values = _eval_slots(config, out_head.payload)
-            sent = _rebuild(config.term, out_path, out_head.continuation)
-            cfg = _bind(config, in_path, in_head.binders, values, in_head.continuation, term=sent)
+            heads = {out_i: out_head.continuation, in_i: in_head.continuation}
+            cfg = _bind(config, heads, in_i, in_head.binders, values)
             transitions.append(Transition(TAU, ((1.0, cfg),)))
 
     return transitions
@@ -683,8 +641,9 @@ def step(
 
 def canonical_key(config: Configuration) -> tuple:
     """Discrete part of configuration identity: the number of qubits and
-    the term's ``canonical_form``, with every free name replaced by the
-    value it is bound to and hidden channels numbered by first occurrence.
+    the ``canonical_form`` of each component in order, with every free name
+    replaced by the value it is bound to and hidden channels numbered by
+    first occurrence across all components.
     Configurations with equal keys are merged when their quantum states
     agree up to global phase."""
     bindings = config.bindings
@@ -704,7 +663,7 @@ def canonical_key(config: Configuration) -> tuple:
             return "(" + ",".join(str(b) for b in v) + ")"
         return f"b{v}"
 
-    return (config.qstate.num_qubits, canonical_form(config.term, resolve))
+    return (config.qstate.num_qubits, tuple(canonical_form(p, resolve) for p in config.procs))
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +728,12 @@ def explore(
 ) -> PLTS:
     """Breadth-first closure of a configuration under ``step``.
 
-    Configurations equal up to bound-name renaming, hidden-channel
-    bijection, and global phase are merged. Transitions with more than one
-    outcome go through an intermediate probabilistic state.
+    Configurations whose components (``Configuration.procs``) are equal in
+    order up to bound-name renaming and hidden-channel bijection, and whose
+    states are equal up to global phase, are merged (``canonical_key``).
+    Since the components are held flat, how a composition was bracketed
+    plays no part. Transitions with more than one outcome go through an
+    intermediate probabilistic state.
 
     ``step`` has already dropped the dead basis-state qubits of every
     successor (see ``Configuration``), so two configurations that differ

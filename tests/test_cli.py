@@ -155,7 +155,7 @@ def test_explore_summary(capsys):
 
 
 def test_explore_dump_matches_golden_and_schema(capsys):
-    code, out, _ = run_cli(capsys, "explore", cpath("bell.cqp"), "--dump-plts")
+    code, out, _ = run_cli(capsys, "explore", cpath("bell.cqp"), "--json")
     assert code == 0
     assert out == (GOLDEN / "explore_bell_plts.json").read_text()
     doc = json.loads(out)

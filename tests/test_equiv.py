@@ -12,7 +12,6 @@ from cqpkit.equiv import (
     _build_graph,
     _classify,
     _LabelClasses,
-    bisimulation_partition,
     branching_bisim,
     check_equivalence,
     input_instantiations,
@@ -152,10 +151,7 @@ def test_minimized_teleport_and_identity_have_same_shape(
         initial_configuration(program_t, "Teleport", signatures=sigs_t), alphabet=alphabet
     )
     plts_i = explore(
-        initial_configuration(
-            program_i, "Identity", external_channels=["a", "b"], signatures=sigs_i
-        ),
-        alphabet=alphabet,
+        initial_configuration(program_i, "Identity", signatures=sigs_i), alphabet=alphabet
     )
     assert plts_isomorphic(minimize(plts_t), minimize(plts_i))
 
@@ -379,35 +375,6 @@ def test_one_pass_classes_match_round_based_refinement():
             reduced = explore(config, alphabet=alphabet)
             full = explore(config, alphabet=alphabet, reduce=False)
             assert_classes_match_refinement([reduced, full])
-
-
-# ---------------------------------------------------------------------------
-# Partitions
-# ---------------------------------------------------------------------------
-
-def test_partition_blocks_disjoint_and_exhaustive(teleport_program):
-    program, signatures = teleport_program
-    plts = explore(
-        initial_configuration(program, "Teleport", signatures=signatures),
-        alphabet={0: [(DEFAULT_TEST_QUBITS[0],)]},
-    )
-    partition = bisimulation_partition([plts])
-    seen = set()
-    for block in partition.blocks:
-        assert not (seen & block)
-        seen |= block
-    assert seen == set(range(len(plts.states)))
-
-
-def test_partition_separates_terminal_states():
-    plts = chain(TAU, CommLabel("out", 0, "c", (1,)))
-    partition = bisimulation_partition([plts])
-    block_of = partition.block_of()
-    terminal = [s.id for s in plts.states if s.terminal]
-    live = [s.id for s in plts.states if not s.terminal]
-    for t in terminal:
-        for l in live:
-            assert block_of[t] != block_of[l]
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,8 @@ def test_initial_configuration_identity(identity_program):
     assert isinstance(config.term, Input)
 
 
-def test_initial_configuration_arity_error(teleport_program):
+def test_initial_configuration_unknown_entry(teleport_program):
     program, signatures = teleport_program
-    with pytest.raises(RuntimeProcessError):
-        initial_configuration(program, "Teleport", external_channels=["a"])
     with pytest.raises(RuntimeProcessError):
         initial_configuration(program, "Nope")
 
@@ -149,13 +147,8 @@ def test_explore_nil_single_terminal():
 
 
 def test_probability_conservation_at_prob_states(teleport_program, coin_program):
-    for (program, signatures), entry, ext in [
-        (teleport_program, "Teleport", ["a", "b"]),
-        (coin_program, "Coin", ["out"]),
-    ]:
-        config = initial_configuration(
-            program, entry, external_channels=ext, signatures=signatures
-        )
+    for (program, signatures), entry in [(teleport_program, "Teleport"), (coin_program, "Coin")]:
+        config = initial_configuration(program, entry, signatures=signatures)
         plts = explore(config, alphabet=teleport_alphabet())
         succ = plts.successors()
         for s in plts.states:
@@ -457,7 +450,7 @@ def test_sequential_programs_run_past_the_qubit_cap():
     steps = [f"(qbit x{i}) {{x{i} *= H}} . c![measure x{i}]" for i in range(13)]
     program = parse_program(f"P(c) = {' . '.join(steps)} . 0")
     config = initial_configuration(program, "P")
-    assert config.qubit_cap == 12
+    assert qstate.DEFAULT_QUBIT_CAP == 12
     trace = run_sampled(config, seed=1)
     outputs = [ts for ts in trace if isinstance(ts.label, CommLabel)]
     assert len(outputs) == 13
@@ -474,11 +467,16 @@ def test_exploration_cap(teleport_program):
 
 
 def test_dynamic_ownership_violation_detected():
-    # Bypasses the type checker: both components hold the same qubit.
-    program = parse_program("P(c) = (qbit q) (c![q] . 0 | c![q] . 0)")
-    config = initial_configuration(program, "P")
-    with pytest.raises(OwnershipViolation):
-        explore(config)
+    # Bypasses the type checker: two components hold the same qubit, next
+    # to each other or with a third component between them. The step that
+    # allocates the qubit is the one that fails.
+    for source in (
+        "P(c) = (qbit q) (c![q] . 0 | c![q] . 0)",
+        "P(c) = (qbit q) (c![q] . 0 | (c![0] . 0 | c![q] . 0))",
+    ):
+        config = initial_configuration(parse_program(source), "P")
+        with pytest.raises(OwnershipViolation):
+            step(config)
 
 
 def test_qubit_capacity_respected():
@@ -498,13 +496,25 @@ def test_canonical_key_identifies_alpha_variants(teleport_program):
 
     renamed = dataclasses.replace(
         config,
-        term=substitute(config.term, {"a": "left", "b": "right"}),
+        procs=tuple(substitute(p, {"a": "left", "b": "right"}) for p in config.procs),
         bindings={
             "left": config.bindings["a"],
             "right": config.bindings["b"],
         },
     )
     assert canonical_key(renamed) == canonical_key(config)
+
+
+def test_canonical_key_ignores_bracketing_and_finished_components():
+    """``A | (B | C)``, ``(A | B) | C`` and ``((A | 0) | B) | C`` are
+    structurally congruent, so they are one configuration."""
+    a, b, c = "c![0] . 0", "c![1] . 0", "c?[x] . 0"
+    sources = (f"({a} | ({b} | {c}))", f"(({a} | {b}) | {c})", f"((({a} | 0) | {b}) | {c})")
+    keys = {
+        canonical_key(initial_configuration(parse_program(f"P(c) = {src}"), "P"))
+        for src in sources
+    }
+    assert len(keys) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +560,7 @@ def test_harness_teleports_plus_state_for_any_seed():
 
 def test_bell_measurement_frequency_over_seeds(coin_program):
     program, signatures = coin_program
-    config = initial_configuration(
-        program, "Coin", external_channels=["out"], signatures=signatures
-    )
+    config = initial_configuration(program, "Coin", signatures=signatures)
     zeros = 0
     runs = 10000
     for seed in range(runs):
