@@ -147,17 +147,6 @@ def _test_qubits(spec: str) -> tuple:
     raise _CliExit(EXIT_ERROR, f"--qubit-tests must be basis, default or file:<path>")
 
 
-def _full_alphabet(program, entry: str, signatures: dict, test_qubits) -> dict:
-    sig = signatures.get(entry)
-    if sig is None:
-        return {}
-    used = semantics.input_used_channels(program, entry)
-    alphabet = {}
-    for cid in sorted(used):
-        alphabet[cid] = semantics.channel_value_tuples(sig[cid], test_qubits)
-    return alphabet
-
-
 def _initial_run(args):
     """The initial configuration and full input alphabet of the entry of
     ``args.file``, refused when the program is ill-typed; shared by ``run``
@@ -166,7 +155,7 @@ def _initial_run(args):
     entry = _pick_entry(program, args.entry)
     test_qubits = _test_qubits(args.qubit_tests)
     config = semantics.initial_configuration(program, entry, signatures=signatures)
-    return config, _full_alphabet(program, entry, signatures, test_qubits)
+    return config, semantics.input_alphabet(program, entry, signatures[entry], test_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +249,11 @@ def _cmd_explore(args) -> int:
     return EXIT_OK
 
 
-def _require_signature(signatures: dict, entry: str, path: str):
-    if entry not in signatures:
-        raise _CliExit(
-            EXIT_ERROR,
-            f"{path}: no signature for {entry!r}; add a '//: {entry} : ...' sidecar line",
-        )
-
-
 def _cmd_equiv(args) -> int:
     program_a, sigs_a = _load_well_typed(args.left)
     program_b, sigs_b = _load_well_typed(args.right)
     entry_a = _pick_entry(program_a, args.left_entry)
     entry_b = _pick_entry(program_b, args.right_entry)
-    _require_signature(sigs_a, entry_a, args.left)
-    _require_signature(sigs_b, entry_b, args.right)
     test_qubits = _test_qubits(args.qubit_tests)
     try:
         verdict = equiv.check_equivalence(

@@ -31,8 +31,8 @@ transitions gets a tick edge into one shared sink, and the tick is a
 visible label. A process that has stopped therefore differs from one that
 can still perform a visible action, while an internal step before stopping
 is inert like any other: ``τ.0`` and ``0`` are equivalent. This is what
-lets ``semantics.step`` give deterministic internal steps (call unfolding,
-``new``, qubit allocation, gates) priority without changing verdicts.
+lets ``semantics.step`` give deterministic internal steps (``new``, qubit
+allocation, gates) priority without changing verdicts.
 
 Label matching is quantum-aware: output labels carrying qubits compare by
 the reduced density matrix of the transmitted qubits, which is insensitive
@@ -47,6 +47,7 @@ them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -393,33 +394,36 @@ def input_instantiations(
     entry_a: str,
     program_b,
     entry_b: str,
-    signatures: dict,
+    signatures_a: dict,
+    signatures_b: dict | None = None,
     test_qubits=semantics.DEFAULT_TEST_QUBITS,
 ) -> list[dict]:
     """One alphabet per assignment of a single value tuple to each
-    input-used external channel; the equivalence is checked per
-    instantiation and conjoined."""
+    input-used external channel of either side; the equivalence is checked
+    per instantiation and conjoined. Channel ids vary in ascending order,
+    the last fastest, so the order (and the first failing instantiation)
+    is fixed. ``signatures_b`` defaults to ``signatures_a``."""
+    if signatures_b is None:
+        signatures_b = signatures_a
     def_a = program_a.definition(entry_a)
     def_b = program_b.definition(entry_b)
     if len(def_a.params) != len(def_b.params):
         raise ValueError(
             f"{entry_a!r} and {entry_b!r} expose different numbers of channels"
         )
-    sig_a = signatures[entry_a]
-    sig_b = signatures[entry_b]
+    sig_a = signatures_a[entry_a]
+    sig_b = signatures_b[entry_b]
     if sig_a != sig_b:
         raise ValueError(f"{entry_a!r} and {entry_b!r} have different channel types")
-    used = semantics.input_used_channels(program_a, entry_a) | semantics.input_used_channels(
-        program_b, entry_b
-    )
-    instantiations: list[dict] = [{}]
-    for cid in sorted(used):
-        ctype = sig_a[cid]
-        tuples = semantics.channel_value_tuples(ctype, test_qubits)
-        instantiations = [
-            {**inst, cid: [vt]} for inst in instantiations for vt in tuples
-        ]
-    return instantiations
+    alphabet = {
+        **semantics.input_alphabet(program_a, entry_a, sig_a, test_qubits),
+        **semantics.input_alphabet(program_b, entry_b, sig_b, test_qubits),
+    }
+    cids = sorted(alphabet)
+    return [
+        {cid: [vt] for cid, vt in zip(cids, choice)}
+        for choice in itertools.product(*(alphabet[cid] for cid in cids))
+    ]
 
 
 def check_equivalence(
@@ -436,9 +440,7 @@ def check_equivalence(
     if signatures_b is None:
         signatures_b = signatures_a
     instantiations = input_instantiations(
-        program_a, entry_a, program_b, entry_b,
-        {entry_a: signatures_a[entry_a], entry_b: signatures_b[entry_b]},
-        test_qubits,
+        program_a, entry_a, program_b, entry_b, signatures_a, signatures_b, test_qubits
     )
     cfg_a = semantics.initial_configuration(program_a, entry_a, signatures=signatures_a)
     cfg_b = semantics.initial_configuration(program_b, entry_b, signatures=signatures_b)

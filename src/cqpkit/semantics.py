@@ -3,15 +3,18 @@
 A configuration pairs a global quantum state with its running parallel
 components, kept as a flat tuple, plus the bindings from source names to
 runtime values (qubit ids, classical bits, channel ids). Holding the
-components flat builds in the structural congruences ``P | 0 ≡ P`` and
-``(P | Q) | R ≡ P | (Q | R)``: a component whose head becomes a parallel
-composition is spliced into its parts, and one that reaches ``0`` is
-dropped. ``step`` enumerates the enabled transitions of a configuration,
-giving priority to one deterministic internal step when a component can
-take one (see its docstring); ``explore`` closes a configuration under
-``step`` into a finite probabilistic labelled transition system (PLTS)
-whose states alternate between nondeterministic choice and probability
-distributions; ``run_sampled`` walks one seeded path for simulation.
+components flat builds in three structural congruences: ``P | 0 ≡ P``,
+``(P | Q) | R ≡ P | (Q | R)`` and the unfolding of a process call,
+``A(x̃) ≡ P{x̃/ỹ}`` for a definition ``A(ỹ) = P``. A component whose head
+becomes a parallel composition is spliced into its parts, a call is
+replaced by its body, and a component that reaches ``0`` is dropped, all
+without a transition. ``step`` enumerates the enabled transitions of a
+configuration, giving priority to one deterministic internal step when a
+component can take one (see its docstring); ``explore`` closes a
+configuration under ``step`` into a finite probabilistic labelled
+transition system (PLTS) whose states alternate between nondeterministic
+choice and probability distributions; ``run_sampled`` walks one seeded
+path for simulation.
 
 Communication is synchronous (handshake), as in pi-calculus. A measurement
 sitting inside an output payload is forced first as an internal
@@ -195,8 +198,8 @@ class Configuration:
 
     Treated as immutable; every step produces fresh copies. ``procs`` holds
     the parallel components in left-to-right order; none of them is a
-    parallel composition or ``0`` (``_flatten``), so a finished run has
-    none. ``channel_names`` maps visible channel ids (the entry's channel
+    parallel composition, a call or ``0`` (``_flatten``), so a finished run
+    has none. ``channel_names`` maps visible channel ids (the entry's channel
     parameters, numbered by position) to their display names; hidden
     channels get ids from ``next_channel``.
 
@@ -287,7 +290,7 @@ def initial_configuration(
     return Configuration(
         qstate=StateVector.empty(),
         bindings={p: ChannelVal(i) for i, p in enumerate(d.params)},
-        procs=_flatten(d.body),
+        procs=_flatten(d.body, program),
         channel_names=dict(enumerate(d.params)),
         next_channel=len(d.params),
         next_fresh=0,
@@ -299,13 +302,17 @@ def initial_configuration(
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _flatten(term: ProcessTerm) -> tuple:
-    """The parallel components of ``term`` in left-to-right order, without
-    the finished ones (``0``)."""
+def _flatten(term: ProcessTerm, program: Program) -> tuple:
+    """The parallel components of ``term`` in left-to-right order, with
+    every call unfolded into its body and the finished components (``0``)
+    dropped."""
     if isinstance(term, Parallel):
-        return _flatten(term.left) + _flatten(term.right)
+        return _flatten(term.left, program) + _flatten(term.right, program)
     if isinstance(term, Nil):
         return ()
+    if isinstance(term, Call):
+        d = program.definition(term.process)
+        return _flatten(substitute(d.body, dict(zip(d.params, term.args))), program)
     return (term,)
 
 
@@ -380,15 +387,15 @@ def _splice(exprs, path: tuple, lit) -> tuple:
 def _advance(config: Configuration, heads: dict, **changes) -> Configuration:
     """The successor with the ``Configuration`` fields in ``changes``
     replaced and each component ``i`` in ``heads`` replaced by
-    ``_flatten(heads[i])``, checked for ownership and with its dead basis
-    qubits dropped.
+    ``_flatten(heads[i], config.program)``, checked for ownership and with
+    its dead basis qubits dropped.
 
     Every successor ``step`` builds passes through here. Without a dead
     qubit (the common case) the configuration is returned as it is.
     """
     procs = config.procs
     for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
-        procs = procs[:i] + _flatten(heads[i]) + procs[i + 1 :]
+        procs = procs[:i] + _flatten(heads[i], config.program) + procs[i + 1 :]
     config = dataclasses.replace(config, procs=procs, **changes)
     live = config.check_ownership()
     if len(live) == config.qstate.num_qubits:
@@ -466,19 +473,15 @@ def _gate_for(config: Configuration, ref) -> qstate.Gate:
 
 # Heads whose step is a deterministic τ touching only the component's own
 # qubits and fresh names; ``step`` gives them priority when reducing.
-_DETERMINISTIC_TAU = (Call, QbitAlloc, NewChannel, GateAction)
+_DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
 
 
 def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm) -> Transition:
-    """The single τ transition of component ``i``, headed by a call, a qubit
+    """The single τ transition of component ``i``, headed by a qubit
     allocation, a channel restriction or a gate. Allocation binds one
     fresh |0> qubit per binder and ``new`` one fresh channel, both through
     ``_bind``."""
-    if isinstance(head, Call):
-        d = config.program.definition(head.process)
-        body = substitute(d.body, dict(zip(d.params, head.args)))
-        cfg = _advance(config, {i: body})
-    elif isinstance(head, QbitAlloc):
+    if isinstance(head, QbitAlloc):
         zeros = (_KET0,) * len(head.binders)
         cfg = _bind(config, {i: head.continuation}, i, head.binders, zeros)
     elif isinstance(head, NewChannel):
@@ -508,7 +511,7 @@ def step(
     disabled (they simply do not fire).
 
     Priority rule (``reduce=True``): scanning ``config.procs`` in order,
-    the first component headed by a call, a qubit allocation, a channel
+    the first component headed by a qubit allocation, a channel
     restriction ``new`` or a gate gives the only transition, a τ to a
     single successor, and no other successor is built. Such a step is
     confluent with every other enabled step and inert:
@@ -520,9 +523,10 @@ def step(
       which a unitary on other qubits leaves unchanged;
     - it uses only fresh names and fresh channels, so it enables or
       disables nothing else;
-    - it can be postponed only finitely often, since the parser's
-      ``_check_calls`` rejects recursion and so there are no τ-cycles to
-      hide it on;
+    - it can be postponed only finitely often: the parser's
+      ``_check_calls`` rejects recursion, so ``_flatten`` unfolds every
+      call in finitely many rounds, and every step then consumes a prefix
+      of a component, so there are no τ-cycles to hide it on;
     - the checker treats termination as τ-closed (``equiv``): a τ before
       a component stops is inert, so giving it priority cannot turn
       "stopped now" into "stops later" in a way the checker would see.
@@ -540,22 +544,22 @@ def step(
     (Baier, D'Argenio & Größer, "Partial order reduction for probabilistic
     branching time", QAPL 2005), and communications can disable each other.
 
-    ``reduce=False`` enumerates every interleaving, with only call
-    unfolding prioritized; it is the reference the reduction is tested
-    against.
+    ``reduce=False`` enumerates every interleaving and gives nothing
+    priority; it is the reference the reduction is tested against.
 
     Every successor is built one of two ways. A step that binds names
     (input, internal communication, ``qbit`` and ``new``) goes through
     ``_bind``, which appends received test qubits and fresh |0> qubits to
     the state; every other step replaces its component's head through
     ``_advance``. Either way, a new head that is a parallel composition is
-    spliced into its parts, and one that is ``0`` is dropped.
+    spliced into its parts, a call is unfolded, and one that is ``0`` is
+    dropped.
     """
     alphabet = alphabet or {}
-    prioritized = _DETERMINISTIC_TAU if reduce else (Call,)
-    for i, head in enumerate(config.procs):
-        if isinstance(head, prioritized):
-            return [_deterministic_tau(config, i, head)]
+    if reduce:
+        for i, head in enumerate(config.procs):
+            if isinstance(head, _DETERMINISTIC_TAU):
+                return [_deterministic_tau(config, i, head)]
 
     transitions: list[Transition] = []
     senders, receivers = [], []  # (index, head, channel id) ready to communicate
@@ -891,20 +895,23 @@ def input_used_channels(program: Program, entry_name: str) -> set[int]:
     return used
 
 
-def slot_values(slot_type, test_qubits) -> list:
-    if isinstance(slot_type, QbitType):
-        return list(test_qubits)
-    if isinstance(slot_type, BitType):
-        return [0, 1]
-    raise RuntimeProcessError(
-        f"cannot enumerate external inputs for payload type {slot_type}"
-    )
-
-
-def channel_value_tuples(channel_type: ChannelType, test_qubits) -> list[tuple]:
-    """All injectable value tuples for one channel, as a cartesian product."""
-    pools = [slot_values(t, test_qubits) for t in channel_type.payload]
-    tuples = [()]
-    for pool in pools:
-        tuples = [t + (v,) for t in tuples for v in pool]
-    return tuples
+def input_alphabet(program: Program, entry: str, signature, test_qubits) -> dict[int, list[tuple]]:
+    """Every value tuple the environment may inject on each channel of
+    ``input_used_channels``, keyed by channel id in ascending order: the
+    cartesian product over the channel's payload, with ``test_qubits`` for
+    a qubit slot and 0 and 1 for a bit slot. ``signature`` is the entry's
+    list of parameter types."""
+    alphabet = {}
+    for cid in sorted(input_used_channels(program, entry)):
+        pools = []
+        for slot in signature[cid].payload:
+            if isinstance(slot, QbitType):
+                pools.append(test_qubits)
+            elif isinstance(slot, BitType):
+                pools.append((0, 1))
+            else:
+                raise RuntimeProcessError(
+                    f"cannot enumerate external inputs for payload type {slot}"
+                )
+        alphabet[cid] = list(itertools.product(*pools))
+    return alphabet

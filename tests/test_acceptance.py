@@ -115,12 +115,9 @@ def test_criterion_5_no_cloning_via_typing(capsys):
             rejected[entry.path] = want
         if entry.entry is not None:
             config = initial_configuration(program, entry.entry, signatures=signatures)
-            alphabet = {}
-            sig = signatures[entry.entry]
-            for cid in semantics.input_used_channels(program, entry.entry):
-                alphabet[cid] = semantics.channel_value_tuples(
-                    sig[cid], DEFAULT_TEST_QUBITS
-                )
+            alphabet = semantics.input_alphabet(
+                program, entry.entry, signatures[entry.entry], DEFAULT_TEST_QUBITS
+            )
             explore(config, alphabet=alphabet)  # raises on ownership violation
     assert set(rejected) == {"negative/clone.cqp", "negative/use_after_send.cqp"}
     with capsys.disabled():

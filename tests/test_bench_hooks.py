@@ -1,14 +1,19 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark still runs against the program.
 
 ``bench/spans.py`` wraps functions of each layer by name, so renaming or
 removing one of them would otherwise show only under ``bench/run.py
---trace 1``.
+--trace 1``. Each workload checks its outputs against a computation made
+apart from the program, so a change that breaks one of those checks would
+otherwise show only in a benchmark run.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from cqpkit import cli
 
@@ -35,3 +40,19 @@ def test_span_tracer_installs():
     )
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) > 0
+
+
+@pytest.mark.parametrize("workload", ["chain", "congruence", "simulate"])
+def test_one_benchmark_round_passes_its_output_checks(workload):
+    result = subprocess.run(
+        [sys.executable, str(REPO / "bench" / "run.py"),
+         "--workload", workload, "--seconds", "0", "--trace", "0"],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0

@@ -347,6 +347,31 @@ def test_ill_typed_program_is_refused(tmp_path, capsys, argv):
     assert "QubitUsedAfterSend" in err and "reuse.cqp:2:" in err
 
 
+FORWARD = "Main(a, b) = a?[x] . b![x] . 0\n"
+
+
+def test_equiv_same_named_entries_with_different_channel_types(tmp_path, capsys):
+    qubits, bits = tmp_path / "qubits.cqp", tmp_path / "bits.cqp"
+    qubits.write_text("//: Main : ^[Qbit], ^[Qbit]\n" + FORWARD)
+    bits.write_text("//: Main : ^[Bit], ^[Bit]\n" + FORWARD)
+    code, out, err = run_cli(capsys, "equiv", str(qubits), str(bits))
+    assert code == 2
+    assert out == ""
+    assert "different channel types" in err
+
+
+@pytest.mark.parametrize("argv", [("equiv", "{f}", "{id}"), ("equiv", "{id}", "{f}")])
+def test_equiv_without_signature_exits_2(tmp_path, capsys, argv):
+    bare = tmp_path / "bare.cqp"
+    bare.write_text(FORWARD)
+    code, out, err = run_cli(
+        capsys, *(a.format(f=bare, id=cpath("identity.cqp")) for a in argv)
+    )
+    assert code == 2
+    assert out == ""
+    assert "no signature for process 'Main'" in err
+
+
 def test_missing_file_exit_66(capsys):
     code, _out, err = run_cli(capsys, "parse", "no/such/file.cqp")
     assert code == 66

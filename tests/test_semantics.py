@@ -24,7 +24,7 @@ from cqpkit.semantics import (
     run_sampled,
     step,
 )
-from cqpkit.syntax import parse_program
+from cqpkit.syntax import Call, parse_program
 from cqpkit.typecheck import parse_signatures
 from support import SQ2, random_typed_program, reachable_outputs
 
@@ -320,6 +320,29 @@ def random_entries():
         yield program, signatures, "Gen"
 
 
+def test_no_configuration_holds_a_call():
+    """Calls unfold as a structural congruence when a component is
+    flattened, so no explored configuration runs a component headed by one,
+    whether or not the reduction is on."""
+    explorations = [
+        (initial_configuration(program, entry, signatures=signatures), alphabet)
+        for program, signatures, entry in itertools.chain(
+            corpus_and_chain_entries(), random_entries()
+        )
+        for alphabet in input_instantiations(program, entry, program, entry, signatures)
+    ]
+    source = chain_source(3)
+    program, signatures = parse_program(source), parse_signatures(source)
+    config = initial_configuration(program, "Chain3", signatures=signatures)
+    explorations.append((config, teleport_alphabet()))
+    for config, alphabet in explorations:
+        for reduce in (True, False):
+            plts = explore(config, alphabet=alphabet, reduce=reduce)
+            for s in plts.states:
+                if s.config is not None:
+                    assert not any(isinstance(p, Call) for p in s.config.procs)
+
+
 def test_reduction_bisimilar_on_corpus_and_chains():
     for case in corpus_and_chain_entries():
         assert_reduction_bisimilar(*case)
@@ -351,7 +374,7 @@ def test_four_hop_chain_equals_identity_under_default_cap():
                     alphabet=teleport_alphabet()).states)
         for entry in ("Teleport", "Chain2", "Chain3", "Chain4", "Chain5")
     ]
-    assert counts == [21, 43, 65, 87, 109]
+    assert counts == [19, 37, 55, 73, 91]
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +602,18 @@ def test_bell_measurement_frequency_over_seeds(coin_program):
 # ---------------------------------------------------------------------------
 # External-input analysis
 # ---------------------------------------------------------------------------
+
+def test_input_alphabet_is_the_product_of_each_payload():
+    source = "//: Pair : ^[Qbit, Bit], ^[Bit]\nPair(c, d) = c?[q, b] . d![b] . 0\n"
+    program, signatures = parse_program(source), parse_signatures(source)
+    zero, one = DEFAULT_TEST_QUBITS[:2]
+    alphabet = semantics.input_alphabet(program, "Pair", signatures["Pair"], (zero, one))
+    assert alphabet == {0: [(zero, 0), (zero, 1), (one, 0), (one, 1)]}
+    source = "//: Relay : ^[^[Bit]]\nRelay(c) = c?[d] . d![0] . 0\n"
+    program, signatures = parse_program(source), parse_signatures(source)
+    with pytest.raises(RuntimeProcessError):
+        semantics.input_alphabet(program, "Relay", signatures["Relay"], DEFAULT_TEST_QUBITS)
+
 
 def test_input_used_channels(teleport_program, identity_program):
     program, _ = teleport_program

@@ -227,11 +227,8 @@ def test_accepted_random_programs_never_violate_ownership():
         assert diags == [], f"generator produced ill-typed program: {diags}"
         accepted += 1
         config = semantics.initial_configuration(program, "Gen", signatures=signatures)
-        alphabet = {}
-        sig = signatures["Gen"]
-        for cid in semantics.input_used_channels(program, "Gen"):
-            alphabet[cid] = semantics.channel_value_tuples(
-                sig[cid], semantics.BASIS_TEST_QUBITS
-            )
+        alphabet = semantics.input_alphabet(
+            program, "Gen", signatures["Gen"], semantics.BASIS_TEST_QUBITS
+        )
         semantics.explore(config, max_states=20000, alphabet=alphabet)
     assert accepted == 100
