@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or EQUIVALENT), 1 expected failure (diagnostics
 found, NOT EQUIVALENT, parse failure under ``parse``), 2 internal or input
-error, 64 usage error, 66 unreadable file, 70 state cap exceeded.
+error, 64 usage error, 66 unreadable file, 70 state or component cap exceeded.
 
 ``run``, ``explore`` and ``equiv`` type-check their programs first and
 print the diagnostics and exit 1 when the checker rejects one.

@@ -206,8 +206,8 @@ def check_congruence_samples(
 ) -> CongruenceReport:
     """Check ``C[A] ~ C[B]`` for ``count`` sampled contexts.
 
-    Samples whose exploration exceeds the state cap are reported as
-    skipped, not failed. This is sampling evidence, not a proof.
+    Samples whose exploration exceeds the state or component cap are
+    reported as skipped, not failed. This is sampling evidence, not a proof.
     """
     if signatures_b is None:
         signatures_b = signatures_a

@@ -59,9 +59,9 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} "
                 f"qubit(s), got {amps.shape[0]}"
             )
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():  # a complex is finite when both parts are
             raise ValueError("amplitudes must be finite")
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |amps|^2 = {norm!r}")
         amps = amps.copy()

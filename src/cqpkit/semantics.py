@@ -26,6 +26,14 @@ from a small test set of single-qubit states. Outputs carrying qubits are
 labelled with the reduced density matrix of the transmitted qubits, which
 is all an observer can see of them.
 
+A step replaces at most two components and shares the rest with its
+successor. Each component is a ``Component`` record that computes its free
+names when ``_flatten`` makes it and its ``canonical_key`` template when a
+configuration holding it is first keyed, so the ownership check and the key
+of a successor walk only the terms the step changed. ``_flatten`` also
+bounds the components one configuration may hold (``MAX_COMPONENTS``), so
+a call fan-out stops with ``ExplorationLimitError`` while it unfolds.
+
 Every successor drops its dead qubits that sit in a basis state: qubits no
 free name of a component refers to any more, such as those measured into a
 payload, whose amplitudes are exactly zero on one basis value
@@ -36,7 +44,6 @@ cap bounds the qubits held at one time rather than all ever allocated.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -71,6 +78,11 @@ from .syntax import (
 from .typecheck import BitType, ChannelType, QbitType
 
 DEFAULT_MAX_STATES = 20000
+# Most parallel components one configuration may hold. A step builds one
+# successor per component and checks every component of each, so a state
+# costs time quadratic in this count; the corpus and the benchmark programs
+# hold at most 11.
+MAX_COMPONENTS = 64
 
 
 class SemanticsError(Exception):
@@ -86,9 +98,12 @@ class RuntimeProcessError(SemanticsError):
 
 
 class ExplorationLimitError(SemanticsError):
-    def __init__(self, max_states: int):
-        super().__init__(f"bounded exploration exceeded the state cap of {max_states}")
-        self.max_states = max_states
+    """An exploration outgrew a cap: states of a PLTS (``what="state"``) or
+    parallel components of one configuration (``what="component"``)."""
+
+    def __init__(self, limit: int, what: str = "state"):
+        super().__init__(f"bounded exploration exceeded the {what} cap of {limit}")
+        self.limit = limit
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +207,59 @@ def render_label(label) -> str:
 # Configurations
 # ---------------------------------------------------------------------------
 
+class Component:
+    """One running parallel component: its term and the facts about the term
+    that every configuration holding it needs, computed once.
+
+    ``_flatten`` makes a component and a step replaces at most two, so an
+    unchanged component is shared by a configuration and its successors and
+    its facts are reused rather than recomputed, as in hash-consing
+    (Filliâtre & Conchon, "Type-safe modular hash-consing", ML Workshop
+    2006). ``names`` (the term's free names) is computed at once, since
+    every successor's ownership check reads it; ``key_template`` only when a
+    configuration is first keyed, since ``run_sampled`` never keys one.
+    """
+
+    __slots__ = ("term", "names", "_template")
+
+    def __init__(self, term: ProcessTerm):
+        self.term = term
+        self.names = free_names(term)
+        self._template = None
+
+    def key_template(self) -> tuple:
+        """``(fmt, slots)``: ``canonical_form`` of the term with each free
+        name left as a slot, as a ``str.format`` string whose field ``k``
+        stands for ``slots[k]``. The slots are the distinct free names in the
+        order ``canonical_form`` first asks for them, which is not always
+        their order in the string (an output's payload is walked before its
+        channel). Resolving the slots in order therefore numbers hidden
+        channels by first occurrence exactly as resolving every name the
+        walk meets would."""
+        if self._template is None:
+            slots: dict[str, int] = {}
+
+            def slot(name: str) -> str:
+                return "\0%d\0" % slots.setdefault(name, len(slots))
+
+            # Names, gate names and the form's own tokens hold no braces, so
+            # the literal parts need no escaping.
+            parts = canonical_form(self.term, slot).split("\0")
+            parts[1::2] = ["{%s}" % k for k in parts[1::2]]
+            self._template = ("".join(parts), tuple(slots))
+        return self._template
+
+    def __repr__(self):
+        return f"Component({self.term!r})"
+
+
 @dataclass(eq=False)
 class Configuration:
     """Snapshot of one run: quantum state, name bindings, running components.
 
-    Treated as immutable; every step produces fresh copies. ``procs`` holds
-    the parallel components in left-to-right order; none of them is a
+    Treated as immutable; every step produces fresh copies, sharing the
+    components it leaves unchanged. ``procs`` holds the parallel components
+    in left-to-right order as ``Component`` records; no component's term is a
     parallel composition, a call or ``0`` (``_flatten``), so a finished run
     has none. ``channel_names`` maps visible channel ids (the entry's channel
     parameters, numbered by position) to their display names; hidden
@@ -220,7 +282,7 @@ class Configuration:
 
     qstate: StateVector
     bindings: dict
-    procs: tuple  # of ProcessTerm
+    procs: tuple  # of Component
     channel_names: dict[int, str]
     next_channel: int
     next_fresh: int
@@ -231,7 +293,8 @@ class Configuration:
         """The components folded left to right into one term, for display."""
         if not self.procs:
             return Nil()
-        return functools.reduce(lambda l, r: Parallel(left=l, right=r), self.procs)
+        terms = (c.term for c in self.procs)
+        return functools.reduce(lambda l, r: Parallel(left=l, right=r), terms)
 
     def is_visible(self, cid: int) -> bool:
         return cid in self.channel_names
@@ -242,16 +305,14 @@ class Configuration:
     def check_ownership(self) -> set[int]:
         """Raise OwnershipViolation if a qubit is bound in two components;
         otherwise return the live qubits, those bound to a free name of some
-        component."""
+        component. Reads each component's cached free names, so no term is
+        walked."""
+        bindings = self.bindings
         owned: set[int] = set()
-        for proc in self.procs:
-            mine = {
-                self.bindings[n].qid
-                for n in free_names(proc)
-                if isinstance(self.bindings.get(n), QubitVal)
-            }
-            shared = owned & mine
-            if shared:
+        for c in self.procs:
+            mine = {v.qid for n in c.names if isinstance(v := bindings.get(n), QubitVal)}
+            if not owned.isdisjoint(mine):
+                shared = owned & mine
                 raise OwnershipViolation(
                     f"qubit id(s) {sorted(shared)} bound under two parallel components"
                 )
@@ -302,18 +363,25 @@ def initial_configuration(
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _flatten(term: ProcessTerm, program: Program) -> tuple:
-    """The parallel components of ``term`` in left-to-right order, with
-    every call unfolded into its body and the finished components (``0``)
-    dropped."""
+def _flatten(term: ProcessTerm, program: Program, others: int = 0) -> tuple:
+    """The parallel components of ``term`` in left-to-right order, as
+    ``Component`` records, with every call unfolded into its body and the
+    finished components (``0``) dropped.
+
+    Raises ExplorationLimitError as soon as these components and the
+    ``others`` held beside them would exceed ``MAX_COMPONENTS``, before the
+    rest of an exponential call fan-out is unfolded."""
     if isinstance(term, Parallel):
-        return _flatten(term.left, program) + _flatten(term.right, program)
+        left = _flatten(term.left, program, others)
+        return left + _flatten(term.right, program, others + len(left))
     if isinstance(term, Nil):
         return ()
     if isinstance(term, Call):
         d = program.definition(term.process)
-        return _flatten(substitute(d.body, dict(zip(d.params, term.args))), program)
-    return (term,)
+        return _flatten(substitute(d.body, dict(zip(d.params, term.args))), program, others)
+    if others >= MAX_COMPONENTS:
+        raise ExplorationLimitError(MAX_COMPONENTS, "component")
+    return (Component(term),)
 
 
 def _lookup(config: Configuration, name: str):
@@ -384,19 +452,38 @@ def _splice(exprs, path: tuple, lit) -> tuple:
     return exprs[:i] + (lit,) + exprs[i + 1 :]
 
 
-def _advance(config: Configuration, heads: dict, **changes) -> Configuration:
-    """The successor with the ``Configuration`` fields in ``changes``
-    replaced and each component ``i`` in ``heads`` replaced by
-    ``_flatten(heads[i], config.program)``, checked for ownership and with
-    its dead basis qubits dropped.
+def _advance(
+    config: Configuration,
+    heads: dict,
+    *,
+    qstate: StateVector | None = None,
+    bindings: dict | None = None,
+    next_channel: int | None = None,
+    next_fresh: int | None = None,
+) -> Configuration:
+    """The successor with each given field replaced and each component
+    ``i`` in ``heads`` replaced by the components of ``heads[i]``
+    (``_flatten``), checked for ownership and with its dead basis qubits
+    dropped. The other components are shared with ``config``.
 
     Every successor ``step`` builds passes through here. Without a dead
     qubit (the common case) the configuration is returned as it is.
     """
     procs = config.procs
+    pending = len(heads)
     for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
-        procs = procs[:i] + _flatten(heads[i], config.program) + procs[i + 1 :]
-    config = dataclasses.replace(config, procs=procs, **changes)
+        others = len(procs) - pending  # the components that stay beside this head's
+        procs = procs[:i] + _flatten(heads[i], config.program, others) + procs[i + 1 :]
+        pending -= 1
+    config = Configuration(
+        config.qstate if qstate is None else qstate,
+        config.bindings if bindings is None else bindings,
+        procs,
+        config.channel_names,
+        config.next_channel if next_channel is None else next_channel,
+        config.next_fresh if next_fresh is None else next_fresh,
+        config.program,
+    )
     live = config.check_ownership()
     if len(live) == config.qstate.num_qubits:
         return config
@@ -407,7 +494,8 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
     """Remove the dead qubits that sit in a basis state (see ``Configuration``)
     and renumber the others in their old order. Bindings of the survivors
     are rewritten, those of the dropped qubits deleted; bit and channel
-    bindings stay."""
+    bindings stay. Components refer to qubits only through bindings, so
+    they are shared unchanged."""
     dead = [q for q in range(config.qstate.num_qubits) if q not in live]
     qvec, dropped = qstate.drop_basis_qubits(config.qstate, dead)
     if not dropped:
@@ -420,7 +508,15 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
             bindings[name] = v
         elif v.qid in renumber:
             bindings[name] = QubitVal(renumber[v.qid])
-    return dataclasses.replace(config, qstate=qvec, bindings=bindings)
+    return Configuration(
+        qvec,
+        bindings,
+        config.procs,
+        config.channel_names,
+        config.next_channel,
+        config.next_fresh,
+        config.program,
+    )
 
 
 def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes) -> Configuration:
@@ -556,14 +652,15 @@ def step(
     dropped.
     """
     alphabet = alphabet or {}
+    heads = [c.term for c in config.procs]
     if reduce:
-        for i, head in enumerate(config.procs):
+        for i, head in enumerate(heads):
             if isinstance(head, _DETERMINISTIC_TAU):
                 return [_deterministic_tau(config, i, head)]
 
     transitions: list[Transition] = []
     senders, receivers = [], []  # (index, head, channel id) ready to communicate
-    for i, head in enumerate(config.procs):
+    for i, head in enumerate(heads):
         if isinstance(head, _DETERMINISTIC_TAU):
             transitions.append(_deterministic_tau(config, i, head))
             continue
@@ -649,7 +746,11 @@ def canonical_key(config: Configuration) -> tuple:
     replaced by the value it is bound to and hidden channels numbered by
     first occurrence across all components.
     Configurations with equal keys are merged when their quantum states
-    agree up to global phase."""
+    agree up to global phase.
+
+    Each component's form comes from its cached ``key_template``, so only
+    its free names are resolved here; no term is walked once a component
+    has been keyed."""
     bindings = config.bindings
     hidden: dict[int, str] = {}
 
@@ -667,7 +768,11 @@ def canonical_key(config: Configuration) -> tuple:
             return "(" + ",".join(str(b) for b in v) + ")"
         return f"b{v}"
 
-    return (config.qstate.num_qubits, tuple(canonical_form(p, resolve) for p in config.procs))
+    forms = []
+    for c in config.procs:
+        fmt, slots = c.key_template()
+        forms.append(fmt.format(*map(resolve, slots)))
+    return (config.qstate.num_qubits, tuple(forms))
 
 
 # ---------------------------------------------------------------------------

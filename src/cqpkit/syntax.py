@@ -761,12 +761,3 @@ def canonical_form(term: ProcessTerm, free) -> str:
         raise TypeError(f"not a process term: {t!r}")
 
     return ser(term, {})
-
-
-def _quoted(n: str) -> str:
-    return "'" + n
-
-
-def alpha_equivalent(a: ProcessTerm, b: ProcessTerm) -> bool:
-    """Structural equality up to consistent renaming of bound names."""
-    return canonical_form(a, _quoted) == canonical_form(b, _quoted)

@@ -8,18 +8,34 @@ and direct construction of transition systems.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 
+from cqpkit import corpus
 from cqpkit.equiv import _TAU_CLASS, PROB_TOL, labels_match
+from cqpkit.qstate import CapacityError
 from cqpkit.semantics import (
+    BASIS_TEST_QUBITS,
+    DEFAULT_TEST_QUBITS,
     PLTS,
     TAU,
+    ChannelVal,
     CommLabel,
+    OwnershipViolation,
     PLTSEdge,
     PLTSState,
     ProbLabel,
+    QubitVal,
+    SemanticsError,
+    canonical_key,
+    explore,
+    initial_configuration,
+    input_alphabet,
+    render_label,
 )
 from cqpkit.syntax import (
     BitLit,
@@ -40,9 +56,12 @@ from cqpkit.syntax import (
     SigmaGate,
     TupleExpr,
     Var,
+    canonical_form,
+    free_names,
+    parse_program,
     substitute,
 )
-from cqpkit.typecheck import BIT, QBIT, ChannelType
+from cqpkit.typecheck import BIT, QBIT, ChannelType, parse_signatures
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -522,11 +541,17 @@ def perturb(term: ProcessTerm, rng: random.Random) -> ProcessTerm:
     return go(term, frozenset())
 
 
+def quoted(name: str) -> str:
+    """A free-name token for ``canonical_form`` that no binder token or
+    literal can equal."""
+    return "'" + name
+
+
 def alpha_equivalent_oracle(a: ProcessTerm, b: ProcessTerm) -> bool:
     """Structural equality up to consistent renaming of bound names, by
     walking both terms in lockstep and giving each pair of corresponding
-    binders one shared marker. It shares no code with
-    ``syntax.alpha_equivalent``, which compares canonical forms."""
+    binders one shared marker. It shares no code with ``canonical_form``,
+    whose strings with free names ``quoted`` it is checked against."""
 
     def expr_eq(x: Expression, y: Expression, env_a, env_b) -> bool:
         if type(x) is not type(y):
@@ -713,3 +738,138 @@ def random_typed_program(rng: random.Random):
     program = Program((ProcessDef("Gen", params, body),))
     signatures = {"Gen": tuple(chans[p] for p in params)}
     return program, signatures
+
+
+# ---------------------------------------------------------------------------
+# Slow paths of the per-component caches
+# ---------------------------------------------------------------------------
+
+def canonical_key_oracle(config) -> tuple:
+    """``semantics.canonical_key`` by walking each component's whole term
+    with ``canonical_form`` and resolving every free-name occurrence as the
+    walk meets it, instead of filling in a cached key template."""
+    hidden: dict[int, str] = {}
+
+    def resolve(name: str) -> str:
+        if name not in config.bindings:
+            return f"?{name}"
+        v = config.bindings[name]
+        if isinstance(v, QubitVal):
+            return f"q{v.qid}"
+        if isinstance(v, ChannelVal):
+            if config.is_visible(v.cid):
+                return f"C{v.cid}"
+            return hidden.setdefault(v.cid, f"h{len(hidden)}")
+        if isinstance(v, tuple):
+            return "(" + ",".join(str(b) for b in v) + ")"
+        return f"b{v}"
+
+    forms = tuple(canonical_form(c.term, resolve) for c in config.procs)
+    return (config.qstate.num_qubits, forms)
+
+
+def check_ownership_oracle(config) -> set[int]:
+    """``Configuration.check_ownership`` by recomputing ``free_names`` of each
+    component's term instead of reading the cached names."""
+    owned: set[int] = set()
+    for c in config.procs:
+        mine = {
+            config.bindings[n].qid
+            for n in free_names(c.term)
+            if isinstance(config.bindings.get(n), QubitVal)
+        }
+        if owned & mine:
+            raise OwnershipViolation(f"qubit id(s) {sorted(owned & mine)} bound twice")
+        owned |= mine
+    return owned
+
+
+# ---------------------------------------------------------------------------
+# Exploration digests
+# ---------------------------------------------------------------------------
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+DIGEST_TEST_SETS = {"default": DEFAULT_TEST_QUBITS, "basis": BASIS_TEST_QUBITS}
+DIGEST_RANDOM_PROGRAMS = 300
+
+
+def _channel_entries(prefix: str, program, signatures):
+    for d in program.definitions:
+        if all(isinstance(t, ChannelType) for t in signatures[d.name]):
+            yield f"{prefix}:{d.name}", program, signatures, d.name
+
+
+def digest_programs():
+    """Every ``(name, program, signatures, entry)`` the exploration digest
+    covers: each definition of the positive corpus files whose parameters
+    are all channels, each entry of ``bench/workloads.chain_source(2,
+    GATES)``, and the ``Gen`` of ``random_typed_program`` for seeds
+    0..299."""
+    for item in corpus.CORPUS:
+        if item.expectation != "typechecks":
+            continue
+        program, signatures, _src = corpus.load_corpus_file(item.path)
+        yield from _channel_entries(item.path, program, signatures)
+    if str(BENCH_DIR) not in sys.path:
+        sys.path.insert(0, str(BENCH_DIR))
+    import workloads
+
+    source = workloads.chain_source(2, workloads.GATES)
+    yield from _channel_entries("chain2", parse_program(source), parse_signatures(source))
+    for seed in range(DIGEST_RANDOM_PROGRAMS):
+        program, signatures = random_typed_program(random.Random(seed))
+        yield f"random{seed}:Gen", program, signatures, "Gen"
+
+
+def digest_explorations():
+    """Explore each of ``digest_programs`` under every digest test set and
+    both ``reduce`` values, with the whole input alphabet enabled. Yields
+    ``(name, outcome)`` where the outcome is a ``PLTS``, or the class name
+    of the ``SemanticsError`` or ``CapacityError`` the exploration raised."""
+    for name, program, signatures, entry in digest_programs():
+        config = initial_configuration(program, entry, signatures=signatures)
+        for set_name, test_qubits in DIGEST_TEST_SETS.items():
+            alphabet = input_alphabet(program, entry, signatures[entry], test_qubits)
+            for reduce in (True, False):
+                try:
+                    outcome = explore(config, max_states=5000, alphabet=alphabet, reduce=reduce)
+                except (SemanticsError, CapacityError) as exc:
+                    outcome = type(exc).__name__
+                yield f"{name}:{set_name}:{'reduce' if reduce else 'full'}", outcome
+
+
+def _array_bytes(a: np.ndarray) -> bytes:
+    # Rounding keeps the digest off the last bits of float arithmetic; adding
+    # 0.0 turns a rounded -0.0 into 0.0.
+    return (np.round(np.asarray(a, dtype=np.complex128), 10) + 0.0).tobytes()
+
+
+def exploration_digest(outcome) -> str:
+    """A SHA-256 digest of one exploration: each state's kind and terminal
+    flag; for each configuration its ``canonical_key``, the canonical form
+    of its components with free names quoted, its amplitudes, bindings,
+    channel names and counters, and its live qubits; each edge's source,
+    rendered label, label density matrix and target. Two explorations with
+    equal digests built the same states and edges in the same order."""
+    h = hashlib.sha256()
+    if isinstance(outcome, str):
+        h.update(outcome.encode())
+        return h.hexdigest()
+    h.update(f"initial {outcome.initial}\n".encode())
+    for s in outcome.states:
+        h.update(f"state {s.id} {s.kind} {s.terminal}\n".encode())
+        cfg = s.config
+        if cfg is None:
+            continue
+        h.update(repr(canonical_key(cfg)).encode())
+        h.update(canonical_form(cfg.term, quoted).encode())
+        h.update(_array_bytes(cfg.qstate.amplitudes))
+        h.update(repr(sorted(cfg.bindings.items())).encode())
+        h.update(repr(sorted(cfg.channel_names.items())).encode())
+        h.update(f"{cfg.next_channel} {cfg.next_fresh} {sorted(cfg.check_ownership())}\n".encode())
+    for e in outcome.edges:
+        h.update(f"edge {e.src} {render_label(e.label)} {e.dst}\n".encode())
+        if isinstance(e.label, CommLabel) and e.label.qubit_dm is not None:
+            h.update(_array_bytes(e.label.qubit_dm.matrix))
+    return h.hexdigest()

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -204,6 +205,25 @@ def test_explore_cap_exit_code(capsys):
     )
     assert code == 70
     assert "cap" in err
+
+
+@pytest.mark.parametrize("k", [10, 14])
+def test_explore_call_fan_out_exits_at_the_component_cap(tmp_path, capsys, k):
+    """``A_k(c) = (A_{k-1}(c) | A_{k-1}(c))`` unfolds into 2^k components.
+    Each state would build a successor per component and check every
+    component of each, so the state cap alone would stop this only after
+    minutes; the component cap stops it while it unfolds."""
+    lines = ["//: A0 : ^[Bit]", "A0(c) = c![0] . 0"]
+    for j in range(1, k + 1):
+        lines += [f"//: A{j} : ^[Bit]", f"A{j}(c) = (A{j - 1}(c) | A{j - 1}(c))"]
+    lines += ["//: Main : ^[Bit]", f"Main(c) = A{k}(c)"]
+    src = tmp_path / f"fan_out{k}.cqp"
+    src.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, _out, err = run_cli(capsys, "explore", str(src), "--max-states", "1000")
+    assert code == 70
+    assert "component cap" in err
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------

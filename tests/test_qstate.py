@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from cqpkit.qstate import (
+    ATOL,
     CapacityError,
     DensityMatrix,
     Gate,
@@ -332,6 +333,30 @@ def test_state_invariants_enforced():
         StateVector(1, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         StateVector(2, np.array([1.0, 0.0]))  # wrong length
+
+
+@pytest.mark.parametrize(
+    "bad", [complex(0.0, np.nan), complex(0.0, np.inf), complex(0.0, -np.inf), complex(np.nan, 0.0)]
+)
+def test_state_rejects_a_non_finite_part(bad):
+    """A NaN or an infinity in either part of one amplitude, the imaginary
+    part alone included, is rejected as not finite."""
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(1, np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_state_norm_tolerance_is_atol(sign):
+    """A squared norm off by 2·ATOL is rejected and one off by ATOL/2 is
+    accepted, above 1 and below it, with the weight in both parts."""
+    for off, ok in ((2 * ATOL, False), (ATOL / 2, True)):
+        r = np.sqrt((1.0 + sign * off) / 2.0)
+        amps = np.array([r, 1j * r])
+        if ok:
+            assert StateVector(1, amps).num_qubits == 1
+        else:
+            with pytest.raises(ValueError, match="not normalized"):
+                StateVector(1, amps)
 
 
 def test_dirac_rendering():

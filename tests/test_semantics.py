@@ -11,6 +11,7 @@ from cqpkit.equiv import branching_bisim, check_equivalence, input_instantiation
 from cqpkit.semantics import (
     DEFAULT_TEST_QUBITS,
     CommLabel,
+    Component,
     ExplorationLimitError,
     OwnershipViolation,
     ProbLabel,
@@ -340,7 +341,7 @@ def test_no_configuration_holds_a_call():
             plts = explore(config, alphabet=alphabet, reduce=reduce)
             for s in plts.states:
                 if s.config is not None:
-                    assert not any(isinstance(p, Call) for p in s.config.procs)
+                    assert not any(isinstance(c.term, Call) for c in s.config.procs)
 
 
 def test_reduction_bisimilar_on_corpus_and_chains():
@@ -519,13 +520,45 @@ def test_canonical_key_identifies_alpha_variants(teleport_program):
 
     renamed = dataclasses.replace(
         config,
-        procs=tuple(substitute(p, {"a": "left", "b": "right"}) for p in config.procs),
+        procs=tuple(
+            Component(substitute(c.term, {"a": "left", "b": "right"})) for c in config.procs
+        ),
         bindings={
             "left": config.bindings["a"],
             "right": config.bindings["b"],
         },
     )
     assert canonical_key(renamed) == canonical_key(config)
+
+
+def test_free_names_computed_once_per_component(monkeypatch):
+    """A step costs what it changes: ``free_names`` runs at most once for
+    each component ``_flatten`` makes, and never again for a component that
+    a successor shares with its parent, however many ownership checks and
+    keys read it."""
+    made, walked = [], []
+    real_free_names = semantics.free_names
+
+    class CountedComponent(semantics.Component):
+        __slots__ = ()
+
+        def __init__(self, term):
+            made.append(term)
+            super().__init__(term)
+
+    def counted_free_names(term):
+        walked.append(term)
+        return real_free_names(term)
+
+    monkeypatch.setattr(semantics, "Component", CountedComponent)
+    monkeypatch.setattr(semantics, "free_names", counted_free_names)
+    source = chain_source(2)
+    program, signatures = parse_program(source), parse_signatures(source)
+    config = initial_configuration(program, "Chain2", signatures=signatures)
+    alphabet = semantics.input_alphabet(program, "Chain2", signatures["Chain2"], DEFAULT_TEST_QUBITS)
+    plts = explore(config, alphabet=alphabet)
+    assert len(plts.states) > 50
+    assert 0 < len(walked) <= len(made)
 
 
 def test_canonical_key_ignores_bracketing_and_finished_components():

@@ -22,7 +22,7 @@ from cqpkit.syntax import (
     ProcessDef,
     QbitAlloc,
     Var,
-    alpha_equivalent,
+    canonical_form,
     free_names,
     parse_process,
     parse_program,
@@ -30,7 +30,7 @@ from cqpkit.syntax import (
     pretty_print_program,
     substitute,
 )
-from support import alpha_equivalent_oracle, alpha_variant, perturb, random_term
+from support import alpha_equivalent_oracle, alpha_variant, perturb, quoted, random_term
 
 TELEPORT_SOURCE = """
 Alice(q, in, out) = in?[u] . {u,q *= CNot} . {u *= H} . out![measure u,q] . 0
@@ -200,6 +200,12 @@ def test_substitution_free_name_law_on_random_terms():
 # ---------------------------------------------------------------------------
 # Alpha equivalence
 # ---------------------------------------------------------------------------
+
+def alpha_equivalent(a, b) -> bool:
+    """Whether ``canonical_form`` with free names quoted, the form that
+    configuration keys are built from, identifies the two terms."""
+    return canonical_form(a, quoted) == canonical_form(b, quoted)
+
 
 def test_alpha_equivalent_on_binders_only():
     assert alpha_equivalent(parse_process("c?[x] . 0"), parse_process("c?[y] . 0"))
