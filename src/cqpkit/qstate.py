@@ -1,9 +1,10 @@
 """Dense state-vector quantum simulation.
 
 Holds normalized amplitude vectors over n qubits and the handful of
-operations the process semantics needs: appending qubits, unitary gates,
-projective measurement, factoring out basis-state qubits, partial trace,
-and phase-insensitive equality.
+operations the process semantics needs: appending qubits, factoring out
+basis-state qubits, equality up to global phase (amplitudes within ATOL
+once the phases are aligned), and unitary gates, projective measurement
+and partial trace, which read their qubits through one layout (``_grouped``).
 
 Conventions used throughout the package:
 
@@ -29,7 +30,7 @@ ATOL = 1e-9
 # Amplitudes below this are snapped to exact zero after gate application so
 # that measurement-outcome enumeration stays stable across interleavings.
 PRUNE_TOL = 1e-12
-# Default ceiling on simultaneously allocated qubits.
+# Ceiling on simultaneously allocated qubits.
 DEFAULT_QUBIT_CAP = 12
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -190,14 +191,16 @@ def _prune(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def append_qubits(state: StateVector, qubits, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def append_qubits(state: StateVector, qubits) -> StateVector:
     """Tensor fresh qubits onto the high end of ``state``. ``qubits`` lists
     the ``(amp0, amp1)`` of each; the first takes the lowest new index."""
     if not qubits:
         raise ValueError("no qubits to append")
     n = state.num_qubits + len(qubits)
-    if n > cap:
-        raise CapacityError(f"allocation of {len(qubits)} qubit(s) would exceed cap of {cap}")
+    if n > DEFAULT_QUBIT_CAP:
+        raise CapacityError(
+            f"allocation of {len(qubits)} qubit(s) would exceed cap of {DEFAULT_QUBIT_CAP}"
+        )
     amps = state.amplitudes
     for amp0, amp1 in qubits:
         amps = np.multiply.outer(np.array([amp0, amp1], dtype=np.complex128), amps).reshape(-1)
@@ -214,22 +217,29 @@ def _check_targets(state: StateVector, targets) -> list[int]:
     return targets
 
 
+def _grouped(state: StateVector, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes as a 2^k x 2^(n-k) matrix whose row index reads the k
+    ``targets``, targets[0] most significant, and the permutation ``undo``:
+    ``np.transpose(m.reshape([2] * n), undo).reshape(-1)`` flattens it back.
+    Raises ValueError unless ``targets`` lists one or more distinct qubits of ``state``."""
+    n = state.num_qubits
+    axes = [n - 1 - t for t in _check_targets(state, targets)]  # axis a holds qubit n-1-a
+    if not axes:
+        raise ValueError("no target qubit given")
+    perm = axes + [a for a in range(n) if a not in axes]
+    grouped = np.transpose(state.amplitudes.reshape([2] * n), perm).reshape(2 ** len(axes), -1)
+    return grouped, np.argsort(perm)
+
+
 def apply_gate(state: StateVector, gate: Gate, targets) -> StateVector:
     """Apply ``gate`` to the listed qubits; returns the unitary image."""
-    targets = _check_targets(state, targets)
+    grouped, undo = _grouped(state, targets)
     if len(targets) != gate.arity:
         raise ValueError(
             f"gate {gate.name!r} has arity {gate.arity}, got {len(targets)} target(s)"
         )
     n = state.num_qubits
-    k = gate.arity
-    psi = state.amplitudes.reshape([2] * n)  # axis a holds qubit n-1-a
-    axes = [n - 1 - t for t in targets]
-    rest = [a for a in range(n) if a not in axes]
-    perm = axes + rest
-    psi = np.transpose(psi, perm).reshape(2**k, -1)
-    psi = gate.matrix @ psi
-    psi = np.transpose(psi.reshape([2] * n), np.argsort(perm)).reshape(-1)
+    psi = np.transpose((gate.matrix @ grouped).reshape([2] * n), undo).reshape(-1)
     return StateVector(n, _prune(psi))
 
 
@@ -240,15 +250,9 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
     the result read as a binary number. Outcome bits follow the order of
     ``targets``.
     """
-    targets = _check_targets(state, targets)
-    if not targets:
-        raise ValueError("measurement needs at least one target qubit")
+    grouped, undo = _grouped(state, targets)
     n = state.num_qubits
     k = len(targets)
-    psi = state.amplitudes.reshape([2] * n)
-    axes = [n - 1 - t for t in targets]
-    rest = [a for a in range(n) if a not in axes]
-    grouped = np.transpose(psi, axes + rest).reshape(2**k, -1)
     probs = np.sum(np.abs(grouped) ** 2, axis=1)
     outcomes = []
     for r in range(2**k):
@@ -257,7 +261,7 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
             continue
         projected = np.zeros_like(grouped)
         projected[r] = grouped[r] / np.sqrt(p)
-        post = np.transpose(projected.reshape([2] * n), np.argsort(axes + rest)).reshape(-1)
+        post = np.transpose(projected.reshape([2] * n), undo).reshape(-1)
         bits = tuple((r >> (k - 1 - j)) & 1 for j in range(k))
         outcomes.append(MeasurementOutcome(bits, p, StateVector(n, _prune(post))))
     return outcomes
@@ -293,28 +297,24 @@ def drop_basis_qubits(state: StateVector, candidates) -> tuple[StateVector, dict
 
 def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:
     """Partial trace onto the ``keep`` qubits (keep[0] is the most significant row bit)."""
-    keep = _check_targets(state, keep)
-    if not keep:
-        raise ValueError("must keep at least one qubit")
-    n = state.num_qubits
-    k = len(keep)
-    psi = state.amplitudes.reshape([2] * n)
-    axes = [n - 1 - t for t in keep]
-    rest = [a for a in range(n) if a not in axes]
-    m = np.transpose(psi, axes + rest).reshape(2**k, -1)
-    return DensityMatrix(k, m @ m.conj().T)
+    grouped, _undo = _grouped(state, keep)
+    return DensityMatrix(len(keep), grouped @ grouped.conj().T)
 
 
-def states_equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = ATOL) -> bool:
-    """True iff a = c*b for some unit complex c, i.e. |<a|b>| >= 1 - tol."""
+def states_equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
+    """True iff a = c*b for some unit complex c: with c = <b|a>/|<b|a>|, each
+    |a_i - c*b_i| <= ATOL. (|<b|a>| >= 1 - ATOL alone passes states some
+    sqrt(2*ATOL) apart, and ``explore`` would merge them.)"""
     if a.num_qubits != b.num_qubits:
         raise ValueError(
             f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubit(s)"
         )
-    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
+    overlap = complex(np.vdot(b.amplitudes, a.amplitudes))
+    phase = overlap / abs(overlap) if overlap else 0.0  # orthogonal: compares a with 0
+    return bool(np.abs(a.amplitudes - phase * b.amplitudes).max() <= ATOL)
 
 
-def dirac(state: StateVector, decimals: int = 4) -> str:
+def dirac(state: StateVector) -> str:
     """Render a state as e.g. ``0.7071|00> + 0.7071|11>``."""
     n = state.num_qubits
     parts = []
@@ -324,10 +324,10 @@ def dirac(state: StateVector, decimals: int = 4) -> str:
         label = format(i, f"0{n}b") if n else ""
         if abs(a.imag) < PRUNE_TOL:
             sign = "-" if a.real < 0 else "+"
-            coeff = f"{abs(a.real):.{decimals}f}"
+            coeff = f"{abs(a.real):.4f}"
         else:
             sign = "+"
-            coeff = f"({a.real:.{decimals}f}{a.imag:+.{decimals}f}i)"
+            coeff = f"({a.real:.4f}{a.imag:+.4f}i)"
         parts.append((sign, f"{coeff}|{label}⟩"))
     if not parts:
         return "0"

@@ -73,6 +73,7 @@ from .syntax import (
     Var,
     canonical_form,
     free_names,
+    scopes,
     substitute,
 )
 from .typecheck import BitType, ChannelType, QbitType
@@ -235,18 +236,14 @@ class Component:
         their order in the string (an output's payload is walked before its
         channel). Resolving the slots in order therefore numbers hidden
         channels by first occurrence exactly as resolving every name the
-        walk meets would."""
+        walk meets would. No name or token of the form holds a brace."""
         if self._template is None:
             slots: dict[str, int] = {}
 
             def slot(name: str) -> str:
-                return "\0%d\0" % slots.setdefault(name, len(slots))
+                return "{%d}" % slots.setdefault(name, len(slots))
 
-            # Names, gate names and the form's own tokens hold no braces, so
-            # the literal parts need no escaping.
-            parts = canonical_form(self.term, slot).split("\0")
-            parts[1::2] = ["{%s}" % k for k in parts[1::2]]
-            self._template = ("".join(parts), tuple(slots))
+            self._template = (canonical_form(self.term, slot), tuple(slots))
         return self._template
 
     def __repr__(self):
@@ -745,8 +742,8 @@ def canonical_key(config: Configuration) -> tuple:
     the ``canonical_form`` of each component in order, with every free name
     replaced by the value it is bound to and hidden channels numbered by
     first occurrence across all components.
-    Configurations with equal keys are merged when their quantum states
-    agree up to global phase.
+    Configurations with equal keys are merged when their amplitudes agree
+    within ATOL up to global phase.
 
     Each component's form comes from its cached ``key_template``, so only
     its free names are resolved here; no term is walked once a component
@@ -838,8 +835,9 @@ def explore(
     """Breadth-first closure of a configuration under ``step``.
 
     Configurations whose components (``Configuration.procs``) are equal in
-    order up to bound-name renaming and hidden-channel bijection, and whose
-    states are equal up to global phase, are merged (``canonical_key``).
+    order up to bound-name renaming and hidden-channel bijection
+    (``canonical_key``), and whose amplitudes agree within ATOL once their
+    global phases are aligned, are merged.
     Since the components are held flat, how a composition was bracketed
     plays no part. Transitions with more than one outcome go through an
     intermediate probabilistic state.
@@ -947,57 +945,32 @@ def run_sampled(
 def input_used_channels(program: Program, entry_name: str) -> set[int]:
     """Entry channel positions on which the program can ever perform input.
 
-    Channels are tracked positionally through (non-recursive) calls;
-    channels received as payload are not tracked.
+    Each definition is summarized once, as the positions of the parameters
+    that it or a process it calls inputs on, and a call composes the
+    callee's summary with its arguments (Sharir & Pnueli, "Two approaches to
+    interprocedural data flow analysis", 1981). Channels received as payload
+    are not tracked.
     """
-    used: set[int] = set()
-    seen: set[tuple] = set()
 
-    def walk_def(name: str, args_abs: tuple):
-        key = (name, args_abs)
-        if key in seen:
-            return
-        seen.add(key)
+    @functools.cache
+    def summary(name: str) -> frozenset[int]:
         d = program.definition(name)
-        walk(d.body, dict(zip(d.params, args_abs)))
+        position = {p: i for i, p in enumerate(d.params)}
+        return frozenset(position[n] for n in inputs(d.body) if n in position)
 
-    def walk(term: ProcessTerm, env: dict):
-        if isinstance(term, Nil):
-            return
+    def inputs(term: ProcessTerm) -> set[str]:
+        """The free names of ``term`` on which it or a process it calls inputs."""
         if isinstance(term, Input):
-            pos = env.get(term.channel)
-            if pos is not None:
-                used.add(pos)
-            env2 = dict(env)
-            for b in term.binders:
-                env2[b] = None
-            walk(term.continuation, env2)
-            return
-        if isinstance(term, Output):
-            walk(term.continuation, env)
-            return
-        if isinstance(term, GateAction):
-            walk(term.continuation, env)
-            return
-        if isinstance(term, (QbitAlloc, NewChannel)):
-            binders = term.binders if isinstance(term, QbitAlloc) else (term.binder,)
-            env2 = dict(env)
-            for b in binders:
-                env2[b] = None
-            walk(term.continuation, env2)
-            return
-        if isinstance(term, Parallel):
-            walk(term.left, env)
-            walk(term.right, env)
-            return
-        if isinstance(term, Call):
-            walk_def(term.process, tuple(env.get(a) for a in term.args))
-            return
-        raise TypeError(f"not a process term: {term!r}")
+            names = {term.channel}
+        elif isinstance(term, Call):
+            names = {term.args[i] for i in summary(term.process)}
+        else:
+            names = set()
+        for binders, sub in scopes(term):
+            names |= inputs(sub).difference(binders)
+        return names
 
-    d = program.definition(entry_name)
-    walk_def(entry_name, tuple(range(len(d.params))))
-    return used
+    return set(summary(entry_name))
 
 
 def input_alphabet(program: Program, entry: str, signature, test_qubits) -> dict[int, list[tuple]]:

@@ -445,11 +445,8 @@ def _check_calls(program: Program):
                     *(term.pos or (1, 1)),
                 )
             calls[owner].add(term.process)
-        elif isinstance(term, Parallel):
-            walk(owner, term.left)
-            walk(owner, term.right)
-        elif isinstance(term, (Input, Output, GateAction, QbitAlloc, NewChannel)):
-            walk(owner, term.continuation)
+        for _binders, sub in scopes(term):
+            walk(owner, sub)
 
     for d in program.definitions:
         walk(d.name, d.body)
@@ -559,8 +556,27 @@ def pretty_print_program(program: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Name handling
+# Name handling: walks that only collect names fold over ``scopes``.
+# ``substitute`` rebuilds terms, and ``canonical_form`` must meet names in a
+# fixed order that numbers hidden channels, so both walk terms themselves.
 # ---------------------------------------------------------------------------
+
+def scopes(term: ProcessTerm) -> tuple:
+    """The direct process subterms of ``term``, left to right, as
+    ``(binders, subterm)`` pairs: ``binders`` are the names ``term`` binds
+    over ``subterm``. The one place that says which constructor binds what."""
+    if isinstance(term, (Input, QbitAlloc)):
+        return ((term.binders, term.continuation),)
+    if isinstance(term, (Output, GateAction)):
+        return (((), term.continuation),)
+    if isinstance(term, NewChannel):
+        return (((term.binder,), term.continuation),)
+    if isinstance(term, Parallel):
+        return (((), term.left), ((), term.right))
+    if isinstance(term, (Nil, Call)):
+        return ()
+    raise TypeError(f"not a process term: {term!r}")
+
 
 def _expr_names(e: Expression) -> frozenset[str]:
     if isinstance(e, Var):
@@ -574,31 +590,27 @@ def _expr_names(e: Expression) -> frozenset[str]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def free_names(term: ProcessTerm) -> frozenset[str]:
-    """Free value names of a term; process names in calls are not included."""
-    if isinstance(term, Nil):
-        return frozenset()
-    if isinstance(term, Input):
-        return frozenset({term.channel}) | (free_names(term.continuation) - frozenset(term.binders))
+def _head_names(term: ProcessTerm) -> frozenset[str]:
+    """The names ``term`` uses outside its subterms (see ``scopes``)."""
     if isinstance(term, Output):
-        names = frozenset({term.channel}) | free_names(term.continuation)
-        for e in term.payload:
-            names |= _expr_names(e)
-        return names
+        return frozenset((term.channel,)).union(*map(_expr_names, term.payload))
+    if isinstance(term, Input):
+        return frozenset((term.channel,))
     if isinstance(term, GateAction):
-        names = frozenset(term.targets) | free_names(term.continuation)
         if isinstance(term.gate, SigmaGate):
-            names |= {term.gate.index_var}
-        return names
-    if isinstance(term, QbitAlloc):
-        return free_names(term.continuation) - frozenset(term.binders)
-    if isinstance(term, NewChannel):
-        return free_names(term.continuation) - frozenset({term.binder})
-    if isinstance(term, Parallel):
-        return free_names(term.left) | free_names(term.right)
+            return frozenset(term.targets) | {term.gate.index_var}
+        return frozenset(term.targets)
     if isinstance(term, Call):
         return frozenset(term.args)
-    raise TypeError(f"not a process term: {term!r}")
+    return frozenset()
+
+
+def free_names(term: ProcessTerm) -> frozenset[str]:
+    """Free value names of a term; process names in calls are not included."""
+    names = _head_names(term)
+    for binders, sub in scopes(term):
+        names = names.union(free_names(sub).difference(binders))
+    return names
 
 
 def fresh_name(base: str, avoid) -> str:

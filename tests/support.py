@@ -794,6 +794,15 @@ DIGEST_TEST_SETS = {"default": DEFAULT_TEST_QUBITS, "basis": BASIS_TEST_QUBITS}
 DIGEST_RANDOM_PROGRAMS = 300
 
 
+def _workloads():
+    """``bench/workloads.py``, imported from the checkout."""
+    if str(BENCH_DIR) not in sys.path:
+        sys.path.insert(0, str(BENCH_DIR))
+    import workloads
+
+    return workloads
+
+
 def _channel_entries(prefix: str, program, signatures):
     for d in program.definitions:
         if all(isinstance(t, ChannelType) for t in signatures[d.name]):
@@ -811,10 +820,7 @@ def digest_programs():
             continue
         program, signatures, _src = corpus.load_corpus_file(item.path)
         yield from _channel_entries(item.path, program, signatures)
-    if str(BENCH_DIR) not in sys.path:
-        sys.path.insert(0, str(BENCH_DIR))
-    import workloads
-
+    workloads = _workloads()
     source = workloads.chain_source(2, workloads.GATES)
     yield from _channel_entries("chain2", parse_program(source), parse_signatures(source))
     for seed in range(DIGEST_RANDOM_PROGRAMS):
@@ -873,3 +879,99 @@ def exploration_digest(outcome) -> str:
         if isinstance(e.label, CommLabel) and e.label.qubit_dm is not None:
             h.update(_array_bytes(e.label.qubit_dm.matrix))
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Slow paths of the name walks that fold over ``syntax.scopes``
+# ---------------------------------------------------------------------------
+
+def _expr_names_oracle(e) -> frozenset[str]:
+    if isinstance(e, Var):
+        return frozenset({e.name})
+    if isinstance(e, MeasureExpr):
+        return frozenset(e.names)
+    if isinstance(e, TupleExpr):
+        return frozenset().union(*(_expr_names_oracle(x) for x in e.items))
+    return frozenset()
+
+
+def free_names_oracle(term: ProcessTerm) -> frozenset[str]:
+    """``syntax.free_names`` with each constructor's binders written out."""
+    if isinstance(term, Nil):
+        return frozenset()
+    if isinstance(term, Input):
+        return frozenset({term.channel}) | (
+            free_names_oracle(term.continuation) - frozenset(term.binders)
+        )
+    if isinstance(term, Output):
+        names = frozenset({term.channel}) | free_names_oracle(term.continuation)
+        for e in term.payload:
+            names |= _expr_names_oracle(e)
+        return names
+    if isinstance(term, GateAction):
+        names = frozenset(term.targets) | free_names_oracle(term.continuation)
+        if isinstance(term.gate, SigmaGate):
+            names |= {term.gate.index_var}
+        return names
+    if isinstance(term, QbitAlloc):
+        return free_names_oracle(term.continuation) - frozenset(term.binders)
+    if isinstance(term, NewChannel):
+        return free_names_oracle(term.continuation) - frozenset({term.binder})
+    if isinstance(term, Parallel):
+        return free_names_oracle(term.left) | free_names_oracle(term.right)
+    if isinstance(term, Call):
+        return frozenset(term.args)
+    raise TypeError(f"not a process term: {term!r}")
+
+
+def input_used_channels_oracle(program: Program, entry_name: str) -> set[int]:
+    """``semantics.input_used_channels`` by walking each definition once per
+    distinct tuple of entry positions its arguments carry, instead of
+    composing one summary per definition."""
+    used: set[int] = set()
+    seen: set[tuple] = set()
+
+    def walk_def(name: str, args_abs: tuple):
+        if (name, args_abs) in seen:
+            return
+        seen.add((name, args_abs))
+        d = program.definition(name)
+        walk(d.body, dict(zip(d.params, args_abs)))
+
+    def walk(term: ProcessTerm, env: dict):
+        if isinstance(term, Input):
+            if env.get(term.channel) is not None:
+                used.add(env[term.channel])
+            walk(term.continuation, {**env, **dict.fromkeys(term.binders)})
+        elif isinstance(term, (Output, GateAction)):
+            walk(term.continuation, env)
+        elif isinstance(term, QbitAlloc):
+            walk(term.continuation, {**env, **dict.fromkeys(term.binders)})
+        elif isinstance(term, NewChannel):
+            walk(term.continuation, {**env, term.binder: None})
+        elif isinstance(term, Parallel):
+            walk(term.left, env)
+            walk(term.right, env)
+        elif isinstance(term, Call):
+            walk_def(term.process, tuple(env.get(a) for a in term.args))
+        elif not isinstance(term, Nil):
+            raise TypeError(f"not a process term: {term!r}")
+
+    walk_def(entry_name, tuple(range(len(program.definition(entry_name).params))))
+    return used
+
+
+def name_walk_entries():
+    """Every ``(name, program, definition)`` the name-walk differential
+    tests cover: each definition of the positive corpus files and of
+    ``bench/workloads.chain_source(3, GATES)``, and the ``Gen`` of
+    ``random_typed_program`` for seeds 0..299."""
+    for item in corpus.CORPUS:
+        if item.expectation == "typechecks":
+            program, _signatures, _src = corpus.load_corpus_file(item.path)
+            yield from ((f"{item.path}:{d.name}", program, d.name) for d in program.definitions)
+    workloads = _workloads()
+    program = parse_program(workloads.chain_source(3, workloads.GATES))
+    yield from ((f"chain3:{d.name}", program, d.name) for d in program.definitions)
+    for seed in range(DIGEST_RANDOM_PROGRAMS):
+        yield f"random{seed}:Gen", random_typed_program(random.Random(seed))[0], "Gen"

@@ -447,6 +447,29 @@ def test_bad_qubit_test_file_is_an_input_error(tmp_path, capsys, command, conten
     assert err.startswith("bad qubit test set")
 
 
+def test_equiv_swapped_components_under_nearby_test_states(tmp_path, capsys):
+    """``tilt`` is |+> turned by 2e-5 rad. Each process reaches "x sent, y
+    kept" and "y sent, x kept", which share a key and overlap to within ATOL;
+    merging them would put the wrong input on a later ``d!`` label, on
+    opposite paths for P and Q."""
+    body = "(a?[x] . d![x] . 0 | b?[y] . d![y] . 0)"
+    swapped = "(b?[y] . d![y] . 0 | a?[x] . d![x] . 0)"
+    for name, term in (("P", body), ("Q", swapped)):
+        (tmp_path / f"{name}.cqp").write_text(
+            f"//: {name} : ^[Qbit], ^[Qbit], ^[Qbit]\n{name}(a,b,d) = {term}\n"
+        )
+    tests = tmp_path / "tilt.json"
+    tests.write_text(json.dumps([
+        {"name": "plus", "amplitudes": [[0.7071067811865476, 0], [0.7071067811865476, 0]]},
+        {"name": "tilt", "amplitudes": [[0.7070926389095034, 0], [0.7071209231807489, 0]]},
+    ]))
+    code, out, _err = run_cli(
+        capsys, "equiv", str(tmp_path / "P.cqp"), str(tmp_path / "Q.cqp"),
+        "--qubit-tests", f"file:{tests}",
+    )
+    assert (code, out.strip()) == (0, "EQUIVALENT")
+
+
 def test_unknown_entry_is_an_error(capsys):
     code, _out, _err = run_cli(
         capsys, "run", cpath("teleport.cqp"), "--entry", "Missing"

@@ -112,7 +112,7 @@ def test_hadamard_self_inverse_on_random_states():
         state = StateVector.from_amplitudes(random_state_amps(rng, 3))
         target = int(rng.integers(0, 3))
         out = apply_gate(apply_gate(state, h, [target]), h, [target])
-        assert states_equal_up_to_global_phase(out, state, 1e-9)
+        assert states_equal_up_to_global_phase(out, state)
 
 
 def test_apply_gate_matches_expansion_oracle():
@@ -310,20 +310,43 @@ def test_density_matrix_invariants_enforced():
 # ---------------------------------------------------------------------------
 
 def test_global_phase_ignored():
-    assert states_equal_up_to_global_phase(sv(1, 0), sv(-1, 0), 1e-9)
-    assert states_equal_up_to_global_phase(sv(SQ2, SQ2), sv(1j * SQ2, 1j * SQ2), 1e-9)
+    assert states_equal_up_to_global_phase(sv(1, 0), sv(-1, 0))
+    assert states_equal_up_to_global_phase(sv(SQ2, SQ2), sv(1j * SQ2, 1j * SQ2))
 
 
 def test_orthogonal_states_differ():
-    assert not states_equal_up_to_global_phase(sv(1, 0), sv(0, 1), 1e-9)
+    assert not states_equal_up_to_global_phase(sv(1, 0), sv(0, 1))
     plus = apply_gate(sv(1, 0), standard_gate("H"), [0])
     minus = sv(SQ2, -SQ2)
-    assert not states_equal_up_to_global_phase(plus, minus, 1e-9)
+    assert not states_equal_up_to_global_phase(plus, minus)
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        states_equal_up_to_global_phase(sv(1, 0), BELL, 1e-9)
+        states_equal_up_to_global_phase(sv(1, 0), BELL)
+
+
+def turned(theta: float) -> StateVector:
+    return sv(np.cos(np.pi / 4 + theta), np.sin(np.pi / 4 + theta))
+
+
+def test_states_apart_by_more_than_atol_differ():
+    """|+> turned by 2e-5 rad overlaps |+> within 1 - ATOL, yet its
+    amplitudes differ by 1.4e-5; the phase-aligned comparison tells them
+    apart. Turned by ATOL/10 rad it is still equal."""
+    assert not states_equal_up_to_global_phase(turned(0.0), turned(2e-5))
+    assert not states_equal_up_to_global_phase(turned(2e-5), turned(0.0))
+    assert states_equal_up_to_global_phase(turned(0.0), turned(ATOL / 10))
+
+
+def test_random_states_equal_themselves_times_a_unit_phase():
+    rng = np.random.default_rng(31)
+    for n in (0, 1, 2, 3, 4) * 8:
+        amps = random_state_amps(rng, n)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        assert states_equal_up_to_global_phase(sv(*amps), sv(*(phase * amps)))
+        if n:
+            assert not states_equal_up_to_global_phase(sv(*amps), sv(*random_state_amps(rng, n)))
 
 
 def test_state_invariants_enforced():
