@@ -24,15 +24,17 @@ External interactions happen on visible channels only. Inputs are
 instantiated from a finite alphabet of injectable values; qubit inputs come
 from a small test set of single-qubit states. Outputs carrying qubits are
 labelled with the reduced density matrix of the transmitted qubits, which
-is all an observer can see of them.
+is all an observer can see of them. Scope extrusion is not modelled: sending
+a hidden channel on a visible one raises ``RuntimeProcessError``.
 
-A step replaces at most two components and shares the rest with its
-successor. Each component is a ``Component`` record that computes its free
-names when ``_flatten`` makes it and its ``canonical_key`` template when a
-configuration holding it is first keyed, so the ownership check and the key
-of a successor walk only the terms the step changed. ``_flatten`` also
-bounds the components one configuration may hold (``MAX_COMPONENTS``), so
-a call fan-out stops with ``ExplorationLimitError`` while it unfolds.
+A running component is a closure ``(term, env)`` (Abadi, Cardelli, Curien
+& Lévy, "Explicit substitutions", JFP 1991): ``term`` is a subterm of the
+program, or an output whose measurement was just forced, and ``env`` maps
+its free names to runtime names; a name it does not map, such as an entry
+parameter, stands for itself. Binding extends ``env`` and a call starts a
+new one, so no term is renamed while it runs and each term node computes
+its free names and key template once (``ProcessTerm``). ``_flatten`` caps
+the components of a configuration (``MAX_COMPONENTS``).
 
 Every successor drops its dead qubits that sit in a basis state: qubits no
 free name of a component refers to any more, such as those measured into a
@@ -71,7 +73,6 @@ from .syntax import (
     SigmaGate,
     TupleExpr,
     Var,
-    canonical_form,
     free_names,
     scopes,
     substitute,
@@ -208,63 +209,23 @@ def render_label(label) -> str:
 # Configurations
 # ---------------------------------------------------------------------------
 
-class Component:
-    """One running parallel component: its term and the facts about the term
-    that every configuration holding it needs, computed once.
-
-    ``_flatten`` makes a component and a step replaces at most two, so an
-    unchanged component is shared by a configuration and its successors and
-    its facts are reused rather than recomputed, as in hash-consing
-    (Filliâtre & Conchon, "Type-safe modular hash-consing", ML Workshop
-    2006). ``names`` (the term's free names) is computed at once, since
-    every successor's ownership check reads it; ``key_template`` only when a
-    configuration is first keyed, since ``run_sampled`` never keys one.
-    """
-
-    __slots__ = ("term", "names", "_template")
-
-    def __init__(self, term: ProcessTerm):
-        self.term = term
-        self.names = free_names(term)
-        self._template = None
-
-    def key_template(self) -> tuple:
-        """``(fmt, slots)``: ``canonical_form`` of the term with each free
-        name left as a slot, as a ``str.format`` string whose field ``k``
-        stands for ``slots[k]``. The slots are the distinct free names in the
-        order ``canonical_form`` first asks for them, which is not always
-        their order in the string (an output's payload is walked before its
-        channel). Resolving the slots in order therefore numbers hidden
-        channels by first occurrence exactly as resolving every name the
-        walk meets would. No name or token of the form holds a brace."""
-        if self._template is None:
-            slots: dict[str, int] = {}
-
-            def slot(name: str) -> str:
-                return "{%d}" % slots.setdefault(name, len(slots))
-
-            self._template = (canonical_form(self.term, slot), tuple(slots))
-        return self._template
-
-    def __repr__(self):
-        return f"Component({self.term!r})"
-
-
 @dataclass(eq=False)
 class Configuration:
     """Snapshot of one run: quantum state, name bindings, running components.
 
     Treated as immutable; every step produces fresh copies, sharing the
     components it leaves unchanged. ``procs`` holds the parallel components
-    in left-to-right order as ``Component`` records; no component's term is a
+    in left-to-right order as ``(term, env)`` closures; no term is a
     parallel composition, a call or ``0`` (``_flatten``), so a finished run
-    has none. ``channel_names`` maps visible channel ids (the entry's channel
-    parameters, numbered by position) to their display names; hidden
-    channels get ids from ``next_channel``.
+    has none. ``bindings`` maps runtime names, the entry's parameters and
+    the ``binder~n`` names ``_bind`` makes, to values. ``channel_names``
+    maps visible channel ids (the entry's channel parameters, numbered by
+    position) to their display names; hidden channels get ids from
+    ``next_channel``.
 
-    A qubit is *live* when a free name of some component is bound to it and
+    A qubit is *live* when a free name of some component resolves to it and
     *dead* otherwise: it was measured into a payload, sent away, or its
-    binder went out of scope. Every name is freshened when bound, so
+    binder went out of scope. Every binding gets a fresh runtime name, so
     nothing can refer to a dead qubit again. ``step`` drops each dead qubit
     whose amplitudes are exactly zero on one basis value (measurement and
     gate pruning leave such exact zeros). That qubit is an exact tensor
@@ -279,7 +240,7 @@ class Configuration:
 
     qstate: StateVector
     bindings: dict
-    procs: tuple  # of Component
+    procs: tuple  # of (term, env)
     channel_names: dict[int, str]
     next_channel: int
     next_fresh: int
@@ -287,10 +248,11 @@ class Configuration:
 
     @property
     def term(self) -> ProcessTerm:
-        """The components folded left to right into one term, for display."""
+        """The components with their environments applied, folded left to
+        right into one term, for display."""
         if not self.procs:
             return Nil()
-        terms = (c.term for c in self.procs)
+        terms = (substitute(term, env) for term, env in self.procs)
         return functools.reduce(lambda l, r: Parallel(left=l, right=r), terms)
 
     def is_visible(self, cid: int) -> bool:
@@ -301,13 +263,14 @@ class Configuration:
 
     def check_ownership(self) -> set[int]:
         """Raise OwnershipViolation if a qubit is bound in two components;
-        otherwise return the live qubits, those bound to a free name of some
-        component. Reads each component's cached free names, so no term is
-        walked."""
+        otherwise return the live qubits, those a free name of some
+        component resolves to. Reads each term's cached free names, so no
+        term is walked."""
         bindings = self.bindings
         owned: set[int] = set()
-        for c in self.procs:
-            mine = {v.qid for n in c.names if isinstance(v := bindings.get(n), QubitVal)}
+        for term, env in self.procs:
+            names = (env.get(n, n) for n in free_names(term))
+            mine = {v.qid for n in names if isinstance(v := bindings.get(n), QubitVal)}
             if not owned.isdisjoint(mine):
                 shared = owned & mine
                 raise OwnershipViolation(
@@ -348,7 +311,7 @@ def initial_configuration(
     return Configuration(
         qstate=StateVector.empty(),
         bindings={p: ChannelVal(i) for i, p in enumerate(d.params)},
-        procs=_flatten(d.body, program),
+        procs=_flatten(d.body, {}, program),
         channel_names=dict(enumerate(d.params)),
         next_channel=len(d.params),
         next_fresh=0,
@@ -360,45 +323,48 @@ def initial_configuration(
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _flatten(term: ProcessTerm, program: Program, others: int = 0) -> tuple:
-    """The parallel components of ``term`` in left-to-right order, as
-    ``Component`` records, with every call unfolded into its body and the
-    finished components (``0``) dropped.
+def _flatten(term: ProcessTerm, env: dict, program: Program, others: int = 0) -> tuple:
+    """The parallel components of ``term`` under ``env`` in left-to-right
+    order, as ``(term, env)`` closures, with every call unfolded into its
+    body, under an environment mapping each parameter to its argument, and
+    the finished components (``0``) dropped.
 
     Raises ExplorationLimitError as soon as these components and the
     ``others`` held beside them would exceed ``MAX_COMPONENTS``, before the
     rest of an exponential call fan-out is unfolded."""
     if isinstance(term, Parallel):
-        left = _flatten(term.left, program, others)
-        return left + _flatten(term.right, program, others + len(left))
+        left = _flatten(term.left, env, program, others)
+        return left + _flatten(term.right, env, program, others + len(left))
     if isinstance(term, Nil):
         return ()
     if isinstance(term, Call):
         d = program.definition(term.process)
-        return _flatten(substitute(d.body, dict(zip(d.params, term.args))), program, others)
+        inner = {p: env.get(a, a) for p, a in zip(d.params, term.args)}
+        return _flatten(d.body, inner, program, others)
     if others >= MAX_COMPONENTS:
         raise ExplorationLimitError(MAX_COMPONENTS, "component")
-    return (Component(term),)
+    return ((term, env),)
 
 
-def _lookup(config: Configuration, name: str):
+def _lookup(config: Configuration, env: dict, name: str):
+    """The value of ``name`` in a component with environment ``env``."""
     try:
-        return config.bindings[name]
+        return config.bindings[env.get(name, name)]
     except KeyError:
         raise RuntimeProcessError(f"unbound name {name!r} at runtime") from None
 
 
-def _channel_id(config: Configuration, name: str) -> int:
-    v = _lookup(config, name)
+def _channel_id(config: Configuration, env: dict, name: str) -> int:
+    v = _lookup(config, env, name)
     if not isinstance(v, ChannelVal):
         raise RuntimeProcessError(f"{name!r} is not a channel at runtime")
     return v.cid
 
 
-def _qubit_ids(config: Configuration, names) -> list[int]:
+def _qubit_ids(config: Configuration, env: dict, names) -> list[int]:
     qids = []
     for n in names:
-        v = _lookup(config, n)
+        v = _lookup(config, env, n)
         if not isinstance(v, QubitVal):
             raise RuntimeProcessError(f"{n!r} is not a qubit at runtime")
         qids.append(v.qid)
@@ -407,20 +373,20 @@ def _qubit_ids(config: Configuration, names) -> list[int]:
     return qids
 
 
-def _eval_slots(config: Configuration, exprs) -> list:
+def _eval_slots(config: Configuration, env: dict, exprs) -> list:
     """Evaluate fully-forced payload expressions into a flat slot list."""
     slots = []
     for e in exprs:
         if isinstance(e, BitLit):
             slots.append(e.value)
         elif isinstance(e, Var):
-            v = _lookup(config, e.name)
+            v = _lookup(config, env, e.name)
             if isinstance(v, tuple):
                 slots.extend(v)
             else:
                 slots.append(v)
         elif isinstance(e, TupleExpr):
-            slots.extend(_eval_slots(config, e.items))
+            slots.extend(_eval_slots(config, env, e.items))
         elif isinstance(e, MeasureExpr):
             raise RuntimeProcessError("unforced measurement in payload")
         else:
@@ -459,9 +425,9 @@ def _advance(
     next_fresh: int | None = None,
 ) -> Configuration:
     """The successor with each given field replaced and each component
-    ``i`` in ``heads`` replaced by the components of ``heads[i]``
-    (``_flatten``), checked for ownership and with its dead basis qubits
-    dropped. The other components are shared with ``config``.
+    ``i`` in ``heads`` replaced by the components of the closure
+    ``heads[i]`` (``_flatten``), checked for ownership and with its dead
+    basis qubits dropped. The other components are shared with ``config``.
 
     Every successor ``step`` builds passes through here. Without a dead
     qubit (the common case) the configuration is returned as it is.
@@ -470,7 +436,7 @@ def _advance(
     pending = len(heads)
     for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
         others = len(procs) - pending  # the components that stay beside this head's
-        procs = procs[:i] + _flatten(heads[i], config.program, others) + procs[i + 1 :]
+        procs = procs[:i] + _flatten(*heads[i], config.program, others) + procs[i + 1 :]
         pending -= 1
     config = Configuration(
         config.qstate if qstate is None else qstate,
@@ -517,14 +483,15 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
 
 
 def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes) -> Configuration:
-    """The successor in which component ``i`` goes on as ``heads[i]`` with
-    ``binders`` bound to ``values``; ``heads`` and ``changes`` otherwise as
-    in ``_advance``.
+    """The successor in which component ``i`` goes on as the closure
+    ``heads[i]`` with ``binders`` bound to ``values``; ``heads`` and
+    ``changes`` otherwise as in ``_advance``.
 
     This is the only place that makes runtime names: each binder gets the
-    fresh name ``binder~n``, so no two bindings clash and nothing can name
-    a dead qubit again. Each ``TestQubit`` among the values is first
-    appended to the state as a new qubit, in order, and bound as its id.
+    fresh name ``binder~n`` in the component's environment, so no two
+    bindings clash and nothing can name a dead qubit again. Each
+    ``TestQubit`` among the values is first appended to the state as a new
+    qubit, in order, and bound as its id.
     One binder receiving several bits binds them as one tuple.
     """
     qubits = [(v.amp0, v.amp1) for v in values if isinstance(v, TestQubit)]
@@ -542,20 +509,21 @@ def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes
         )
     bindings = dict(config.bindings)
     fresh = config.next_fresh
-    mapping = {}
+    term, env = heads[i]
+    env = dict(env)
     for binder, value in pairs:
-        mapping[binder] = runtime_name = f"{binder}~{fresh}"
+        env[binder] = runtime_name = f"{binder}~{fresh}"
         bindings[runtime_name] = value
         fresh += 1
-    heads = {**heads, i: substitute(heads[i], mapping)}
+    heads = {**heads, i: (term, env)}
     return _advance(config, heads, bindings=bindings, next_fresh=fresh, **changes)
 
 
-def _gate_for(config: Configuration, ref) -> qstate.Gate:
+def _gate_for(config: Configuration, env: dict, ref) -> qstate.Gate:
     if isinstance(ref, FixedGate):
         return qstate.standard_gate(ref.name)
     if isinstance(ref, SigmaGate):
-        v = _lookup(config, ref.index_var)
+        v = _lookup(config, env, ref.index_var)
         if not (isinstance(v, tuple) and len(v) == 2 and all(b in (0, 1) for b in v)):
             raise RuntimeProcessError(
                 f"sigma index {ref.index_var!r} must hold a two-bit value, got {v!r}"
@@ -569,28 +537,28 @@ def _gate_for(config: Configuration, ref) -> qstate.Gate:
 _DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
 
 
-def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm) -> Transition:
+def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: dict) -> Transition:
     """The single τ transition of component ``i``, headed by a qubit
     allocation, a channel restriction or a gate. Allocation binds one
     fresh |0> qubit per binder and ``new`` one fresh channel, both through
     ``_bind``."""
     if isinstance(head, QbitAlloc):
         zeros = (_KET0,) * len(head.binders)
-        cfg = _bind(config, {i: head.continuation}, i, head.binders, zeros)
+        cfg = _bind(config, {i: (head.continuation, env)}, i, head.binders, zeros)
     elif isinstance(head, NewChannel):
         cfg = _bind(
             config,
-            {i: head.continuation},
+            {i: (head.continuation, env)},
             i,
             (head.binder,),
             (ChannelVal(config.next_channel),),
             next_channel=config.next_channel + 1,
         )
     else:
-        qids = _qubit_ids(config, head.targets)
-        gate = _gate_for(config, head.gate)
+        qids = _qubit_ids(config, env, head.targets)
+        gate = _gate_for(config, env, head.gate)
         qvec = qstate.apply_gate(config.qstate, gate, qids)
-        cfg = _advance(config, {i: head.continuation}, qstate=qvec)
+        cfg = _advance(config, {i: (head.continuation, env)}, qstate=qvec)
     return Transition(TAU, ((1.0, cfg),))
 
 
@@ -649,17 +617,16 @@ def step(
     dropped.
     """
     alphabet = alphabet or {}
-    heads = [c.term for c in config.procs]
     if reduce:
-        for i, head in enumerate(heads):
+        for i, (head, env) in enumerate(config.procs):
             if isinstance(head, _DETERMINISTIC_TAU):
-                return [_deterministic_tau(config, i, head)]
+                return [_deterministic_tau(config, i, head, env)]
 
     transitions: list[Transition] = []
-    senders, receivers = [], []  # (index, head, channel id) ready to communicate
-    for i, head in enumerate(heads):
+    senders, receivers = [], []  # (index, head, env, channel id) ready to communicate
+    for i, (head, env) in enumerate(config.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
-            transitions.append(_deterministic_tau(config, i, head))
+            transitions.append(_deterministic_tau(config, i, head, env))
             continue
 
         if isinstance(head, Output):
@@ -668,7 +635,7 @@ def step(
                 exprs = head.payload
                 for k in measured[:-1]:
                     exprs = exprs[k].items
-                qids = _qubit_ids(config, exprs[measured[-1]].names)
+                qids = _qubit_ids(config, env, exprs[measured[-1]].names)
                 dist = []
                 for o in qstate.measure(config.qstate, qids):
                     bits = tuple(BitLit(value=b) for b in o.result)
@@ -679,19 +646,24 @@ def step(
                         continuation=head.continuation,
                         pos=head.pos,
                     )
-                    cfg = _advance(config, {i: new_head}, qstate=o.post_state)
+                    cfg = _advance(config, {i: (new_head, env)}, qstate=o.post_state)
                     dist.append((o.probability, cfg))
                 transitions.append(Transition(TAU, tuple(dist)))
                 continue
-            cid = _channel_id(config, head.channel)
-            senders.append((i, head, cid))
+            cid = _channel_id(config, env, head.channel)
+            senders.append((i, head, env, cid))
             if config.is_visible(cid):
                 label_values = []
                 sent_qubits = []
-                for v in _eval_slots(config, head.payload):
+                for v in _eval_slots(config, env, head.payload):
                     if isinstance(v, QubitVal):
                         label_values.append(QubitSlot(len(sent_qubits)))
                         sent_qubits.append(v.qid)
+                    elif isinstance(v, ChannelVal) and not config.is_visible(v.cid):
+                        # The channel would stay hidden once sent, so no label can name it.
+                        raise RuntimeProcessError(
+                            f"cannot send a hidden channel on {head.channel!r} (scope extrusion)"
+                        )
                     else:
                         label_values.append(v)
                 dm = (
@@ -702,16 +674,18 @@ def step(
                 label = CommLabel(
                     "out", cid, config.display_channel(cid), tuple(label_values), dm
                 )
-                cfg = _advance(config, {i: head.continuation})
+                cfg = _advance(config, {i: (head.continuation, env)})
                 transitions.append(Transition(label, ((1.0, cfg),)))
             continue
 
         if isinstance(head, Input):
-            cid = _channel_id(config, head.channel)
-            receivers.append((i, head, cid))
+            cid = _channel_id(config, env, head.channel)
+            receivers.append((i, head, env, cid))
             if config.is_visible(cid) and cid in alphabet:
                 for value_tuple in alphabet[cid]:
-                    cfg = _bind(config, {i: head.continuation}, i, head.binders, value_tuple)
+                    cfg = _bind(
+                        config, {i: (head.continuation, env)}, i, head.binders, value_tuple
+                    )
                     label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
                     transitions.append(Transition(label, ((1.0, cfg),)))
             continue
@@ -721,12 +695,12 @@ def step(
     # Internal synchronous communication between any two parallel components
     # sharing a channel, hidden or visible: the receiver binds the sender's
     # slots while the sender moves on to its continuation.
-    for out_i, out_head, out_cid in senders:
-        for in_i, in_head, in_cid in receivers:
+    for out_i, out_head, out_env, out_cid in senders:
+        for in_i, in_head, in_env, in_cid in receivers:
             if in_cid != out_cid:
                 continue
-            values = _eval_slots(config, out_head.payload)
-            heads = {out_i: out_head.continuation, in_i: in_head.continuation}
+            values = _eval_slots(config, out_env, out_head.payload)
+            heads = {out_i: (out_head.continuation, out_env), in_i: (in_head.continuation, in_env)}
             cfg = _bind(config, heads, in_i, in_head.binders, values)
             transitions.append(Transition(TAU, ((1.0, cfg),)))
 
@@ -745,9 +719,9 @@ def canonical_key(config: Configuration) -> tuple:
     Configurations with equal keys are merged when their amplitudes agree
     within ATOL up to global phase.
 
-    Each component's form comes from its cached ``key_template``, so only
-    its free names are resolved here; no term is walked once a component
-    has been keyed."""
+    Each component's form comes from its term's cached ``key_template``,
+    whose slots are resolved through the component's environment and then
+    ``bindings``; no term is walked once it has been keyed."""
     bindings = config.bindings
     hidden: dict[int, str] = {}
 
@@ -766,9 +740,9 @@ def canonical_key(config: Configuration) -> tuple:
         return f"b{v}"
 
     forms = []
-    for c in config.procs:
-        fmt, slots = c.key_template()
-        forms.append(fmt.format(*map(resolve, slots)))
+    for term, env in config.procs:
+        fmt, slots = term.key_template
+        forms.append(fmt.format(*[resolve(env.get(n, n)) for n in slots]))
     return (config.qstate.num_qubits, tuple(forms))
 
 

@@ -25,6 +25,7 @@ them like any comment and the type checker reads them separately.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -97,7 +98,34 @@ class SigmaGate(GateRef):
 
 @dataclass(frozen=True)
 class ProcessTerm:
+    """A process term. The facts the semantics reads on every step are cached
+    on the node (``cached_property`` writes the instance ``__dict__``, which a
+    frozen dataclass allows), so every run of a program shares them."""
+
     pos: Pos | None = _pos_field()
+
+    @functools.cached_property
+    def free_names(self) -> frozenset[str]:
+        """See the function ``free_names``."""
+        names = _head_names(self)
+        for binders, sub in scopes(self):
+            names = names.union(sub.free_names.difference(binders))
+        return names
+
+    @functools.cached_property
+    def key_template(self) -> tuple:
+        """``(fmt, slots)``: ``canonical_form`` of the term as a ``str.format``
+        string whose field ``k`` stands for the free name ``slots[k]``. The
+        slots are in the order ``canonical_form`` first asks for them (an
+        output's payload before its channel), so filling them in order numbers
+        hidden channels as resolving each name the walk meets would. No name
+        or token of the form holds a brace."""
+        slots: dict[str, int] = {}
+
+        def slot(name: str) -> str:
+            return "{%d}" % slots.setdefault(name, len(slots))
+
+        return canonical_form(self, slot), tuple(slots)
 
 
 @dataclass(frozen=True)
@@ -557,8 +585,10 @@ def pretty_print_program(program: Program) -> str:
 
 # ---------------------------------------------------------------------------
 # Name handling: walks that only collect names fold over ``scopes``.
-# ``substitute`` rebuilds terms, and ``canonical_form`` must meet names in a
-# fixed order that numbers hidden channels, so both walk terms themselves.
+# ``substitute`` rebuilds terms; the semantics resolves names through an
+# environment per component instead and substitutes only to display one.
+# ``canonical_form`` must meet names in a fixed order that numbers hidden
+# channels. Both walk terms themselves.
 # ---------------------------------------------------------------------------
 
 def scopes(term: ProcessTerm) -> tuple:
@@ -607,10 +637,7 @@ def _head_names(term: ProcessTerm) -> frozenset[str]:
 
 def free_names(term: ProcessTerm) -> frozenset[str]:
     """Free value names of a term; process names in calls are not included."""
-    names = _head_names(term)
-    for binders, sub in scopes(term):
-        names = names.union(free_names(sub).difference(binders))
-    return names
+    return term.free_names
 
 
 def fresh_name(base: str, avoid) -> str:

@@ -57,7 +57,6 @@ from cqpkit.syntax import (
     TupleExpr,
     Var,
     canonical_form,
-    free_names,
     parse_program,
     substitute,
 )
@@ -745,9 +744,10 @@ def random_typed_program(rng: random.Random):
 # ---------------------------------------------------------------------------
 
 def canonical_key_oracle(config) -> tuple:
-    """``semantics.canonical_key`` by walking each component's whole term
-    with ``canonical_form`` and resolving every free-name occurrence as the
-    walk meets it, instead of filling in a cached key template."""
+    """``semantics.canonical_key`` by walking each component's display term,
+    its term with its environment substituted, with ``canonical_form`` and
+    resolving every free-name occurrence as the walk meets it, instead of
+    filling in a term's cached key template through the environment."""
     hidden: dict[int, str] = {}
 
     def resolve(name: str) -> str:
@@ -764,18 +764,20 @@ def canonical_key_oracle(config) -> tuple:
             return "(" + ",".join(str(b) for b in v) + ")"
         return f"b{v}"
 
-    forms = tuple(canonical_form(c.term, resolve) for c in config.procs)
+    forms = tuple(canonical_form(substitute(term, env), resolve) for term, env in config.procs)
     return (config.qstate.num_qubits, forms)
 
 
 def check_ownership_oracle(config) -> set[int]:
-    """``Configuration.check_ownership`` by recomputing ``free_names`` of each
-    component's term instead of reading the cached names."""
+    """``Configuration.check_ownership`` by walking each component's display
+    term, its term with its environment substituted, with
+    ``free_names_oracle`` instead of reading a term's cached free names
+    through the environment."""
     owned: set[int] = set()
-    for c in config.procs:
+    for term, env in config.procs:
         mine = {
             config.bindings[n].qid
-            for n in free_names(c.term)
+            for n in free_names_oracle(substitute(term, env))
             if isinstance(config.bindings.get(n), QubitVal)
         }
         if owned & mine:

@@ -42,17 +42,30 @@ def test_span_tracer_installs():
     assert int(result.stdout) > 0
 
 
-@pytest.mark.parametrize("workload", ["chain", "congruence", "simulate"])
-def test_one_benchmark_round_passes_its_output_checks(workload):
+def run_one_round(workload: str, trace: int) -> dict:
+    """The summary ``bench/run.py`` prints after one round of ``workload``."""
     result = subprocess.run(
         [sys.executable, str(REPO / "bench" / "run.py"),
-         "--workload", workload, "--seconds", "0", "--trace", "0"],
+         "--workload", workload, "--seconds", "0", "--trace", str(trace)],
         capture_output=True,
         text=True,
         check=False,
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    summary = json.loads(result.stdout.splitlines()[-1])
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", ["chain", "congruence", "simulate"])
+def test_one_benchmark_round_passes_its_output_checks(workload):
+    summary = run_one_round(workload, trace=0)
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+
+
+def test_one_traced_round_passes_its_output_checks():
+    """Under ``--trace 1`` every wrapped function runs inside a span, so a
+    change in how ``semantics`` calls them shows here."""
+    summary = run_one_round("simulate", trace=1)
     assert summary["correct"] is True
     assert summary["failed"] == 0

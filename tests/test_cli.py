@@ -380,6 +380,30 @@ def test_equiv_same_named_entries_with_different_channel_types(tmp_path, capsys)
     assert "different channel types" in err
 
 
+def test_hidden_channel_sent_on_a_visible_channel_is_refused(tmp_path, capsys):
+    """The semantics keeps a restricted channel hidden after it is sent, so
+    it cannot model scope extrusion. Labelling the output with the raw
+    channel id made P and Q differ only in how many channels they had
+    made."""
+    for name, term in (
+        ("P", "(new x) (x![0] . 0 | d![x] . 0)"),
+        ("Q", "(new y) (new x) (x![0] . 0 | d![x] . 0)"),
+    ):
+        (tmp_path / f"{name}.cqp").write_text(f"//: {name} : ^[^[Bit]]\n{name}(d) = {term}\n")
+    code, out, err = run_cli(capsys, "equiv", str(tmp_path / "P.cqp"), str(tmp_path / "Q.cqp"))
+    assert code == 2
+    assert out == ""
+    assert "scope extrusion" in err
+
+
+def test_visible_channel_sent_as_payload_is_labelled(tmp_path, capsys):
+    source = tmp_path / "send.cqp"
+    source.write_text("//: V : ^[Bit], ^[^[Bit]]\nV(c, d) = d![c] . 0\n")
+    code, out, _err = run_cli(capsys, "explore", str(source), "--json")
+    assert code == 0
+    assert [e["label"] for e in json.loads(out)["edges"]] == ["d![#chan0]"]
+
+
 @pytest.mark.parametrize("argv", [("equiv", "{f}", "{id}"), ("equiv", "{id}", "{f}")])
 def test_equiv_without_signature_exits_2(tmp_path, capsys, argv):
     bare = tmp_path / "bare.cqp"

@@ -1,6 +1,7 @@
 """Fast paths of ``syntax`` and ``semantics`` against the slow paths they replace.
 
-Each ``Component`` computes its free names and key template once; a step
+A running component is its program's own term under an environment, and
+each term node computes its free names and key template once; a step
 shares the components it leaves unchanged. These tests explore the corpus,
 every entry of ``bench/workloads.chain_source(2, GATES)`` and 300 random
 well-typed programs under both digest test sets and both ``reduce`` values,
@@ -94,7 +95,7 @@ def test_shared_qubit_rejected_like_the_term_walk():
         config,
         qstate=StateVector.from_amplitudes([1.0, 0.0]),
         bindings={**config.bindings, "q": QubitVal(0)},
-        procs=_flatten(parse_process("(c![q] . 0 | {q *= H} . 0)"), program),
+        procs=_flatten(parse_process("(c![q] . 0 | {q *= H} . 0)"), {}, program),
     )
     with pytest.raises(OwnershipViolation):
         check_ownership_oracle(shared)

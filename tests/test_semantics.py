@@ -6,12 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from cqpkit import corpus, qstate, semantics
+from cqpkit import corpus, qstate, semantics, syntax
 from cqpkit.equiv import branching_bisim, check_equivalence, input_instantiations
 from cqpkit.semantics import (
     DEFAULT_TEST_QUBITS,
     CommLabel,
-    Component,
     ExplorationLimitError,
     OwnershipViolation,
     ProbLabel,
@@ -341,7 +340,7 @@ def test_no_configuration_holds_a_call():
             plts = explore(config, alphabet=alphabet, reduce=reduce)
             for s in plts.states:
                 if s.config is not None:
-                    assert not any(isinstance(c.term, Call) for c in s.config.procs)
+                    assert not any(isinstance(term, Call) for term, _env in s.config.procs)
 
 
 def test_reduction_bisimilar_on_corpus_and_chains():
@@ -521,7 +520,7 @@ def test_canonical_key_identifies_alpha_variants(teleport_program):
     renamed = dataclasses.replace(
         config,
         procs=tuple(
-            Component(substitute(c.term, {"a": "left", "b": "right"})) for c in config.procs
+            (substitute(term, {"a": "left", "b": "right"}), env) for term, env in config.procs
         ),
         bindings={
             "left": config.bindings["a"],
@@ -531,34 +530,72 @@ def test_canonical_key_identifies_alpha_variants(teleport_program):
     assert canonical_key(renamed) == canonical_key(config)
 
 
-def test_free_names_computed_once_per_component(monkeypatch):
-    """A step costs what it changes: ``free_names`` runs at most once for
-    each component ``_flatten`` makes, and never again for a component that
-    a successor shares with its parent, however many ownership checks and
-    keys read it."""
-    made, walked = [], []
-    real_free_names = semantics.free_names
-
-    class CountedComponent(semantics.Component):
-        __slots__ = ()
-
-        def __init__(self, term):
-            made.append(term)
-            super().__init__(term)
-
-    def counted_free_names(term):
-        walked.append(term)
-        return real_free_names(term)
-
-    monkeypatch.setattr(semantics, "Component", CountedComponent)
-    monkeypatch.setattr(semantics, "free_names", counted_free_names)
+def test_running_renames_no_term_and_walks_each_node_once(monkeypatch):
+    """A component is its program's own term under an environment, so
+    exploring never calls ``substitute``, and the free names (a fold over
+    ``scopes``) and the key template (one ``canonical_form``) of a term node
+    are computed at most once, however many configurations share it."""
     source = chain_source(2)
     program, signatures = parse_program(source), parse_signatures(source)
     config = initial_configuration(program, "Chain2", signatures=signatures)
     alphabet = semantics.input_alphabet(program, "Chain2", signatures["Chain2"], DEFAULT_TEST_QUBITS)
+    substituted, scoped, formed = [], [], []
+
+    def counted(calls, real):
+        def wrapper(term, *args):
+            calls.append(term)
+            return real(term, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(semantics, "substitute", counted(substituted, semantics.substitute))
+    monkeypatch.setattr(syntax, "scopes", counted(scoped, syntax.scopes))
+    monkeypatch.setattr(syntax, "canonical_form", counted(formed, syntax.canonical_form))
     plts = explore(config, alphabet=alphabet)
     assert len(plts.states) > 50
-    assert 0 < len(walked) <= len(made)
+    assert substituted == []
+    assert formed
+    for calls in (scoped, formed):
+        assert len({id(term) for term in calls}) == len(calls)
+
+
+def equivalent(left: str, right: str, reduce: bool) -> bool:
+    """Whether the entries ``L`` of ``left`` and ``R`` of ``right``, each a
+    program with signatures, are bisimilar when both are explored with
+    ``reduce`` and every input value enabled at once."""
+    (pa, sa), (pb, sb) = ((parse_program(s), parse_signatures(s)) for s in (left, right))
+    alphabet = {
+        **semantics.input_alphabet(pa, "L", sa["L"], DEFAULT_TEST_QUBITS),
+        **semantics.input_alphabet(pb, "R", sb["R"], DEFAULT_TEST_QUBITS),
+    }
+    return branching_bisim(
+        explore(initial_configuration(pa, "L", signatures=sa), alphabet=alphabet, reduce=reduce),
+        explore(initial_configuration(pb, "R", signatures=sb), alphabet=alphabet, reduce=reduce),
+    ).equivalent
+
+
+CAPTURE = """//: Foo : ^[Bit]
+//: L : ^[Bit]
+Foo(x) = (new a) (a![1] . 0 | a?[z] . x![z] . 0)
+L(a) = Foo(a)
+"""
+SHADOW = "//: L : ^[Bit], ^[Bit]\nL(c,d) = c?[x] . c?[x] . d![x] . 0\n"
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        # The call passes ``a`` into a body that binds its own ``a``.
+        (CAPTURE, "//: R : ^[Bit]\nR(a) = (new c) (c![1] . 0 | c?[z] . a![z] . 0)", True),
+        (CAPTURE, "//: R : ^[Bit]\nR(a) = (new c) (c![0] . 0 | c?[z] . a![z] . 0)", False),
+        # The second input shadows the first; both values are offered on c.
+        (SHADOW, "//: R : ^[Bit], ^[Bit]\nR(c,d) = c?[y] . c?[x] . d![x] . 0", True),
+        (SHADOW, "//: R : ^[Bit], ^[Bit]\nR(c,d) = c?[x] . c?[y] . d![x] . 0", False),
+    ],
+)
+def test_captured_and_shadowed_names_resolve_to_their_binders(left, right, expected, reduce):
+    assert equivalent(left, right, reduce) is expected
 
 
 def test_canonical_key_ignores_bracketing_and_finished_components():
