@@ -16,9 +16,11 @@ transition system (PLTS) whose states alternate between nondeterministic
 choice and probability distributions; ``run_sampled`` walks one seeded
 path for simulation.
 
-Communication is synchronous (handshake), as in pi-calculus. A measurement
-sitting inside an output payload is forced first as an internal
-probabilistic step; the send then carries the classical result.
+Communication is synchronous (handshake), as in pi-calculus. A payload is
+a flat list of expressions. Before an output can send, the leftmost
+``measure x̃`` in its payload is forced as an internal probabilistic step,
+which puts one bit literal per measured qubit in its place; the send then
+carries the classical results.
 
 External interactions happen on visible channels only. Inputs are
 instantiated from a finite alphabet of injectable values; qubit inputs come
@@ -71,7 +73,6 @@ from .syntax import (
     Program,
     QbitAlloc,
     SigmaGate,
-    TupleExpr,
     Var,
     free_names,
     scopes,
@@ -385,34 +386,11 @@ def _eval_slots(config: Configuration, env: dict, exprs) -> list:
                 slots.extend(v)
             else:
                 slots.append(v)
-        elif isinstance(e, TupleExpr):
-            slots.extend(_eval_slots(config, env, e.items))
         elif isinstance(e, MeasureExpr):
             raise RuntimeProcessError("unforced measurement in payload")
         else:
             raise TypeError(f"not an expression: {e!r}")
     return slots
-
-
-def _measure_path(exprs) -> tuple | None:
-    """Index path to the leftmost measurement of a payload, through nested
-    tuples, or None when the payload has none."""
-    for i, e in enumerate(exprs):
-        if isinstance(e, MeasureExpr):
-            return (i,)
-        if isinstance(e, TupleExpr):
-            inner = _measure_path(e.items)
-            if inner is not None:
-                return (i,) + inner
-    return None
-
-
-def _splice(exprs, path: tuple, lit) -> tuple:
-    """``exprs`` with the expression at index ``path`` replaced by ``lit``."""
-    i = path[0]
-    if len(path) > 1:
-        lit = TupleExpr(items=_splice(exprs[i].items, path[1:], lit))
-    return exprs[:i] + (lit,) + exprs[i + 1 :]
 
 
 def _advance(
@@ -630,19 +608,16 @@ def step(
             continue
 
         if isinstance(head, Output):
-            measured = _measure_path(head.payload)
-            if measured is not None:
-                exprs = head.payload
-                for k in measured[:-1]:
-                    exprs = exprs[k].items
-                qids = _qubit_ids(config, env, exprs[measured[-1]].names)
+            payload = head.payload
+            k = next((k for k, e in enumerate(payload) if isinstance(e, MeasureExpr)), None)
+            if k is not None:
+                qids = _qubit_ids(config, env, payload[k].names)
                 dist = []
                 for o in qstate.measure(config.qstate, qids):
                     bits = tuple(BitLit(value=b) for b in o.result)
-                    lit = bits[0] if len(bits) == 1 else TupleExpr(items=bits)
                     new_head = Output(
                         channel=head.channel,
-                        payload=_splice(head.payload, measured, lit),
+                        payload=payload[:k] + bits + payload[k + 1 :],
                         continuation=head.continuation,
                         pos=head.pos,
                     )

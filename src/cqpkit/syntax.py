@@ -15,9 +15,12 @@ Surface syntax (files use extension ``.cqp``, UTF-8, ``//`` line comments):
     gate    := "H" | "X" | "Z" | "CNot" | "I" | "sigma" "[" NAME "]"
     expr    := NAME | "0" | "1" | "measure" names | "(" exprs ")"
 
-``measure`` greedily takes every following comma-separated name, matching
-the usual rendering ``out![measure u,q]``. Calls may not be recursive
-(directly or mutually); programs are finite unfoldings by construction.
+A payload is a flat list of expressions: ``"(" exprs ")"`` only groups,
+and its items are spliced into the payload around it, so ``c![(0, x), y]``
+is ``c![0, x, y]``. ``measure`` greedily takes every following
+comma-separated name up to the next ``measure``, matching the usual
+rendering ``out![measure u,q]``. Calls may not be recursive (directly or
+mutually); programs are finite unfoldings by construction.
 
 Lines starting with ``//:`` are type-signature sidecars; the parser skips
 them like any comment and the type checker reads them separately.
@@ -72,11 +75,6 @@ class BitLit(Expression):
 @dataclass(frozen=True)
 class MeasureExpr(Expression):
     names: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class TupleExpr(Expression):
-    items: tuple[Expression, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -355,44 +353,46 @@ class _Parser:
         channel = self._expect("NAME").text
         self._expect("!")
         self._expect("[")
-        payload = [self._expr()]
-        while self._at(","):
-            self.i += 1
-            payload.append(self._expr())
+        payload = self._exprs()
         self._expect("]")
         self._expect(".")
         cont = self._proc()
-        return Output(channel=channel, payload=tuple(payload), continuation=cont, pos=pos)
+        return Output(channel=channel, payload=payload, continuation=cont, pos=pos)
 
-    def _expr(self) -> Expression:
+    def _exprs(self) -> tuple[Expression, ...]:
+        items = self._expr()
+        while self._at(","):
+            self.i += 1
+            items += self._expr()
+        return items
+
+    def _expr(self) -> tuple[Expression, ...]:
+        """One expression, or the items of a parenthesized list."""
         pos = self._here()
         if self._at("BIT"):
-            return BitLit(value=int(self._expect("BIT").text), pos=pos)
+            return (BitLit(value=int(self._expect("BIT").text), pos=pos),)
         if self._at("NAME", "measure"):
             self.i += 1
-            # Greedy over names, but a comma followed by a non-name belongs
-            # to the enclosing payload list.
+            # Greedy over names, but a comma followed by a non-name or by
+            # another ``measure`` belongs to the enclosing payload list.
             names = [self._expect("NAME").text]
             while self._at(",") and (
-                (nxt := self._peek(1)) is not None and nxt.kind == "NAME"
+                (nxt := self._peek(1)) is not None
+                and nxt.kind == "NAME"
+                and nxt.text != "measure"
             ):
                 self.i += 1
                 names.append(self._expect("NAME").text)
             if len(set(names)) != len(names):
                 raise ParseError("measure names must be distinct", *pos)
-            return MeasureExpr(names=tuple(names), pos=pos)
+            return (MeasureExpr(names=tuple(names), pos=pos),)
         if self._at("("):
             self.i += 1
-            items = [self._expr()]
-            while self._at(","):
-                self.i += 1
-                items.append(self._expr())
+            items = self._exprs()
             self._expect(")")
-            if len(items) == 1:
-                return items[0]  # plain grouping, not a 1-tuple
-            return TupleExpr(items=tuple(items), pos=pos)
+            return items
         if self._at("NAME"):
-            return Var(name=self._expect("NAME").text, pos=pos)
+            return (Var(name=self._expect("NAME").text, pos=pos),)
         self._error("expected an expression")
 
     def _action(self, pos: Pos) -> GateAction:
@@ -525,8 +525,6 @@ def pretty_expr(e: Expression) -> str:
         return str(e.value)
     if isinstance(e, MeasureExpr):
         return "measure " + ",".join(e.names)
-    if isinstance(e, TupleExpr):
-        return "(" + pretty_payload(e.items) + ")"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -615,8 +613,6 @@ def _expr_names(e: Expression) -> frozenset[str]:
         return frozenset()
     if isinstance(e, MeasureExpr):
         return frozenset(e.names)
-    if isinstance(e, TupleExpr):
-        return frozenset().union(*(_expr_names(x) for x in e.items)) if e.items else frozenset()
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -658,8 +654,6 @@ def _subst_expr(e: Expression, mapping: dict[str, str]) -> Expression:
         return e
     if isinstance(e, MeasureExpr):
         return MeasureExpr(names=tuple(mapping.get(n, n) for n in e.names), pos=e.pos)
-    if isinstance(e, TupleExpr):
-        return TupleExpr(items=tuple(_subst_expr(x, mapping) for x in e.items), pos=e.pos)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -760,8 +754,6 @@ def canonical_form(term: ProcessTerm, free) -> str:
             return f"b{e.value}"
         if isinstance(e, MeasureExpr):
             return "m(" + ",".join(name(n, env) for n in e.names) + ")"
-        if isinstance(e, TupleExpr):
-            return "(" + ",".join(expr(x, env) for x in e.items) + ")"
         raise TypeError(f"not an expression: {e!r}")
 
     def bind(binders, env: dict) -> dict:

@@ -7,7 +7,10 @@ consuming it, so it can be transformed and then sent. Parallel composition
 must split qubit names disjointly between its components. A qubit may be
 silently dropped at ``0`` (affine at termination: discarding is not cloning).
 
-Classical bits and channels are unrestricted.
+Classical bits and channels are unrestricted. One input binder may receive
+a payload of k > 1 bits; it then stands for those k ``Bit`` slots wherever
+it is used: it adds k slots to a payload, a ``sigma[r]`` index must be
+exactly two of them, and it is not a channel.
 
 Process signatures are supplied externally, via sidecar comment lines:
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .qstate import standard_gate
 from .syntax import (
     BitLit,
     Call,
@@ -39,7 +43,6 @@ from .syntax import (
     ProcessTerm,
     Program,
     QbitAlloc,
-    TupleExpr,
     Var,
     free_names,
 )
@@ -50,8 +53,6 @@ QUBIT_USED_AFTER_SEND = "QubitUsedAfterSend"
 UNBOUND_NAME = "UnboundName"
 CHANNEL_ARITY_MISMATCH = "ChannelArityMismatch"
 PAYLOAD_TYPE_MISMATCH = "PayloadTypeMismatch"
-
-_GATE_ARITY = {"I": 1, "X": 1, "Z": 1, "H": 1, "CNot": 2}
 
 
 class SignatureError(Exception):
@@ -98,7 +99,9 @@ class _ChanVar:
 
 @dataclass
 class Binding:
-    type: object  # TypeExpr or _ChanVar
+    # A TypeExpr, a _ChanVar, or a tuple of k BIT slots for one binder that
+    # packs a k-bit payload.
+    type: object
     consumed: bool = False
 
 
@@ -194,6 +197,10 @@ def _resolve(t):
     return t.resolved if isinstance(t, _ChanVar) and t.resolved is not None else t
 
 
+def _show(t) -> str:
+    return "[" + ",".join(map(str, t)) + "]" if isinstance(t, tuple) else str(t)
+
+
 def _copy_env(env: TypeEnv) -> TypeEnv:
     # Shallow-copies bindings; unresolved channel variables stay shared so
     # inference in one parallel branch is visible in the other.
@@ -238,16 +245,11 @@ class _Checker:
             if isinstance(t, QbitType):
                 self.use_qubit(e.name, env, e.pos, consume=True, what="sending it")
                 return [QBIT]
-            return [t]
+            return list(t) if isinstance(t, tuple) else [t]
         if isinstance(e, MeasureExpr):
             for n in e.names:
                 self.use_qubit(n, env, e.pos, consume=True, what="measuring it")
             return [BIT] * len(e.names)
-        if isinstance(e, TupleExpr):
-            slots = []
-            for item in e.items:
-                slots.extend(self.expr_slots(item, env))
-            return slots
         raise TypeError(f"not an expression: {e!r}")
 
     def channel_of(self, name: str, env: TypeEnv, pos: Pos | None):
@@ -257,7 +259,7 @@ class _Checker:
             self.report(UNBOUND_NAME, f"{name!r} is not bound", pos)
             return None
         t = _resolve(b.type)
-        if isinstance(t, (QbitType, BitType)):
+        if isinstance(t, (QbitType, BitType, tuple)):
             self.report(PAYLOAD_TYPE_MISMATCH, f"{name!r} is not a channel", pos)
             return None
         return b
@@ -278,7 +280,7 @@ class _Checker:
                     isinstance(t, BitType) for t in carried
                 ):
                     # One binder packs a multi-bit classical payload.
-                    env[term.binders[0]] = Binding(BIT)
+                    env[term.binders[0]] = Binding(carried)
                 else:
                     self.report(
                         CHANNEL_ARITY_MISMATCH,
@@ -333,7 +335,7 @@ class _Checker:
                 seen.add(t)
                 self.use_qubit(t, env, term.pos, consume=False, what="a gate action")
             if isinstance(term.gate, FixedGate):
-                arity = _GATE_ARITY[term.gate.name]
+                arity = standard_gate(term.gate.name).arity
                 if len(term.targets) != arity:
                     self.report(
                         PAYLOAD_TYPE_MISMATCH,
@@ -350,10 +352,10 @@ class _Checker:
                 idx = env.get(term.gate.index_var)
                 if idx is None:
                     self.report(UNBOUND_NAME, f"{term.gate.index_var!r} is not bound", term.pos)
-                elif not isinstance(_resolve(idx.type), BitType):
+                elif (got := _resolve(idx.type)) != (BIT, BIT):
                     self.report(
                         PAYLOAD_TYPE_MISMATCH,
-                        f"sigma index {term.gate.index_var!r} is not classical",
+                        f"sigma index {term.gate.index_var!r} must hold two bits, got {_show(got)}",
                         term.pos,
                     )
             return self.check(term.continuation, env)
@@ -413,29 +415,12 @@ class _Checker:
                 if got != want:
                     self.report(
                         PAYLOAD_TYPE_MISMATCH,
-                        f"argument {arg!r} of {term.process!r} expects {want}, got {got}",
+                        f"argument {arg!r} of {term.process!r} expects {want}, got {_show(got)}",
                         term.pos,
                     )
             return env
 
         raise TypeError(f"not a process term: {term!r}")
-
-
-def infer_usage(
-    term: ProcessTerm,
-    env: TypeEnv,
-    signatures: dict[str, tuple] | None = None,
-    diagnostics: list[Diagnostic] | None = None,
-) -> TypeEnv:
-    """Run the usage analysis over one term, returning the final environment.
-
-    Diagnostics, if any, are appended to the optional ``diagnostics`` list.
-    """
-    checker = _Checker(signatures or {})
-    out = checker.check(term, env)
-    if diagnostics is not None:
-        diagnostics.extend(checker.diagnostics)
-    return out
 
 
 def typecheck_program(program: Program, signatures: dict[str, tuple]) -> list[Diagnostic]:

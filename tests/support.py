@@ -54,7 +54,6 @@ from cqpkit.syntax import (
     Program,
     QbitAlloc,
     SigmaGate,
-    TupleExpr,
     Var,
     canonical_form,
     parse_program,
@@ -380,17 +379,18 @@ def refine_partition(graph) -> list[int]:
 _NAMES = ("a", "b", "c", "x", "y", "z", "w")
 
 
-def random_expression(rng: random.Random) -> object:
+def random_expressions(rng: random.Random) -> tuple:
+    """One payload item, or the two a parenthesized ``(0, name)`` splices in."""
     roll = rng.random()
     if roll < 0.45:
-        return Var(name=rng.choice(_NAMES))
+        return (Var(name=rng.choice(_NAMES)),)
     if roll < 0.65:
-        return BitLit(value=rng.randint(0, 1))
+        return (BitLit(value=rng.randint(0, 1)),)
     if roll < 0.85:
         k = rng.randint(1, 2)
         names = rng.sample(_NAMES, k)
-        return MeasureExpr(names=tuple(names))
-    return TupleExpr(items=(BitLit(value=0), Var(name=rng.choice(_NAMES))))
+        return (MeasureExpr(names=tuple(names)),)
+    return (BitLit(value=0), Var(name=rng.choice(_NAMES)))
 
 
 def random_term(rng: random.Random, depth: int = 3) -> ProcessTerm:
@@ -404,7 +404,7 @@ def random_term(rng: random.Random, depth: int = 3) -> ProcessTerm:
         binders = tuple(rng.sample(_NAMES, rng.randint(1, 2)))
         return Input(channel=rng.choice(_NAMES), binders=binders, continuation=cont)
     if roll < 0.4:
-        payload = tuple(random_expression(rng) for _ in range(rng.randint(1, 2)))
+        payload = sum((random_expressions(rng) for _ in range(rng.randint(1, 2))), ())
         return Output(channel=rng.choice(_NAMES), payload=payload, continuation=cont)
     if roll < 0.55:
         gate = (
@@ -490,8 +490,6 @@ def perturb(term: ProcessTerm, rng: random.Random) -> ProcessTerm:
             return Var(name=name(e.name, bound))
         if isinstance(e, MeasureExpr):
             return MeasureExpr(names=tuple(name(n, bound) for n in e.names))
-        if isinstance(e, TupleExpr):
-            return TupleExpr(items=tuple(expr(x, bound) for x in e.items))
         return e
 
     def widened(binders: tuple) -> tuple:
@@ -562,10 +560,6 @@ def alpha_equivalent_oracle(a: ProcessTerm, b: ProcessTerm) -> bool:
         if isinstance(x, MeasureExpr):
             return len(x.names) == len(y.names) and all(
                 env_a.get(n, n) == env_b.get(m, m) for n, m in zip(x.names, y.names)
-            )
-        if isinstance(x, TupleExpr):
-            return len(x.items) == len(y.items) and all(
-                expr_eq(i, j, env_a, env_b) for i, j in zip(x.items, y.items)
             )
         return False
 
@@ -892,8 +886,6 @@ def _expr_names_oracle(e) -> frozenset[str]:
         return frozenset({e.name})
     if isinstance(e, MeasureExpr):
         return frozenset(e.names)
-    if isinstance(e, TupleExpr):
-        return frozenset().union(*(_expr_names_oracle(x) for x in e.items))
     return frozenset()
 
 

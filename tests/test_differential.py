@@ -7,7 +7,12 @@ every entry of ``bench/workloads.chain_source(2, GATES)`` and 300 random
 well-typed programs under both digest test sets and both ``reduce`` values,
 and check every explored configuration against the term walks in
 ``tests/support.py``. A golden digest, made before the caches existed,
-pins every state and edge of those explorations.
+pins every state and edge of those explorations. It was last regenerated
+when payloads became flat expression lists: the 52 explorations that hold
+Teleport changed because a forced ``measure u,q`` now keys as ``b0,b1``
+instead of ``(b0,b1)``. Their states and edges did not change: with each
+``canonical_key`` replaced by its first-occurrence number and the canonical
+form left out, all 1,288 digests were identical before and after.
 
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on

@@ -95,6 +95,17 @@ def test_pretty_print_matches_surface_forms():
     assert pretty_print(par) == "(A(x) | B(y))"
 
 
+def test_parenthesized_expressions_splice_into_the_payload():
+    grouped = parse_process("c![(0, measure x), measure y] . 0")
+    assert grouped == parse_process("c![0, measure x, measure y] . 0")
+    assert grouped.payload == (
+        BitLit(value=0),
+        MeasureExpr(names=("x",)),
+        MeasureExpr(names=("y",)),
+    )
+    assert pretty_print(grouped) == "c![0, (measure x), measure y] . 0"
+
+
 @pytest.mark.parametrize(
     "entry", [e for e in corpus.CORPUS], ids=lambda e: e.path
 )

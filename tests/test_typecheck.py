@@ -17,7 +17,7 @@ from cqpkit.typecheck import (
     Binding,
     ChannelType,
     SignatureError,
-    infer_usage,
+    _Checker,
     parse_signatures,
     typecheck_program,
 )
@@ -33,6 +33,16 @@ def check_source(source, signatures):
 
 def categories(diags):
     return [d.category for d in diags]
+
+
+def check_term(term, env, signatures=None, diagnostics=None):
+    """Run the usage analysis over one term, returning the final environment;
+    diagnostics, if any, are appended to ``diagnostics``."""
+    checker = _Checker(signatures or {})
+    out = checker.check(term, env)
+    if diagnostics is not None:
+        diagnostics.extend(checker.diagnostics)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +82,7 @@ def test_parallel_duplication_rejected():
 
 def test_infer_usage_nil_keeps_environment():
     env = {"q": Binding(QBIT), "c": Binding(QCHAN)}
-    out = infer_usage(Nil(), env)
+    out = check_term(Nil(), env)
     assert out is env
     assert not out["q"].consumed
 
@@ -80,7 +90,7 @@ def test_infer_usage_nil_keeps_environment():
 def test_infer_usage_send_consumes():
     term = parse_process("c![q] . 0")
     diags = []
-    env = infer_usage(term, {"q": Binding(QBIT), "c": Binding(QCHAN)}, diagnostics=diags)
+    env = check_term(term, {"q": Binding(QBIT), "c": Binding(QCHAN)}, diagnostics=diags)
     assert env["q"].consumed
     assert diags == []
 
@@ -90,7 +100,7 @@ def test_infer_usage_over_alice_body(teleport_program):
     alice = program.definition("Alice")
     env = {p: Binding(t) for p, t in zip(alice.params, signatures["Alice"])}
     diags = []
-    out = infer_usage(alice.body, env, signatures, diags)
+    out = check_term(alice.body, env, signatures, diags)
     assert diags == []
     # The final measure-and-send consumed both the received qubit's binder
     # (tracked inside the recursion) and the parameter qubit.
@@ -121,7 +131,7 @@ def test_duplicate_gate_target_rejected():
 
     term = GateAction(targets=("q", "q"), gate=FixedGate(name="CNot"), continuation=Nil())
     diags = []
-    infer_usage(term, {"q": Binding(QBIT)}, diagnostics=diags)
+    check_term(term, {"q": Binding(QBIT)}, diagnostics=diags)
     assert QUBIT_DUPLICATED in categories(diags)
 
 
@@ -170,6 +180,17 @@ def test_packed_classical_input_accepted(teleport_program):
         "P(c,q) = c?[r] . 0", {"P": (ChannelType((QBIT, QBIT)), QBIT)}
     )
     assert CHANNEL_ARITY_MISMATCH in categories(diags)  # qubits cannot pack
+    # The packed binder stands for its two bit slots wherever it is used.
+    two, one = ChannelType((BIT, BIT)), BCHAN
+    forward = "P(c,d) = c?[r] . d![r] . 0"
+    assert categories(check_source(forward, {"P": (two, one)})) == [CHANNEL_ARITY_MISMATCH]
+    assert check_source(forward, {"P": (two, two)}) == []
+    diags = check_source(
+        "P(c,d) = c?[r] . (qbit q) {q *= sigma[r]} . d![q] . 0", {"P": (one, QCHAN)}
+    )
+    assert [(d.category, d.message) for d in diags] == [
+        (PAYLOAD_TYPE_MISMATCH, "sigma index 'r' must hold two bits, got Bit")
+    ]
 
 
 def test_new_channel_type_inferred_from_first_use():
