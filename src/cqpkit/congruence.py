@@ -161,18 +161,6 @@ class CongruenceReport:
     skipped: list = field(default_factory=list)
     samples: list = field(default_factory=list)
 
-    def render(self) -> str:
-        lines = [
-            f"congruence samples: {self.total}, passed: {self.passed}, "
-            f"counterexamples: {len(self.counterexamples)}, skipped: {len(self.skipped)}"
-        ]
-        for s in self.counterexamples:
-            lines.append(f"  COUNTEREXAMPLE {s.context_name}: {s.detail}")
-            lines.append(f"    context: {s.context_source}")
-        for s in self.skipped:
-            lines.append(f"  skipped {s.context_name}: {s.detail}")
-        return "\n".join(lines)
-
 
 def _context_program(
     program: Program, signatures: dict, entry: str, context: ProcessContext
@@ -198,19 +186,15 @@ def check_congruence_samples(
     program_b: Program,
     entry_b: str,
     signatures_a: dict,
-    signatures_b: dict | None = None,
+    signatures_b: dict,
     seed: int = 0,
     count: int = 50,
-    test_qubits=semantics.DEFAULT_TEST_QUBITS,
-    max_states: int = semantics.DEFAULT_MAX_STATES,
 ) -> CongruenceReport:
     """Check ``C[A] ~ C[B]`` for ``count`` sampled contexts.
 
     Samples whose exploration exceeds the state or component cap are
     reported as skipped, not failed. This is sampling evidence, not a proof.
     """
-    if signatures_b is None:
-        signatures_b = signatures_a
     for entry, sigs in ((entry_a, signatures_a), (entry_b, signatures_b)):
         sig = sigs[entry]
         if tuple(sig) != (QUBIT_CHANNEL, QUBIT_CHANNEL):
@@ -235,16 +219,7 @@ def check_congruence_samples(
             report.samples.append(sample)
             continue
         try:
-            verdict = equiv.check_equivalence(
-                prog_a,
-                main_a,
-                prog_b,
-                main_b,
-                sigs_a,
-                sigs_b,
-                test_qubits=test_qubits,
-                max_states=max_states,
-            )
+            verdict = equiv.check_equivalence(prog_a, main_a, prog_b, main_b, sigs_a, sigs_b)
         except semantics.ExplorationLimitError as exc:
             sample = CongruenceSample(context.name, source, "skipped", str(exc))
             report.skipped.append(sample)

@@ -56,8 +56,6 @@ from . import semantics
 from .semantics import (
     PLTS,
     CommLabel,
-    PLTSEdge,
-    PLTSState,
     ProbLabel,
     Tau,
     render_label,
@@ -262,13 +260,11 @@ def _offer_probability(graph: _Graph, s: int, cls: int, target: int, class_of: l
 
 
 def _witness_for_split(graph, a, b, class_of, shapes, classes) -> Witness:
-    def sig_dist(s: int) -> tuple[frozenset, dict]:
-        kind, body = shapes[class_of[s]]
-        if kind == "prob":
-            return frozenset(), body
-        return body, {class_of[s]: 1.0}
-
-    (sig_a, da), (sig_b, db) = sig_dist(a), sig_dist(b)
+    """The first observable difference between initial states ``a`` and
+    ``b``. Both are nondeterministic and a class is interned by its
+    signature, so their signatures differ, and a label witness always
+    exists when no probabilistic one is found."""
+    sig_a, sig_b = shapes[class_of[a]][1], shapes[class_of[b]][1]
 
     def shown_label(cls: int) -> str:
         if cls == _TAU_CLASS:
@@ -294,25 +290,13 @@ def _witness_for_split(graph, a, b, class_of, shapes, classes) -> Witness:
                 right_probability=pb,
             )
 
-    if sig_a != sig_b:
-        diff = sorted(sig_a.symmetric_difference(sig_b))
-        cls, blk = diff[0]
-        side = "left" if (cls, blk) in sig_a else "right"
-        return Witness(
-            "label",
-            f"only the {side} process offers {shown_label(cls)} into block {blk}",
-            label=shown_label(cls),
-        )
-    for key in sorted(set(da) | set(db)):
-        pa, pb = da.get(key, 0.0), db.get(key, 0.0)
-        if abs(pa - pb) > PROB_TOL:
-            return Witness(
-                "probability",
-                f"probability of reaching block {key} differs: {pa:.6f} vs {pb:.6f}",
-                left_probability=pa,
-                right_probability=pb,
-            )
-    return Witness("label", "states separated by refinement")
+    cls, blk = min(sig_a ^ sig_b)
+    side = "left" if (cls, blk) in sig_a else "right"
+    return Witness(
+        "label",
+        f"only the {side} process offers {shown_label(cls)} into block {blk}",
+        label=shown_label(cls),
+    )
 
 
 def branching_bisim(p1: PLTS, p2: PLTS) -> EquivalenceVerdict:
@@ -321,59 +305,21 @@ def branching_bisim(p1: PLTS, p2: PLTS) -> EquivalenceVerdict:
     Both systems are classified in one bottom-up pass (``_classify``), and
     they are equivalent when their initial states share a class. The pass
     fixes a state's class from the classes of its successors, so the systems
-    must be acyclic; a cycle raises ``ValueError``. Probability masses are
+    must be acyclic; a cycle raises ``ValueError``. Both initial states must
+    be nondeterministic, as ``semantics.explore`` always makes them; a
+    probabilistic one raises ``ValueError`` too. Probability masses are
     compared after rounding to the ``PROB_TOL`` grid, which is transitive
     and independent of state numbering, but two masses closer than
     ``PROB_TOL`` still separate when a grid midpoint falls between them.
     """
     classes = _LabelClasses()
     graph, (a, b) = _build_graph([p1, p2], classes)
+    if "prob" in (graph.kinds[a], graph.kinds[b]):
+        raise ValueError("an initial state is probabilistic")
     class_of, shapes = _classify(graph)
     if class_of[a] == class_of[b]:
         return EquivalenceVerdict(True)
     return EquivalenceVerdict(False, _witness_for_split(graph, a, b, class_of, shapes, classes))
-
-
-def minimize(p: PLTS) -> PLTS:
-    """Quotient a PLTS by branching bisimilarity, dropping inert steps."""
-    classes = _LabelClasses()
-    graph, (initial,) = _build_graph([p], classes)
-    class_of, shapes = _classify(graph)
-
-    def rep_label(cls: int):
-        if cls == _TAU_CLASS:
-            return semantics.TAU
-        return classes.reps[cls]
-
-    # Breadth-first over quotient classes for stable state numbering.
-    order = [class_of[initial]]
-    index = {order[0]: 0}
-    edges_by_class: dict[int, list[tuple]] = {}
-    for c in order:
-        kind, body = shapes[c]
-        if kind == "prob":
-            outgoing = [(ProbLabel(prob), target) for target, prob in sorted(body.items())]
-        else:
-            outgoing = [
-                (rep_label(cls), target)
-                for cls, target in sorted(body, key=lambda item: (item[1], item[0]))
-                if cls != _TICK_CLASS
-            ]
-        edges_by_class[c] = outgoing
-        for _lbl, target in outgoing:
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-
-    states = []
-    edges = []
-    for c in order:
-        sid = index[c]
-        outgoing = edges_by_class[c]
-        states.append(PLTSState(sid, shapes[c][0], terminal=not outgoing, config=None))
-        for lbl, target in outgoing:
-            edges.append(PLTSEdge(sid, lbl, index[target]))
-    return PLTS(states, edges, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +341,14 @@ def input_instantiations(
     program_b,
     entry_b: str,
     signatures_a: dict,
-    signatures_b: dict | None = None,
-    test_qubits=semantics.DEFAULT_TEST_QUBITS,
+    signatures_b: dict,
+    test_qubits,
 ) -> list[dict]:
     """One alphabet per assignment of a single value tuple to each
     input-used external channel of either side; the equivalence is checked
     per instantiation and conjoined. Channel ids vary in ascending order,
     the last fastest, so the order (and the first failing instantiation)
-    is fixed. ``signatures_b`` defaults to ``signatures_a``."""
-    if signatures_b is None:
-        signatures_b = signatures_a
+    is fixed."""
     def_a = program_a.definition(entry_a)
     def_b = program_b.definition(entry_b)
     if len(def_a.params) != len(def_b.params):

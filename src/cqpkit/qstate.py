@@ -79,9 +79,6 @@ class StateVector:
         n = int(amps.shape[0]).bit_length() - 1
         return cls(n, amps)
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
     def __repr__(self):
         return f"StateVector({self.num_qubits}, {dirac(self)!r})"
 
@@ -186,9 +183,10 @@ def sigma_correction(bits: tuple[int, int]) -> Gate:
 
 
 def _prune(amps: np.ndarray) -> np.ndarray:
-    out = amps.copy()
-    out[np.abs(out) < PRUNE_TOL] = 0.0
-    return out
+    """Zero the amplitudes below ``PRUNE_TOL`` in place. Callers pass an
+    array they have just computed, which nothing else holds."""
+    amps[np.abs(amps) < PRUNE_TOL] = 0.0
+    return amps
 
 
 def append_qubits(state: StateVector, qubits) -> StateVector:

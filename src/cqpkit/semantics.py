@@ -106,7 +106,6 @@ class ExplorationLimitError(SemanticsError):
 
     def __init__(self, limit: int, what: str = "state"):
         super().__init__(f"bounded exploration exceeded the {what} cap of {limit}")
-        self.limit = limit
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +182,6 @@ def render_value(v) -> str:
         return "qubit"
     if isinstance(v, ChannelVal):
         return f"#chan{v.cid}"
-    if isinstance(v, tuple):
-        return "(" + ",".join(str(b) for b in v) + ")"
     return str(v)
 
 
@@ -386,8 +383,6 @@ def _eval_slots(config: Configuration, env: dict, exprs) -> list:
                 slots.extend(v)
             else:
                 slots.append(v)
-        elif isinstance(e, MeasureExpr):
-            raise RuntimeProcessError("unforced measurement in payload")
         else:
             raise TypeError(f"not an expression: {e!r}")
     return slots

@@ -17,8 +17,12 @@ Process signatures are supplied externally, via sidecar comment lines:
     //: Alice : Qbit, ^[Qbit], ^[Bit,Bit]
 
 where ``^[T,...]`` is a channel carrying the listed payload types. Channels
-bound by ``(new c)`` carry no annotation; their payload type is fixed by the
-first constraining use (a call argument or an output payload).
+bound by ``(new c)`` carry no annotation; a call argument or an output
+payload types one. Binders received on a channel not yet typed are guessed
+``Bit``, and a payload holding a guess types no channel. So a definition is
+checked in passes that keep the channel types found so far, until a pass
+guesses nothing; once a pass types no new channel, a last pass lets guesses
+type channels too. The verdict does not depend on component order.
 """
 
 from __future__ import annotations
@@ -83,6 +87,11 @@ QBIT = QbitType()
 BIT = BitType()
 
 TypeExpr = QbitType | BitType | ChannelType
+
+
+# The type of a binder received on a channel not yet typed: a ``Bit``, told
+# apart from ``BIT`` by identity only.
+_GUESS = BitType()
 
 
 class _ChanVar:
@@ -208,9 +217,14 @@ def _copy_env(env: TypeEnv) -> TypeEnv:
 
 
 class _Checker:
-    def __init__(self, signatures: dict[str, tuple]):
+    def __init__(self, signatures: dict[str, tuple], known: dict | None = None, final=True):
         self.signatures = signatures
         self.diagnostics: list[Diagnostic] = []
+        # Each ``(new c)`` channel, by ``id`` of its NewChannel term, kept
+        # across passes with the type that earlier passes found.
+        self.known = {} if known is None else known
+        self.final = final  # whether a guessed payload may type a channel
+        self.guessed = False
 
     def report(self, category: str, message: str, pos: Pos | None):
         line, col = pos or (0, 0)
@@ -291,9 +305,9 @@ class _Checker:
                     for binder in term.binders:
                         env[binder] = Binding(BIT)
             else:
-                # Unresolved channel: payload unknowable from binders alone.
+                self.guessed = True
                 for binder in term.binders:
-                    env[binder] = Binding(BIT)
+                    env[binder] = Binding(_GUESS)
             return self.check(term.continuation, env)
 
         if isinstance(term, Output):
@@ -304,7 +318,10 @@ class _Checker:
             if b is not None:
                 t = b.type
                 if isinstance(t, _ChanVar) and t.resolved is None:
-                    t.resolved = ChannelType(tuple(slots))
+                    if self.final or not any(s is _GUESS for s in slots):
+                        t.resolved = ChannelType(tuple(slots))
+                    else:
+                        self.guessed = True
                 else:
                     ctype = _resolve(t)
                     if len(ctype.payload) != len(slots):
@@ -316,7 +333,7 @@ class _Checker:
                         )
                     else:
                         for i, (want, got) in enumerate(zip(ctype.payload, slots)):
-                            if want != got:
+                            if _resolve(want) != got:
                                 self.report(
                                     PAYLOAD_TYPE_MISMATCH,
                                     f"payload slot {i} of {term.channel!r} expects {want}, got {got}",
@@ -366,7 +383,7 @@ class _Checker:
             return self.check(term.continuation, env)
 
         if isinstance(term, NewChannel):
-            env[term.binder] = Binding(_ChanVar())
+            env[term.binder] = Binding(self.known.setdefault(id(term), _ChanVar()))
             return self.check(term.continuation, env)
 
         if isinstance(term, Parallel):
@@ -434,8 +451,16 @@ def typecheck_program(program: Program, signatures: dict[str, tuple]) -> list[Di
                 f"signature for {d.name!r} lists {len(sig)} type(s) "
                 f"but the definition has {len(d.params)} parameter(s)"
             )
-    checker = _Checker(signatures)
+    diagnostics = []
     for d in program.definitions:
-        env = {p: Binding(t) for p, t in zip(d.params, signatures[d.name])}
-        checker.check(d.body, env)
-    return checker.diagnostics
+        known: dict[int, _ChanVar] = {}
+        final = False
+        while True:
+            typed = sum(v.resolved is not None for v in known.values())
+            checker = _Checker(signatures, known, final)
+            checker.check(d.body, {p: Binding(t) for p, t in zip(d.params, signatures[d.name])})
+            if final or not checker.guessed:
+                break
+            final = sum(v.resolved is not None for v in known.values()) == typed
+        diagnostics += checker.diagnostics
+    return diagnostics

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from cqpkit import corpus
-from cqpkit.equiv import _TAU_CLASS, PROB_TOL, labels_match
+from cqpkit.equiv import _TAU_CLASS, PROB_TOL
 from cqpkit.qstate import CapacityError
 from cqpkit.semantics import (
     BASIS_TEST_QUBITS,
@@ -237,64 +237,6 @@ def insert_tau(plts: PLTS, target: int) -> PLTS:
     edges.append(PLTSEdge(new_id, TAU, target))
     initial = new_id if plts.initial == target else plts.initial
     return PLTS(states, edges, initial)
-
-
-def plts_isomorphic(a: PLTS, b: PLTS) -> bool:
-    """Exact graph isomorphism respecting kinds, terminal flags and labels.
-
-    Backtracking matcher; intended for the small quotient systems produced
-    by ``equiv.minimize``. Labels match by ``equiv.labels_match``.
-    """
-    if len(a.states) != len(b.states) or len(a.edges) != len(b.edges):
-        return False
-    succ_a = a.successors()
-    succ_b = b.successors()
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def edge_match(e1: PLTSEdge, e2: PLTSEdge) -> bool:
-        if isinstance(e1.label, ProbLabel) != isinstance(e2.label, ProbLabel):
-            return False
-        if isinstance(e1.label, ProbLabel):
-            return abs(e1.label.probability - e2.label.probability) <= PROB_TOL
-        return labels_match(e1.label, e2.label)
-
-    def try_map(x: int, y: int) -> bool:
-        if x in mapping:
-            return mapping[x] == y
-        if y in used:
-            return False
-        sa, sb = a.states[x], b.states[y]
-        if sa.kind != sb.kind or sa.terminal != sb.terminal:
-            return False
-        ea, eb = succ_a[x], succ_b[y]
-        if len(ea) != len(eb):
-            return False
-        mapping[x] = y
-        used.add(y)
-
-        def assign(i: int, taken: set[int]) -> bool:
-            if i == len(ea):
-                return True
-            for j in range(len(eb)):
-                if j in taken or not edge_match(ea[i], eb[j]):
-                    continue
-                snapshot = dict(mapping), set(used)
-                if try_map(ea[i].dst, eb[j].dst) and assign(i + 1, taken | {j}):
-                    return True
-                mapping.clear()
-                mapping.update(snapshot[0])
-                used.clear()
-                used.update(snapshot[1])
-            return False
-
-        if assign(0, set()):
-            return True
-        del mapping[x]
-        used.discard(y)
-        return False
-
-    return try_map(a.initial, b.initial)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +732,7 @@ DIGEST_TEST_SETS = {"default": DEFAULT_TEST_QUBITS, "basis": BASIS_TEST_QUBITS}
 DIGEST_RANDOM_PROGRAMS = 300
 
 
-def _workloads():
+def bench_workloads():
     """``bench/workloads.py``, imported from the checkout."""
     if str(BENCH_DIR) not in sys.path:
         sys.path.insert(0, str(BENCH_DIR))
@@ -816,7 +758,7 @@ def digest_programs():
             continue
         program, signatures, _src = corpus.load_corpus_file(item.path)
         yield from _channel_entries(item.path, program, signatures)
-    workloads = _workloads()
+    workloads = bench_workloads()
     source = workloads.chain_source(2, workloads.GATES)
     yield from _channel_entries("chain2", parse_program(source), parse_signatures(source))
     for seed in range(DIGEST_RANDOM_PROGRAMS):
@@ -964,7 +906,7 @@ def name_walk_entries():
         if item.expectation == "typechecks":
             program, _signatures, _src = corpus.load_corpus_file(item.path)
             yield from ((f"{item.path}:{d.name}", program, d.name) for d in program.definitions)
-    workloads = _workloads()
+    workloads = bench_workloads()
     program = parse_program(workloads.chain_source(3, workloads.GATES))
     yield from ((f"chain3:{d.name}", program, d.name) for d in program.definitions)
     for seed in range(DIGEST_RANDOM_PROGRAMS):

@@ -157,17 +157,6 @@ def test_criterion_7_equivalence_checker_calibration(capsys):
     assert verdict.witness.kind == "probability"
 
     rng = random.Random(7)
-    pool = [random_plts(rng) for _ in range(20)]
-    program_t, sigs_t, _ = corpus.load_corpus_file("teleport.cqp")
-    pool.append(
-        explore(
-            initial_configuration(program_t, "Teleport", signatures=sigs_t),
-            alphabet={0: [(DEFAULT_TEST_QUBITS[3],)]},
-        )
-    )
-    for plts in pool:
-        assert equiv.branching_bisim(plts, equiv.minimize(plts)).equivalent
-
     checked = 0
     while checked < 20:
         plts = random_plts(rng)
@@ -180,8 +169,7 @@ def test_criterion_7_equivalence_checker_calibration(capsys):
     with capsys.disabled():
         report(
             7,
-            "coin vs deterministic: probability witness; 21 PLTSs equal their "
-            "minimizations; 20 tau insertions inert",
+            "coin vs deterministic: probability witness; 20 tau insertions inert",
         )
 
 

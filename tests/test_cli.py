@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cqpkit import cli
 from cqpkit.corpus import CORPUS, corpus_path
+from cqpkit.syntax import parse_process, parse_program
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +47,21 @@ def test_parse_error_exit_and_position(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "parse", str(bad))
     assert code == 1
     assert "bad.cqp:1:" in err
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in CORPUS if e.expectation == "typechecks"], ids=lambda e: e.path
+)
+def test_parse_json_round_trips_each_definition(capsys, entry):
+    program = parse_program(corpus_path(entry.path).read_text())
+    code, out, _err = run_cli(capsys, "parse", cpath(entry.path), "--json")
+    assert code == 0
+    printed = json.loads(out)["definitions"]
+    assert [(d["name"], tuple(d["params"])) for d in printed] == [
+        (d.name, d.params) for d in program.definitions
+    ]
+    for shown, d in zip(printed, program.definitions):
+        assert parse_process(shown["body"]) == d.body
 
 
 def test_typecheck_positive_and_negative(capsys):

@@ -1,4 +1,5 @@
-"""Probabilistic branching bisimilarity, minimization, label matching."""
+"""Probabilistic branching bisimilarity: verdicts, witnesses, label matching
+and the one-pass classes against a round-based refinement oracle."""
 
 import random
 from dataclasses import replace
@@ -16,7 +17,6 @@ from cqpkit.equiv import (
     check_equivalence,
     input_instantiations,
     labels_match,
-    minimize,
 )
 from cqpkit.semantics import (
     DEFAULT_TEST_QUBITS,
@@ -35,7 +35,6 @@ from cqpkit.typecheck import parse_signatures
 from support import (
     SQ2,
     insert_tau,
-    plts_isomorphic,
     random_plts,
     random_typed_program,
     refine_partition,
@@ -127,56 +126,6 @@ def test_coin_vs_deterministic_probability_witness(coin_program):
         [verdict.witness.left_probability, verdict.witness.right_probability]
     )
     assert abs(low - 0.5) <= 1e-9 and abs(high - 1.0) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Minimization
-# ---------------------------------------------------------------------------
-
-def test_minimize_compresses_tau_chain():
-    # Termination is tau-closed, so tau.tau.tau.0 collapses onto 0.
-    plts = chain(TAU, TAU, TAU)
-    small = minimize(plts)
-    assert len(small.states) == 1
-    assert branching_bisim(plts, small).equivalent
-
-
-def test_minimized_teleport_and_identity_have_same_shape(
-    teleport_program, identity_program
-):
-    program_t, sigs_t = teleport_program
-    program_i, sigs_i = identity_program
-    alphabet = {0: [(DEFAULT_TEST_QUBITS[2],)]}
-    plts_t = explore(
-        initial_configuration(program_t, "Teleport", signatures=sigs_t), alphabet=alphabet
-    )
-    plts_i = explore(
-        initial_configuration(program_i, "Identity", signatures=sigs_i), alphabet=alphabet
-    )
-    assert plts_isomorphic(minimize(plts_t), minimize(plts_i))
-
-
-def test_minimize_idempotent_on_generated_pool():
-    rng = random.Random(31)
-    for _ in range(20):
-        plts = random_plts(rng)
-        small = minimize(plts)
-        again = minimize(small)
-        assert plts_isomorphic(small, again)
-
-
-def test_every_plts_equivalent_to_its_minimization(teleport_program):
-    rng = random.Random(8)
-    pool = [random_plts(rng) for _ in range(10)]
-    program, signatures = teleport_program
-    pool.append(
-        explore(
-            initial_configuration(program, "Teleport", signatures=signatures),
-            alphabet={0: [(DEFAULT_TEST_QUBITS[1],)]},
-        )
-    )
-    for plts in pool:
-        assert branching_bisim(plts, minimize(plts)).equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +297,17 @@ def test_cyclic_input_is_rejected():
     )
     with pytest.raises(ValueError, match="transition system has a cycle"):
         branching_bisim(loop, chain())
-    with pytest.raises(ValueError, match="transition system has a cycle"):
-        minimize(loop)
+
+
+def test_probabilistic_initial_state_is_rejected():
+    coin = PLTS(
+        [PLTSState(0, "prob"), PLTSState(1, "nondet", True), PLTSState(2, "nondet", True)],
+        [PLTSEdge(0, ProbLabel(0.5), 1), PLTSEdge(0, ProbLabel(0.5), 2)],
+        0,
+    )
+    for a, b in ((coin, chain()), (chain(), coin)):
+        with pytest.raises(ValueError, match="an initial state is probabilistic"):
+            branching_bisim(a, b)
 
 
 def assert_classes_match_refinement(systems):
@@ -371,7 +329,9 @@ def test_one_pass_classes_match_round_based_refinement():
     for _ in range(200):
         program, signatures = random_typed_program(rng)
         config = initial_configuration(program, "Gen", signatures=signatures)
-        for alphabet in input_instantiations(program, "Gen", program, "Gen", signatures):
+        for alphabet in input_instantiations(
+            program, "Gen", program, "Gen", signatures, signatures, DEFAULT_TEST_QUBITS
+        ):
             reduced = explore(config, alphabet=alphabet)
             full = explore(config, alphabet=alphabet, reduce=False)
             assert_classes_match_refinement([reduced, full])

@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+so is every private name it defines at module level.
 
 No linter ships with the project, so this walks each module's syntax tree:
-an import left behind after its last use (a deleted AST node, say) fails
-here. ``__init__.py`` is skipped because it imports to re-export.
+an import or a ``_helper`` left behind after its last use (a deleted AST
+node, say) fails here. ``__init__.py`` is skipped because it imports to
+re-export.
 """
 
 import ast
@@ -29,11 +31,46 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def orphaned_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` definitions that the module never loads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = node.lineno
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"line {line}: {name}"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_orphaned_private_name(path):
+    assert orphaned_private_names(path.read_text()) == []
+
+
 def test_unused_import_is_caught():
     source = "import json\nfrom .syntax import Nil, Var\n\nprint(Nil)\n"
     assert unused_imports(source) == ["line 1: json", "line 2: Var"]
+
+
+def test_orphaned_private_name_is_caught():
+    source = "_A = 1\n_B: int = 2\n\n\ndef _f():\n    return _A\n\n\nclass _C:\n    pass\n"
+    assert orphaned_private_names(source) == ["line 2: _B", "line 5: _f", "line 9: _C"]

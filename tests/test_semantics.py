@@ -293,7 +293,9 @@ def chain_source(max_k: int) -> str:
 
 def assert_reduction_bisimilar(program, signatures, entry):
     config = initial_configuration(program, entry, signatures=signatures)
-    for alphabet in input_instantiations(program, entry, program, entry, signatures):
+    for alphabet in input_instantiations(
+        program, entry, program, entry, signatures, signatures, DEFAULT_TEST_QUBITS
+    ):
         reduced = explore(config, alphabet=alphabet)
         full = explore(config, alphabet=alphabet, reduce=False)
         verdict = branching_bisim(reduced, full)
@@ -329,7 +331,9 @@ def test_no_configuration_holds_a_call():
         for program, signatures, entry in itertools.chain(
             corpus_and_chain_entries(), random_entries()
         )
-        for alphabet in input_instantiations(program, entry, program, entry, signatures)
+        for alphabet in input_instantiations(
+            program, entry, program, entry, signatures, signatures, DEFAULT_TEST_QUBITS
+        )
     ]
     source = chain_source(3)
     program, signatures = parse_program(source), parse_signatures(source)
@@ -390,7 +394,9 @@ def explore_keeping_dead_qubits(config, alphabet, reduce):
 
 def assert_drop_bisimilar(program, signatures, entry):
     config = initial_configuration(program, entry, signatures=signatures)
-    for alphabet in input_instantiations(program, entry, program, entry, signatures):
+    for alphabet in input_instantiations(
+        program, entry, program, entry, signatures, signatures, DEFAULT_TEST_QUBITS
+    ):
         for reduce in (True, False):
             dropped = explore(config, alphabet=alphabet, reduce=reduce)
             kept = explore_keeping_dead_qubits(config, alphabet, reduce)

@@ -1,11 +1,12 @@
 """Linear type checker: no-cloning as a static guarantee."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from cqpkit import corpus, semantics
-from cqpkit.syntax import Nil, parse_process, parse_program
+from cqpkit import congruence, corpus, semantics
+from cqpkit.syntax import Nil, Parallel, Program, parse_process, parse_program
 from cqpkit.typecheck import (
     BIT,
     CHANNEL_ARITY_MISMATCH,
@@ -21,7 +22,7 @@ from cqpkit.typecheck import (
     parse_signatures,
     typecheck_program,
 )
-from support import random_typed_program
+from support import bench_workloads, random_typed_program
 
 QCHAN = ChannelType((QBIT,))
 BCHAN = ChannelType((BIT,))
@@ -193,9 +194,84 @@ def test_packed_classical_input_accepted(teleport_program):
     ]
 
 
-def test_new_channel_type_inferred_from_first_use():
-    source = "P(c,q) = (new d) (d![q] . 0 | d?[w] . c![w] . 0)"
-    assert check_source(source, {"P": (QCHAN, QBIT)}) == []
+SENT_QUBIT = "(qbit q) c![q] . 0"
+FORWARD_C = "c?[x] . d![x] . 0"
+RELAY_CE = "c?[x] . e![x] . 0"
+FORWARD_E = "e?[y] . d![y] . 0"
+SENT_E = "c![e] . 0"
+BIT_ON_X = "c?[x] . x![0] . 0"
+QUBIT_ON_X = "c?[x] . (qbit q) x![q] . 0"
+
+
+@pytest.mark.parametrize(
+    "source, signature, expected",
+    [
+        ("P(c,q) = (new d) (d![q] . 0 | d?[w] . c![w] . 0)", (QCHAN, QBIT), []),
+        # Each program below in both component orders. In one of them an input
+        # on c (or e, or x) comes before the output that types the channel.
+        (f"P(d) = (new c) ({FORWARD_C} | {SENT_QUBIT})", (QCHAN,), []),
+        (f"P(d) = (new c) ({SENT_QUBIT} | {FORWARD_C})", (QCHAN,), []),
+        (f"P(d) = (new c) ({FORWARD_C} | {SENT_QUBIT})", (BCHAN,), [PAYLOAD_TYPE_MISMATCH]),
+        (f"P(d) = (new c) ({SENT_QUBIT} | {FORWARD_C})", (BCHAN,), [PAYLOAD_TYPE_MISMATCH]),
+        (f"P(d) = (new c) (new e) ({RELAY_CE} | ({FORWARD_E} | {SENT_QUBIT}))", (QCHAN,), []),
+        (f"P(d) = (new c) (new e) ({SENT_QUBIT} | ({FORWARD_E} | {RELAY_CE}))", (QCHAN,), []),
+        (f"P(d) = (new c) (new e) ({SENT_E} | ({BIT_ON_X} | {FORWARD_E}))", (BCHAN,), []),
+        (f"P(d) = (new c) (new e) (({FORWARD_E} | {BIT_ON_X}) | {SENT_E})", (BCHAN,), []),
+        (
+            f"P(d) = (new c) (new e) ({SENT_E} | ({QUBIT_ON_X} | {FORWARD_E}))",
+            (BCHAN,),
+            [PAYLOAD_TYPE_MISMATCH],
+        ),
+        (
+            f"P(d) = (new c) (new e) (({FORWARD_E} | {QUBIT_ON_X}) | {SENT_E})",
+            (BCHAN,),
+            [PAYLOAD_TYPE_MISMATCH],
+        ),
+    ],
+)
+def test_new_channel_type_inferred_in_any_component_order(source, signature, expected):
+    assert categories(check_source(source, {"P": signature})) == expected
+
+
+def mirrored(term):
+    """``term`` with the two sides of every parallel composition swapped."""
+    if isinstance(term, Parallel):
+        return replace(term, left=mirrored(term.right), right=mirrored(term.left))
+    if getattr(term, "continuation", None) is not None:
+        return replace(term, continuation=mirrored(term.continuation))
+    return term
+
+
+def order_cases():
+    """Every corpus file, ``chain_source(3, GATES)`` and the 50 context
+    programs of the ``congruence`` workload (seed 2024), as (program,
+    signatures)."""
+    for entry in corpus.CORPUS:
+        program, signatures, _src = corpus.load_corpus_file(entry.path)
+        yield entry.path, program, signatures
+    workloads = bench_workloads()
+    source = workloads.chain_source(3, workloads.GATES)
+    yield "chain3", parse_program(source), parse_signatures(source)
+    program, signatures, _src = corpus.load_corpus_file("teleport.cqp")
+    rng = random.Random(2024)
+    for i in range(50):
+        context = congruence.generate_context(rng)
+        plugged, sigs, _main = congruence._context_program(
+            program, signatures, "Teleport", context
+        )
+        yield f"context{i}", plugged, sigs
+
+
+def test_diagnostics_do_not_depend_on_component_order():
+    assert mirrored(parse_process("(a![0] . 0 | (b![1] . 0 | 0))")) == parse_process(
+        "((0 | b![1] . 0) | a![0] . 0)"
+    )
+    for name, program, signatures in order_cases():
+        swapped = Program(
+            tuple(replace(d, body=mirrored(d.body)) for d in program.definitions)
+        )
+        want = sorted(categories(typecheck_program(program, signatures)))
+        assert sorted(categories(typecheck_program(swapped, signatures))) == want, name
 
 
 def test_checker_is_deterministic(teleport_program):
