@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or EQUIVALENT), 1 expected failure (diagnostics
 found, NOT EQUIVALENT, parse failure under ``parse``), 2 internal or input
-error, 64 usage error, 66 unreadable file, 70 state or component cap exceeded.
+error, 64 usage error, 66 unreadable file, 70 state, component or qubit cap
+exceeded.
 
 ``run``, ``explore`` and ``equiv`` type-check their programs first and
 print the diagnostics and exit 1 when the checker rejects one.
@@ -336,15 +337,10 @@ def main(argv=None) -> int:
         if exc.message:
             print(exc.message, file=sys.stderr)
         return exc.code
-    except semantics.ExplorationLimitError as exc:
+    except (semantics.ExplorationLimitError, qstate.CapacityError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP
-    except (
-        semantics.SemanticsError,
-        typecheck.SignatureError,
-        ParseError,
-        qstate.CapacityError,
-    ) as exc:
+    except (semantics.SemanticsError, typecheck.SignatureError, ParseError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
 

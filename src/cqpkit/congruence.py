@@ -201,15 +201,23 @@ def check_congruence_samples(
             raise ValueError(
                 f"context templates expect {entry!r} to expose two qubit channels"
             )
+    # Only a context's main definition is new, and the checker reads just the
+    # signatures of the processes it calls, so each base program is checked once.
+    base_a = typecheck.typecheck_program(program_a, signatures_a)
+    base_b = typecheck.typecheck_program(program_b, signatures_b)
     rng = random.Random(seed)
     report = CongruenceReport(total=count, passed=0)
     for _ in range(count):
         context = generate_context(rng)
         prog_a, sigs_a, main_a = _context_program(program_a, signatures_a, entry_a, context)
         prog_b, sigs_b, main_b = _context_program(program_b, signatures_b, entry_b, context)
-        source = pretty_print(prog_a.definition(main_a).body)
-        diags = typecheck.typecheck_program(prog_a, sigs_a) + typecheck.typecheck_program(
-            prog_b, sigs_b
+        ctx_a, ctx_b = prog_a.definition(main_a), prog_b.definition(main_b)
+        source = pretty_print(ctx_a.body)
+        diags = (
+            base_a
+            + typecheck.typecheck_program(Program((ctx_a,)), sigs_a)
+            + base_b
+            + typecheck.typecheck_program(Program((ctx_b,)), sigs_b)
         )
         if diags:
             sample = CongruenceSample(

@@ -21,7 +21,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,11 +111,26 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
-    """One projective-measurement branch: bits, Born probability, collapsed state."""
+    """One projective-measurement branch: bits, Born probability, and the
+    collapsed state, computed on first read and then cached, so a caller
+    that takes one branch collapses only that one.
+
+    ``grouped`` and ``undo`` are the measured state's ``_grouped`` layout and
+    ``row`` the branch's row in it; ``measure`` shares them among branches."""
 
     result: tuple[int, ...]
     probability: float
-    post_state: StateVector
+    grouped: np.ndarray = field(repr=False)
+    row: int = field(repr=False)
+    undo: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def post_state(self) -> StateVector:
+        projected = np.zeros_like(self.grouped)
+        projected[self.row] = self.grouped[self.row] / np.sqrt(self.probability)
+        n = len(self.undo)
+        post = np.transpose(projected.reshape([2] * n), self.undo).reshape(-1)
+        return StateVector(n, _prune(post))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +262,9 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
 
     Returns one outcome per bit string with nonzero probability, ordered by
     the result read as a binary number. Outcome bits follow the order of
-    ``targets``.
+    ``targets``. Each outcome's ``post_state`` is collapsed when first read.
     """
     grouped, undo = _grouped(state, targets)
-    n = state.num_qubits
     k = len(targets)
     probs = np.sum(np.abs(grouped) ** 2, axis=1)
     outcomes = []
@@ -257,11 +272,8 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
         p = float(probs[r])
         if p < PRUNE_TOL:
             continue
-        projected = np.zeros_like(grouped)
-        projected[r] = grouped[r] / np.sqrt(p)
-        post = np.transpose(projected.reshape([2] * n), undo).reshape(-1)
         bits = tuple((r >> (k - 1 - j)) & 1 for j in range(k))
-        outcomes.append(MeasurementOutcome(bits, p, StateVector(n, _prune(post))))
+        outcomes.append(MeasurementOutcome(bits, p, grouped, r, undo))
     return outcomes
 
 

@@ -14,7 +14,9 @@ component can take one (see its docstring); ``explore`` closes a
 configuration under ``step`` into a finite probabilistic labelled
 transition system (PLTS) whose states alternate between nondeterministic
 choice and probability distributions; ``run_sampled`` walks one seeded
-path for simulation.
+path for simulation, handing ``step`` its PRNG so that each step builds
+only the configuration the path takes, and collapses the state only onto
+the measurement branch it draws.
 
 Communication is synchronous (handshake), as in pi-calculus. A payload is
 a flat list of expressions. Before an output can send, the leftmost
@@ -38,12 +40,16 @@ new one, so no term is renamed while it runs and each term node computes
 its free names and key template once (``ProcessTerm``). ``_flatten`` caps
 the components of a configuration (``MAX_COMPONENTS``).
 
-Every successor drops its dead qubits that sit in a basis state: qubits no
-free name of a component refers to any more, such as those measured into a
-payload, whose amplitudes are exactly zero on one basis value
-(``Configuration`` says why that is sound). Measurement branches that
-differ only in such qubits then become one configuration, and the qubit
-cap bounds the qubits held at one time rather than all ever allocated.
+Each component carries the set of qubits its free names resolve to
+(``Configuration.owned``), computed once when the component is made; every
+successor is checked against these sets for a qubit held by two components
+(dynamic no-cloning). Every successor then drops its dead qubits that sit
+in a basis state: qubits no free name of a component refers to any more,
+such as those measured into a payload, whose amplitudes are exactly zero
+on one basis value (``Configuration`` says why that is sound). Measurement
+branches that differ only in such qubits then become one configuration, and
+the qubit cap bounds the qubits held at one time rather than all ever
+allocated.
 """
 
 from __future__ import annotations
@@ -215,11 +221,14 @@ class Configuration:
     components it leaves unchanged. ``procs`` holds the parallel components
     in left-to-right order as ``(term, env)`` closures; no term is a
     parallel composition, a call or ``0`` (``_flatten``), so a finished run
-    has none. ``bindings`` maps runtime names, the entry's parameters and
-    the ``binder~n`` names ``_bind`` makes, to values. ``channel_names``
-    maps visible channel ids (the entry's channel parameters, numbered by
-    position) to their display names; hidden channels get ids from
-    ``next_channel``.
+    has none. ``owned`` runs parallel to ``procs``: the ids of the qubits a
+    free name of each component resolves to, computed when the component
+    is made and renumbered when qubits are dropped. Bindings are never
+    rebound, so a shared component keeps its set. ``bindings`` maps
+    runtime names, the entry's parameters and the ``binder~n`` names
+    ``_bind`` makes, to values. ``channel_names`` maps visible channel ids
+    (the entry's channel parameters, numbered by position) to their
+    display names; hidden channels get ids from ``next_channel``.
 
     A qubit is *live* when a free name of some component resolves to it and
     *dead* otherwise: it was measured into a payload, sent away, or its
@@ -239,6 +248,7 @@ class Configuration:
     qstate: StateVector
     bindings: dict
     procs: tuple  # of (term, env)
+    owned: tuple  # of frozenset[int], one per component of procs
     channel_names: dict[int, str]
     next_channel: int
     next_fresh: int
@@ -260,30 +270,33 @@ class Configuration:
         return self.channel_names.get(cid, f"#chan{cid}")
 
     def check_ownership(self) -> set[int]:
-        """Raise OwnershipViolation if a qubit is bound in two components;
-        otherwise return the live qubits, those a free name of some
-        component resolves to. Reads each term's cached free names, so no
-        term is walked."""
-        bindings = self.bindings
-        owned: set[int] = set()
-        for term, env in self.procs:
-            names = (env.get(n, n) for n in free_names(term))
-            mine = {v.qid for n in names if isinstance(v := bindings.get(n), QubitVal)}
-            if not owned.isdisjoint(mine):
-                shared = owned & mine
+        """Raise OwnershipViolation if a qubit is held by two components;
+        otherwise return the live qubits, the union of ``owned``. Reads
+        only the cached sets, so no free name is looked up; refuses a
+        configuration whose ``owned`` does not match ``procs``."""
+        if len(self.owned) != len(self.procs):
+            raise ValueError(
+                f"{len(self.owned)} qubit set(s) for {len(self.procs)} component(s)"
+            )
+        live: set[int] = set()
+        for mine in self.owned:
+            if not live.isdisjoint(mine):
                 raise OwnershipViolation(
-                    f"qubit id(s) {sorted(shared)} bound under two parallel components"
+                    f"qubit id(s) {sorted(live & mine)} bound under two parallel components"
                 )
-            owned |= mine
-        return owned
+            live |= mine
+        return live
 
 
 @dataclass(frozen=True)
 class Transition:
-    """One enabled move: a label and a distribution over successor configs."""
+    """One enabled move: a label and a distribution over successor configs.
+    ``drawn`` marks a measurement of which ``step`` built only the outcome
+    its ``rng`` drew; ``outcomes`` then holds that one."""
 
     label: object
     outcomes: tuple  # of (probability, Configuration)
+    drawn: bool = False
 
 
 @dataclass(frozen=True)
@@ -306,10 +319,13 @@ def initial_configuration(
         for p, t in zip(d.params, signatures[entry]):
             if not isinstance(t, ChannelType):
                 raise RuntimeProcessError(f"entry parameter {p!r} of {entry!r} is not a channel")
+    bindings = {p: ChannelVal(i) for i, p in enumerate(d.params)}
+    procs = _flatten(d.body, {}, program)
     return Configuration(
         qstate=StateVector.empty(),
-        bindings={p: ChannelVal(i) for i, p in enumerate(d.params)},
-        procs=_flatten(d.body, {}, program),
+        bindings=bindings,
+        procs=procs,
+        owned=tuple(_qubits_of(bindings, *proc) for proc in procs),
         channel_names=dict(enumerate(d.params)),
         next_channel=len(d.params),
         next_fresh=0,
@@ -342,6 +358,13 @@ def _flatten(term: ProcessTerm, env: dict, program: Program, others: int = 0) ->
     if others >= MAX_COMPONENTS:
         raise ExplorationLimitError(MAX_COMPONENTS, "component")
     return ((term, env),)
+
+
+def _qubits_of(bindings: dict, term: ProcessTerm, env: dict) -> frozenset[int]:
+    """The qubits a free name of the component ``(term, env)`` resolves to,
+    read from the term's cached free names."""
+    names = (env.get(n, n) for n in free_names(term))
+    return frozenset(v.qid for n in names if isinstance(v := bindings.get(n), QubitVal))
 
 
 def _lookup(config: Configuration, env: dict, name: str):
@@ -400,21 +423,26 @@ def _advance(
     """The successor with each given field replaced and each component
     ``i`` in ``heads`` replaced by the components of the closure
     ``heads[i]`` (``_flatten``), checked for ownership and with its dead
-    basis qubits dropped. The other components are shared with ``config``.
+    basis qubits dropped. The other components are shared with ``config``,
+    and so are their qubit sets; only the new components get theirs.
 
     Every successor ``step`` builds passes through here. Without a dead
     qubit (the common case) the configuration is returned as it is.
     """
-    procs = config.procs
+    bindings = config.bindings if bindings is None else bindings
+    procs, owned = config.procs, config.owned
     pending = len(heads)
     for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
         others = len(procs) - pending  # the components that stay beside this head's
-        procs = procs[:i] + _flatten(*heads[i], config.program, others) + procs[i + 1 :]
+        parts = _flatten(*heads[i], config.program, others)
+        procs = procs[:i] + parts + procs[i + 1 :]
+        owned = owned[:i] + tuple(_qubits_of(bindings, *part) for part in parts) + owned[i + 1 :]
         pending -= 1
     config = Configuration(
         config.qstate if qstate is None else qstate,
-        config.bindings if bindings is None else bindings,
+        bindings,
         procs,
+        owned,
         config.channel_names,
         config.next_channel if next_channel is None else next_channel,
         config.next_fresh if next_fresh is None else next_fresh,
@@ -428,10 +456,10 @@ def _advance(
 
 def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
     """Remove the dead qubits that sit in a basis state (see ``Configuration``)
-    and renumber the others in their old order. Bindings of the survivors
-    are rewritten, those of the dropped qubits deleted; bit and channel
-    bindings stay. Components refer to qubits only through bindings, so
-    they are shared unchanged."""
+    and renumber the others in their old order. Bindings and qubit sets of
+    the survivors are rewritten, bindings of the dropped qubits deleted;
+    bit and channel bindings stay. Components refer to qubits only through
+    bindings, so they are shared unchanged."""
     dead = [q for q in range(config.qstate.num_qubits) if q not in live]
     qvec, dropped = qstate.drop_basis_qubits(config.qstate, dead)
     if not dropped:
@@ -448,6 +476,7 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
         qvec,
         bindings,
         config.procs,
+        tuple(frozenset(renumber[q] for q in mine) for mine in config.owned),
         config.channel_names,
         config.next_channel,
         config.next_fresh,
@@ -535,8 +564,24 @@ def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: di
     return Transition(TAU, ((1.0, cfg),))
 
 
+def _draw(outcomes: list, rng: random.Random):
+    """The outcome whose cumulative probability, summed in order, first
+    reaches one draw from ``rng``; the last when rounding leaves it short."""
+    draw = rng.random()
+    cumulative = 0.0
+    for o in outcomes:
+        cumulative += o.probability
+        if draw <= cumulative:
+            return o
+    return outcomes[-1]
+
+
 def step(
-    config: Configuration, alphabet: dict | None = None, *, reduce: bool = True
+    config: Configuration,
+    alphabet: dict | None = None,
+    *,
+    reduce: bool = True,
+    rng: random.Random | None = None,
 ) -> list[Transition]:
     """Enumerate the enabled transitions in a fixed, deterministic order.
 
@@ -581,6 +626,12 @@ def step(
     ``reduce=False`` enumerates every interleaving and gives nothing
     priority; it is the reference the reduction is tested against.
 
+    With ``rng`` (a sampled run), the enumeration stops at the first
+    enabled transition, whatever ``reduce`` is, and no later one is built.
+    If it forces a measurement with several outcomes, one draw from
+    ``rng`` picks a branch (``_draw``) and only that branch is built; the
+    transition is then ``drawn`` and holds that one outcome.
+
     Every successor is built one of two ways. A step that binds names
     (input, internal communication, ``qbit`` and ``new``) goes through
     ``_bind``, which appends received test qubits and fresh |0> qubits to
@@ -590,6 +641,7 @@ def step(
     dropped.
     """
     alphabet = alphabet or {}
+    sampled = rng is not None
     if reduce:
         for i, (head, env) in enumerate(config.procs):
             if isinstance(head, _DETERMINISTIC_TAU):
@@ -598,6 +650,8 @@ def step(
     transitions: list[Transition] = []
     senders, receivers = [], []  # (index, head, env, channel id) ready to communicate
     for i, (head, env) in enumerate(config.procs):
+        if sampled and transitions:
+            return transitions
         if isinstance(head, _DETERMINISTIC_TAU):
             transitions.append(_deterministic_tau(config, i, head, env))
             continue
@@ -607,8 +661,12 @@ def step(
             k = next((k for k, e in enumerate(payload) if isinstance(e, MeasureExpr)), None)
             if k is not None:
                 qids = _qubit_ids(config, env, payload[k].names)
+                outcomes = qstate.measure(config.qstate, qids)
+                drawn = sampled and len(outcomes) > 1
+                if drawn:
+                    outcomes = [_draw(outcomes, rng)]
                 dist = []
-                for o in qstate.measure(config.qstate, qids):
+                for o in outcomes:
                     bits = tuple(BitLit(value=b) for b in o.result)
                     new_head = Output(
                         channel=head.channel,
@@ -618,7 +676,7 @@ def step(
                     )
                     cfg = _advance(config, {i: (new_head, env)}, qstate=o.post_state)
                     dist.append((o.probability, cfg))
-                transitions.append(Transition(TAU, tuple(dist)))
+                transitions.append(Transition(TAU, tuple(dist), drawn))
                 continue
             cid = _channel_id(config, env, head.channel)
             senders.append((i, head, env, cid))
@@ -653,6 +711,8 @@ def step(
             receivers.append((i, head, env, cid))
             if config.is_visible(cid) and cid in alphabet:
                 for value_tuple in alphabet[cid]:
+                    if sampled and transitions:
+                        return transitions
                     cfg = _bind(
                         config, {i: (head.continuation, env)}, i, head.binders, value_tuple
                     )
@@ -669,6 +729,8 @@ def step(
         for in_i, in_head, in_env, in_cid in receivers:
             if in_cid != out_cid:
                 continue
+            if sampled and transitions:
+                return transitions
             values = _eval_slots(config, out_env, out_head.payload)
             heads = {out_i: (out_head.continuation, out_env), in_i: (in_head.continuation, in_env)}
             cfg = _bind(config, heads, in_i, in_head.binders, values)
@@ -854,31 +916,26 @@ def run_sampled(
     alphabet: dict | None = None,
     max_steps: int | None = None,
 ) -> list[TraceStep]:
-    """One seeded path: the first enabled transition in enumeration order,
-    with probabilistic outcomes resolved by a deterministic PRNG. Under the
-    priority rule of ``step``, a deterministic τ is the only transition
-    offered, so none is built only to be dropped."""
+    """One seeded path: at each step the first enabled transition in
+    enumeration order, with a measurement of several outcomes resolved by
+    one draw from a PRNG seeded with ``seed``. ``step`` is given that PRNG,
+    so it builds only the configuration the path takes: one per step.
+
+    A step's ``probability`` is the Born probability of the drawn branch,
+    or None when the step had one outcome. Since the transitions the path
+    does not take are never built, a runtime error that only one of them
+    would raise is not raised here; ``explore`` (``cqp explore``) still
+    reports it."""
     rng = random.Random(seed)
     trace: list[TraceStep] = []
     current = config
     while max_steps is None or len(trace) < max_steps:
-        transitions = step(current, alphabet)
+        transitions = step(current, alphabet, rng=rng)
         if not transitions:
             break
-        t = transitions[0]
-        if len(t.outcomes) == 1:
-            probability = None
-            current = t.outcomes[0][1]
-        else:
-            draw = rng.random()
-            cumulative = 0.0
-            probability, current = t.outcomes[-1]
-            for p, child in t.outcomes:
-                cumulative += p
-                if draw <= cumulative:
-                    probability, current = p, child
-                    break
-        trace.append(TraceStep(t.label, probability, current))
+        (t,) = transitions
+        ((probability, current),) = t.outcomes
+        trace.append(TraceStep(t.label, probability if t.drawn else None, current))
     return trace
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from cqpkit import corpus
 from cqpkit.equiv import _TAU_CLASS, PROB_TOL
-from cqpkit.qstate import CapacityError
+from cqpkit.qstate import CapacityError, dirac
 from cqpkit.semantics import (
     BASIS_TEST_QUBITS,
     DEFAULT_TEST_QUBITS,
@@ -31,11 +31,13 @@ from cqpkit.semantics import (
     ProbLabel,
     QubitVal,
     SemanticsError,
+    TraceStep,
     canonical_key,
     explore,
     initial_configuration,
     input_alphabet,
     render_label,
+    step,
 )
 from cqpkit.syntax import (
     BitLit,
@@ -57,6 +59,7 @@ from cqpkit.syntax import (
     Var,
     canonical_form,
     parse_program,
+    pretty_print,
     substitute,
 )
 from cqpkit.typecheck import BIT, QBIT, ChannelType, parse_signatures
@@ -704,22 +707,85 @@ def canonical_key_oracle(config) -> tuple:
     return (config.qstate.num_qubits, forms)
 
 
-def check_ownership_oracle(config) -> set[int]:
-    """``Configuration.check_ownership`` by walking each component's display
-    term, its term with its environment substituted, with
-    ``free_names_oracle`` instead of reading a term's cached free names
-    through the environment."""
-    owned: set[int] = set()
-    for term, env in config.procs:
-        mine = {
-            config.bindings[n].qid
+def owned_oracle(bindings: dict, procs: tuple) -> tuple:
+    """``Configuration.owned`` by walking each component's display term, its
+    term with its environment substituted, with ``free_names_oracle``
+    instead of reading a term's cached free names through the environment
+    when the component is made."""
+    return tuple(
+        frozenset(
+            bindings[n].qid
             for n in free_names_oracle(substitute(term, env))
-            if isinstance(config.bindings.get(n), QubitVal)
-        }
+            if isinstance(bindings.get(n), QubitVal)
+        )
+        for term, env in procs
+    )
+
+
+def check_ownership_oracle(config) -> set[int]:
+    """``Configuration.check_ownership`` over the qubit sets of
+    ``owned_oracle`` instead of the cached ones."""
+    owned: set[int] = set()
+    for mine in owned_oracle(config.bindings, config.procs):
         if owned & mine:
             raise OwnershipViolation(f"qubit id(s) {sorted(owned & mine)} bound twice")
         owned |= mine
     return owned
+
+
+# ---------------------------------------------------------------------------
+# The sampled path over the full step
+# ---------------------------------------------------------------------------
+
+def run_sampled_oracle(config, seed: int, alphabet: dict | None = None):
+    """``semantics.run_sampled`` by asking ``step`` for every enabled
+    transition, building every outcome of each, and taking the first
+    transition; several outcomes are resolved by one draw from
+    ``random.Random(seed)`` against their cumulative probabilities.
+
+    Returns ``(trace, rng, error)``: the steps taken, the PRNG after the
+    run, and the ``SemanticsError`` or ``CapacityError`` that stopped it,
+    or None."""
+    rng = random.Random(seed)
+    trace: list[TraceStep] = []
+    current = config
+    while True:
+        try:
+            transitions = step(current, alphabet)
+        except (SemanticsError, CapacityError) as exc:
+            return trace, rng, exc
+        if not transitions:
+            return trace, rng, None
+        t = transitions[0]
+        if len(t.outcomes) == 1:
+            probability = None
+            current = t.outcomes[0][1]
+        else:
+            draw = rng.random()
+            cumulative = 0.0
+            probability, current = t.outcomes[-1]
+            for p, child in t.outcomes:
+                cumulative += p
+                if draw <= cumulative:
+                    probability, current = p, child
+                    break
+        trace.append(TraceStep(t.label, probability, current))
+
+
+def trace_step_summary(ts: TraceStep) -> tuple:
+    """What a sampled step shows: its rendered label with the label's
+    density-matrix bytes, its probability, its state in Dirac form and as
+    amplitude bytes, its display term and its bindings."""
+    dm = getattr(ts.label, "qubit_dm", None)
+    return (
+        render_label(ts.label),
+        None if dm is None else dm.matrix.tobytes(),
+        ts.probability,
+        dirac(ts.config.qstate),
+        ts.config.qstate.amplitudes.tobytes(),
+        pretty_print(ts.config.term),
+        ts.config.bindings,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -747,17 +813,23 @@ def _channel_entries(prefix: str, program, signatures):
             yield f"{prefix}:{d.name}", program, signatures, d.name
 
 
+def corpus_entries():
+    """``(name, program, signatures, entry)`` for each definition of the
+    positive corpus files whose parameters are all channels."""
+    for item in corpus.CORPUS:
+        if item.expectation != "typechecks":
+            continue
+        program, signatures, _src = corpus.load_corpus_file(item.path)
+        yield from _channel_entries(item.path, program, signatures)
+
+
 def digest_programs():
     """Every ``(name, program, signatures, entry)`` the exploration digest
     covers: each definition of the positive corpus files whose parameters
     are all channels, each entry of ``bench/workloads.chain_source(2,
     GATES)``, and the ``Gen`` of ``random_typed_program`` for seeds
     0..299."""
-    for item in corpus.CORPUS:
-        if item.expectation != "typechecks":
-            continue
-        program, signatures, _src = corpus.load_corpus_file(item.path)
-        yield from _channel_entries(item.path, program, signatures)
+    yield from corpus_entries()
     workloads = bench_workloads()
     source = workloads.chain_source(2, workloads.GATES)
     yield from _channel_entries("chain2", parse_program(source), parse_signatures(source))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from cqpkit import cli
 from cqpkit.corpus import CORPUS, corpus_path
 from cqpkit.syntax import parse_process, parse_program
+from support import bench_workloads
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -240,6 +242,29 @@ def test_explore_call_fan_out_exits_at_the_component_cap(tmp_path, capsys, k):
     assert code == 70
     assert "component cap" in err
     assert time.perf_counter() - start < 5.0
+
+
+QUBIT_HOG = "//: P :\nP() = (qbit q1,q2,q3,q4,q5,q6,q7,q8,q9,q10,q11,q12,q13) 0\n"
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_qubit_cap_exits_70(tmp_path, capsys, command):
+    src = tmp_path / "hog.cqp"
+    src.write_text(QUBIT_HOG)
+    code, _out, err = run_cli(capsys, command, str(src))
+    assert code == 70
+    assert err == "allocation of 13 qubit(s) would exceed cap of 12\n"
+
+
+def test_equiv_past_the_qubit_cap_exits_70(tmp_path, capsys):
+    """Six teleport hops hold more than 12 qubits at once."""
+    src = tmp_path / "chain6.cqp"
+    src.write_text(bench_workloads().chain_source(6))
+    code, _out, err = run_cli(
+        capsys, "equiv", str(src), str(src), "--left-entry", "Chain6", "--right-entry", "Identity"
+    )
+    assert code == 70
+    assert err == "allocation of 1 qubit(s) would exceed cap of 12\n"
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +603,56 @@ def test_fuzzed_sources_exit_with_a_documented_code(tmp_path_factory, source, co
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2, 64, 66, 70)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def valid_qubit_test_entry(draw):
+    """A well-formed entry: a text name and cos(t)|0> + e^(ip) sin(t)|1>."""
+    t, phase = draw(st.floats(0.0, 6.3)), draw(st.floats(0.0, 6.3))
+    amp1 = [math.sin(t) * math.cos(phase), math.sin(t) * math.sin(phase)]
+    amplitudes = [[math.cos(t), 0.0], amp1]
+    return {"name": draw(st.text(max_size=6)), "amplitudes": amplitudes}
+
+
+@st.composite
+def qubit_test_entry(draw):
+    """A test-state entry with a random name, random amplitudes or a
+    missing key."""
+    amplitudes = draw(st.lists(st.lists(JSON_SCALARS, max_size=3), max_size=3) | JSON_VALUES)
+    entry = {"name": draw(st.text(max_size=6) | JSON_VALUES), "amplitudes": amplitudes}
+    for key in draw(st.lists(st.sampled_from(["name", "amplitudes"]), max_size=1)):
+        del entry[key]
+    return entry
+
+
+QUBIT_TEST_COMMANDS = [
+    ("run", cpath("teleport.cqp"), "--max-steps", "50"),
+    ("explore", cpath("teleport.cqp"), "--max-states", "300"),
+    ("equiv", cpath("teleport.cqp"), cpath("identity.cqp"), "--max-states", "300"),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    content=st.lists(valid_qubit_test_entry(), min_size=1, max_size=3)
+    | st.lists(valid_qubit_test_entry() | qubit_test_entry(), max_size=3)
+    | JSON_VALUES,
+    command=st.sampled_from(QUBIT_TEST_COMMANDS),
+)
+def test_fuzzed_qubit_test_files_exit_with_a_documented_code(tmp_path_factory, content, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz_tests.json"
+    path.write_text(json.dumps(content))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([*command, "--qubit-tests", f"file:{path}"])
+    assert code in (0, 1, 2, 64, 66, 70)
+    assert "Traceback" not in err.getvalue()

@@ -5,14 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from cqpkit import congruence, equiv
+from cqpkit import congruence, equiv, typecheck
 from cqpkit.congruence import (
     ProcessContext,
     check_congruence_samples,
     generate_context,
     plug,
 )
-from cqpkit.syntax import pretty_print
+from cqpkit.syntax import parse_program, pretty_print
+from cqpkit.typecheck import parse_signatures
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,9 +94,6 @@ def test_small_congruence_sample_run(teleport_program, identity_program):
 def test_congruence_detects_broken_plug(identity_program):
     """A context that measures the relayed qubit distinguishes a bit-flipped
     channel from the identity, so sampling must find counterexamples."""
-    from cqpkit.syntax import parse_program
-    from cqpkit.typecheck import parse_signatures
-
     flipped_src = """
 //: Flip : ^[Qbit], ^[Qbit]
 Flip(c, d) = c?[x] . {x *= X} . d![x] . 0
@@ -116,3 +114,63 @@ def test_rejects_wrong_interface(teleport_program, coin_program):
         check_congruence_samples(
             program_c, "Coin", program_t, "Teleport", sigs_c, sigs_t, count=1
         )
+
+
+def test_fixed_programs_are_type_checked_once(monkeypatch, teleport_program, identity_program):
+    """Only each context's ``CtxMain`` is new, so a round of 50 contexts
+    checks Teleport, Alice, Bob and Identity once and 100 ``CtxMain``."""
+    checked = []
+    check = typecheck.typecheck_program
+
+    def counted(program, signatures):
+        checked.extend(d.name for d in program.definitions)
+        return check(program, signatures)
+
+    monkeypatch.setattr(typecheck, "typecheck_program", counted)
+    program_t, sigs_t = teleport_program
+    program_i, sigs_i = identity_program
+    report = check_congruence_samples(
+        program_t, "Teleport", program_i, "Identity", sigs_t, sigs_i, seed=2024, count=50
+    )
+    assert report.passed == 50
+    assert len(checked) == 104
+    assert sorted(set(checked)) == ["Alice", "Bob", "CtxMain", "Identity", "Teleport"]
+    assert checked.count("CtxMain") == 100
+
+
+BOB_SENDS_TWICE = """
+//: Alice : Qbit, ^[Qbit], ^[Bit,Bit]
+//: Bob : Qbit, ^[Bit,Bit], ^[Qbit]
+//: Teleport : ^[Qbit], ^[Qbit]
+Alice(q, in, out) = in?[u] . {u,q *= CNot} . {u *= H} . out![measure u,q] . 0
+Bob(y, in, out) = in?[r] . {y *= sigma[r]} . out![y] . out![y] . 0
+Teleport(a, b) = (qbit x,y) {x *= H} . {x,y *= CNot} . (new c) (Alice(x,a,c) | Bob(y,c,b))
+"""
+
+
+@pytest.mark.parametrize("ill_typed_side", ["a", "b"])
+def test_ill_typed_base_program_skips_with_the_whole_program_detail(
+    identity_program, ill_typed_side
+):
+    """A skipped sample names the first diagnostic of the whole context
+    programs, checked in order: program a, then program b."""
+    broken = (parse_program(BOB_SENDS_TWICE), parse_signatures(BOB_SENDS_TWICE), "Teleport")
+    program_i, sigs_i = identity_program
+    sides = [broken, (program_i, sigs_i, "Identity")]
+    if ill_typed_side == "b":
+        sides.reverse()
+    (prog_a, sigs_a, entry_a), (prog_b, sigs_b, entry_b) = sides
+    report = check_congruence_samples(
+        prog_a, entry_a, prog_b, entry_b, sigs_a, sigs_b, seed=4, count=5
+    )
+    rng = random.Random(4)
+    expected = []
+    for _ in range(5):
+        context = generate_context(rng)
+        whole_a = congruence._context_program(prog_a, sigs_a, entry_a, context)[:2]
+        whole_b = congruence._context_program(prog_b, sigs_b, entry_b, context)[:2]
+        diags = typecheck.typecheck_program(*whole_a) + typecheck.typecheck_program(*whole_b)
+        expected.append(f"generated context is ill-typed: {diags[0]}")
+    assert [s.outcome for s in report.samples] == ["skipped"] * 5
+    assert [s.detail for s in report.samples] == expected
+    assert "'y'" in expected[0]

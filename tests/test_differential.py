@@ -14,6 +14,10 @@ instead of ``(b0,b1)``. Their states and edges did not change: with each
 ``canonical_key`` replaced by its first-occurrence number and the canonical
 form left out, all 1,288 digests were identical before and after.
 
+A sampled run gives ``step`` its PRNG, so each step builds only the
+configuration the run takes; its traces are checked against the same path
+taken over the full ``step`` (``run_sampled_oracle``).
+
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on
 every definition of the corpus, of ``chain_source(3, GATES)`` and of 300
@@ -22,31 +26,43 @@ random well-typed programs, on hand cases and on random terms.
 
 import dataclasses
 import random
+import types
 from pathlib import Path
 
 import pytest
 
-from cqpkit.qstate import StateVector
+from cqpkit import semantics
+from cqpkit.qstate import CapacityError, StateVector
 from cqpkit.semantics import (
+    DEFAULT_TEST_QUBITS,
     OwnershipViolation,
     QubitVal,
+    RuntimeProcessError,
+    SemanticsError,
     _flatten,
     canonical_key,
     initial_configuration,
+    input_alphabet,
     input_used_channels,
     run_sampled,
     step,
 )
-from cqpkit.syntax import free_names, parse_process, parse_program, scopes
+from cqpkit.syntax import free_names, parse_process, parse_program, pretty_print, scopes
 from support import (
+    bench_workloads,
     canonical_key_oracle,
     check_ownership_oracle,
+    corpus_entries,
     digest_explorations,
     exploration_digest,
     free_names_oracle,
     input_used_channels_oracle,
     name_walk_entries,
+    owned_oracle,
     random_term,
+    random_typed_program,
+    run_sampled_oracle,
+    trace_step_summary,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "exploration_digest.txt"
@@ -76,8 +92,12 @@ def test_canonical_key_matches_the_term_walk(explorations):
 
 
 def test_check_ownership_matches_the_term_walk(explorations):
+    holding = 0
     for cfg in explored_configurations(explorations):
+        assert cfg.owned == owned_oracle(cfg.bindings, cfg.procs)
         assert cfg.check_ownership() == check_ownership_oracle(cfg)
+        holding += any(cfg.owned)
+    assert holding > 5_000
 
 
 def test_hidden_channels_numbered_in_the_walk_order():
@@ -96,16 +116,126 @@ def test_shared_qubit_rejected_like_the_term_walk():
     config = initial_configuration(program, "P")
     with pytest.raises(OwnershipViolation):
         step(config)
+    bindings = {**config.bindings, "q": QubitVal(0)}
+    procs = _flatten(parse_process("(c![q] . 0 | {q *= H} . 0)"), {}, program)
     shared = dataclasses.replace(
         config,
         qstate=StateVector.from_amplitudes([1.0, 0.0]),
-        bindings={**config.bindings, "q": QubitVal(0)},
-        procs=_flatten(parse_process("(c![q] . 0 | {q *= H} . 0)"), {}, program),
+        bindings=bindings,
+        procs=procs,
+        owned=owned_oracle(bindings, procs),
     )
+    assert shared.owned == (frozenset({0}), frozenset({0}))
     with pytest.raises(OwnershipViolation):
         check_ownership_oracle(shared)
     with pytest.raises(OwnershipViolation):
         shared.check_ownership()
+
+
+def test_qubit_sets_must_match_the_components():
+    program = parse_program("P(c) = (qbit q) (c![q] . 0 | c?[x] . 0)")
+    (allocated,) = run_sampled(initial_configuration(program, "P"), seed=0, max_steps=1)
+    config = allocated.config
+    assert config.owned == (frozenset({0}), frozenset())
+    with pytest.raises(ValueError, match="1 qubit set"):
+        dataclasses.replace(config, owned=config.owned[:1]).check_ownership()
+
+
+# ---------------------------------------------------------------------------
+# The sampled path against the full step
+# ---------------------------------------------------------------------------
+
+def sampled_cases():
+    """``(name, config, alphabet, seed)``: seeds 0-19 on the 5-hop harness
+    of ``bench/workloads.py`` and on each channel-only corpus entry with its
+    default input alphabet, and seeds 0-2 on the ``Gen`` of each
+    ``random_typed_program`` of seeds 0-299 with its default alphabet."""
+    workloads = bench_workloads()
+    program, signatures = workloads.load(workloads.harness_source(5))
+    config = initial_configuration(program, "Harness", signatures=signatures)
+    for seed in range(20):
+        yield f"harness5:{seed}", config, None, seed
+    for name, program, signatures, entry in corpus_entries():
+        config = initial_configuration(program, entry, signatures=signatures)
+        alphabet = input_alphabet(program, entry, signatures[entry], DEFAULT_TEST_QUBITS)
+        for seed in range(20):
+            yield f"{name}:{seed}", config, alphabet, seed
+    for program_seed in range(300):
+        program, signatures = random_typed_program(random.Random(program_seed))
+        config = initial_configuration(program, "Gen", signatures=signatures)
+        alphabet = input_alphabet(program, "Gen", signatures["Gen"], DEFAULT_TEST_QUBITS)
+        for seed in range(3):
+            yield f"random{program_seed}:{seed}", config, alphabet, seed
+
+
+@pytest.fixture
+def kept_rngs(monkeypatch):
+    """The PRNGs ``run_sampled`` makes, kept for their final state."""
+    made = []
+
+    class KeptRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(semantics, "random", types.SimpleNamespace(Random=KeptRandom))
+    return made
+
+
+def run_both(config, alphabet, seed, kept_rngs):
+    """The oracle's ``(trace, rng, error)`` and the same for ``run_sampled``."""
+    want = run_sampled_oracle(config, seed, alphabet)
+    kept_rngs.clear()
+    try:
+        got = run_sampled(config, seed, alphabet), None
+    except (SemanticsError, CapacityError) as exc:
+        got = None, exc
+    return want, (got[0], kept_rngs[0], got[1])
+
+
+def summaries(trace):
+    return [trace_step_summary(ts) for ts in trace]
+
+
+# Cases of ``sampled_cases`` in which the oracle raises on a transition the
+# sampled path never takes, so that only the oracle fails. There are none.
+UNTAKEN_ERRORS_IN_SAMPLED_CASES: list[str] = []
+
+
+def test_sampled_runs_match_the_full_step(kept_rngs):
+    untaken_errors = []
+    cases = list(sampled_cases())
+    assert len(cases) == 20 + 20 * 7 + 900
+    for name, config, alphabet, seed in cases:
+        (want, want_rng, want_error), (got, got_rng, got_error) = run_both(
+            config, alphabet, seed, kept_rngs
+        )
+        if want_error is not None and got_error is None:
+            untaken_errors.append(name)
+            continue
+        assert repr(got_error) == repr(want_error), name
+        if want_error is None:
+            assert summaries(got) == summaries(want), name
+            assert got_rng.getstate() == want_rng.getstate(), name
+    assert untaken_errors == UNTAKEN_ERRORS_IN_SAMPLED_CASES
+
+
+def test_sampled_run_skips_an_error_of_a_transition_it_does_not_take(kept_rngs):
+    """Two receivers wait on one send; the second binds two names to the
+    one value sent. The full step builds both communications and raises
+    on the second. The sampled path takes the first, and the second
+    receiver is then left with no sender."""
+    program = parse_program("P() = (new d) (d![0] . 0 | d?[x] . 0 | d?[x,y] . 0)")
+    config = initial_configuration(program, "P")
+    (want, _want_rng, want_error), (got, _got_rng, got_error) = run_both(
+        config, None, 0, kept_rngs
+    )
+    assert isinstance(want_error, RuntimeProcessError)
+    assert "input binds 2 name(s) but 1 value(s) arrived" in str(want_error)
+    assert got_error is None
+    assert summaries(got[: len(want)]) == summaries(want)
+    assert len(got) == len(want) + 1
+    assert pretty_print(got[-1].config.term) == "d~0?[x,y] . 0"
 
 
 def fan_out_source(k: int) -> str:

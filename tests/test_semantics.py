@@ -26,7 +26,7 @@ from cqpkit.semantics import (
 )
 from cqpkit.syntax import Call, parse_program
 from cqpkit.typecheck import parse_signatures
-from support import SQ2, random_typed_program, reachable_outputs
+from support import SQ2, bench_workloads, random_typed_program, reachable_outputs
 
 
 def teleport_alphabet(test_state=DEFAULT_TEST_QUBITS[2]):
@@ -655,6 +655,29 @@ def test_harness_teleports_plus_state_for_any_seed():
         (r_name,) = [n for n in final.bindings if n.startswith("r~")]
         seen_branches.add(final.bindings[r_name])
     assert len(seen_branches) >= 2  # different seeds collapse differently
+
+
+def test_a_sampled_run_builds_one_configuration_per_step(monkeypatch):
+    """Counted as the benchmark counts ``simulate``'s states: every outcome
+    of every transition that ``step``, looked up as a global of
+    ``semantics``, returns. A run builds only the configurations it takes."""
+    workloads = bench_workloads()
+    program, signatures = workloads.load(workloads.harness_source(5))
+    config = initial_configuration(program, "Harness", signatures=signatures)
+    built = 0
+    full_step = semantics.step
+
+    def counted_step(*args, **kwargs):
+        nonlocal built
+        transitions = full_step(*args, **kwargs)
+        built += sum(len(t.outcomes) for t in transitions)
+        return transitions
+
+    monkeypatch.setattr(semantics, "step", counted_step)
+    for seed in range(3):
+        built = 0
+        trace = run_sampled(config, seed)
+        assert built == len(trace) == 59
 
 
 def test_bell_measurement_frequency_over_seeds(coin_program):
