@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         if exc.message:
             print(exc.message, file=sys.stderr)
         return exc.code
-    except (semantics.ExplorationLimitError, qstate.CapacityError) as exc:
+    except qstate.CapacityError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP
     except (semantics.SemanticsError, typecheck.SignatureError, ParseError) as exc:

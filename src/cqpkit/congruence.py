@@ -20,7 +20,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from . import equiv, semantics, typecheck
+from . import equiv, qstate, typecheck
 from .syntax import ProcessDef, ProcessTerm, Program, parse_process, pretty_print
 from .typecheck import BIT, QBIT, ChannelType
 
@@ -192,8 +192,8 @@ def check_congruence_samples(
 ) -> CongruenceReport:
     """Check ``C[A] ~ C[B]`` for ``count`` sampled contexts.
 
-    Samples whose exploration exceeds the state or component cap are
-    reported as skipped, not failed. This is sampling evidence, not a proof.
+    Samples whose exploration exceeds the state, component or qubit cap
+    are reported as skipped, not failed. This is sampling evidence, not a proof.
     """
     for entry, sigs in ((entry_a, signatures_a), (entry_b, signatures_b)):
         sig = sigs[entry]
@@ -228,7 +228,7 @@ def check_congruence_samples(
             continue
         try:
             verdict = equiv.check_equivalence(prog_a, main_a, prog_b, main_b, sigs_a, sigs_b)
-        except semantics.ExplorationLimitError as exc:
+        except qstate.CapacityError as exc:
             sample = CongruenceSample(context.name, source, "skipped", str(exc))
             report.skipped.append(sample)
             report.samples.append(sample)

@@ -139,7 +139,6 @@ class EquivalenceVerdict:
 class _Graph:
     kinds: list[str]
     out_edges: list[list[tuple]]  # per state: (label_class, prob, dst); prob set on ProbLabel only
-    sink: int  # target of every tick edge; not a state of any input system
 
 
 def _build_graph(systems: list[PLTS], classes: _LabelClasses) -> tuple[_Graph, list[int]]:
@@ -168,7 +167,7 @@ def _build_graph(systems: list[PLTS], classes: _LabelClasses) -> tuple[_Graph, l
             edges.append((_TICK_CLASS, None, sink))
     kinds.append("nondet")
     out_edges.append([])
-    return _Graph(kinds, out_edges, sink), initials
+    return _Graph(kinds, out_edges), initials
 
 
 def _classify(graph: _Graph) -> tuple[list[int], list[tuple]]:

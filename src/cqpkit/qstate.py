@@ -38,7 +38,8 @@ _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 
 class CapacityError(Exception):
-    """Raised when appending qubits would exceed the qubit cap."""
+    """Raised when appending qubits would exceed the qubit cap; the base of
+    ``semantics.ExplorationLimitError``, the state and component caps."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,20 +31,21 @@ labelled with the reduced density matrix of the transmitted qubits, which
 is all an observer can see of them. Scope extrusion is not modelled: sending
 a hidden channel on a visible one raises ``RuntimeProcessError``.
 
-A running component is a closure ``(term, env)`` (Abadi, Cardelli, Curien
-& Lévy, "Explicit substitutions", JFP 1991): ``term`` is a subterm of the
-program, or an output whose measurement was just forced, and ``env`` maps
-its free names to runtime names; a name it does not map, such as an entry
-parameter, stands for itself. Binding extends ``env`` and a call starts a
-new one, so no term is renamed while it runs and each term node computes
-its free names and key template once (``ProcessTerm``). ``_flatten`` caps
-the components of a configuration (``MAX_COMPONENTS``).
+A running component is a record ``(term, env, qubits)``. Its first two
+fields are a closure (Abadi, Cardelli, Curien & Lévy, "Explicit
+substitutions", JFP 1991): ``term`` is a subterm of the program, or an
+output whose measurement was just forced, and ``env`` maps its free names
+to runtime names; a name it does not map, such as an entry parameter,
+stands for itself. Binding extends ``env`` and a call starts a new one, so
+no term is renamed while it runs and each term node computes its free
+names and key template once (``ProcessTerm``). ``_flatten`` makes the
+records and caps the components of a configuration (``MAX_COMPONENTS``).
 
-Each component carries the set of qubits its free names resolve to
-(``Configuration.owned``), computed once when the component is made; every
-successor is checked against these sets for a qubit held by two components
-(dynamic no-cloning). Every successor then drops its dead qubits that sit
-in a basis state: qubits no free name of a component refers to any more,
+``qubits`` is the set of qubits the component's free names resolve to,
+computed once when the component is made; every successor is checked
+against these sets for a qubit held by two components (dynamic
+no-cloning). Every successor then drops its dead qubits that sit in a
+basis state: qubits no free name of a component refers to any more,
 such as those measured into a payload, whose amplitudes are exactly zero
 on one basis value (``Configuration`` says why that is sound). Measurement
 branches that differ only in such qubits then become one configuration, and
@@ -106,9 +107,10 @@ class RuntimeProcessError(SemanticsError):
     """Unbound name, arity mismatch, or ill-formed value hit at runtime."""
 
 
-class ExplorationLimitError(SemanticsError):
+class ExplorationLimitError(SemanticsError, qstate.CapacityError):
     """An exploration outgrew a cap: states of a PLTS (``what="state"``) or
-    parallel components of one configuration (``what="component"``)."""
+    parallel components of one configuration (``what="component"``). A
+    ``CapacityError`` like the qubit cap, so callers catch one type."""
 
     def __init__(self, limit: int, what: str = "state"):
         super().__init__(f"bounded exploration exceeded the {what} cap of {limit}")
@@ -219,12 +221,12 @@ class Configuration:
 
     Treated as immutable; every step produces fresh copies, sharing the
     components it leaves unchanged. ``procs`` holds the parallel components
-    in left-to-right order as ``(term, env)`` closures; no term is a
+    in left-to-right order as ``(term, env, qubits)`` records; no term is a
     parallel composition, a call or ``0`` (``_flatten``), so a finished run
-    has none. ``owned`` runs parallel to ``procs``: the ids of the qubits a
-    free name of each component resolves to, computed when the component
-    is made and renumbered when qubits are dropped. Bindings are never
-    rebound, so a shared component keeps its set. ``bindings`` maps
+    has none. ``qubits`` holds the ids of the qubits a free name of the
+    component resolves to, computed when the component is made and
+    renumbered when qubits are dropped. Bindings are never rebound, so a
+    shared component keeps its set. ``bindings`` maps
     runtime names, the entry's parameters and the ``binder~n`` names
     ``_bind`` makes, to values. ``channel_names`` maps visible channel ids
     (the entry's channel parameters, numbered by position) to their
@@ -247,8 +249,7 @@ class Configuration:
 
     qstate: StateVector
     bindings: dict
-    procs: tuple  # of (term, env)
-    owned: tuple  # of frozenset[int], one per component of procs
+    procs: tuple  # of (term, env, qubits: frozenset[int])
     channel_names: dict[int, str]
     next_channel: int
     next_fresh: int
@@ -260,7 +261,7 @@ class Configuration:
         right into one term, for display."""
         if not self.procs:
             return Nil()
-        terms = (substitute(term, env) for term, env in self.procs)
+        terms = (substitute(term, env) for term, env, _ in self.procs)
         return functools.reduce(lambda l, r: Parallel(left=l, right=r), terms)
 
     def is_visible(self, cid: int) -> bool:
@@ -271,15 +272,10 @@ class Configuration:
 
     def check_ownership(self) -> set[int]:
         """Raise OwnershipViolation if a qubit is held by two components;
-        otherwise return the live qubits, the union of ``owned``. Reads
-        only the cached sets, so no free name is looked up; refuses a
-        configuration whose ``owned`` does not match ``procs``."""
-        if len(self.owned) != len(self.procs):
-            raise ValueError(
-                f"{len(self.owned)} qubit set(s) for {len(self.procs)} component(s)"
-            )
+        otherwise return the live qubits, the union of their qubit sets.
+        Reads only the cached sets, so no free name is looked up."""
         live: set[int] = set()
-        for mine in self.owned:
+        for _term, _env, mine in self.procs:
             if not live.isdisjoint(mine):
                 raise OwnershipViolation(
                     f"qubit id(s) {sorted(live & mine)} bound under two parallel components"
@@ -320,12 +316,10 @@ def initial_configuration(
             if not isinstance(t, ChannelType):
                 raise RuntimeProcessError(f"entry parameter {p!r} of {entry!r} is not a channel")
     bindings = {p: ChannelVal(i) for i, p in enumerate(d.params)}
-    procs = _flatten(d.body, {}, program)
     return Configuration(
         qstate=StateVector.empty(),
         bindings=bindings,
-        procs=procs,
-        owned=tuple(_qubits_of(bindings, *proc) for proc in procs),
+        procs=_flatten(d.body, {}, bindings, program),
         channel_names=dict(enumerate(d.params)),
         next_channel=len(d.params),
         next_fresh=0,
@@ -337,34 +331,33 @@ def initial_configuration(
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _flatten(term: ProcessTerm, env: dict, program: Program, others: int = 0) -> tuple:
+def _flatten(
+    term: ProcessTerm, env: dict, bindings: dict, program: Program, others: int = 0
+) -> tuple:
     """The parallel components of ``term`` under ``env`` in left-to-right
-    order, as ``(term, env)`` closures, with every call unfolded into its
-    body, under an environment mapping each parameter to its argument, and
-    the finished components (``0``) dropped.
+    order, as ``(term, env, qubits)`` records, with every call unfolded
+    into its body, under an environment mapping each parameter to its
+    argument, and the finished components (``0``) dropped. ``qubits`` is
+    read from the term's cached free names, resolved through ``env`` and
+    ``bindings``.
 
     Raises ExplorationLimitError as soon as these components and the
     ``others`` held beside them would exceed ``MAX_COMPONENTS``, before the
     rest of an exponential call fan-out is unfolded."""
     if isinstance(term, Parallel):
-        left = _flatten(term.left, env, program, others)
-        return left + _flatten(term.right, env, program, others + len(left))
+        left = _flatten(term.left, env, bindings, program, others)
+        return left + _flatten(term.right, env, bindings, program, others + len(left))
     if isinstance(term, Nil):
         return ()
     if isinstance(term, Call):
         d = program.definition(term.process)
         inner = {p: env.get(a, a) for p, a in zip(d.params, term.args)}
-        return _flatten(d.body, inner, program, others)
+        return _flatten(d.body, inner, bindings, program, others)
     if others >= MAX_COMPONENTS:
         raise ExplorationLimitError(MAX_COMPONENTS, "component")
-    return ((term, env),)
-
-
-def _qubits_of(bindings: dict, term: ProcessTerm, env: dict) -> frozenset[int]:
-    """The qubits a free name of the component ``(term, env)`` resolves to,
-    read from the term's cached free names."""
     names = (env.get(n, n) for n in free_names(term))
-    return frozenset(v.qid for n in names if isinstance(v := bindings.get(n), QubitVal))
+    qubits = frozenset(v.qid for n in names if isinstance(v := bindings.get(n), QubitVal))
+    return ((term, env, qubits),)
 
 
 def _lookup(config: Configuration, env: dict, name: str):
@@ -424,25 +417,23 @@ def _advance(
     ``i`` in ``heads`` replaced by the components of the closure
     ``heads[i]`` (``_flatten``), checked for ownership and with its dead
     basis qubits dropped. The other components are shared with ``config``,
-    and so are their qubit sets; only the new components get theirs.
+    qubit sets included; only the new components compute theirs.
 
     Every successor ``step`` builds passes through here. Without a dead
     qubit (the common case) the configuration is returned as it is.
     """
     bindings = config.bindings if bindings is None else bindings
-    procs, owned = config.procs, config.owned
+    procs = config.procs
     pending = len(heads)
     for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
         others = len(procs) - pending  # the components that stay beside this head's
-        parts = _flatten(*heads[i], config.program, others)
+        parts = _flatten(*heads[i], bindings, config.program, others)
         procs = procs[:i] + parts + procs[i + 1 :]
-        owned = owned[:i] + tuple(_qubits_of(bindings, *part) for part in parts) + owned[i + 1 :]
         pending -= 1
     config = Configuration(
         config.qstate if qstate is None else qstate,
         bindings,
         procs,
-        owned,
         config.channel_names,
         config.next_channel if next_channel is None else next_channel,
         config.next_fresh if next_fresh is None else next_fresh,
@@ -458,8 +449,8 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
     """Remove the dead qubits that sit in a basis state (see ``Configuration``)
     and renumber the others in their old order. Bindings and qubit sets of
     the survivors are rewritten, bindings of the dropped qubits deleted;
-    bit and channel bindings stay. Components refer to qubits only through
-    bindings, so they are shared unchanged."""
+    bit and channel bindings stay. Terms and environments refer to qubits
+    only through bindings, so they are shared unchanged."""
     dead = [q for q in range(config.qstate.num_qubits) if q not in live]
     qvec, dropped = qstate.drop_basis_qubits(config.qstate, dead)
     if not dropped:
@@ -475,8 +466,7 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
     return Configuration(
         qvec,
         bindings,
-        config.procs,
-        tuple(frozenset(renumber[q] for q in mine) for mine in config.owned),
+        tuple((t, e, frozenset(renumber[q] for q in mine)) for t, e, mine in config.procs),
         config.channel_names,
         config.next_channel,
         config.next_fresh,
@@ -626,11 +616,12 @@ def step(
     ``reduce=False`` enumerates every interleaving and gives nothing
     priority; it is the reference the reduction is tested against.
 
-    With ``rng`` (a sampled run), the enumeration stops at the first
-    enabled transition, whatever ``reduce`` is, and no later one is built.
-    If it forces a measurement with several outcomes, one draw from
-    ``rng`` picks a branch (``_draw``) and only that branch is built; the
-    transition is then ``drawn`` and holds that one outcome.
+    The transitions come from one lazy enumeration (``_transitions``),
+    which builds each only when it is reached. With ``rng`` (a sampled
+    run), ``step`` takes the first, whatever ``reduce`` is, and no later
+    one is built. If it forces a measurement with several outcomes, one
+    draw from ``rng`` picks a branch (``_draw``) and only that branch is
+    built; the transition is then ``drawn`` and holds that one outcome.
 
     Every successor is built one of two ways. A step that binds names
     (input, internal communication, ``qbit`` and ``new``) goes through
@@ -640,20 +631,23 @@ def step(
     spliced into its parts, a call is unfolded, and one that is ``0`` is
     dropped.
     """
-    alphabet = alphabet or {}
-    sampled = rng is not None
-    if reduce:
-        for i, (head, env) in enumerate(config.procs):
-            if isinstance(head, _DETERMINISTIC_TAU):
-                return [_deterministic_tau(config, i, head, env)]
+    transitions = _transitions(config, alphabet or {}, reduce, rng)
+    return list(itertools.islice(transitions, None if rng is None else 1))
 
-    transitions: list[Transition] = []
+
+def _transitions(config: Configuration, alphabet: dict, reduce: bool, rng: random.Random | None):
+    """The enabled transitions of ``config`` in ``step``'s order, each built
+    when the enumeration reaches it."""
+    if reduce:
+        for i, (head, env, _) in enumerate(config.procs):
+            if isinstance(head, _DETERMINISTIC_TAU):
+                yield _deterministic_tau(config, i, head, env)
+                return
+
     senders, receivers = [], []  # (index, head, env, channel id) ready to communicate
-    for i, (head, env) in enumerate(config.procs):
-        if sampled and transitions:
-            return transitions
+    for i, (head, env, _) in enumerate(config.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
-            transitions.append(_deterministic_tau(config, i, head, env))
+            yield _deterministic_tau(config, i, head, env)
             continue
 
         if isinstance(head, Output):
@@ -662,7 +656,7 @@ def step(
             if k is not None:
                 qids = _qubit_ids(config, env, payload[k].names)
                 outcomes = qstate.measure(config.qstate, qids)
-                drawn = sampled and len(outcomes) > 1
+                drawn = rng is not None and len(outcomes) > 1
                 if drawn:
                     outcomes = [_draw(outcomes, rng)]
                 dist = []
@@ -676,7 +670,7 @@ def step(
                     )
                     cfg = _advance(config, {i: (new_head, env)}, qstate=o.post_state)
                     dist.append((o.probability, cfg))
-                transitions.append(Transition(TAU, tuple(dist), drawn))
+                yield Transition(TAU, tuple(dist), drawn)
                 continue
             cid = _channel_id(config, env, head.channel)
             senders.append((i, head, env, cid))
@@ -703,7 +697,7 @@ def step(
                     "out", cid, config.display_channel(cid), tuple(label_values), dm
                 )
                 cfg = _advance(config, {i: (head.continuation, env)})
-                transitions.append(Transition(label, ((1.0, cfg),)))
+                yield Transition(label, ((1.0, cfg),))
             continue
 
         if isinstance(head, Input):
@@ -711,13 +705,11 @@ def step(
             receivers.append((i, head, env, cid))
             if config.is_visible(cid) and cid in alphabet:
                 for value_tuple in alphabet[cid]:
-                    if sampled and transitions:
-                        return transitions
                     cfg = _bind(
                         config, {i: (head.continuation, env)}, i, head.binders, value_tuple
                     )
                     label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
-                    transitions.append(Transition(label, ((1.0, cfg),)))
+                    yield Transition(label, ((1.0, cfg),))
             continue
 
         raise TypeError(f"not a process term: {head!r}")
@@ -729,14 +721,10 @@ def step(
         for in_i, in_head, in_env, in_cid in receivers:
             if in_cid != out_cid:
                 continue
-            if sampled and transitions:
-                return transitions
             values = _eval_slots(config, out_env, out_head.payload)
             heads = {out_i: (out_head.continuation, out_env), in_i: (in_head.continuation, in_env)}
             cfg = _bind(config, heads, in_i, in_head.binders, values)
-            transitions.append(Transition(TAU, ((1.0, cfg),)))
-
-    return transitions
+            yield Transition(TAU, ((1.0, cfg),))
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +760,7 @@ def canonical_key(config: Configuration) -> tuple:
         return f"b{v}"
 
     forms = []
-    for term, env in config.procs:
+    for term, env, _ in config.procs:
         fmt, slots = term.key_template
         forms.append(fmt.format(*[resolve(env.get(n, n)) for n in slots]))
     return (config.qstate.num_qubits, tuple(forms))

@@ -703,30 +703,31 @@ def canonical_key_oracle(config) -> tuple:
             return "(" + ",".join(str(b) for b in v) + ")"
         return f"b{v}"
 
-    forms = tuple(canonical_form(substitute(term, env), resolve) for term, env in config.procs)
+    forms = tuple(canonical_form(substitute(term, env), resolve) for term, env, _ in config.procs)
     return (config.qstate.num_qubits, forms)
 
 
-def owned_oracle(bindings: dict, procs: tuple) -> tuple:
-    """``Configuration.owned`` by walking each component's display term, its
-    term with its environment substituted, with ``free_names_oracle``
-    instead of reading a term's cached free names through the environment
-    when the component is made."""
+def qubit_sets_oracle(bindings: dict, procs: tuple) -> tuple:
+    """The qubit set of each ``(term, env, qubits)`` record of ``procs``,
+    found by walking the component's display term, its term with its
+    environment substituted, with ``free_names_oracle`` instead of reading
+    a term's cached free names through the environment when the component
+    is made. The record's own ``qubits`` is not read."""
     return tuple(
         frozenset(
             bindings[n].qid
             for n in free_names_oracle(substitute(term, env))
             if isinstance(bindings.get(n), QubitVal)
         )
-        for term, env in procs
+        for term, env, _ in procs
     )
 
 
 def check_ownership_oracle(config) -> set[int]:
     """``Configuration.check_ownership`` over the qubit sets of
-    ``owned_oracle`` instead of the cached ones."""
+    ``qubit_sets_oracle`` instead of the cached ones."""
     owned: set[int] = set()
-    for mine in owned_oracle(config.bindings, config.procs):
+    for mine in qubit_sets_oracle(config.bindings, config.procs):
         if owned & mine:
             raise OwnershipViolation(f"qubit id(s) {sorted(owned & mine)} bound twice")
         owned |= mine
@@ -841,8 +842,9 @@ def digest_programs():
 def digest_explorations():
     """Explore each of ``digest_programs`` under every digest test set and
     both ``reduce`` values, with the whole input alphabet enabled. Yields
-    ``(name, outcome)`` where the outcome is a ``PLTS``, or the class name
-    of the ``SemanticsError`` or ``CapacityError`` the exploration raised."""
+    ``(name, alphabet, reduce, outcome)`` where the outcome is a ``PLTS``,
+    or the class name of the ``SemanticsError`` or ``CapacityError`` the
+    exploration raised."""
     for name, program, signatures, entry in digest_programs():
         config = initial_configuration(program, entry, signatures=signatures)
         for set_name, test_qubits in DIGEST_TEST_SETS.items():
@@ -852,7 +854,7 @@ def digest_explorations():
                     outcome = explore(config, max_states=5000, alphabet=alphabet, reduce=reduce)
                 except (SemanticsError, CapacityError) as exc:
                     outcome = type(exc).__name__
-                yield f"{name}:{set_name}:{'reduce' if reduce else 'full'}", outcome
+                yield f"{name}:{set_name}:{'reduce' if reduce else 'full'}", alphabet, reduce, outcome
 
 
 def _array_bytes(a: np.ndarray) -> bytes:

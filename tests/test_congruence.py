@@ -174,3 +174,43 @@ def test_ill_typed_base_program_skips_with_the_whole_program_detail(
     assert [s.outcome for s in report.samples] == ["skipped"] * 5
     assert [s.detail for s in report.samples] == expected
     assert "'y'" in expected[0]
+
+
+def qubit_hoard_source() -> str:
+    """An entry that holds 12 live qubits, the qubit cap, before its input."""
+    qubits = [f"q{i}" for i in range(1, 13)]
+    sends = "".join(f"hout![{q}] . " for q in qubits)
+    return (
+        "//: Hoard : ^[Qbit], ^[Qbit]\n"
+        f"Hoard(hin, hout) = (qbit {','.join(qubits)}) hin?[x] . {sends}hout![x] . 0\n"
+    )
+
+
+def wide_source() -> str:
+    """``A_j(c,d) = (A_{j-1}(c,d) | A_{j-1}(c,d))``: 128 components, past the
+    component cap of 64, once ``A7`` unfolds."""
+    lines = ["//: A0 : ^[Qbit], ^[Qbit]", "A0(c, d) = c?[x] . d![x] . 0"]
+    for j in range(1, 8):
+        lines += [f"//: A{j} : ^[Qbit], ^[Qbit]", f"A{j}(c, d) = (A{j - 1}(c, d) | A{j - 1}(c, d))"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "source, entry, message",
+    [
+        (qubit_hoard_source(), "Hoard", "allocation of 1 qubit(s) would exceed cap of 12"),
+        (wide_source(), "A7", "bounded exploration exceeded the component cap of 64"),
+    ],
+    ids=["qubit", "component"],
+)
+def test_context_past_a_cap_is_skipped_with_its_message(identity_program, source, entry, message):
+    program_i, sigs_i = identity_program
+    report = check_congruence_samples(
+        parse_program(source), entry, program_i, "Identity", parse_signatures(source), sigs_i,
+        seed=0, count=7,
+    )
+    assert report.passed == 0
+    assert report.counterexamples == []
+    assert report.skipped == report.samples
+    assert [s.detail for s in report.samples] == [message] * 7
+    assert len({s.context_name for s in report.samples}) > 3

@@ -16,7 +16,9 @@ form left out, all 1,288 digests were identical before and after.
 
 A sampled run gives ``step`` its PRNG, so each step builds only the
 configuration the run takes; its traces are checked against the same path
-taken over the full ``step`` (``run_sampled_oracle``).
+taken over the full ``step`` (``run_sampled_oracle``), and on every
+explored configuration of the corpus and of ``chain_source(2, GATES)`` its
+one transition is checked to be the first of the full enumeration.
 
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on
@@ -44,6 +46,7 @@ from cqpkit.semantics import (
     initial_configuration,
     input_alphabet,
     input_used_channels,
+    render_label,
     run_sampled,
     step,
 )
@@ -58,7 +61,7 @@ from support import (
     free_names_oracle,
     input_used_channels_oracle,
     name_walk_entries,
-    owned_oracle,
+    qubit_sets_oracle,
     random_term,
     random_typed_program,
     run_sampled_oracle,
@@ -74,13 +77,13 @@ def explorations():
 
 
 def explored_configurations(explorations):
-    for _name, outcome in explorations:
+    for _name, _alphabet, _reduce, outcome in explorations:
         if not isinstance(outcome, str):
             yield from (s.config for s in outcome.states if s.config is not None)
 
 
 def test_exploration_digest_matches_golden(explorations):
-    got = [f"{name} {exploration_digest(outcome)[:16]}" for name, outcome in explorations]
+    got = [f"{name} {exploration_digest(outcome)[:16]}" for name, *_, outcome in explorations]
     assert got == GOLDEN.read_text().splitlines()
 
 
@@ -94,10 +97,35 @@ def test_canonical_key_matches_the_term_walk(explorations):
 def test_check_ownership_matches_the_term_walk(explorations):
     holding = 0
     for cfg in explored_configurations(explorations):
-        assert cfg.owned == owned_oracle(cfg.bindings, cfg.procs)
+        qubit_sets = tuple(qubits for _term, _env, qubits in cfg.procs)
+        assert qubit_sets == qubit_sets_oracle(cfg.bindings, cfg.procs)
         assert cfg.check_ownership() == check_ownership_oracle(cfg)
-        holding += any(cfg.owned)
+        holding += any(qubit_sets)
     assert holding > 5_000
+
+
+def test_a_sampled_step_takes_the_first_transition(explorations):
+    """With a PRNG, ``step`` returns the first transition the full
+    enumeration would, or none on a terminal configuration, on every
+    configuration explored from the corpus and from ``chain_source(2,
+    GATES)``."""
+    checked = 0
+    for name, alphabet, reduce, outcome in explorations:
+        if name.startswith("random") or isinstance(outcome, str):
+            continue
+        for s in outcome.states:
+            if s.config is None:
+                continue
+            full = step(s.config, alphabet, reduce=reduce)
+            sampled = step(s.config, alphabet, reduce=reduce, rng=random.Random(0))
+            assert [render_label(t.label) for t in sampled] == [
+                render_label(t.label) for t in full[:1]
+            ], name
+            if full:
+                ((_p, taken),) = sampled[0].outcomes
+                assert canonical_key(taken) in {canonical_key(c) for _p, c in full[0].outcomes}
+                checked += 1
+    assert checked > 1_000
 
 
 def test_hidden_channels_numbered_in_the_walk_order():
@@ -117,28 +145,19 @@ def test_shared_qubit_rejected_like_the_term_walk():
     with pytest.raises(OwnershipViolation):
         step(config)
     bindings = {**config.bindings, "q": QubitVal(0)}
-    procs = _flatten(parse_process("(c![q] . 0 | {q *= H} . 0)"), {}, program)
+    procs = _flatten(parse_process("(c![q] . 0 | {q *= H} . 0)"), {}, bindings, program)
     shared = dataclasses.replace(
         config,
         qstate=StateVector.from_amplitudes([1.0, 0.0]),
         bindings=bindings,
         procs=procs,
-        owned=owned_oracle(bindings, procs),
     )
-    assert shared.owned == (frozenset({0}), frozenset({0}))
+    assert [qubits for *_, qubits in procs] == [frozenset({0})] * 2
+    assert qubit_sets_oracle(bindings, procs) == (frozenset({0}),) * 2
     with pytest.raises(OwnershipViolation):
         check_ownership_oracle(shared)
     with pytest.raises(OwnershipViolation):
         shared.check_ownership()
-
-
-def test_qubit_sets_must_match_the_components():
-    program = parse_program("P(c) = (qbit q) (c![q] . 0 | c?[x] . 0)")
-    (allocated,) = run_sampled(initial_configuration(program, "P"), seed=0, max_steps=1)
-    config = allocated.config
-    assert config.owned == (frozenset({0}), frozenset())
-    with pytest.raises(ValueError, match="1 qubit set"):
-        dataclasses.replace(config, owned=config.owned[:1]).check_ownership()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-so is every private name it defines at module level.
+so is every private name it defines at module level and every field of a
+private dataclass it defines.
 
 No linter ships with the project, so this walks each module's syntax tree:
 an import or a ``_helper`` left behind after its last use (a deleted AST
@@ -56,6 +57,34 @@ def orphaned_private_names(source: str) -> list[str]:
     ]
 
 
+def _is_dataclass(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", "")
+    return name == "dataclass"
+
+
+def unread_private_fields(source: str) -> list[str]:
+    """Fields of module-level ``_Name`` dataclasses whose name the module
+    never reads as an attribute, of any object."""
+    tree = ast.parse(source)
+    fields = []
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name.startswith("_")):
+            continue
+        if not any(_is_dataclass(d) for d in node.decorator_list):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                fields.append((stmt.lineno, node.name, stmt.target.id))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"line {line}: {cls}.{name}" for line, cls, name in fields if name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
@@ -66,6 +95,11 @@ def test_no_orphaned_private_name(path):
     assert orphaned_private_names(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_field(path):
+    assert unread_private_fields(path.read_text()) == []
+
+
 def test_unused_import_is_caught():
     source = "import json\nfrom .syntax import Nil, Var\n\nprint(Nil)\n"
     assert unused_imports(source) == ["line 1: json", "line 2: Var"]
@@ -74,3 +108,13 @@ def test_unused_import_is_caught():
 def test_orphaned_private_name_is_caught():
     source = "_A = 1\n_B: int = 2\n\n\ndef _f():\n    return _A\n\n\nclass _C:\n    pass\n"
     assert orphaned_private_names(source) == ["line 2: _B", "line 5: _f", "line 9: _C"]
+
+
+def test_unread_private_field_is_caught():
+    source = (
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass _G:\n    kinds: list\n    sink: int\n\n\n"
+        "@dataclass\nclass Public:\n    unread: int\n\n\n"
+        "def _f(g):\n    return g.kinds, _G\n"
+    )
+    assert unread_private_fields(source) == ["line 7: _G.sink"]

@@ -344,7 +344,7 @@ def test_no_configuration_holds_a_call():
             plts = explore(config, alphabet=alphabet, reduce=reduce)
             for s in plts.states:
                 if s.config is not None:
-                    assert not any(isinstance(term, Call) for term, _env in s.config.procs)
+                    assert not any(isinstance(term, Call) for term, *_ in s.config.procs)
 
 
 def test_reduction_bisimilar_on_corpus_and_chains():
@@ -526,7 +526,8 @@ def test_canonical_key_identifies_alpha_variants(teleport_program):
     renamed = dataclasses.replace(
         config,
         procs=tuple(
-            (substitute(term, {"a": "left", "b": "right"}), env) for term, env in config.procs
+            (substitute(term, {"a": "left", "b": "right"}), env, qubits)
+            for term, env, qubits in config.procs
         ),
         bindings={
             "left": config.bindings["a"],
