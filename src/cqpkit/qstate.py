@@ -4,7 +4,25 @@ Holds normalized amplitude vectors over n qubits and the handful of
 operations the process semantics needs: appending qubits, factoring out
 basis-state qubits, equality up to global phase (amplitudes within ATOL
 once the phases are aligned), and unitary gates, projective measurement
-and partial trace, which read their qubits through one layout (``_grouped``).
+and partial trace.
+
+Each operation makes a few numpy calls:
+
+- A target list is checked once per ``(n, targets)``: ``_layout`` is
+  cached and returns the axis permutation that brings the targets to the
+  front, and its inverse, as tuples.
+- A one-qubit gate on qubit t multiplies the amplitudes, viewed as
+  2^(n-1-t) stacked 2 x 2^t blocks, by its matrix, with no transpose,
+  when there are at most ``_MAX_BLOCKS`` blocks. Other gates, measurement
+  probabilities and partial traces read the targets through the cached
+  permutation (``_grouped``).
+- A measurement branch collapses by copying the amplitudes that agree with
+  its bits into a zero vector, scaled by 1/sqrt(p).
+- Every result is checked like a caller's input: a state for its length,
+  finite amplitudes and unit norm; a density matrix for Hermiticity, unit
+  trace and positive semidefiniteness. Results that ``qstate`` has just
+  computed are frozen in place (``_fresh``) instead of copied; arrays that
+  callers pass in are copied first, so later writes to them change nothing.
 
 Conventions used throughout the package:
 
@@ -22,6 +40,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +61,16 @@ class CapacityError(Exception):
     ``semantics.ExplorationLimitError``, the state and component caps."""
 
 
+def _fresh(cls, num_qubits: int, array: np.ndarray):
+    """A ``cls`` (StateVector or DensityMatrix) around ``array``, which
+    ``qstate`` has just computed and nothing else holds: every check of the
+    class runs, and the array is made read-only instead of copied."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "num_qubits", num_qubits)
+    obj._check(array)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitude vector over ``num_qubits`` qubits.
@@ -54,9 +83,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        self._check(np.array(self.amplitudes, dtype=np.complex128))  # a copy
+
+    def _check(self, amps: np.ndarray):
+        """Validate ``amps``, make it read-only and store it."""
         if self.num_qubits < 0:
             raise ValueError("num_qubits must be nonnegative")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        amps = amps.reshape(-1)
         if amps.shape[0] != 2**self.num_qubits:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} "
@@ -67,7 +100,6 @@ class StateVector:
         norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |amps|^2 = {norm!r}")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -116,22 +148,25 @@ class MeasurementOutcome:
     collapsed state, computed on first read and then cached, so a caller
     that takes one branch collapses only that one.
 
-    ``grouped`` and ``undo`` are the measured state's ``_grouped`` layout and
-    ``row`` the branch's row in it; ``measure`` shares them among branches."""
+    ``state`` is the measured state and ``targets`` the measured qubits, in
+    the order of ``result``."""
 
     result: tuple[int, ...]
     probability: float
-    grouped: np.ndarray = field(repr=False)
-    row: int = field(repr=False)
-    undo: np.ndarray = field(repr=False)
+    state: StateVector = field(repr=False)
+    targets: tuple[int, ...] = field(repr=False)
 
     @functools.cached_property
     def post_state(self) -> StateVector:
-        projected = np.zeros_like(self.grouped)
-        projected[self.row] = self.grouped[self.row] / np.sqrt(self.probability)
-        n = len(self.undo)
-        post = np.transpose(projected.reshape([2] * n), self.undo).reshape(-1)
-        return StateVector(n, _prune(post))
+        n = self.state.num_qubits
+        index: list = [slice(None)] * n
+        for t, b in zip(self.targets, self.result):
+            index[n - 1 - t] = b  # axis a holds qubit n-1-a
+        index = tuple(index)
+        psi = self.state.amplitudes.reshape([2] * n)
+        post = np.zeros(psi.shape, dtype=np.complex128)
+        post[index] = psi[index] / math.sqrt(self.probability)
+        return _fresh(StateVector, n, _prune(post.reshape(-1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,17 +180,21 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        self._check(np.array(self.matrix, dtype=np.complex128))  # a copy
+
+    def _check(self, mat: np.ndarray):
+        """Validate ``mat``, make it read-only and store it."""
         dim = 2**self.num_qubits
-        mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} density matrix")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
+        adjoint = mat.conj().T
+        if not np.abs(mat - adjoint).max() <= ATOL:  # written so that NaN fails
             raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
-            raise ValueError(f"density matrix trace is {np.trace(mat)!r}, expected 1")
-        if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)) < -ATOL:
+        trace = complex(mat.trace())
+        if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
+            raise ValueError(f"density matrix trace is {trace!r}, expected 1")
+        if np.linalg.eigvalsh((mat + adjoint) / 2.0)[0] < -ATOL:
             raise ValueError("density matrix not positive semidefinite")
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -219,43 +258,63 @@ def append_qubits(state: StateVector, qubits) -> StateVector:
     amps = state.amplitudes
     for amp0, amp1 in qubits:
         amps = np.multiply.outer(np.array([amp0, amp1], dtype=np.complex128), amps).reshape(-1)
-    return StateVector(n, amps)
+    return _fresh(StateVector, n, amps)
 
 
-def _check_targets(state: StateVector, targets) -> list[int]:
-    targets = list(targets)
+def _check_targets(n: int, targets) -> None:
     if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate qubit index in {targets}")
+        raise ValueError(f"duplicate qubit index in {list(targets)}")
     for t in targets:
-        if not 0 <= t < state.num_qubits:
-            raise ValueError(f"qubit index {t} out of range for {state.num_qubits} qubit(s)")
-    return targets
+        if not 0 <= t < n:
+            raise ValueError(f"qubit index {t} out of range for {n} qubit(s)")
 
 
-def _grouped(state: StateVector, targets) -> tuple[np.ndarray, np.ndarray]:
-    """The amplitudes as a 2^k x 2^(n-k) matrix whose row index reads the k
-    ``targets``, targets[0] most significant, and the permutation ``undo``:
-    ``np.transpose(m.reshape([2] * n), undo).reshape(-1)`` flattens it back.
-    Raises ValueError unless ``targets`` lists one or more distinct qubits of ``state``."""
-    n = state.num_qubits
-    axes = [n - 1 - t for t in _check_targets(state, targets)]  # axis a holds qubit n-1-a
-    if not axes:
+@functools.lru_cache(maxsize=4096)
+def _layout(n: int, targets: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation ``perm`` of the n axes of the amplitude tensor (axis a
+    holds qubit n-1-a) that puts the ``targets`` first, targets[0] outermost,
+    and its inverse ``undo``. Raises ValueError unless ``targets`` lists one
+    or more distinct qubits of an n-qubit state. The cache holds two short
+    tuples per key, no array."""
+    _check_targets(n, targets)
+    if not targets:
         raise ValueError("no target qubit given")
-    perm = axes + [a for a in range(n) if a not in axes]
-    grouped = np.transpose(state.amplitudes.reshape([2] * n), perm).reshape(2 ** len(axes), -1)
-    return grouped, np.argsort(perm)
+    axes = [n - 1 - t for t in targets]
+    perm = tuple(axes + [a for a in range(n) if a not in axes])
+    undo = tuple(sorted(range(n), key=perm.__getitem__))
+    return perm, undo
+
+
+def _grouped(array: np.ndarray, perm: tuple[int, ...], k: int) -> np.ndarray:
+    """``array`` (2^n entries) as a 2^k x 2^(n-k) matrix whose row index
+    reads the first k axes of ``perm``: the targets of ``_layout``."""
+    return np.transpose(array.reshape([2] * len(perm)), perm).reshape(2**k, -1)
+
+
+# A one-qubit gate on qubit t multiplies 2^(n-1-t) blocks of 2 x 2^t
+# amplitudes in one matmul call, which loops over the blocks. Past this many
+# blocks the transposed layout, one 2 x 2^(n-1) product, is faster: for
+# qubit 0 of 11 the product alone takes 54 us against 16 us (numpy 2.4 on
+# a 2-core x86-64 VM).
+_MAX_BLOCKS = 16
 
 
 def apply_gate(state: StateVector, gate: Gate, targets) -> StateVector:
     """Apply ``gate`` to the listed qubits; returns the unitary image."""
-    grouped, undo = _grouped(state, targets)
+    targets = tuple(targets)
+    n = state.num_qubits
+    perm, undo = _layout(n, targets)
     if len(targets) != gate.arity:
         raise ValueError(
             f"gate {gate.name!r} has arity {gate.arity}, got {len(targets)} target(s)"
         )
-    n = state.num_qubits
-    psi = np.transpose((gate.matrix @ grouped).reshape([2] * n), undo).reshape(-1)
-    return StateVector(n, _prune(psi))
+    blocks = 2 ** (n - 1 - targets[0])
+    if gate.arity == 1 and blocks <= _MAX_BLOCKS:
+        psi = gate.matrix @ state.amplitudes.reshape(blocks, 2, -1)
+    else:
+        image = gate.matrix @ _grouped(state.amplitudes, perm, gate.arity)
+        psi = np.transpose(image.reshape([2] * n), undo)
+    return _fresh(StateVector, n, _prune(psi.reshape(-1)))
 
 
 def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
@@ -265,16 +324,16 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
     the result read as a binary number. Outcome bits follow the order of
     ``targets``. Each outcome's ``post_state`` is collapsed when first read.
     """
-    grouped, undo = _grouped(state, targets)
+    targets = tuple(targets)
+    perm, _undo = _layout(state.num_qubits, targets)
     k = len(targets)
-    probs = np.sum(np.abs(grouped) ** 2, axis=1)
+    probs = _grouped(np.abs(state.amplitudes) ** 2, perm, k).sum(axis=1).tolist()
     outcomes = []
-    for r in range(2**k):
-        p = float(probs[r])
+    for r, p in enumerate(probs):
         if p < PRUNE_TOL:
             continue
         bits = tuple((r >> (k - 1 - j)) & 1 for j in range(k))
-        outcomes.append(MeasurementOutcome(bits, p, grouped, r, undo))
+        outcomes.append(MeasurementOutcome(bits, p, state, targets))
     return outcomes
 
 
@@ -290,10 +349,12 @@ def drop_basis_qubits(state: StateVector, candidates) -> tuple[StateVector, dict
     its b. Candidates in superposition or entangled with other qubits stay.
     """
     n = state.num_qubits
+    candidates = list(candidates)
+    _check_targets(n, candidates)
     psi = state.amplitudes.reshape([2] * n)  # axis a holds qubit n-1-a
     index: list = [slice(None)] * n
     dropped = {}
-    for q in _check_targets(state, candidates):
+    for q in candidates:
         axis = n - 1 - q
         leading = (slice(None),) * axis
         for b in (0, 1):
@@ -303,13 +364,16 @@ def drop_basis_qubits(state: StateVector, candidates) -> tuple[StateVector, dict
                 break
     if not dropped:
         return state, dropped
-    return StateVector(n - len(dropped), psi[tuple(index)]), dropped
+    # flatten copies, so the result does not keep the larger input alive
+    return _fresh(StateVector, n - len(dropped), psi[tuple(index)].flatten()), dropped
 
 
 def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:
     """Partial trace onto the ``keep`` qubits (keep[0] is the most significant row bit)."""
-    grouped, _undo = _grouped(state, keep)
-    return DensityMatrix(len(keep), grouped @ grouped.conj().T)
+    keep = tuple(keep)
+    perm, _undo = _layout(state.num_qubits, keep)
+    grouped = _grouped(state.amplitudes, perm, len(keep))
+    return _fresh(DensityMatrix, len(keep), grouped @ grouped.conj().T)
 
 
 def states_equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by routes independent of the
 package's own computation paths: explicit matrix expansion instead of
 tensor reshaping, explicit index loops instead of einsum-style transposes,
-and direct construction of transition systems.
+and direct construction of transition systems. The transpose kernels that
+``qstate`` replaced with cached layouts are kept here as slow paths too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from cqpkit import corpus
 from cqpkit.equiv import _TAU_CLASS, PROB_TOL
-from cqpkit.qstate import CapacityError, dirac
+from cqpkit.qstate import PRUNE_TOL, CapacityError, dirac
 from cqpkit.semantics import (
     BASIS_TEST_QUBITS,
     DEFAULT_TEST_QUBITS,
@@ -129,6 +130,90 @@ def rdm_oracle(amps: np.ndarray, n: int, keep: int) -> np.ndarray:
         high = idx >> (keep + 1)
         m[b, (high << keep) | low] += a
     return m @ m.conj().T
+
+
+# ---------------------------------------------------------------------------
+# The transpose kernels ``qstate`` used before its cached layouts: each call
+# computes the axis permutation and its ``argsort``, transposes the whole
+# vector, and transposes a gate's image back.
+# ---------------------------------------------------------------------------
+
+def _prune_oracle(amps: np.ndarray) -> np.ndarray:
+    amps[np.abs(amps) < PRUNE_TOL] = 0.0
+    return amps
+
+
+def transpose_grouped_oracle(amps: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """``amps`` as a 2^k x 2^(n-k) matrix whose row index reads the k
+    ``targets``, targets[0] most significant, and the permutation that
+    flattens it back."""
+    n = len(amps).bit_length() - 1
+    axes = [n - 1 - t for t in targets]  # axis a holds qubit n-1-a
+    perm = axes + [a for a in range(n) if a not in axes]
+    grouped = np.transpose(amps.reshape([2] * n), perm).reshape(2 ** len(axes), -1)
+    return grouped, np.argsort(perm)
+
+
+def transpose_apply_gate_oracle(amps: np.ndarray, gate_matrix: np.ndarray, targets) -> np.ndarray:
+    grouped, undo = transpose_grouped_oracle(amps, targets)
+    image = (gate_matrix @ grouped).reshape([2] * len(undo))
+    return _prune_oracle(np.transpose(image, undo).reshape(-1))
+
+
+def transpose_measure_oracle(amps: np.ndarray, targets) -> list[tuple]:
+    """``(bits, probability, post-measurement amplitudes)`` for each outcome
+    with probability of at least ``PRUNE_TOL``, ordered by the bits."""
+    grouped, undo = transpose_grouped_oracle(amps, targets)
+    k = len(targets)
+    probs = np.sum(np.abs(grouped) ** 2, axis=1)
+    outcomes = []
+    for r in range(2**k):
+        p = float(probs[r])
+        if p < PRUNE_TOL:
+            continue
+        projected = np.zeros_like(grouped)
+        projected[r] = grouped[r] / np.sqrt(p)
+        post = np.transpose(projected.reshape([2] * len(undo)), undo).reshape(-1)
+        bits = tuple((r >> (k - 1 - j)) & 1 for j in range(k))
+        outcomes.append((bits, p, _prune_oracle(post)))
+    return outcomes
+
+
+def transpose_rdm_oracle(amps: np.ndarray, keep) -> np.ndarray:
+    grouped, _undo = transpose_grouped_oracle(amps, keep)
+    return grouped @ grouped.conj().T
+
+
+def drop_basis_qubits_oracle(amps: np.ndarray, candidates) -> tuple[np.ndarray, dict[int, int]]:
+    """``drop_basis_qubits`` by index loops: a candidate q is dropped with
+    value b when every amplitude whose bit q is not b is exactly zero."""
+    n = len(amps).bit_length() - 1
+    dropped = {}
+    for q in candidates:
+        for b in (0, 1):
+            if all(amps[i] == 0 for i in range(2**n) if (i >> q) & 1 != b):
+                dropped[q] = b
+                break
+    kept = [q for q in range(n) if q not in dropped]
+    base = sum(b << q for q, b in dropped.items())
+    out = np.array(
+        [amps[base + sum(((j >> k) & 1) << q for k, q in enumerate(kept))] for j in range(2 ** len(kept))],
+        dtype=complex,
+    )
+    return out, dropped
+
+
+def basis_factored_amps(rng: np.random.Generator, n: int) -> tuple[np.ndarray, dict[int, int]]:
+    """A random n-qubit state in which about half the qubits, chosen at
+    random, are basis states: the amplitudes and a map from each such
+    qubit to its value."""
+    basis = {q: int(rng.integers(0, 2)) for q in range(n) if rng.random() < 0.5}
+    rest = [q for q in range(n) if q not in basis]
+    amps = np.zeros(2**n, dtype=complex)
+    base = sum(b << q for q, b in basis.items())
+    for j, a in enumerate(random_state_amps(rng, len(rest))):
+        amps[base + sum(((j >> k) & 1) << q for k, q in enumerate(rest))] = a
+    return amps, basis
 
 
 def teleport_branches_oracle(psi: np.ndarray):

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from cqpkit import cli
+from cqpkit import cli, qstate
+from cqpkit.equiv import check_equivalence
+from support import bench_workloads
 
 REPO = Path(__file__).resolve().parents[1]
 INSTALL = (
@@ -69,3 +71,32 @@ def test_one_traced_round_passes_its_output_checks():
     summary = run_one_round("simulate", trace=1)
     assert summary["correct"] is True
     assert summary["failed"] == 0
+
+
+def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
+    """``bench/spans.py`` counts the kernels by replacing attributes of
+    ``cqpkit.qstate``. One ``Chain2`` against ``Identity`` check makes as
+    many calls through those attributes as before the kernels were
+    rewritten, so a kernel reached another way would change a count."""
+    counts = {}
+
+    def counted(name):
+        fn = getattr(qstate, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(qstate, name, wrapped)
+
+    for name in ("apply_gate", "measure", "reduced_density_matrix", "states_equal_up_to_global_phase"):
+        counted(name)
+    workloads = bench_workloads()
+    program, sigs = workloads.load(workloads.chain_source(2))
+    assert check_equivalence(program, "Chain2", program, "Identity", sigs).equivalent
+    assert counts == {
+        "apply_gate": 64,
+        "measure": 8,
+        "reduced_density_matrix": 8,
+        "states_equal_up_to_global_phase": 24,
+    }

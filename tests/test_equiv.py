@@ -374,6 +374,53 @@ def test_termination_differs_from_visible_action():
 
 
 # ---------------------------------------------------------------------------
+# Known wrong EQUIVALENT verdicts, pinned until they are fixed
+# ---------------------------------------------------------------------------
+
+OBSERVER_SRC = """
+//: Bell : ^[Qbit]
+//: Mixed : ^[Qbit]
+//: Obs : ^[Qbit], ^[Bit,Bit]
+//: CB : ^[Bit,Bit]
+//: CM : ^[Bit,Bit]
+Bell(c) = (qbit x,y) {x *= H} . {x,y *= CNot} . c![x] . c![y] . 0
+Mixed(c) = (qbit x,u,y,v) {u *= H} . {u,x *= CNot} . {v *= H} . {v,y *= CNot} . c![x] . c![y] . 0
+Obs(c, out) = c?[a] . c?[b] . {a,b *= CNot} . {a *= H} . out![measure a,b] . 0
+CB(out) = (new c) (Bell(c) | Obs(c,out))
+CM(out) = (new c) (Mixed(c) | Obs(c,out))
+"""
+
+REPEATED_INPUT_SRC = """
+//: L : ^[Bit], ^[Bit]
+//: R : ^[Bit], ^[Bit]
+L(c,d) = c?[x] . c?[x] . d![x] . 0
+R(c,d) = c?[x] . c?[y] . d![x] . 0
+"""
+
+WRONGLY_EQUIVALENT = pytest.mark.xfail(strict=True, reason="EQUIVALENT today; must flip once fixed")
+
+
+@pytest.mark.parametrize(
+    "source, left, right",
+    [
+        # The Obs context tells the Bell pair from the mixed pair:
+        # out![0,0] has probability 1 against 0.25.
+        pytest.param(OBSERVER_SRC, "CB", "CM", id="CB-CM"),
+        # Each output is labelled with the state of its own qubit alone, not
+        # with the joint state of every qubit the environment holds.
+        pytest.param(OBSERVER_SRC, "Bell", "Mixed", marks=WRONGLY_EQUIVALENT, id="Bell-Mixed"),
+        # One input value per channel reaches both inputs of c, so no run
+        # sends 0 and then 1 on c.
+        pytest.param(REPEATED_INPUT_SRC, "L", "R", marks=WRONGLY_EQUIVALENT, id="L-R"),
+    ],
+)
+def test_distinguishable_processes_are_not_equivalent(source, left, right):
+    program = parse_program(source)
+    sigs = parse_signatures(source)
+    assert not check_equivalence(program, left, program, right, sigs).equivalent
+
+
+# ---------------------------------------------------------------------------
 # Driver-level behaviour
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """State-vector core: gates, measurement, partial trace, equality."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from cqpkit.qstate import (
@@ -21,11 +23,16 @@ from cqpkit.qstate import (
 from support import (
     SQ2,
     apply_gate_oracle,
+    basis_factored_amps,
     derive_correction_table,
+    drop_basis_qubits_oracle,
     random_state_amps,
     random_unitary,
     rdm_oracle,
     teleport_branches_oracle,
+    transpose_apply_gate_oracle,
+    transpose_measure_oracle,
+    transpose_rdm_oracle,
 )
 
 
@@ -129,14 +136,25 @@ def test_apply_gate_matches_expansion_oracle():
 
 
 def test_apply_gate_errors():
+    """Each bad target list raises its own ValueError, also once the layout
+    of a good list on the same number of qubits is cached, and again on a
+    repeated call."""
     h = standard_gate("H")
     cnot = standard_gate("CNot")
     with pytest.raises(ValueError):
         apply_gate(BELL, h, [0, 1])  # arity mismatch
-    with pytest.raises(ValueError):
-        apply_gate(BELL, cnot, [0, 0])  # duplicate target
-    with pytest.raises(ValueError):
-        apply_gate(BELL, cnot, [0, 2])  # out of range
+    apply_gate(BELL, cnot, [0, 1])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="arity 2, got 1 target"):
+            apply_gate(BELL, cnot, [0])
+        with pytest.raises(ValueError, match="duplicate qubit index"):
+            apply_gate(BELL, cnot, [0, 0])
+        with pytest.raises(ValueError, match="qubit index 2 out of range"):
+            apply_gate(BELL, cnot, [0, 2])
+        with pytest.raises(ValueError, match="out of range"):
+            apply_gate(BELL, cnot, [-1, 0])
+        with pytest.raises(ValueError, match="no target qubit"):
+            apply_gate(BELL, h, [])
 
 
 def test_unitarity_preserved_on_random_gates():
@@ -303,6 +321,12 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(1, np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(1, np.array([[0.5, np.nan], [np.nan, 0.5]]))
+    # Hermitian within ATOL, yet the four diagonal entries sum to an
+    # imaginary part of 1.8 ATOL.
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(2, np.eye(4) * (0.25 + 0.45j * ATOL))
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +423,7 @@ def test_drop_basis_qubits_factors_out_exactly():
     rng = np.random.default_rng(99)
     for _ in range(200):
         n = int(rng.integers(1, 6))
-        basis = {q: int(rng.integers(0, 2)) for q in range(n) if rng.random() < 0.5}
-        rest = [q for q in range(n) if q not in basis]
-        inner = random_state_amps(rng, len(rest))
-        amps = np.zeros(2**n, dtype=complex)
-        for j, a in enumerate(inner):
-            index = sum(b << q for q, b in basis.items())
-            index += sum(((j >> k) & 1) << q for k, q in enumerate(rest))
-            amps[index] = a
+        amps, basis = basis_factored_amps(rng, n)
         candidates = [q for q in range(n) if rng.random() < 0.7]
         out, dropped = drop_basis_qubits(StateVector(n, amps), candidates)
         assert dropped == {q: b for q, b in basis.items() if q in candidates}
@@ -428,3 +445,79 @@ def test_drop_basis_qubits_keeps_entangled_and_superposed():
     assert states_equal_up_to_global_phase(out, BELL)
     plus = sv(SQ2, SQ2)
     assert drop_basis_qubits(plus, [0]) == (plus, {})
+
+
+# ---------------------------------------------------------------------------
+# The kernels against the transpose kernels they replaced
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kernels_match_the_transpose_kernels(n):
+    """On a random state and on one with basis-state qubits: ``apply_gate``
+    for every ordered list of one or two targets, ``measure`` (every
+    outcome's bits, probability and collapsed state) and
+    ``reduced_density_matrix`` for the same lists, and ``drop_basis_qubits``,
+    all within 1e-12 of the oracles in ``tests/support.py``."""
+    rng = np.random.default_rng(1000 + n)
+    target_lists = [list(p) for k in (1, 2) if k <= n for p in permutations(range(n), k)]
+    factored, basis = basis_factored_amps(rng, n)
+    for amps in (random_state_amps(rng, n), factored):
+        state = StateVector(n, amps)
+        for targets in target_lists:
+            k = len(targets)
+            gate = Gate("rand", k, random_unitary(rng, 2**k))
+            np.testing.assert_allclose(
+                apply_gate(state, gate, targets).amplitudes,
+                transpose_apply_gate_oracle(amps, gate.matrix, targets),
+                rtol=0, atol=1e-12,
+            )
+            got = measure(state, targets)
+            want = transpose_measure_oracle(amps, targets)
+            assert [o.result for o in got] == [bits for bits, _p, _post in want]
+            for o, (_bits, p, post) in zip(got, want):
+                assert abs(o.probability - p) <= 1e-12
+                np.testing.assert_allclose(o.post_state.amplitudes, post, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                reduced_density_matrix(state, targets).matrix,
+                transpose_rdm_oracle(amps, targets),
+                rtol=0, atol=1e-12,
+            )
+    candidates = [q for q in range(n) if rng.random() < 0.7]
+    out, dropped = drop_basis_qubits(StateVector(n, factored), candidates)
+    want_amps, want_dropped = drop_basis_qubits_oracle(factored, candidates)
+    assert dropped == want_dropped == {q: b for q, b in basis.items() if q in candidates}
+    np.testing.assert_allclose(out.amplitudes, want_amps, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Aliasing: no state shares a buffer that anything can write
+# ---------------------------------------------------------------------------
+
+def test_caller_array_is_copied_and_results_are_read_only():
+    """Writing into the array a state was built from leaves the state as it
+    was, and the amplitudes of every result of the kernels are read-only,
+    since the kernels keep the arrays they compute instead of copying."""
+    arr = np.array([SQ2, 0, 0, SQ2], dtype=complex)
+    state = StateVector(2, arr)
+    arr[:] = [0, 1, 0, 0]
+    np.testing.assert_array_equal(state.amplitudes, [SQ2, 0, 0, SQ2])
+    rho_in = np.eye(2) / 2
+    rho = DensityMatrix(1, rho_in)
+    rho_in[0, 0] = 1.0
+    np.testing.assert_array_equal(rho.matrix, np.eye(2) / 2)
+
+    wide = append_qubits(state, [(1, 0)])
+    results = [
+        state,
+        wide,
+        apply_gate(state, standard_gate("H"), [0]),
+        apply_gate(state, standard_gate("H"), [1]),
+        apply_gate(state, standard_gate("CNot"), [1, 0]),
+        drop_basis_qubits(wide, [2])[0],
+        *(o.post_state for o in measure(state, [1])),
+    ]
+    for result in results:
+        assert not result.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            result.amplitudes[0] = 0.0
+    assert not reduced_density_matrix(state, [0]).matrix.flags.writeable
