@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from cqpkit import corpus
-from cqpkit.equiv import _TAU_CLASS, PROB_TOL
+from cqpkit.equiv import _TAU_CLASS, PROB_TOL, check_equivalence
 from cqpkit.qstate import PRUNE_TOL, CapacityError, dirac
 from cqpkit.semantics import (
     BASIS_TEST_QUBITS,
@@ -940,6 +940,30 @@ def digest_explorations():
                 except (SemanticsError, CapacityError) as exc:
                     outcome = type(exc).__name__
                 yield f"{name}:{set_name}:{'reduce' if reduce else 'full'}", alphabet, reduce, outcome
+
+
+def chain_verdicts() -> str:
+    """The full ``render()`` of every check the benchmark's ``chain``
+    workload makes and of the rest of their product: each chain of
+    ``chain_source(3, GATES)`` of k <= 3 hops, plain and followed by each
+    gate's hop, checked against ``Identity`` under each of the workload's
+    test sets. One block per check, headed by its entry and test set; a
+    check that raises shows the class name of its error."""
+    workloads = bench_workloads()
+    program, signatures = workloads.load(workloads.chain_source(3, workloads.GATES))
+    blocks = []
+    for k in range(1, 4):
+        for gate in (None,) + workloads.GATES:
+            entry = workloads._entry(k) if gate is None else f"Chain{k}{gate}"
+            for set_name, test_qubits in workloads.TEST_SETS.items():
+                try:
+                    shown = check_equivalence(
+                        program, entry, program, "Identity", signatures, test_qubits=test_qubits
+                    ).render()
+                except (SemanticsError, CapacityError) as exc:
+                    shown = type(exc).__name__
+                blocks.append(f"== {entry} / {set_name}\n{shown}\n")
+    return "".join(blocks)
 
 
 def _array_bytes(a: np.ndarray) -> bytes:

@@ -3,6 +3,7 @@ and the one-pass classes against a round-based refinement oracle."""
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +35,14 @@ from cqpkit.syntax import parse_program
 from cqpkit.typecheck import parse_signatures
 from support import (
     SQ2,
+    chain_verdicts,
     insert_tau,
     random_plts,
     random_typed_program,
     refine_partition,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def dm_of(amps) -> qstate.DensityMatrix:
@@ -454,3 +458,9 @@ Teleport(a, b) = (qbit x,y) {x *= H} . {x,y *= CNot} . (new c) (Alice(x,a,c) | B
     assert not verdict.equivalent
     assert verdict.witness.instantiation is not None
     assert "a<-" in verdict.witness.instantiation
+
+
+def test_chain_verdicts_match_golden():
+    """Every verdict of the benchmark's teleport chains, witness text
+    included, as pinned before ``explore`` settled deterministic τ runs."""
+    assert chain_verdicts() == (GOLDEN / "equiv_chain_verdicts.txt").read_text()
