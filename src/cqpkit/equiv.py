@@ -1,8 +1,12 @@
 """Probabilistic branching bisimilarity of explored transition systems.
 
-One pass over the two systems' joint state space, in reverse topological
-order, gives every state its class: the classes of a state's successors are
-final when the state is reached, and its class is hash-consed from them.
+One pass over the two systems' joint state space, in the post-order of a
+depth-first search from the initial states, gives every state its class:
+the classes of a state's successors are final when the state is reached,
+and its class is hash-consed from them. Classes are numbered in that
+order, which does not depend on how states are numbered, so witnesses name
+the same blocks whether or not ``semantics.explore`` folded a run of
+deterministic τ steps into its last state.
 
 - A nondeterministic state's signature is the set of its (label, successor
   class) pairs. If an internal step leads to a class whose signature covers
@@ -139,35 +143,72 @@ class EquivalenceVerdict:
 class _Graph:
     kinds: list[str]
     out_edges: list[list[tuple]]  # per state: (label_class, prob, dst); prob set on ProbLabel only
+    order: list[int]  # every state, each after all of its successors
 
 
 def _build_graph(systems: list[PLTS], classes: _LabelClasses) -> tuple[_Graph, list[int]]:
     """Join the systems into one graph of label classes, and give every
     state without outgoing edges a tick edge into a shared sink (the last
-    state)."""
+    state). Raises ``ValueError`` if the graph has a cycle.
+
+    ``order`` lists the states in the post-order of a depth-first search
+    from each initial state in turn, then from any state not yet reached,
+    following each state's edges in their order; label classes are numbered
+    as the search first meets their labels. Both depend on the systems'
+    shape and edge order but not on how their states are numbered. A
+    state whose one edge is a τ adds no class and no label class of its
+    own, so a system with such states folded into their targets, as
+    ``semantics.explore`` settles them, gets the same classes in the same
+    order, and a witness names the same blocks."""
     kinds: list[str] = []
-    out_edges: list[list[tuple]] = []
+    raw: list[list[tuple]] = []
     initials: list[int] = []
     offset = 0
     for plts in systems:
         initials.append(offset + plts.initial)
         for s in plts.states:
             kinds.append(s.kind)
-            out_edges.append([])
+            raw.append([])
         for e in plts.edges:
-            if isinstance(e.label, ProbLabel):
-                entry = (None, e.label.probability, offset + e.dst)
-            else:
-                entry = (classes.of(e.label), None, offset + e.dst)
-            out_edges[offset + e.src].append(entry)
+            raw[offset + e.src].append((e.label, offset + e.dst))
         offset += len(plts.states)
     sink = offset
-    for edges in out_edges:
-        if not edges:
-            edges.append((_TICK_CLASS, None, sink))
     kinds.append("nondet")
-    out_edges.append([])
-    return _Graph(kinds, out_edges), initials
+    raw.append([])
+    out_edges: list[list[tuple]] = [[] for _ in kinds]
+
+    def enter(s: int) -> list[tuple]:
+        edges = out_edges[s]
+        for label, dst in raw[s]:
+            if isinstance(label, ProbLabel):
+                edges.append((None, label.probability, dst))
+            else:
+                edges.append((classes.of(label), None, dst))
+        if not edges and s != sink:
+            edges.append((_TICK_CLASS, None, sink))
+        return edges
+
+    mark = [0] * len(kinds)  # 0 not reached, 1 on the search path, 2 ordered
+    order: list[int] = []
+    for root in itertools.chain(initials, range(len(kinds))):
+        if mark[root]:
+            continue
+        mark[root] = 1
+        path = [(root, iter(enter(root)))]
+        while path:
+            s, edges = path[-1]
+            for _cls, _p, dst in edges:
+                if mark[dst] == 1:
+                    raise ValueError("transition system has a cycle")
+                if not mark[dst]:
+                    mark[dst] = 1
+                    path.append((dst, iter(enter(dst))))
+                    break
+            else:
+                path.pop()
+                mark[s] = 2
+                order.append(s)
+    return _Graph(kinds, out_edges, order), initials
 
 
 def _classify(graph: _Graph) -> tuple[list[int], list[tuple]]:
@@ -176,17 +217,11 @@ def _classify(graph: _Graph) -> tuple[list[int], list[tuple]]:
     Returns the class of every state, and per class either
     ``("nondet", signature)``, a frozenset of (label class, target class)
     pairs, or ``("prob", distribution)``, the mass per target class of the
-    class's first member. States are visited in reverse topological order,
-    so the classes of a state's successors are final when it is reached.
+    class's first member. States are visited in ``graph.order``, so the
+    classes of a state's successors are final when it is reached, and
+    classes are numbered as they are first met.
     """
-    n = len(graph.kinds)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    pending = [len(edges) for edges in graph.out_edges]
-    for s, edges in enumerate(graph.out_edges):
-        for _cls, _p, dst in edges:
-            preds[dst].append(s)
-    order = [s for s in range(n) if not pending[s]]
-    class_of = [-1] * n
+    class_of = [-1] * len(graph.kinds)
     shapes: list[tuple] = []
     ids: dict[tuple, int] = {}
 
@@ -196,7 +231,7 @@ def _classify(graph: _Graph) -> tuple[list[int], list[tuple]]:
             shapes.append(shape)
         return ids[key]
 
-    for s in order:
+    for s in graph.order:
         if graph.kinds[s] == "prob":
             mass: dict[int, float] = {}
             for _cls, p, dst in graph.out_edges[s]:
@@ -224,12 +259,6 @@ def _classify(graph: _Graph) -> tuple[list[int], list[tuple]]:
                     sig = target_sig
                     break
             class_of[s] = intern(("nondet", sig), ("nondet", sig))
-        for u in preds[s]:
-            pending[u] -= 1
-            if not pending[u]:
-                order.append(u)
-    if len(order) < n:
-        raise ValueError("transition system has a cycle")
     return class_of, shapes
 
 
@@ -379,14 +408,27 @@ def check_equivalence(
     test_qubits=semantics.DEFAULT_TEST_QUBITS,
     max_states: int = semantics.DEFAULT_MAX_STATES,
 ) -> EquivalenceVerdict:
-    """Conjoin branching bisimilarity over every external-input instantiation."""
+    """Conjoin branching bisimilarity over every external-input instantiation.
+
+    Each side's initial configuration is settled once (``semantics.settle``)
+    before the loop: its deterministic τ prefix, such as allocating Bell
+    pairs and making ``new`` channels, does not depend on the inputs, so
+    ``explore`` finds it settled under every instantiation. Side b's prefix
+    therefore runs before side a is explored, and an error in it, such as
+    passing the qubit cap, is raised before any error that exploring side a
+    would raise.
+    """
     if signatures_b is None:
         signatures_b = signatures_a
     instantiations = input_instantiations(
         program_a, entry_a, program_b, entry_b, signatures_a, signatures_b, test_qubits
     )
-    cfg_a = semantics.initial_configuration(program_a, entry_a, signatures=signatures_a)
-    cfg_b = semantics.initial_configuration(program_b, entry_b, signatures=signatures_b)
+    cfg_a = semantics.settle(
+        semantics.initial_configuration(program_a, entry_a, signatures=signatures_a)
+    )
+    cfg_b = semantics.settle(
+        semantics.initial_configuration(program_b, entry_b, signatures=signatures_b)
+    )
     for alphabet in instantiations:
         plts_a = semantics.explore(cfg_a, max_states=max_states, alphabet=alphabet)
         plts_b = semantics.explore(cfg_b, max_states=max_states, alphabet=alphabet)

@@ -13,10 +13,14 @@ configuration, giving priority to one deterministic internal step when a
 component can take one (see its docstring); ``explore`` closes a
 configuration under ``step`` into a finite probabilistic labelled
 transition system (PLTS) whose states alternate between nondeterministic
-choice and probability distributions; ``run_sampled`` walks one seeded
-path for simulation, handing ``step`` its PRNG so that each step builds
-only the configuration the path takes, and collapses the state only onto
-the measurement branch it draws.
+choice and probability distributions. When reducing, ``explore`` first
+settles each configuration (``settle``): it runs the deterministic τ steps
+that have priority until none is left, so no state of the PLTS is one that
+could only take such a step (confluence reduction, Blom & van de Pol,
+"State space reduction by proving confluence", CAV 2002). ``run_sampled``
+walks one seeded path for simulation, handing ``step`` its PRNG so that
+each step builds only the configuration the path takes, and collapses the
+state only onto the measurement branch it draws.
 
 Communication is synchronous (handshake), as in pi-calculus. A payload is
 a flat list of expressions. Before an output can send, the leftmost
@@ -529,16 +533,16 @@ def _gate_for(config: Configuration, env: dict, ref) -> qstate.Gate:
 _DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
 
 
-def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: dict) -> Transition:
-    """The single τ transition of component ``i``, headed by a qubit
-    allocation, a channel restriction or a gate. Allocation binds one
+def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: dict) -> Configuration:
+    """The one successor of the τ step of component ``i``, headed by a
+    qubit allocation, a channel restriction or a gate. Allocation binds one
     fresh |0> qubit per binder and ``new`` one fresh channel, both through
     ``_bind``."""
     if isinstance(head, QbitAlloc):
         zeros = (_KET0,) * len(head.binders)
-        cfg = _bind(config, {i: (head.continuation, env)}, i, head.binders, zeros)
-    elif isinstance(head, NewChannel):
-        cfg = _bind(
+        return _bind(config, {i: (head.continuation, env)}, i, head.binders, zeros)
+    if isinstance(head, NewChannel):
+        return _bind(
             config,
             {i: (head.continuation, env)},
             i,
@@ -546,12 +550,31 @@ def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: di
             (ChannelVal(config.next_channel),),
             next_channel=config.next_channel + 1,
         )
-    else:
-        qids = _qubit_ids(config, env, head.targets)
-        gate = _gate_for(config, env, head.gate)
-        qvec = qstate.apply_gate(config.qstate, gate, qids)
-        cfg = _advance(config, {i: (head.continuation, env)}, qstate=qvec)
-    return Transition(TAU, ((1.0, cfg),))
+    qids = _qubit_ids(config, env, head.targets)
+    gate = _gate_for(config, env, head.gate)
+    qvec = qstate.apply_gate(config.qstate, gate, qids)
+    return _advance(config, {i: (head.continuation, env)}, qstate=qvec)
+
+
+def settle(config: Configuration) -> Configuration:
+    """The first configuration with no deterministic τ step that ``config``
+    reaches by taking them in ``step``'s priority order: each time, the
+    first component headed by a qubit allocation, a ``new`` or a gate moves,
+    through ``_deterministic_tau`` with every check of a step. A
+    configuration that has none is returned as it is.
+
+    The components before the one that moved keep their heads, so the scan
+    goes on from its index. Every such run is finite (see ``step``)."""
+    i = 0
+    procs = config.procs
+    while i < len(procs):
+        head, env, _ = procs[i]
+        if isinstance(head, _DETERMINISTIC_TAU):
+            config = _deterministic_tau(config, i, head, env)
+            procs = config.procs
+        else:
+            i += 1
+    return config
 
 
 def _draw(outcomes: list, rng: random.Random):
@@ -616,6 +639,13 @@ def step(
     ``reduce=False`` enumerates every interleaving and gives nothing
     priority; it is the reference the reduction is tested against.
 
+    ``step`` itself takes one deterministic τ at a time, so ``run_sampled``
+    traces show each. ``explore`` instead settles each configuration it
+    meets (``settle``) by running all of them in this order before
+    interning it, which folds every state of such a run into its last
+    (Blom & van de Pol, "State space reduction by proving confluence", CAV
+    2002).
+
     The transitions come from one lazy enumeration (``_transitions``),
     which builds each only when it is reached. With ``rng`` (a sampled
     run), ``step`` takes the first, whatever ``reduce`` is, and no later
@@ -641,13 +671,13 @@ def _transitions(config: Configuration, alphabet: dict, reduce: bool, rng: rando
     if reduce:
         for i, (head, env, _) in enumerate(config.procs):
             if isinstance(head, _DETERMINISTIC_TAU):
-                yield _deterministic_tau(config, i, head, env)
+                yield Transition(TAU, ((1.0, _deterministic_tau(config, i, head, env)),))
                 return
 
     senders, receivers = [], []  # (index, head, env, channel id) ready to communicate
     for i, (head, env, _) in enumerate(config.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
-            yield _deterministic_tau(config, i, head, env)
+            yield Transition(TAU, ((1.0, _deterministic_tau(config, i, head, env)),))
             continue
 
         if isinstance(head, Output):
@@ -844,6 +874,22 @@ def explore(
 
     ``reduce`` is passed to ``step``: the default explores one order of
     independent deterministic τ steps, ``reduce=False`` every interleaving.
+
+    With ``reduce=True`` every configuration is settled (``settle``) before
+    it is interned, the initial one and every successor, so no state of the
+    PLTS has a deterministic τ step: each state on a run of them is folded
+    into the state that ends the run, its τ-confluent representative (Blom
+    & van de Pol, "State space reduction by proving confluence", CAV 2002).
+    Verdicts cannot change. Under ``reduce=True`` a configuration with a
+    deterministic τ step has exactly one transition, a τ to one successor,
+    and the run ends in a state without one. ``equiv._classify`` always
+    puts such a state in its target's class, since every move of the state
+    is the τ into that class, and ``equiv``'s offer probabilities pass
+    through it to its target unchanged. Leaving the run out therefore
+    changes no class, and since ``equiv`` numbers classes in an order such
+    a state does not affect (``equiv._build_graph``), no witness either.
+    ``reduce=False`` interns every successor as it is; it is the reference
+    the reduction is tested against.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
@@ -854,6 +900,8 @@ def explore(
     queue: list[int] = []
 
     def intern(cfg: Configuration) -> int:
+        if reduce:
+            cfg = settle(cfg)
         key = canonical_key(cfg)
         for sid in buckets.get(key, []):
             if qstate.states_equal_up_to_global_phase(states[sid].config.qstate, cfg.qstate):

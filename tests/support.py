@@ -18,14 +18,16 @@ import numpy as np
 
 from cqpkit import corpus
 from cqpkit.equiv import _TAU_CLASS, PROB_TOL, check_equivalence
-from cqpkit.qstate import PRUNE_TOL, CapacityError, dirac
+from cqpkit.qstate import PRUNE_TOL, CapacityError, dirac, states_equal_up_to_global_phase
 from cqpkit.semantics import (
     BASIS_TEST_QUBITS,
+    DEFAULT_MAX_STATES,
     DEFAULT_TEST_QUBITS,
     PLTS,
     TAU,
     ChannelVal,
     CommLabel,
+    ExplorationLimitError,
     OwnershipViolation,
     PLTSEdge,
     PLTSState,
@@ -940,6 +942,58 @@ def digest_explorations():
                 except (SemanticsError, CapacityError) as exc:
                     outcome = type(exc).__name__
                 yield f"{name}:{set_name}:{'reduce' if reduce else 'full'}", alphabet, reduce, outcome
+
+
+def explore_unsettled_oracle(
+    config, max_states: int = DEFAULT_MAX_STATES, alphabet: dict | None = None
+) -> PLTS:
+    """``semantics.explore`` with ``reduce=True`` that interns every
+    successor as it is, one state per deterministic τ step, instead of
+    settling it first: the loop ``explore`` ran before it settled."""
+    states: list[PLTSState] = []
+    edges: list[PLTSEdge] = []
+    buckets: dict[tuple, list[int]] = {}
+    prob_cache: dict[tuple, int] = {}
+    queue: list[int] = []
+
+    def intern(cfg) -> int:
+        key = canonical_key(cfg)
+        for sid in buckets.get(key, []):
+            if states_equal_up_to_global_phase(states[sid].config.qstate, cfg.qstate):
+                return sid
+        if len(states) >= max_states:
+            raise ExplorationLimitError(max_states)
+        sid = len(states)
+        states.append(PLTSState(sid, "nondet", config=cfg))
+        buckets.setdefault(key, []).append(sid)
+        queue.append(sid)
+        return sid
+
+    initial = intern(config)
+    head = 0
+    while head < len(queue):
+        sid = queue[head]
+        head += 1
+        transitions = step(states[sid].config, alphabet)
+        if not transitions:
+            states[sid].terminal = True
+            continue
+        for t in transitions:
+            if len(t.outcomes) == 1:
+                edges.append(PLTSEdge(sid, t.label, intern(t.outcomes[0][1])))
+                continue
+            dist = tuple((round(p, 12), intern(child)) for p, child in t.outcomes)
+            pid = prob_cache.get(dist)
+            if pid is None:
+                if len(states) >= max_states:
+                    raise ExplorationLimitError(max_states)
+                pid = len(states)
+                states.append(PLTSState(pid, "prob"))
+                prob_cache[dist] = pid
+                for p, child in dist:
+                    edges.append(PLTSEdge(pid, ProbLabel(p), child))
+            edges.append(PLTSEdge(sid, t.label, pid))
+    return PLTS(states, edges, initial)
 
 
 def chain_verdicts() -> str:

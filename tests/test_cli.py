@@ -267,6 +267,26 @@ def test_equiv_past_the_qubit_cap_exits_70(tmp_path, capsys):
     assert err == "allocation of 1 qubit(s) would exceed cap of 12\n"
 
 
+def test_equiv_exits_70_when_the_right_prefix_passes_the_qubit_cap(tmp_path, capsys):
+    """``check_equivalence`` settles the deterministic prefix of both sides
+    before it explores either, so the right side's allocation of 13 qubits
+    raises before the left side, which is fine, is explored."""
+    qubits = ",".join(f"q{i}" for i in range(1, 14))
+    src = tmp_path / "hog.cqp"
+    src.write_text(
+        "//: Identity : ^[Qbit], ^[Qbit]\n"
+        "Identity(c, d) = c?[x] . d![x] . 0\n"
+        "//: Hog : ^[Qbit], ^[Qbit]\n"
+        f"Hog(c, d) = (qbit {qubits}) c?[x] . d![x] . 0\n"
+    )
+    code, out, err = run_cli(
+        capsys, "equiv", str(src), str(src), "--left-entry", "Identity", "--right-entry", "Hog"
+    )
+    assert code == 70
+    assert out == ""
+    assert err == "allocation of 13 qubit(s) would exceed cap of 12\n"
+
+
 # ---------------------------------------------------------------------------
 # equiv
 # ---------------------------------------------------------------------------

@@ -20,6 +20,14 @@ taken over the full ``step`` (``run_sampled_oracle``), and on every
 explored configuration of the corpus and of ``chain_source(2, GATES)`` its
 one transition is checked to be the first of the full enumeration.
 
+With ``reduce=True``, ``explore`` settles every configuration before it
+interns it, so it stores no state whose only move is a deterministic τ.
+Each of those explorations is checked against ``explore_unsettled_oracle``,
+which interns every successor as it is, and ``check_equivalence`` is
+checked against the same oracle on pairs of random well-typed programs.
+The ``:reduce`` lines of the golden digest were regenerated when
+``explore`` began to settle: 418 of them changed, and no ``:full`` line did.
+
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on
 every definition of the corpus, of ``chain_source(3, GATES)`` and of 300
@@ -34,8 +42,10 @@ from pathlib import Path
 import pytest
 
 from cqpkit import semantics
+from cqpkit.equiv import branching_bisim, check_equivalence
 from cqpkit.qstate import CapacityError, StateVector
 from cqpkit.semantics import (
+    _DETERMINISTIC_TAU,
     DEFAULT_TEST_QUBITS,
     OwnershipViolation,
     QubitVal,
@@ -52,11 +62,15 @@ from cqpkit.semantics import (
 )
 from cqpkit.syntax import free_names, parse_process, parse_program, pretty_print, scopes
 from support import (
+    DIGEST_RANDOM_PROGRAMS,
+    DIGEST_TEST_SETS,
     bench_workloads,
     canonical_key_oracle,
     check_ownership_oracle,
     corpus_entries,
     digest_explorations,
+    digest_programs,
+    explore_unsettled_oracle,
     exploration_digest,
     free_names_oracle,
     input_used_channels_oracle,
@@ -158,6 +172,90 @@ def test_shared_qubit_rejected_like_the_term_walk():
         check_ownership_oracle(shared)
     with pytest.raises(OwnershipViolation):
         shared.check_ownership()
+
+
+# ---------------------------------------------------------------------------
+# Settled exploration against interning every successor
+# ---------------------------------------------------------------------------
+
+def has_deterministic_tau(cfg) -> bool:
+    return any(isinstance(head, _DETERMINISTIC_TAU) for head, _env, _qubits in cfg.procs)
+
+
+def program_errors(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the class name of the ``SemanticsError``
+    or ``CapacityError`` it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (SemanticsError, CapacityError) as exc:
+        return type(exc).__name__
+
+
+def test_settled_explorations_match_the_unsettled_oracle(explorations):
+    """On every digest program and test set, the settled PLTS is branching
+    bisimilar to the unsettled one, holds no configuration with a
+    deterministic τ step, and has exactly the unsettled states less those
+    that have one; or both raise the same class of error."""
+    settled = {name: outcome for name, _alphabet, reduce, outcome in explorations if reduce}
+    compared = errors = 0
+    for name, program, signatures, entry in digest_programs():
+        config = initial_configuration(program, entry, signatures=signatures)
+        for set_name, test_qubits in DIGEST_TEST_SETS.items():
+            case = f"{name}:{set_name}:reduce"
+            alphabet = input_alphabet(program, entry, signatures[entry], test_qubits)
+            got = settled[case]
+            want = program_errors(explore_unsettled_oracle, config, 5000, alphabet)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want, case
+                errors += 1
+                continue
+            configs = [s.config for s in got.states if s.config is not None]
+            assert not any(has_deterministic_tau(c) for c in configs), case
+            folded = sum(
+                has_deterministic_tau(s.config) for s in want.states if s.config is not None
+            )
+            assert len(got.states) == len(want.states) - folded, case
+            assert branching_bisim(got, want).equivalent, case
+            compared += 1
+    assert compared + errors == len(settled)
+    assert compared > 500
+
+
+def typed_program_pairs():
+    """Pairs of ``random_typed_program`` of seeds 0-299 with the same entry
+    signature, each program paired with the next of its signature."""
+    by_signature: dict[tuple, list] = {}
+    for seed in range(DIGEST_RANDOM_PROGRAMS):
+        program, signatures = random_typed_program(random.Random(seed))
+        by_signature.setdefault(signatures["Gen"], []).append((seed, program, signatures))
+    for group in by_signature.values():
+        yield from zip(group, group[1:])
+
+
+def test_check_equivalence_matches_the_unsettled_oracle():
+    """``check_equivalence`` with its prefixes settled and ``explore``
+    settling gives the verdict, witness text included, that it gives with
+    neither, on pairs of random well-typed programs under both digest test
+    sets; or both raise the same class of error."""
+    verdicts = set()
+    pairs = list(typed_program_pairs())
+    assert len(pairs) > 250
+    for (seed_a, program_a, sigs_a), (seed_b, program_b, sigs_b) in pairs:
+        for set_name, test_qubits in DIGEST_TEST_SETS.items():
+            args = (program_a, "Gen", program_b, "Gen", sigs_a, sigs_b, test_qubits, 5000)
+            got = program_errors(check_equivalence, *args)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(semantics, "explore", explore_unsettled_oracle)
+                mp.setattr(semantics, "settle", lambda config: config)
+                want = program_errors(check_equivalence, *args)
+            case = f"random{seed_a} vs random{seed_b}:{set_name}"
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want, case
+                verdicts.add(got)
+                continue
+            assert got.render() == want.render(), case
+            verdicts.add(got.equivalent)
+    assert {True, False} <= verdicts
 
 
 # ---------------------------------------------------------------------------

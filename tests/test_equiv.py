@@ -174,6 +174,25 @@ def test_tau_prefix_insertion_preserves_equivalence():
         checked += 1
 
 
+def test_witness_ignores_a_state_whose_one_move_is_a_tau():
+    """A state whose one edge is a τ into a nondeterministic state adds no
+    class and no label class, so the witness between two systems names the
+    same label, side and block with or without it. This is the shape
+    ``semantics.explore`` folds away when it settles deterministic τ runs."""
+    rng = random.Random(19)
+    checked = 0
+    for _ in range(300):
+        a, b = random_plts(rng), random_plts(rng)
+        verdict = branching_bisim(a, b)
+        if verdict.equivalent:
+            continue
+        target = rng.choice([s.id for s in a.states if s.kind == "nondet"])
+        assert branching_bisim(insert_tau(a, target), b).render() == verdict.render()
+        assert branching_bisim(b, insert_tau(a, target)).render() == branching_bisim(b, a).render()
+        checked += 1
+    assert checked > 100
+
+
 def test_probability_perturbation_breaks_equivalence():
     """Shifting >= 1e-3 of mass between observably different branches must
     be detected; the branches carry different classical outputs."""

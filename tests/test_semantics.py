@@ -10,6 +10,7 @@ from cqpkit import corpus, qstate, semantics, syntax
 from cqpkit.equiv import branching_bisim, check_equivalence, input_instantiations
 from cqpkit.semantics import (
     DEFAULT_TEST_QUBITS,
+    TAU,
     CommLabel,
     ExplorationLimitError,
     OwnershipViolation,
@@ -22,6 +23,7 @@ from cqpkit.semantics import (
     input_used_channels,
     render_label,
     run_sampled,
+    settle,
     step,
 )
 from cqpkit.syntax import Call, parse_program
@@ -200,11 +202,22 @@ def test_interleaving_diamond_merges():
 
 def test_reduced_diamond_is_one_path():
     program = parse_program(DIAMOND)
-    plts = explore(initial_configuration(program, "P"))
-    # init, allocated, left gate done, both gates done
-    assert len(plts.states) == 4
-    assert len(plts.edges) == len(plts.states) - 1
-    assert sum(1 for s in plts.states if s.terminal) == 1
+    config = initial_configuration(program, "P")
+    # Under the priority rule each configuration has one τ step: init,
+    # allocated, left gate done, both gates done.
+    path = [config]
+    while transitions := step(path[-1]):
+        (t,) = transitions
+        assert t.label == TAU
+        ((_p, nxt),) = t.outcomes
+        path.append(nxt)
+    assert len(path) == 4
+    assert canonical_key(settle(config)) == canonical_key(path[-1])
+    # ``explore`` settles the whole path into its last configuration.
+    plts = explore(config)
+    assert len(plts.states) == 1
+    assert plts.edges == []
+    assert plts.states[0].terminal
 
 
 def test_merged_configurations_step_alike(monkeypatch):
@@ -378,7 +391,7 @@ def test_four_hop_chain_equals_identity_under_default_cap():
                     alphabet=teleport_alphabet()).states)
         for entry in ("Teleport", "Chain2", "Chain3", "Chain4", "Chain5")
     ]
-    assert counts == [19, 37, 55, 73, 91]
+    assert counts == [9, 16, 23, 30, 37]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +497,7 @@ def test_sequential_programs_run_past_the_qubit_cap():
     outputs = [ts for ts in trace if isinstance(ts.label, CommLabel)]
     assert len(outputs) == 13
     assert step(trace[-1].config) == []
-    assert len(explore(config).states) == 79
+    assert len(explore(config).states) == 53
 
 
 def test_exploration_cap(teleport_program):
