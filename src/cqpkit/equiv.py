@@ -411,9 +411,10 @@ def check_equivalence(
     """Conjoin branching bisimilarity over every external-input instantiation.
 
     Each side's initial configuration is settled once (``semantics.settle``)
-    before the loop: its deterministic τ prefix, such as allocating Bell
-    pairs and making ``new`` channels, does not depend on the inputs, so
-    ``explore`` finds it settled under every instantiation. Side b's prefix
+    before the loop: its prefix of deterministic τ steps and private
+    communications, such as allocating Bell pairs and making ``new``
+    channels, does not depend on the inputs, so ``explore`` finds it
+    settled under every instantiation. Side b's prefix
     therefore runs before side a is explored, and an error in it, such as
     passing the qubit cap, is raised before any error that exploring side a
     would raise.

@@ -15,12 +15,19 @@ configuration under ``step`` into a finite probabilistic labelled
 transition system (PLTS) whose states alternate between nondeterministic
 choice and probability distributions. When reducing, ``explore`` first
 settles each configuration (``settle``): it runs the deterministic τ steps
-that have priority until none is left, so no state of the PLTS is one that
-could only take such a step (confluence reduction, Blom & van de Pol,
-"State space reduction by proving confluence", CAV 2002). ``run_sampled``
-walks one seeded path for simulation, handing ``step`` its PRNG so that
-each step builds only the configuration the path takes, and collapses the
-state only onto the measurement branch it draws.
+that have priority, and then the private communications, until neither is
+left, so no state of the PLTS is one that could take such a step
+(confluence reduction, Blom & van de Pol, "State space reduction by
+proving confluence", CAV 2002). A communication is private when its
+channel is hidden and held by its sender and its receiver alone: no other
+component can reach the channel, since only those two could pass it on
+and both are blocked on this step, so the step can be neither raced nor
+disabled and it touches no qubit (the confluence of private π-calculus
+channels: Philippou & Walker, "On confluence in the π-calculus", ICALP
+1997; Groote & Sellink, "Confluence for process verification", TCS 1996).
+``run_sampled`` walks one seeded path for simulation, handing ``step`` its
+PRNG so that each step builds only the configuration the path takes, and
+collapses the state only onto the measurement branch it draws.
 
 Communication is synchronous (handshake), as in pi-calculus. A payload is
 a flat list of expressions. Before an output can send, the leftmost
@@ -35,19 +42,22 @@ labelled with the reduced density matrix of the transmitted qubits, which
 is all an observer can see of them. Scope extrusion is not modelled: sending
 a hidden channel on a visible one raises ``RuntimeProcessError``.
 
-A running component is a record ``(term, env, qubits)``. Its first two
-fields are a closure (Abadi, Cardelli, Curien & Lévy, "Explicit
+A running component is a record ``(term, env, qubits, hidden)``. Its
+first two fields are a closure (Abadi, Cardelli, Curien & Lévy, "Explicit
 substitutions", JFP 1991): ``term`` is a subterm of the program, or an
-output whose measurement was just forced, and ``env`` maps its free names
-to runtime names; a name it does not map, such as an entry parameter,
-stands for itself. Binding extends ``env`` and a call starts a new one, so
-no term is renamed while it runs and each term node computes its free
-names and key template once (``ProcessTerm``). ``_flatten`` makes the
-records and caps the components of a configuration (``MAX_COMPONENTS``).
+output whose measurement was forced (``Output.forced``, one node per
+outcome), and ``env`` maps its free names to runtime names; a name it does
+not map, such as an entry parameter, stands for itself. Binding extends
+``env`` and a call starts a new one, so no term is renamed while it runs
+and each term node computes its free names and key template once
+(``ProcessTerm``). ``_flatten`` makes the records and caps the components
+of a configuration (``MAX_COMPONENTS``).
 
 ``qubits`` is the set of qubits the component's free names resolve to,
-computed once when the component is made; every successor is checked
-against these sets for a qubit held by two components (dynamic
+and ``hidden`` the set of hidden channels they resolve to, both computed
+in one pass when the component is made. ``settle`` counts the holders of
+a hidden channel on the ``hidden`` sets. Every successor is checked
+against the ``qubits`` sets for a qubit held by two components (dynamic
 no-cloning). Every successor then drops its dead qubits that sit in a
 basis state: qubits no free name of a component refers to any more,
 such as those measured into a payload, whose amplitudes are exactly zero
@@ -75,7 +85,6 @@ from .syntax import (
     FixedGate,
     GateAction,
     Input,
-    MeasureExpr,
     NewChannel,
     Nil,
     Output,
@@ -225,12 +234,13 @@ class Configuration:
 
     Treated as immutable; every step produces fresh copies, sharing the
     components it leaves unchanged. ``procs`` holds the parallel components
-    in left-to-right order as ``(term, env, qubits)`` records; no term is a
-    parallel composition, a call or ``0`` (``_flatten``), so a finished run
-    has none. ``qubits`` holds the ids of the qubits a free name of the
-    component resolves to, computed when the component is made and
-    renumbered when qubits are dropped. Bindings are never rebound, so a
-    shared component keeps its set. ``bindings`` maps
+    in left-to-right order as ``(term, env, qubits, hidden)`` records; no
+    term is a parallel composition, a call or ``0`` (``_flatten``), so a
+    finished run has none. ``qubits`` holds the ids of the qubits a free
+    name of the component resolves to, computed when the component is made
+    and renumbered when qubits are dropped; ``hidden`` holds the ids of the
+    hidden channels they resolve to. Bindings are never rebound, so a
+    shared component keeps its sets. ``bindings`` maps
     runtime names, the entry's parameters and the ``binder~n`` names
     ``_bind`` makes, to values. ``channel_names`` maps visible channel ids
     (the entry's channel parameters, numbered by position) to their
@@ -253,7 +263,7 @@ class Configuration:
 
     qstate: StateVector
     bindings: dict
-    procs: tuple  # of (term, env, qubits: frozenset[int])
+    procs: tuple  # of (term, env, qubits: frozenset[int], hidden: frozenset[int])
     channel_names: dict[int, str]
     next_channel: int
     next_fresh: int
@@ -265,7 +275,7 @@ class Configuration:
         right into one term, for display."""
         if not self.procs:
             return Nil()
-        terms = (substitute(term, env) for term, env, _ in self.procs)
+        terms = (substitute(term, env) for term, env, *_ in self.procs)
         return functools.reduce(lambda l, r: Parallel(left=l, right=r), terms)
 
     def is_visible(self, cid: int) -> bool:
@@ -279,7 +289,7 @@ class Configuration:
         otherwise return the live qubits, the union of their qubit sets.
         Reads only the cached sets, so no free name is looked up."""
         live: set[int] = set()
-        for _term, _env, mine in self.procs:
+        for _term, _env, mine, _hidden in self.procs:
             if not live.isdisjoint(mine):
                 raise OwnershipViolation(
                     f"qubit id(s) {sorted(live & mine)} bound under two parallel components"
@@ -320,11 +330,12 @@ def initial_configuration(
             if not isinstance(t, ChannelType):
                 raise RuntimeProcessError(f"entry parameter {p!r} of {entry!r} is not a channel")
     bindings = {p: ChannelVal(i) for i, p in enumerate(d.params)}
+    channel_names = dict(enumerate(d.params))
     return Configuration(
         qstate=StateVector.empty(),
         bindings=bindings,
-        procs=_flatten(d.body, {}, bindings, program),
-        channel_names=dict(enumerate(d.params)),
+        procs=_flatten(d.body, {}, bindings, channel_names, program),
+        channel_names=channel_names,
         next_channel=len(d.params),
         next_fresh=0,
         program=program,
@@ -336,32 +347,44 @@ def initial_configuration(
 # ---------------------------------------------------------------------------
 
 def _flatten(
-    term: ProcessTerm, env: dict, bindings: dict, program: Program, others: int = 0
+    term: ProcessTerm,
+    env: dict,
+    bindings: dict,
+    channel_names: dict,
+    program: Program,
+    others: int = 0,
 ) -> tuple:
     """The parallel components of ``term`` under ``env`` in left-to-right
-    order, as ``(term, env, qubits)`` records, with every call unfolded
-    into its body, under an environment mapping each parameter to its
-    argument, and the finished components (``0``) dropped. ``qubits`` is
-    read from the term's cached free names, resolved through ``env`` and
-    ``bindings``.
+    order, as ``(term, env, qubits, hidden)`` records, with every call
+    unfolded into its body, under an environment mapping each parameter to
+    its argument, and the finished components (``0``) dropped. One pass
+    over the term's cached free names, resolved through ``env`` and
+    ``bindings``, gives both ``qubits`` and ``hidden``, the ids of the
+    channels they resolve to that are not in ``channel_names``.
 
     Raises ExplorationLimitError as soon as these components and the
     ``others`` held beside them would exceed ``MAX_COMPONENTS``, before the
     rest of an exponential call fan-out is unfolded."""
     if isinstance(term, Parallel):
-        left = _flatten(term.left, env, bindings, program, others)
-        return left + _flatten(term.right, env, bindings, program, others + len(left))
+        left = _flatten(term.left, env, bindings, channel_names, program, others)
+        right = _flatten(term.right, env, bindings, channel_names, program, others + len(left))
+        return left + right
     if isinstance(term, Nil):
         return ()
     if isinstance(term, Call):
         d = program.definition(term.process)
         inner = {p: env.get(a, a) for p, a in zip(d.params, term.args)}
-        return _flatten(d.body, inner, bindings, program, others)
+        return _flatten(d.body, inner, bindings, channel_names, program, others)
     if others >= MAX_COMPONENTS:
         raise ExplorationLimitError(MAX_COMPONENTS, "component")
-    names = (env.get(n, n) for n in free_names(term))
-    qubits = frozenset(v.qid for n in names if isinstance(v := bindings.get(n), QubitVal))
-    return ((term, env, qubits),)
+    qubits, hidden = [], []
+    for n in free_names(term):
+        v = bindings.get(env.get(n, n))
+        if isinstance(v, QubitVal):
+            qubits.append(v.qid)
+        elif isinstance(v, ChannelVal) and v.cid not in channel_names:
+            hidden.append(v.cid)
+    return ((term, env, frozenset(qubits), frozenset(hidden)),)
 
 
 def _lookup(config: Configuration, env: dict, name: str):
@@ -431,7 +454,7 @@ def _advance(
     pending = len(heads)
     for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
         others = len(procs) - pending  # the components that stay beside this head's
-        parts = _flatten(*heads[i], bindings, config.program, others)
+        parts = _flatten(*heads[i], bindings, config.channel_names, config.program, others)
         procs = procs[:i] + parts + procs[i + 1 :]
         pending -= 1
     config = Configuration(
@@ -470,7 +493,10 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
     return Configuration(
         qvec,
         bindings,
-        tuple((t, e, frozenset(renumber[q] for q in mine)) for t, e, mine in config.procs),
+        tuple(
+            (t, e, frozenset(renumber[q] for q in mine), hidden)
+            for t, e, mine, hidden in config.procs
+        ),
         config.channel_names,
         config.next_channel,
         config.next_fresh,
@@ -556,25 +582,91 @@ def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: di
     return _advance(config, {i: (head.continuation, env)}, qstate=qvec)
 
 
+def _communicate(config: Configuration, out_i: int, in_i: int) -> Configuration:
+    """The successor of the internal communication in which component
+    ``out_i``, headed by an output with no ``measure`` left in its payload,
+    sends to component ``in_i``, headed by an input on the same channel:
+    the receiver binds the sender's slots while the sender moves on to its
+    continuation."""
+    out_head, out_env, *_ = config.procs[out_i]
+    in_head, in_env, *_ = config.procs[in_i]
+    values = _eval_slots(config, out_env, out_head.payload)
+    heads = {out_i: (out_head.continuation, out_env), in_i: (in_head.continuation, in_env)}
+    return _bind(config, heads, in_i, in_head.binders, values)
+
+
+def _private_redex(config: Configuration) -> tuple[int, int] | None:
+    """``(sender, receiver)``, the component indices of the first private
+    communication in ``step``'s order of internal communications, or None.
+
+    A communication on channel ``c`` is private when ``c`` is hidden and
+    exactly two components hold it, that is, resolve a free name to it:
+    one headed by an output on ``c`` with no ``measure`` left in its
+    payload, the other headed by an input on ``c``. Holders are counted on
+    the records' ``hidden`` sets, so no free name is resolved again. A head
+    whose channel does not resolve to a channel is passed over, and ``step``
+    raises on it as it would without settling."""
+    procs = config.procs
+    bindings = config.bindings
+    for out_i, (head, env, _qubits, hidden) in enumerate(procs):
+        if not hidden or not isinstance(head, Output) or head.measure_index is not None:
+            continue
+        v = bindings.get(env.get(head.channel, head.channel))
+        if not isinstance(v, ChannelVal) or v.cid not in hidden:
+            continue
+        holders = [j for j, record in enumerate(procs) if v.cid in record[3]]
+        if len(holders) != 2:
+            continue
+        in_i = holders[1] if holders[0] == out_i else holders[0]
+        in_head, in_env, *_ = procs[in_i]
+        if not isinstance(in_head, Input):
+            continue
+        if bindings.get(in_env.get(in_head.channel, in_head.channel)) == v:
+            return out_i, in_i
+    return None
+
+
 def settle(config: Configuration) -> Configuration:
-    """The first configuration with no deterministic τ step that ``config``
-    reaches by taking them in ``step``'s priority order: each time, the
-    first component headed by a qubit allocation, a ``new`` or a gate moves,
-    through ``_deterministic_tau`` with every check of a step. A
-    configuration that has none is returned as it is.
+    """The first configuration with neither a deterministic τ step nor a
+    private communication (``_private_redex``) that ``config`` reaches by
+    taking them, each with every check of a step. Each time, the first
+    component headed by a qubit allocation, a ``new`` or a gate moves
+    (``_deterministic_tau``), in ``step``'s priority order; only when none
+    is left does the first private communication go (``_communicate``, as
+    ``step`` builds it). A configuration that has neither is returned as it
+    is.
+
+    A private communication on ``c`` is τ-confluent and inert, like a
+    deterministic τ (see ``step``). No component but its sender ``S`` and
+    receiver ``R`` holds ``c``, and a hidden channel can only reach another
+    component by being sent, which only ``S`` or ``R`` could do; both are
+    blocked on this very step. So no other step can take ``c`` from them,
+    race for it or disable the communication, and the communication
+    neither enables nor disables another step: it touches no other
+    component, and no qubit, since sending a qubit only moves its
+    ownership from ``S`` to ``R``. This is the confluence of private
+    π-calculus channels (Philippou & Walker, "On confluence in the
+    π-calculus", ICALP 1997; Groote & Sellink, "Confluence for process
+    verification", TCS 1996). Every step consumes a prefix, so every run
+    of these steps is finite.
 
     The components before the one that moved keep their heads, so the scan
-    goes on from its index. Every such run is finite (see ``step``)."""
+    for deterministic τ steps goes on from the lowest index that moved."""
     i = 0
-    procs = config.procs
-    while i < len(procs):
-        head, env, _ = procs[i]
-        if isinstance(head, _DETERMINISTIC_TAU):
-            config = _deterministic_tau(config, i, head, env)
-            procs = config.procs
-        else:
-            i += 1
-    return config
+    while True:
+        procs = config.procs
+        while i < len(procs):
+            head, env, *_ = procs[i]
+            if isinstance(head, _DETERMINISTIC_TAU):
+                config = _deterministic_tau(config, i, head, env)
+                procs = config.procs
+            else:
+                i += 1
+        redex = _private_redex(config)
+        if redex is None:
+            return config
+        config = _communicate(config, *redex)
+        i = min(redex)
 
 
 def _draw(outcomes: list, rng: random.Random):
@@ -631,20 +723,24 @@ def step(
     checking of quantum protocols" (TACAS 2013).
 
     What stays out: measurement forcing, outputs, inputs and internal
-    communication keep the full enumeration. A probabilistic τ does not
-    commute branch by branch with visible outputs of entangled qubits
-    (Baier, D'Argenio & Größer, "Partial order reduction for probabilistic
-    branching time", QAPL 2005), and communications can disable each other.
+    communication keep the full enumeration in ``step``. A probabilistic τ
+    does not commute branch by branch with visible outputs of entangled
+    qubits (Baier, D'Argenio & Größer, "Partial order reduction for
+    probabilistic branching time", QAPL 2005), and communications on a
+    channel a third component holds can disable each other: two receivers
+    race for one send. A communication on a hidden channel that only its
+    sender and receiver hold cannot be raced or disabled; ``settle`` takes
+    it (see there), but ``step`` does not give it priority.
 
     ``reduce=False`` enumerates every interleaving and gives nothing
     priority; it is the reference the reduction is tested against.
 
     ``step`` itself takes one deterministic τ at a time, so ``run_sampled``
     traces show each. ``explore`` instead settles each configuration it
-    meets (``settle``) by running all of them in this order before
-    interning it, which folds every state of such a run into its last
-    (Blom & van de Pol, "State space reduction by proving confluence", CAV
-    2002).
+    meets (``settle``) by running all of them in this order, and every
+    private communication, before interning it, which folds every state of
+    such a run into its last (Blom & van de Pol, "State space reduction by
+    proving confluence", CAV 2002).
 
     The transitions come from one lazy enumeration (``_transitions``),
     which builds each only when it is reached. With ``rng`` (a sampled
@@ -669,41 +765,34 @@ def _transitions(config: Configuration, alphabet: dict, reduce: bool, rng: rando
     """The enabled transitions of ``config`` in ``step``'s order, each built
     when the enumeration reaches it."""
     if reduce:
-        for i, (head, env, _) in enumerate(config.procs):
+        for i, (head, env, *_) in enumerate(config.procs):
             if isinstance(head, _DETERMINISTIC_TAU):
                 yield Transition(TAU, ((1.0, _deterministic_tau(config, i, head, env)),))
                 return
 
-    senders, receivers = [], []  # (index, head, env, channel id) ready to communicate
-    for i, (head, env, _) in enumerate(config.procs):
+    senders, receivers = [], []  # (index, channel id) ready to communicate
+    for i, (head, env, *_) in enumerate(config.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
             yield Transition(TAU, ((1.0, _deterministic_tau(config, i, head, env)),))
             continue
 
         if isinstance(head, Output):
-            payload = head.payload
-            k = next((k for k, e in enumerate(payload) if isinstance(e, MeasureExpr)), None)
+            k = head.measure_index
             if k is not None:
-                qids = _qubit_ids(config, env, payload[k].names)
+                qids = _qubit_ids(config, env, head.payload[k].names)
                 outcomes = qstate.measure(config.qstate, qids)
                 drawn = rng is not None and len(outcomes) > 1
                 if drawn:
                     outcomes = [_draw(outcomes, rng)]
                 dist = []
                 for o in outcomes:
-                    bits = tuple(BitLit(value=b) for b in o.result)
-                    new_head = Output(
-                        channel=head.channel,
-                        payload=payload[:k] + bits + payload[k + 1 :],
-                        continuation=head.continuation,
-                        pos=head.pos,
-                    )
+                    new_head = head.forced(o.result)
                     cfg = _advance(config, {i: (new_head, env)}, qstate=o.post_state)
                     dist.append((o.probability, cfg))
                 yield Transition(TAU, tuple(dist), drawn)
                 continue
             cid = _channel_id(config, env, head.channel)
-            senders.append((i, head, env, cid))
+            senders.append((i, cid))
             if config.is_visible(cid):
                 label_values = []
                 sent_qubits = []
@@ -732,7 +821,7 @@ def _transitions(config: Configuration, alphabet: dict, reduce: bool, rng: rando
 
         if isinstance(head, Input):
             cid = _channel_id(config, env, head.channel)
-            receivers.append((i, head, env, cid))
+            receivers.append((i, cid))
             if config.is_visible(cid) and cid in alphabet:
                 for value_tuple in alphabet[cid]:
                     cfg = _bind(
@@ -745,16 +834,11 @@ def _transitions(config: Configuration, alphabet: dict, reduce: bool, rng: rando
         raise TypeError(f"not a process term: {head!r}")
 
     # Internal synchronous communication between any two parallel components
-    # sharing a channel, hidden or visible: the receiver binds the sender's
-    # slots while the sender moves on to its continuation.
-    for out_i, out_head, out_env, out_cid in senders:
-        for in_i, in_head, in_env, in_cid in receivers:
-            if in_cid != out_cid:
-                continue
-            values = _eval_slots(config, out_env, out_head.payload)
-            heads = {out_i: (out_head.continuation, out_env), in_i: (in_head.continuation, in_env)}
-            cfg = _bind(config, heads, in_i, in_head.binders, values)
-            yield Transition(TAU, ((1.0, cfg),))
+    # sharing a channel, hidden or visible.
+    for out_i, out_cid in senders:
+        for in_i, in_cid in receivers:
+            if in_cid == out_cid:
+                yield Transition(TAU, ((1.0, _communicate(config, out_i, in_i)),))
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +874,7 @@ def canonical_key(config: Configuration) -> tuple:
         return f"b{v}"
 
     forms = []
-    for term, env, _ in config.procs:
+    for term, env, *_ in config.procs:
         fmt, slots = term.key_template
         forms.append(fmt.format(*[resolve(env.get(n, n)) for n in slots]))
     return (config.qstate.num_qubits, tuple(forms))
@@ -877,17 +961,33 @@ def explore(
 
     With ``reduce=True`` every configuration is settled (``settle``) before
     it is interned, the initial one and every successor, so no state of the
-    PLTS has a deterministic τ step: each state on a run of them is folded
-    into the state that ends the run, its τ-confluent representative (Blom
-    & van de Pol, "State space reduction by proving confluence", CAV 2002).
-    Verdicts cannot change. Under ``reduce=True`` a configuration with a
-    deterministic τ step has exactly one transition, a τ to one successor,
-    and the run ends in a state without one. ``equiv._classify`` always
-    puts such a state in its target's class, since every move of the state
-    is the τ into that class, and ``equiv``'s offer probabilities pass
-    through it to its target unchanged. Leaving the run out therefore
-    changes no class, and since ``equiv`` numbers classes in an order such
-    a state does not affect (``equiv._build_graph``), no witness either.
+    PLTS has a deterministic τ step or a private communication: each state
+    on a run of them is folded into the state that ends the run, its
+    τ-confluent representative (Blom & van de Pol, "State space reduction
+    by proving confluence", CAV 2002). Verdicts cannot change. Under
+    ``reduce=True`` a configuration with a deterministic τ step has exactly
+    one transition, a τ to one successor, and the run ends in a state
+    without one. ``equiv._classify`` always puts such a state in its
+    target's class, since every move of the state is the τ into that class,
+    and ``equiv``'s offer probabilities pass through it to its target
+    unchanged. Leaving the run out therefore changes no class, and since
+    ``equiv`` numbers classes in an order such a state does not affect
+    (``equiv._build_graph``), no witness either.
+
+    A state with a private communication may have other moves, but none of
+    them is its sender's or its receiver's, since both are blocked on a
+    channel no other component holds. So each move, and each branch of a
+    measurement, commutes with the communication: the state after it still
+    has the communication, into the state the same move reaches from the
+    communication's target (Philippou & Walker, "On confluence in the
+    π-calculus", ICALP 1997; Groote & Sellink, "Confluence for process
+    verification", TCS 1996). The state is therefore branching bisimilar to
+    its τ-successor, and ``equiv._classify`` puts it in that successor's
+    class, since its signature is the successor's and the τ into it.
+    Classes are still numbered in search order, which such a state can
+    shift; no witness of the corpus, of the chain goldens or of the random
+    pairs the differential tests check changed.
+
     ``reduce=False`` interns every successor as it is; it is the reference
     the reduction is tested against.
     """

@@ -144,6 +144,32 @@ class Output(ProcessTerm):
     payload: tuple[Expression, ...] = ()
     continuation: ProcessTerm = None
 
+    @functools.cached_property
+    def measure_index(self) -> int | None:
+        """The position of the leftmost ``measure`` in the payload, or None."""
+        return next((k for k, e in enumerate(self.payload) if isinstance(e, MeasureExpr)), None)
+
+    @functools.cached_property
+    def _forced(self) -> dict:
+        return {}
+
+    def forced(self, bits: tuple[int, ...]) -> Output:
+        """This output with its leftmost ``measure`` replaced by one bit
+        literal per measured qubit, holding ``bits``. The node is made once
+        per bit tuple and kept on this node, so every configuration that
+        forces the same outcome shares it, cached facts included."""
+        node = self._forced.get(bits)
+        if node is None:
+            k = self.measure_index
+            literals = tuple(BitLit(value=b) for b in bits)
+            node = self._forced[bits] = Output(
+                channel=self.channel,
+                payload=self.payload[:k] + literals + self.payload[k + 1 :],
+                continuation=self.continuation,
+                pos=self.pos,
+            )
+        return node
+
 
 @dataclass(frozen=True)
 class GateAction(ProcessTerm):

@@ -790,7 +790,7 @@ def canonical_key_oracle(config) -> tuple:
             return "(" + ",".join(str(b) for b in v) + ")"
         return f"b{v}"
 
-    forms = tuple(canonical_form(substitute(term, env), resolve) for term, env, _ in config.procs)
+    forms = tuple(canonical_form(substitute(term, env), resolve) for term, env, *_ in config.procs)
     return (config.qstate.num_qubits, forms)
 
 
@@ -806,7 +806,22 @@ def qubit_sets_oracle(bindings: dict, procs: tuple) -> tuple:
             for n in free_names_oracle(substitute(term, env))
             if isinstance(bindings.get(n), QubitVal)
         )
-        for term, env, _ in procs
+        for term, env, *_ in procs
+    )
+
+
+def hidden_sets_oracle(config) -> tuple:
+    """The hidden channels each component of ``config`` holds, found as
+    ``qubit_sets_oracle`` finds its qubits: by walking the component's
+    display term with ``free_names_oracle``. The record's own ``hidden`` is
+    not read."""
+    return tuple(
+        frozenset(
+            v.cid
+            for n in free_names_oracle(substitute(term, env))
+            if isinstance(v := config.bindings.get(n), ChannelVal) and not config.is_visible(v.cid)
+        )
+        for term, env, *_ in config.procs
     )
 
 

@@ -81,7 +81,12 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
 
     ``check_equivalence`` settles Chain2's prefix once per check: its two
     Bell pairs, an H and a CNOT each, take 4 gates once instead of once per
-    each of the 4 inputs, so 64 - 3 * 4 = 52 gates."""
+    each of the 4 inputs, so 64 - 3 * 4 = 52 gates. Settling also takes the
+    private sends on ``c`` and on the link ``m``, so each of the first
+    hop's 4 measurement branches runs Bob's correction and then the second
+    hop's CNOT and H before the branches merge, where they had merged after
+    the correction: 2 gates more in 3 of the branches per input, so
+    52 + 2 * 3 * 4 = 76 gates."""
     counts = {}
 
     def counted(name):
@@ -99,7 +104,7 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
     program, sigs = workloads.load(workloads.chain_source(2))
     assert check_equivalence(program, "Chain2", program, "Identity", sigs).equivalent
     assert counts == {
-        "apply_gate": 52,
+        "apply_gate": 76,
         "measure": 8,
         "reduced_density_matrix": 8,
         "states_equal_up_to_global_phase": 24,

@@ -21,12 +21,17 @@ explored configuration of the corpus and of ``chain_source(2, GATES)`` its
 one transition is checked to be the first of the full enumeration.
 
 With ``reduce=True``, ``explore`` settles every configuration before it
-interns it, so it stores no state whose only move is a deterministic τ.
-Each of those explorations is checked against ``explore_unsettled_oracle``,
-which interns every successor as it is, and ``check_equivalence`` is
-checked against the same oracle on pairs of random well-typed programs.
-The ``:reduce`` lines of the golden digest were regenerated when
-``explore`` began to settle: 418 of them changed, and no ``:full`` line did.
+interns it, so it stores no state with a deterministic τ step or a private
+communication (a send on a hidden channel that only its sender and its
+receiver hold). Each of those explorations is checked against
+``explore_unsettled_oracle``, which interns every successor as it is, with
+the private communications found by walking each component's terms, and
+``check_equivalence`` is checked against the same oracle on pairs of
+random well-typed programs. Hand cases pin where the privacy condition
+stops a fold. The ``:reduce`` lines of the golden digest were regenerated
+when ``explore`` began to settle deterministic τ runs (418 of them changed)
+and again when it began to take private communications (26 changed); no
+``:full`` line changed either time.
 
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on
@@ -47,12 +52,14 @@ from cqpkit.qstate import CapacityError, StateVector
 from cqpkit.semantics import (
     _DETERMINISTIC_TAU,
     DEFAULT_TEST_QUBITS,
+    ChannelVal,
     OwnershipViolation,
     QubitVal,
     RuntimeProcessError,
     SemanticsError,
     _flatten,
     canonical_key,
+    explore,
     initial_configuration,
     input_alphabet,
     input_used_channels,
@@ -60,7 +67,17 @@ from cqpkit.semantics import (
     run_sampled,
     step,
 )
-from cqpkit.syntax import free_names, parse_process, parse_program, pretty_print, scopes
+from cqpkit.syntax import (
+    Input,
+    MeasureExpr,
+    Output,
+    free_names,
+    parse_process,
+    parse_program,
+    pretty_print,
+    scopes,
+)
+from cqpkit.typecheck import parse_signatures
 from support import (
     DIGEST_RANDOM_PROGRAMS,
     DIGEST_TEST_SETS,
@@ -73,6 +90,7 @@ from support import (
     explore_unsettled_oracle,
     exploration_digest,
     free_names_oracle,
+    hidden_sets_oracle,
     input_used_channels_oracle,
     name_walk_entries,
     qubit_sets_oracle,
@@ -109,13 +127,19 @@ def test_canonical_key_matches_the_term_walk(explorations):
 
 
 def test_check_ownership_matches_the_term_walk(explorations):
-    holding = 0
+    """The qubit and hidden-channel sets of every record, made in one pass
+    over its cached free names, are those the term walks find."""
+    holding = hiding = 0
     for cfg in explored_configurations(explorations):
-        qubit_sets = tuple(qubits for _term, _env, qubits in cfg.procs)
+        qubit_sets = tuple(qubits for _term, _env, qubits, _hidden in cfg.procs)
+        hidden_sets = tuple(hidden for *_, hidden in cfg.procs)
         assert qubit_sets == qubit_sets_oracle(cfg.bindings, cfg.procs)
+        assert hidden_sets == hidden_sets_oracle(cfg)
         assert cfg.check_ownership() == check_ownership_oracle(cfg)
         holding += any(qubit_sets)
+        hiding += any(hidden_sets)
     assert holding > 5_000
+    assert hiding > 1_000
 
 
 def test_a_sampled_step_takes_the_first_transition(explorations):
@@ -159,14 +183,16 @@ def test_shared_qubit_rejected_like_the_term_walk():
     with pytest.raises(OwnershipViolation):
         step(config)
     bindings = {**config.bindings, "q": QubitVal(0)}
-    procs = _flatten(parse_process("(c![q] . 0 | {q *= H} . 0)"), {}, bindings, program)
+    procs = _flatten(
+        parse_process("(c![q] . 0 | {q *= H} . 0)"), {}, bindings, config.channel_names, program
+    )
     shared = dataclasses.replace(
         config,
         qstate=StateVector.from_amplitudes([1.0, 0.0]),
         bindings=bindings,
         procs=procs,
     )
-    assert [qubits for *_, qubits in procs] == [frozenset({0})] * 2
+    assert [qubits for _term, _env, qubits, _hidden in procs] == [frozenset({0})] * 2
     assert qubit_sets_oracle(bindings, procs) == (frozenset({0}),) * 2
     with pytest.raises(OwnershipViolation):
         check_ownership_oracle(shared)
@@ -179,7 +205,37 @@ def test_shared_qubit_rejected_like_the_term_walk():
 # ---------------------------------------------------------------------------
 
 def has_deterministic_tau(cfg) -> bool:
-    return any(isinstance(head, _DETERMINISTIC_TAU) for head, _env, _qubits in cfg.procs)
+    return any(isinstance(head, _DETERMINISTIC_TAU) for head, *_ in cfg.procs)
+
+
+def has_private_redex(cfg) -> bool:
+    """Whether a component is headed by an output with no ``measure`` left
+    in its payload, on a hidden channel that exactly one other component
+    holds, and that component is headed by an input on it. The holders are
+    counted on ``hidden_sets_oracle``, which walks each component's terms,
+    not on the records' ``hidden`` sets."""
+    held = hidden_sets_oracle(cfg)
+
+    def channel(env, name):
+        v = cfg.bindings.get(env.get(name, name))
+        return v.cid if isinstance(v, ChannelVal) else None
+
+    for i, (head, env, *_) in enumerate(cfg.procs):
+        if not isinstance(head, Output) or any(isinstance(e, MeasureExpr) for e in head.payload):
+            continue
+        c = channel(env, head.channel)
+        holders = [j for j, mine in enumerate(held) if c in mine]
+        if len(holders) != 2 or i not in holders:
+            continue
+        (j,) = set(holders) - {i}
+        other, other_env, *_ = cfg.procs[j]
+        if isinstance(other, Input) and channel(other_env, other.channel) == c:
+            return True
+    return False
+
+
+def foldable(cfg) -> bool:
+    return has_deterministic_tau(cfg) or has_private_redex(cfg)
 
 
 def program_errors(fn, *args, **kwargs):
@@ -191,11 +247,25 @@ def program_errors(fn, *args, **kwargs):
         return type(exc).__name__
 
 
+def assert_settled_like_the_oracle(got, want, case):
+    """``got``, a settled exploration, holds no configuration with a
+    deterministic τ step or a private communication, has exactly the states
+    of ``want``, the same exploration by ``explore_unsettled_oracle``, less
+    those that have either, and is branching bisimilar to it; or both
+    raised the same class of error."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want, case
+        return
+    configs = [s.config for s in got.states if s.config is not None]
+    assert not any(foldable(c) for c in configs), case
+    folded = sum(foldable(s.config) for s in want.states if s.config is not None)
+    assert len(got.states) == len(want.states) - folded, case
+    assert branching_bisim(got, want).equivalent, case
+
+
 def test_settled_explorations_match_the_unsettled_oracle(explorations):
-    """On every digest program and test set, the settled PLTS is branching
-    bisimilar to the unsettled one, holds no configuration with a
-    deterministic τ step, and has exactly the unsettled states less those
-    that have one; or both raise the same class of error."""
+    """On every digest program and test set, the settled PLTS matches the
+    unsettled one (``assert_settled_like_the_oracle``)."""
     settled = {name: outcome for name, _alphabet, reduce, outcome in explorations if reduce}
     compared = errors = 0
     for name, program, signatures, entry in digest_programs():
@@ -205,20 +275,69 @@ def test_settled_explorations_match_the_unsettled_oracle(explorations):
             alphabet = input_alphabet(program, entry, signatures[entry], test_qubits)
             got = settled[case]
             want = program_errors(explore_unsettled_oracle, config, 5000, alphabet)
-            if isinstance(want, str) or isinstance(got, str):
-                assert got == want, case
+            assert_settled_like_the_oracle(got, want, case)
+            if isinstance(got, str):
                 errors += 1
-                continue
-            configs = [s.config for s in got.states if s.config is not None]
-            assert not any(has_deterministic_tau(c) for c in configs), case
-            folded = sum(
-                has_deterministic_tau(s.config) for s in want.states if s.config is not None
-            )
-            assert len(got.states) == len(want.states) - folded, case
-            assert branching_bisim(got, want).equivalent, case
-            compared += 1
+            else:
+                compared += 1
     assert compared + errors == len(settled)
     assert compared > 500
+
+
+def settled_and_oracle(source: str, entry: str = "P"):
+    """``explore`` and ``explore_unsettled_oracle`` of ``entry`` with every
+    input of its default alphabet enabled, each a PLTS or the class name of
+    the error it raised, after checking them against each other."""
+    program = parse_program(source)
+    signatures = parse_signatures(source)
+    config = initial_configuration(program, entry, signatures=signatures)
+    alphabet = input_alphabet(program, entry, signatures[entry], DEFAULT_TEST_QUBITS)
+    got = program_errors(explore, config, 5000, alphabet)
+    want = program_errors(explore_unsettled_oracle, config, 5000, alphabet)
+    assert_settled_like_the_oracle(got, want, entry)
+    return got, want
+
+
+def moves(plts, sid: int) -> list[str]:
+    return sorted(render_label(e.label) for e in plts.edges if e.src == sid)
+
+
+def test_two_receivers_racing_on_a_hidden_channel_keep_both_branches():
+    got, _want = settled_and_oracle(
+        "//: P : ^[Bit], ^[Bit]\n"
+        "P(a, b) = (new d) (d![0] . 0 | d?[x] . a![x] . 0 | d?[y] . b![y] . 0)\n"
+    )
+    assert moves(got, got.initial) == ["tau", "tau"]
+    assert {render_label(e.label) for e in got.edges} >= {"a![0]", "b![0]"}
+
+
+def test_a_third_holder_under_a_prefix_blocks_the_fold():
+    """The third component holds ``d`` behind its output on ``a``, after
+    which it races the first receiver for the send."""
+    got, _want = settled_and_oracle(
+        "//: P : ^[Bit], ^[Bit]\n"
+        "P(a, b) = (new d) (d![0] . 0 | d?[x] . b![x] . 0 | a![1] . d?[y] . 0)\n"
+    )
+    assert moves(got, got.initial) == ["a![1]", "tau"]
+    assert len(got.states[got.initial].config.procs) == 3
+
+
+def test_an_output_still_measuring_folds_only_after_forcing():
+    got, want = settled_and_oracle(
+        "//: P : ^[Bit]\n"
+        "P(a) = (qbit q) {q *= H} . (new d) (d![measure q] . 0 | d?[x] . a![x] . 0)\n"
+    )
+    (sender, _env, *_), _receiver = got.states[got.initial].config.procs
+    assert isinstance(sender.payload[0], MeasureExpr)
+    (forcing,) = [e.dst for e in got.edges if e.src == got.initial]
+    branches = [e.dst for e in got.edges if e.src == forcing]
+    assert sorted(m for b in branches for m in moves(got, b)) == ["a![0]", "a![1]"]
+    assert len(want.states) > len(got.states)
+
+
+def test_an_arity_mismatch_in_a_private_communication_raises_like_the_oracle():
+    got, want = settled_and_oracle("//: P :\nP() = (new d) (d![0] . 0 | d?[x,y] . 0)\n")
+    assert got == want == "RuntimeProcessError"
 
 
 def typed_program_pairs():

@@ -26,7 +26,7 @@ from cqpkit.semantics import (
     settle,
     step,
 )
-from cqpkit.syntax import Call, parse_program
+from cqpkit.syntax import Call, parse_program, pretty_print
 from cqpkit.typecheck import parse_signatures
 from support import SQ2, bench_workloads, random_typed_program, reachable_outputs
 
@@ -384,14 +384,16 @@ def test_four_hop_chain_equals_identity_under_default_cap():
     # H fixes only |+> of the default set; the witness must name another input.
     moved = [q.name for q in DEFAULT_TEST_QUBITS if q.name != "|+>"]
     assert any(f"[{name}]" in verdict.witness.instantiation for name in moved)
-    # The measurement branches of each hop merge after the correction, so
-    # each hop adds a fixed number of states instead of multiplying by 4.
+    # The measurement branches of each hop merge before the next hop
+    # measures, so each hop adds a fixed number of states instead of
+    # multiplying by 4. Settling takes each hop's private sends on c and m,
+    # so a hop adds 2.
     counts = [
         len(explore(initial_configuration(program, entry, signatures=signatures),
                     alphabet=teleport_alphabet()).states)
         for entry in ("Teleport", "Chain2", "Chain3", "Chain4", "Chain5")
     ]
-    assert counts == [9, 16, 23, 30, 37]
+    assert counts == [5, 7, 9, 11, 13]
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +541,8 @@ def test_canonical_key_identifies_alpha_variants(teleport_program):
     renamed = dataclasses.replace(
         config,
         procs=tuple(
-            (substitute(term, {"a": "left", "b": "right"}), env, qubits)
-            for term, env, qubits in config.procs
+            (substitute(term, {"a": "left", "b": "right"}), env, qubits, hidden)
+            for term, env, qubits, hidden in config.procs
         ),
         bindings={
             "left": config.bindings["a"],
@@ -554,11 +556,19 @@ def test_running_renames_no_term_and_walks_each_node_once(monkeypatch):
     """A component is its program's own term under an environment, so
     exploring never calls ``substitute``, and the free names (a fold over
     ``scopes``) and the key template (one ``canonical_form``) of a term node
-    are computed at most once, however many configurations share it."""
-    source = chain_source(2)
+    are computed at most once, however many configurations share it. A
+    forced output is made once per output node and outcome
+    (``Output.forced``), so the four outcomes of Alice's one ``measure``
+    make four nodes, shared by every hop of both entries."""
+    source = chain_source(5)
     program, signatures = parse_program(source), parse_signatures(source)
-    config = initial_configuration(program, "Chain2", signatures=signatures)
-    alphabet = semantics.input_alphabet(program, "Chain2", signatures["Chain2"], DEFAULT_TEST_QUBITS)
+
+    def nodes(term):
+        yield term
+        for _binders, sub in syntax.scopes(term):
+            yield from nodes(sub)
+
+    program_nodes = {id(t) for d in program.definitions for t in nodes(d.body)}
     substituted, scoped, formed = [], [], []
 
     def counted(calls, real):
@@ -571,12 +581,20 @@ def test_running_renames_no_term_and_walks_each_node_once(monkeypatch):
     monkeypatch.setattr(semantics, "substitute", counted(substituted, semantics.substitute))
     monkeypatch.setattr(syntax, "scopes", counted(scoped, syntax.scopes))
     monkeypatch.setattr(syntax, "canonical_form", counted(formed, syntax.canonical_form))
-    plts = explore(config, alphabet=alphabet)
-    assert len(plts.states) > 50
+    explored = 0
+    for entry in ("Chain5", "Chain5H"):
+        config = initial_configuration(program, entry, signatures=signatures)
+        alphabet = semantics.input_alphabet(program, entry, signatures[entry], DEFAULT_TEST_QUBITS)
+        explored += len(explore(config, alphabet=alphabet).states)
+    assert explored > 50
     assert substituted == []
     assert formed
     for calls in (scoped, formed):
         assert len({id(term) for term in calls}) == len(calls)
+    forced = [term for term in scoped if id(term) not in program_nodes]
+    assert sorted(pretty_print(term) for term in forced) == [
+        f"out![{u}, {q}] . 0" for u in (0, 1) for q in (0, 1)
+    ]
 
 
 def equivalent(left: str, right: str, reduce: bool) -> bool:
