@@ -16,8 +16,10 @@ Each operation makes a few numpy calls:
   when there are at most ``_MAX_BLOCKS`` blocks. Other gates, measurement
   probabilities and partial traces read the targets through the cached
   permutation (``_grouped``).
-- A measurement branch collapses by copying the amplitudes that agree with
-  its bits into a zero vector, scaled by 1/sqrt(p).
+- A measurement branch collapses by slicing out the amplitudes that agree
+  with its bits, scaled by 1/sqrt(p). Measured qubits the caller drops
+  leave the result with the slice; only those it keeps are zero-filled
+  back to full width (``collapse``).
 - Every result is checked like a caller's input: a state for its length,
   finite amplitudes and unit norm; a density matrix for Hermiticity, unit
   trace and positive semidefiniteness. Results that ``qstate`` has just
@@ -95,10 +97,12 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} "
                 f"qubit(s), got {amps.shape[0]}"
             )
-        if not np.isfinite(amps).all():  # a complex is finite when both parts are
-            raise ValueError("amplitudes must be finite")
         norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > ATOL:
+        # A NaN or an infinity makes the norm NaN or infinite, so this fails
+        # for every non-finite input and the scan runs only then.
+        if not abs(norm - 1.0) <= ATOL:
+            if not np.isfinite(amps).all():  # a complex is finite when both parts are
+                raise ValueError("amplitudes must be finite")
             raise ValueError(f"state not normalized: |amps|^2 = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -144,29 +148,16 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
-    """One projective-measurement branch: bits, Born probability, and the
-    collapsed state, computed on first read and then cached, so a caller
-    that takes one branch collapses only that one.
+    """One projective-measurement branch: bits and Born probability.
 
     ``state`` is the measured state and ``targets`` the measured qubits, in
-    the order of ``result``."""
+    the order of ``result``. Nothing is collapsed until ``collapse`` is
+    called, so a caller that takes one branch collapses only that one."""
 
     result: tuple[int, ...]
     probability: float
     state: StateVector = field(repr=False)
     targets: tuple[int, ...] = field(repr=False)
-
-    @functools.cached_property
-    def post_state(self) -> StateVector:
-        n = self.state.num_qubits
-        index: list = [slice(None)] * n
-        for t, b in zip(self.targets, self.result):
-            index[n - 1 - t] = b  # axis a holds qubit n-1-a
-        index = tuple(index)
-        psi = self.state.amplitudes.reshape([2] * n)
-        post = np.zeros(psi.shape, dtype=np.complex128)
-        post[index] = psi[index] / math.sqrt(self.probability)
-        return _fresh(StateVector, n, _prune(post.reshape(-1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +313,8 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
 
     Returns one outcome per bit string with nonzero probability, ordered by
     the result read as a binary number. Outcome bits follow the order of
-    ``targets``. Each outcome's ``post_state`` is collapsed when first read.
+    ``targets``. No outcome is collapsed here: ``collapse`` makes the state
+    of the branch a caller takes.
     """
     targets = tuple(targets)
     perm, _undo = _layout(state.num_qubits, targets)
@@ -335,6 +327,35 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
         bits = tuple((r >> (k - 1 - j)) & 1 for j in range(k))
         outcomes.append(MeasurementOutcome(bits, p, state, targets))
     return outcomes
+
+
+def collapse(outcome: MeasurementOutcome, drop=()) -> StateVector:
+    """The state ``outcome`` leaves: the amplitudes that agree with its bits,
+    scaled by 1/sqrt(p), with the measured qubits listed in ``drop`` sliced
+    out. Those sit in the basis state |b> of their bit b, so the result is
+    what ``drop_basis_qubits`` would leave of the full collapse: the other
+    qubits keep their relative order and are renumbered from 0. A measured
+    qubit not in ``drop`` keeps its place and is zero on the other value."""
+    state = outcome.state
+    n = state.num_qubits
+    drop = frozenset(drop)
+    if not drop.issubset(outcome.targets):
+        raise ValueError(
+            f"can only drop measured qubits {list(outcome.targets)}, got {sorted(drop)}"
+        )
+    index: list = [slice(None)] * n
+    for t, b in zip(outcome.targets, outcome.result):
+        index[n - 1 - t] = b  # axis a holds qubit n-1-a
+    psi = state.amplitudes.reshape([2] * n)
+    # A scalar, not an array, when every qubit is measured: hence asarray.
+    post = np.asarray(psi[tuple(index)] / math.sqrt(outcome.probability))
+    if len(drop) < len(outcome.targets):
+        # The measured qubits that stay are zero-filled; only they are.
+        kept = tuple(index[a] for a in range(n) if n - 1 - a not in drop)
+        filled = np.zeros([2] * len(kept), dtype=np.complex128)
+        filled[kept] = post
+        post = filled
+    return _fresh(StateVector, n - len(drop), _prune(post.reshape(-1)))
 
 
 def drop_basis_qubits(state: StateVector, candidates) -> tuple[StateVector, dict[int, int]]:

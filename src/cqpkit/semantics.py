@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .qstate import DensityMatrix, StateVector
+from .qstate import DensityMatrix, MeasurementOutcome, StateVector
 from .syntax import (
     BitLit,
     Call,
@@ -251,7 +251,10 @@ class Configuration:
     binder went out of scope. Every binding gets a fresh runtime name, so
     nothing can refer to a dead qubit again. ``step`` drops each dead qubit
     whose amplitudes are exactly zero on one basis value (measurement and
-    gate pruning leave such exact zeros). That qubit is an exact tensor
+    gate pruning leave such exact zeros). A qubit measured into a payload
+    is such a qubit in every branch, so the branch is collapsed with it
+    already sliced out, and only the other dead qubits are scanned for
+    those zeros (``_drop_dead_qubits``). A dropped qubit is an exact tensor
     factor |b> of ``qstate``: no gate or measurement acts on it again, and
     the reduced density matrix of any other qubits, which is all an output
     label shows, is the same with or without it. So configurations that
@@ -436,6 +439,7 @@ def _advance(
     heads: dict,
     *,
     qstate: StateVector | None = None,
+    outcome: MeasurementOutcome | None = None,
     bindings: dict | None = None,
     next_channel: int | None = None,
     next_fresh: int | None = None,
@@ -446,8 +450,14 @@ def _advance(
     basis qubits dropped. The other components are shared with ``config``,
     qubit sets included; only the new components compute theirs.
 
+    A measurement step passes its branch as ``outcome``, a measurement of
+    ``config.qstate``, instead of a state: the components are built and
+    checked first, so the branch is collapsed once, with the measured
+    qubits that are now dead already sliced out (``_drop_dead_qubits``).
+
     Every successor ``step`` builds passes through here. Without a dead
-    qubit (the common case) the configuration is returned as it is.
+    qubit or a branch to collapse (the common case) the configuration is
+    returned as it is.
     """
     bindings = config.bindings if bindings is None else bindings
     procs = config.procs
@@ -467,23 +477,42 @@ def _advance(
         config.program,
     )
     live = config.check_ownership()
-    if len(live) == config.qstate.num_qubits:
+    if outcome is None and len(live) == config.qstate.num_qubits:
         return config
-    return _drop_dead_qubits(config, live)
+    return _drop_dead_qubits(config, live, outcome)
 
 
-def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
+def _drop_dead_qubits(
+    config: Configuration, live: set[int], outcome: MeasurementOutcome | None = None
+) -> Configuration:
     """Remove the dead qubits that sit in a basis state (see ``Configuration``)
     and renumber the others in their old order. Bindings and qubit sets of
     the survivors are rewritten, bindings of the dropped qubits deleted;
     bit and channel bindings stay. Terms and environments refer to qubits
-    only through bindings, so they are shared unchanged."""
-    dead = [q for q in range(config.qstate.num_qubits) if q not in live]
-    qvec, dropped = qstate.drop_basis_qubits(config.qstate, dead)
-    if not dropped:
+    only through bindings, so they are shared unchanged, and so is every
+    qubit set below the lowest dropped qubit, which no renumbering moves.
+
+    With ``outcome``, a measurement of ``config.qstate``, the state is first
+    collapsed onto that branch: its measured dead qubits are in the basis
+    state of their bit, so ``qstate.collapse`` slices them out, and only the
+    other dead qubits are scanned, on the smaller state."""
+    n = config.qstate.num_qubits
+    dead = [q for q in range(n) if q not in live]
+    if outcome is None:
+        qvec, dropped = qstate.drop_basis_qubits(config.qstate, dead)
+    else:
+        dropped = {t: b for t, b in zip(outcome.targets, outcome.result) if t not in live}
+        qvec = qstate.collapse(outcome, dropped)
+        rest = [q for q in dead if q not in dropped]
+        if rest:
+            at = {q: q - sum(d < q for d in dropped) for q in rest}  # each one's id in qvec
+            qvec, more = qstate.drop_basis_qubits(qvec, list(at.values()))
+            dropped.update((q, more[at[q]]) for q in rest if at[q] in more)
+    if not dropped and outcome is None:
         return config
-    kept = [q for q in range(config.qstate.num_qubits) if q not in dropped]
+    kept = [q for q in range(n) if q not in dropped]
     renumber = {q: i for i, q in enumerate(kept)}
+    lowest = min(dropped, default=n)
     bindings = {}
     for name, v in config.bindings.items():
         if not isinstance(v, QubitVal):
@@ -494,8 +523,10 @@ def _drop_dead_qubits(config: Configuration, live: set[int]) -> Configuration:
         qvec,
         bindings,
         tuple(
-            (t, e, frozenset(renumber[q] for q in mine), hidden)
-            for t, e, mine, hidden in config.procs
+            record
+            if max(record[2], default=-1) < lowest
+            else (record[0], record[1], frozenset(renumber[q] for q in record[2]), record[3])
+            for record in config.procs
         ),
         config.channel_names,
         config.next_channel,
@@ -787,7 +818,7 @@ def _transitions(config: Configuration, alphabet: dict, reduce: bool, rng: rando
                 dist = []
                 for o in outcomes:
                     new_head = head.forced(o.result)
-                    cfg = _advance(config, {i: (new_head, env)}, qstate=o.post_state)
+                    cfg = _advance(config, {i: (new_head, env)}, outcome=o)
                     dist.append((o.probability, cfg))
                 yield Transition(TAU, tuple(dist), drawn)
                 continue

@@ -4,12 +4,14 @@ Everything here recomputes expected values by routes independent of the
 package's own computation paths: explicit matrix expansion instead of
 tensor reshaping, explicit index loops instead of einsum-style transposes,
 and direct construction of transition systems. The transpose kernels that
-``qstate`` replaced with cached layouts are kept here as slow paths too.
+``qstate`` replaced with cached layouts, and the zero-fill collapse that
+``qstate.collapse`` replaced with a slice, are kept here as slow paths too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import sys
 from pathlib import Path
@@ -18,7 +20,13 @@ import numpy as np
 
 from cqpkit import corpus
 from cqpkit.equiv import _TAU_CLASS, PROB_TOL, check_equivalence
-from cqpkit.qstate import PRUNE_TOL, CapacityError, dirac, states_equal_up_to_global_phase
+from cqpkit.qstate import (
+    PRUNE_TOL,
+    CapacityError,
+    StateVector,
+    dirac,
+    states_equal_up_to_global_phase,
+)
 from cqpkit.semantics import (
     BASIS_TEST_QUBITS,
     DEFAULT_MAX_STATES,
@@ -27,6 +35,7 @@ from cqpkit.semantics import (
     TAU,
     ChannelVal,
     CommLabel,
+    Configuration,
     ExplorationLimitError,
     OwnershipViolation,
     PLTSEdge,
@@ -187,22 +196,41 @@ def transpose_rdm_oracle(amps: np.ndarray, keep) -> np.ndarray:
 
 
 def drop_basis_qubits_oracle(amps: np.ndarray, candidates) -> tuple[np.ndarray, dict[int, int]]:
-    """``drop_basis_qubits`` by index loops: a candidate q is dropped with
-    value b when every amplitude whose bit q is not b is exactly zero."""
+    """``drop_basis_qubits`` by index arithmetic on the flat vector: a
+    candidate q is dropped with value b when every amplitude whose index has
+    bit q unequal to b is exactly zero; the kept amplitudes are gathered by
+    computing each one's index in ``amps``."""
     n = len(amps).bit_length() - 1
+    indices = np.arange(2**n)
     dropped = {}
     for q in candidates:
         for b in (0, 1):
-            if all(amps[i] == 0 for i in range(2**n) if (i >> q) & 1 != b):
+            if not amps[(indices >> q) & 1 != b].any():
                 dropped[q] = b
                 break
     kept = [q for q in range(n) if q not in dropped]
-    base = sum(b << q for q, b in dropped.items())
-    out = np.array(
-        [amps[base + sum(((j >> k) & 1) << q for k, q in enumerate(kept))] for j in range(2 ** len(kept))],
-        dtype=complex,
-    )
-    return out, dropped
+    j = np.arange(2 ** len(kept))
+    source = np.full(len(j), sum(b << q for q, b in dropped.items()))
+    for k, q in enumerate(kept):
+        source += ((j >> k) & 1) << q
+    return np.array(amps[source], dtype=complex), dropped
+
+
+def collapse_oracle(outcome) -> np.ndarray:
+    """The amplitudes of the branch ``outcome`` at full width: those that
+    agree with its bits copied into a zero vector and scaled by 1/sqrt(p),
+    then pruned. ``qstate.collapse`` with nothing dropped gives the same
+    bits; with measured qubits dropped it gives this followed by
+    ``drop_basis_qubits_oracle``."""
+    n = outcome.state.num_qubits
+    index: list = [slice(None)] * n
+    for t, b in zip(outcome.targets, outcome.result):
+        index[n - 1 - t] = b  # axis a holds qubit n-1-a
+    index = tuple(index)
+    psi = outcome.state.amplitudes.reshape([2] * n)
+    post = np.zeros(psi.shape, dtype=np.complex128)
+    post[index] = psi[index] / math.sqrt(outcome.probability)
+    return _prune_oracle(post.reshape(-1))
 
 
 def basis_factored_amps(rng: np.random.Generator, n: int) -> tuple[np.ndarray, dict[int, int]]:
@@ -807,6 +835,40 @@ def qubit_sets_oracle(bindings: dict, procs: tuple) -> tuple:
             if isinstance(bindings.get(n), QubitVal)
         )
         for term, env, *_ in procs
+    )
+
+
+def drop_dead_qubits_oracle(config, live: set[int], outcome=None):
+    """``semantics._drop_dead_qubits`` by the slow paths: the branch
+    ``outcome``, if any, collapsed at full width (``collapse_oracle``), then
+    every dead qubit scanned at once (``drop_basis_qubits_oracle``), the
+    survivors renumbered in order and every qubit set walked again from the
+    terms (``qubit_sets_oracle``)."""
+    n = config.qstate.num_qubits
+    amps = config.qstate.amplitudes if outcome is None else collapse_oracle(outcome)
+    amps, dropped = drop_basis_qubits_oracle(amps, [q for q in range(n) if q not in live])
+    if outcome is None and not dropped:
+        return config
+    renumber = {q: i for i, q in enumerate(q for q in range(n) if q not in dropped)}
+    bindings = {
+        name: QubitVal(renumber[v.qid]) if isinstance(v, QubitVal) else v
+        for name, v in config.bindings.items()
+        if not (isinstance(v, QubitVal) and v.qid in dropped)
+    }
+    procs = tuple(
+        (term, env, mine, hidden)
+        for (term, env, _qubits, hidden), mine in zip(
+            config.procs, qubit_sets_oracle(bindings, config.procs)
+        )
+    )
+    return Configuration(
+        StateVector(len(renumber), amps),
+        bindings,
+        procs,
+        config.channel_names,
+        config.next_channel,
+        config.next_fresh,
+        config.program,
     )
 
 

@@ -82,7 +82,7 @@ def test_criterion_3_entanglement_statistics(capsys):
     assert len(outcomes) == 2
     for o in outcomes:
         assert abs(o.probability - 0.5) <= 1e-9
-        (second,) = qstate.measure(o.post_state, [1])
+        (second,) = qstate.measure(qstate.collapse(o), [1])
         assert second.result == o.result
         assert abs(second.probability - 1.0) <= 1e-9
     with capsys.disabled():

@@ -86,7 +86,14 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
     hop's 4 measurement branches runs Bob's correction and then the second
     hop's CNOT and H before the branches merge, where they had merged after
     the correction: 2 gates more in 3 of the branches per input, so
-    52 + 2 * 3 * 4 = 76 gates."""
+    52 + 2 * 3 * 4 = 76 gates.
+
+    Each of the 8 measurements is collapsed once per outcome, 32 times,
+    by ``collapse``, which slices out the measured qubits: they are dead
+    once the payload holds their bits, and no other qubit dies then. So
+    ``drop_basis_qubits`` runs only for the 8 other steps that leave a dead
+    qubit, where it ran for the 32 branches too, 40 calls, when each
+    branch was first collapsed at full width."""
     counts = {}
 
     def counted(name):
@@ -98,7 +105,14 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
 
         monkeypatch.setattr(qstate, name, wrapped)
 
-    for name in ("apply_gate", "measure", "reduced_density_matrix", "states_equal_up_to_global_phase"):
+    for name in (
+        "apply_gate",
+        "measure",
+        "collapse",
+        "drop_basis_qubits",
+        "reduced_density_matrix",
+        "states_equal_up_to_global_phase",
+    ):
         counted(name)
     workloads = bench_workloads()
     program, sigs = workloads.load(workloads.chain_source(2))
@@ -106,6 +120,8 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
     assert counts == {
         "apply_gate": 76,
         "measure": 8,
+        "collapse": 32,
+        "drop_basis_qubits": 8,
         "reduced_density_matrix": 8,
         "states_equal_up_to_global_phase": 24,
     }

@@ -1,6 +1,6 @@
 """State-vector core: gates, measurement, partial trace, equality."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from cqpkit.qstate import (
     StateVector,
     append_qubits,
     apply_gate,
+    collapse,
     dirac,
     drop_basis_qubits,
     measure,
@@ -24,6 +25,7 @@ from support import (
     SQ2,
     apply_gate_oracle,
     basis_factored_amps,
+    collapse_oracle,
     derive_correction_table,
     drop_basis_qubits_oracle,
     random_state_amps,
@@ -217,13 +219,13 @@ def test_bell_measurement_two_equal_outcomes():
     by_result = {o.result: o for o in outcomes}
     assert abs(by_result[(0,)].probability - 0.5) <= 1e-9
     assert abs(by_result[(1,)].probability - 0.5) <= 1e-9
-    np.testing.assert_allclose(by_result[(0,)].post_state.amplitudes, [1, 0, 0, 0], atol=1e-9)
-    np.testing.assert_allclose(by_result[(1,)].post_state.amplitudes, [0, 0, 0, 1], atol=1e-9)
+    np.testing.assert_allclose(collapse(by_result[(0,)]).amplitudes, [1, 0, 0, 0], atol=1e-9)
+    np.testing.assert_allclose(collapse(by_result[(1,)]).amplitudes, [0, 0, 0, 1], atol=1e-9)
 
 
 def test_bell_second_measurement_matches_first():
     for first in measure(BELL, [0]):
-        (second,) = measure(first.post_state, [1])
+        (second,) = measure(collapse(first), [1])
         assert second.result == first.result
         assert abs(second.probability - 1.0) <= 1e-9
 
@@ -253,7 +255,7 @@ def test_collapse_idempotent():
         state = StateVector(n, random_state_amps(rng, n))
         targets = list(rng.permutation(n)[: int(rng.integers(1, n + 1))])
         for outcome in measure(state, targets):
-            again = measure(outcome.post_state, targets)
+            again = measure(collapse(outcome), targets)
             assert len(again) == 1
             assert again[0].result == outcome.result
             assert abs(again[0].probability - 1.0) <= 1e-9
@@ -383,7 +385,15 @@ def test_state_invariants_enforced():
 
 
 @pytest.mark.parametrize(
-    "bad", [complex(0.0, np.nan), complex(0.0, np.inf), complex(0.0, -np.inf), complex(np.nan, 0.0)]
+    "bad",
+    [
+        complex(0.0, np.nan),
+        complex(0.0, np.inf),
+        complex(0.0, -np.inf),
+        complex(np.nan, 0.0),
+        complex(np.inf, 0.0),
+        complex(-np.inf, 0.0),
+    ],
 )
 def test_state_rejects_a_non_finite_part(bad):
     """A NaN or an infinity in either part of one amplitude, the imaginary
@@ -476,7 +486,7 @@ def test_kernels_match_the_transpose_kernels(n):
             assert [o.result for o in got] == [bits for bits, _p, _post in want]
             for o, (_bits, p, post) in zip(got, want):
                 assert abs(o.probability - p) <= 1e-12
-                np.testing.assert_allclose(o.post_state.amplitudes, post, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(collapse(o).amplitudes, post, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
                 reduced_density_matrix(state, targets).matrix,
                 transpose_rdm_oracle(amps, targets),
@@ -487,6 +497,34 @@ def test_kernels_match_the_transpose_kernels(n):
     want_amps, want_dropped = drop_basis_qubits_oracle(factored, candidates)
     assert dropped == want_dropped == {q: b for q, b in basis.items() if q in candidates}
     np.testing.assert_allclose(out.amplitudes, want_amps, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_collapse_matches_the_zero_fill_oracle(n):
+    """On a random state and on one with basis-state qubits, for every
+    ordered list of one or two targets, every outcome and every subset of
+    the targets dropped: ``collapse`` gives bit for bit the full-width
+    collapse of ``collapse_oracle`` with those targets then factored out by
+    ``drop_basis_qubits_oracle``, each at its measured bit."""
+    rng = np.random.default_rng(2000 + n)
+    target_lists = [list(p) for k in (1, 2) if k <= n for p in permutations(range(n), k)]
+    for amps in (random_state_amps(rng, n), basis_factored_amps(rng, n)[0]):
+        state = StateVector(n, amps)
+        for targets in target_lists:
+            for o in measure(state, targets):
+                for k in range(len(targets) + 1):
+                    for drop in combinations(targets, k):
+                        want, dropped = drop_basis_qubits_oracle(collapse_oracle(o), drop)
+                        assert dropped == {t: b for t, b in zip(targets, o.result) if t in drop}
+                        got = collapse(o, drop)
+                        assert got.num_qubits == n - len(drop)
+                        assert np.array_equal(got.amplitudes, want)
+
+
+def test_collapse_drops_only_measured_qubits():
+    (o,) = measure(StateVector(2, [1, 0, 0, 0]), [0])
+    with pytest.raises(ValueError, match="measured"):
+        collapse(o, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +552,7 @@ def test_caller_array_is_copied_and_results_are_read_only():
         apply_gate(state, standard_gate("H"), [1]),
         apply_gate(state, standard_gate("CNot"), [1, 0]),
         drop_basis_qubits(wide, [2])[0],
-        *(o.post_state for o in measure(state, [1])),
+        *(collapse(o, drop) for o in measure(state, [1]) for drop in ([], [1])),
     ]
     for result in results:
         assert not result.amplitudes.flags.writeable

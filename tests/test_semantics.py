@@ -28,7 +28,13 @@ from cqpkit.semantics import (
 )
 from cqpkit.syntax import Call, parse_program, pretty_print
 from cqpkit.typecheck import parse_signatures
-from support import SQ2, bench_workloads, random_typed_program, reachable_outputs
+from support import (
+    SQ2,
+    bench_workloads,
+    drop_dead_qubits_oracle,
+    random_typed_program,
+    reachable_outputs,
+)
 
 
 def teleport_alphabet(test_state=DEFAULT_TEST_QUBITS[2]):
@@ -401,9 +407,17 @@ def test_four_hop_chain_equals_identity_under_default_cap():
 # ---------------------------------------------------------------------------
 
 def explore_keeping_dead_qubits(config, alphabet, reduce):
-    """``explore`` with every dead qubit left in the state vector."""
+    """``explore`` with every dead qubit left in the state vector, measured
+    ones included: every qubit is passed to ``_drop_dead_qubits``, the one
+    place both a measurement branch and any other step drop qubits, as
+    live."""
+    drop = semantics._drop_dead_qubits
+
+    def keep_all(config, _live, outcome=None):
+        return drop(config, set(range(config.qstate.num_qubits)), outcome)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semantics, "_drop_dead_qubits", lambda config, live: config)
+        mp.setattr(semantics, "_drop_dead_qubits", keep_all)
         return explore(config, alphabet=alphabet, reduce=reduce)
 
 
@@ -424,6 +438,81 @@ def assert_drop_bisimilar(program, signatures, entry):
 def test_dropping_dead_qubits_is_bisimilar_to_keeping_them():
     for case in itertools.chain(corpus_and_chain_entries(), random_entries()):
         assert_drop_bisimilar(*case)
+
+
+# Programs whose one measurement meets each case of liveness: the source,
+# the qubits a branch holds after it, and whether the component beside the
+# measuring one keeps its record (None: there is none).
+LIVENESS_CASES = {
+    # x stays live after it is measured, so its axis is zero-filled.
+    "measured qubit stays live": (
+        "P(c, d) = (qbit x) {x *= H} . c![measure x] . {x *= H} . d![x] . 0",
+        1,
+        None,
+    ),
+    # x dies as it is measured and is sliced out; its partner y died at the
+    # CNot, is a basis state once x is measured and drops too; z died in
+    # |+> and stays. a, held beside them, is below every dropped qubit.
+    "measured dead qubit beside older dead ones": (
+        "P(c, d) = (qbit a) (qbit z) {z *= H} . (qbit x,y) {x *= H} . {x,y *= CNot} . "
+        "(d![a] . 0 | c![measure x] . 0)",
+        2,
+        True,
+    ),
+    # x stays live; its dead partner y becomes a basis state and drops in
+    # the same step, so w, allocated after y, is renumbered.
+    "dead partner of a live measured qubit": (
+        "P(c, d, e) = (qbit x,y) {x *= H} . {x,y *= CNot} . (qbit w) "
+        "(e![w] . 0 | c![measure x] . {x *= H} . d![x] . 0)",
+        2,
+        False,
+    ),
+}
+
+
+def measurement_step(config):
+    """The first configuration on the path of first transitions from
+    ``config`` that can take a measurement with several outcomes, and that
+    transition."""
+    while True:
+        transitions = step(config)
+        for t in transitions:
+            if len(t.outcomes) > 1:
+                return config, t
+        config = transitions[0].outcomes[0][1]
+
+
+@pytest.mark.parametrize("case", LIVENESS_CASES)
+def test_measurement_branches_drop_as_the_zero_fill_path_does(case):
+    """Every configuration explored, with and without reduction, holds the
+    amplitudes, bindings and qubit sets of the slow path: the branch
+    collapsed at full width, then every dead qubit scanned at once
+    (``drop_dead_qubits_oracle``)."""
+    source, held, shared = LIVENESS_CASES[case]
+    config = initial_configuration(parse_program(source), "P")
+    for reduce in (True, False):
+        got = explore(config, reduce=reduce)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "_drop_dead_qubits", drop_dead_qubits_oracle)
+            want = explore(config, reduce=reduce)
+        assert [(e.src, render_label(e.label), e.dst) for e in got.edges] == [
+            (e.src, render_label(e.label), e.dst) for e in want.edges
+        ]
+        assert len(got.states) == len(want.states)
+        for a, b in zip(got.states, want.states):
+            assert (a.config is None) == (b.config is None)
+            if a.config is not None:
+                assert np.array_equal(a.config.qstate.amplitudes, b.config.qstate.amplitudes)
+                assert a.config.bindings == b.config.bindings
+                assert [r[2] for r in a.config.procs] == [r[2] for r in b.config.procs]
+    before, measured = measurement_step(config)
+    for _p, after in measured.outcomes:
+        assert after.qstate.num_qubits == held
+        if shared is not None:
+            # The component beside the measuring one keeps its record, the
+            # same object, when its qubits all lie below the lowest dropped
+            # qubit, and gets a renumbered one otherwise.
+            assert (after.procs[0] is before.procs[0]) == shared
 
 
 def test_entangled_dead_qubits_stay():
