@@ -25,6 +25,9 @@ and both are blocked on this step, so the step can be neither raced nor
 disabled and it touches no qubit (the confluence of private π-calculus
 channels: Philippou & Walker, "On confluence in the π-calculus", ICALP
 1997; Groote & Sellink, "Confluence for process verification", TCS 1996).
+The branches of one measurement settle through one table, so a branch
+that meets a configuration an earlier branch met stops there and takes its
+state, and branches that a correction has made equal run the rest once.
 ``run_sampled`` walks one seeded path for simulation, handing ``step`` its
 PRNG so that each step builds only the configuration the path takes, and
 collapses the state only onto the measurement branch it draws.
@@ -682,7 +685,49 @@ def settle(config: Configuration) -> Configuration:
     of these steps is finite.
 
     The components before the one that moved keep their heads, so the scan
-    for deterministic τ steps goes on from the lowest index that moved."""
+    for deterministic τ steps goes on from the lowest index that moved.
+
+    ``explore`` settles the outcomes of one transition, such as the
+    branches of a measurement, through one table (``_Siblings``) that lives
+    only while it interns them (``_settle_among``). Before each private
+    communication, a run looks its configuration up among those that the
+    runs of earlier outcomes met there; on a hit it stops, and the outcome
+    takes the state the earlier run was interned as. The four branches of
+    a teleport hop so meet after Bob's correction, and only the first runs
+    the send on the next link and the next hop's gates. A hit is the
+    relation by which ``explore`` merges states: an equal
+    ``canonical_key`` and amplitudes equal within ATOL up to global phase.
+    It is sound for three reasons:
+
+    - Unitary steps keep distances. Every step of a run applies one gate
+      to both states, or binds names and appends the same fresh qubits to
+      both, or slices the same dead basis qubits out of both; each keeps
+      the distance between the states, so two configurations within ATOL
+      of each other stay so along their runs.
+    - An equal key and state give the same run. The key fixes every
+      component's term and what its free names are bound to, hidden
+      channels up to renaming included, so it fixes which step goes next,
+      which qubits it touches and who holds which channel; the two runs
+      take the same steps and end in states that ``explore`` would merge.
+    - Errors come from the first sibling. Had the skipped steps raised (an
+      arity mismatch, an ownership violation or a cap), the earlier run
+      would have raised the same error from the same configuration, and
+      the exploration would have stopped before this run began.
+
+    A miss only costs the run in full, so it never causes a merge, and a
+    hit merges no more than interning the settled configurations would,
+    beyond the tolerance by which that interning itself merges. The table
+    is probed only before private communications, not before every step,
+    which costs more than it saves.
+    """
+    return _settle_among(config, None)[0]
+
+
+def _settle_among(config: Configuration, siblings: _Siblings | None) -> tuple[Configuration, int | None]:
+    """``settle``'s run from ``config``, as ``(settled, None)``; or, with
+    ``siblings``, ``(config where it stopped, state)`` once it meets before
+    a private communication a configuration an earlier sibling's run met,
+    which was interned as the PLTS state ``state`` (see ``settle``)."""
     i = 0
     while True:
         procs = config.procs
@@ -695,9 +740,59 @@ def settle(config: Configuration) -> Configuration:
                 i += 1
         redex = _private_redex(config)
         if redex is None:
-            return config
+            return config, None
+        if siblings is not None:
+            sid = siblings.find(config)
+            if sid is not None:
+                return config, sid
         config = _communicate(config, *redex)
         i = min(redex)
+
+
+class _Siblings:
+    """The configurations that the settle runs of one transition's earlier
+    outcomes met before a private communication, each with the PLTS state
+    its run was interned as (``_settle_among``). It lives only as long as
+    ``explore`` interns that one transition's outcomes.
+
+    Entries are filed under a cheap pre-filter, the qubit count and the
+    identities of the component terms, so a ``canonical_key`` is computed
+    only for a configuration whose terms another already shares, and a
+    phase comparison only under an equal key."""
+
+    __slots__ = ("_met", "_run")
+
+    def __init__(self):
+        self._met: dict[tuple, list[list]] = {}  # pre-filter -> [config, key or None, state]
+        self._run: list[list] = []  # entries of the run in progress, state still None
+
+    def find(self, config: Configuration) -> int | None:
+        """The state of an earlier sibling's run that met a configuration
+        with ``config``'s key and, up to global phase, its amplitudes; or
+        None, after noting ``config`` for the run in progress."""
+        slot = (config.qstate.num_qubits, tuple(id(record[0]) for record in config.procs))
+        entries = self._met.setdefault(slot, [])
+        key = None
+        for entry in entries:
+            met, met_key, sid = entry
+            if sid is None:  # met by this very run
+                continue
+            if key is None:
+                key = canonical_key(config)
+            if met_key is None:
+                met_key = entry[1] = canonical_key(met)
+            if met_key == key and qstate.states_equal_up_to_global_phase(met.qstate, config.qstate):
+                return sid
+        entry = [config, key, None]
+        entries.append(entry)
+        self._run.append(entry)
+        return None
+
+    def close(self, sid: int) -> None:
+        """End the run in progress, which was interned as state ``sid``."""
+        for entry in self._run:
+            entry[2] = sid
+        self._run = []
 
 
 def _draw(outcomes: list, rng: random.Random):
@@ -1019,6 +1114,18 @@ def explore(
     shift; no witness of the corpus, of the chain goldens or of the random
     pairs the differential tests check changed.
 
+    The outcomes of one transition with several, such as the branches of
+    a measurement, are settled through one table that lives only while
+    they are interned (``_Siblings``): a branch's run stops before a
+    private communication at a configuration an earlier branch's run met
+    there, equal by the relation above, and the branch takes the state
+    that run was interned as. ``settle`` gives the soundness argument:
+    unitary steps keep distances within ATOL, an equal key and state give
+    the same run, and any error would have come from the earlier branch.
+    The PLTS is the one interning each branch's settled configuration
+    gives; the branches of a teleport hop, which meet after Bob's
+    correction, then run the next link and the next hop's gates once.
+
     ``reduce=False`` interns every successor as it is; it is the reference
     the reduction is tested against.
     """
@@ -1030,9 +1137,17 @@ def explore(
     prob_cache: dict[tuple, int] = {}
     queue: list[int] = []
 
-    def intern(cfg: Configuration) -> int:
+    def intern(cfg: Configuration, siblings: _Siblings | None = None) -> int:
+        sid = None
         if reduce:
-            cfg = settle(cfg)
+            cfg, sid = _settle_among(cfg, siblings)
+        if sid is None:
+            sid = add(cfg)
+        if siblings is not None:
+            siblings.close(sid)
+        return sid
+
+    def add(cfg: Configuration) -> int:
         key = canonical_key(cfg)
         for sid in buckets.get(key, []):
             if qstate.states_equal_up_to_global_phase(states[sid].config.qstate, cfg.qstate):
@@ -1060,8 +1175,9 @@ def explore(
                 dst = intern(t.outcomes[0][1])
                 edges.append(PLTSEdge(sid, t.label, dst))
                 continue
+            siblings = _Siblings() if reduce else None
             dist = tuple(
-                (round(p, 12), intern(child)) for p, child in t.outcomes
+                (round(p, 12), intern(child, siblings)) for p, child in t.outcomes
             )
             pid = prob_cache.get(dist)
             if pid is None:

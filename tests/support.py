@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cqpkit import corpus
+from cqpkit import congruence, corpus, equiv, qstate, typecheck
 from cqpkit.equiv import _TAU_CLASS, PROB_TOL, check_equivalence
 from cqpkit.qstate import (
     PRUNE_TOL,
@@ -1003,9 +1003,9 @@ def digest_programs():
         yield f"random{seed}:Gen", program, signatures, "Gen"
 
 
-def digest_explorations():
+def digest_explorations(reduces=(True, False)):
     """Explore each of ``digest_programs`` under every digest test set and
-    both ``reduce`` values, with the whole input alphabet enabled. Yields
+    each of the ``reduce`` values, with the whole input alphabet enabled. Yields
     ``(name, alphabet, reduce, outcome)`` where the outcome is a ``PLTS``,
     or the class name of the ``SemanticsError`` or ``CapacityError`` the
     exploration raised."""
@@ -1013,7 +1013,7 @@ def digest_explorations():
         config = initial_configuration(program, entry, signatures=signatures)
         for set_name, test_qubits in DIGEST_TEST_SETS.items():
             alphabet = input_alphabet(program, entry, signatures[entry], test_qubits)
-            for reduce in (True, False):
+            for reduce in reduces:
                 try:
                     outcome = explore(config, max_states=5000, alphabet=alphabet, reduce=reduce)
                 except (SemanticsError, CapacityError) as exc:
@@ -1225,3 +1225,69 @@ def name_walk_entries():
     yield from ((f"chain3:{d.name}", program, d.name) for d in program.definitions)
     for seed in range(DIGEST_RANDOM_PROGRAMS):
         yield f"random{seed}:Gen", random_typed_program(random.Random(seed))[0], "Gen"
+
+
+# ---------------------------------------------------------------------------
+# Congruence sampling, one check per draw
+# ---------------------------------------------------------------------------
+
+def check_congruence_samples_oracle(
+    program_a: Program,
+    entry_a: str,
+    program_b: Program,
+    entry_b: str,
+    signatures_a: dict,
+    signatures_b: dict,
+    seed: int = 0,
+    count: int = 50,
+) -> congruence.CongruenceReport:
+    """``congruence.check_congruence_samples`` as it was before it checked
+    each distinct context once per call: every draw is plugged,
+    type-checked and checked anew."""
+    for entry, sigs in ((entry_a, signatures_a), (entry_b, signatures_b)):
+        sig = sigs[entry]
+        if tuple(sig) != (congruence.QUBIT_CHANNEL, congruence.QUBIT_CHANNEL):
+            raise ValueError(
+                f"context templates expect {entry!r} to expose two qubit channels"
+            )
+    # Only a context's main definition is new, and the checker reads just the
+    # signatures of the processes it calls, so each base program is checked once.
+    base_a = typecheck.typecheck_program(program_a, signatures_a)
+    base_b = typecheck.typecheck_program(program_b, signatures_b)
+    rng = random.Random(seed)
+    report = congruence.CongruenceReport(total=count, passed=0)
+    for _ in range(count):
+        context = congruence.generate_context(rng)
+        prog_a, sigs_a, main_a = congruence._context_program(program_a, signatures_a, entry_a, context)
+        prog_b, sigs_b, main_b = congruence._context_program(program_b, signatures_b, entry_b, context)
+        ctx_a, ctx_b = prog_a.definition(main_a), prog_b.definition(main_b)
+        source = pretty_print(ctx_a.body)
+        diags = (
+            base_a
+            + typecheck.typecheck_program(Program((ctx_a,)), sigs_a)
+            + base_b
+            + typecheck.typecheck_program(Program((ctx_b,)), sigs_b)
+        )
+        if diags:
+            sample = congruence.CongruenceSample(
+                context.name, source, "skipped", f"generated context is ill-typed: {diags[0]}"
+            )
+            report.skipped.append(sample)
+            report.samples.append(sample)
+            continue
+        try:
+            verdict = equiv.check_equivalence(prog_a, main_a, prog_b, main_b, sigs_a, sigs_b)
+        except qstate.CapacityError as exc:
+            sample = congruence.CongruenceSample(context.name, source, "skipped", str(exc))
+            report.skipped.append(sample)
+            report.samples.append(sample)
+            continue
+        if verdict.equivalent:
+            report.passed += 1
+            sample = congruence.CongruenceSample(context.name, source, "equivalent")
+        else:
+            detail = verdict.witness.description if verdict.witness else "no witness"
+            sample = congruence.CongruenceSample(context.name, source, "counterexample", detail)
+            report.counterexamples.append(sample)
+        report.samples.append(sample)
+    return report

@@ -83,10 +83,15 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
     Bell pairs, an H and a CNOT each, take 4 gates once instead of once per
     each of the 4 inputs, so 64 - 3 * 4 = 52 gates. Settling also takes the
     private sends on ``c`` and on the link ``m``, so each of the first
-    hop's 4 measurement branches runs Bob's correction and then the second
-    hop's CNOT and H before the branches merge, where they had merged after
-    the correction: 2 gates more in 3 of the branches per input, so
-    52 + 2 * 3 * 4 = 76 gates.
+    hop's 4 measurement branches would run Bob's correction and then the
+    second hop's CNOT and H before the branches merge: 2 gates more in 3 of
+    the branches per input, 52 + 2 * 3 * 4 = 76 gates. The branches of one
+    measurement settle through one table of the configurations met before
+    each private send, so branches 2 to 4 stop before the send on ``m`` at
+    the configuration branch 1 met there after its correction, and take
+    its state: 76 - 2 * 3 * 4 = 52 gates again. Each stop costs the phase
+    comparison the merge in ``explore``'s intern would have made, so the
+    24 comparisons stay.
 
     Each of the 8 measurements is collapsed once per outcome, 32 times,
     by ``collapse``, which slices out the measured qubits: they are dead
@@ -118,7 +123,7 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
     program, sigs = workloads.load(workloads.chain_source(2))
     assert check_equivalence(program, "Chain2", program, "Identity", sigs).equivalent
     assert counts == {
-        "apply_gate": 76,
+        "apply_gate": 52,
         "measure": 8,
         "collapse": 32,
         "drop_basis_qubits": 8,

@@ -14,6 +14,7 @@ from cqpkit.congruence import (
 )
 from cqpkit.syntax import parse_program, pretty_print
 from cqpkit.typecheck import parse_signatures
+from support import check_congruence_samples_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,15 +92,20 @@ def test_small_congruence_sample_run(teleport_program, identity_program):
     assert len(report.samples) == 8
 
 
-def test_congruence_detects_broken_plug(identity_program):
-    """A context that measures the relayed qubit distinguishes a bit-flipped
-    channel from the identity, so sampling must find counterexamples."""
-    flipped_src = """
+FLIP = """
 //: Flip : ^[Qbit], ^[Qbit]
 Flip(c, d) = c?[x] . {x *= X} . d![x] . 0
 """
-    flipped = parse_program(flipped_src)
-    flipped_sigs = parse_signatures(flipped_src)
+
+
+def flip_program():
+    return parse_program(FLIP), parse_signatures(FLIP)
+
+
+def test_congruence_detects_broken_plug(identity_program):
+    """A context that measures the relayed qubit distinguishes a bit-flipped
+    channel from the identity, so sampling must find counterexamples."""
+    flipped, flipped_sigs = flip_program()
     program_i, sigs_i = identity_program
     report = check_congruence_samples(
         flipped, "Flip", program_i, "Identity", flipped_sigs, sigs_i, seed=1, count=6
@@ -118,7 +124,11 @@ def test_rejects_wrong_interface(teleport_program, coin_program):
 
 def test_fixed_programs_are_type_checked_once(monkeypatch, teleport_program, identity_program):
     """Only each context's ``CtxMain`` is new, so a round of 50 contexts
-    checks Teleport, Alice, Bob and Identity once and 100 ``CtxMain``."""
+    checks Teleport, Alice, Bob and Identity once, and one ``CtxMain`` per
+    side for each distinct context. Seed 2024 draws 16 distinct contexts
+    (34 of the 50 draws repeat an earlier one), so 16 * 2 = 32 ``CtxMain``
+    checks and 4 + 32 = 36 in all, where checking every draw made
+    4 + 50 * 2 = 104."""
     checked = []
     check = typecheck.typecheck_program
 
@@ -133,9 +143,9 @@ def test_fixed_programs_are_type_checked_once(monkeypatch, teleport_program, ide
         program_t, "Teleport", program_i, "Identity", sigs_t, sigs_i, seed=2024, count=50
     )
     assert report.passed == 50
-    assert len(checked) == 104
+    assert len(checked) == 36
     assert sorted(set(checked)) == ["Alice", "Bob", "CtxMain", "Identity", "Teleport"]
-    assert checked.count("CtxMain") == 100
+    assert checked.count("CtxMain") == 32
 
 
 BOB_SENDS_TWICE = """
@@ -214,3 +224,75 @@ def test_context_past_a_cap_is_skipped_with_its_message(identity_program, source
     assert report.skipped == report.samples
     assert [s.detail for s in report.samples] == [message] * 7
     assert len({s.context_name for s in report.samples}) > 3
+
+
+def report_cases(teleport_program, identity_program):
+    """``(name, program a, entry a, program b, entry b, signatures a,
+    signatures b, seed, count)`` for each differential case: the benchmark's
+    50 contexts, the bit flip's counterexamples, the two cap skips and the
+    two ill-typed base sides."""
+    program_t, sigs_t = teleport_program
+    program_i, sigs_i = identity_program
+    flipped, flipped_sigs = flip_program()
+    broken = parse_program(BOB_SENDS_TWICE), parse_signatures(BOB_SENDS_TWICE)
+    yield "seed2024", program_t, "Teleport", program_i, "Identity", sigs_t, sigs_i, 2024, 50
+    yield "flip", flipped, "Flip", program_i, "Identity", flipped_sigs, sigs_i, 1, 6
+    for source, entry in ((qubit_hoard_source(), "Hoard"), (wide_source(), "A7")):
+        program, sigs = parse_program(source), parse_signatures(source)
+        yield entry, program, entry, program_i, "Identity", sigs, sigs_i, 0, 7
+    yield "ill-typed-a", broken[0], "Teleport", program_i, "Identity", broken[1], sigs_i, 4, 5
+    yield "ill-typed-b", program_i, "Identity", broken[0], "Teleport", sigs_i, broken[1], 4, 5
+
+
+def test_checking_each_distinct_context_once_gives_the_oracle_report(
+    teleport_program, identity_program
+):
+    """Each case's report equals, field by field, the one made by checking
+    every draw (``check_congruence_samples_oracle``). Every case draws some
+    context more than once, so each reuses a sample."""
+    outcomes = set()
+    for name, *args, seed, count in report_cases(teleport_program, identity_program):
+        got = check_congruence_samples(*args, seed=seed, count=count)
+        want = check_congruence_samples_oracle(*args, seed=seed, count=count)
+        assert got.total == want.total == count, name
+        assert got.passed == want.passed, name
+        assert got.samples == want.samples, name
+        assert got.counterexamples == want.counterexamples, name
+        assert got.skipped == want.skipped, name
+        rng = random.Random(seed)
+        assert len({generate_context(rng) for _ in range(count)}) < count, name
+        outcomes |= {s.outcome for s in got.samples}
+    assert outcomes == {"equivalent", "counterexample", "skipped"}
+
+
+def test_a_context_checked_again_later_gets_the_same_verdict(
+    teleport_program, identity_program
+):
+    """Checking each distinct context once per call assumes that a verdict
+    depends only on the context. The ``parallel-noise``, ``double-relay``
+    and ``output-relay`` with an H contexts of seed 2024 are checked twice
+    each in one process, with other checks in between, and render the same
+    verdict both times."""
+    program_t, sigs_t = teleport_program
+    program_i, sigs_i = identity_program
+    flipped, flipped_sigs = flip_program()
+    rng = random.Random(2024)
+    drawn = list(dict.fromkeys(generate_context(rng) for _ in range(50)))
+    picked = [
+        next(c for c in drawn if c.name == "parallel-noise"),
+        next(c for c in drawn if c.name == "double-relay"),
+        next(c for c in drawn if c.name == "output-relay" and "H" in c.source),
+    ]
+    others = [c for c in drawn if c not in picked]
+
+    def render(context, program, entry, sigs):
+        prog_a, sa, main_a = congruence._context_program(program, sigs, entry, context)
+        prog_b, sb, main_b = congruence._context_program(program_i, sigs_i, "Identity", context)
+        return equiv.check_equivalence(prog_a, main_a, prog_b, main_b, sa, sb).render()
+
+    first = [render(c, program_t, "Teleport", sigs_t) for c in picked]
+    for context in others:
+        render(context, program_t, "Teleport", sigs_t)
+        render(context, flipped, "Flip", flipped_sigs)
+    again = [render(c, program_t, "Teleport", sigs_t) for c in reversed(picked)]
+    assert again[::-1] == first

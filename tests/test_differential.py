@@ -119,6 +119,31 @@ def test_exploration_digest_matches_golden(explorations):
     assert got == GOLDEN.read_text().splitlines()
 
 
+def test_settling_siblings_through_one_table_changes_no_exploration(explorations, monkeypatch):
+    """``explore`` settles the outcomes of one transition through one table
+    and stops a run at a configuration an earlier outcome's run met
+    (``semantics._Siblings``). With every lookup made to miss, each run goes
+    on to its end, and every reduced exploration of the digest programs has
+    the same digest as with the table, which stops some of their runs."""
+    find = semantics._Siblings.find
+    hits = 0
+
+    def counted(table, config):
+        nonlocal hits
+        sid = find(table, config)
+        hits += sid is not None
+        return sid
+
+    monkeypatch.setattr(semantics._Siblings, "find", counted)
+    with_table = {name: exploration_digest(o) for name, *_, o in digest_explorations((True,))}
+    assert hits > 100
+    monkeypatch.setattr(semantics._Siblings, "find", lambda table, config: None)
+    without = {name: exploration_digest(o) for name, *_, o in digest_explorations((True,))}
+    assert with_table == without
+    reduced = {name: exploration_digest(o) for name, _a, reduce, o in explorations if reduce}
+    assert reduced == with_table
+
+
 def test_canonical_key_matches_the_term_walk(explorations):
     configs = list(explored_configurations(explorations))
     assert len(configs) > 10_000

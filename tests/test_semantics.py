@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from support import (
     SQ2,
     bench_workloads,
     drop_dead_qubits_oracle,
+    exploration_digest,
     random_typed_program,
     reachable_outputs,
 )
@@ -280,6 +282,39 @@ def test_merged_configurations_step_alike(monkeypatch):
             for (pa, ca), (pb, cb) in zip(a.outcomes, b.outcomes):
                 assert abs(pa - pb) <= 1e-9
                 assert ca.qstate.num_qubits == cb.qstate.num_qubits
+
+
+SIBLINGS_APART = (
+    "//: P : ^[Qbit]\n"
+    "P(c) = (qbit x,y) {x *= H} . {x,y *= CNot} . (new e) "
+    "(e![measure x] . 0 | e?[r] . (new f) (f![y] . 0 | f?[z] . c![z] . 0))\n"
+)
+
+
+def test_measurement_branches_with_equal_keys_and_different_states_stay_apart(monkeypatch):
+    """Measuring half of a Bell pair leaves y in |0> or |1>. Both branches
+    settle to the send of y on ``f`` with equal keys, since the received
+    bit ``r`` is no longer free, but different amplitudes, so the table
+    through which ``explore`` settles the branches must not merge them.
+    The PLTS digest in the golden file was recorded before that table
+    existed."""
+    met = []
+    communicate = semantics._communicate
+
+    def recording(config, out_i, in_i):
+        met.append(config)
+        return communicate(config, out_i, in_i)
+
+    monkeypatch.setattr(semantics, "_communicate", recording)
+    program, signatures = parse_program(SIBLINGS_APART), parse_signatures(SIBLINGS_APART)
+    config = initial_configuration(program, "P", signatures=signatures)
+    plts = explore(config)
+    golden = Path(__file__).parent / "golden" / "siblings_apart_digest.txt"
+    assert exploration_digest(plts) == golden.read_text().strip()
+    assert [s.kind for s in plts.states].count("nondet") == 4
+    _on_e0, on_f0, _on_e1, on_f1 = met
+    assert canonical_key(on_f0) == canonical_key(on_f1)
+    assert not qstate.states_equal_up_to_global_phase(on_f0.qstate, on_f1.qstate)
 
 
 # ---------------------------------------------------------------------------
