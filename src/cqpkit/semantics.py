@@ -13,18 +13,18 @@ configuration, giving priority to one deterministic internal step when a
 component can take one (see its docstring); ``explore`` closes a
 configuration under ``step`` into a finite probabilistic labelled
 transition system (PLTS) whose states alternate between nondeterministic
-choice and probability distributions. When reducing, ``explore`` first
-settles each configuration (``settle``): it runs the deterministic τ steps
-that have priority, and then the private communications, until neither is
-left, so no state of the PLTS is one that could take such a step
-(confluence reduction, Blom & van de Pol, "State space reduction by
-proving confluence", CAV 2002). A communication is private when its
-channel is hidden and held by its sender and its receiver alone: no other
-component can reach the channel, since only those two could pass it on
-and both are blocked on this step, so the step can be neither raced nor
-disabled and it touches no qubit (the confluence of private π-calculus
-channels: Philippou & Walker, "On confluence in the π-calculus", ICALP
-1997; Groote & Sellink, "Confluence for process verification", TCS 1996).
+choice and probability distributions. ``explore`` first settles each
+configuration (``settle``): it runs the deterministic τ steps that have
+priority, and then the private communications, until neither is left, so
+no state of the PLTS is one that could take such a step (confluence
+reduction, Blom & van de Pol, "State space reduction by proving
+confluence", CAV 2002). A communication is private when its channel is
+hidden and held by its sender and its receiver alone: no other component
+can reach the channel, since only those two could pass it on and both are
+blocked on this step, so the step can be neither raced nor disabled and it
+touches no qubit (the confluence of private π-calculus channels:
+Philippou & Walker, "On confluence in the π-calculus", ICALP 1997; Groote
+& Sellink, "Confluence for process verification", TCS 1996).
 The branches of one measurement settle through one table, so a branch
 that meets a configuration an earlier branch met stops there and takes its
 state, and branches that a correction has made equal run the rest once.
@@ -589,7 +589,7 @@ def _gate_for(config: Configuration, env: dict, ref) -> qstate.Gate:
 
 
 # Heads whose step is a deterministic τ touching only the component's own
-# qubits and fresh names; ``step`` gives them priority when reducing.
+# qubits and fresh names; ``step`` gives them priority.
 _DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
 
 
@@ -811,7 +811,6 @@ def step(
     config: Configuration,
     alphabet: dict | None = None,
     *,
-    reduce: bool = True,
     rng: random.Random | None = None,
 ) -> list[Transition]:
     """Enumerate the enabled transitions in a fixed, deterministic order.
@@ -820,11 +819,11 @@ def step(
     environment may inject on them; without it, external inputs stay
     disabled (they simply do not fire).
 
-    Priority rule (``reduce=True``): scanning ``config.procs`` in order,
-    the first component headed by a qubit allocation, a channel
-    restriction ``new`` or a gate gives the only transition, a τ to a
-    single successor, and no other successor is built. Such a step is
-    confluent with every other enabled step and inert:
+    Priority rule: scanning ``config.procs`` in order, the first component
+    headed by a qubit allocation, a channel restriction ``new`` or a gate
+    gives the only transition, a τ to a single successor, and no other
+    successor is built. Such a step is confluent with every other enabled
+    step and inert:
 
     - it reads and writes only the qubits its component owns, and disjoint
       ownership (checked on every step) means no other component can
@@ -858,9 +857,6 @@ def step(
     sender and receiver hold cannot be raced or disabled; ``settle`` takes
     it (see there), but ``step`` does not give it priority.
 
-    ``reduce=False`` enumerates every interleaving and gives nothing
-    priority; it is the reference the reduction is tested against.
-
     ``step`` itself takes one deterministic τ at a time, so ``run_sampled``
     traces show each. ``explore`` instead settles each configuration it
     meets (``settle``) by running all of them in this order, and every
@@ -870,10 +866,10 @@ def step(
 
     The transitions come from one lazy enumeration (``_transitions``),
     which builds each only when it is reached. With ``rng`` (a sampled
-    run), ``step`` takes the first, whatever ``reduce`` is, and no later
-    one is built. If it forces a measurement with several outcomes, one
-    draw from ``rng`` picks a branch (``_draw``) and only that branch is
-    built; the transition is then ``drawn`` and holds that one outcome.
+    run), ``step`` takes the first, and no later one is built. If it
+    forces a measurement with several outcomes, one draw from ``rng`` picks
+    a branch (``_draw``) and only that branch is built; the transition is
+    then ``drawn`` and holds that one outcome.
 
     Every successor is built one of two ways. A step that binds names
     (input, internal communication, ``qbit`` and ``new``) goes through
@@ -883,25 +879,20 @@ def step(
     spliced into its parts, a call is unfolded, and one that is ``0`` is
     dropped.
     """
-    transitions = _transitions(config, alphabet or {}, reduce, rng)
+    transitions = _transitions(config, alphabet or {}, rng)
     return list(itertools.islice(transitions, None if rng is None else 1))
 
 
-def _transitions(config: Configuration, alphabet: dict, reduce: bool, rng: random.Random | None):
+def _transitions(config: Configuration, alphabet: dict, rng: random.Random | None):
     """The enabled transitions of ``config`` in ``step``'s order, each built
     when the enumeration reaches it."""
-    if reduce:
-        for i, (head, env, *_) in enumerate(config.procs):
-            if isinstance(head, _DETERMINISTIC_TAU):
-                yield Transition(TAU, ((1.0, _deterministic_tau(config, i, head, env)),))
-                return
-
-    senders, receivers = [], []  # (index, channel id) ready to communicate
     for i, (head, env, *_) in enumerate(config.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
             yield Transition(TAU, ((1.0, _deterministic_tau(config, i, head, env)),))
-            continue
+            return
 
+    senders, receivers = [], []  # (index, channel id) ready to communicate
+    for i, (head, env, *_) in enumerate(config.procs):
         if isinstance(head, Output):
             k = head.measure_index
             if k is not None:
@@ -1031,12 +1022,6 @@ class PLTS:
     edges: list[PLTSEdge]
     initial: int
 
-    def successors(self) -> dict[int, list[PLTSEdge]]:
-        out: dict[int, list[PLTSEdge]] = {s.id: [] for s in self.states}
-        for e in self.edges:
-            out[e.src].append(e)
-        return out
-
     def dump_json(self) -> str:
         states = [
             {"id": s.id, "kind": s.kind, "terminal": s.terminal} for s in self.states
@@ -1063,8 +1048,6 @@ def explore(
     config: Configuration,
     max_states: int = DEFAULT_MAX_STATES,
     alphabet: dict | None = None,
-    *,
-    reduce: bool = True,
 ) -> PLTS:
     """Breadth-first closure of a configuration under ``step``.
 
@@ -1082,16 +1065,13 @@ def explore(
     correction, get the same key and are merged. The qubit cap of an
     allocation or input counts only this compacted vector.
 
-    ``reduce`` is passed to ``step``: the default explores one order of
-    independent deterministic τ steps, ``reduce=False`` every interleaving.
-
-    With ``reduce=True`` every configuration is settled (``settle``) before
-    it is interned, the initial one and every successor, so no state of the
-    PLTS has a deterministic τ step or a private communication: each state
-    on a run of them is folded into the state that ends the run, its
-    τ-confluent representative (Blom & van de Pol, "State space reduction
-    by proving confluence", CAV 2002). Verdicts cannot change. Under
-    ``reduce=True`` a configuration with a deterministic τ step has exactly
+    Every configuration is settled (``settle``) before it is interned, the
+    initial one and every successor, so no state of the PLTS has a
+    deterministic τ step or a private communication: each state on a run
+    of them is folded into the state that ends the run, its τ-confluent
+    representative (Blom & van de Pol, "State space reduction by proving
+    confluence", CAV 2002). Verdicts cannot change. Under ``step``'s
+    priority rule a configuration with a deterministic τ step has exactly
     one transition, a τ to one successor, and the run ends in a state
     without one. ``equiv._classify`` always puts such a state in its
     target's class, since every move of the state is the τ into that class,
@@ -1125,9 +1105,6 @@ def explore(
     The PLTS is the one interning each branch's settled configuration
     gives; the branches of a teleport hop, which meet after Bob's
     correction, then run the next link and the next hop's gates once.
-
-    ``reduce=False`` interns every successor as it is; it is the reference
-    the reduction is tested against.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
@@ -1138,9 +1115,7 @@ def explore(
     queue: list[int] = []
 
     def intern(cfg: Configuration, siblings: _Siblings | None = None) -> int:
-        sid = None
-        if reduce:
-            cfg, sid = _settle_among(cfg, siblings)
+        cfg, sid = _settle_among(cfg, siblings)
         if sid is None:
             sid = add(cfg)
         if siblings is not None:
@@ -1166,7 +1141,7 @@ def explore(
         sid = queue[head]
         head += 1
         cfg = states[sid].config
-        transitions = step(cfg, alphabet, reduce=reduce)
+        transitions = step(cfg, alphabet)
         if not transitions:
             states[sid].terminal = True
             continue
@@ -1175,7 +1150,7 @@ def explore(
                 dst = intern(t.outcomes[0][1])
                 edges.append(PLTSEdge(sid, t.label, dst))
                 continue
-            siblings = _Siblings() if reduce else None
+            siblings = _Siblings()
             dist = tuple(
                 (round(p, 12), intern(child, siblings)) for p, child in t.outcomes
             )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cqpkit import congruence, corpus, equiv, qstate, typecheck
+from cqpkit import congruence, corpus, equiv, qstate, semantics, typecheck
 from cqpkit.equiv import _TAU_CLASS, PROB_TOL, check_equivalence
 from cqpkit.qstate import (
     PRUNE_TOL,
@@ -41,9 +41,12 @@ from cqpkit.semantics import (
     PLTSEdge,
     PLTSState,
     ProbLabel,
+    QubitSlot,
     QubitVal,
+    RuntimeProcessError,
     SemanticsError,
     TraceStep,
+    Transition,
     canonical_key,
     explore,
     initial_configuration,
@@ -695,9 +698,17 @@ def alpha_equivalent_oracle(a: ProcessTerm, b: ProcessTerm) -> bool:
     return go(a, b, {}, {})
 
 
+def successors(plts: PLTS) -> dict[int, list[PLTSEdge]]:
+    """The edges leaving each state of ``plts``, by state id, in edge order."""
+    out: dict[int, list[PLTSEdge]] = {s.id: [] for s in plts.states}
+    for e in plts.edges:
+        out[e.src].append(e)
+    return out
+
+
 def reachable_outputs(plts: PLTS, start: int) -> list[PLTSEdge]:
     """Every output edge on some path from state ``start``."""
-    succ = plts.successors()
+    succ = successors(plts)
     seen, stack, found = {start}, [start], []
     while stack:
         for e in succ[stack.pop()]:
@@ -1004,29 +1015,120 @@ def digest_programs():
 
 
 def digest_explorations(reduces=(True, False)):
-    """Explore each of ``digest_programs`` under every digest test set and
-    each of the ``reduce`` values, with the whole input alphabet enabled. Yields
-    ``(name, alphabet, reduce, outcome)`` where the outcome is a ``PLTS``,
-    or the class name of the ``SemanticsError`` or ``CapacityError`` the
-    exploration raised."""
+    """Explore each of ``digest_programs`` under every digest test set,
+    with the whole input alphabet enabled: by ``explore`` where ``reduce``
+    is true (the ``:reduce`` lines), and where it is false (the ``:full``
+    lines) by ``explore_unsettled_oracle`` over ``step_full_oracle``, every
+    interleaving interned as it is. Yields ``(name, alphabet, reduce,
+    outcome)`` for each value in ``reduces``, where the outcome is a
+    ``PLTS``, or the class name of the ``SemanticsError`` or
+    ``CapacityError`` the exploration raised."""
     for name, program, signatures, entry in digest_programs():
         config = initial_configuration(program, entry, signatures=signatures)
         for set_name, test_qubits in DIGEST_TEST_SETS.items():
             alphabet = input_alphabet(program, entry, signatures[entry], test_qubits)
             for reduce in reduces:
                 try:
-                    outcome = explore(config, max_states=5000, alphabet=alphabet, reduce=reduce)
+                    if reduce:
+                        outcome = explore(config, max_states=5000, alphabet=alphabet)
+                    else:
+                        outcome = explore_unsettled_oracle(
+                            config, 5000, alphabet, step=step_full_oracle
+                        )
                 except (SemanticsError, CapacityError) as exc:
                     outcome = type(exc).__name__
                 yield f"{name}:{set_name}:{'reduce' if reduce else 'full'}", alphabet, reduce, outcome
 
 
+def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
+    """``semantics.step`` with nothing given priority: every enabled
+    transition, each deterministic τ step of every component included, in
+    the order ``step`` enumerates them once no component is headed by one.
+    It is the every-interleaving reference the partial τ-confluence
+    reduction of ``step`` is tested against. Each helper is looked up on
+    ``semantics`` when it is called, so a test that patches one there
+    patches this step too."""
+    alphabet = alphabet or {}
+    transitions = []
+    senders, receivers = [], []  # (index, channel id) ready to communicate
+    for i, (head, env, *_) in enumerate(config.procs):
+        if isinstance(head, semantics._DETERMINISTIC_TAU):
+            cfg = semantics._deterministic_tau(config, i, head, env)
+            transitions.append(Transition(TAU, ((1.0, cfg),)))
+            continue
+
+        if isinstance(head, Output):
+            k = head.measure_index
+            if k is not None:
+                qids = semantics._qubit_ids(config, env, head.payload[k].names)
+                dist = []
+                for o in qstate.measure(config.qstate, qids):
+                    cfg = semantics._advance(config, {i: (head.forced(o.result), env)}, outcome=o)
+                    dist.append((o.probability, cfg))
+                transitions.append(Transition(TAU, tuple(dist)))
+                continue
+            cid = semantics._channel_id(config, env, head.channel)
+            senders.append((i, cid))
+            if config.is_visible(cid):
+                label_values = []
+                sent_qubits = []
+                for v in semantics._eval_slots(config, env, head.payload):
+                    if isinstance(v, QubitVal):
+                        label_values.append(QubitSlot(len(sent_qubits)))
+                        sent_qubits.append(v.qid)
+                    elif isinstance(v, ChannelVal) and not config.is_visible(v.cid):
+                        raise RuntimeProcessError(
+                            f"cannot send a hidden channel on {head.channel!r} (scope extrusion)"
+                        )
+                    else:
+                        label_values.append(v)
+                dm = (
+                    qstate.reduced_density_matrix(config.qstate, sent_qubits)
+                    if sent_qubits
+                    else None
+                )
+                label = CommLabel("out", cid, config.display_channel(cid), tuple(label_values), dm)
+                cfg = semantics._advance(config, {i: (head.continuation, env)})
+                transitions.append(Transition(label, ((1.0, cfg),)))
+            continue
+
+        if isinstance(head, Input):
+            cid = semantics._channel_id(config, env, head.channel)
+            receivers.append((i, cid))
+            if config.is_visible(cid) and cid in alphabet:
+                for value_tuple in alphabet[cid]:
+                    cfg = semantics._bind(
+                        config, {i: (head.continuation, env)}, i, head.binders, value_tuple
+                    )
+                    label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
+                    transitions.append(Transition(label, ((1.0, cfg),)))
+            continue
+
+        raise TypeError(f"not a process term: {head!r}")
+
+    for out_i, out_cid in senders:
+        for in_i, in_cid in receivers:
+            if in_cid == out_cid:
+                cfg = semantics._communicate(config, out_i, in_i)
+                transitions.append(Transition(TAU, ((1.0, cfg),)))
+    return transitions
+
+
 def explore_unsettled_oracle(
-    config, max_states: int = DEFAULT_MAX_STATES, alphabet: dict | None = None
+    config,
+    max_states: int = DEFAULT_MAX_STATES,
+    alphabet: dict | None = None,
+    *,
+    step=None,
 ) -> PLTS:
-    """``semantics.explore`` with ``reduce=True`` that interns every
-    successor as it is, one state per deterministic τ step, instead of
-    settling it first: the loop ``explore`` ran before it settled."""
+    """``semantics.explore`` that interns every successor as it is, one
+    state per deterministic τ step, instead of settling it first: the loop
+    ``explore`` ran before it settled. Successors come from ``step``, by
+    default ``semantics.step``; with ``step_full_oracle`` every
+    interleaving is explored. ``step`` and ``canonical_key`` are looked up
+    on ``semantics`` when the exploration runs, so a test that patches
+    either there patches this exploration too."""
+    step = step or semantics.step
     states: list[PLTSState] = []
     edges: list[PLTSEdge] = []
     buckets: dict[tuple, list[int]] = {}
@@ -1034,7 +1136,7 @@ def explore_unsettled_oracle(
     queue: list[int] = []
 
     def intern(cfg) -> int:
-        key = canonical_key(cfg)
+        key = semantics.canonical_key(cfg)
         for sid in buckets.get(key, []):
             if states_equal_up_to_global_phase(states[sid].config.qstate, cfg.qstate):
                 return sid

@@ -19,6 +19,7 @@ from support import (
     random_state_amps,
     random_unitary,
     reachable_outputs,
+    successors,
 )
 
 
@@ -61,7 +62,7 @@ def test_criterion_2_per_branch_determinism(capsys):
         ]
         assert len(outputs) == 1
         (fork,) = [s for s in plts.states if s.kind == "prob"]
-        branches = plts.successors()[fork.id]
+        branches = successors(plts)[fork.id]
         assert len(branches) == 4
         for branch in branches:
             reached = reachable_outputs(plts, branch.dst)

@@ -4,10 +4,13 @@ A running component is its program's own term under an environment, and
 each term node computes its free names and key template once; a step
 shares the components it leaves unchanged. These tests explore the corpus,
 every entry of ``bench/workloads.chain_source(2, GATES)`` and 300 random
-well-typed programs under both digest test sets and both ``reduce`` values,
-and check every explored configuration against the term walks in
-``tests/support.py``. A golden digest, made before the caches existed,
-pins every state and edge of those explorations. It was last regenerated
+well-typed programs under both digest test sets, each both with
+``explore`` (the ``:reduce`` lines of the digest) and with every
+interleaving interned as it is (``explore_unsettled_oracle`` over
+``step_full_oracle``, the ``:full`` lines), and check every explored
+configuration against the term walks in ``tests/support.py``. A golden
+digest, made before the caches existed, pins every state and edge of
+those explorations. It was last regenerated
 when payloads became flat expression lists: the 52 explorations that hold
 Teleport changed because a forced ``measure u,q`` now keys as ``b0,b1``
 instead of ``(b0,b1)``. Their states and edges did not change: with each
@@ -17,11 +20,11 @@ form left out, all 1,288 digests were identical before and after.
 A sampled run gives ``step`` its PRNG, so each step builds only the
 configuration the run takes; its traces are checked against the same path
 taken over the full ``step`` (``run_sampled_oracle``), and on every
-explored configuration of the corpus and of ``chain_source(2, GATES)`` its
-one transition is checked to be the first of the full enumeration.
+configuration of both kinds of exploration of the corpus and of
+``chain_source(2, GATES)`` its one transition is checked to be the first
+that ``step`` enumerates without a PRNG.
 
-With ``reduce=True``, ``explore`` settles every configuration before it
-interns it, so it stores no state with a deterministic τ step or a private
+``explore`` settles every configuration before it interns it, so it stores no state with a deterministic τ step or a private
 communication (a send on a hidden channel that only its sender and its
 receiver hold). Each of those explorations is checked against
 ``explore_unsettled_oracle``, which interns every successor as it is, with
@@ -31,7 +34,9 @@ random well-typed programs. Hand cases pin where the privacy condition
 stops a fold. The ``:reduce`` lines of the golden digest were regenerated
 when ``explore`` began to settle deterministic τ runs (418 of them changed)
 and again when it began to take private communications (26 changed); no
-``:full`` line changed either time.
+``:full`` line changed either time. The ``:full`` lines, once made by
+``explore`` and ``step`` with the reduction switched off, now come from
+``step_full_oracle`` byte for byte.
 
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on
@@ -168,27 +173,33 @@ def test_check_ownership_matches_the_term_walk(explorations):
 
 
 def test_a_sampled_step_takes_the_first_transition(explorations):
-    """With a PRNG, ``step`` returns the first transition the full
-    enumeration would, or none on a terminal configuration, on every
-    configuration explored from the corpus and from ``chain_source(2,
-    GATES)``."""
-    checked = 0
-    for name, alphabet, reduce, outcome in explorations:
+    """With a PRNG, ``step`` returns the first transition it returns
+    without one, or none on a terminal configuration, on every
+    configuration of the settled (``:reduce``) and the every-interleaving
+    (``:full``) explorations of the corpus and of ``chain_source(2,
+    GATES)``. The ``:full`` configurations still hold deterministic τ
+    heads, so the priority rule is taken with a PRNG too."""
+    checked = prioritised = 0
+    for name, alphabet, _reduce, outcome in explorations:
         if name.startswith("random") or isinstance(outcome, str):
             continue
         for s in outcome.states:
             if s.config is None:
                 continue
-            full = step(s.config, alphabet, reduce=reduce)
-            sampled = step(s.config, alphabet, reduce=reduce, rng=random.Random(0))
+            enumerated = step(s.config, alphabet)
+            sampled = step(s.config, alphabet, rng=random.Random(0))
             assert [render_label(t.label) for t in sampled] == [
-                render_label(t.label) for t in full[:1]
+                render_label(t.label) for t in enumerated[:1]
             ], name
-            if full:
+            if enumerated:
                 ((_p, taken),) = sampled[0].outcomes
-                assert canonical_key(taken) in {canonical_key(c) for _p, c in full[0].outcomes}
+                assert canonical_key(taken) in {
+                    canonical_key(c) for _p, c in enumerated[0].outcomes
+                }
                 checked += 1
+                prioritised += has_deterministic_tau(s.config)
     assert checked > 1_000
+    assert prioritised > 1_000
 
 
 def test_hidden_channels_numbered_in_the_walk_order():

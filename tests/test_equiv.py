@@ -36,10 +36,12 @@ from cqpkit.typecheck import parse_signatures
 from support import (
     SQ2,
     chain_verdicts,
+    explore_unsettled_oracle,
     insert_tau,
     random_plts,
     random_typed_program,
     refine_partition,
+    step_full_oracle,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -356,7 +358,7 @@ def test_one_pass_classes_match_round_based_refinement():
             program, "Gen", program, "Gen", signatures, signatures, DEFAULT_TEST_QUBITS
         ):
             reduced = explore(config, alphabet=alphabet)
-            full = explore(config, alphabet=alphabet, reduce=False)
+            full = explore_unsettled_oracle(config, alphabet=alphabet, step=step_full_oracle)
             assert_classes_match_refinement([reduced, full])
 
 

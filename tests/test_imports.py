@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module, and
 so is every private name it defines at module level and every field of a
-private dataclass it defines.
+private dataclass it defines. Every keyword-only parameter of a function
+of the package is passed by some call inside the package, so no switch
+that only tests turn is left in it.
 
 No linter ships with the project, so this walks each module's syntax tree:
 an import or a ``_helper`` left behind after its last use (a deleted AST
@@ -85,6 +87,29 @@ def unread_private_fields(source: str) -> list[str]:
     return [f"line {line}: {cls}.{name}" for line, cls, name in fields if name not in read]
 
 
+def unpassed_keywords(sources: list[str]) -> list[str]:
+    """``function(keyword)`` for each keyword-only parameter of a function
+    defined in ``sources`` that no call in them passes by that keyword. A
+    call is matched to a function on the callee's name, ``f(...)`` or
+    ``mod.f(...)``; one that spreads ``**mapping`` passes every keyword."""
+    trees = [ast.parse(source) for source in sources]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    passed: dict[str, set] = {}
+    for node in nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        passed.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return [
+        f"{node.name}({arg.arg})"
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.kwonlyargs
+        if not {arg.arg, None} & passed.get(node.name, set())
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
@@ -98,6 +123,10 @@ def test_no_orphaned_private_name(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_field(path):
     assert unread_private_fields(path.read_text()) == []
+
+
+def test_every_keyword_only_parameter_is_passed():
+    assert unpassed_keywords([p.read_text() for p in MODULES]) == []
 
 
 def test_unused_import_is_caught():
@@ -118,3 +147,12 @@ def test_unread_private_field_is_caught():
         "def _f(g):\n    return g.kinds, _G\n"
     )
     assert unread_private_fields(source) == ["line 7: _G.sink"]
+
+
+def test_unpassed_keyword_is_caught():
+    source = (
+        "def f(x, *, fast=True, rng=None, deep=False):\n    return x\n\n\n"
+        "def g(x, *, spread=0):\n    return x\n\n\n"
+        "def h(opts):\n    return f(1, rng=None), m.f(2, deep=True), g(3, **opts)\n"
+    )
+    assert unpassed_keywords([source]) == ["f(fast)"]

@@ -34,8 +34,11 @@ from support import (
     bench_workloads,
     drop_dead_qubits_oracle,
     exploration_digest,
+    explore_unsettled_oracle,
     random_typed_program,
     reachable_outputs,
+    step_full_oracle,
+    successors,
 )
 
 
@@ -122,6 +125,15 @@ def test_measure_and_send_has_four_quarter_outcomes(teleport_program):
 # Exploration
 # ---------------------------------------------------------------------------
 
+def explore_or_full(config, alphabet=None, reduce=True):
+    """``explore`` when ``reduce`` is true; otherwise every interleaving,
+    each successor interned as it is (``explore_unsettled_oracle`` over
+    ``step_full_oracle``), the reference the reduction is tested against."""
+    if reduce:
+        return explore(config, alphabet=alphabet)
+    return explore_unsettled_oracle(config, alphabet=alphabet, step=step_full_oracle)
+
+
 def test_explore_identity_is_a_three_state_chain(identity_program):
     program, signatures = identity_program
     config = initial_configuration(program, "Identity", signatures=signatures)
@@ -138,7 +150,7 @@ def test_explore_teleport_shape(teleport_program):
     plts = explore(config, alphabet=teleport_alphabet())
     prob_states = [s for s in plts.states if s.kind == "prob"]
     assert len(prob_states) == 1
-    succ = plts.successors()
+    succ = successors(plts)
     fork = succ[prob_states[0].id]
     assert len(fork) == 4
     assert all(abs(e.label.probability - 0.25) <= 1e-9 for e in fork)
@@ -160,7 +172,7 @@ def test_probability_conservation_at_prob_states(teleport_program, coin_program)
     for (program, signatures), entry in [(teleport_program, "Teleport"), (coin_program, "Coin")]:
         config = initial_configuration(program, entry, signatures=signatures)
         plts = explore(config, alphabet=teleport_alphabet())
-        succ = plts.successors()
+        succ = successors(plts)
         for s in plts.states:
             if s.kind == "prob":
                 total = sum(e.label.probability for e in succ[s.id])
@@ -185,7 +197,7 @@ def test_per_branch_determinism(teleport_program):
         ]
         assert len(outputs) == 1
         (fork,) = [s for s in plts.states if s.kind == "prob"]
-        branches = plts.successors()[fork.id]
+        branches = successors(plts)[fork.id]
         assert len(branches) == 4
         for branch in branches:
             reached = reachable_outputs(plts, branch.dst)
@@ -201,7 +213,7 @@ DIAMOND = "P() = (qbit x,y) ({x *= X} . 0 | {y *= X} . 0)"
 
 def test_interleaving_diamond_merges():
     program = parse_program(DIAMOND)
-    plts = explore(initial_configuration(program, "P"), reduce=False)
+    plts = explore_or_full(initial_configuration(program, "P"), reduce=False)
     # init, allocated, one merged mid state (the qubit a finished component
     # held is dead and dropped), one merged final state
     assert len(plts.states) == 4
@@ -239,8 +251,8 @@ def test_merged_configurations_step_alike(monkeypatch):
         "| ({y *= X} . 0 | {z *= Z} . 0))"
     )
     harness, harness_sigs, _src = corpus.load_corpus_file("teleport_harness.cqp")
-    # ``intern`` looks ``canonical_key`` up as a module global, so recording
-    # its calls yields every configuration an exploration interns.
+    # The oracle's ``intern`` looks ``canonical_key`` up on ``semantics``,
+    # so recording its calls yields every configuration it interns.
     interned = []
     real_key = semantics.canonical_key
 
@@ -257,7 +269,7 @@ def test_merged_configurations_step_alike(monkeypatch):
         initial_configuration(harness, "Harness", signatures=harness_sigs),
     ):
         interned.clear()
-        explore(config, reduce=False)
+        explore_or_full(config, reduce=False)
         # Pair each configuration with the first earlier one it merges into.
         buckets: dict[tuple, list] = {}
         for key, cfg in interned:
@@ -273,8 +285,8 @@ def test_merged_configurations_step_alike(monkeypatch):
                 merged.append((known, cfg))
     assert len(merged) >= 50
     for kept, dropped in merged[:50]:
-        t_kept = step(kept, reduce=False)
-        t_dropped = step(dropped, reduce=False)
+        t_kept = step_full_oracle(kept)
+        t_dropped = step_full_oracle(dropped)
         assert len(t_kept) == len(t_dropped)
         for a, b in zip(t_kept, t_dropped):
             assert type(a.label) is type(b.label)
@@ -351,7 +363,7 @@ def assert_reduction_bisimilar(program, signatures, entry):
         program, entry, program, entry, signatures, signatures, DEFAULT_TEST_QUBITS
     ):
         reduced = explore(config, alphabet=alphabet)
-        full = explore(config, alphabet=alphabet, reduce=False)
+        full = explore_or_full(config, alphabet=alphabet, reduce=False)
         verdict = branching_bisim(reduced, full)
         assert verdict.equivalent, f"{entry} under {alphabet}: {verdict.render()}"
 
@@ -395,7 +407,7 @@ def test_no_configuration_holds_a_call():
     explorations.append((config, teleport_alphabet()))
     for config, alphabet in explorations:
         for reduce in (True, False):
-            plts = explore(config, alphabet=alphabet, reduce=reduce)
+            plts = explore_or_full(config, alphabet=alphabet, reduce=reduce)
             for s in plts.states:
                 if s.config is not None:
                     assert not any(isinstance(term, Call) for term, *_ in s.config.procs)
@@ -442,10 +454,10 @@ def test_four_hop_chain_equals_identity_under_default_cap():
 # ---------------------------------------------------------------------------
 
 def explore_keeping_dead_qubits(config, alphabet, reduce):
-    """``explore`` with every dead qubit left in the state vector, measured
-    ones included: every qubit is passed to ``_drop_dead_qubits``, the one
-    place both a measurement branch and any other step drop qubits, as
-    live."""
+    """``explore_or_full`` with every dead qubit left in the state vector,
+    measured ones included: every qubit is passed to ``_drop_dead_qubits``,
+    the one place both a measurement branch and any other step drop qubits,
+    as live."""
     drop = semantics._drop_dead_qubits
 
     def keep_all(config, _live, outcome=None):
@@ -453,7 +465,7 @@ def explore_keeping_dead_qubits(config, alphabet, reduce):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "_drop_dead_qubits", keep_all)
-        return explore(config, alphabet=alphabet, reduce=reduce)
+        return explore_or_full(config, alphabet=alphabet, reduce=reduce)
 
 
 def assert_drop_bisimilar(program, signatures, entry):
@@ -462,7 +474,7 @@ def assert_drop_bisimilar(program, signatures, entry):
         program, entry, program, entry, signatures, signatures, DEFAULT_TEST_QUBITS
     ):
         for reduce in (True, False):
-            dropped = explore(config, alphabet=alphabet, reduce=reduce)
+            dropped = explore_or_full(config, alphabet=alphabet, reduce=reduce)
             kept = explore_keeping_dead_qubits(config, alphabet, reduce)
             verdict = branching_bisim(dropped, kept)
             assert verdict.equivalent, (
@@ -526,10 +538,10 @@ def test_measurement_branches_drop_as_the_zero_fill_path_does(case):
     source, held, shared = LIVENESS_CASES[case]
     config = initial_configuration(parse_program(source), "P")
     for reduce in (True, False):
-        got = explore(config, reduce=reduce)
+        got = explore_or_full(config, reduce=reduce)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(semantics, "_drop_dead_qubits", drop_dead_qubits_oracle)
-            want = explore(config, reduce=reduce)
+            want = explore_or_full(config, reduce=reduce)
         assert [(e.src, render_label(e.label), e.dst) for e in got.edges] == [
             (e.src, render_label(e.label), e.dst) for e in want.edges
         ]
@@ -565,7 +577,7 @@ def test_entangled_dead_qubits_stay():
 def output_distribution(plts) -> dict[str, float]:
     """Probability of each rendered output label over the paths from the
     initial state, multiplying the probabilistic edges along the way."""
-    succ = plts.successors()
+    succ = successors(plts)
     found: dict[str, float] = {}
     stack = [(plts.initial, 1.0)]
     while stack:
@@ -723,16 +735,17 @@ def test_running_renames_no_term_and_walks_each_node_once(monkeypatch):
 
 def equivalent(left: str, right: str, reduce: bool) -> bool:
     """Whether the entries ``L`` of ``left`` and ``R`` of ``right``, each a
-    program with signatures, are bisimilar when both are explored with
-    ``reduce`` and every input value enabled at once."""
+    program with signatures, are bisimilar when both are explored by
+    ``explore_or_full`` with ``reduce`` and every input value enabled at
+    once."""
     (pa, sa), (pb, sb) = ((parse_program(s), parse_signatures(s)) for s in (left, right))
     alphabet = {
         **semantics.input_alphabet(pa, "L", sa["L"], DEFAULT_TEST_QUBITS),
         **semantics.input_alphabet(pb, "R", sb["R"], DEFAULT_TEST_QUBITS),
     }
     return branching_bisim(
-        explore(initial_configuration(pa, "L", signatures=sa), alphabet=alphabet, reduce=reduce),
-        explore(initial_configuration(pb, "R", signatures=sb), alphabet=alphabet, reduce=reduce),
+        explore_or_full(initial_configuration(pa, "L", signatures=sa), alphabet, reduce),
+        explore_or_full(initial_configuration(pb, "R", signatures=sb), alphabet, reduce),
     ).equivalent
 
 
