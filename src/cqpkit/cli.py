@@ -214,8 +214,9 @@ def _cmd_run(args) -> int:
             entry_doc = {
                 "step": i,
                 "label": render_label(ts.label),
+                # Adding 0.0 turns -0.0 into 0.0, so no output shows a zero's sign.
                 "state": [
-                    [z.real, z.imag] for z in ts.config.qstate.amplitudes
+                    [z.real + 0.0, z.imag + 0.0] for z in ts.config.qstate.amplitudes
                 ],
                 "term": pretty_print(ts.config.term),
             }

@@ -8,23 +8,36 @@ and partial trace.
 
 Each operation makes a few numpy calls:
 
-- A target list is checked once per ``(n, targets)``: ``_layout`` is
-  cached and returns the axis permutation that brings the targets to the
-  front, and its inverse, as tuples.
+- A target list is checked once per ``(n, targets)``: ``_gather`` is
+  cached, up to ``_MAX_GATHERS`` keys, and returns a flat integer index
+  that reads the amplitudes as a matrix whose rows are the values of the
+  targets, and its inverse, which puts such a matrix back in place. No
+  operation transposes the n-axis amplitude tensor.
 - A one-qubit gate on qubit t multiplies the amplitudes, viewed as
-  2^(n-1-t) stacked 2 x 2^t blocks, by its matrix, with no transpose,
-  when there are at most ``_MAX_BLOCKS`` blocks. Other gates, measurement
-  probabilities and partial traces read the targets through the cached
-  permutation (``_grouped``).
-- A measurement branch collapses by slicing out the amplitudes that agree
-  with its bits, scaled by 1/sqrt(p). Measured qubits the caller drops
-  leave the result with the slice; only those it keeps are zero-filled
-  back to full width (``collapse``).
+  2^(n-1-t) stacked 2 x 2^t blocks, by its matrix when there are at most
+  ``_MAX_BLOCKS`` blocks. Other gates read their targets through the
+  gather index, multiply, and write back through its inverse; measurement
+  probabilities and partial traces read through the index too.
+- A gate whose matrix holds one entry of modulus 1 per row (X, Z, CNot,
+  every sigma correction) permutes and rephases those rows instead of
+  multiplying them (``_monomial``). Its result is pruned and checked like
+  any other.
+- A measurement branch collapses by gathering the row of amplitudes that
+  agree with its bits, scaled by 1/sqrt(p). Measured qubits the caller
+  drops leave the result with that row; only those it keeps are
+  zero-filled back in (``collapse``).
 - Every result is checked like a caller's input: a state for its length,
   finite amplitudes and unit norm; a density matrix for Hermiticity, unit
   trace and positive semidefiniteness. Results that ``qstate`` has just
   computed are frozen in place (``_fresh``) instead of copied; arrays that
   callers pass in are copied first, so later writes to them change nothing.
+
+A gathered kernel multiplies and sums the same values in the same layout
+as the transposes it replaced, so its results are the same bit for bit.
+A monomial gate's are the product's up to the sign of a zero part: the
+product adds terms such as 0 * b, which can turn -0.0 into 0.0. Nothing
+the package prints or compares depends on that sign (``format_complex``
+prints a part that rounds to zero as 0).
 
 Conventions used throughout the package:
 
@@ -128,6 +141,8 @@ class Gate:
     name: str
     arity: int
     matrix: np.ndarray
+    # ``(source, phases)`` when the matrix is monomial (``_monomial``), else None.
+    _monomial: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -141,9 +156,37 @@ class Gate:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_monomial", _monomial(mat))
 
     def __repr__(self):
         return f"Gate({self.name!r}, arity={self.arity})"
+
+
+def _monomial(mat: np.ndarray) -> tuple | None:
+    """``(source, phases)`` when each row of ``mat`` holds exactly one
+    nonzero entry and it has modulus 1, as in X, Z, CNot and every sigma
+    correction: row r of ``mat @ g`` is then ``phases[r] * g[source[r]]``.
+    ``source`` is None when the matrix is diagonal, and ``phases`` when
+    every such entry is 1; otherwise ``phases`` is a column that
+    broadcasts over the rows. None for any other matrix."""
+    nonzero = mat != 0
+    if not (nonzero.sum(axis=1) == 1).all():
+        return None
+    rows = np.arange(len(mat))
+    source = nonzero.argmax(axis=1)
+    phases = mat[rows, source]
+    if not (np.abs(phases) == 1).all():
+        return None
+    if (source == rows).all():
+        source = None
+    else:
+        source.setflags(write=False)
+    if (phases == 1).all():
+        phases = None
+    else:
+        phases = phases.reshape(-1, 1)
+        phases.setflags(write=False)
+    return source, phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,33 +303,65 @@ def _check_targets(n: int, targets) -> None:
             raise ValueError(f"qubit index {t} out of range for {n} qubit(s)")
 
 
-@functools.lru_cache(maxsize=4096)
-def _layout(n: int, targets: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The permutation ``perm`` of the n axes of the amplitude tensor (axis a
-    holds qubit n-1-a) that puts the ``targets`` first, targets[0] outermost,
-    and its inverse ``undo``. Raises ValueError unless ``targets`` lists one
-    or more distinct qubits of an n-qubit state. The cache holds two short
-    tuples per key, no array."""
+# Most ``(n, targets)`` keys ``_gather`` keeps. Each holds two integer
+# index arrays of 2^n entries, 64 KiB at the 12-qubit cap, so the cache
+# holds at most 4 MiB; each benchmark workload uses fewer than 30 keys.
+_MAX_GATHERS = 64
+
+
+@functools.lru_cache(maxsize=_MAX_GATHERS)
+def _gather(n: int, targets: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, inverse)``, two read-only integer arrays. For the 2^n
+    amplitudes ``amps`` of an n-qubit state, ``amps[index]`` is the
+    2^k x 2^(n-k) matrix whose row index reads the k ``targets``,
+    targets[0] most significant, and whose column index reads the other
+    qubits from the highest down; ``grouped.reshape(-1)[inverse]`` puts
+    such a matrix back in place. Raises ValueError unless ``targets`` lists
+    one or more distinct qubits of an n-qubit state."""
     _check_targets(n, targets)
     if not targets:
         raise ValueError("no target qubit given")
-    axes = [n - 1 - t for t in targets]
-    perm = tuple(axes + [a for a in range(n) if a not in axes])
-    undo = tuple(sorted(range(n), key=perm.__getitem__))
-    return perm, undo
+    axes = [n - 1 - t for t in targets]  # axis a of the [2]*n tensor holds qubit n-1-a
+    perm = axes + [a for a in range(n) if a not in axes]
+    index = np.arange(2**n).reshape([2] * n).transpose(perm).reshape(2 ** len(targets), -1)
+    inverse = np.empty(2**n, dtype=np.intp)
+    inverse[index.reshape(-1)] = np.arange(2**n)
+    index.setflags(write=False)
+    inverse.setflags(write=False)
+    return index, inverse
 
 
-def _grouped(array: np.ndarray, perm: tuple[int, ...], k: int) -> np.ndarray:
-    """``array`` (2^n entries) as a 2^k x 2^(n-k) matrix whose row index
-    reads the first k axes of ``perm``: the targets of ``_layout``."""
-    return np.transpose(array.reshape([2] * len(perm)), perm).reshape(2**k, -1)
+def _row(bits) -> int:
+    """The row of a ``_gather`` index that reads ``bits`` on its targets."""
+    row = 0
+    for b in bits:
+        row = 2 * row + b
+    return row
+
+
+def _times(gate: Gate, grouped: np.ndarray) -> np.ndarray:
+    """``gate.matrix @ grouped``, a fresh array, with the gate's rows on the
+    second-to-last axis of ``grouped``. A monomial gate permutes and
+    rephases those rows instead of multiplying them; the values equal the
+    product's, up to the sign of a zero part."""
+    if gate._monomial is None:
+        return gate.matrix @ grouped
+    source, phases = gate._monomial
+    if source is None:
+        return grouped.copy() if phases is None else grouped * phases
+    image = grouped[..., source, :]
+    if phases is not None:
+        image *= phases
+    return image
 
 
 # A one-qubit gate on qubit t multiplies 2^(n-1-t) blocks of 2 x 2^t
 # amplitudes in one matmul call, which loops over the blocks. Past this many
-# blocks the transposed layout, one 2 x 2^(n-1) product, is faster: for
-# qubit 0 of 11 the product alone takes 54 us against 16 us (numpy 2.4 on
-# a 2-core x86-64 VM).
+# blocks the gathered layout, one 2 x 2^(n-1) product, is faster. An H on
+# 11 qubits, whole ``apply_gate`` call: on qubit 0 (1,024 blocks) 52 us by
+# blocks against 21 us gathered, on qubit 5 (32 blocks) 24 against 21 us,
+# on qubit 6 (16 blocks) 19 against 21 us, on qubit 10 (1 block) 16.5
+# against 21 us (numpy 2.4.6, Python 3.11.7, 2-core x86-64 VM).
 _MAX_BLOCKS = 16
 
 
@@ -294,18 +369,17 @@ def apply_gate(state: StateVector, gate: Gate, targets) -> StateVector:
     """Apply ``gate`` to the listed qubits; returns the unitary image."""
     targets = tuple(targets)
     n = state.num_qubits
-    perm, undo = _layout(n, targets)
+    index, inverse = _gather(n, targets)
     if len(targets) != gate.arity:
         raise ValueError(
             f"gate {gate.name!r} has arity {gate.arity}, got {len(targets)} target(s)"
         )
     blocks = 2 ** (n - 1 - targets[0])
     if gate.arity == 1 and blocks <= _MAX_BLOCKS:
-        psi = gate.matrix @ state.amplitudes.reshape(blocks, 2, -1)
+        psi = _times(gate, state.amplitudes.reshape(blocks, 2, -1)).reshape(-1)
     else:
-        image = gate.matrix @ _grouped(state.amplitudes, perm, gate.arity)
-        psi = np.transpose(image.reshape([2] * n), undo)
-    return _fresh(StateVector, n, _prune(psi.reshape(-1)))
+        psi = _times(gate, state.amplitudes[index]).reshape(-1)[inverse]
+    return _fresh(StateVector, n, _prune(psi))
 
 
 def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
@@ -317,9 +391,9 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
     of the branch a caller takes.
     """
     targets = tuple(targets)
-    perm, _undo = _layout(state.num_qubits, targets)
+    index, _inverse = _gather(state.num_qubits, targets)
     k = len(targets)
-    probs = _grouped(np.abs(state.amplitudes) ** 2, perm, k).sum(axis=1).tolist()
+    probs = (np.abs(state.amplitudes) ** 2)[index].sum(axis=1).tolist()
     outcomes = []
     for r, p in enumerate(probs):
         if p < PRUNE_TOL:
@@ -343,19 +417,22 @@ def collapse(outcome: MeasurementOutcome, drop=()) -> StateVector:
         raise ValueError(
             f"can only drop measured qubits {list(outcome.targets)}, got {sorted(drop)}"
         )
-    index: list = [slice(None)] * n
-    for t, b in zip(outcome.targets, outcome.result):
-        index[n - 1 - t] = b  # axis a holds qubit n-1-a
-    psi = state.amplitudes.reshape([2] * n)
-    # A scalar, not an array, when every qubit is measured: hence asarray.
-    post = np.asarray(psi[tuple(index)] / math.sqrt(outcome.probability))
+    index, _inverse = _gather(n, outcome.targets)
+    post = state.amplitudes[index[_row(outcome.result)]] / math.sqrt(outcome.probability)
     if len(drop) < len(outcome.targets):
-        # The measured qubits that stay are zero-filled; only they are.
-        kept = tuple(index[a] for a in range(n) if n - 1 - a not in drop)
-        filled = np.zeros([2] * len(kept), dtype=np.complex128)
-        filled[kept] = post
+        # The measured qubits that stay are zero-filled; only they are. Each
+        # keeps its place among the qubits left once ``drop`` is gone.
+        kept = [
+            (t - sum(d < t for d in drop), b)
+            for t, b in zip(outcome.targets, outcome.result)
+            if t not in drop
+        ]
+        m = n - len(drop)
+        kept_index, _inverse = _gather(m, tuple(t for t, _b in kept))
+        filled = np.zeros(2**m, dtype=np.complex128)
+        filled[kept_index[_row(b for _t, b in kept)]] = post
         post = filled
-    return _fresh(StateVector, n - len(drop), _prune(post.reshape(-1)))
+    return _fresh(StateVector, n - len(drop), _prune(post))
 
 
 def drop_basis_qubits(state: StateVector, candidates) -> tuple[StateVector, dict[int, int]]:
@@ -392,8 +469,8 @@ def drop_basis_qubits(state: StateVector, candidates) -> tuple[StateVector, dict
 def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:
     """Partial trace onto the ``keep`` qubits (keep[0] is the most significant row bit)."""
     keep = tuple(keep)
-    perm, _undo = _layout(state.num_qubits, keep)
-    grouped = _grouped(state.amplitudes, perm, len(keep))
+    index, _inverse = _gather(state.num_qubits, keep)
+    grouped = state.amplitudes[index]
     return _fresh(DensityMatrix, len(keep), grouped @ grouped.conj().T)
 
 
@@ -410,6 +487,18 @@ def states_equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
     return bool(np.abs(a.amplitudes - phase * b.amplitudes).max() <= ATOL)
 
 
+def format_complex(z: complex) -> str:
+    """``z`` as ``a+bi`` with each part to 4 decimals. A part that rounds to
+    zero prints as 0, so no text depends on the sign of a zero or on which
+    way rounding error fell."""
+    real, imag = f"{z.real:.4f}", f"{z.imag:+.4f}"
+    if real == "-0.0000":
+        real = "0.0000"
+    if imag == "-0.0000":
+        imag = "+0.0000"
+    return f"{real}{imag}i"
+
+
 def dirac(state: StateVector) -> str:
     """Render a state as e.g. ``0.7071|00> + 0.7071|11>``."""
     n = state.num_qubits
@@ -423,7 +512,7 @@ def dirac(state: StateVector) -> str:
             coeff = f"{abs(a.real):.4f}"
         else:
             sign = "+"
-            coeff = f"({a.real:.4f}{a.imag:+.4f}i)"
+            coeff = f"({format_complex(a)})"
         parts.append((sign, f"{coeff}|{label}⟩"))
     if not parts:
         return "0"

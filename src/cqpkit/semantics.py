@@ -58,16 +58,20 @@ of a configuration (``MAX_COMPONENTS``).
 
 ``qubits`` is the set of qubits the component's free names resolve to,
 and ``hidden`` the set of hidden channels they resolve to, both computed
-in one pass when the component is made. ``settle`` counts the holders of
-a hidden channel on the ``hidden`` sets. Every successor is checked
-against the ``qubits`` sets for a qubit held by two components (dynamic
-no-cloning). Every successor then drops its dead qubits that sit in a
-basis state: qubits no free name of a component refers to any more,
-such as those measured into a payload, whose amplitudes are exactly zero
-on one basis value (``Configuration`` says why that is sound). Measurement
-branches that differ only in such qubits then become one configuration, and
-the qubit cap bounds the qubits held at one time rather than all ever
-allocated.
+in one pass when the component is made. A continuation that goes on under
+its component's environment with the same free names, such as that of a
+gate, keeps the component's sets instead (``_advance``). ``settle`` counts
+the holders of a hidden channel on the ``hidden`` sets. Every successor is
+checked against the ``qubits`` sets for a qubit held by two components
+(dynamic no-cloning); a successor derives its live qubits from its
+parent's, so the check costs what the step changed
+(``Configuration.check_ownership``). Every successor then drops its dead
+qubits that sit in a basis state: qubits no free name of a component
+refers to any more, such as those measured into a payload, whose
+amplitudes are exactly zero on one basis value (``Configuration`` says why
+that is sound). Measurement branches that differ only in such qubits then
+become one configuration, and the qubit cap bounds the qubits held at one
+time rather than all ever allocated.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -219,9 +223,7 @@ def render_label(label) -> str:
         vals = ",".join(render_value(v) for v in label.values)
         rendered = f"{label.channel_name}{op}[{vals}]"
         if label.qubit_dm is not None:
-            entries = ";".join(
-                f"{z.real:.4f}{z.imag:+.4f}i" for z in label.qubit_dm.matrix.reshape(-1)
-            )
+            entries = ";".join(qstate.format_complex(z) for z in label.qubit_dm.matrix.reshape(-1))
             rendered += f"<{entries}>"
         return rendered
     raise TypeError(f"not a label: {label!r}")
@@ -243,7 +245,12 @@ class Configuration:
     name of the component resolves to, computed when the component is made
     and renumbered when qubits are dropped; ``hidden`` holds the ids of the
     hidden channels they resolve to. Bindings are never rebound, so a
-    shared component keeps its sets. ``bindings`` maps
+    shared component keeps its sets, and so does a continuation that keeps
+    its component's environment and free names (``_advance``). A
+    configuration that ``_advance`` built from a checked parent derives its
+    live qubits from the parent's (``check_ownership``), and one that
+    ``_drop_dead_qubits`` compacts carries them renumbered; any other has
+    them computed by a full scan. ``bindings`` maps
     runtime names, the entry's parameters and the ``binder~n`` names
     ``_bind`` makes, to values. ``channel_names`` maps visible channel ids
     (the entry's channel parameters, numbered by position) to their
@@ -274,6 +281,11 @@ class Configuration:
     next_channel: int
     next_fresh: int
     program: Program
+    # The live qubits once checked, or what ``_advance`` changed, for
+    # ``check_ownership`` to derive them from. Not an init field, so a
+    # configuration made by hand or by ``dataclasses.replace`` starts from
+    # None and is scanned in full.
+    _live: frozenset | tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def term(self) -> ProcessTerm:
@@ -290,17 +302,43 @@ class Configuration:
     def display_channel(self, cid: int) -> str:
         return self.channel_names.get(cid, f"#chan{cid}")
 
-    def check_ownership(self) -> set[int]:
+    def check_ownership(self) -> frozenset[int]:
         """Raise OwnershipViolation if a qubit is held by two components;
         otherwise return the live qubits, the union of their qubit sets.
-        Reads only the cached sets, so no free name is looked up."""
-        live: set[int] = set()
+        Reads only the cached sets, so no free name is looked up.
+
+        A successor that ``_advance`` built from a checked parent carries
+        the parent's live qubits, the qubits of the components it replaced
+        and the new records. The parent's components were pairwise
+        disjoint, so the untouched ones hold exactly the parent's live
+        qubits less the replaced ones; checking each new record against
+        those and the new records before it is the full scan's predicate,
+        at a cost that grows with what the step changed. Any other
+        configuration is scanned in full, and so is a derivation that finds
+        a conflict, so the error names the qubits the full scan names. The
+        result is kept, so a later call returns it."""
+        live = self._live
+        if isinstance(live, frozenset):
+            return live
+        if live is not None:
+            parent, gone, records = live
+            live = parent - gone
+            for _term, _env, mine, _hidden in records:
+                if not live.isdisjoint(mine):
+                    break
+                if mine:
+                    live |= mine
+            else:
+                self._live = live
+                return live
+        live = set()
         for _term, _env, mine, _hidden in self.procs:
             if not live.isdisjoint(mine):
                 raise OwnershipViolation(
                     f"qubit id(s) {sorted(live & mine)} bound under two parallel components"
                 )
             live |= mine
+        self._live = live = frozenset(live)
         return live
 
 
@@ -453,6 +491,22 @@ def _advance(
     basis qubits dropped. The other components are shared with ``config``,
     qubit sets included; only the new components compute theirs.
 
+    A closure that goes on under its component's own ``env`` with the
+    same free names as the component's term, such as the continuation of
+    a gate on qubits it goes on to use, keeps the component's ``qubits``
+    and ``hidden`` sets instead of resolving its names again: its names resolve through the same ``env`` and bindings
+    that are never rebound, and ``_drop_dead_qubits`` rebuilds every set
+    it renumbers. A parallel composition, a call or ``0`` still goes
+    through ``_flatten``, and so does every closure under a new ``env``
+    (``_bind``).
+
+    The successor carries the parent's live qubits and what the step
+    changed in them: the qubits of the components it replaced and the new
+    records (see ``Configuration.check_ownership``). A component replaced
+    by one record that holds the same qubits changes nothing, so a step
+    whose components all keep their qubits carries the parent's set as it
+    is. When the parent was not checked, the successor is scanned in full.
+
     A measurement step passes its branch as ``outcome``, a measurement of
     ``config.qstate``, instead of a state: the components are built and
     checked first, so the branch is collapsed once, with the measured
@@ -464,12 +518,28 @@ def _advance(
     """
     bindings = config.bindings if bindings is None else bindings
     procs = config.procs
+    gone, added = None, []  # qubits of the replaced components, new records
     pending = len(heads)
     for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
         others = len(procs) - pending  # the components that stay beside this head's
-        parts = _flatten(*heads[i], bindings, config.channel_names, config.program, others)
+        term, env = heads[i]
+        head, head_env, qubits, hidden = procs[i]
+        if (
+            env is head_env
+            and not isinstance(term, _UNFOLDED)
+            and term.free_names == head.free_names
+        ):
+            if others >= MAX_COMPONENTS:
+                raise ExplorationLimitError(MAX_COMPONENTS, "component")
+            parts = ((term, env, qubits, hidden),)
+        else:
+            parts = _flatten(term, env, bindings, config.channel_names, config.program, others)
+            if len(parts) != 1 or parts[0][2] != qubits:  # else the live qubits stay
+                gone = qubits if gone is None else gone | qubits
+                added += parts
         procs = procs[:i] + parts + procs[i + 1 :]
         pending -= 1
+    parent_live = config._live
     config = Configuration(
         config.qstate if qstate is None else qstate,
         bindings,
@@ -479,6 +549,8 @@ def _advance(
         config.next_fresh if next_fresh is None else next_fresh,
         config.program,
     )
+    if isinstance(parent_live, frozenset):
+        config._live = parent_live if gone is None else (parent_live, gone, added)
     live = config.check_ownership()
     if outcome is None and len(live) == config.qstate.num_qubits:
         return config
@@ -486,7 +558,7 @@ def _advance(
 
 
 def _drop_dead_qubits(
-    config: Configuration, live: set[int], outcome: MeasurementOutcome | None = None
+    config: Configuration, live: frozenset[int], outcome: MeasurementOutcome | None = None
 ) -> Configuration:
     """Remove the dead qubits that sit in a basis state (see ``Configuration``)
     and renumber the others in their old order. Bindings and qubit sets of
@@ -498,7 +570,10 @@ def _drop_dead_qubits(
     With ``outcome``, a measurement of ``config.qstate``, the state is first
     collapsed onto that branch: its measured dead qubits are in the basis
     state of their bit, so ``qstate.collapse`` slices them out, and only the
-    other dead qubits are scanned, on the smaller state."""
+    other dead qubits are scanned, on the smaller state.
+
+    ``live`` is ``config``'s checked live set; the result carries it
+    renumbered, since no live qubit is dropped."""
     n = config.qstate.num_qubits
     dead = [q for q in range(n) if q not in live]
     if outcome is None:
@@ -522,7 +597,7 @@ def _drop_dead_qubits(
             bindings[name] = v
         elif v.qid in renumber:
             bindings[name] = QubitVal(renumber[v.qid])
-    return Configuration(
+    compacted = Configuration(
         qvec,
         bindings,
         tuple(
@@ -536,6 +611,8 @@ def _drop_dead_qubits(
         config.next_fresh,
         config.program,
     )
+    compacted._live = frozenset(renumber[q] for q in live)
+    return compacted
 
 
 def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes) -> Configuration:
@@ -588,6 +665,10 @@ def _gate_for(config: Configuration, env: dict, ref) -> qstate.Gate:
     raise TypeError(f"not a gate reference: {ref!r}")
 
 
+# Terms that ``_flatten`` splices, unfolds or drops instead of keeping as a
+# component.
+_UNFOLDED = (Parallel, Call, Nil)
+
 # Heads whose step is a deterministic τ touching only the component's own
 # qubits and fresh names; ``step`` gives them priority.
 _DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
@@ -622,8 +703,8 @@ def _communicate(config: Configuration, out_i: int, in_i: int) -> Configuration:
     sends to component ``in_i``, headed by an input on the same channel:
     the receiver binds the sender's slots while the sender moves on to its
     continuation."""
-    out_head, out_env, *_ = config.procs[out_i]
-    in_head, in_env, *_ = config.procs[in_i]
+    out_head, out_env, _out_qubits, _out_hidden = config.procs[out_i]
+    in_head, in_env, _in_qubits, _in_hidden = config.procs[in_i]
     values = _eval_slots(config, out_env, out_head.payload)
     heads = {out_i: (out_head.continuation, out_env), in_i: (in_head.continuation, in_env)}
     return _bind(config, heads, in_i, in_head.binders, values)
@@ -652,7 +733,7 @@ def _private_redex(config: Configuration) -> tuple[int, int] | None:
         if len(holders) != 2:
             continue
         in_i = holders[1] if holders[0] == out_i else holders[0]
-        in_head, in_env, *_ = procs[in_i]
+        in_head, in_env, _in_qubits, _in_hidden = procs[in_i]
         if not isinstance(in_head, Input):
             continue
         if bindings.get(in_env.get(in_head.channel, in_head.channel)) == v:
@@ -732,7 +813,7 @@ def _settle_among(config: Configuration, siblings: _Siblings | None) -> tuple[Co
     while True:
         procs = config.procs
         while i < len(procs):
-            head, env, *_ = procs[i]
+            head, env, _qubits, _hidden = procs[i]
             if isinstance(head, _DETERMINISTIC_TAU):
                 config = _deterministic_tau(config, i, head, env)
                 procs = config.procs
@@ -886,13 +967,13 @@ def step(
 def _transitions(config: Configuration, alphabet: dict, rng: random.Random | None):
     """The enabled transitions of ``config`` in ``step``'s order, each built
     when the enumeration reaches it."""
-    for i, (head, env, *_) in enumerate(config.procs):
+    for i, (head, env, _qubits, _hidden) in enumerate(config.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
             yield Transition(TAU, ((1.0, _deterministic_tau(config, i, head, env)),))
             return
 
     senders, receivers = [], []  # (index, channel id) ready to communicate
-    for i, (head, env, *_) in enumerate(config.procs):
+    for i, (head, env, _qubits, _hidden) in enumerate(config.procs):
         if isinstance(head, Output):
             k = head.measure_index
             if k is not None:
@@ -991,7 +1072,7 @@ def canonical_key(config: Configuration) -> tuple:
         return f"b{v}"
 
     forms = []
-    for term, env, *_ in config.procs:
+    for term, env, _qubits, _hidden in config.procs:
         fmt, slots = term.key_template
         forms.append(fmt.format(*[resolve(env.get(n, n)) for n in slots]))
     return (config.qstate.num_qubits, tuple(forms))

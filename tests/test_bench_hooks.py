@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cqpkit import cli, qstate
+from cqpkit import cli, qstate, semantics
 from cqpkit.equiv import check_equivalence
 from support import bench_workloads
 
@@ -130,3 +130,30 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
         "reduced_density_matrix": 8,
         "states_equal_up_to_global_phase": 24,
     }
+
+
+def test_every_successor_is_checked_for_ownership_once(monkeypatch):
+    """``bench/spans.py`` times ``semantics.ownership`` by wrapping
+    ``Configuration.check_ownership``. A successor derives its live qubits
+    from its parent's inside that call, so the span still covers the whole
+    check: on one ``Chain2`` against ``Identity`` check, ``_advance``
+    calls it exactly once for each successor it builds, and nothing else
+    calls it."""
+    counts = {"_advance": 0, "check_ownership": 0}
+    advance = semantics._advance
+    check = semantics.Configuration.check_ownership
+
+    def counted_advance(*args, **kwargs):
+        counts["_advance"] += 1
+        return advance(*args, **kwargs)
+
+    def counted_check(config):
+        counts["check_ownership"] += 1
+        return check(config)
+
+    monkeypatch.setattr(semantics, "_advance", counted_advance)
+    monkeypatch.setattr(semantics.Configuration, "check_ownership", counted_check)
+    workloads = bench_workloads()
+    program, sigs = workloads.load(workloads.chain_source(2))
+    assert check_equivalence(program, "Chain2", program, "Identity", sigs).equivalent
+    assert counts["check_ownership"] == counts["_advance"] > 100

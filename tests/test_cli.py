@@ -122,6 +122,24 @@ def test_run_trace_matches_golden_and_is_stable(capsys):
         assert label and state and term
 
 
+def test_run_prints_no_negative_zero(tmp_path, capsys):
+    """A received test qubit whose |0> amplitude is -0.0+1i shows as 0.0 in
+    the JSON state and as 0.0000 in the Dirac form."""
+    source = tmp_path / "relay.cqp"
+    source.write_text("//: P : ^[Qbit], ^[Qbit]\nP(c, d) = c?[q] . d![q] . 0\n")
+    tests = tmp_path / "tests.json"
+    tests.write_text('[{"name": "negzero", "amplitudes": [[-0.0, 1.0], [0.0, 0.0]]}]')
+    argv = ("run", str(source), "--qubit-tests", f"file:{tests}")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    state = json.loads(out)["steps"][0]["state"]
+    assert state == [[0.0, 1.0], [0.0, 0.0]]
+    assert "-0.0" not in out
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "c?[negzero] | (0.0000+1.0000i)|0⟩ | d![q~0] . 0"
+
+
 def test_run_json_shape(capsys):
     code, out, _ = run_cli(
         capsys, "run", cpath("teleport_harness.cqp"), "--seed", "3", "--json"

@@ -36,7 +36,15 @@ when ``explore`` began to settle deterministic τ runs (418 of them changed)
 and again when it began to take private communications (26 changed); no
 ``:full`` line changed either time. The ``:full`` lines, once made by
 ``explore`` and ``step`` with the reduction switched off, now come from
-``step_full_oracle`` byte for byte.
+``step_full_oracle`` byte for byte. Four lines changed when labels stopped
+printing the sign of a zero (``random67`` and ``random121``, default test
+set, ``:reduce`` and ``:full``): a density-matrix entry with a real part of
+-0.0 printed as ``-0.0000``.
+
+A successor derives its live qubits from its parent's, and a continuation
+that keeps its component's environment and free names keeps its qubit and
+hidden sets. Both are checked against the term walks on every
+configuration the digest explorations check and on sampled runs.
 
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on
@@ -51,7 +59,7 @@ from pathlib import Path
 
 import pytest
 
-from cqpkit import semantics
+from cqpkit import corpus, semantics
 from cqpkit.equiv import branching_bisim, check_equivalence
 from cqpkit.qstate import CapacityError, StateVector
 from cqpkit.semantics import (
@@ -158,7 +166,9 @@ def test_canonical_key_matches_the_term_walk(explorations):
 
 def test_check_ownership_matches_the_term_walk(explorations):
     """The qubit and hidden-channel sets of every record, made in one pass
-    over its cached free names, are those the term walks find."""
+    over its cached free names or kept from the component a continuation
+    replaced, are those the term walks find, and so is the live set each
+    explored configuration carries."""
     holding = hiding = 0
     for cfg in explored_configurations(explorations):
         qubit_sets = tuple(qubits for _term, _env, qubits, _hidden in cfg.procs)
@@ -211,6 +221,82 @@ def test_hidden_channels_numbered_in_the_walk_order():
     for t in trace:
         assert canonical_key(t.config) == canonical_key_oracle(t.config)
     assert canonical_key(trace[1].config)[1][0] == "out(h1;h0;0)"
+
+
+def assert_sets_like_the_term_walks(config, live, case):
+    """``live``, the live set ``config`` carries, and the qubit and hidden
+    sets of its records are those the term walks find."""
+    assert live == check_ownership_oracle(config), case
+    assert tuple(r[2] for r in config.procs) == qubit_sets_oracle(config.bindings, config.procs), case
+    assert tuple(r[3] for r in config.procs) == hidden_sets_oracle(config), case
+
+
+def test_derived_live_sets_match_the_term_walk(monkeypatch):
+    """Each successor that derives its live qubits from its parent's
+    (``Configuration.check_ownership``) gets the set the term walk finds,
+    and its records, reused or made, hold the walk's sets. Checked on every
+    configuration that the digest explorations check, those that a settle
+    or a sampled step passes over included, before dead qubits drop."""
+    check = semantics.Configuration.check_ownership
+    derived = 0
+
+    def compared(config):
+        nonlocal derived
+        carried = isinstance(config._live, tuple)
+        live = check(config)
+        if carried:
+            derived += 1
+            assert_sets_like_the_term_walks(config, live, derived)
+        return live
+
+    monkeypatch.setattr(semantics.Configuration, "check_ownership", compared)
+    assert sum(1 for _ in digest_explorations()) == len(GOLDEN.read_text().splitlines())
+    assert derived > 10_000
+
+
+def test_sampled_runs_carry_the_term_walks_live_sets():
+    """Every configuration of a sampled run carries its checked live set,
+    renumbered when qubits drop, and it is the term walk's; so are its
+    records' sets. Checked on seeds 0-9 of the corpus's teleport harness
+    and on seeds 0-2 of each ``random_typed_program`` of seeds 0-299."""
+    program, signatures, _src = corpus.load_corpus_file("teleport_harness.cqp")
+    config = initial_configuration(program, "Harness", signatures=signatures)
+    cases = [(f"harness:{seed}", config, None, seed) for seed in range(10)]
+    for program_seed in range(DIGEST_RANDOM_PROGRAMS):
+        program, signatures = random_typed_program(random.Random(program_seed))
+        config = initial_configuration(program, "Gen", signatures=signatures)
+        alphabet = input_alphabet(program, "Gen", signatures["Gen"], DEFAULT_TEST_QUBITS)
+        cases += [(f"random{program_seed}:{seed}", config, alphabet, seed) for seed in range(3)]
+    checked = harness = 0
+    for name, config, alphabet, seed in cases:
+        try:
+            trace = run_sampled(config, seed, alphabet)
+        except (SemanticsError, CapacityError):
+            continue
+        for ts in trace:
+            assert isinstance(ts.config._live, frozenset), name
+            assert_sets_like_the_term_walks(ts.config, ts.config._live, name)
+            checked += 1
+            harness += name.startswith("harness")
+    assert harness > 100
+    assert checked > 2_000
+
+
+def test_a_continuation_keeps_its_sets_only_while_its_free_names_stay():
+    """A gate's continuation names the same qubit under the same
+    environment, so it keeps its component's very sets. An output that
+    sends its qubit goes on with fewer free names, so its sets are resolved
+    again, and the qubit it sent is dead."""
+    program = parse_program("P(c, d) = (qbit q) {q *= H} . c![q] . d![0] . 0")
+    allocated = step(initial_configuration(program, "P"))[0].outcomes[0][1]
+    gated = step(allocated)[0].outcomes[0][1]
+    sent = step(gated)[0].outcomes[0][1]
+    (allocated_record,), (gated_record,), (sent_record,) = allocated.procs, gated.procs, sent.procs
+    assert gated_record[2] is allocated_record[2] == frozenset({0})
+    assert gated_record[3] is allocated_record[3]
+    assert sent_record[2] == frozenset() == qubit_sets_oracle(sent.bindings, sent.procs)[0]
+    assert sent.check_ownership() == frozenset() == check_ownership_oracle(sent)
+    assert sent.qstate.num_qubits == 1  # sent in superposition, so not dropped
 
 
 def test_shared_qubit_rejected_like_the_term_walk():

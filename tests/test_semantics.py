@@ -1,5 +1,6 @@
 """Operational semantics: stepping, exploration, sampling."""
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -44,6 +45,17 @@ from support import (
 
 def teleport_alphabet(test_state=DEFAULT_TEST_QUBITS[2]):
     return {0: [(test_state,)]}
+
+
+def test_render_label_prints_no_negative_zero():
+    """A density-matrix entry part that is -0.0 or a tiny negative prints as
+    0.0000, so a label's text does not depend on the order of the
+    arithmetic that made the matrix."""
+    dm = qstate.DensityMatrix(
+        1, [[complex(0.5, -0.0), complex(-0.0, 0.5)], [complex(-1e-17, -0.5), 0.5]]
+    )
+    label = CommLabel("out", 0, "c", (semantics.QubitSlot(0),), dm)
+    assert render_label(label) == "c![qubit]<0.5000+0.0000i;0.0000+0.5000i;0.0000-0.5000i;0.5000+0.0000i>"
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +658,36 @@ def test_exploration_cap(teleport_program):
     assert "3" in str(err.value)
 
 
-def test_dynamic_ownership_violation_detected():
-    # Bypasses the type checker: two components hold the same qubit, next
-    # to each other or with a third component between them. The step that
-    # allocates the qubit is the one that fails.
-    for source in (
-        "P(c) = (qbit q) (c![q] . 0 | c![q] . 0)",
-        "P(c) = (qbit q) (c![q] . 0 | (c![0] . 0 | c![q] . 0))",
+def test_dynamic_ownership_violation_detected(monkeypatch):
+    """Bypasses the type checker: two components hold the same qubit, next
+    to each other or with a third component between them. The step that
+    allocates the qubit is the one that fails. Stepped from the initial
+    configuration, which was made by hand, the successor is scanned in
+    full; behind a gate on another qubit, it derives its live qubits from
+    its checked parent (``Configuration.check_ownership``). Either way the
+    error is the full scan's, message included."""
+    checked = []
+    check = semantics.Configuration.check_ownership
+
+    def recorded(config):
+        checked.append((config, config._live))
+        return check(config)
+
+    monkeypatch.setattr(semantics.Configuration, "check_ownership", recorded)
+    for body in (
+        "(qbit q) (c![q] . 0 | c![q] . 0)",
+        "(qbit q) (c![q] . 0 | (c![0] . 0 | c![q] . 0))",
     ):
-        config = initial_configuration(parse_program(source), "P")
-        with pytest.raises(OwnershipViolation):
-            step(config)
+        for prefix in ("", "(qbit p) {p *= H} . "):
+            config = initial_configuration(parse_program(f"P(c) = {prefix}{body}"), "P")
+            with pytest.raises(OwnershipViolation) as err:
+                run_sampled(config, seed=0)
+            failed, carried = checked[-1]
+            assert isinstance(carried, tuple) == bool(prefix)
+            with pytest.raises(OwnershipViolation) as full:
+                dataclasses.replace(failed).check_ownership()
+            assert str(err.value) == str(full.value)
+            assert str(err.value).endswith("bound under two parallel components")
 
 
 def test_qubit_capacity_respected():
@@ -670,8 +701,6 @@ def test_qubit_capacity_respected():
 def test_canonical_key_identifies_alpha_variants(teleport_program):
     program, signatures = teleport_program
     config = initial_configuration(program, "Teleport", signatures=signatures)
-    import dataclasses
-
     from cqpkit.syntax import substitute
 
     renamed = dataclasses.replace(
