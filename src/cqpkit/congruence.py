@@ -7,10 +7,11 @@ channel relays, wrappings of the plugged process's input and output) and
 checks that two already-equivalent processes stay equivalent inside each.
 
 A context is ``.cqp`` process source holding exactly one call
-``PLUG(hin,hout)``. Plugging a process renames that call to the process's
-entry name and parses the result, and renames nothing else: the plugged
-process's free channel names are captured by the context's binders, which
-is what makes a context a context. Every template here plugs a call
+``PLUG(hin,hout)``. A context is parsed once, and plugging a process
+renames that call in the parsed term to the process's entry name, and
+renames nothing else: the plugged process's free channel names are
+captured by the context's binders, which is what makes a context a
+context. The two processes of a check share the parse. Every template here plugs a call
 ``Entry(hin, hout)`` whose two channels carry one qubit each.
 
 Most templates draw few or no random gates, so a run of samples draws many
@@ -22,12 +23,13 @@ sample; the report is the one checking every draw would give.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import equiv, qstate, typecheck
-from .syntax import ProcessDef, ProcessTerm, Program, parse_process, pretty_print
+from .syntax import Call, Parallel, ProcessDef, ProcessTerm, Program, parse_process, pretty_print
 from .typecheck import BIT, QBIT, ChannelType
 
 QUBIT_CHANNEL = ChannelType((QBIT,))
@@ -54,10 +56,38 @@ class ProcessContext:
         if len(_PLUG.findall(self.source)) != 1:
             raise ValueError(f"context {self.name!r} must have exactly one PLUG call")
 
+    @functools.cached_property
+    def term(self) -> ProcessTerm:
+        """``source`` parsed, with its hole still a call of ``PLUG``."""
+        return parse_process(self.source)
+
 
 def plug(context: ProcessContext, entry: str) -> ProcessTerm:
-    """Parse ``context`` with its ``PLUG`` call renamed to ``entry``."""
-    return parse_process(_PLUG.sub(entry, context.source))
+    """``context``'s term with its ``PLUG`` call renamed to ``entry``. Only
+    the nodes on the path to the call are made anew; every other subterm is
+    shared with the context's one parse, whose positions it keeps."""
+    plugged = _renamed(context.term, entry)
+    if plugged is None:
+        raise ValueError(f"context {context.name!r} has no PLUG call")
+    return plugged
+
+
+def _renamed(term: ProcessTerm, entry: str) -> ProcessTerm | None:
+    """``term`` with its ``PLUG`` call renamed to ``entry``, or None when
+    it holds none."""
+    if isinstance(term, Call):
+        return replace(term, process=entry) if term.process == "PLUG" else None
+    if isinstance(term, Parallel):
+        left = _renamed(term.left, entry)
+        if left is not None:
+            return replace(term, left=left)
+        right = _renamed(term.right, entry)
+        return None if right is None else replace(term, right=right)
+    continuation = getattr(term, "continuation", None)
+    if continuation is None:
+        return None
+    renamed = _renamed(continuation, entry)
+    return None if renamed is None else replace(term, continuation=renamed)
 
 
 # ---------------------------------------------------------------------------

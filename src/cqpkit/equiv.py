@@ -418,6 +418,21 @@ def check_equivalence(
     therefore runs before side a is explored, and an error in it, such as
     passing the qubit cap, is raised before any error that exploring side a
     would raise.
+
+    With more than one instantiation, each side's explorations share one
+    ``semantics.SkeletonCache``, made here and dropped on return, so the
+    work that reads no amplitude is done once per check rather than once
+    per instantiation; later instantiations run only the ``qstate``
+    kernels and the decisions that read amplitudes. Replaying a cached
+    successor builds the configuration that building it anew would build:
+    a step's effect on everything but the state depends only on that part
+    of the configuration (the key of the cache), the move taken, the
+    outcome's bits or the values received, and the set of dead qubits
+    dropped; runtime names come from ``next_fresh``, which is part of the
+    key; and every error such a step could raise comes from that part too,
+    so the first instantiation to take the step raises it first. Every
+    kernel call, every PLTS and so every verdict is the one exploring each
+    instantiation anew gives (``semantics.explore``).
     """
     if signatures_b is None:
         signatures_b = signatures_a
@@ -430,9 +445,14 @@ def check_equivalence(
     cfg_b = semantics.settle(
         semantics.initial_configuration(program_b, entry_b, signatures=signatures_b)
     )
+    cache_a, cache_b = (
+        (semantics.SkeletonCache(), semantics.SkeletonCache())
+        if len(instantiations) > 1
+        else (None, None)
+    )
     for alphabet in instantiations:
-        plts_a = semantics.explore(cfg_a, max_states=max_states, alphabet=alphabet)
-        plts_b = semantics.explore(cfg_b, max_states=max_states, alphabet=alphabet)
+        plts_a = semantics.explore(cfg_a, max_states=max_states, alphabet=alphabet, cache=cache_a)
+        plts_b = semantics.explore(cfg_b, max_states=max_states, alphabet=alphabet, cache=cache_b)
         verdict = branching_bisim(plts_a, plts_b)
         if not verdict.equivalent:
             witness = verdict.witness

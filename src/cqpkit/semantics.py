@@ -59,8 +59,9 @@ of a configuration (``MAX_COMPONENTS``).
 ``qubits`` is the set of qubits the component's free names resolve to,
 and ``hidden`` the set of hidden channels they resolve to, both computed
 in one pass when the component is made. A continuation that goes on under
-its component's environment with the same free names, such as that of a
-gate, keeps the component's sets instead (``_advance``). ``settle`` counts
+its component's environment and drops no name bound to a qubit or a hidden
+channel, such as that of a gate, keeps the component's sets instead
+(``_advance``). ``settle`` counts
 the holders of a hidden channel on the ``hidden`` sets. Every successor is
 checked against the ``qubits`` sets for a qubit held by two components
 (dynamic no-cloning); a successor derives its live qubits from its
@@ -72,6 +73,12 @@ amplitudes are exactly zero on one basis value (``Configuration`` says why
 that is sound). Measurement branches that differ only in such qubits then
 become one configuration, and the qubit cap bounds the qubits held at one
 time rather than all ever allocated.
+
+``explore`` can share, through a ``SkeletonCache``, the work that reads no
+amplitude between the explorations of one configuration under several
+inputs: everything of a configuration but its state, and every step taken
+from that, is built once, and later inputs run only the state kernels.
+``equiv.check_equivalence`` shares one per side of a check.
 """
 
 from __future__ import annotations
@@ -246,11 +253,12 @@ class Configuration:
     and renumbered when qubits are dropped; ``hidden`` holds the ids of the
     hidden channels they resolve to. Bindings are never rebound, so a
     shared component keeps its sets, and so does a continuation that keeps
-    its component's environment and free names (``_advance``). A
-    configuration that ``_advance`` built from a checked parent derives its
-    live qubits from the parent's (``check_ownership``), and one that
-    ``_drop_dead_qubits`` compacts carries them renumbered; any other has
-    them computed by a full scan. ``bindings`` maps
+    its component's environment and drops no name bound to a qubit or a
+    hidden channel (``_advance``). A configuration that ``_advance`` built
+    from a checked parent derives its live qubits from the parent's
+    (``check_ownership``), one that ``_compact`` makes carries them
+    renumbered, and one that a ``SkeletonCache`` hands out carries those of
+    its skeleton; any other has them computed by a full scan. ``bindings`` maps
     runtime names, the entry's parameters and the ``binder~n`` names
     ``_bind`` makes, to values. ``channel_names`` maps visible channel ids
     (the entry's channel parameters, numbered by position) to their
@@ -480,25 +488,26 @@ def _advance(
     heads: dict,
     *,
     qstate: StateVector | None = None,
-    outcome: MeasurementOutcome | None = None,
     bindings: dict | None = None,
     next_channel: int | None = None,
     next_fresh: int | None = None,
 ) -> Configuration:
     """The successor with each given field replaced and each component
     ``i`` in ``heads`` replaced by the components of the closure
-    ``heads[i]`` (``_flatten``), checked for ownership and with its dead
-    basis qubits dropped. The other components are shared with ``config``,
-    qubit sets included; only the new components compute theirs.
+    ``heads[i]`` (``_flatten``), checked for ownership; ``_drop_dead`` then
+    drops its dead basis qubits. The other components are shared with
+    ``config``, qubit sets included; only the new components compute theirs.
 
-    A closure that goes on under its component's own ``env`` with the
-    same free names as the component's term, such as the continuation of
-    a gate on qubits it goes on to use, keeps the component's ``qubits``
-    and ``hidden`` sets instead of resolving its names again: its names resolve through the same ``env`` and bindings
-    that are never rebound, and ``_drop_dead_qubits`` rebuilds every set
-    it renumbers. A parallel composition, a call or ``0`` still goes
-    through ``_flatten``, and so does every closure under a new ``env``
-    (``_bind``).
+    A closure that goes on under its component's own ``env`` keeps the
+    component's ``qubits`` and ``hidden`` sets instead of resolving its
+    names again when its free names are the component's, less names bound
+    to neither a qubit nor a hidden channel (``_keeps_sets``): the
+    continuation of a gate on qubits it goes on to use, or of Bob's
+    correction ``{y *= sigma[r]}``, which drops only the bits ``r``. Its
+    other names resolve through the same ``env`` and bindings, which are
+    never rebound, and ``_compact`` rebuilds every set it renumbers. A
+    parallel composition, a call or ``0`` still goes through ``_flatten``,
+    and so does every closure under a new ``env`` (``_bind``).
 
     The successor carries the parent's live qubits and what the step
     changed in them: the qubits of the components it replaced and the new
@@ -507,16 +516,11 @@ def _advance(
     whose components all keep their qubits carries the parent's set as it
     is. When the parent was not checked, the successor is scanned in full.
 
-    A measurement step passes its branch as ``outcome``, a measurement of
-    ``config.qstate``, instead of a state: the components are built and
-    checked first, so the branch is collapsed once, with the measured
-    qubits that are now dead already sliced out (``_drop_dead_qubits``).
-
-    Every successor ``step`` builds passes through here. Without a dead
-    qubit or a branch to collapse (the common case) the configuration is
-    returned as it is.
+    Every successor ``step`` builds passes through here and then through
+    ``_drop_dead``.
     """
     bindings = config.bindings if bindings is None else bindings
+    visible = config.channel_names
     procs = config.procs
     gone, added = None, []  # qubits of the replaced components, new records
     pending = len(heads)
@@ -527,13 +531,13 @@ def _advance(
         if (
             env is head_env
             and not isinstance(term, _UNFOLDED)
-            and term.free_names == head.free_names
+            and _keeps_sets(term.free_names, head.free_names, env, bindings, visible)
         ):
             if others >= MAX_COMPONENTS:
                 raise ExplorationLimitError(MAX_COMPONENTS, "component")
             parts = ((term, env, qubits, hidden),)
         else:
-            parts = _flatten(term, env, bindings, config.channel_names, config.program, others)
+            parts = _flatten(term, env, bindings, visible, config.program, others)
             if len(parts) != 1 or parts[0][2] != qubits:  # else the live qubits stay
                 gone = qubits if gone is None else gone | qubits
                 added += parts
@@ -544,14 +548,42 @@ def _advance(
         config.qstate if qstate is None else qstate,
         bindings,
         procs,
-        config.channel_names,
+        visible,
         config.next_channel if next_channel is None else next_channel,
         config.next_fresh if next_fresh is None else next_fresh,
         config.program,
     )
     if isinstance(parent_live, frozenset):
         config._live = parent_live if gone is None else (parent_live, gone, added)
-    live = config.check_ownership()
+    config.check_ownership()
+    return config
+
+
+def _keeps_sets(names: frozenset, held: frozenset, env: dict, bindings: dict, visible: dict) -> bool:
+    """Whether a continuation with free names ``names``, under the ``env``
+    of a component whose head has free names ``held``, resolves to the
+    component's qubits and hidden channels: ``names`` is ``held`` less
+    names bound to neither a qubit nor a hidden channel."""
+    if names == held:
+        return True
+    if not names < held:
+        return False
+    for n in held - names:
+        v = bindings.get(env.get(n, n))
+        if isinstance(v, QubitVal) or (isinstance(v, ChannelVal) and v.cid not in visible):
+            return False
+    return True
+
+
+def _drop_dead(config: Configuration, outcome: MeasurementOutcome | None = None) -> Configuration:
+    """``config``, a successor ``_advance`` built and checked, with its
+    dead basis qubits dropped (``_drop_dead_qubits``). A measurement step
+    passes its branch as ``outcome``, a measurement of ``config.qstate``:
+    the components are built and checked first, so the branch is collapsed
+    once, with the measured qubits that are now dead already sliced out.
+    Without a dead qubit or a branch to collapse (the common case) the
+    configuration is returned as it is."""
+    live = config._live
     if outcome is None and len(live) == config.qstate.num_qubits:
         return config
     return _drop_dead_qubits(config, live, outcome)
@@ -561,11 +593,7 @@ def _drop_dead_qubits(
     config: Configuration, live: frozenset[int], outcome: MeasurementOutcome | None = None
 ) -> Configuration:
     """Remove the dead qubits that sit in a basis state (see ``Configuration``)
-    and renumber the others in their old order. Bindings and qubit sets of
-    the survivors are rewritten, bindings of the dropped qubits deleted;
-    bit and channel bindings stay. Terms and environments refer to qubits
-    only through bindings, so they are shared unchanged, and so is every
-    qubit set below the lowest dropped qubit, which no renumbering moves.
+    and renumber the others in their old order (``_compact``).
 
     With ``outcome``, a measurement of ``config.qstate``, the state is first
     collapsed onto that branch: its measured dead qubits are in the basis
@@ -574,20 +602,41 @@ def _drop_dead_qubits(
 
     ``live`` is ``config``'s checked live set; the result carries it
     renumbered, since no live qubit is dropped."""
-    n = config.qstate.num_qubits
-    dead = [q for q in range(n) if q not in live]
-    if outcome is None:
-        qvec, dropped = qstate.drop_basis_qubits(config.qstate, dead)
-    else:
-        dropped = {t: b for t, b in zip(outcome.targets, outcome.result) if t not in live}
-        qvec = qstate.collapse(outcome, dropped)
-        rest = [q for q in dead if q not in dropped]
-        if rest:
-            at = {q: q - sum(d < q for d in dropped) for q in rest}  # each one's id in qvec
-            qvec, more = qstate.drop_basis_qubits(qvec, list(at.values()))
-            dropped.update((q, more[at[q]]) for q in rest if at[q] in more)
+    dead = [q for q in range(config.qstate.num_qubits) if q not in live]
+    qvec, dropped = _basis_drops(config.qstate, dead, live, outcome)
     if not dropped and outcome is None:
         return config
+    return _compact(config, live, dropped, qvec)
+
+
+def _basis_drops(
+    state: StateVector, dead: list, live: frozenset, outcome: MeasurementOutcome | None
+) -> tuple[StateVector, dict[int, int]]:
+    """``state``, collapsed onto ``outcome`` when given, with its ``dead``
+    qubits that sit in a basis state sliced out, and those qubits with
+    their bits: the part of ``_drop_dead_qubits`` that reads amplitudes."""
+    if outcome is None:
+        return qstate.drop_basis_qubits(state, dead)
+    dropped = {t: b for t, b in zip(outcome.targets, outcome.result) if t not in live}
+    qvec = qstate.collapse(outcome, dropped)
+    rest = [q for q in dead if q not in dropped]
+    if rest:
+        at = {q: q - sum(d < q for d in dropped) for q in rest}  # each one's id in qvec
+        qvec, more = qstate.drop_basis_qubits(qvec, list(at.values()))
+        dropped.update((q, more[at[q]]) for q in rest if at[q] in more)
+    return qvec, dropped
+
+
+def _compact(config: Configuration, live: frozenset, dropped, qvec: StateVector) -> Configuration:
+    """``config`` with the qubits ``dropped`` gone and state ``qvec``: the
+    others renumbered in their old order, the bindings and qubit sets of
+    the survivors rewritten, and the bindings of the dropped qubits
+    deleted; bit and channel bindings stay. Terms and environments refer to
+    qubits only through bindings, so they are shared unchanged, and so is
+    every qubit set below the lowest dropped qubit, which no renumbering
+    moves. Reads no amplitude. The result carries ``live``, ``config``'s
+    checked live set, renumbered."""
+    n = config.qstate.num_qubits
     kept = [q for q in range(n) if q not in dropped]
     renumber = {q: i for i, q in enumerate(kept)}
     lowest = min(dropped, default=n)
@@ -676,9 +725,9 @@ _DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
 
 def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: dict) -> Configuration:
     """The one successor of the τ step of component ``i``, headed by a
-    qubit allocation, a channel restriction or a gate. Allocation binds one
-    fresh |0> qubit per binder and ``new`` one fresh channel, both through
-    ``_bind``."""
+    qubit allocation, a channel restriction or a gate, before its dead
+    qubits drop (``_drop_dead``). Allocation binds one fresh |0> qubit per
+    binder and ``new`` one fresh channel, both through ``_bind``."""
     if isinstance(head, QbitAlloc):
         zeros = (_KET0,) * len(head.binders)
         return _bind(config, {i: (head.continuation, env)}, i, head.binders, zeros)
@@ -702,7 +751,7 @@ def _communicate(config: Configuration, out_i: int, in_i: int) -> Configuration:
     ``out_i``, headed by an output with no ``measure`` left in its payload,
     sends to component ``in_i``, headed by an input on the same channel:
     the receiver binds the sender's slots while the sender moves on to its
-    continuation."""
+    continuation; before its dead qubits drop (``_drop_dead``)."""
     out_head, out_env, _out_qubits, _out_hidden = config.procs[out_i]
     in_head, in_env, _in_qubits, _in_hidden = config.procs[in_i]
     values = _eval_slots(config, out_env, out_head.payload)
@@ -815,7 +864,7 @@ def _settle_among(config: Configuration, siblings: _Siblings | None) -> tuple[Co
         while i < len(procs):
             head, env, _qubits, _hidden = procs[i]
             if isinstance(head, _DETERMINISTIC_TAU):
-                config = _deterministic_tau(config, i, head, env)
+                config = _drop_dead(_deterministic_tau(config, i, head, env))
                 procs = config.procs
             else:
                 i += 1
@@ -826,7 +875,7 @@ def _settle_among(config: Configuration, siblings: _Siblings | None) -> tuple[Co
             sid = siblings.find(config)
             if sid is not None:
                 return config, sid
-        config = _communicate(config, *redex)
+        config = _drop_dead(_communicate(config, *redex))
         i = min(redex)
 
 
@@ -837,15 +886,17 @@ class _Siblings:
     ``explore`` interns that one transition's outcomes.
 
     Entries are filed under a cheap pre-filter, the qubit count and the
-    identities of the component terms, so a ``canonical_key`` is computed
-    only for a configuration whose terms another already shares, and a
-    phase comparison only under an equal key."""
+    identities of the component terms, so a key is computed only for a
+    configuration whose terms another already shares, and a phase
+    comparison only under an equal key. The key is ``canonical_key``, or
+    ``key``, a function that gives it, when one is given (``SkeletonCache.key``)."""
 
-    __slots__ = ("_met", "_run")
+    __slots__ = ("_met", "_run", "_key")
 
-    def __init__(self):
+    def __init__(self, key=None):
         self._met: dict[tuple, list[list]] = {}  # pre-filter -> [config, key or None, state]
         self._run: list[list] = []  # entries of the run in progress, state still None
+        self._key = key
 
     def find(self, config: Configuration) -> int | None:
         """The state of an earlier sibling's run that met a configuration
@@ -853,15 +904,16 @@ class _Siblings:
         None, after noting ``config`` for the run in progress."""
         slot = (config.qstate.num_qubits, tuple(id(record[0]) for record in config.procs))
         entries = self._met.setdefault(slot, [])
+        key_of = self._key or canonical_key
         key = None
         for entry in entries:
             met, met_key, sid = entry
             if sid is None:  # met by this very run
                 continue
             if key is None:
-                key = canonical_key(config)
+                key = key_of(config)
             if met_key is None:
-                met_key = entry[1] = canonical_key(met)
+                met_key = entry[1] = key_of(met)
             if met_key == key and qstate.states_equal_up_to_global_phase(met.qstate, config.qstate):
                 return sid
         entry = [config, key, None]
@@ -958,7 +1010,8 @@ def step(
     the state; every other step replaces its component's head through
     ``_advance``. Either way, a new head that is a parallel composition is
     spliced into its parts, a call is unfolded, and one that is ``0`` is
-    dropped.
+    dropped, and the successor then drops its dead basis qubits
+    (``_drop_dead``).
     """
     transitions = _transitions(config, alphabet or {}, rng)
     return list(itertools.islice(transitions, None if rng is None else 1))
@@ -969,25 +1022,67 @@ def _transitions(config: Configuration, alphabet: dict, rng: random.Random | Non
     when the enumeration reaches it."""
     for i, (head, env, _qubits, _hidden) in enumerate(config.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
-            yield Transition(TAU, ((1.0, _deterministic_tau(config, i, head, env)),))
+            yield Transition(TAU, ((1.0, _drop_dead(_deterministic_tau(config, i, head, env))),))
             return
 
+    for move in _moves(config):
+        kind = move[0]
+        if kind is _MEASURE:
+            _kind, i, head, env, qids = move
+            outcomes = qstate.measure(config.qstate, qids)
+            drawn = rng is not None and len(outcomes) > 1
+            if drawn:
+                outcomes = [_draw(outcomes, rng)]
+            dist = []
+            for o in outcomes:
+                cfg = _drop_dead(_advance(config, {i: (head.forced(o.result), env)}), o)
+                dist.append((o.probability, cfg))
+            yield Transition(TAU, tuple(dist), drawn)
+        elif kind is _SEND:
+            _kind, i, head, env, cid, values, sent = move
+            dm = qstate.reduced_density_matrix(config.qstate, sent) if sent else None
+            label = CommLabel("out", cid, config.display_channel(cid), values, dm)
+            cfg = _drop_dead(_advance(config, {i: (head.continuation, env)}))
+            yield Transition(label, ((1.0, cfg),))
+        elif kind is _RECEIVE:
+            _kind, i, head, env, cid = move
+            for value_tuple in alphabet.get(cid, ()):
+                cfg = _drop_dead(
+                    _bind(config, {i: (head.continuation, env)}, i, head.binders, value_tuple)
+                )
+                label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
+                yield Transition(label, ((1.0, cfg),))
+        else:
+            _kind, out_i, in_i = move
+            yield Transition(TAU, ((1.0, _drop_dead(_communicate(config, out_i, in_i))),))
+
+
+# The kinds of ``_moves``.
+_MEASURE, _SEND, _RECEIVE, _COMMUNICATE = "measure", "send", "receive", "communicate"
+
+
+def _moves(config: Configuration):
+    """The moves ``step`` enumerates on a configuration with no
+    deterministic τ head, in its order, each as a tuple of what its
+    transitions are built from; the part of ``step`` that reads no
+    amplitude, and raises any runtime error a head holds:
+
+    - ``(_MEASURE, i, head, env, qids)``: component ``i`` forces the
+      leftmost ``measure`` of its output, on qubits ``qids``;
+    - ``(_SEND, i, head, env, cid, values, sent)``: an output on visible
+      channel ``cid``, with label values ``values``, in which a
+      ``QubitSlot`` stands for each qubit of ``sent``;
+    - ``(_RECEIVE, i, head, env, cid)``: an input on visible channel
+      ``cid``, which fires once per value tuple the alphabet holds for it;
+    - ``(_COMMUNICATE, out_i, in_i)``: an internal communication between
+      any two components sharing a channel, hidden or visible, after every
+      move of a single component."""
     senders, receivers = [], []  # (index, channel id) ready to communicate
     for i, (head, env, _qubits, _hidden) in enumerate(config.procs):
         if isinstance(head, Output):
             k = head.measure_index
             if k is not None:
-                qids = _qubit_ids(config, env, head.payload[k].names)
-                outcomes = qstate.measure(config.qstate, qids)
-                drawn = rng is not None and len(outcomes) > 1
-                if drawn:
-                    outcomes = [_draw(outcomes, rng)]
-                dist = []
-                for o in outcomes:
-                    new_head = head.forced(o.result)
-                    cfg = _advance(config, {i: (new_head, env)}, outcome=o)
-                    dist.append((o.probability, cfg))
-                yield Transition(TAU, tuple(dist), drawn)
+                yield _MEASURE, i, head, env, _qubit_ids(config, env, head.payload[k].names)
                 continue
             cid = _channel_id(config, env, head.channel)
             senders.append((i, cid))
@@ -1005,38 +1100,22 @@ def _transitions(config: Configuration, alphabet: dict, rng: random.Random | Non
                         )
                     else:
                         label_values.append(v)
-                dm = (
-                    qstate.reduced_density_matrix(config.qstate, sent_qubits)
-                    if sent_qubits
-                    else None
-                )
-                label = CommLabel(
-                    "out", cid, config.display_channel(cid), tuple(label_values), dm
-                )
-                cfg = _advance(config, {i: (head.continuation, env)})
-                yield Transition(label, ((1.0, cfg),))
+                yield _SEND, i, head, env, cid, tuple(label_values), sent_qubits
             continue
 
         if isinstance(head, Input):
             cid = _channel_id(config, env, head.channel)
             receivers.append((i, cid))
-            if config.is_visible(cid) and cid in alphabet:
-                for value_tuple in alphabet[cid]:
-                    cfg = _bind(
-                        config, {i: (head.continuation, env)}, i, head.binders, value_tuple
-                    )
-                    label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
-                    yield Transition(label, ((1.0, cfg),))
+            if config.is_visible(cid):
+                yield _RECEIVE, i, head, env, cid
             continue
 
         raise TypeError(f"not a process term: {head!r}")
 
-    # Internal synchronous communication between any two parallel components
-    # sharing a channel, hidden or visible.
     for out_i, out_cid in senders:
         for in_i, in_cid in receivers:
             if in_cid == out_cid:
-                yield Transition(TAU, ((1.0, _communicate(config, out_i, in_i)),))
+                yield _COMMUNICATE, out_i, in_i
 
 
 # ---------------------------------------------------------------------------
@@ -1076,6 +1155,253 @@ def canonical_key(config: Configuration) -> tuple:
         fmt, slots = term.key_template
         forms.append(fmt.format(*[resolve(env.get(n, n)) for n in slots]))
     return (config.qstate.num_qubits, tuple(forms))
+
+
+# ---------------------------------------------------------------------------
+# Skeletons: the amplitude-free work of exploring, shared between inputs
+# ---------------------------------------------------------------------------
+
+_UNKNOWN = object()  # a field of a ``_Skeleton`` not computed yet
+
+
+class SkeletonCache:
+    """What exploring a configuration finds out without reading its
+    amplitudes, kept for the explorations of one initial configuration
+    under several input instantiations (``explore``). It lives only as long
+    as the ``equiv.check_equivalence`` call that makes it.
+
+    Entries are keyed by a configuration's *skeleton*: everything but its
+    state, namely the ``bindings`` and ``procs`` objects, held by identity,
+    ``next_channel``, ``next_fresh`` and the qubit count. ``channel_names``
+    and ``program`` are those of the initial configuration throughout. Each
+    entry holds the objects of its key, so no identity is reused while the
+    cache lives. A skeleton records, as each is first needed: its checked
+    live set, its ``canonical_key``, its ``_private_redex``, its settle step
+    (a deterministic τ with the state operation it applies, or the private
+    communication), its ``step`` moves (``_moves``) and, for each step, the
+    skeleton the step builds per measurement outcome or received value
+    tuple, before dead qubits drop, and from that one the skeleton per set
+    of dropped dead qubits."""
+
+    def __init__(self):
+        self._skeletons: dict[tuple, _Skeleton] = {}
+
+    def skeleton(self, config: Configuration) -> _Skeleton:
+        """The entry of ``config``'s skeleton. A new one keeps the live set
+        ``config`` carries once checked; one made from an initial
+        configuration, which carries none, has None, so that the steps from
+        it scan their successors in full, as without the cache."""
+        ident = (
+            id(config.bindings),
+            id(config.procs),
+            config.next_channel,
+            config.next_fresh,
+            config.qstate.num_qubits,
+        )
+        skel = self._skeletons.get(ident)
+        if skel is None:
+            live = config._live
+            skel = self._skeletons[ident] = _Skeleton(
+                config, live if isinstance(live, frozenset) else None
+            )
+        return skel
+
+    def key(self, config: Configuration) -> tuple:
+        """``canonical_key(config)``, computed once per skeleton."""
+        return self.skeleton(config).key(config.qstate)
+
+    def settle(self, skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None) -> tuple:
+        """``_settle_among`` from ``skel`` at state ``qvec``, as ``(skeleton,
+        state, sid)``. A step met before runs only its state operation and
+        the drop of dead qubits; only a step met for the first time builds a
+        ``Configuration``, by the same functions as ``_settle_among``."""
+        while True:
+            tau = skel.tau
+            if tau is _UNKNOWN:
+                tau, qpre = self._first_tau(skel, qvec)
+            elif tau is not None:
+                op, _pre = tau
+                qpre = qvec if op is None else getattr(qstate, op[0])(qvec, *op[1:])
+            if tau is not None:
+                skel, qvec = self.drop(tau[1], qpre)
+                continue
+            redex = skel.redex
+            if redex is _UNKNOWN:
+                redex = skel.redex = _private_redex(skel.at(qvec))
+            if redex is None:
+                return skel, qvec, None
+            if siblings is not None:
+                sid = siblings.find(skel.at(qvec))
+                if sid is not None:
+                    return skel, qvec, sid
+            if skel.comm is None:
+                skel.comm = self.skeleton(_communicate(skel.at(qvec), *redex))
+            skel, qvec = self.drop(skel.comm, qvec)
+
+    def _first_tau(self, skel: _Skeleton, qvec: StateVector) -> tuple:
+        """``(skel.tau, state)``: the first deterministic τ step of ``skel``,
+        as its state operation (``_state_op``) and the skeleton it builds,
+        and that skeleton's state, made from ``qvec`` by the one step; or
+        ``(None, qvec)`` when ``skel`` has none."""
+        for i, (head, env, _qubits, _hidden) in enumerate(skel.procs):
+            if isinstance(head, _DETERMINISTIC_TAU):
+                config = skel.at(qvec)
+                op = _state_op(config, head, env)
+                built = _deterministic_tau(config, i, head, env)
+                skel.tau = (op, self.skeleton(built))
+                return skel.tau, built.qstate
+        skel.tau = None
+        return None, qvec
+
+    def drop(
+        self, pre: _Skeleton, qvec: StateVector, outcome: MeasurementOutcome | None = None
+    ) -> tuple:
+        """``_drop_dead`` on the configuration ``pre`` at state ``qvec``, as
+        ``(skeleton, state)``: the amplitudes decide which dead qubits drop
+        (``_basis_drops``), and the skeleton left is built once per set of
+        dropped qubits (``_compact``)."""
+        live = pre.live
+        if outcome is None and len(live) == pre.n:
+            return pre, qvec
+        if pre.dead is None:
+            pre.dead = [q for q in range(pre.n) if q not in live]
+        qout, dropped = _basis_drops(qvec, pre.dead, live, outcome)
+        if not dropped and outcome is None:
+            return pre, qvec
+        if pre.drops is None:
+            pre.drops = {}
+        gone = frozenset(dropped)
+        skel = pre.drops.get(gone)
+        if skel is None:
+            skel = pre.drops[gone] = self.skeleton(_compact(pre.at(qvec), live, dropped, qout))
+        return skel, qout
+
+    def transitions(self, skel: _Skeleton, qvec: StateVector, alphabet: dict) -> list[tuple]:
+        """``step``'s transitions of the settled ``skel`` at state ``qvec``,
+        in its order, as ``(label, outcomes)`` with each outcome a
+        ``(probability, (skeleton, state))``. The moves (``_moves``) are
+        enumerated once per skeleton; each later time only the kernels run
+        (``measure``, ``reduced_density_matrix``, ``append_qubits`` and the
+        drop of dead qubits), and a successor is built only for an outcome
+        or a value tuple not met before."""
+        moves = skel.moves
+        if moves is None:
+            moves = _planned(skel, _moves(skel.at(qvec)))
+        found = []
+        for move, built in moves:
+            kind = move[0]
+            if kind is _MEASURE:
+                _kind, i, head, env, qids = move
+                dist = []
+                for o in qstate.measure(qvec, qids):
+                    pre = built.get(o.result)
+                    if pre is None:
+                        config = _advance(skel.at(qvec), {i: (head.forced(o.result), env)})
+                        pre = built[o.result] = self.skeleton(config)
+                    dist.append((o.probability, self.drop(pre, qvec, o)))
+                found.append((TAU, dist))
+            elif kind is _SEND:
+                _kind, i, head, env, cid, values, sent = move
+                dm = qstate.reduced_density_matrix(qvec, sent) if sent else None
+                label = CommLabel("out", cid, skel.channel_names[cid], values, dm)
+                pre = built.get(None)
+                if pre is None:
+                    config = _advance(skel.at(qvec), {i: (head.continuation, env)})
+                    pre = built[None] = self.skeleton(config)
+                found.append((label, [(1.0, self.drop(pre, qvec))]))
+            elif kind is _RECEIVE:
+                _kind, i, head, env, cid = move
+                for value_tuple in alphabet.get(cid, ()):
+                    slot = tuple(None if isinstance(v, TestQubit) else v for v in value_tuple)
+                    pre = built.get(slot)
+                    if pre is None:
+                        heads = {i: (head.continuation, env)}
+                        config = _bind(skel.at(qvec), heads, i, head.binders, value_tuple)
+                        pre = built[slot] = self.skeleton(config)
+                        qpre = config.qstate
+                    else:
+                        amps = [(v.amp0, v.amp1) for v in value_tuple if isinstance(v, TestQubit)]
+                        qpre = qstate.append_qubits(qvec, amps) if amps else qvec
+                    label = CommLabel("in", cid, skel.channel_names[cid], tuple(value_tuple))
+                    found.append((label, [(1.0, self.drop(pre, qpre))]))
+            else:
+                _kind, out_i, in_i = move
+                pre = built.get(None)
+                if pre is None:
+                    pre = built[None] = self.skeleton(_communicate(skel.at(qvec), out_i, in_i))
+                found.append((TAU, [(1.0, self.drop(pre, qvec))]))
+        return found
+
+
+class _Skeleton:
+    """A configuration less its state, with what exploring it has found
+    out so far (``SkeletonCache``). ``tau`` and ``redex`` are ``_UNKNOWN``
+    until computed; ``tau`` then holds None or ``(state operation,
+    skeleton)``, and ``comm`` the skeleton of the private communication
+    once built. ``moves`` holds ``(move, built)`` pairs, where ``built``
+    maps an outcome's bits, a received value tuple with its test qubits
+    blanked, or None, to the skeleton the move builds; ``drops`` maps a
+    set of dropped dead qubits to the skeleton left."""
+
+    __slots__ = (
+        "bindings", "procs", "channel_names", "next_channel", "next_fresh", "program",
+        "n", "live", "_key", "dead", "tau", "redex", "comm", "moves", "drops",
+    )
+
+    def __init__(self, config: Configuration, live: frozenset | None):
+        self.bindings = config.bindings
+        self.procs = config.procs
+        self.channel_names = config.channel_names
+        self.next_channel = config.next_channel
+        self.next_fresh = config.next_fresh
+        self.program = config.program
+        self.n = config.qstate.num_qubits
+        self.live = live
+        self._key = self.dead = self.comm = self.moves = self.drops = None
+        self.tau = self.redex = _UNKNOWN
+
+    def at(self, qvec: StateVector) -> Configuration:
+        """The configuration of this skeleton with state ``qvec``."""
+        config = Configuration(
+            qvec,
+            self.bindings,
+            self.procs,
+            self.channel_names,
+            self.next_channel,
+            self.next_fresh,
+            self.program,
+        )
+        config._live = self.live
+        return config
+
+    def key(self, qvec: StateVector) -> tuple:
+        """``canonical_key`` of this skeleton at any state of its size."""
+        if self._key is None:
+            self._key = canonical_key(self.at(qvec))
+        return self._key
+
+
+def _state_op(config: Configuration, head: ProcessTerm, env: dict) -> tuple | None:
+    """The state operation of the deterministic τ step of ``head``, as the
+    name of a ``qstate`` function and its arguments after the state: a
+    gate's ``apply_gate``, an allocation's ``append_qubits`` of |0>
+    qubits, as ``_bind`` appends them; None for ``new``."""
+    if isinstance(head, GateAction):
+        qids = _qubit_ids(config, env, head.targets)
+        return "apply_gate", _gate_for(config, env, head.gate), qids
+    if isinstance(head, QbitAlloc):
+        return "append_qubits", [(_KET0.amp0, _KET0.amp1)] * len(head.binders)
+    return None
+
+
+def _planned(skel: _Skeleton, moves):
+    """Each of ``moves`` with an empty table of the skeletons it builds,
+    recorded as ``skel.moves`` once the last is enumerated."""
+    planned = []
+    for move in moves:
+        planned.append((move, {}))
+        yield planned[-1]
+    skel.moves = planned
 
 
 # ---------------------------------------------------------------------------
@@ -1129,6 +1455,8 @@ def explore(
     config: Configuration,
     max_states: int = DEFAULT_MAX_STATES,
     alphabet: dict | None = None,
+    *,
+    cache: SkeletonCache | None = None,
 ) -> PLTS:
     """Breadth-first closure of a configuration under ``step``.
 
@@ -1186,55 +1514,97 @@ def explore(
     The PLTS is the one interning each branch's settled configuration
     gives; the branches of a teleport hop, which meet after Bob's
     correction, then run the next link and the next hop's gates once.
+
+    With ``cache``, which ``equiv.check_equivalence`` shares between the
+    explorations of one side under its input instantiations, the work that
+    reads no amplitude is done once per skeleton (``SkeletonCache``), not
+    once per exploration: the skeletons of the configurations met, their
+    ownership checks, keys and redexes, their settle steps and moves, and
+    the skeletons of their successors. A later exploration that meets a
+    skeleton runs only the ``qstate`` kernels and the decisions that read
+    amplitudes: which outcomes a measurement has, which dead qubits drop,
+    sibling hits, merges when interning, and the density matrices of
+    labels. Replaying a cached successor builds the configuration that
+    building it anew would build, for three reasons:
+
+    - A step's effect on the skeleton depends only on the skeleton, the
+      move taken, the bits of its outcome or the values received (a test
+      qubit stands for the fresh qubit id it is bound as, whatever its
+      amplitudes), and the set of dead qubits dropped, which is decided
+      anew from the amplitudes each time. Runtime names come from
+      ``next_fresh``, qubit ids from the qubit count and hidden channel ids
+      from ``next_channel``, all part of the key.
+    - The state operation is kept with the step: the gate and the qubit ids
+      it acts on, or the qubits appended, so the new state gets the
+      operation building the step would apply.
+    - Errors come from the first input. Every error the skeleton work of a
+      step can raise (an unbound name, an arity mismatch, an ownership
+      violation, the component cap) depends only on the skeleton, so the
+      first exploration that takes the step raises it and the check stops.
+      The kernels, and with them the qubit cap, and the state cap run for
+      every input.
+
+    So every kernel call and every PLTS is the one exploring without the
+    cache gives.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
+    alphabet = alphabet or {}
     states: list[PLTSState] = []
     edges: list[PLTSEdge] = []
     buckets: dict[tuple, list[int]] = {}
     prob_cache: dict[tuple, int] = {}
     queue: list[int] = []
+    skeletons: dict[int, _Skeleton] = {}  # with ``cache``: the skeleton of each state
 
-    def intern(cfg: Configuration, siblings: _Siblings | None = None) -> int:
-        cfg, sid = _settle_among(cfg, siblings)
-        if sid is None:
-            sid = add(cfg)
+    def intern(found, siblings: _Siblings | None = None) -> int:
+        """Settle and intern ``found``, a configuration, or with ``cache`` a
+        ``(skeleton, state)`` pair."""
+        if cache is None:
+            cfg, sid = _settle_among(found, siblings)
+            if sid is None:
+                sid = add(canonical_key(cfg), cfg.qstate, cfg, None)
+        else:
+            skel, qvec, sid = cache.settle(*found, siblings)
+            if sid is None:
+                sid = add(skel.key(qvec), qvec, None, skel)
         if siblings is not None:
             siblings.close(sid)
         return sid
 
-    def add(cfg: Configuration) -> int:
-        key = canonical_key(cfg)
+    def add(key: tuple, qvec: StateVector, cfg: Configuration | None, skel: _Skeleton | None) -> int:
         for sid in buckets.get(key, []):
-            if qstate.states_equal_up_to_global_phase(states[sid].config.qstate, cfg.qstate):
+            if qstate.states_equal_up_to_global_phase(states[sid].config.qstate, qvec):
                 return sid
         if len(states) >= max_states:
             raise ExplorationLimitError(max_states)
         sid = len(states)
-        states.append(PLTSState(sid, "nondet", config=cfg))
+        states.append(PLTSState(sid, "nondet", config=cfg if skel is None else skel.at(qvec)))
+        skeletons[sid] = skel
         buckets.setdefault(key, []).append(sid)
         queue.append(sid)
         return sid
 
-    initial = intern(config)
+    initial = intern(config if cache is None else (cache.skeleton(config), config.qstate))
     head = 0
     while head < len(queue):
         sid = queue[head]
         head += 1
         cfg = states[sid].config
-        transitions = step(cfg, alphabet)
+        if cache is None:
+            transitions = [(t.label, t.outcomes) for t in step(cfg, alphabet)]
+        else:
+            transitions = cache.transitions(skeletons[sid], cfg.qstate, alphabet)
         if not transitions:
             states[sid].terminal = True
             continue
-        for t in transitions:
-            if len(t.outcomes) == 1:
-                dst = intern(t.outcomes[0][1])
-                edges.append(PLTSEdge(sid, t.label, dst))
+        for label, outcomes in transitions:
+            if len(outcomes) == 1:
+                dst = intern(outcomes[0][1])
+                edges.append(PLTSEdge(sid, label, dst))
                 continue
-            siblings = _Siblings()
-            dist = tuple(
-                (round(p, 12), intern(child, siblings)) for p, child in t.outcomes
-            )
+            siblings = _Siblings() if cache is None else _Siblings(cache.key)
+            dist = tuple((round(p, 12), intern(child, siblings)) for p, child in outcomes)
             pid = prob_cache.get(dist)
             if pid is None:
                 if len(states) >= max_states:
@@ -1244,7 +1614,7 @@ def explore(
                 prob_cache[dist] = pid
                 for p, child in dist:
                     edges.append(PLTSEdge(pid, ProbLabel(p), child))
-            edges.append(PLTSEdge(sid, t.label, pid))
+            edges.append(PLTSEdge(sid, label, pid))
 
     return PLTS(states, edges, initial)
 

@@ -1053,7 +1053,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
     senders, receivers = [], []  # (index, channel id) ready to communicate
     for i, (head, env, *_) in enumerate(config.procs):
         if isinstance(head, semantics._DETERMINISTIC_TAU):
-            cfg = semantics._deterministic_tau(config, i, head, env)
+            cfg = semantics._drop_dead(semantics._deterministic_tau(config, i, head, env))
             transitions.append(Transition(TAU, ((1.0, cfg),)))
             continue
 
@@ -1063,7 +1063,8 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
                 qids = semantics._qubit_ids(config, env, head.payload[k].names)
                 dist = []
                 for o in qstate.measure(config.qstate, qids):
-                    cfg = semantics._advance(config, {i: (head.forced(o.result), env)}, outcome=o)
+                    cfg = semantics._advance(config, {i: (head.forced(o.result), env)})
+                    cfg = semantics._drop_dead(cfg, o)
                     dist.append((o.probability, cfg))
                 transitions.append(Transition(TAU, tuple(dist)))
                 continue
@@ -1088,7 +1089,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
                     else None
                 )
                 label = CommLabel("out", cid, config.display_channel(cid), tuple(label_values), dm)
-                cfg = semantics._advance(config, {i: (head.continuation, env)})
+                cfg = semantics._drop_dead(semantics._advance(config, {i: (head.continuation, env)}))
                 transitions.append(Transition(label, ((1.0, cfg),)))
             continue
 
@@ -1097,9 +1098,9 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
             receivers.append((i, cid))
             if config.is_visible(cid) and cid in alphabet:
                 for value_tuple in alphabet[cid]:
-                    cfg = semantics._bind(
+                    cfg = semantics._drop_dead(semantics._bind(
                         config, {i: (head.continuation, env)}, i, head.binders, value_tuple
-                    )
+                    ))
                     label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
                     transitions.append(Transition(label, ((1.0, cfg),)))
             continue
@@ -1109,7 +1110,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
     for out_i, out_cid in senders:
         for in_i, in_cid in receivers:
             if in_cid == out_cid:
-                cfg = semantics._communicate(config, out_i, in_i)
+                cfg = semantics._drop_dead(semantics._communicate(config, out_i, in_i))
                 transitions.append(Transition(TAU, ((1.0, cfg),)))
     return transitions
 

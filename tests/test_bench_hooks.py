@@ -17,7 +17,7 @@ import pytest
 
 from cqpkit import cli, qstate, semantics
 from cqpkit.equiv import check_equivalence
-from support import bench_workloads
+from support import bench_workloads, check_ownership_oracle
 
 REPO = Path(__file__).resolve().parents[1]
 INSTALL = (
@@ -138,10 +138,19 @@ def test_every_successor_is_checked_for_ownership_once(monkeypatch):
     from its parent's inside that call, so the span still covers the whole
     check: on one ``Chain2`` against ``Identity`` check, ``_advance``
     calls it exactly once for each successor it builds, and nothing else
-    calls it."""
-    counts = {"_advance": 0, "check_ownership": 0}
+    calls it.
+
+    The check explores each side under 4 inputs through one
+    ``SkeletonCache``, which builds a successor only the first time a step
+    is taken from a skeleton, and keeps its live set. So each distinct
+    skeleton is checked once, 42 checks where exploring each input anew
+    made 141, and every configuration the cache hands out carries the live
+    set the term walk finds."""
+    counts = {"_advance": 0, "check_ownership": 0, "handed out": 0}
+    checked = []
     advance = semantics._advance
     check = semantics.Configuration.check_ownership
+    at = semantics._Skeleton.at
 
     def counted_advance(*args, **kwargs):
         counts["_advance"] += 1
@@ -149,11 +158,26 @@ def test_every_successor_is_checked_for_ownership_once(monkeypatch):
 
     def counted_check(config):
         counts["check_ownership"] += 1
+        checked.append(config)  # kept, so that no identity below is reused
         return check(config)
+
+    def compared_at(skel, qvec):
+        config = at(skel, qvec)
+        if config._live is not None:
+            assert config._live == check_ownership_oracle(config)
+            counts["handed out"] += 1
+        return config
 
     monkeypatch.setattr(semantics, "_advance", counted_advance)
     monkeypatch.setattr(semantics.Configuration, "check_ownership", counted_check)
+    monkeypatch.setattr(semantics._Skeleton, "at", compared_at)
     workloads = bench_workloads()
     program, sigs = workloads.load(workloads.chain_source(2))
     assert check_equivalence(program, "Chain2", program, "Identity", sigs).equivalent
-    assert counts["check_ownership"] == counts["_advance"] > 100
+    assert counts["check_ownership"] == counts["_advance"] == 42
+    skeletons = {
+        (id(c.bindings), id(c.procs), c.next_channel, c.next_fresh, c.qstate.num_qubits)
+        for c in checked
+    }
+    assert len(skeletons) == len(checked)
+    assert counts["handed out"] > 100

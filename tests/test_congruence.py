@@ -1,6 +1,7 @@
 """Congruence sampling: C[A] ~ C[B] for generated contexts."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,34 @@ def test_plug_renames_only_the_plug_call_and_captures_names():
     )
     plugged = plug(context, "Teleport")
     assert pretty_print(plugged) == "(Teleport(hin,hout) | hin![x] . 0)"
+
+
+def test_each_context_is_parsed_once_for_both_sides(monkeypatch, teleport_program, identity_program):
+    """A run of the 50 contexts of seed 2024 parses each of its 16 distinct
+    contexts once, for both processes; plugging renames the call in that
+    parse, and gives the term that parsing the source with ``PLUG``
+    renamed gives."""
+    parsed = []
+    parse = congruence.parse_process
+
+    def counted(source):
+        parsed.append(source)
+        return parse(source)
+
+    monkeypatch.setattr(congruence, "parse_process", counted)
+    (program_t, sigs_t), (program_i, sigs_i) = teleport_program, identity_program
+    report = check_congruence_samples(
+        program_t, "Teleport", program_i, "Identity", sigs_t, sigs_i, seed=2024, count=50
+    )
+    assert report.passed == 50
+    assert len(parsed) == len(set(parsed)) == 16
+    rng = random.Random(2024)
+    for _ in range(50):
+        context = generate_context(rng)
+        for entry in ("Teleport", "Identity"):
+            plugged = plug(context, entry)
+            assert plugged == parse(re.sub(r"\bPLUG\b", entry, context.source))
+            assert pretty_print(plugged) == pretty_print(parse(re.sub(r"\bPLUG\b", entry, context.source)))
 
 
 def test_trivial_context_reduces_to_base_equivalence(

@@ -42,9 +42,19 @@ set, ``:reduce`` and ``:full``): a density-matrix entry with a real part of
 -0.0 printed as ``-0.0000``.
 
 A successor derives its live qubits from its parent's, and a continuation
-that keeps its component's environment and free names keeps its qubit and
-hidden sets. Both are checked against the term walks on every
-configuration the digest explorations check and on sampled runs.
+that keeps its component's environment and drops no name bound to a qubit
+or a hidden channel keeps its qubit and hidden sets. Both are checked
+against the term walks on every configuration the digest explorations
+check and on sampled runs.
+
+``check_equivalence`` explores each side under all its input
+instantiations through one ``SkeletonCache``, which replays the work that
+reads no amplitude. Exploring every instantiation through one shared
+cache is checked against exploring each anew, digest for digest and
+verdict for verdict: on the corpus, on ``chain_source(3, GATES)`` under
+the ``chain`` workload's test sets, on the seed-2024 congruence contexts
+and on the random pairs; and on hand programs whose inputs split on a
+decision that reads amplitudes, so that a later input misses the cache.
 
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on
@@ -55,12 +65,13 @@ random well-typed programs, on hand cases and on random terms.
 import dataclasses
 import random
 import types
+import weakref
 from pathlib import Path
 
 import pytest
 
-from cqpkit import corpus, semantics
-from cqpkit.equiv import branching_bisim, check_equivalence
+from cqpkit import congruence, corpus, semantics
+from cqpkit.equiv import branching_bisim, check_equivalence, input_instantiations
 from cqpkit.qstate import CapacityError, StateVector
 from cqpkit.semantics import (
     _DETERMINISTIC_TAU,
@@ -90,7 +101,7 @@ from cqpkit.syntax import (
     pretty_print,
     scopes,
 )
-from cqpkit.typecheck import parse_signatures
+from cqpkit.typecheck import ChannelType, parse_signatures
 from support import (
     DIGEST_RANDOM_PROGRAMS,
     DIGEST_TEST_SETS,
@@ -299,6 +310,31 @@ def test_a_continuation_keeps_its_sets_only_while_its_free_names_stay():
     assert sent.qstate.num_qubits == 1  # sent in superposition, so not dropped
 
 
+def test_a_continuation_that_drops_only_classical_names_keeps_its_sets():
+    """Bob's correction ``{y *= sigma[r]}`` goes on as ``out![y] . 0``,
+    which drops only the bits ``r``, and a send on the visible ``d`` goes on
+    without ``d``: each keeps its component's very sets. A send on the
+    hidden ``e`` goes on without ``e``, so its sets are resolved again."""
+    source = "//: P : ^[Bit,Bit], ^[Qbit]\nP(c, out) = (qbit y) c?[r] . {y *= sigma[r]} . out![y] . 0\n"
+    program, signatures = parse_program(source), parse_signatures(source)
+    trace = run_sampled(initial_configuration(program, "P", signatures=signatures), 0, {0: [(0, 1)]})
+    received, corrected = trace[1].config, trace[2].config
+    (received_record,), (corrected_record,) = received.procs, corrected.procs
+    assert pretty_print(corrected_record[0]) == "out![y] . 0"
+    assert corrected_record[2] is received_record[2] == frozenset({0})
+    assert corrected_record[3] is received_record[3]
+
+    program = parse_program("P(c, d) = (new e) (qbit q) (e![0] . d![0] . c![q] . 0 | e?[x] . 0)")
+    trace = run_sampled(initial_configuration(program, "P"), 0)
+    sender = [ts.config.procs[0] for ts in trace[1:4]]
+    assert [pretty_print(r[0]) for r in sender] == ["e![0] . d![0] . c![q] . 0", "d![0] . c![q] . 0", "c![q] . 0"]
+    assert sender[1][3] == frozenset() != sender[0][3]
+    assert sender[1][2] is not sender[0][2]
+    assert sender[2][2] is sender[1][2] and sender[2][3] is sender[1][3]
+    for ts in trace:
+        assert_sets_like_the_term_walks(ts.config, ts.config.check_ownership(), "sends")
+
+
 def test_shared_qubit_rejected_like_the_term_walk():
     program = parse_program("P(c) = (qbit q) (c![q] . 0 | {q *= H} . 0)")
     config = initial_configuration(program, "P")
@@ -473,6 +509,12 @@ def typed_program_pairs():
         yield from zip(group, group[1:])
 
 
+def unsettled_without_cache(config, *, max_states, alphabet, cache):
+    """``explore_unsettled_oracle`` in the place of ``explore``, leaving
+    unused the skeleton cache ``check_equivalence`` passes."""
+    return explore_unsettled_oracle(config, max_states, alphabet)
+
+
 def test_check_equivalence_matches_the_unsettled_oracle():
     """``check_equivalence`` with its prefixes settled and ``explore``
     settling gives the verdict, witness text included, that it gives with
@@ -486,7 +528,7 @@ def test_check_equivalence_matches_the_unsettled_oracle():
             args = (program_a, "Gen", program_b, "Gen", sigs_a, sigs_b, test_qubits, 5000)
             got = program_errors(check_equivalence, *args)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(semantics, "explore", explore_unsettled_oracle)
+                mp.setattr(semantics, "explore", unsettled_without_cache)
                 mp.setattr(semantics, "settle", lambda config: config)
                 want = program_errors(check_equivalence, *args)
             case = f"random{seed_a} vs random{seed_b}:{set_name}"
@@ -497,6 +539,275 @@ def test_check_equivalence_matches_the_unsettled_oracle():
             assert got.render() == want.render(), case
             verdicts.add(got.equivalent)
     assert {True, False} <= verdicts
+
+
+# ---------------------------------------------------------------------------
+# The skeleton cache against exploring each input anew
+# ---------------------------------------------------------------------------
+
+def outcome_or_error(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the type name and message of the
+    ``SemanticsError`` or ``CapacityError`` it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (SemanticsError, CapacityError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def explore_each_input(config, instantiations, max_states=5000):
+    """``(got, want)``: the digest of exploring ``config`` under each of
+    ``instantiations`` in turn, through one ``SkeletonCache`` shared by all
+    of them (``got``) and each without one (``want``). An error shows as its
+    type and message, and the explorations go on after it."""
+    cache = semantics.SkeletonCache()
+    got, want = [], []
+    for alphabet in instantiations:
+        got.append(exploration_digest(outcome_or_error(explore, config, max_states, alphabet, cache=cache)))
+        want.append(exploration_digest(outcome_or_error(explore, config, max_states, alphabet)))
+    return got, want
+
+
+def instantiations_of(program, signatures, entry, test_qubits):
+    return input_instantiations(program, entry, program, entry, signatures, signatures, test_qubits)
+
+
+def check_uncached(*args):
+    """``check_equivalence`` with every exploration made without the
+    skeleton cache it passes; the verdict's text or the error's."""
+    explore_anew = semantics.explore
+
+    def without_cache(config, *, max_states, alphabet, cache):
+        return explore_anew(config, max_states=max_states, alphabet=alphabet)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "explore", without_cache)
+        verdict = outcome_or_error(check_equivalence, *args)
+    return verdict if isinstance(verdict, str) else verdict.render()
+
+
+def check_cached(*args):
+    verdict = outcome_or_error(check_equivalence, *args)
+    return verdict if isinstance(verdict, str) else verdict.render()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of the successors ``_advance`` builds and the configurations
+    ``_compact`` makes, which a replayed step does not build."""
+    counts = {"_advance": 0, "_compact": 0}
+    for name in counts:
+        fn = getattr(semantics, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(semantics, name, counted)
+    return counts
+
+
+def test_the_cache_explores_the_corpus_as_each_input_anew():
+    """Every corpus entry under both digest test sets: exploring each input
+    instantiation through one shared cache gives the digests, errors
+    included, that exploring each anew gives."""
+    cases = 0
+    for name, program, signatures, entry in corpus_entries():
+        config = initial_configuration(program, entry, signatures=signatures)
+        for set_name, test_qubits in DIGEST_TEST_SETS.items():
+            got, want = explore_each_input(
+                config, instantiations_of(program, signatures, entry, test_qubits)
+            )
+            assert got == want, f"{name}:{set_name}"
+            cases += len(got) > 1
+    assert cases >= 6
+
+
+def test_the_cache_explores_the_teleport_chains_as_each_input_anew(built):
+    """Every entry of ``chain_source(3, GATES)`` under the ``chain``
+    workload's default, basis and {|+>} test sets. With 4 inputs, the
+    cached explorations build about a third of the successors."""
+    workloads = bench_workloads()
+    source = workloads.chain_source(3, workloads.GATES)
+    program, signatures = parse_program(source), parse_signatures(source)
+    anew = cached = 0
+    for name, _program, _signatures, entry in _channel_entries_of(program, signatures):
+        config = initial_configuration(program, entry, signatures=signatures)
+        for set_name, test_qubits in workloads.TEST_SETS.items():
+            instantiations = instantiations_of(program, signatures, entry, test_qubits)
+            before = built["_advance"]
+            got, want = explore_each_input(config, instantiations)
+            assert got == want, f"{name}:{set_name}"
+            if set_name == "default":
+                # ``explore_each_input`` explores each input both ways.
+                both = built["_advance"] - before
+                before = built["_advance"]
+                for alphabet in instantiations:
+                    explore(config, 5000, alphabet)
+                anew += built["_advance"] - before
+                cached += both - (built["_advance"] - before)
+    assert 0 < cached * 2 < anew
+
+
+def _channel_entries_of(program, signatures):
+    for d in program.definitions:
+        if all(isinstance(t, ChannelType) for t in signatures[d.name]):
+            yield d.name, program, signatures, d.name
+
+
+def test_the_cache_checks_the_congruence_contexts_as_each_input_anew():
+    """Teleport and Identity in each distinct context of the 50 that seed
+    2024 draws: each side's digests per input, and the verdict of the
+    check."""
+    teleport = corpus.load_corpus_file("teleport.cqp")
+    identity = corpus.load_corpus_file("identity.cqp")
+    rng = random.Random(2024)
+    contexts = {}
+    for _ in range(50):
+        context = congruence.generate_context(rng)
+        contexts.setdefault(context, None)
+    assert len(contexts) == 16
+    for context in contexts:
+        prog_a, sigs_a, main_a = congruence._context_program(teleport[0], teleport[1], "Teleport", context)
+        prog_b, sigs_b, main_b = congruence._context_program(identity[0], identity[1], "Identity", context)
+        instantiations = input_instantiations(
+            prog_a, main_a, prog_b, main_b, sigs_a, sigs_b, DEFAULT_TEST_QUBITS
+        )
+        for program, signatures, main in ((prog_a, sigs_a, main_a), (prog_b, sigs_b, main_b)):
+            config = initial_configuration(program, main, signatures=signatures)
+            got, want = explore_each_input(config, instantiations)
+            assert got == want, context.name
+        args = (prog_a, main_a, prog_b, main_b, sigs_a, sigs_b)
+        assert check_cached(*args) == check_uncached(*args), context.name
+
+
+def test_the_cache_checks_random_pairs_as_each_input_anew():
+    """The pairs of ``test_check_equivalence_matches_the_unsettled_oracle``
+    under both digest test sets: the verdict, witness text included, or
+    the error; and the digests of each side's explorations."""
+    verdicts = set()
+    for (seed_a, program_a, sigs_a), (seed_b, program_b, sigs_b) in typed_program_pairs():
+        for set_name, test_qubits in DIGEST_TEST_SETS.items():
+            case = f"random{seed_a} vs random{seed_b}:{set_name}"
+            args = (program_a, "Gen", program_b, "Gen", sigs_a, sigs_b, test_qubits, 5000)
+            got = check_cached(*args)
+            assert got == check_uncached(*args), case
+            verdicts.add(got.splitlines()[0])
+            instantiations = input_instantiations(
+                program_a, "Gen", program_b, "Gen", sigs_a, sigs_b, test_qubits
+            )
+            for program, signatures in ((program_a, sigs_a), (program_b, sigs_b)):
+                config = initial_configuration(program, "Gen", signatures=signatures)
+                got_digests, want_digests = explore_each_input(config, instantiations)
+                assert got_digests == want_digests, case
+    assert {"EQUIVALENT", "NOT EQUIVALENT"} <= verdicts
+
+
+# Inputs that split on a decision that reads amplitudes, so that a later
+# input takes a step no earlier one took from the same skeleton.
+MEASURED_INPUT = "//: P : ^[Qbit], ^[Bit]\nP(c, d) = c?[x] . d![measure x] . 0\n"
+DEAD_UNDER_ONE_INPUT = "//: P : ^[Qbit], ^[Bit]\nP(c, d) = c?[x] . {x *= H} . d![0] . 0\n"
+
+
+@pytest.mark.parametrize("source", [MEASURED_INPUT, DEAD_UNDER_ONE_INPUT], ids=["measured", "dead"])
+def test_a_later_input_takes_the_cache_miss_path_like_each_input_anew(source, built):
+    """``MEASURED_INPUT`` measures its input: |0> has one outcome, |1>
+    brings the other, and |+> and |i> meet both. ``DEAD_UNDER_ONE_INPUT``
+    leaves its input dead after an H: only under |+> is it in a basis
+    state, so only then does it drop, through a compaction not met before.
+    Each input's exploration has the digest of exploring it anew."""
+    program, signatures = parse_program(source), parse_signatures(source)
+    config = initial_configuration(program, "P", signatures=signatures)
+    instantiations = instantiations_of(program, signatures, "P", DEFAULT_TEST_QUBITS)
+    assert len(instantiations) == 4
+    cache = semantics.SkeletonCache()
+    made = []
+    for alphabet in instantiations:
+        before = dict(built)
+        got = exploration_digest(explore(config, 5000, alphabet, cache=cache))
+        made.append({name: built[name] - before[name] for name in built})
+        assert got == exploration_digest(explore(config, 5000, alphabet))
+    # Each new skeleton also builds the send that follows it.
+    if source == MEASURED_INPUT:
+        assert [m["_advance"] for m in made[1:]] == [2, 0, 0]
+    else:
+        assert [m["_compact"] for m in made[1:]] == [0, 1, 0]
+        assert [m["_advance"] for m in made[1:]] == [0, 1, 0]
+
+
+def test_the_cache_is_gone_once_the_check_returns(monkeypatch):
+    """``check_equivalence`` makes a cache per side and keeps none: once it
+    returns, nothing refers to either."""
+    explore_with = semantics.explore
+    caches = []
+
+    def kept(config, **kwargs):
+        if kwargs["cache"] is not None and all(c() is not kwargs["cache"] for c in caches):
+            caches.append(weakref.ref(kwargs["cache"]))
+        return explore_with(config, **kwargs)
+
+    monkeypatch.setattr(semantics, "explore", kept)
+    workloads = bench_workloads()
+    program, signatures = workloads.load(workloads.chain_source(2))
+    assert check_equivalence(program, "Chain2", program, "Identity", signatures).equivalent
+    assert len(caches) == 2
+    assert [c() for c in caches] == [None, None]
+
+
+# Both inputs die at one gate, and which of them then sit in a basis state
+# depends on the inputs: both under (|0>,|0>), only x under (|0>,|+>), and
+# neither under (|+>,|0>), where the gate entangles them.
+DEAD_PAIR = "//: P : ^[Qbit,Qbit], ^[Bit]\nP(c, d) = c?[x,y] . {x,y *= CNot} . d![0] . 0\n"
+
+
+def test_each_set_of_dropped_qubits_leads_to_its_own_skeleton(built):
+    """One step drops a different set of dead qubits under different
+    inputs; each set gets its own compaction, and each input's
+    exploration has the digest of exploring it anew."""
+    program, signatures = parse_program(DEAD_PAIR), parse_signatures(DEAD_PAIR)
+    config = initial_configuration(program, "P", signatures=signatures)
+    instantiations = instantiations_of(program, signatures, "P", DEFAULT_TEST_QUBITS)
+    assert len(instantiations) == 16
+    first = built["_compact"]
+    got, want = explore_each_input(config, instantiations[:1])
+    assert got == want and built["_compact"] == first + 2
+    got, want = explore_each_input(config, instantiations)
+    assert got == want
+    assert len(set(want)) > 2
+
+
+# The input is dead once received. Under |0> and |1> it sits in a basis
+# state and drops, so the allocation fits the 12-qubit cap; under |+> it
+# stays, and the allocation passes the cap.
+CAP_UNDER_ONE_INPUT = (
+    "//: P : ^[Qbit], ^[Bit]\n"
+    "P(c, d) = c?[x] . d![0] . (qbit q1,q2,q3,q4,q5,q6,q7,q8,q9,q10,q11,q12) 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source,max_states,error",
+    [
+        (CAP_UNDER_ONE_INPUT, 5000, "CapacityError"),
+        (MEASURED_INPUT, 5, "ExplorationLimitError"),
+    ],
+    ids=["qubit cap", "state cap"],
+)
+def test_an_error_under_a_later_input_is_the_uncached_error(source, max_states, error):
+    """An error that only a later input meets is raised through the cache
+    with the type and message that exploring that input anew raises, and
+    ``check_equivalence`` raises it too."""
+    program, signatures = parse_program(source), parse_signatures(source)
+    config = initial_configuration(program, "P", signatures=signatures)
+    instantiations = instantiations_of(program, signatures, "P", DEFAULT_TEST_QUBITS)
+    got, want = explore_each_input(config, instantiations, max_states)
+    assert got == want
+    first = next(i for i, alphabet in enumerate(instantiations)
+                 if isinstance(outcome_or_error(explore, config, max_states, alphabet), str))
+    assert first > 0
+    raised = outcome_or_error(explore, config, max_states, instantiations[first])
+    assert raised.startswith(error)
+    args = (program, "P", program, "P", signatures, signatures, DEFAULT_TEST_QUBITS, max_states)
+    assert check_cached(*args) == check_uncached(*args) == raised
 
 
 # ---------------------------------------------------------------------------
