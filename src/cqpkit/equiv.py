@@ -419,11 +419,11 @@ def check_equivalence(
     passing the qubit cap, is raised before any error that exploring side a
     would raise.
 
-    With more than one instantiation, each side's explorations share one
-    ``semantics.SkeletonCache``, made here and dropped on return, so the
-    work that reads no amplitude is done once per check rather than once
-    per instantiation; later instantiations run only the ``qstate``
-    kernels and the decisions that read amplitudes. Replaying a cached
+    Each side's explorations share one ``semantics.SkeletonCache``, made
+    here and dropped on return, so the work that reads no amplitude is
+    done once per check rather than once per instantiation; later
+    instantiations run only the ``qstate`` kernels and the decisions that
+    read amplitudes. Replaying a cached
     successor builds the configuration that building it anew would build:
     a step's effect on everything but the state depends only on that part
     of the configuration (the key of the cache), the move taken, the
@@ -432,7 +432,7 @@ def check_equivalence(
     key; and every error such a step could raise comes from that part too,
     so the first instantiation to take the step raises it first. Every
     kernel call, every PLTS and so every verdict is the one exploring each
-    instantiation anew gives (``semantics.explore``).
+    instantiation through a cache of its own gives (``semantics.explore``).
     """
     if signatures_b is None:
         signatures_b = signatures_a
@@ -445,11 +445,7 @@ def check_equivalence(
     cfg_b = semantics.settle(
         semantics.initial_configuration(program_b, entry_b, signatures=signatures_b)
     )
-    cache_a, cache_b = (
-        (semantics.SkeletonCache(), semantics.SkeletonCache())
-        if len(instantiations) > 1
-        else (None, None)
-    )
+    cache_a, cache_b = semantics.SkeletonCache(), semantics.SkeletonCache()
     for alphabet in instantiations:
         plts_a = semantics.explore(cfg_a, max_states=max_states, alphabet=alphabet, cache=cache_a)
         plts_b = semantics.explore(cfg_b, max_states=max_states, alphabet=alphabet, cache=cache_b)

@@ -74,11 +74,12 @@ that is sound). Measurement branches that differ only in such qubits then
 become one configuration, and the qubit cap bounds the qubits held at one
 time rather than all ever allocated.
 
-``explore`` can share, through a ``SkeletonCache``, the work that reads no
-amplitude between the explorations of one configuration under several
-inputs: everything of a configuration but its state, and every step taken
-from that, is built once, and later inputs run only the state kernels.
-``equiv.check_equivalence`` shares one per side of a check.
+``explore`` does the work that reads no amplitude once per *skeleton*,
+everything of a configuration but its state, through a ``SkeletonCache``:
+every step taken from a skeleton is built once, and a configuration that
+meets the skeleton again runs only the state kernels.
+``equiv.check_equivalence`` shares one cache per side between the
+explorations of a check's input instantiations.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ class Configuration:
     gate pruning leave such exact zeros). A qubit measured into a payload
     is such a qubit in every branch, so the branch is collapsed with it
     already sliced out, and only the other dead qubits are scanned for
-    those zeros (``_drop_dead_qubits``). A dropped qubit is an exact tensor
+    those zeros (``_basis_drops``). A dropped qubit is an exact tensor
     factor |b> of ``qstate``: no gate or measurement acts on it again, and
     the reduced density matrix of any other qubits, which is all an output
     label shows, is the same with or without it. So configurations that
@@ -577,49 +578,46 @@ def _keeps_sets(names: frozenset, held: frozenset, env: dict, bindings: dict, vi
 
 def _drop_dead(config: Configuration, outcome: MeasurementOutcome | None = None) -> Configuration:
     """``config``, a successor ``_advance`` built and checked, with its
-    dead basis qubits dropped (``_drop_dead_qubits``). A measurement step
-    passes its branch as ``outcome``, a measurement of ``config.qstate``:
-    the components are built and checked first, so the branch is collapsed
-    once, with the measured qubits that are now dead already sliced out.
-    Without a dead qubit or a branch to collapse (the common case) the
-    configuration is returned as it is."""
+    dead qubits that sit in a basis state removed (see ``Configuration``)
+    and the others renumbered in their old order: ``_basis_drops`` decides
+    which drop, reading amplitudes, and ``_compact`` rebuilds the rest. A
+    measurement step passes its branch as ``outcome``, a measurement of
+    ``config.qstate``: the components are built and checked first, so the
+    branch is collapsed once, with the measured qubits that are now dead
+    already sliced out. Without a dead qubit to drop or a branch to
+    collapse (the common case) the configuration is returned as it is.
+    The result carries ``config``'s live set renumbered, since no live
+    qubit is dropped."""
     live = config._live
-    if outcome is None and len(live) == config.qstate.num_qubits:
+    found = _basis_drops(config.qstate, live, outcome)
+    if found is None:
         return config
-    return _drop_dead_qubits(config, live, outcome)
-
-
-def _drop_dead_qubits(
-    config: Configuration, live: frozenset[int], outcome: MeasurementOutcome | None = None
-) -> Configuration:
-    """Remove the dead qubits that sit in a basis state (see ``Configuration``)
-    and renumber the others in their old order (``_compact``).
-
-    With ``outcome``, a measurement of ``config.qstate``, the state is first
-    collapsed onto that branch: its measured dead qubits are in the basis
-    state of their bit, so ``qstate.collapse`` slices them out, and only the
-    other dead qubits are scanned, on the smaller state.
-
-    ``live`` is ``config``'s checked live set; the result carries it
-    renumbered, since no live qubit is dropped."""
-    dead = [q for q in range(config.qstate.num_qubits) if q not in live]
-    qvec, dropped = _basis_drops(config.qstate, dead, live, outcome)
-    if not dropped and outcome is None:
-        return config
+    qvec, dropped = found
     return _compact(config, live, dropped, qvec)
 
 
 def _basis_drops(
-    state: StateVector, dead: list, live: frozenset, outcome: MeasurementOutcome | None
-) -> tuple[StateVector, dict[int, int]]:
-    """``state``, collapsed onto ``outcome`` when given, with its ``dead``
-    qubits that sit in a basis state sliced out, and those qubits with
-    their bits: the part of ``_drop_dead_qubits`` that reads amplitudes."""
+    state: StateVector, live: frozenset, outcome: MeasurementOutcome | None = None
+) -> tuple[StateVector, dict[int, int]] | None:
+    """``(qvec, dropped)``: ``state``, collapsed onto ``outcome`` when given,
+    with its dead qubits (those not in ``live``) that sit in a basis state
+    sliced out, and those qubits with their bits; or None when there is no
+    branch to collapse and no dead qubit drops. This is the part of
+    dropping dead qubits that reads amplitudes.
+
+    With ``outcome``, a measurement of ``state``, the measured dead qubits
+    are in the basis state of their bit, so ``qstate.collapse`` slices them
+    out, and only the other dead qubits are scanned, on the smaller
+    state."""
+    n = state.num_qubits
     if outcome is None:
-        return qstate.drop_basis_qubits(state, dead)
+        if len(live) == n:
+            return None
+        qvec, dropped = qstate.drop_basis_qubits(state, [q for q in range(n) if q not in live])
+        return (qvec, dropped) if dropped else None
     dropped = {t: b for t, b in zip(outcome.targets, outcome.result) if t not in live}
     qvec = qstate.collapse(outcome, dropped)
-    rest = [q for q in dead if q not in dropped]
+    rest = [q for q in range(n) if q not in live and q not in dropped]
     if rest:
         at = {q: q - sum(d < q for d in dropped) for q in rest}  # each one's id in qvec
         qvec, more = qstate.drop_basis_qubits(qvec, list(at.values()))
@@ -673,12 +671,12 @@ def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes
     fresh name ``binder~n`` in the component's environment, so no two
     bindings clash and nothing can name a dead qubit again. Each
     ``TestQubit`` among the values is first appended to the state as a new
-    qubit, in order, and bound as its id.
+    qubit, in order (``_received``), and bound as its id.
     One binder receiving several bits binds them as one tuple.
     """
-    qubits = [(v.amp0, v.amp1) for v in values if isinstance(v, TestQubit)]
-    if qubits:
-        changes["qstate"] = qstate.append_qubits(config.qstate, qubits)
+    qvec = _received(config.qstate, values)
+    if qvec is not config.qstate:
+        changes["qstate"] = qvec
         new_ids = itertools.count(config.qstate.num_qubits)
         values = [QubitVal(next(new_ids)) if isinstance(v, TestQubit) else v for v in values]
     if len(binders) == len(values):
@@ -699,6 +697,13 @@ def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes
         fresh += 1
     heads = {**heads, i: (term, env)}
     return _advance(config, heads, bindings=bindings, next_fresh=fresh, **changes)
+
+
+def _received(qvec: StateVector, values) -> StateVector:
+    """``qvec`` with each ``TestQubit`` among ``values`` appended, in order,
+    as a new qubit; ``qvec`` itself when there is none."""
+    qubits = [(v.amp0, v.amp1) for v in values if isinstance(v, TestQubit)]
+    return qstate.append_qubits(qvec, qubits) if qubits else qvec
 
 
 def _gate_for(config: Configuration, env: dict, ref) -> qstate.Gate:
@@ -723,27 +728,38 @@ _UNFOLDED = (Parallel, Call, Nil)
 _DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
 
 
-def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: dict) -> Configuration:
-    """The one successor of the τ step of component ``i``, headed by a
-    qubit allocation, a channel restriction or a gate, before its dead
-    qubits drop (``_drop_dead``). Allocation binds one fresh |0> qubit per
-    binder and ``new`` one fresh channel, both through ``_bind``."""
+def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: dict) -> tuple:
+    """``(op, successor)``: the one successor of the τ step of component
+    ``i``, headed by a qubit allocation, a channel restriction or a gate,
+    before its dead qubits drop (``_drop_dead``), and the state operation
+    the step applies (``_state_op``). Allocation binds one fresh |0> qubit
+    per binder and ``new`` one fresh channel, both through ``_bind``."""
+    op = _state_op(config, head, env)
+    qvec = config.qstate if op is None else getattr(qstate, op[0])(config.qstate, *op[1:])
+    heads = {i: (head.continuation, env)}
     if isinstance(head, QbitAlloc):
-        zeros = (_KET0,) * len(head.binders)
-        return _bind(config, {i: (head.continuation, env)}, i, head.binders, zeros)
+        fresh = range(config.qstate.num_qubits, qvec.num_qubits)
+        return op, _bind(config, heads, i, head.binders, [QubitVal(q) for q in fresh], qstate=qvec)
     if isinstance(head, NewChannel):
-        return _bind(
-            config,
-            {i: (head.continuation, env)},
-            i,
-            (head.binder,),
-            (ChannelVal(config.next_channel),),
-            next_channel=config.next_channel + 1,
-        )
-    qids = _qubit_ids(config, env, head.targets)
-    gate = _gate_for(config, env, head.gate)
-    qvec = qstate.apply_gate(config.qstate, gate, qids)
-    return _advance(config, {i: (head.continuation, env)}, qstate=qvec)
+        channel = (ChannelVal(config.next_channel),)
+        return op, _bind(config, heads, i, (head.binder,), channel, next_channel=config.next_channel + 1)
+    return op, _advance(config, heads, qstate=qvec)
+
+
+def _state_op(config: Configuration, head: ProcessTerm, env: dict) -> tuple | None:
+    """The state operation of the deterministic τ step of ``head``, as the
+    name of a ``qstate`` function and its arguments after the state: a
+    gate's ``apply_gate`` on the qubits it names, an allocation's
+    ``append_qubits`` of one |0> qubit per binder; None for ``new``. It
+    reads only names and bindings, never amplitudes. ``_deterministic_tau``
+    and ``SkeletonCache._follow`` apply it as ``getattr(qstate, op[0])(state,
+    *op[1:])``."""
+    if isinstance(head, GateAction):
+        qids = _qubit_ids(config, env, head.targets)
+        return "apply_gate", _gate_for(config, env, head.gate), qids
+    if isinstance(head, QbitAlloc):
+        return "append_qubits", [(_KET0.amp0, _KET0.amp1)] * len(head.binders)
+    return None
 
 
 def _communicate(config: Configuration, out_i: int, in_i: int) -> Configuration:
@@ -797,8 +813,9 @@ def settle(config: Configuration) -> Configuration:
     component headed by a qubit allocation, a ``new`` or a gate moves
     (``_deterministic_tau``), in ``step``'s priority order; only when none
     is left does the first private communication go (``_communicate``, as
-    ``step`` builds it). A configuration that has neither is returned as it
-    is.
+    ``step`` builds it). A configuration that has neither comes back with
+    the same fields. The run is ``SkeletonCache.settle``'s, through a cache
+    of its own.
 
     A private communication on ``c`` is τ-confluent and inert, like a
     deterministic τ (see ``step``). No component but its sender ``S`` and
@@ -814,12 +831,9 @@ def settle(config: Configuration) -> Configuration:
     verification", TCS 1996). Every step consumes a prefix, so every run
     of these steps is finite.
 
-    The components before the one that moved keep their heads, so the scan
-    for deterministic τ steps goes on from the lowest index that moved.
-
     ``explore`` settles the outcomes of one transition, such as the
     branches of a measurement, through one table (``_Siblings``) that lives
-    only while it interns them (``_settle_among``). Before each private
+    only while it interns them (``SkeletonCache.settle``). Before each private
     communication, a run looks its configuration up among those that the
     runs of earlier outcomes met there; on a hit it stops, and the outcome
     takes the state the earlier run was interned as. The four branches of
@@ -850,50 +864,26 @@ def settle(config: Configuration) -> Configuration:
     is probed only before private communications, not before every step,
     which costs more than it saves.
     """
-    return _settle_among(config, None)[0]
-
-
-def _settle_among(config: Configuration, siblings: _Siblings | None) -> tuple[Configuration, int | None]:
-    """``settle``'s run from ``config``, as ``(settled, None)``; or, with
-    ``siblings``, ``(config where it stopped, state)`` once it meets before
-    a private communication a configuration an earlier sibling's run met,
-    which was interned as the PLTS state ``state`` (see ``settle``)."""
-    i = 0
-    while True:
-        procs = config.procs
-        while i < len(procs):
-            head, env, _qubits, _hidden = procs[i]
-            if isinstance(head, _DETERMINISTIC_TAU):
-                config = _drop_dead(_deterministic_tau(config, i, head, env))
-                procs = config.procs
-            else:
-                i += 1
-        redex = _private_redex(config)
-        if redex is None:
-            return config, None
-        if siblings is not None:
-            sid = siblings.find(config)
-            if sid is not None:
-                return config, sid
-        config = _drop_dead(_communicate(config, *redex))
-        i = min(redex)
+    cache = SkeletonCache()
+    skel, qvec, _sid = cache.settle(cache.skeleton(config), config.qstate, None)
+    return skel.at(qvec)
 
 
 class _Siblings:
     """The configurations that the settle runs of one transition's earlier
     outcomes met before a private communication, each with the PLTS state
-    its run was interned as (``_settle_among``). It lives only as long as
-    ``explore`` interns that one transition's outcomes.
+    its run was interned as (``SkeletonCache.settle``). It lives only as
+    long as ``explore`` interns that one transition's outcomes.
 
     Entries are filed under a cheap pre-filter, the qubit count and the
     identities of the component terms, so a key is computed only for a
     configuration whose terms another already shares, and a phase
-    comparison only under an equal key. The key is ``canonical_key``, or
-    ``key``, a function that gives it, when one is given (``SkeletonCache.key``)."""
+    comparison only under an equal key. ``key`` gives a configuration's
+    ``canonical_key`` (``SkeletonCache.key``)."""
 
     __slots__ = ("_met", "_run", "_key")
 
-    def __init__(self, key=None):
+    def __init__(self, key):
         self._met: dict[tuple, list[list]] = {}  # pre-filter -> [config, key or None, state]
         self._run: list[list] = []  # entries of the run in progress, state still None
         self._key = key
@@ -904,7 +894,7 @@ class _Siblings:
         None, after noting ``config`` for the run in progress."""
         slot = (config.qstate.num_qubits, tuple(id(record[0]) for record in config.procs))
         entries = self._met.setdefault(slot, [])
-        key_of = self._key or canonical_key
+        key_of = self._key
         key = None
         for entry in entries:
             met, met_key, sid = entry
@@ -1020,45 +1010,81 @@ def step(
 def _transitions(config: Configuration, alphabet: dict, rng: random.Random | None):
     """The enabled transitions of ``config`` in ``step``'s order, each built
     when the enumeration reaches it."""
-    for i, (head, env, _qubits, _hidden) in enumerate(config.procs):
-        if isinstance(head, _DETERMINISTIC_TAU):
-            yield Transition(TAU, ((1.0, _drop_dead(_deterministic_tau(config, i, head, env))),))
-            return
-
+    tau = _tau_move(config.procs)
+    if tau is not None:
+        _kind, i, head, env = tau
+        yield Transition(TAU, ((1.0, _drop_dead(_deterministic_tau(config, i, head, env)[1])),))
+        return
     for move in _moves(config):
-        kind = move[0]
-        if kind is _MEASURE:
-            _kind, i, head, env, qids = move
-            outcomes = qstate.measure(config.qstate, qids)
-            drawn = rng is not None and len(outcomes) > 1
-            if drawn:
-                outcomes = [_draw(outcomes, rng)]
-            dist = []
-            for o in outcomes:
-                cfg = _drop_dead(_advance(config, {i: (head.forced(o.result), env)}), o)
-                dist.append((o.probability, cfg))
-            yield Transition(TAU, tuple(dist), drawn)
-        elif kind is _SEND:
-            _kind, i, head, env, cid, values, sent = move
-            dm = qstate.reduced_density_matrix(config.qstate, sent) if sent else None
-            label = CommLabel("out", cid, config.display_channel(cid), values, dm)
-            cfg = _drop_dead(_advance(config, {i: (head.continuation, env)}))
-            yield Transition(label, ((1.0, cfg),))
-        elif kind is _RECEIVE:
-            _kind, i, head, env, cid = move
-            for value_tuple in alphabet.get(cid, ()):
-                cfg = _drop_dead(
-                    _bind(config, {i: (head.continuation, env)}, i, head.binders, value_tuple)
-                )
-                label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
-                yield Transition(label, ((1.0, cfg),))
-        else:
-            _kind, out_i, in_i = move
-            yield Transition(TAU, ((1.0, _drop_dead(_communicate(config, out_i, in_i))),))
+        found = _move_transitions(move, config.qstate, config.channel_names, alphabet, rng)
+        for label, outcomes, drawn in found:
+            dist = [(p, _drop_dead(_successor(config, move, arg)[1], o)) for p, arg, o in outcomes]
+            yield Transition(label, tuple(dist), drawn)
 
 
-# The kinds of ``_moves``.
-_MEASURE, _SEND, _RECEIVE, _COMMUNICATE = "measure", "send", "receive", "communicate"
+# The kinds of a move: a deterministic τ (``_tau_move``), and those of
+# ``_moves``.
+_TAU, _MEASURE, _SEND, _RECEIVE, _COMMUNICATE = "tau", "measure", "send", "receive", "communicate"
+
+
+def _tau_move(procs: tuple) -> tuple | None:
+    """``(_TAU, i, head, env)`` for the first component ``i`` headed by a
+    qubit allocation, a ``new`` or a gate, which ``step``'s priority rule
+    moves; or None."""
+    for i, (head, env, _qubits, _hidden) in enumerate(procs):
+        if isinstance(head, _DETERMINISTIC_TAU):
+            return _TAU, i, head, env
+    return None
+
+
+def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alphabet: dict, rng):
+    """The transitions of ``move`` (``_moves``) at state ``qvec``, in
+    ``step``'s order, as ``(label, outcomes, drawn)``, each outcome a
+    ``(probability, arg, branch)`` of what ``_successor`` and
+    ``_drop_dead`` take: a measurement's outcome bits and branch, or a
+    received value tuple. The kernels that a label or a distribution reads
+    run here; no successor is built. With ``rng``, a measurement of
+    several outcomes gives only the one drawn (``_draw``), and ``drawn``
+    is then true."""
+    kind = move[0]
+    if kind is _MEASURE:
+        outcomes = qstate.measure(qvec, move[4])
+        drawn = rng is not None and len(outcomes) > 1
+        if drawn:
+            outcomes = [_draw(outcomes, rng)]
+        yield TAU, [(o.probability, o.result, o) for o in outcomes], drawn
+    elif kind is _SEND:
+        _kind, _i, _head, _env, cid, values, sent = move
+        dm = qstate.reduced_density_matrix(qvec, sent) if sent else None
+        yield CommLabel("out", cid, channel_names[cid], values, dm), [(1.0, None, None)], False
+    elif kind is _RECEIVE:
+        cid = move[4]
+        for value_tuple in alphabet.get(cid, ()):
+            label = CommLabel("in", cid, channel_names[cid], tuple(value_tuple))
+            yield label, [(1.0, value_tuple, None)], False
+    else:
+        yield TAU, [(1.0, None, None)], False
+
+
+def _successor(config: Configuration, move: tuple, arg=None) -> tuple:
+    """``(op, successor)``: the successor ``move`` builds from ``config``
+    with ``arg`` (``_move_transitions``), before its dead qubits drop
+    (``_drop_dead``), and the state operation a deterministic τ applies
+    (``_state_op``; None for the other kinds, whose received test qubits
+    ``_bind`` appends). ``step``, ``settle`` and ``explore`` build every
+    successor here."""
+    kind = move[0]
+    if kind is _TAU:
+        _kind, i, head, env = move
+        return _deterministic_tau(config, i, head, env)
+    if kind is _COMMUNICATE:
+        return None, _communicate(config, move[1], move[2])
+    i, head, env = move[1:4]
+    if kind is _MEASURE:
+        return None, _advance(config, {i: (head.forced(arg), env)})
+    if kind is _SEND:
+        return None, _advance(config, {i: (head.continuation, env)})
+    return None, _bind(config, {i: (head.continuation, env)}, i, head.binders, arg)
 
 
 def _moves(config: Configuration):
@@ -1165,10 +1191,10 @@ _UNKNOWN = object()  # a field of a ``_Skeleton`` not computed yet
 
 
 class SkeletonCache:
-    """What exploring a configuration finds out without reading its
-    amplitudes, kept for the explorations of one initial configuration
-    under several input instantiations (``explore``). It lives only as long
-    as the ``equiv.check_equivalence`` call that makes it.
+    """What exploring configurations finds out without reading their
+    amplitudes, kept for the length of one ``explore`` call, or of one
+    ``equiv.check_equivalence`` call, which shares one between the
+    explorations of a side under its input instantiations.
 
     Entries are keyed by a configuration's *skeleton*: everything but its
     state, namely the ``bindings`` and ``procs`` objects, held by identity,
@@ -1176,12 +1202,12 @@ class SkeletonCache:
     and ``program`` are those of the initial configuration throughout. Each
     entry holds the objects of its key, so no identity is reused while the
     cache lives. A skeleton records, as each is first needed: its checked
-    live set, its ``canonical_key``, its ``_private_redex``, its settle step
-    (a deterministic τ with the state operation it applies, or the private
-    communication), its ``step`` moves (``_moves``) and, for each step, the
-    skeleton the step builds per measurement outcome or received value
-    tuple, before dead qubits drop, and from that one the skeleton per set
-    of dropped dead qubits."""
+    live set, its ``canonical_key``, its settle step (the deterministic τ,
+    or else the private communication, ``_private_redex``), its ``step``
+    moves (``_moves``) and, for each move, the skeleton it builds
+    (``_successor``) per measurement outcome or received value tuple, with
+    the state operation it applies, and from that one the skeleton left per
+    set of dropped dead qubits (``_compact``; ``_follow``)."""
 
     def __init__(self):
         self._skeletons: dict[tuple, _Skeleton] = {}
@@ -1190,7 +1216,7 @@ class SkeletonCache:
         """The entry of ``config``'s skeleton. A new one keeps the live set
         ``config`` carries once checked; one made from an initial
         configuration, which carries none, has None, so that the steps from
-        it scan their successors in full, as without the cache."""
+        it scan their successors in full."""
         ident = (
             id(config.bindings),
             id(config.procs),
@@ -1211,168 +1237,125 @@ class SkeletonCache:
         return self.skeleton(config).key(config.qstate)
 
     def settle(self, skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None) -> tuple:
-        """``_settle_among`` from ``skel`` at state ``qvec``, as ``(skeleton,
-        state, sid)``. A step met before runs only its state operation and
-        the drop of dead qubits; only a step met for the first time builds a
-        ``Configuration``, by the same functions as ``_settle_among``."""
+        """``settle``'s run from ``skel`` at state ``qvec``, as ``(skeleton,
+        state, None)``; or, with ``siblings``, ``(skeleton, state, sid)``
+        where the run stopped, once it meets before a private communication
+        a configuration an earlier sibling's run met, which was interned as
+        the PLTS state ``sid`` (see ``settle``)."""
         while True:
-            tau = skel.tau
-            if tau is _UNKNOWN:
-                tau, qpre = self._first_tau(skel, qvec)
-            elif tau is not None:
-                op, _pre = tau
-                qpre = qvec if op is None else getattr(qstate, op[0])(qvec, *op[1:])
-            if tau is not None:
-                skel, qvec = self.drop(tau[1], qpre)
+            if skel.tau is _UNKNOWN:
+                move = _tau_move(skel.config.procs)
+                skel.tau = None if move is None else (move, {})
+            if skel.tau is not None:
+                move, built = skel.tau
+                skel, qvec = self._follow(skel, qvec, move, built)
                 continue
-            redex = skel.redex
-            if redex is _UNKNOWN:
-                redex = skel.redex = _private_redex(skel.at(qvec))
-            if redex is None:
+            if skel.redex is _UNKNOWN:
+                redex = _private_redex(skel.at(qvec))
+                skel.redex = None if redex is None else ((_COMMUNICATE, *redex), {})
+            if skel.redex is None:
                 return skel, qvec, None
             if siblings is not None:
                 sid = siblings.find(skel.at(qvec))
                 if sid is not None:
                     return skel, qvec, sid
-            if skel.comm is None:
-                skel.comm = self.skeleton(_communicate(skel.at(qvec), *redex))
-            skel, qvec = self.drop(skel.comm, qvec)
-
-    def _first_tau(self, skel: _Skeleton, qvec: StateVector) -> tuple:
-        """``(skel.tau, state)``: the first deterministic τ step of ``skel``,
-        as its state operation (``_state_op``) and the skeleton it builds,
-        and that skeleton's state, made from ``qvec`` by the one step; or
-        ``(None, qvec)`` when ``skel`` has none."""
-        for i, (head, env, _qubits, _hidden) in enumerate(skel.procs):
-            if isinstance(head, _DETERMINISTIC_TAU):
-                config = skel.at(qvec)
-                op = _state_op(config, head, env)
-                built = _deterministic_tau(config, i, head, env)
-                skel.tau = (op, self.skeleton(built))
-                return skel.tau, built.qstate
-        skel.tau = None
-        return None, qvec
-
-    def drop(
-        self, pre: _Skeleton, qvec: StateVector, outcome: MeasurementOutcome | None = None
-    ) -> tuple:
-        """``_drop_dead`` on the configuration ``pre`` at state ``qvec``, as
-        ``(skeleton, state)``: the amplitudes decide which dead qubits drop
-        (``_basis_drops``), and the skeleton left is built once per set of
-        dropped qubits (``_compact``)."""
-        live = pre.live
-        if outcome is None and len(live) == pre.n:
-            return pre, qvec
-        if pre.dead is None:
-            pre.dead = [q for q in range(pre.n) if q not in live]
-        qout, dropped = _basis_drops(qvec, pre.dead, live, outcome)
-        if not dropped and outcome is None:
-            return pre, qvec
-        if pre.drops is None:
-            pre.drops = {}
-        gone = frozenset(dropped)
-        skel = pre.drops.get(gone)
-        if skel is None:
-            skel = pre.drops[gone] = self.skeleton(_compact(pre.at(qvec), live, dropped, qout))
-        return skel, qout
+            move, built = skel.redex
+            skel, qvec = self._follow(skel, qvec, move, built)
 
     def transitions(self, skel: _Skeleton, qvec: StateVector, alphabet: dict) -> list[tuple]:
         """``step``'s transitions of the settled ``skel`` at state ``qvec``,
         in its order, as ``(label, outcomes)`` with each outcome a
-        ``(probability, (skeleton, state))``. The moves (``_moves``) are
-        enumerated once per skeleton; each later time only the kernels run
-        (``measure``, ``reduced_density_matrix``, ``append_qubits`` and the
-        drop of dead qubits), and a successor is built only for an outcome
-        or a value tuple not met before."""
+        ``(probability, (skeleton, state))``. The moves are enumerated once
+        per skeleton (``_moves``), and the labels and distributions read
+        the amplitudes each time (``_move_transitions``)."""
         moves = skel.moves
         if moves is None:
             moves = _planned(skel, _moves(skel.at(qvec)))
+        names = skel.config.channel_names
         found = []
         for move, built in moves:
-            kind = move[0]
-            if kind is _MEASURE:
-                _kind, i, head, env, qids = move
-                dist = []
-                for o in qstate.measure(qvec, qids):
-                    pre = built.get(o.result)
-                    if pre is None:
-                        config = _advance(skel.at(qvec), {i: (head.forced(o.result), env)})
-                        pre = built[o.result] = self.skeleton(config)
-                    dist.append((o.probability, self.drop(pre, qvec, o)))
-                found.append((TAU, dist))
-            elif kind is _SEND:
-                _kind, i, head, env, cid, values, sent = move
-                dm = qstate.reduced_density_matrix(qvec, sent) if sent else None
-                label = CommLabel("out", cid, skel.channel_names[cid], values, dm)
-                pre = built.get(None)
-                if pre is None:
-                    config = _advance(skel.at(qvec), {i: (head.continuation, env)})
-                    pre = built[None] = self.skeleton(config)
-                found.append((label, [(1.0, self.drop(pre, qvec))]))
-            elif kind is _RECEIVE:
-                _kind, i, head, env, cid = move
-                for value_tuple in alphabet.get(cid, ()):
-                    slot = tuple(None if isinstance(v, TestQubit) else v for v in value_tuple)
-                    pre = built.get(slot)
-                    if pre is None:
-                        heads = {i: (head.continuation, env)}
-                        config = _bind(skel.at(qvec), heads, i, head.binders, value_tuple)
-                        pre = built[slot] = self.skeleton(config)
-                        qpre = config.qstate
-                    else:
-                        amps = [(v.amp0, v.amp1) for v in value_tuple if isinstance(v, TestQubit)]
-                        qpre = qstate.append_qubits(qvec, amps) if amps else qvec
-                    label = CommLabel("in", cid, skel.channel_names[cid], tuple(value_tuple))
-                    found.append((label, [(1.0, self.drop(pre, qpre))]))
-            else:
-                _kind, out_i, in_i = move
-                pre = built.get(None)
-                if pre is None:
-                    pre = built[None] = self.skeleton(_communicate(skel.at(qvec), out_i, in_i))
-                found.append((TAU, [(1.0, self.drop(pre, qvec))]))
+            for label, outcomes, _drawn in _move_transitions(move, qvec, names, alphabet, None):
+                dist = [(p, self._follow(skel, qvec, move, built, arg, o)) for p, arg, o in outcomes]
+                found.append((label, dist))
         return found
+
+    def _follow(
+        self, skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=None, branch=None
+    ) -> tuple:
+        """``(skeleton, state)``: the successor of ``move`` from ``skel`` at
+        state ``qvec`` with ``arg``, with its dead qubits dropped as
+        ``_drop_dead`` drops them.
+
+        ``built`` maps the bits of each outcome, or each value tuple
+        received with its test qubits blanked, to the skeleton the move
+        built with it and the state operation it applied. Only an ``arg``
+        not met before builds a ``Configuration`` (``_successor``); a met
+        one runs the operation, or appends the received test qubits as
+        ``_bind`` does (``_received``). The amplitudes then decide which
+        dead qubits drop (``_basis_drops``), and the skeleton left is built
+        once per set of dropped qubits (``_compact``)."""
+        receives = move[0] is _RECEIVE
+        slot = tuple(None if isinstance(v, TestQubit) else v for v in arg) if receives else arg
+        hit = built.get(slot)
+        if hit is None:
+            op, config = _successor(skel.at(qvec), move, arg)
+            pre = self.skeleton(config)
+            built[slot] = pre, op
+            qvec = config.qstate
+        else:
+            pre, op = hit
+            if receives:
+                qvec = _received(qvec, arg)
+            elif op is not None:
+                qvec = getattr(qstate, op[0])(qvec, *op[1:])
+        found = _basis_drops(qvec, pre.live, branch)
+        if found is None:
+            return pre, qvec
+        qout, dropped = found
+        if pre.drops is None:
+            pre.drops = {}
+        gone = frozenset(dropped)
+        left = pre.drops.get(gone)
+        if left is None:
+            left = pre.drops[gone] = self.skeleton(_compact(pre.at(qvec), pre.live, dropped, qout))
+        return left, qout
 
 
 class _Skeleton:
     """A configuration less its state, with what exploring it has found
-    out so far (``SkeletonCache``). ``tau`` and ``redex`` are ``_UNKNOWN``
-    until computed; ``tau`` then holds None or ``(state operation,
-    skeleton)``, and ``comm`` the skeleton of the private communication
-    once built. ``moves`` holds ``(move, built)`` pairs, where ``built``
-    maps an outcome's bits, a received value tuple with its test qubits
-    blanked, or None, to the skeleton the move builds; ``drops`` maps a
-    set of dropped dead qubits to the skeleton left."""
+    out so far (``SkeletonCache``). ``config`` is the first configuration
+    met with this skeleton, and ``live`` its checked live set, or None.
+    ``tau`` and ``redex`` are ``_UNKNOWN`` until computed, and then None or
+    the move (``_tau_move``, or a ``_COMMUNICATE`` move) with its table of
+    what it built (``SkeletonCache._follow``). ``moves`` holds such pairs
+    for each move of ``step``, and ``drops`` maps a set of dropped dead
+    qubits to the skeleton left."""
 
-    __slots__ = (
-        "bindings", "procs", "channel_names", "next_channel", "next_fresh", "program",
-        "n", "live", "_key", "dead", "tau", "redex", "comm", "moves", "drops",
-    )
+    __slots__ = ("config", "live", "_key", "tau", "redex", "moves", "drops")
 
     def __init__(self, config: Configuration, live: frozenset | None):
-        self.bindings = config.bindings
-        self.procs = config.procs
-        self.channel_names = config.channel_names
-        self.next_channel = config.next_channel
-        self.next_fresh = config.next_fresh
-        self.program = config.program
-        self.n = config.qstate.num_qubits
+        self.config = config
         self.live = live
-        self._key = self.dead = self.comm = self.moves = self.drops = None
+        self._key = self.moves = self.drops = None
         self.tau = self.redex = _UNKNOWN
 
     def at(self, qvec: StateVector) -> Configuration:
-        """The configuration of this skeleton with state ``qvec``."""
-        config = Configuration(
+        """The configuration of this skeleton with state ``qvec``: the first
+        one met when ``qvec`` is its state, else a new one."""
+        config = self.config
+        if qvec is config.qstate:
+            return config
+        made = Configuration(
             qvec,
-            self.bindings,
-            self.procs,
-            self.channel_names,
-            self.next_channel,
-            self.next_fresh,
-            self.program,
+            config.bindings,
+            config.procs,
+            config.channel_names,
+            config.next_channel,
+            config.next_fresh,
+            config.program,
         )
-        config._live = self.live
-        return config
+        made._live = self.live
+        return made
 
     def key(self, qvec: StateVector) -> tuple:
         """``canonical_key`` of this skeleton at any state of its size."""
@@ -1381,22 +1364,9 @@ class _Skeleton:
         return self._key
 
 
-def _state_op(config: Configuration, head: ProcessTerm, env: dict) -> tuple | None:
-    """The state operation of the deterministic τ step of ``head``, as the
-    name of a ``qstate`` function and its arguments after the state: a
-    gate's ``apply_gate``, an allocation's ``append_qubits`` of |0>
-    qubits, as ``_bind`` appends them; None for ``new``."""
-    if isinstance(head, GateAction):
-        qids = _qubit_ids(config, env, head.targets)
-        return "apply_gate", _gate_for(config, env, head.gate), qids
-    if isinstance(head, QbitAlloc):
-        return "append_qubits", [(_KET0.amp0, _KET0.amp1)] * len(head.binders)
-    return None
-
-
 def _planned(skel: _Skeleton, moves):
-    """Each of ``moves`` with an empty table of the skeletons it builds,
-    recorded as ``skel.moves`` once the last is enumerated."""
+    """Each of ``moves`` with an empty table of what it builds, recorded as
+    ``skel.moves`` once the last is enumerated."""
     planned = []
     for move in moves:
         planned.append((move, {}))
@@ -1515,17 +1485,19 @@ def explore(
     gives; the branches of a teleport hop, which meet after Bob's
     correction, then run the next link and the next hop's gates once.
 
-    With ``cache``, which ``equiv.check_equivalence`` shares between the
-    explorations of one side under its input instantiations, the work that
-    reads no amplitude is done once per skeleton (``SkeletonCache``), not
-    once per exploration: the skeletons of the configurations met, their
-    ownership checks, keys and redexes, their settle steps and moves, and
-    the skeletons of their successors. A later exploration that meets a
-    skeleton runs only the ``qstate`` kernels and the decisions that read
-    amplitudes: which outcomes a measurement has, which dead qubits drop,
-    sibling hits, merges when interning, and the density matrices of
-    labels. Replaying a cached successor builds the configuration that
-    building it anew would build, for three reasons:
+    Every exploration goes through a ``SkeletonCache``, its own or
+    ``cache``, which ``equiv.check_equivalence`` shares between the
+    explorations of one side under its input instantiations. The work that
+    reads no amplitude is done once per skeleton, not once per
+    configuration met: the ownership check, key and redex of a skeleton,
+    its settle steps and moves, and the skeletons of its successors. An
+    exploration that meets a skeleton again, under a later input or under
+    another value received on one channel, runs only the ``qstate``
+    kernels and the decisions that read amplitudes: which outcomes a
+    measurement has, which dead qubits drop, sibling hits, merges when
+    interning, and the density matrices of labels. Replaying a cached
+    successor builds the configuration that building it anew would build,
+    for three reasons:
 
     - A step's effect on the skeleton depends only on the skeleton, the
       move taken, the bits of its outcome or the values received (a test
@@ -1535,76 +1507,70 @@ def explore(
       ``next_fresh``, qubit ids from the qubit count and hidden channel ids
       from ``next_channel``, all part of the key.
     - The state operation is kept with the step: the gate and the qubit ids
-      it acts on, or the qubits appended, so the new state gets the
-      operation building the step would apply.
-    - Errors come from the first input. Every error the skeleton work of a
+      it acts on, or the qubits appended, as ``_state_op`` gives it to the
+      step that builds the successor, so the new state gets the operation
+      building the step would apply. Received test qubits are appended by
+      ``_received``, as ``_bind`` appends them.
+    - Errors come from the first time. Every error the skeleton work of a
       step can raise (an unbound name, an arity mismatch, an ownership
       violation, the component cap) depends only on the skeleton, so the
       first exploration that takes the step raises it and the check stops.
-      The kernels, and with them the qubit cap, and the state cap run for
-      every input.
+      The kernels, and with them the qubit cap, and the state cap run
+      every time.
 
-    So every kernel call and every PLTS is the one exploring without the
-    cache gives.
+    So every kernel call and every PLTS is the one building each
+    configuration anew gives.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     alphabet = alphabet or {}
+    cache = SkeletonCache() if cache is None else cache
     states: list[PLTSState] = []
     edges: list[PLTSEdge] = []
     buckets: dict[tuple, list[int]] = {}
     prob_cache: dict[tuple, int] = {}
     queue: list[int] = []
-    skeletons: dict[int, _Skeleton] = {}  # with ``cache``: the skeleton of each state
+    skeletons: dict[int, _Skeleton] = {}  # the skeleton of each nondet state
 
-    def intern(found, siblings: _Siblings | None = None) -> int:
-        """Settle and intern ``found``, a configuration, or with ``cache`` a
-        ``(skeleton, state)`` pair."""
-        if cache is None:
-            cfg, sid = _settle_among(found, siblings)
-            if sid is None:
-                sid = add(canonical_key(cfg), cfg.qstate, cfg, None)
-        else:
-            skel, qvec, sid = cache.settle(*found, siblings)
-            if sid is None:
-                sid = add(skel.key(qvec), qvec, None, skel)
+    def intern(skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None = None) -> int:
+        """Settle and intern the configuration ``skel`` at state ``qvec``."""
+        skel, qvec, sid = cache.settle(skel, qvec, siblings)
+        if sid is None:
+            sid = add(skel, qvec)
         if siblings is not None:
             siblings.close(sid)
         return sid
 
-    def add(key: tuple, qvec: StateVector, cfg: Configuration | None, skel: _Skeleton | None) -> int:
+    def add(skel: _Skeleton, qvec: StateVector) -> int:
+        key = skel.key(qvec)
         for sid in buckets.get(key, []):
             if qstate.states_equal_up_to_global_phase(states[sid].config.qstate, qvec):
                 return sid
         if len(states) >= max_states:
             raise ExplorationLimitError(max_states)
         sid = len(states)
-        states.append(PLTSState(sid, "nondet", config=cfg if skel is None else skel.at(qvec)))
+        states.append(PLTSState(sid, "nondet", config=skel.at(qvec)))
         skeletons[sid] = skel
         buckets.setdefault(key, []).append(sid)
         queue.append(sid)
         return sid
 
-    initial = intern(config if cache is None else (cache.skeleton(config), config.qstate))
+    initial = intern(cache.skeleton(config), config.qstate)
     head = 0
     while head < len(queue):
         sid = queue[head]
         head += 1
-        cfg = states[sid].config
-        if cache is None:
-            transitions = [(t.label, t.outcomes) for t in step(cfg, alphabet)]
-        else:
-            transitions = cache.transitions(skeletons[sid], cfg.qstate, alphabet)
+        transitions = cache.transitions(skeletons[sid], states[sid].config.qstate, alphabet)
         if not transitions:
             states[sid].terminal = True
             continue
         for label, outcomes in transitions:
             if len(outcomes) == 1:
-                dst = intern(outcomes[0][1])
+                dst = intern(*outcomes[0][1])
                 edges.append(PLTSEdge(sid, label, dst))
                 continue
-            siblings = _Siblings() if cache is None else _Siblings(cache.key)
-            dist = tuple((round(p, 12), intern(child, siblings)) for p, child in outcomes)
+            siblings = _Siblings(cache.key)
+            dist = tuple((round(p, 12), intern(*child, siblings)) for p, child in outcomes)
             pid = prob_cache.get(dist)
             if pid is None:
                 if len(states) >= max_states:

@@ -849,17 +849,24 @@ def qubit_sets_oracle(bindings: dict, procs: tuple) -> tuple:
     )
 
 
-def drop_dead_qubits_oracle(config, live: set[int], outcome=None):
-    """``semantics._drop_dead_qubits`` by the slow paths: the branch
-    ``outcome``, if any, collapsed at full width (``collapse_oracle``), then
-    every dead qubit scanned at once (``drop_basis_qubits_oracle``), the
-    survivors renumbered in order and every qubit set walked again from the
-    terms (``qubit_sets_oracle``)."""
-    n = config.qstate.num_qubits
-    amps = config.qstate.amplitudes if outcome is None else collapse_oracle(outcome)
+def basis_drops_oracle(state, live, outcome=None):
+    """``semantics._basis_drops`` by the slow paths: the branch ``outcome``,
+    if any, collapsed at full width (``collapse_oracle``), then every dead
+    qubit scanned at once (``drop_basis_qubits_oracle``)."""
+    n = state.num_qubits
+    amps = state.amplitudes if outcome is None else collapse_oracle(outcome)
     amps, dropped = drop_basis_qubits_oracle(amps, [q for q in range(n) if q not in live])
     if outcome is None and not dropped:
-        return config
+        return None
+    return StateVector(n - len(dropped), amps), dropped
+
+
+def compact_oracle(config, live, dropped, qvec):
+    """``semantics._compact`` by the slow paths: the survivors renumbered in
+    order and every qubit set walked again from the terms
+    (``qubit_sets_oracle``). The result carries no live set, so the steps
+    from it scan their successors in full."""
+    n = config.qstate.num_qubits
     renumber = {q: i for i, q in enumerate(q for q in range(n) if q not in dropped)}
     bindings = {
         name: QubitVal(renumber[v.qid]) if isinstance(v, QubitVal) else v
@@ -873,7 +880,7 @@ def drop_dead_qubits_oracle(config, live: set[int], outcome=None):
         )
     )
     return Configuration(
-        StateVector(len(renumber), amps),
+        qvec,
         bindings,
         procs,
         config.channel_names,
@@ -1053,7 +1060,8 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
     senders, receivers = [], []  # (index, channel id) ready to communicate
     for i, (head, env, *_) in enumerate(config.procs):
         if isinstance(head, semantics._DETERMINISTIC_TAU):
-            cfg = semantics._drop_dead(semantics._deterministic_tau(config, i, head, env))
+            _op, cfg = semantics._deterministic_tau(config, i, head, env)
+            cfg = semantics._drop_dead(cfg)
             transitions.append(Transition(TAU, ((1.0, cfg),)))
             continue
 

@@ -143,9 +143,9 @@ def test_every_successor_is_checked_for_ownership_once(monkeypatch):
     The check explores each side under 4 inputs through one
     ``SkeletonCache``, which builds a successor only the first time a step
     is taken from a skeleton, and keeps its live set. So each distinct
-    skeleton is checked once, 42 checks where exploring each input anew
-    made 141, and every configuration the cache hands out carries the live
-    set the term walk finds."""
+    skeleton is checked once, 42 checks where exploring each input
+    through a cache of its own makes 141, and every configuration the
+    cache hands out carries the live set the term walk finds."""
     counts = {"_advance": 0, "check_ownership": 0, "handed out": 0}
     checked = []
     advance = semantics._advance

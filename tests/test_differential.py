@@ -47,14 +47,18 @@ or a hidden channel keeps its qubit and hidden sets. Both are checked
 against the term walks on every configuration the digest explorations
 check and on sampled runs.
 
-``check_equivalence`` explores each side under all its input
-instantiations through one ``SkeletonCache``, which replays the work that
-reads no amplitude. Exploring every instantiation through one shared
-cache is checked against exploring each anew, digest for digest and
-verdict for verdict: on the corpus, on ``chain_source(3, GATES)`` under
-the ``chain`` workload's test sets, on the seed-2024 congruence contexts
-and on the random pairs; and on hand programs whose inputs split on a
-decision that reads amplitudes, so that a later input misses the cache.
+``explore`` goes through a ``SkeletonCache``, which replays the work that
+reads no amplitude, and ``check_equivalence`` shares one per side between
+its input instantiations. Exploring every instantiation through one shared
+cache is checked against exploring each through a cache of its own, which,
+with one value tuple per channel, builds every configuration it meets
+anew; digest for digest and verdict for verdict: on the corpus, on
+``chain_source(3, GATES)`` under the ``chain`` workload's test sets, on
+the seed-2024 congruence contexts and on the random pairs; and on hand
+programs whose inputs split on a decision that reads amplitudes, so that a
+later input misses the cache. The golden digests, made before the cache,
+pin the explorations of a full alphabet, in which one exploration meets a
+skeleton again under each value received on a channel.
 
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on
@@ -557,8 +561,9 @@ def outcome_or_error(fn, *args, **kwargs):
 def explore_each_input(config, instantiations, max_states=5000):
     """``(got, want)``: the digest of exploring ``config`` under each of
     ``instantiations`` in turn, through one ``SkeletonCache`` shared by all
-    of them (``got``) and each without one (``want``). An error shows as its
-    type and message, and the explorations go on after it."""
+    of them (``got``) and each through a cache of its own (``want``). An
+    error shows as its type and message, and the explorations go on after
+    it."""
     cache = semantics.SkeletonCache()
     got, want = [], []
     for alphabet in instantiations:
@@ -571,9 +576,10 @@ def instantiations_of(program, signatures, entry, test_qubits):
     return input_instantiations(program, entry, program, entry, signatures, signatures, test_qubits)
 
 
-def check_uncached(*args):
-    """``check_equivalence`` with every exploration made without the
-    skeleton cache it passes; the verdict's text or the error's."""
+def check_anew(*args):
+    """``check_equivalence`` with every exploration made through a cache of
+    its own instead of the one it shares; the verdict's text or the
+    error's."""
     explore_anew = semantics.explore
 
     def without_cache(config, *, max_states, alphabet, cache):
@@ -677,7 +683,7 @@ def test_the_cache_checks_the_congruence_contexts_as_each_input_anew():
             got, want = explore_each_input(config, instantiations)
             assert got == want, context.name
         args = (prog_a, main_a, prog_b, main_b, sigs_a, sigs_b)
-        assert check_cached(*args) == check_uncached(*args), context.name
+        assert check_cached(*args) == check_anew(*args), context.name
 
 
 def test_the_cache_checks_random_pairs_as_each_input_anew():
@@ -690,7 +696,7 @@ def test_the_cache_checks_random_pairs_as_each_input_anew():
             case = f"random{seed_a} vs random{seed_b}:{set_name}"
             args = (program_a, "Gen", program_b, "Gen", sigs_a, sigs_b, test_qubits, 5000)
             got = check_cached(*args)
-            assert got == check_uncached(*args), case
+            assert got == check_anew(*args), case
             verdicts.add(got.splitlines()[0])
             instantiations = input_instantiations(
                 program_a, "Gen", program_b, "Gen", sigs_a, sigs_b, test_qubits
@@ -775,6 +781,23 @@ def test_each_set_of_dropped_qubits_leads_to_its_own_skeleton(built):
     assert len(set(want)) > 2
 
 
+# x and y die on receipt and a lives on. Under (|0>,|1>,|+>) only x drops
+# and a is renumbered; under (|+>,|1>,|0>) only y drops and a keeps its id.
+DEAD_AROUND_LIVE = "//: P : ^[Qbit,Qbit,Qbit], ^[Qbit]\nP(c, d) = c?[x,a,y] . d![a] . 0\n"
+
+
+def test_dropped_sets_of_one_size_lead_to_their_own_skeletons():
+    """Two inputs drop different dead qubits, one each, from one
+    skeleton; each set gets its own compaction, so the output shows a's
+    state under every input, as exploring it anew does."""
+    program, signatures = parse_program(DEAD_AROUND_LIVE), parse_signatures(DEAD_AROUND_LIVE)
+    config = initial_configuration(program, "P", signatures=signatures)
+    instantiations = instantiations_of(program, signatures, "P", DEFAULT_TEST_QUBITS)
+    assert len(instantiations) == 64
+    got, want = explore_each_input(config, instantiations)
+    assert got == want
+
+
 # The input is dead once received. Under |0> and |1> it sits in a basis
 # state and drops, so the allocation fits the 12-qubit cap; under |+> it
 # stays, and the allocation passes the cap.
@@ -807,7 +830,7 @@ def test_an_error_under_a_later_input_is_the_uncached_error(source, max_states, 
     raised = outcome_or_error(explore, config, max_states, instantiations[first])
     assert raised.startswith(error)
     args = (program, "P", program, "P", signatures, signatures, DEFAULT_TEST_QUBITS, max_states)
-    assert check_cached(*args) == check_uncached(*args) == raised
+    assert check_cached(*args) == check_anew(*args) == raised
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from cqpkit.syntax import Call, parse_program, pretty_print
 from cqpkit.typecheck import parse_signatures
 from support import (
     SQ2,
+    basis_drops_oracle,
     bench_workloads,
-    drop_dead_qubits_oracle,
+    compact_oracle,
     exploration_digest,
     explore_unsettled_oracle,
     random_typed_program,
@@ -467,16 +468,16 @@ def test_four_hop_chain_equals_identity_under_default_cap():
 
 def explore_keeping_dead_qubits(config, alphabet, reduce):
     """``explore_or_full`` with every dead qubit left in the state vector,
-    measured ones included: every qubit is passed to ``_drop_dead_qubits``,
-    the one place both a measurement branch and any other step drop qubits,
-    as live."""
-    drop = semantics._drop_dead_qubits
+    measured ones included: every qubit is passed to ``_basis_drops``, the
+    one place both a measurement branch and any other step decide which
+    qubits drop, as live."""
+    drops = semantics._basis_drops
 
-    def keep_all(config, _live, outcome=None):
-        return drop(config, set(range(config.qstate.num_qubits)), outcome)
+    def keep_all(state, _live, outcome=None):
+        return drops(state, frozenset(range(state.num_qubits)), outcome)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semantics, "_drop_dead_qubits", keep_all)
+        mp.setattr(semantics, "_basis_drops", keep_all)
         return explore_or_full(config, alphabet=alphabet, reduce=reduce)
 
 
@@ -546,13 +547,15 @@ def test_measurement_branches_drop_as_the_zero_fill_path_does(case):
     """Every configuration explored, with and without reduction, holds the
     amplitudes, bindings and qubit sets of the slow path: the branch
     collapsed at full width, then every dead qubit scanned at once
-    (``drop_dead_qubits_oracle``)."""
+    (``basis_drops_oracle``), and the survivors renumbered with every qubit
+    set walked from the terms (``compact_oracle``)."""
     source, held, shared = LIVENESS_CASES[case]
     config = initial_configuration(parse_program(source), "P")
     for reduce in (True, False):
         got = explore_or_full(config, reduce=reduce)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(semantics, "_drop_dead_qubits", drop_dead_qubits_oracle)
+            mp.setattr(semantics, "_basis_drops", basis_drops_oracle)
+            mp.setattr(semantics, "_compact", compact_oracle)
             want = explore_or_full(config, reduce=reduce)
         assert [(e.src, render_label(e.label), e.dst) for e in got.edges] == [
             (e.src, render_label(e.label), e.dst) for e in want.edges

@@ -7,11 +7,13 @@ then runs ``bench/run.py`` there and in the working tree, one run after the
 other, alternating which side runs first from pair to pair. Each run is a
 fresh process with the benchmark's default seed and the same duration.
 
-Writes one JSON file at the root of the repository (``--out``): the
-machine, both commits, and per workload and end-to-end metric of
-``BENCHMARK.json`` the per-pair values of both sides, their medians and
-quartiles, and the number of pairs the working tree won. A later call with
-another workload adds its entry to the same file. ``median_gain`` is the
+Writes one JSON file at the root of the repository (``--out``), with one
+entry per workload: the machine, both commits (the working tree as its
+``HEAD`` and the hash of its uncommitted diff, if any), and per end-to-end
+metric of ``BENCHMARK.json`` the per-pair values of both sides, their
+medians and quartiles, and the number of pairs the working tree won. A
+later call with another workload adds its entry to the same file, and one
+with the same workload replaces it. ``median_gain`` is the
 parent's median less the working tree's, signed so that a gain is
 positive, and ``parent_iqr`` the distance between the parent's quartiles;
 a claimed gain should win nearly every pair and exceed that distance.
@@ -140,6 +142,9 @@ def main(argv=None) -> int:
                   flush=True)
 
     entry = {
+        "machine": machine(),
+        "parent": {"ref": args.parent, "commit": parent_commit},
+        "change": change,
         "pairs": args.pairs,
         "seconds": args.seconds,
         "all_correct": all(r[s]["correct"] and r[s]["failed"] == 0 for r in runs for s in ("parent", "change")),
@@ -155,7 +160,6 @@ def main(argv=None) -> int:
     }
     out = ROOT / args.out
     report = json.loads(out.read_text()) if out.exists() else {}
-    report.update(machine=machine(), parent={"ref": args.parent, "commit": parent_commit}, change=change)
     report.setdefault("workloads", {})[args.workload] = entry
     out.write_text(json.dumps(report, indent=1) + "\n")
     for name, m in entry["metrics"].items():
