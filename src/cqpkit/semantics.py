@@ -589,6 +589,8 @@ def _drop_dead(config: Configuration, outcome: MeasurementOutcome | None = None)
     The result carries ``config``'s live set renumbered, since no live
     qubit is dropped."""
     live = config._live
+    if outcome is None and len(live) == config.qstate.num_qubits:
+        return config  # ``_basis_drops``'s first test, made here to save a call on every step
     found = _basis_drops(config.qstate, live, outcome)
     if found is None:
         return config
@@ -1037,7 +1039,7 @@ def _tau_move(procs: tuple) -> tuple | None:
     return None
 
 
-def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alphabet: dict, rng):
+def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alphabet: dict, rng) -> list:
     """The transitions of ``move`` (``_moves``) at state ``qvec``, in
     ``step``'s order, as ``(label, outcomes, drawn)``, each outcome a
     ``(probability, arg, branch)`` of what ``_successor`` and
@@ -1052,18 +1054,21 @@ def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alpha
         drawn = rng is not None and len(outcomes) > 1
         if drawn:
             outcomes = [_draw(outcomes, rng)]
-        yield TAU, [(o.probability, o.result, o) for o in outcomes], drawn
-    elif kind is _SEND:
+        return [(TAU, [(o.probability, o.result, o) for o in outcomes], drawn)]
+    if kind is _SEND:
         _kind, _i, _head, _env, cid, values, sent = move
         dm = qstate.reduced_density_matrix(qvec, sent) if sent else None
-        yield CommLabel("out", cid, channel_names[cid], values, dm), [(1.0, None, None)], False
-    elif kind is _RECEIVE:
+        return [(CommLabel("out", cid, channel_names[cid], values, dm), _ONE_OUTCOME, False)]
+    if kind is _RECEIVE:
         cid = move[4]
-        for value_tuple in alphabet.get(cid, ()):
-            label = CommLabel("in", cid, channel_names[cid], tuple(value_tuple))
-            yield label, [(1.0, value_tuple, None)], False
-    else:
-        yield TAU, [(1.0, None, None)], False
+        return [
+            (CommLabel("in", cid, channel_names[cid], tuple(values)), [(1.0, values, None)], False)
+            for values in alphabet.get(cid, ())
+        ]
+    return [(TAU, _ONE_OUTCOME, False)]
+
+
+_ONE_OUTCOME = [(1.0, None, None)]  # of a send or a communication; never mutated
 
 
 def _successor(config: Configuration, move: tuple, arg=None) -> tuple:
