@@ -878,37 +878,33 @@ class _Siblings:
     long as ``explore`` interns that one transition's outcomes.
 
     Entries are filed under a cheap pre-filter, the qubit count and the
-    identities of the component terms, so a key is computed only for a
+    identities of the component terms, so a key is looked up only for a
     configuration whose terms another already shares, and a phase
-    comparison only under an equal key. ``key`` gives a configuration's
-    ``canonical_key`` (``SkeletonCache.key``)."""
+    comparison made only under an equal key. Each skeleton computes its
+    key once (``_Skeleton.key``)."""
 
-    __slots__ = ("_met", "_run", "_key")
+    __slots__ = ("_met", "_run")
 
-    def __init__(self, key):
-        self._met: dict[tuple, list[list]] = {}  # pre-filter -> [config, key or None, state]
-        self._run: list[list] = []  # entries of the run in progress, state still None
-        self._key = key
+    def __init__(self):
+        self._met: dict[tuple, list[list]] = {}  # pre-filter -> [skeleton, state, sid]
+        self._run: list[list] = []  # entries of the run in progress, sid still None
 
-    def find(self, config: Configuration) -> int | None:
+    def find(self, skel: _Skeleton, qvec: StateVector) -> int | None:
         """The state of an earlier sibling's run that met a configuration
-        with ``config``'s key and, up to global phase, its amplitudes; or
-        None, after noting ``config`` for the run in progress."""
-        slot = (config.qstate.num_qubits, tuple(id(record[0]) for record in config.procs))
+        with the key of ``skel`` at ``qvec`` and, up to global phase, its
+        amplitudes; or None, after noting this one for the run in
+        progress."""
+        slot = (qvec.num_qubits, tuple(id(record[0]) for record in skel.config.procs))
         entries = self._met.setdefault(slot, [])
-        key_of = self._key
         key = None
-        for entry in entries:
-            met, met_key, sid = entry
+        for met, met_qvec, sid in entries:
             if sid is None:  # met by this very run
                 continue
             if key is None:
-                key = key_of(config)
-            if met_key is None:
-                met_key = entry[1] = key_of(met)
-            if met_key == key and qstate.states_equal_up_to_global_phase(met.qstate, config.qstate):
+                key = skel.key(qvec)
+            if met.key(met_qvec) == key and qstate.states_equal_up_to_global_phase(met_qvec, qvec):
                 return sid
-        entry = [config, key, None]
+        entry = [skel, qvec, None]
         entries.append(entry)
         self._run.append(entry)
         return None
@@ -1201,27 +1197,29 @@ class SkeletonCache:
     ``equiv.check_equivalence`` call, which shares one between the
     explorations of a side under its input instantiations.
 
-    Entries are keyed by a configuration's *skeleton*: everything but its
-    state, namely the ``bindings`` and ``procs`` objects, held by identity,
-    ``next_channel``, ``next_fresh`` and the qubit count. ``channel_names``
-    and ``program`` are those of the initial configuration throughout. Each
-    entry holds the objects of its key, so no identity is reused while the
-    cache lives. A skeleton records, as each is first needed: its checked
-    live set, its ``canonical_key``, its settle step (the deterministic τ,
-    or else the private communication, ``_private_redex``), its ``step``
-    moves (``_moves``) and, for each move, the skeleton it builds
-    (``_successor``) per measurement outcome or received value tuple, with
-    the state operation it applies, and from that one the skeleton left per
-    set of dropped dead qubits (``_compact``; ``_follow``)."""
+    A *skeleton* is everything of a configuration but its state: the
+    ``bindings`` and ``procs`` objects, held by identity, ``next_channel``,
+    ``next_fresh`` and the qubit count; ``channel_names`` and ``program``
+    are those of the initial configuration throughout. The cache finds the
+    initial configuration of each exploration by that key (``skeleton``),
+    and every other skeleton through the table of the step that built it,
+    so two explorations that take the same steps from one skeleton meet
+    the same skeletons. Each skeleton holds the objects of its key, so no
+    identity is reused while the cache lives. A skeleton records, as each
+    is first needed: its checked live set, its ``canonical_key``, its
+    settle step (the deterministic τ, or else the private communication,
+    ``_private_redex``), its ``step`` moves (``_moves``) and, for each
+    move, the skeleton it builds (``_successor``) per measurement outcome
+    or received value tuple, with the state operation it applies, and from
+    that one the skeleton left per set of dropped dead qubits (``_compact``;
+    ``_follow``)."""
 
     def __init__(self):
         self._skeletons: dict[tuple, _Skeleton] = {}
 
     def skeleton(self, config: Configuration) -> _Skeleton:
-        """The entry of ``config``'s skeleton. A new one keeps the live set
-        ``config`` carries once checked; one made from an initial
-        configuration, which carries none, has None, so that the steps from
-        it scan their successors in full."""
+        """The skeleton of ``config``, an exploration's initial
+        configuration, made the first time it is met."""
         ident = (
             id(config.bindings),
             id(config.procs),
@@ -1231,15 +1229,8 @@ class SkeletonCache:
         )
         skel = self._skeletons.get(ident)
         if skel is None:
-            live = config._live
-            skel = self._skeletons[ident] = _Skeleton(
-                config, live if isinstance(live, frozenset) else None
-            )
+            skel = self._skeletons[ident] = _Skeleton(config)
         return skel
-
-    def key(self, config: Configuration) -> tuple:
-        """``canonical_key(config)``, computed once per skeleton."""
-        return self.skeleton(config).key(config.qstate)
 
     def settle(self, skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None) -> tuple:
         """``settle``'s run from ``skel`` at state ``qvec``, as ``(skeleton,
@@ -1261,7 +1252,7 @@ class SkeletonCache:
             if skel.redex is None:
                 return skel, qvec, None
             if siblings is not None:
-                sid = siblings.find(skel.at(qvec))
+                sid = siblings.find(skel, qvec)
                 if sid is not None:
                     return skel, qvec, sid
             move, built = skel.redex
@@ -1304,7 +1295,7 @@ class SkeletonCache:
         hit = built.get(slot)
         if hit is None:
             op, config = _successor(skel.at(qvec), move, arg)
-            pre = self.skeleton(config)
+            pre = _Skeleton(config)
             built[slot] = pre, op
             qvec = config.qstate
         else:
@@ -1322,14 +1313,16 @@ class SkeletonCache:
         gone = frozenset(dropped)
         left = pre.drops.get(gone)
         if left is None:
-            left = pre.drops[gone] = self.skeleton(_compact(pre.at(qvec), pre.live, dropped, qout))
+            left = pre.drops[gone] = _Skeleton(_compact(pre.at(qvec), pre.live, dropped, qout))
         return left, qout
 
 
 class _Skeleton:
     """A configuration less its state, with what exploring it has found
     out so far (``SkeletonCache``). ``config`` is the first configuration
-    met with this skeleton, and ``live`` its checked live set, or None.
+    met with this skeleton, and ``live`` the live set it carries once
+    checked; an initial configuration carries none, so the steps from it
+    scan their successors in full.
     ``tau`` and ``redex`` are ``_UNKNOWN`` until computed, and then None or
     the move (``_tau_move``, or a ``_COMMUNICATE`` move) with its table of
     what it built (``SkeletonCache._follow``). ``moves`` holds such pairs
@@ -1338,9 +1331,10 @@ class _Skeleton:
 
     __slots__ = ("config", "live", "_key", "tau", "redex", "moves", "drops")
 
-    def __init__(self, config: Configuration, live: frozenset | None):
+    def __init__(self, config: Configuration):
+        live = config._live
         self.config = config
-        self.live = live
+        self.live = live if isinstance(live, frozenset) else None
         self._key = self.moves = self.drops = None
         self.tau = self.redex = _UNKNOWN
 
@@ -1574,7 +1568,7 @@ def explore(
                 dst = intern(*outcomes[0][1])
                 edges.append(PLTSEdge(sid, label, dst))
                 continue
-            siblings = _Siblings(cache.key)
+            siblings = _Siblings()
             dist = tuple((round(p, 12), intern(*child, siblings)) for p, child in outcomes)
             pid = prob_cache.get(dist)
             if pid is None:

@@ -156,16 +156,16 @@ def test_settling_siblings_through_one_table_changes_no_exploration(explorations
     find = semantics._Siblings.find
     hits = 0
 
-    def counted(table, config):
+    def counted(table, skel, qvec):
         nonlocal hits
-        sid = find(table, config)
+        sid = find(table, skel, qvec)
         hits += sid is not None
         return sid
 
     monkeypatch.setattr(semantics._Siblings, "find", counted)
     with_table = {name: exploration_digest(o) for name, *_, o in digest_explorations((True,))}
     assert hits > 100
-    monkeypatch.setattr(semantics._Siblings, "find", lambda table, config: None)
+    monkeypatch.setattr(semantics._Siblings, "find", lambda table, skel, qvec: None)
     without = {name: exploration_digest(o) for name, *_, o in digest_explorations((True,))}
     assert with_table == without
     reduced = {name: exploration_digest(o) for name, _a, reduce, o in explorations if reduce}
