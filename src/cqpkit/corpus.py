@@ -12,7 +12,6 @@ from importlib import resources
 from pathlib import Path
 
 from . import typecheck
-from .syntax import Program, parse_program
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,3 @@ def corpus_path(relative: str) -> Path:
 
 def read_corpus_file(relative: str) -> str:
     return corpus_path(relative).read_text(encoding="utf-8")
-
-
-def load_corpus_file(relative: str) -> tuple[Program, dict, str]:
-    """Parse a corpus file; returns (program, signatures, source)."""
-    source = read_corpus_file(relative)
-    return parse_program(source), typecheck.parse_signatures(source), source

@@ -423,16 +423,9 @@ def check_equivalence(
     here and dropped on return, so the work that reads no amplitude is
     done once per check rather than once per instantiation; later
     instantiations run only the ``qstate`` kernels and the decisions that
-    read amplitudes. Replaying a cached
-    successor builds the configuration that building it anew would build:
-    a step's effect on everything but the state depends only on that part
-    of the configuration (the key of the cache), the move taken, the
-    outcome's bits or the values received, and the set of dead qubits
-    dropped; runtime names come from ``next_fresh``, which is part of the
-    key; and every error such a step could raise comes from that part too,
-    so the first instantiation to take the step raises it first. Every
-    kernel call, every PLTS and so every verdict is the one exploring each
-    instantiation through a cache of its own gives (``semantics.explore``).
+    read amplitudes. ``semantics.SkeletonCache`` says why every verdict is
+    still the one exploring each instantiation through a cache of its own
+    gives.
     """
     if signatures_b is None:
         signatures_b = signatures_a

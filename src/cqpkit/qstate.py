@@ -13,22 +13,25 @@ Each operation makes a few numpy calls:
   that reads the amplitudes as a matrix whose rows are the values of the
   targets, and its inverse, which puts such a matrix back in place. No
   operation transposes the n-axis amplitude tensor.
-- A one-qubit gate on qubit t multiplies the amplitudes, viewed as
-  2^(n-1-t) stacked 2 x 2^t blocks, by its matrix when there are at most
-  ``_MAX_BLOCKS`` blocks. Other gates read their targets through the
+- A gate whose matrix holds one entry of modulus 1 per row (X, Z, CNot,
+  every sigma correction) reads the whole state through one source index
+  and multiplies it by one phase vector, both cached per
+  ``(n, targets, gate)`` by ``_monomial_gather`` up to ``_MAX_MONOMIALS``
+  keys. Its result is pruned and checked like any other.
+- Any other one-qubit gate on qubit t multiplies the amplitudes, viewed
+  as 2^(n-1-t) stacked 2 x 2^t blocks, by its matrix when there are at
+  most ``_MAX_BLOCKS`` blocks. Other gates read their targets through the
   gather index, multiply, and write back through its inverse; measurement
   probabilities and partial traces read through the index too.
-- A gate whose matrix holds one entry of modulus 1 per row (X, Z, CNot,
-  every sigma correction) permutes and rephases those rows instead of
-  multiplying them (``_monomial``). Its result is pruned and checked like
-  any other.
 - A measurement branch collapses by gathering the row of amplitudes that
   agree with its bits, scaled by 1/sqrt(p). Measured qubits the caller
   drops leave the result with that row; only those it keeps are
   zero-filled back in (``collapse``).
 - Every result is checked like a caller's input: a state for its length,
   finite amplitudes and unit norm; a density matrix for Hermiticity, unit
-  trace and positive semidefiniteness. Results that ``qstate`` has just
+  trace and positive semidefiniteness. A one-qubit density matrix is
+  checked in closed form on Python numbers (``_check_one_qubit``), a
+  larger one by ``np.linalg.eigvalsh``. Results that ``qstate`` has just
   computed are frozen in place (``_fresh``) instead of copied; arrays that
   callers pass in are copied first, so later writes to them change nothing.
 
@@ -55,6 +58,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -98,13 +102,12 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self._check(np.array(self.amplitudes, dtype=np.complex128))  # a copy
+        self._check(np.array(self.amplitudes, dtype=np.complex128).reshape(-1))  # a copy
 
     def _check(self, amps: np.ndarray):
-        """Validate ``amps``, make it read-only and store it."""
+        """Validate the flat array ``amps``, make it read-only and store it."""
         if self.num_qubits < 0:
             raise ValueError("num_qubits must be nonnegative")
-        amps = amps.reshape(-1)
         if amps.shape[0] != 2**self.num_qubits:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} "
@@ -221,16 +224,40 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} density matrix")
-        adjoint = mat.conj().T
-        if not np.abs(mat - adjoint).max() <= ATOL:  # written so that NaN fails
-            raise ValueError("density matrix not Hermitian")
-        trace = complex(mat.trace())
-        if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
-            raise ValueError(f"density matrix trace is {trace!r}, expected 1")
-        if np.linalg.eigvalsh((mat + adjoint) / 2.0)[0] < -ATOL:
-            raise ValueError("density matrix not positive semidefinite")
+        if dim == 2:
+            _check_one_qubit(mat.tolist())
+        else:
+            adjoint = mat.conj().T
+            if not np.abs(mat - adjoint).max() <= ATOL:  # written so that NaN fails
+                raise ValueError("density matrix not Hermitian")
+            _check_trace(complex(mat.trace()))
+            if np.linalg.eigvalsh((mat + adjoint) / 2.0)[0] < -ATOL:
+                raise ValueError("density matrix not positive semidefinite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+
+def _check_trace(trace: complex) -> None:
+    if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
+        raise ValueError(f"density matrix trace is {trace!r}, expected 1")
+
+
+def _check_one_qubit(rows: list) -> None:
+    """The checks of ``DensityMatrix._check`` on the 2 x 2 matrix ``rows``
+    (a nested list), in closed form on Python complex numbers. The
+    entries of m - m† are, in modulus, 2|Im a|, |b - c*| twice and 2|Im d|;
+    each is tested on its own, so a NaN anywhere fails. The smallest
+    eigenvalue of the Hermitian part (m + m†)/2 is
+    (p + q)/2 - sqrt(((p - q)/2)^2 + |h|^2), with p = Re a, q = Re d and
+    h = (b + c*)/2."""
+    (a, b), (c, d) = rows
+    for x in (abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate())):
+        if not x <= ATOL:
+            raise ValueError("density matrix not Hermitian")
+    _check_trace(a + d)
+    p, q = a.real, d.real
+    if (p + q) / 2 - math.hypot((p - q) / 2, abs(b + c.conjugate()) / 2) < -ATOL:
+        raise ValueError("density matrix not positive semidefinite")
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT2_INV
@@ -303,10 +330,16 @@ def _check_targets(n: int, targets) -> None:
             raise ValueError(f"qubit index {t} out of range for {n} qubit(s)")
 
 
-# Most ``(n, targets)`` keys ``_gather`` keeps. Each holds two integer
-# index arrays of 2^n entries, 64 KiB at the 12-qubit cap, so the cache
-# holds at most 4 MiB; each benchmark workload uses fewer than 30 keys.
+# Most keys each index cache keeps. At the 12-qubit cap:
+# - a ``(n, targets)`` key of ``_gather`` holds two arrays of 2^n integers,
+#   64 KiB, so that cache holds at most 4 MiB;
+# - a ``(n, targets, gate)`` key of ``_monomial_gather`` holds a source index
+#   of 2^n integers unless the gate is diagonal, 32 KiB, and 2^n complex
+#   phases unless all are 1, 64 KiB, so that cache holds at most 6 MiB.
+# A round of the benchmark's ``chain``, ``congruence`` and ``simulate``
+# workloads uses 17, 9 and 21 ``_gather`` keys and 23, 17 and 30 monomial keys.
 _MAX_GATHERS = 64
+_MAX_MONOMIALS = 64
 
 
 @functools.lru_cache(maxsize=_MAX_GATHERS)
@@ -339,29 +372,32 @@ def _row(bits) -> int:
     return row
 
 
-def _times(gate: Gate, grouped: np.ndarray) -> np.ndarray:
-    """``gate.matrix @ grouped``, a fresh array, with the gate's rows on the
-    second-to-last axis of ``grouped``. A monomial gate permutes and
-    rephases those rows instead of multiplying them; the values equal the
-    product's, up to the sign of a zero part."""
-    if gate._monomial is None:
-        return gate.matrix @ grouped
+@functools.lru_cache(maxsize=_MAX_MONOMIALS)
+def _monomial_gather(n: int, targets: tuple, gate: Gate) -> tuple:
+    """``(source, phases)``, read-only, for the monomial ``gate``
+    (``_monomial``) on ``targets`` of an n-qubit state: its image of the
+    amplitudes ``amps`` is ``amps[source] * phases``, element by element,
+    with ``source`` None when the gate is diagonal and ``phases`` None when
+    every phase is 1. The caller has checked ``targets`` by ``_gather``."""
+    index, inverse = _gather(n, targets)
     source, phases = gate._monomial
-    if source is None:
-        return grouped.copy() if phases is None else grouped * phases
-    image = grouped[..., source, :]
+    if source is not None:
+        source = index[source].reshape(-1)[inverse]
+        source.setflags(write=False)
     if phases is not None:
-        image *= phases
-    return image
+        phases = np.broadcast_to(phases, index.shape).reshape(-1)[inverse]
+        phases.setflags(write=False)
+    return source, phases
 
 
-# A one-qubit gate on qubit t multiplies 2^(n-1-t) blocks of 2 x 2^t
-# amplitudes in one matmul call, which loops over the blocks. Past this many
-# blocks the gathered layout, one 2 x 2^(n-1) product, is faster. An H on
-# 11 qubits, whole ``apply_gate`` call: on qubit 0 (1,024 blocks) 52 us by
-# blocks against 21 us gathered, on qubit 5 (32 blocks) 24 against 21 us,
-# on qubit 6 (16 blocks) 19 against 21 us, on qubit 10 (1 block) 16.5
-# against 21 us (numpy 2.4.6, Python 3.11.7, 2-core x86-64 VM).
+# A one-qubit gate that is not monomial, on qubit t, multiplies 2^(n-1-t)
+# blocks of 2 x 2^t amplitudes in one matmul call, which loops over the
+# blocks. Past this many blocks the gathered layout, one 2 x 2^(n-1)
+# product, is faster. An H on 11 qubits, whole ``apply_gate`` call: on
+# qubit 0 (1,024 blocks) 52 us by blocks against 21 us gathered, on qubit 5
+# (32 blocks) 24 against 21 us, on qubit 6 (16 blocks) 19 against 21 us, on
+# qubit 10 (1 block) 16.5 against 21 us (numpy 2.4.6, Python 3.11.7, 2-core
+# x86-64 VM).
 _MAX_BLOCKS = 16
 
 
@@ -374,11 +410,20 @@ def apply_gate(state: StateVector, gate: Gate, targets) -> StateVector:
         raise ValueError(
             f"gate {gate.name!r} has arity {gate.arity}, got {len(targets)} target(s)"
         )
+    amps = state.amplitudes
     blocks = 2 ** (n - 1 - targets[0])
-    if gate.arity == 1 and blocks <= _MAX_BLOCKS:
-        psi = _times(gate, state.amplitudes.reshape(blocks, 2, -1)).reshape(-1)
+    if gate._monomial is not None:
+        source, phases = _monomial_gather(n, targets, gate)
+        if source is None:
+            psi = amps.copy() if phases is None else amps * phases
+        else:
+            psi = amps[source]
+            if phases is not None:
+                psi *= phases
+    elif gate.arity == 1 and blocks <= _MAX_BLOCKS:
+        psi = (gate.matrix @ amps.reshape(blocks, 2, -1)).reshape(-1)
     else:
-        psi = _times(gate, state.amplitudes[index]).reshape(-1)[inverse]
+        psi = (gate.matrix @ amps[index]).reshape(-1)[inverse]
     return _fresh(StateVector, n, _prune(psi))
 
 
@@ -392,15 +437,13 @@ def measure(state: StateVector, targets) -> list[MeasurementOutcome]:
     """
     targets = tuple(targets)
     index, _inverse = _gather(state.num_qubits, targets)
-    k = len(targets)
     probs = (np.abs(state.amplitudes) ** 2)[index].sum(axis=1).tolist()
-    outcomes = []
-    for r, p in enumerate(probs):
-        if p < PRUNE_TOL:
-            continue
-        bits = tuple((r >> (k - 1 - j)) & 1 for j in range(k))
-        outcomes.append(MeasurementOutcome(bits, p, state, targets))
-    return outcomes
+    # product lists the bit strings in row order, the first bit most significant
+    return [
+        MeasurementOutcome(bits, p, state, targets)
+        for bits, p in zip(itertools.product((0, 1), repeat=len(targets)), probs)
+        if not p < PRUNE_TOL
+    ]
 
 
 def collapse(outcome: MeasurementOutcome, drop=()) -> StateVector:

@@ -77,8 +77,9 @@ time rather than all ever allocated.
 ``explore`` does the work that reads no amplitude once per *skeleton*,
 everything of a configuration but its state, through a ``SkeletonCache``:
 every step taken from a skeleton is built once, and a configuration that
-meets the skeleton again runs only the state kernels.
-``equiv.check_equivalence`` shares one cache per side between the
+meets the skeleton again runs only the state kernels. ``SkeletonCache``
+gives the argument that replaying a step builds what building it anew
+would. ``equiv.check_equivalence`` shares one cache per side between the
 explorations of a check's input instantiations.
 """
 
@@ -1212,7 +1213,40 @@ class SkeletonCache:
     move, the skeleton it builds (``_successor``) per measurement outcome
     or received value tuple, with the state operation it applies, and from
     that one the skeleton left per set of dropped dead qubits (``_compact``;
-    ``_follow``)."""
+    ``_follow``).
+
+    So the work that reads no amplitude is done once per skeleton, not
+    once per configuration met: the ownership check, key and redex of a
+    skeleton, its settle steps and moves, and the skeletons of its
+    successors. An exploration that meets a skeleton again, under a later
+    input or under another value received on one channel, runs only the
+    ``qstate`` kernels and the decisions that read amplitudes: which
+    outcomes a measurement has, which dead qubits drop, sibling hits,
+    merges when interning, and the density matrices of labels. Replaying a
+    cached successor builds the configuration that building it anew would
+    build, for three reasons:
+
+    - A step's effect on the skeleton depends only on the skeleton, the
+      move taken, the bits of its outcome or the values received (a test
+      qubit stands for the fresh qubit id it is bound as, whatever its
+      amplitudes), and the set of dead qubits dropped, which is decided
+      anew from the amplitudes each time. Runtime names come from
+      ``next_fresh``, qubit ids from the qubit count and hidden channel ids
+      from ``next_channel``, all part of the key.
+    - The state operation is kept with the step: the gate and the qubit ids
+      it acts on, or the qubits appended, as ``_state_op`` gives it to the
+      step that builds the successor, so the new state gets the operation
+      building the step would apply. Received test qubits are appended by
+      ``_received``, as ``_bind`` appends them.
+    - Errors come from the first time. Every error the skeleton work of a
+      step can raise (an unbound name, an arity mismatch, an ownership
+      violation, the component cap) depends only on the skeleton, so the
+      first exploration that takes the step raises it and the check stops.
+      The kernels, and with them the qubit cap, and the state cap run
+      every time.
+
+    So every kernel call, every PLTS and every verdict is the one building
+    each configuration anew, through a cache of its own, gives."""
 
     def __init__(self):
         self._skeletons: dict[tuple, _Skeleton] = {}
@@ -1486,38 +1520,9 @@ def explore(
 
     Every exploration goes through a ``SkeletonCache``, its own or
     ``cache``, which ``equiv.check_equivalence`` shares between the
-    explorations of one side under its input instantiations. The work that
-    reads no amplitude is done once per skeleton, not once per
-    configuration met: the ownership check, key and redex of a skeleton,
-    its settle steps and moves, and the skeletons of its successors. An
-    exploration that meets a skeleton again, under a later input or under
-    another value received on one channel, runs only the ``qstate``
-    kernels and the decisions that read amplitudes: which outcomes a
-    measurement has, which dead qubits drop, sibling hits, merges when
-    interning, and the density matrices of labels. Replaying a cached
-    successor builds the configuration that building it anew would build,
-    for three reasons:
-
-    - A step's effect on the skeleton depends only on the skeleton, the
-      move taken, the bits of its outcome or the values received (a test
-      qubit stands for the fresh qubit id it is bound as, whatever its
-      amplitudes), and the set of dead qubits dropped, which is decided
-      anew from the amplitudes each time. Runtime names come from
-      ``next_fresh``, qubit ids from the qubit count and hidden channel ids
-      from ``next_channel``, all part of the key.
-    - The state operation is kept with the step: the gate and the qubit ids
-      it acts on, or the qubits appended, as ``_state_op`` gives it to the
-      step that builds the successor, so the new state gets the operation
-      building the step would apply. Received test qubits are appended by
-      ``_received``, as ``_bind`` appends them.
-    - Errors come from the first time. Every error the skeleton work of a
-      step can raise (an unbound name, an arity mismatch, an ownership
-      violation, the component cap) depends only on the skeleton, so the
-      first exploration that takes the step raises it and the check stops.
-      The kernels, and with them the qubit cap, and the state cap run
-      every time.
-
-    So every kernel call and every PLTS is the one building each
+    explorations of one side under its input instantiations. The cache's
+    docstring says which work is done once per skeleton, and why every
+    kernel call and every PLTS is still the one building each
     configuration anew gives.
     """
     if max_states < 1:

@@ -1,21 +1,21 @@
 import pytest
 
-from cqpkit import corpus
+from support import load_corpus_file
 
 
 @pytest.fixture(scope="session")
 def teleport_program():
-    program, signatures, _src = corpus.load_corpus_file("teleport.cqp")
+    program, signatures, _src = load_corpus_file("teleport.cqp")
     return program, signatures
 
 
 @pytest.fixture(scope="session")
 def identity_program():
-    program, signatures, _src = corpus.load_corpus_file("identity.cqp")
+    program, signatures, _src = load_corpus_file("identity.cqp")
     return program, signatures
 
 
 @pytest.fixture(scope="session")
 def coin_program():
-    program, signatures, _src = corpus.load_corpus_file("coin.cqp")
+    program, signatures, _src = load_corpus_file("coin.cqp")
     return program, signatures

@@ -21,6 +21,7 @@ import numpy as np
 from cqpkit import congruence, corpus, equiv, qstate, semantics, typecheck
 from cqpkit.equiv import _TAU_CLASS, PROB_TOL, check_equivalence
 from cqpkit.qstate import (
+    ATOL,
     PRUNE_TOL,
     CapacityError,
     StateVector,
@@ -196,6 +197,38 @@ def transpose_measure_oracle(amps: np.ndarray, targets) -> list[tuple]:
 def transpose_rdm_oracle(amps: np.ndarray, keep) -> np.ndarray:
     grouped, _undo = transpose_grouped_oracle(amps, keep)
     return grouped @ grouped.conj().T
+
+
+def monomial_oracle(amps: np.ndarray, gate_matrix: np.ndarray, targets) -> np.ndarray:
+    """A monomial gate (one nonzero entry per row) on the transposed
+    amplitudes, as ``qstate`` applied it before its full-length gather: the
+    rows are permuted unless the matrix is diagonal, then multiplied by
+    their phases unless all are 1. Equal to ``qstate``'s result bit for
+    bit, the sign of every zero included."""
+    grouped, undo = transpose_grouped_oracle(amps, targets)
+    rows = range(len(gate_matrix))
+    source = [next(c for c in rows if gate_matrix[r, c] != 0) for r in rows]
+    phases = np.array([[gate_matrix[r, source[r]]] for r in rows])
+    image = grouped.copy() if source == list(rows) else grouped[source]
+    if (phases != 1).any():
+        image = image * phases
+    return _prune_oracle(np.transpose(image.reshape([2] * len(undo)), undo).reshape(-1))
+
+
+def eigvalsh_density_check_oracle(mat: np.ndarray) -> None:
+    """The checks ``DensityMatrix`` runs on matrices of two or more qubits,
+    which it ran on one-qubit matrices too before their closed form:
+    Hermiticity, unit trace, and positive semidefiniteness by
+    ``np.linalg.eigvalsh``. Raises ValueError with ``DensityMatrix``'s
+    messages."""
+    adjoint = mat.conj().T
+    if not np.abs(mat - adjoint).max() <= ATOL:
+        raise ValueError("density matrix not Hermitian")
+    trace = complex(mat.trace())
+    if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
+        raise ValueError(f"density matrix trace is {trace!r}, expected 1")
+    if np.linalg.eigvalsh((mat + adjoint) / 2.0)[0] < -ATOL:
+        raise ValueError("density matrix not positive semidefinite")
 
 
 def drop_basis_qubits_oracle(amps: np.ndarray, candidates) -> tuple[np.ndarray, dict[int, int]]:
@@ -990,6 +1023,12 @@ def bench_workloads():
     return workloads
 
 
+def load_corpus_file(relative: str) -> tuple[Program, dict, str]:
+    """Parse a corpus file; returns (program, signatures, source)."""
+    source = corpus.read_corpus_file(relative)
+    return parse_program(source), parse_signatures(source), source
+
+
 def _channel_entries(prefix: str, program, signatures):
     for d in program.definitions:
         if all(isinstance(t, ChannelType) for t in signatures[d.name]):
@@ -1002,7 +1041,7 @@ def corpus_entries():
     for item in corpus.CORPUS:
         if item.expectation != "typechecks":
             continue
-        program, signatures, _src = corpus.load_corpus_file(item.path)
+        program, signatures, _src = load_corpus_file(item.path)
         yield from _channel_entries(item.path, program, signatures)
 
 
@@ -1329,7 +1368,7 @@ def name_walk_entries():
     ``random_typed_program`` for seeds 0..299."""
     for item in corpus.CORPUS:
         if item.expectation == "typechecks":
-            program, _signatures, _src = corpus.load_corpus_file(item.path)
+            program, _signatures, _src = load_corpus_file(item.path)
             yield from ((f"{item.path}:{d.name}", program, d.name) for d in program.definitions)
     workloads = bench_workloads()
     program = parse_program(workloads.chain_source(3, workloads.GATES))

@@ -15,6 +15,7 @@ from cqpkit.semantics import DEFAULT_TEST_QUBITS, CommLabel, explore, initial_co
 from support import (
     apply_gate_oracle,
     insert_tau,
+    load_corpus_file,
     random_plts,
     random_state_amps,
     random_unitary,
@@ -48,7 +49,7 @@ def test_criterion_2_per_branch_determinism(capsys):
     of the four test states: sixteen checks at 1e-9. The branches merge
     once the measured qubits are dropped, so they share one output edge;
     each branch is checked on the outputs reachable from it."""
-    program, signatures, _src = corpus.load_corpus_file("teleport.cqp")
+    program, signatures, _src = load_corpus_file("teleport.cqp")
     checks = 0
     for test_state in DEFAULT_TEST_QUBITS:
         psi = np.array([test_state.amp0, test_state.amp1], dtype=complex)
@@ -105,7 +106,7 @@ def test_criterion_4_superposition_gate_action(capsys):
 def test_criterion_5_no_cloning_via_typing(capsys):
     rejected = {}
     for entry in corpus.CORPUS:
-        program, signatures, _src = corpus.load_corpus_file(entry.path)
+        program, signatures, _src = load_corpus_file(entry.path)
         diags = typecheck.typecheck_program(program, signatures)
         if entry.expectation == "typechecks":
             assert diags == [], f"{entry.path}: {diags}"
@@ -130,8 +131,8 @@ def test_criterion_5_no_cloning_via_typing(capsys):
 
 
 def test_criterion_6_congruence_sampling(capsys):
-    program_t, sigs_t, _ = corpus.load_corpus_file("teleport.cqp")
-    program_i, sigs_i, _ = corpus.load_corpus_file("identity.cqp")
+    program_t, sigs_t, _ = load_corpus_file("teleport.cqp")
+    program_i, sigs_i, _ = load_corpus_file("identity.cqp")
     start = time.monotonic()
     rep = congruence.check_congruence_samples(
         program_t, "Teleport", program_i, "Identity", sigs_t, sigs_i, seed=2024, count=50
@@ -150,7 +151,7 @@ def test_criterion_6_congruence_sampling(capsys):
 
 
 def test_criterion_7_equivalence_checker_calibration(capsys):
-    program_c, sigs_c, _ = corpus.load_corpus_file("coin.cqp")
+    program_c, sigs_c, _ = load_corpus_file("coin.cqp")
     verdict = equiv.check_equivalence(
         program_c, "Coin", program_c, "DetZero", sigs_c, sigs_c
     )

@@ -74,7 +74,7 @@ from pathlib import Path
 
 import pytest
 
-from cqpkit import congruence, corpus, semantics
+from cqpkit import congruence, semantics
 from cqpkit.equiv import branching_bisim, check_equivalence, input_instantiations
 from cqpkit.qstate import CapacityError, StateVector
 from cqpkit.semantics import (
@@ -120,6 +120,7 @@ from support import (
     free_names_oracle,
     hidden_sets_oracle,
     input_used_channels_oracle,
+    load_corpus_file,
     name_walk_entries,
     qubit_sets_oracle,
     random_term,
@@ -274,7 +275,7 @@ def test_sampled_runs_carry_the_term_walks_live_sets():
     renumbered when qubits drop, and it is the term walk's; so are its
     records' sets. Checked on seeds 0-9 of the corpus's teleport harness
     and on seeds 0-2 of each ``random_typed_program`` of seeds 0-299."""
-    program, signatures, _src = corpus.load_corpus_file("teleport_harness.cqp")
+    program, signatures, _src = load_corpus_file("teleport_harness.cqp")
     config = initial_configuration(program, "Harness", signatures=signatures)
     cases = [(f"harness:{seed}", config, None, seed) for seed in range(10)]
     for program_seed in range(DIGEST_RANDOM_PROGRAMS):
@@ -664,8 +665,8 @@ def test_the_cache_checks_the_congruence_contexts_as_each_input_anew():
     """Teleport and Identity in each distinct context of the 50 that seed
     2024 draws: each side's digests per input, and the verdict of the
     check."""
-    teleport = corpus.load_corpus_file("teleport.cqp")
-    identity = corpus.load_corpus_file("identity.cqp")
+    teleport = load_corpus_file("teleport.cqp")
+    identity = load_corpus_file("identity.cqp")
     rng = random.Random(2024)
     contexts = {}
     for _ in range(50):

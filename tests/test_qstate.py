@@ -29,6 +29,8 @@ from support import (
     collapse_oracle,
     derive_correction_table,
     drop_basis_qubits_oracle,
+    eigvalsh_density_check_oracle,
+    monomial_oracle,
     random_state_amps,
     random_unitary,
     rdm_oracle,
@@ -324,6 +326,62 @@ def test_partial_trace_consistent_with_measurement():
         )
 
 
+def _density_check_error(check, mat) -> str | None:
+    try:
+        check(mat)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_one_qubit_density_check_matches_eigvalsh():
+    """``DensityMatrix`` checks a 2 x 2 matrix in closed form and accepts
+    and rejects, with the same message, exactly what the ``eigvalsh`` checks
+    of larger matrices do (``eigvalsh_density_check_oracle``): on random
+    Hermitian matrices of trace 1, some with a negative eigenvalue; on ones
+    whose smallest eigenvalue is -ATOL * (1 +- 0.1), or whose Hermiticity
+    or trace is off by ATOL * (1 +- 0.1); and with a NaN or an infinity in
+    either part of each entry, which must fail as not Hermitian."""
+    rng = np.random.default_rng(5000)
+    psd = "density matrix not positive semidefinite"
+    hermitian = "density matrix not Hermitian"
+    cases = []  # (matrix, the verdict it must get, or "either")
+    for _ in range(500):
+        p = rng.uniform(-0.25, 1.25)
+        h = complex(*rng.normal(scale=0.5, size=2))
+        cases.append((np.array([[p, h], [h.conjugate(), 1 - p]]), "either"))
+    for f in (0.9, 1.1):
+        for _ in range(50):
+            u = random_unitary(rng, 2)
+            eig = u @ np.diag([-ATOL * f, 1 + ATOL * f]) @ u.conj().T
+            e = ATOL * f * np.exp(2j * np.pi * rng.random())
+            off_diagonal = np.array([[0.5, 0.25 + e], [0.25, 0.5]])
+            diagonal = np.array([[0.5 + 0.5j * ATOL * f, 0.25], [0.25, 0.5]])
+            trace = np.array([[0.5 + ATOL * f, 0.25j], [-0.25j, 0.5]])
+            cases += [
+                (eig, None if f < 1 else psd),
+                (off_diagonal, None if f < 1 else hermitian),
+                (diagonal, None if f < 1 else hermitian),
+                (trace, None if f < 1 else f"density matrix trace is {complex(trace.trace())!r}, expected 1"),
+            ]
+    verdicts = []
+    for mat, expected in cases:
+        want = _density_check_error(eigvalsh_density_check_oracle, mat)
+        assert _density_check_error(lambda m: DensityMatrix(1, m), mat) == want
+        assert expected in ("either", want)
+        verdicts.append(want)
+    assert verdicts[:500].count(None) > 50 and verdicts[:500].count(psd) > 50
+    for bad in (np.nan, np.inf):
+        for i in range(4):
+            for entry in (complex(bad, 0), complex(0, bad)):
+                mat = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+                mat.flat[i] += entry
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    assert _density_check_error(eigvalsh_density_check_oracle, mat) == hermitian
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    DensityMatrix(1, mat)
+
+
 def test_density_matrix_invariants_enforced():
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[0.5, 0.5], [0.4, 0.5]]))  # not Hermitian
@@ -540,33 +598,51 @@ def test_collapse_matches_the_zero_fill_oracle(n):
 
 def test_monomial_gates_permute_and_rephase_like_the_product():
     """X, Z, CNot and every sigma correction hold one entry of modulus 1
-    per row, so ``apply_gate`` permutes and rephases the rows of the
-    grouped amplitudes instead of multiplying them; H and a random unitary
-    multiply. On random states of up to 8 qubits, for every ordered list of
-    targets of the gate's arity, on the block and on the general path, the
-    result equals the transpose oracle's product, up to the sign of a
-    zero. Those lists need more gather indices than the cache keeps, and
-    it stays at its bound."""
+    per row, so ``apply_gate`` reads the amplitudes through one full-length
+    source index and multiplies them by a phase vector
+    (``qstate._monomial_gather``) instead of multiplying by the matrix; H
+    and a random unitary multiply. On random states of up to the 12-qubit
+    cap, one of them with every imaginary part -0.0, for every ordered list
+    of targets of the gate's arity, the result equals the transpose
+    oracle's product up to the sign of a zero, and the rows permuted and
+    rephased in the transposed layout (``monomial_oracle``) bit for bit. Those lists need more keys than
+    either cache keeps; each stays at its bound, and its arrays are
+    read-only."""
     monomial = {name for name, g in qstate._STANDARD_GATES.items() if g._monomial is not None}
     assert monomial == {"I", "X", "Z", "CNot", "sigma00", "sigma01", "sigma10", "sigma11"}
     rng = np.random.default_rng(4000)
     assert Gate("rand", 2, random_unitary(rng, 4))._monomial is None
     qstate._gather.cache_clear()
-    for n in range(1, 9):
-        for amps in (random_state_amps(rng, n), basis_factored_amps(rng, n)[0]):
+    qstate._monomial_gather.cache_clear()
+    for n in range(1, qstate.DEFAULT_QUBIT_CAP + 1):
+        real = random_state_amps(rng, n).real
+        # every imaginary part -0.0, which the product can turn into 0.0
+        signed_zeros = (real / np.linalg.norm(real)).astype(complex).conj()
+        for amps in (random_state_amps(rng, n), basis_factored_amps(rng, n)[0], signed_zeros):
             state = StateVector(n, amps)
             for name in sorted(monomial):
                 gate = standard_gate(name)
                 for targets in permutations(range(n), gate.arity):
+                    got = apply_gate(state, gate, targets).amplitudes
                     assert np.array_equal(
-                        apply_gate(state, gate, targets).amplitudes,
-                        transpose_apply_gate_oracle(amps, gate.matrix, targets),
+                        got, transpose_apply_gate_oracle(amps, gate.matrix, targets)
                     )
-    info = qstate._gather.cache_info()
-    assert info.misses > info.maxsize == info.currsize == qstate._MAX_GATHERS
+                    assert_same_bits(got, monomial_oracle(amps, gate.matrix, targets))
+    for cache, bound in (
+        (qstate._gather, qstate._MAX_GATHERS),
+        (qstate._monomial_gather, qstate._MAX_MONOMIALS),
+    ):
+        info = cache.cache_info()
+        assert info.misses > info.maxsize == info.currsize == bound
     for array in qstate._gather(3, (0, 2)):
         assert array.dtype == np.intp
         assert not array.flags.writeable
+    source, phases = qstate._monomial_gather(3, (0, 2), standard_gate("CNot"))
+    assert phases is None and source.dtype == np.intp and not source.flags.writeable
+    source, phases = qstate._monomial_gather(3, (1,), standard_gate("sigma11"))
+    assert source.shape == phases.shape == (8,)
+    assert not source.flags.writeable and not phases.flags.writeable
+    assert qstate._monomial_gather(3, (1,), standard_gate("Z"))[0] is None
 
 
 def test_collapse_drops_only_measured_qubits():

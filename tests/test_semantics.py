@@ -37,6 +37,7 @@ from support import (
     compact_oracle,
     exploration_digest,
     explore_unsettled_oracle,
+    load_corpus_file,
     random_typed_program,
     reachable_outputs,
     step_full_oracle,
@@ -263,7 +264,7 @@ def test_merged_configurations_step_alike(monkeypatch):
         "P() = (qbit v,w,x,y,z) (({v *= X} . 0 | ({w *= H} . 0 | {x *= X} . 0)) "
         "| ({y *= X} . 0 | {z *= Z} . 0))"
     )
-    harness, harness_sigs, _src = corpus.load_corpus_file("teleport_harness.cqp")
+    harness, harness_sigs, _src = load_corpus_file("teleport_harness.cqp")
     # The oracle's ``intern`` looks ``canonical_key`` up on ``semantics``,
     # so recording its calls yields every configuration it interns.
     interned = []
@@ -385,7 +386,7 @@ def corpus_and_chain_entries():
     """(program, signatures, entry) of every corpus entry, Chain2 and Chain2H."""
     for entry in corpus.CORPUS:
         if entry.entry is not None:
-            program, signatures, _src = corpus.load_corpus_file(entry.path)
+            program, signatures, _src = load_corpus_file(entry.path)
             yield program, signatures, entry.entry
     source = chain_source(2)
     program, signatures = parse_program(source), parse_signatures(source)
@@ -822,7 +823,7 @@ def test_canonical_key_ignores_bracketing_and_finished_components():
 # ---------------------------------------------------------------------------
 
 def _harness_config():
-    program, signatures, _src = corpus.load_corpus_file("teleport_harness.cqp")
+    program, signatures, _src = load_corpus_file("teleport_harness.cqp")
     return initial_configuration(program, "Harness", signatures=signatures)
 
 
@@ -920,5 +921,5 @@ def test_input_used_channels(teleport_program, identity_program):
     assert input_used_channels(program, "Teleport") == {0}
     program_i, _ = identity_program
     assert input_used_channels(program_i, "Identity") == {0}
-    bell, _sigs, _src = corpus.load_corpus_file("bell.cqp")
+    bell, _sigs, _src = load_corpus_file("bell.cqp")
     assert input_used_channels(bell, "Bell") == set()

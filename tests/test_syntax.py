@@ -30,7 +30,14 @@ from cqpkit.syntax import (
     pretty_print_program,
     substitute,
 )
-from support import alpha_equivalent_oracle, alpha_variant, perturb, quoted, random_term
+from support import (
+    alpha_equivalent_oracle,
+    alpha_variant,
+    load_corpus_file,
+    perturb,
+    quoted,
+    random_term,
+)
 
 TELEPORT_SOURCE = """
 Alice(q, in, out) = in?[u] . {u,q *= CNot} . {u *= H} . out![measure u,q] . 0
@@ -110,7 +117,7 @@ def test_parenthesized_expressions_splice_into_the_payload():
     "entry", [e for e in corpus.CORPUS], ids=lambda e: e.path
 )
 def test_corpus_round_trips(entry):
-    program, _sigs, _src = corpus.load_corpus_file(entry.path)
+    program, _sigs, _src = load_corpus_file(entry.path)
     reparsed = parse_program(pretty_print_program(program))
     assert reparsed == program
 

@@ -22,7 +22,7 @@ from cqpkit.typecheck import (
     parse_signatures,
     typecheck_program,
 )
-from support import bench_workloads, random_typed_program
+from support import bench_workloads, load_corpus_file, random_typed_program
 
 QCHAN = ChannelType((QBIT,))
 BCHAN = ChannelType((BIT,))
@@ -57,7 +57,7 @@ def test_teleport_corpus_is_well_typed(teleport_program):
 
 def test_corpus_expectations_enforced():
     for entry in corpus.CORPUS:
-        program, signatures, _src = corpus.load_corpus_file(entry.path)
+        program, signatures, _src = load_corpus_file(entry.path)
         diags = typecheck_program(program, signatures)
         if entry.expectation == "typechecks":
             assert diags == [], f"{entry.path} should typecheck: {diags}"
@@ -247,12 +247,12 @@ def order_cases():
     programs of the ``congruence`` workload (seed 2024), as (program,
     signatures)."""
     for entry in corpus.CORPUS:
-        program, signatures, _src = corpus.load_corpus_file(entry.path)
+        program, signatures, _src = load_corpus_file(entry.path)
         yield entry.path, program, signatures
     workloads = bench_workloads()
     source = workloads.chain_source(3, workloads.GATES)
     yield "chain3", parse_program(source), parse_signatures(source)
-    program, signatures, _src = corpus.load_corpus_file("teleport.cqp")
+    program, signatures, _src = load_corpus_file("teleport.cqp")
     rng = random.Random(2024)
     for i in range(50):
         context = congruence.generate_context(rng)
