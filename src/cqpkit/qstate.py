@@ -127,12 +127,6 @@ class StateVector:
     def empty(cls) -> "StateVector":
         return cls(0, np.ones(1, dtype=np.complex128))
 
-    @classmethod
-    def from_amplitudes(cls, amps) -> "StateVector":
-        amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
-        n = int(amps.shape[0]).bit_length() - 1
-        return cls(n, amps)
-
     def __repr__(self):
         return f"StateVector({self.num_qubits}, {dirac(self)!r})"
 

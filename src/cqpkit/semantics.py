@@ -15,19 +15,13 @@ configuration under ``step`` into a finite probabilistic labelled
 transition system (PLTS) whose states alternate between nondeterministic
 choice and probability distributions. ``explore`` first settles each
 configuration (``settle``): it runs the deterministic τ steps that have
-priority, and then the private communications, until neither is left, so
-no state of the PLTS is one that could take such a step (confluence
-reduction, Blom & van de Pol, "State space reduction by proving
-confluence", CAV 2002). A communication is private when its channel is
-hidden and held by its sender and its receiver alone: no other component
-can reach the channel, since only those two could pass it on and both are
-blocked on this step, so the step can be neither raced nor disabled and it
-touches no qubit (the confluence of private π-calculus channels:
-Philippou & Walker, "On confluence in the π-calculus", ICALP 1997; Groote
-& Sellink, "Confluence for process verification", TCS 1996).
-The branches of one measurement settle through one table, so a branch
-that meets a configuration an earlier branch met stops there and takes its
-state, and branches that a correction has made equal run the rest once.
+priority, and then the communications on a hidden channel that only their
+sender and receiver hold, until neither is left, so no state of the PLTS
+is one that could take such a step. ``settle`` says why such a
+communication is confluent, and ``explore`` why settling changes no
+verdict. The branches of one measurement settle through one table
+(``_Siblings``, which says why that is sound), so branches that a
+correction has made equal run the rest once.
 ``run_sampled`` walks one seeded path for simulation, handing ``step`` its
 PRNG so that each step builds only the configuration the path takes, and
 collapses the state only onto the measurement branch it draws.
@@ -61,18 +55,12 @@ and ``hidden`` the set of hidden channels they resolve to, both computed
 in one pass when the component is made. A continuation that goes on under
 its component's environment and drops no name bound to a qubit or a hidden
 channel, such as that of a gate, keeps the component's sets instead
-(``_advance``). ``settle`` counts
-the holders of a hidden channel on the ``hidden`` sets. Every successor is
-checked against the ``qubits`` sets for a qubit held by two components
-(dynamic no-cloning); a successor derives its live qubits from its
-parent's, so the check costs what the step changed
-(``Configuration.check_ownership``). Every successor then drops its dead
-qubits that sit in a basis state: qubits no free name of a component
-refers to any more, such as those measured into a payload, whose
-amplitudes are exactly zero on one basis value (``Configuration`` says why
-that is sound). Measurement branches that differ only in such qubits then
-become one configuration, and the qubit cap bounds the qubits held at one
-time rather than all ever allocated.
+(``_advance``). ``settle`` counts the holders of a hidden channel on the
+``hidden`` sets. Every successor is checked against the ``qubits`` sets for
+a qubit held by two components (dynamic no-cloning,
+``Configuration.check_ownership``) and then drops its dead qubits that sit
+in a basis state (``Configuration`` says which drop and why that is
+sound).
 
 ``explore`` does the work that reads no amplitude once per *skeleton*,
 everything of a configuration but its state, through a ``SkeletonCache``:
@@ -256,15 +244,11 @@ class Configuration:
     hidden channels they resolve to. Bindings are never rebound, so a
     shared component keeps its sets, and so does a continuation that keeps
     its component's environment and drops no name bound to a qubit or a
-    hidden channel (``_advance``). A configuration that ``_advance`` built
-    from a checked parent derives its live qubits from the parent's
-    (``check_ownership``), one that ``_compact`` makes carries them
-    renumbered, and one that a ``SkeletonCache`` hands out carries those of
-    its skeleton; any other has them computed by a full scan. ``bindings`` maps
-    runtime names, the entry's parameters and the ``binder~n`` names
-    ``_bind`` makes, to values. ``channel_names`` maps visible channel ids
-    (the entry's channel parameters, numbered by position) to their
-    display names; hidden channels get ids from ``next_channel``.
+    hidden channel (``_advance``). ``bindings`` maps runtime names, the
+    entry's parameters and the ``binder~n`` names ``_bind`` makes, to
+    values. ``channel_names`` maps visible channel ids (the entry's channel
+    parameters, numbered by position) to their display names; hidden
+    channels get ids from ``next_channel``.
 
     A qubit is *live* when a free name of some component resolves to it and
     *dead* otherwise: it was measured into a payload, sent away, or its
@@ -279,9 +263,11 @@ class Configuration:
     the reduced density matrix of any other qubits, which is all an output
     label shows, is the same with or without it. So configurations that
     differ only in such qubits, such as the measurement branches of a
-    teleport after the correction, are the same configuration. A dead
-    qubit in superposition or entangled with others stays in ``qstate``;
-    it still shapes the reduced state of its partners.
+    teleport after the correction, are the same configuration, which
+    ``explore`` merges, and the qubit cap bounds the qubits held at one time
+    rather than all ever allocated. A dead qubit in superposition or
+    entangled with others stays in ``qstate``; it still shapes the reduced
+    state of its partners.
     """
 
     qstate: StateVector
@@ -291,11 +277,10 @@ class Configuration:
     next_channel: int
     next_fresh: int
     program: Program
-    # The live qubits once checked, or what ``_advance`` changed, for
-    # ``check_ownership`` to derive them from. Not an init field, so a
-    # configuration made by hand or by ``dataclasses.replace`` starts from
-    # None and is scanned in full.
-    _live: frozenset | tuple | None = field(default=None, init=False, repr=False)
+    # The live qubits once ``check_ownership`` has scanned them. Not an init
+    # field, so every new configuration, ``dataclasses.replace`` included,
+    # starts from None.
+    _live: frozenset | None = field(default=None, init=False, repr=False)
 
     @property
     def term(self) -> ProcessTerm:
@@ -309,38 +294,13 @@ class Configuration:
     def is_visible(self, cid: int) -> bool:
         return cid in self.channel_names
 
-    def display_channel(self, cid: int) -> str:
-        return self.channel_names.get(cid, f"#chan{cid}")
-
     def check_ownership(self) -> frozenset[int]:
         """Raise OwnershipViolation if a qubit is held by two components;
         otherwise return the live qubits, the union of their qubit sets.
-        Reads only the cached sets, so no free name is looked up.
-
-        A successor that ``_advance`` built from a checked parent carries
-        the parent's live qubits, the qubits of the components it replaced
-        and the new records. The parent's components were pairwise
-        disjoint, so the untouched ones hold exactly the parent's live
-        qubits less the replaced ones; checking each new record against
-        those and the new records before it is the full scan's predicate,
-        at a cost that grows with what the step changed. Any other
-        configuration is scanned in full, and so is a derivation that finds
-        a conflict, so the error names the qubits the full scan names. The
-        result is kept, so a later call returns it."""
-        live = self._live
-        if isinstance(live, frozenset):
-            return live
-        if live is not None:
-            parent, gone, records = live
-            live = parent - gone
-            for _term, _env, mine, _hidden in records:
-                if not live.isdisjoint(mine):
-                    break
-                if mine:
-                    live |= mine
-            else:
-                self._live = live
-                return live
+        Reads only the cached sets, so no free name is looked up. The result
+        is kept, so a later call returns it."""
+        if self._live is not None:
+            return self._live
         live = set()
         for _term, _env, mine, _hidden in self.procs:
             if not live.isdisjoint(mine):
@@ -510,21 +470,10 @@ def _advance(
     never rebound, and ``_compact`` rebuilds every set it renumbers. A
     parallel composition, a call or ``0`` still goes through ``_flatten``,
     and so does every closure under a new ``env`` (``_bind``).
-
-    The successor carries the parent's live qubits and what the step
-    changed in them: the qubits of the components it replaced and the new
-    records (see ``Configuration.check_ownership``). A component replaced
-    by one record that holds the same qubits changes nothing, so a step
-    whose components all keep their qubits carries the parent's set as it
-    is. When the parent was not checked, the successor is scanned in full.
-
-    Every successor ``step`` builds passes through here and then through
-    ``_drop_dead``.
     """
     bindings = config.bindings if bindings is None else bindings
     visible = config.channel_names
     procs = config.procs
-    gone, added = None, []  # qubits of the replaced components, new records
     pending = len(heads)
     for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
         others = len(procs) - pending  # the components that stay beside this head's
@@ -540,12 +489,8 @@ def _advance(
             parts = ((term, env, qubits, hidden),)
         else:
             parts = _flatten(term, env, bindings, visible, config.program, others)
-            if len(parts) != 1 or parts[0][2] != qubits:  # else the live qubits stay
-                gone = qubits if gone is None else gone | qubits
-                added += parts
         procs = procs[:i] + parts + procs[i + 1 :]
         pending -= 1
-    parent_live = config._live
     config = Configuration(
         config.qstate if qstate is None else qstate,
         bindings,
@@ -555,8 +500,6 @@ def _advance(
         config.next_fresh if next_fresh is None else next_fresh,
         config.program,
     )
-    if isinstance(parent_live, frozenset):
-        config._live = parent_live if gone is None else (parent_live, gone, added)
     config.check_ownership()
     return config
 
@@ -586,9 +529,7 @@ def _drop_dead(config: Configuration, outcome: MeasurementOutcome | None = None)
     ``config.qstate``: the components are built and checked first, so the
     branch is collapsed once, with the measured qubits that are now dead
     already sliced out. Without a dead qubit to drop or a branch to
-    collapse (the common case) the configuration is returned as it is.
-    The result carries ``config``'s live set renumbered, since no live
-    qubit is dropped."""
+    collapse (the common case) the configuration is returned as it is."""
     live = config._live
     if outcome is None and len(live) == config.qstate.num_qubits:
         return config  # ``_basis_drops``'s first test, made here to save a call on every step
@@ -596,7 +537,7 @@ def _drop_dead(config: Configuration, outcome: MeasurementOutcome | None = None)
     if found is None:
         return config
     qvec, dropped = found
-    return _compact(config, live, dropped, qvec)
+    return _compact(config, dropped, qvec)
 
 
 def _basis_drops(
@@ -628,15 +569,14 @@ def _basis_drops(
     return qvec, dropped
 
 
-def _compact(config: Configuration, live: frozenset, dropped, qvec: StateVector) -> Configuration:
+def _compact(config: Configuration, dropped, qvec: StateVector) -> Configuration:
     """``config`` with the qubits ``dropped`` gone and state ``qvec``: the
     others renumbered in their old order, the bindings and qubit sets of
     the survivors rewritten, and the bindings of the dropped qubits
     deleted; bit and channel bindings stay. Terms and environments refer to
     qubits only through bindings, so they are shared unchanged, and so is
     every qubit set below the lowest dropped qubit, which no renumbering
-    moves. Reads no amplitude. The result carries ``live``, ``config``'s
-    checked live set, renumbered."""
+    moves. Reads no amplitude."""
     n = config.qstate.num_qubits
     kept = [q for q in range(n) if q not in dropped]
     renumber = {q: i for i, q in enumerate(kept)}
@@ -647,7 +587,7 @@ def _compact(config: Configuration, live: frozenset, dropped, qvec: StateVector)
             bindings[name] = v
         elif v.qid in renumber:
             bindings[name] = QubitVal(renumber[v.qid])
-    compacted = Configuration(
+    return Configuration(
         qvec,
         bindings,
         tuple(
@@ -661,8 +601,6 @@ def _compact(config: Configuration, live: frozenset, dropped, qvec: StateVector)
         config.next_fresh,
         config.program,
     )
-    compacted._live = frozenset(renumber[q] for q in live)
-    return compacted
 
 
 def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes) -> Configuration:
@@ -828,23 +766,39 @@ def settle(config: Configuration) -> Configuration:
     race for it or disable the communication, and the communication
     neither enables nor disables another step: it touches no other
     component, and no qubit, since sending a qubit only moves its
-    ownership from ``S`` to ``R``. This is the confluence of private
-    π-calculus channels (Philippou & Walker, "On confluence in the
-    π-calculus", ICALP 1997; Groote & Sellink, "Confluence for process
-    verification", TCS 1996). Every step consumes a prefix, so every run
-    of these steps is finite.
+    ownership from ``S`` to ``R``. Each other move, and each branch of a
+    measurement, therefore commutes with the communication: the
+    configuration after it still has the communication, into the one the
+    same move reaches from the communication's target. This is the
+    confluence of private π-calculus channels (Philippou & Walker, "On
+    confluence in the π-calculus", ICALP 1997; Groote & Sellink,
+    "Confluence for process verification", TCS 1996). Every step consumes
+    a prefix, so every run of these steps is finite.
 
     ``explore`` settles the outcomes of one transition, such as the
-    branches of a measurement, through one table (``_Siblings``) that lives
-    only while it interns them (``SkeletonCache.settle``). Before each private
-    communication, a run looks its configuration up among those that the
-    runs of earlier outcomes met there; on a hit it stops, and the outcome
-    takes the state the earlier run was interned as. The four branches of
-    a teleport hop so meet after Bob's correction, and only the first runs
-    the send on the next link and the next hop's gates. A hit is the
-    relation by which ``explore`` merges states: an equal
-    ``canonical_key`` and amplitudes equal within ATOL up to global phase.
-    It is sound for three reasons:
+    branches of a measurement, through one table (``_Siblings``, which says
+    why that is sound), so a run may stop where an earlier outcome's run
+    went on.
+    """
+    cache = SkeletonCache()
+    skel, qvec, _sid = cache.settle(cache.skeleton(config), config.qstate, None)
+    return skel.at(qvec)
+
+
+class _Siblings:
+    """The states at which the settle runs of one transition's earlier
+    outcomes met a private communication, filed under their configuration's
+    ``canonical_key``, each with the PLTS state its run was interned as
+    (``SkeletonCache.settle``). It lives only as long as ``explore``
+    interns that one transition's outcomes.
+
+    Before each private communication, a run looks its configuration up
+    here; on a hit it stops, and the outcome takes the state the earlier
+    run was interned as. The four branches of a teleport hop so meet after
+    Bob's correction, and only the first runs the send on the next link and
+    the next hop's gates. A hit is the relation by which ``explore`` merges
+    states: an equal ``canonical_key`` and amplitudes equal within ATOL up
+    to global phase. It is sound for three reasons:
 
     - Unitary steps keep distances. Every step of a run applies one gate
       to both states, or binds names and appends the same fresh qubits to
@@ -865,29 +819,12 @@ def settle(config: Configuration) -> Configuration:
     hit merges no more than interning the settled configurations would,
     beyond the tolerance by which that interning itself merges. The table
     is probed only before private communications, not before every step,
-    which costs more than it saves.
-    """
-    cache = SkeletonCache()
-    skel, qvec, _sid = cache.settle(cache.skeleton(config), config.qstate, None)
-    return skel.at(qvec)
-
-
-class _Siblings:
-    """The configurations that the settle runs of one transition's earlier
-    outcomes met before a private communication, each with the PLTS state
-    its run was interned as (``SkeletonCache.settle``). It lives only as
-    long as ``explore`` interns that one transition's outcomes.
-
-    Entries are filed under a cheap pre-filter, the qubit count and the
-    identities of the component terms, so a key is looked up only for a
-    configuration whose terms another already shares, and a phase
-    comparison made only under an equal key. Each skeleton computes its
-    key once (``_Skeleton.key``)."""
+    which costs more than it saves."""
 
     __slots__ = ("_met", "_run")
 
     def __init__(self):
-        self._met: dict[tuple, list[list]] = {}  # pre-filter -> [skeleton, state, sid]
+        self._met: dict[tuple, list[list]] = {}  # canonical key -> [state, sid]
         self._run: list[list] = []  # entries of the run in progress, sid still None
 
     def find(self, skel: _Skeleton, qvec: StateVector) -> int | None:
@@ -895,17 +832,12 @@ class _Siblings:
         with the key of ``skel`` at ``qvec`` and, up to global phase, its
         amplitudes; or None, after noting this one for the run in
         progress."""
-        slot = (qvec.num_qubits, tuple(id(record[0]) for record in skel.config.procs))
-        entries = self._met.setdefault(slot, [])
-        key = None
-        for met, met_qvec, sid in entries:
-            if sid is None:  # met by this very run
-                continue
-            if key is None:
-                key = skel.key(qvec)
-            if met.key(met_qvec) == key and qstate.states_equal_up_to_global_phase(met_qvec, qvec):
+        entries = self._met.setdefault(skel.key(qvec), [])
+        for met, sid in entries:
+            # An entry with no sid yet was met by this very run.
+            if sid is not None and qstate.states_equal_up_to_global_phase(met, qvec):
                 return sid
-        entry = [skel, qvec, None]
+        entry = [qvec, None]
         entries.append(entry)
         self._run.append(entry)
         return None
@@ -913,7 +845,7 @@ class _Siblings:
     def close(self, sid: int) -> None:
         """End the run in progress, which was interned as state ``sid``."""
         for entry in self._run:
-            entry[2] = sid
+            entry[1] = sid
         self._run = []
 
 
@@ -993,14 +925,9 @@ def step(
     a branch (``_draw``) and only that branch is built; the transition is
     then ``drawn`` and holds that one outcome.
 
-    Every successor is built one of two ways. A step that binds names
-    (input, internal communication, ``qbit`` and ``new``) goes through
-    ``_bind``, which appends received test qubits and fresh |0> qubits to
-    the state; every other step replaces its component's head through
-    ``_advance``. Either way, a new head that is a parallel composition is
-    spliced into its parts, a call is unfolded, and one that is ``0`` is
-    dropped, and the successor then drops its dead basis qubits
-    (``_drop_dead``).
+    Every successor is built by ``_advance``, through ``_bind`` when the
+    step binds names, and then drops its dead basis qubits (``_drop_dead``;
+    ``Configuration`` says which).
     """
     transitions = _transitions(config, alphabet or {}, rng)
     return list(itertools.islice(transitions, None if rng is None else 1))
@@ -1347,16 +1274,16 @@ class SkeletonCache:
         gone = frozenset(dropped)
         left = pre.drops.get(gone)
         if left is None:
-            left = pre.drops[gone] = _Skeleton(_compact(pre.at(qvec), pre.live, dropped, qout))
+            left = pre.drops[gone] = _Skeleton(_compact(pre.at(qvec), dropped, qout))
         return left, qout
 
 
 class _Skeleton:
     """A configuration less its state, with what exploring it has found
     out so far (``SkeletonCache``). ``config`` is the first configuration
-    met with this skeleton, and ``live`` the live set it carries once
-    checked; an initial configuration carries none, so the steps from it
-    scan their successors in full.
+    met with this skeleton, and ``live`` its checked live set, which
+    ``SkeletonCache._follow`` reads on the successors ``_advance`` builds;
+    None for any other configuration, which has not been checked.
     ``tau`` and ``redex`` are ``_UNKNOWN`` until computed, and then None or
     the move (``_tau_move``, or a ``_COMMUNICATE`` move) with its table of
     what it built (``SkeletonCache._follow``). ``moves`` holds such pairs
@@ -1366,9 +1293,8 @@ class _Skeleton:
     __slots__ = ("config", "live", "_key", "tau", "redex", "moves", "drops")
 
     def __init__(self, config: Configuration):
-        live = config._live
         self.config = config
-        self.live = live if isinstance(live, frozenset) else None
+        self.live = config._live
         self._key = self.moves = self.drops = None
         self.tau = self.redex = _UNKNOWN
 
@@ -1378,7 +1304,7 @@ class _Skeleton:
         config = self.config
         if qvec is config.qstate:
             return config
-        made = Configuration(
+        return Configuration(
             qvec,
             config.bindings,
             config.procs,
@@ -1387,8 +1313,6 @@ class _Skeleton:
             config.next_fresh,
             config.program,
         )
-        made._live = self.live
-        return made
 
     def key(self, qvec: StateVector) -> tuple:
         """``canonical_key`` of this skeleton at any state of its size."""
@@ -1472,10 +1396,7 @@ def explore(
     intermediate probabilistic state.
 
     ``step`` has already dropped the dead basis-state qubits of every
-    successor (see ``Configuration``), so two configurations that differ
-    only in such qubits, like the four branches of a teleport after Bob's
-    correction, get the same key and are merged. The qubit cap of an
-    allocation or input counts only this compacted vector.
+    successor (see ``Configuration``).
 
     Every configuration is settled (``settle``) before it is interned, the
     initial one and every successor, so no state of the PLTS has a
@@ -1492,31 +1413,18 @@ def explore(
     ``equiv`` numbers classes in an order such a state does not affect
     (``equiv._build_graph``), no witness either.
 
-    A state with a private communication may have other moves, but none of
-    them is its sender's or its receiver's, since both are blocked on a
-    channel no other component holds. So each move, and each branch of a
-    measurement, commutes with the communication: the state after it still
-    has the communication, into the state the same move reaches from the
-    communication's target (Philippou & Walker, "On confluence in the
-    π-calculus", ICALP 1997; Groote & Sellink, "Confluence for process
-    verification", TCS 1996). The state is therefore branching bisimilar to
-    its τ-successor, and ``equiv._classify`` puts it in that successor's
-    class, since its signature is the successor's and the τ into it.
-    Classes are still numbered in search order, which such a state can
-    shift; no witness of the corpus, of the chain goldens or of the random
-    pairs the differential tests check changed.
+    A state with a private communication is branching bisimilar to its
+    τ-successor, since the communication is confluent (see ``settle``), and
+    ``equiv._classify`` puts it in that successor's class, since its
+    signature is the successor's and the τ into it. Classes are still
+    numbered in search order, which such a state can shift; no witness of
+    the corpus, of the chain goldens or of the random pairs the
+    differential tests check changed.
 
     The outcomes of one transition with several, such as the branches of
-    a measurement, are settled through one table that lives only while
-    they are interned (``_Siblings``): a branch's run stops before a
-    private communication at a configuration an earlier branch's run met
-    there, equal by the relation above, and the branch takes the state
-    that run was interned as. ``settle`` gives the soundness argument:
-    unitary steps keep distances within ATOL, an equal key and state give
-    the same run, and any error would have come from the earlier branch.
-    The PLTS is the one interning each branch's settled configuration
-    gives; the branches of a teleport hop, which meet after Bob's
-    correction, then run the next link and the next hop's gates once.
+    a measurement, are settled through one table (``_Siblings``, which
+    says why the PLTS is the one interning each branch's settled
+    configuration gives).
 
     Every exploration goes through a ``SkeletonCache``, its own or
     ``cache``, which ``equiv.check_equivalence`` shares between the

@@ -894,11 +894,10 @@ def basis_drops_oracle(state, live, outcome=None):
     return StateVector(n - len(dropped), amps), dropped
 
 
-def compact_oracle(config, live, dropped, qvec):
+def compact_oracle(config, dropped, qvec):
     """``semantics._compact`` by the slow paths: the survivors renumbered in
     order and every qubit set walked again from the terms
-    (``qubit_sets_oracle``). The result carries no live set, so the steps
-    from it scan their successors in full."""
+    (``qubit_sets_oracle``)."""
     n = config.qstate.num_qubits
     renumber = {q: i for i, q in enumerate(q for q in range(n) if q not in dropped)}
     bindings = {
@@ -1135,7 +1134,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
                     if sent_qubits
                     else None
                 )
-                label = CommLabel("out", cid, config.display_channel(cid), tuple(label_values), dm)
+                label = CommLabel("out", cid, config.channel_names[cid], tuple(label_values), dm)
                 cfg = semantics._drop_dead(semantics._advance(config, {i: (head.continuation, env)}))
                 transitions.append(Transition(label, ((1.0, cfg),)))
             continue
@@ -1148,7 +1147,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
                     cfg = semantics._drop_dead(semantics._bind(
                         config, {i: (head.continuation, env)}, i, head.binders, value_tuple
                     ))
-                    label = CommLabel("in", cid, config.display_channel(cid), tuple(value_tuple))
+                    label = CommLabel("in", cid, config.channel_names[cid], tuple(value_tuple))
                     transitions.append(Transition(label, ((1.0, cfg),)))
             continue
 

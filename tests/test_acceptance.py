@@ -92,9 +92,7 @@ def test_criterion_3_entanglement_statistics(capsys):
 
 
 def test_criterion_4_superposition_gate_action(capsys):
-    state = qstate.StateVector.from_amplitudes(
-        np.array([0.5, 0, 0.5, 0, 0, 0, -0.5, -0.5], dtype=complex)
-    )
+    state = qstate.StateVector(3, np.array([0.5, 0, 0.5, 0, 0, 0, -0.5, -0.5], dtype=complex))
     out = qstate.apply_gate(state, qstate.standard_gate("X"), [1])
     expected = np.zeros(8, dtype=complex)
     expected[0], expected[2], expected[4], expected[5] = 0.5, 0.5, -0.5, -0.5

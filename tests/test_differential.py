@@ -41,9 +41,9 @@ printing the sign of a zero (``random67`` and ``random121``, default test
 set, ``:reduce`` and ``:full``): a density-matrix entry with a real part of
 -0.0 printed as ``-0.0000``.
 
-A successor derives its live qubits from its parent's, and a continuation
-that keeps its component's environment and drops no name bound to a qubit
-or a hidden channel keeps its qubit and hidden sets. Both are checked
+A continuation that keeps its component's environment and drops no name
+bound to a qubit or a hidden channel keeps its qubit and hidden sets. These
+sets, and the live set each ownership check scans from them, are checked
 against the term walks on every configuration the digest explorations
 check and on sampled runs.
 
@@ -183,8 +183,8 @@ def test_canonical_key_matches_the_term_walk(explorations):
 def test_check_ownership_matches_the_term_walk(explorations):
     """The qubit and hidden-channel sets of every record, made in one pass
     over its cached free names or kept from the component a continuation
-    replaced, are those the term walks find, and so is the live set each
-    explored configuration carries."""
+    replaced, are those the term walks find, and so is the live set of each
+    explored configuration."""
     holding = hiding = 0
     for cfg in explored_configurations(explorations):
         qubit_sets = tuple(qubits for _term, _env, qubits, _hidden in cfg.procs)
@@ -240,40 +240,39 @@ def test_hidden_channels_numbered_in_the_walk_order():
 
 
 def assert_sets_like_the_term_walks(config, live, case):
-    """``live``, the live set ``config`` carries, and the qubit and hidden
-    sets of its records are those the term walks find."""
+    """``live``, the live set ``config``'s ownership check found, and the
+    qubit and hidden sets of its records are those the term walks find."""
     assert live == check_ownership_oracle(config), case
     assert tuple(r[2] for r in config.procs) == qubit_sets_oracle(config.bindings, config.procs), case
     assert tuple(r[3] for r in config.procs) == hidden_sets_oracle(config), case
 
 
-def test_derived_live_sets_match_the_term_walk(monkeypatch):
-    """Each successor that derives its live qubits from its parent's
-    (``Configuration.check_ownership``) gets the set the term walk finds,
-    and its records, reused or made, hold the walk's sets. Checked on every
-    configuration that the digest explorations check, those that a settle
-    or a sampled step passes over included, before dead qubits drop."""
+def test_scanned_live_sets_match_the_term_walk(monkeypatch):
+    """Each live set that ``Configuration.check_ownership`` scans is the
+    set the term walk finds, and the configuration's records, reused or
+    made, hold the walk's sets. Checked on every configuration that the
+    digest explorations check, those that a settle or a sampled step passes
+    over included, before dead qubits drop."""
     check = semantics.Configuration.check_ownership
-    derived = 0
+    scanned = 0
 
     def compared(config):
-        nonlocal derived
-        carried = isinstance(config._live, tuple)
+        nonlocal scanned
+        fresh = config._live is None
         live = check(config)
-        if carried:
-            derived += 1
-            assert_sets_like_the_term_walks(config, live, derived)
+        if fresh:
+            scanned += 1
+            assert_sets_like_the_term_walks(config, live, scanned)
         return live
 
     monkeypatch.setattr(semantics.Configuration, "check_ownership", compared)
     assert sum(1 for _ in digest_explorations()) == len(GOLDEN.read_text().splitlines())
-    assert derived > 10_000
+    assert scanned > 15_000
 
 
-def test_sampled_runs_carry_the_term_walks_live_sets():
-    """Every configuration of a sampled run carries its checked live set,
-    renumbered when qubits drop, and it is the term walk's; so are its
-    records' sets. Checked on seeds 0-9 of the corpus's teleport harness
+def test_sampled_runs_have_the_term_walks_live_sets():
+    """Every configuration of a sampled run, compacted or not, has the live
+    set and the records' sets that the term walks find. Checked on seeds 0-9 of the corpus's teleport harness
     and on seeds 0-2 of each ``random_typed_program`` of seeds 0-299."""
     program, signatures, _src = load_corpus_file("teleport_harness.cqp")
     config = initial_configuration(program, "Harness", signatures=signatures)
@@ -290,8 +289,7 @@ def test_sampled_runs_carry_the_term_walks_live_sets():
         except (SemanticsError, CapacityError):
             continue
         for ts in trace:
-            assert isinstance(ts.config._live, frozenset), name
-            assert_sets_like_the_term_walks(ts.config, ts.config._live, name)
+            assert_sets_like_the_term_walks(ts.config, ts.config.check_ownership(), name)
             checked += 1
             harness += name.startswith("harness")
     assert harness > 100
@@ -351,7 +349,7 @@ def test_shared_qubit_rejected_like_the_term_walk():
     )
     shared = dataclasses.replace(
         config,
-        qstate=StateVector.from_amplitudes([1.0, 0.0]),
+        qstate=StateVector(1, [1.0, 0.0]),
         bindings=bindings,
         procs=procs,
     )

@@ -42,7 +42,7 @@ from support import (
 
 
 def sv(*amps) -> StateVector:
-    return StateVector.from_amplitudes(np.array(amps, dtype=complex))
+    return StateVector(len(amps).bit_length() - 1, np.array(amps, dtype=complex))
 
 
 BELL = sv(SQ2, 0, 0, SQ2)
@@ -128,7 +128,7 @@ def test_hadamard_self_inverse_on_random_states():
     rng = np.random.default_rng(7)
     h = standard_gate("H")
     for _ in range(20):
-        state = StateVector.from_amplitudes(random_state_amps(rng, 3))
+        state = StateVector(3, random_state_amps(rng, 3))
         target = int(rng.integers(0, 3))
         out = apply_gate(apply_gate(state, h, [target]), h, [target])
         assert states_equal_up_to_global_phase(out, state)
@@ -305,7 +305,7 @@ def test_teleport_branches_restore_input_density_matrix():
         for (u_bit, x_bit), (prob, post, _y) in teleport_branches_oracle(psi).items():
             assert abs(prob - 0.25) <= 1e-9
             corrected = apply_gate(
-                StateVector.from_amplitudes(post), sigma_correction((u_bit, x_bit)), [1]
+                StateVector(3, post), sigma_correction((u_bit, x_bit)), [1]
             )
             rho = reduced_density_matrix(corrected, [1])
             np.testing.assert_allclose(rho.matrix, projector, atol=1e-9)

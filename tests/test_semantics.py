@@ -665,16 +665,15 @@ def test_exploration_cap(teleport_program):
 def test_dynamic_ownership_violation_detected(monkeypatch):
     """Bypasses the type checker: two components hold the same qubit, next
     to each other or with a third component between them. The step that
-    allocates the qubit is the one that fails. Stepped from the initial
-    configuration, which was made by hand, the successor is scanned in
-    full; behind a gate on another qubit, it derives its live qubits from
-    its checked parent (``Configuration.check_ownership``). Either way the
-    error is the full scan's, message included."""
+    allocates the qubit is the one that fails, whether it is stepped from
+    the initial configuration or behind a gate on another qubit, and its
+    error is the one a fresh check of the failed configuration raises,
+    message included."""
     checked = []
     check = semantics.Configuration.check_ownership
 
     def recorded(config):
-        checked.append((config, config._live))
+        checked.append(config)
         return check(config)
 
     monkeypatch.setattr(semantics.Configuration, "check_ownership", recorded)
@@ -686,10 +685,8 @@ def test_dynamic_ownership_violation_detected(monkeypatch):
             config = initial_configuration(parse_program(f"P(c) = {prefix}{body}"), "P")
             with pytest.raises(OwnershipViolation) as err:
                 run_sampled(config, seed=0)
-            failed, carried = checked[-1]
-            assert isinstance(carried, tuple) == bool(prefix)
             with pytest.raises(OwnershipViolation) as full:
-                dataclasses.replace(failed).check_ownership()
+                dataclasses.replace(checked[-1]).check_ownership()
             assert str(err.value) == str(full.value)
             assert str(err.value).endswith("bound under two parallel components")
 

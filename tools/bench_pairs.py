@@ -9,7 +9,8 @@ fresh process with the benchmark's default seed and the same duration.
 
 Writes one JSON file at the root of the repository (``--out``), with one
 entry per workload: the machine, both commits (the working tree as its
-``HEAD`` and the hash of its uncommitted diff, if any), and per end-to-end
+``HEAD`` and the hash of its uncommitted diff to the files a benchmark run
+reads, if any: ``fingerprint``), and per end-to-end
 metric of ``BENCHMARK.json`` the per-pair values of both sides, their
 medians and quartiles, and the number of pairs the working tree won. A
 later call with another workload adds its entry to the same file, and one
@@ -35,11 +36,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# The paths whose contents a benchmark run reads: the package, the benchmark
+# and its declaration. Edits anywhere else leave the fingerprint as it is.
+BENCHED_PATHS = ("src", "bench", "BENCHMARK.json")
 
-def git(*args: str) -> str:
+
+def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        ["git", *args], cwd=cwd, capture_output=True, text=True, check=True
     ).stdout
+
+
+def fingerprint(root: Path = ROOT) -> dict:
+    """The working tree of the repository at ``root`` as the benchmark sees
+    it: its ``HEAD`` commit and the SHA-256 of its uncommitted diff to
+    ``BENCHED_PATHS``, or None when there is none."""
+    diff = git("diff", "HEAD", "--", *BENCHED_PATHS, cwd=root)
+    return {
+        "head": git("rev-parse", "HEAD", cwd=root).strip(),
+        "uncommitted_diff_sha256": hashlib.sha256(diff.encode()).hexdigest() if diff else None,
+    }
 
 
 def unpack(ref: str, into: Path) -> None:
@@ -102,25 +118,28 @@ def machine() -> dict:
     }
 
 
-def main(argv=None) -> int:
+def parse_args(argv, benchmark: dict) -> argparse.Namespace:
+    """The command line ``argv``; each run lasts ``benchmark``'s
+    ``run_seconds`` unless ``--seconds`` says otherwise."""
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="the commit to compare against")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=25.0)
+    p.add_argument("--seconds", type=float, default=float(benchmark["run_seconds"]),
+                   help="duration of each run (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--out", default="BENCH.json", help="file name at the root of the repository")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
+    return args
 
+
+def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, benchmark)
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     parent_commit = git("rev-parse", args.parent).strip()
-    diff = git("diff", "HEAD")
-    change = {
-        "head": git("rev-parse", "HEAD").strip(),
-        "uncommitted_diff_sha256": hashlib.sha256(diff.encode()).hexdigest() if diff else None,
-    }
+    change = fingerprint()
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
