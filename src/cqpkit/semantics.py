@@ -8,23 +8,20 @@ components flat builds in three structural congruences: ``P | 0 ≡ P``,
 ``A(x̃) ≡ P{x̃/ỹ}`` for a definition ``A(ỹ) = P``. A component whose head
 becomes a parallel composition is spliced into its parts, a call is
 replaced by its body, and a component that reaches ``0`` is dropped, all
-without a transition. ``step`` enumerates the enabled transitions of a
-configuration, giving priority to one deterministic internal step when a
-component can take one (see its docstring); ``explore`` closes a
-configuration under ``step`` into a finite probabilistic labelled
-transition system (PLTS) whose states alternate between nondeterministic
-choice and probability distributions. ``explore`` first settles each
-configuration (``settle``): it runs the deterministic τ steps that have
-priority, and then the communications on a hidden channel that only their
-sender and receiver hold, until neither is left, so no state of the PLTS
-is one that could take such a step. ``settle`` says why such a
-communication is confluent, and ``explore`` why settling changes no
-verdict. The branches of one measurement settle through one table
-(``_Siblings``, which says why that is sound), so branches that a
-correction has made equal run the rest once.
-``run_sampled`` walks one seeded path for simulation, handing ``step`` its
-PRNG so that each step builds only the configuration the path takes, and
-collapses the state only onto the measurement branch it draws.
+without a transition. ``explore`` closes a configuration under its
+enabled transitions into a finite probabilistic labelled transition system
+(PLTS) whose states alternate between nondeterministic choice and
+probability distributions. It first settles each configuration
+(``settle``): it runs the deterministic internal steps, which have
+priority (``settle`` says why), and then the communications on a hidden
+channel that only their sender and receiver hold, until neither is left,
+so no state of the PLTS is one that could take such a step. ``explore``
+says why settling changes no verdict. The branches of one measurement
+settle through one table (``_Siblings``, which says why that is sound), so
+branches that a correction has made equal run the rest once.
+``run_sampled`` walks one seeded path for simulation: each ``step`` takes
+the first enabled transition, builds only the configuration the path
+takes, and collapses the state only onto the measurement branch it draws.
 
 Communication is synchronous (handshake), as in pi-calculus. A payload is
 a flat list of expressions. Before an output can send, the leftmost
@@ -253,7 +250,7 @@ class Configuration:
     A qubit is *live* when a free name of some component resolves to it and
     *dead* otherwise: it was measured into a payload, sent away, or its
     binder went out of scope. Every binding gets a fresh runtime name, so
-    nothing can refer to a dead qubit again. ``step`` drops each dead qubit
+    nothing can refer to a dead qubit again. A step drops each dead qubit
     whose amplitudes are exactly zero on one basis value (measurement and
     gate pruning leave such exact zeros). A qubit measured into a payload
     is such a qubit in every branch, so the branch is collapsed with it
@@ -315,8 +312,8 @@ class Configuration:
 @dataclass(frozen=True)
 class Transition:
     """One enabled move: a label and a distribution over successor configs.
-    ``drawn`` marks a measurement of which ``step`` built only the outcome
-    its ``rng`` drew; ``outcomes`` then holds that one."""
+    ``step`` builds only the outcome its ``rng`` draws, so ``outcomes``
+    holds one; ``drawn`` marks a measurement that had several."""
 
     label: object
     outcomes: tuple  # of (probability, Configuration)
@@ -530,10 +527,7 @@ def _drop_dead(config: Configuration, outcome: MeasurementOutcome | None = None)
     branch is collapsed once, with the measured qubits that are now dead
     already sliced out. Without a dead qubit to drop or a branch to
     collapse (the common case) the configuration is returned as it is."""
-    live = config._live
-    if outcome is None and len(live) == config.qstate.num_qubits:
-        return config  # ``_basis_drops``'s first test, made here to save a call on every step
-    found = _basis_drops(config.qstate, live, outcome)
+    found = _basis_drops(config.qstate, config._live, outcome)
     if found is None:
         return config
     qvec, dropped = found
@@ -665,26 +659,8 @@ def _gate_for(config: Configuration, env: dict, ref) -> qstate.Gate:
 _UNFOLDED = (Parallel, Call, Nil)
 
 # Heads whose step is a deterministic τ touching only the component's own
-# qubits and fresh names; ``step`` gives them priority.
+# qubits and fresh names; ``settle`` says why they have priority.
 _DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
-
-
-def _deterministic_tau(config: Configuration, i: int, head: ProcessTerm, env: dict) -> tuple:
-    """``(op, successor)``: the one successor of the τ step of component
-    ``i``, headed by a qubit allocation, a channel restriction or a gate,
-    before its dead qubits drop (``_drop_dead``), and the state operation
-    the step applies (``_state_op``). Allocation binds one fresh |0> qubit
-    per binder and ``new`` one fresh channel, both through ``_bind``."""
-    op = _state_op(config, head, env)
-    qvec = config.qstate if op is None else getattr(qstate, op[0])(config.qstate, *op[1:])
-    heads = {i: (head.continuation, env)}
-    if isinstance(head, QbitAlloc):
-        fresh = range(config.qstate.num_qubits, qvec.num_qubits)
-        return op, _bind(config, heads, i, head.binders, [QubitVal(q) for q in fresh], qstate=qvec)
-    if isinstance(head, NewChannel):
-        channel = (ChannelVal(config.next_channel),)
-        return op, _bind(config, heads, i, (head.binder,), channel, next_channel=config.next_channel + 1)
-    return op, _advance(config, heads, qstate=qvec)
 
 
 def _state_op(config: Configuration, head: ProcessTerm, env: dict) -> tuple | None:
@@ -692,15 +668,18 @@ def _state_op(config: Configuration, head: ProcessTerm, env: dict) -> tuple | No
     name of a ``qstate`` function and its arguments after the state: a
     gate's ``apply_gate`` on the qubits it names, an allocation's
     ``append_qubits`` of one |0> qubit per binder; None for ``new``. It
-    reads only names and bindings, never amplitudes. ``_deterministic_tau``
-    and ``SkeletonCache._follow`` apply it as ``getattr(qstate, op[0])(state,
-    *op[1:])``."""
+    reads only names and bindings, never amplitudes (``_applied``)."""
     if isinstance(head, GateAction):
         qids = _qubit_ids(config, env, head.targets)
         return "apply_gate", _gate_for(config, env, head.gate), qids
     if isinstance(head, QbitAlloc):
         return "append_qubits", [(_KET0.amp0, _KET0.amp1)] * len(head.binders)
     return None
+
+
+def _applied(op: tuple | None, qvec: StateVector) -> StateVector:
+    """``qvec`` after the state operation ``op`` (``_state_op``)."""
+    return qvec if op is None else getattr(qstate, op[0])(qvec, *op[1:])
 
 
 def _communicate(config: Configuration, out_i: int, in_i: int) -> Configuration:
@@ -725,8 +704,8 @@ def _private_redex(config: Configuration) -> tuple[int, int] | None:
     one headed by an output on ``c`` with no ``measure`` left in its
     payload, the other headed by an input on ``c``. Holders are counted on
     the records' ``hidden`` sets, so no free name is resolved again. A head
-    whose channel does not resolve to a channel is passed over, and ``step``
-    raises on it as it would without settling."""
+    whose channel does not resolve to a channel is passed over, and
+    ``_moves`` raises on it as it would without settling."""
     procs = config.procs
     bindings = config.bindings
     for out_i, (head, env, _qubits, hidden) in enumerate(procs):
@@ -752,14 +731,46 @@ def settle(config: Configuration) -> Configuration:
     private communication (``_private_redex``) that ``config`` reaches by
     taking them, each with every check of a step. Each time, the first
     component headed by a qubit allocation, a ``new`` or a gate moves
-    (``_deterministic_tau``), in ``step``'s priority order; only when none
-    is left does the first private communication go (``_communicate``, as
-    ``step`` builds it). A configuration that has neither comes back with
-    the same fields. The run is ``SkeletonCache.settle``'s, through a cache
-    of its own.
+    (``_tau_move``); only when none is left does the first private
+    communication go (``_communicate``). A configuration that has neither
+    comes back with the same fields. The run is ``SkeletonCache.settle``'s,
+    through a cache of its own.
+
+    Priority rule: a deterministic τ step is confluent with every other
+    enabled step and inert, so it goes first, and no other successor of
+    its configuration is built (``step`` takes it the same way):
+
+    - it reads and writes only the qubits its component owns, and disjoint
+      ownership (checked on every step) means no other component can
+      touch them, while a visible output of another component is labelled
+      with the reduced density matrix of that component's own qubits,
+      which a unitary on other qubits leaves unchanged;
+    - it uses only fresh names and fresh channels, so it enables or
+      disables nothing else;
+    - it can be postponed only finitely often: the parser's
+      ``_check_calls`` rejects recursion, so ``_flatten`` unfolds every
+      call in finitely many rounds, and every step then consumes a prefix
+      of a component, so there are no τ-cycles to hide it on;
+    - the checker treats termination as τ-closed (``equiv``): a τ before
+      a component stops is inert, so giving it priority cannot turn
+      "stopped now" into "stops later" in a way the checker would see.
+
+    This is partial τ-confluence reduction (Groote & van de Pol, "State
+    space reduction using partial τ-confluence", MFCS 2000); the checker's
+    verdicts are unchanged because the reduced system is branching
+    bisimilar to the full one. The same teleport-versus-identity checks
+    are the case study of Ardeshir-Larijani, Gay & Nagarajan, "Equivalence
+    checking of quantum protocols" (TACAS 2013).
+
+    What stays out: measurement forcing, outputs, inputs and the other
+    internal communications. A probabilistic τ does not commute branch by
+    branch with visible outputs of entangled qubits (Baier, D'Argenio &
+    Größer, "Partial order reduction for probabilistic branching time",
+    QAPL 2005), and communications on a channel a third component holds
+    can disable each other: two receivers race for one send.
 
     A private communication on ``c`` is τ-confluent and inert, like a
-    deterministic τ (see ``step``). No component but its sender ``S`` and
+    deterministic τ. No component but its sender ``S`` and
     receiver ``R`` holds ``c``, and a hidden channel can only reach another
     component by being sent, which only ``S`` or ``R`` could do; both are
     blocked on this very step. So no other step can take ``c`` from them,
@@ -832,7 +843,7 @@ class _Siblings:
         with the key of ``skel`` at ``qvec`` and, up to global phase, its
         amplitudes; or None, after noting this one for the run in
         progress."""
-        entries = self._met.setdefault(skel.key(qvec), [])
+        entries = self._met.setdefault(skel.key(), [])
         for met, sid in entries:
             # An entry with no sid yet was met by this very run.
             if sid is not None and qstate.states_equal_up_to_global_phase(met, qvec):
@@ -849,103 +860,46 @@ class _Siblings:
         self._run = []
 
 
-def _draw(outcomes: list, rng: random.Random):
-    """The outcome whose cumulative probability, summed in order, first
-    reaches one draw from ``rng``; the last when rounding leaves it short."""
+def _draw(outcomes: list, rng: random.Random) -> tuple:
+    """The outcome ``(p, arg, branch)`` whose cumulative probability,
+    summed in order, first reaches one draw from ``rng``; the last when
+    rounding leaves it short."""
     draw = rng.random()
     cumulative = 0.0
     for o in outcomes:
-        cumulative += o.probability
+        cumulative += o[0]
         if draw <= cumulative:
             return o
     return outcomes[-1]
 
 
-def step(
-    config: Configuration,
-    alphabet: dict | None = None,
-    *,
-    rng: random.Random | None = None,
-) -> list[Transition]:
-    """Enumerate the enabled transitions in a fixed, deterministic order.
+def step(config: Configuration, alphabet: dict | None = None, *, rng: random.Random) -> list[Transition]:
+    """The first enabled transition of ``config``, as a list of one, or
+    ``[]`` when none is enabled: one step of ``run_sampled``.
 
     ``alphabet`` maps visible channel ids to the value tuples the
     environment may inject on them; without it, external inputs stay
     disabled (they simply do not fire).
 
-    Priority rule: scanning ``config.procs`` in order, the first component
-    headed by a qubit allocation, a channel restriction ``new`` or a gate
-    gives the only transition, a τ to a single successor, and no other
-    successor is built. Such a step is confluent with every other enabled
-    step and inert:
+    The order is fixed. The first component headed by a qubit allocation,
+    a ``new`` or a gate takes its deterministic τ, which has priority (see
+    ``settle``), one at a time, so ``run_sampled`` traces show each.
+    Otherwise the moves of ``_moves`` come in their order, an input once
+    per value tuple. Only the transition taken is built, so a runtime error
+    that only a later one would raise is not raised. A measurement with
+    several outcomes draws one from ``rng`` (``_draw``) and builds only
+    that branch; the transition is then ``drawn``.
 
-    - it reads and writes only the qubits its component owns, and disjoint
-      ownership (checked on every step) means no other component can
-      touch them, while a visible output of another component is labelled
-      with the reduced density matrix of that component's own qubits,
-      which a unitary on other qubits leaves unchanged;
-    - it uses only fresh names and fresh channels, so it enables or
-      disables nothing else;
-    - it can be postponed only finitely often: the parser's
-      ``_check_calls`` rejects recursion, so ``_flatten`` unfolds every
-      call in finitely many rounds, and every step then consumes a prefix
-      of a component, so there are no τ-cycles to hide it on;
-    - the checker treats termination as τ-closed (``equiv``): a τ before
-      a component stops is inert, so giving it priority cannot turn
-      "stopped now" into "stops later" in a way the checker would see.
-
-    This is partial τ-confluence reduction (Groote & van de Pol, "State
-    space reduction using partial τ-confluence", MFCS 2000); the checker's
-    verdicts are unchanged because the reduced system is branching
-    bisimilar to the full one. The same teleport-versus-identity checks
-    are the case study of Ardeshir-Larijani, Gay & Nagarajan, "Equivalence
-    checking of quantum protocols" (TACAS 2013).
-
-    What stays out: measurement forcing, outputs, inputs and internal
-    communication keep the full enumeration in ``step``. A probabilistic τ
-    does not commute branch by branch with visible outputs of entangled
-    qubits (Baier, D'Argenio & Größer, "Partial order reduction for
-    probabilistic branching time", QAPL 2005), and communications on a
-    channel a third component holds can disable each other: two receivers
-    race for one send. A communication on a hidden channel that only its
-    sender and receiver hold cannot be raced or disabled; ``settle`` takes
-    it (see there), but ``step`` does not give it priority.
-
-    ``step`` itself takes one deterministic τ at a time, so ``run_sampled``
-    traces show each. ``explore`` instead settles each configuration it
-    meets (``settle``) by running all of them in this order, and every
-    private communication, before interning it, which folds every state of
-    such a run into its last (Blom & van de Pol, "State space reduction by
-    proving confluence", CAV 2002).
-
-    The transitions come from one lazy enumeration (``_transitions``),
-    which builds each only when it is reached. With ``rng`` (a sampled
-    run), ``step`` takes the first, and no later one is built. If it
-    forces a measurement with several outcomes, one draw from ``rng`` picks
-    a branch (``_draw``) and only that branch is built; the transition is
-    then ``drawn`` and holds that one outcome.
-
-    Every successor is built by ``_advance``, through ``_bind`` when the
-    step binds names, and then drops its dead basis qubits (``_drop_dead``;
-    ``Configuration`` says which).
+    The successor is built by ``_successor`` and then drops its dead basis
+    qubits (``_drop_dead``; ``Configuration`` says which).
     """
-    transitions = _transitions(config, alphabet or {}, rng)
-    return list(itertools.islice(transitions, None if rng is None else 1))
-
-
-def _transitions(config: Configuration, alphabet: dict, rng: random.Random | None):
-    """The enabled transitions of ``config`` in ``step``'s order, each built
-    when the enumeration reaches it."""
-    tau = _tau_move(config.procs)
-    if tau is not None:
-        _kind, i, head, env = tau
-        yield Transition(TAU, ((1.0, _drop_dead(_deterministic_tau(config, i, head, env)[1])),))
-        return
-    for move in _moves(config):
-        found = _move_transitions(move, config.qstate, config.channel_names, alphabet, rng)
-        for label, outcomes, drawn in found:
-            dist = [(p, _drop_dead(_successor(config, move, arg)[1], o)) for p, arg, o in outcomes]
-            yield Transition(label, tuple(dist), drawn)
+    tau = _tau_move(config)
+    for move in (tau,) if tau is not None else _moves(config):
+        for label, outcomes in _move_transitions(move, config.qstate, config.channel_names, alphabet or {}):
+            drawn = len(outcomes) > 1
+            p, arg, branch = _draw(outcomes, rng) if drawn else outcomes[0]
+            return [Transition(label, ((p, _drop_dead(_successor(config, move, arg), branch)),), drawn)]
+    return []
 
 
 # The kinds of a move: a deterministic τ (``_tau_move``), and those of
@@ -953,74 +907,74 @@ def _transitions(config: Configuration, alphabet: dict, rng: random.Random | Non
 _TAU, _MEASURE, _SEND, _RECEIVE, _COMMUNICATE = "tau", "measure", "send", "receive", "communicate"
 
 
-def _tau_move(procs: tuple) -> tuple | None:
-    """``(_TAU, i, head, env)`` for the first component ``i`` headed by a
-    qubit allocation, a ``new`` or a gate, which ``step``'s priority rule
-    moves; or None."""
-    for i, (head, env, _qubits, _hidden) in enumerate(procs):
+def _tau_move(config: Configuration) -> tuple | None:
+    """``(_TAU, i, head, env, op)`` for the first component ``i`` headed by
+    a qubit allocation, a ``new`` or a gate, which has priority
+    (``settle``), with the state operation ``op`` of its step
+    (``_state_op``); or None."""
+    for i, (head, env, _qubits, _hidden) in enumerate(config.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
-            return _TAU, i, head, env
+            return _TAU, i, head, env, _state_op(config, head, env)
     return None
 
 
-def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alphabet: dict, rng) -> list:
-    """The transitions of ``move`` (``_moves``) at state ``qvec``, in
-    ``step``'s order, as ``(label, outcomes, drawn)``, each outcome a
+def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alphabet: dict) -> list:
+    """The transitions of ``move`` (``_tau_move`` or ``_moves``) at state
+    ``qvec``, in ``step``'s order, as ``(label, outcomes)``, each outcome a
     ``(probability, arg, branch)`` of what ``_successor`` and
     ``_drop_dead`` take: a measurement's outcome bits and branch, or a
     received value tuple. The kernels that a label or a distribution reads
-    run here; no successor is built. With ``rng``, a measurement of
-    several outcomes gives only the one drawn (``_draw``), and ``drawn``
-    is then true."""
+    run here; no successor is built."""
     kind = move[0]
     if kind is _MEASURE:
-        outcomes = qstate.measure(qvec, move[4])
-        drawn = rng is not None and len(outcomes) > 1
-        if drawn:
-            outcomes = [_draw(outcomes, rng)]
-        return [(TAU, [(o.probability, o.result, o) for o in outcomes], drawn)]
+        return [(TAU, [(o.probability, o.result, o) for o in qstate.measure(qvec, move[4])])]
     if kind is _SEND:
         _kind, _i, _head, _env, cid, values, sent = move
         dm = qstate.reduced_density_matrix(qvec, sent) if sent else None
-        return [(CommLabel("out", cid, channel_names[cid], values, dm), _ONE_OUTCOME, False)]
+        return [(CommLabel("out", cid, channel_names[cid], values, dm), _ONE_OUTCOME)]
     if kind is _RECEIVE:
         cid = move[4]
         return [
-            (CommLabel("in", cid, channel_names[cid], tuple(values)), [(1.0, values, None)], False)
+            (CommLabel("in", cid, channel_names[cid], tuple(values)), [(1.0, values, None)])
             for values in alphabet.get(cid, ())
         ]
-    return [(TAU, _ONE_OUTCOME, False)]
+    return [(TAU, _ONE_OUTCOME)]
 
 
-_ONE_OUTCOME = [(1.0, None, None)]  # of a send or a communication; never mutated
+_ONE_OUTCOME = [(1.0, None, None)]  # of a τ, a send or a communication; never mutated
 
 
-def _successor(config: Configuration, move: tuple, arg=None) -> tuple:
-    """``(op, successor)``: the successor ``move`` builds from ``config``
-    with ``arg`` (``_move_transitions``), before its dead qubits drop
-    (``_drop_dead``), and the state operation a deterministic τ applies
-    (``_state_op``; None for the other kinds, whose received test qubits
-    ``_bind`` appends). ``step``, ``settle`` and ``explore`` build every
-    successor here."""
+def _successor(config: Configuration, move: tuple, arg=None) -> Configuration:
+    """The successor ``move`` builds from ``config`` with ``arg``
+    (``_move_transitions``), before its dead qubits drop (``_drop_dead``).
+    ``step``, ``settle`` and ``explore`` build every successor here. A
+    deterministic τ applies its state operation (``_applied``); allocation
+    binds one fresh |0> qubit per binder and ``new`` one fresh channel,
+    both through ``_bind``, which also appends received test qubits."""
     kind = move[0]
-    if kind is _TAU:
-        _kind, i, head, env = move
-        return _deterministic_tau(config, i, head, env)
     if kind is _COMMUNICATE:
-        return None, _communicate(config, move[1], move[2])
+        return _communicate(config, move[1], move[2])
     i, head, env = move[1:4]
-    if kind is _MEASURE:
-        return None, _advance(config, {i: (head.forced(arg), env)})
-    if kind is _SEND:
-        return None, _advance(config, {i: (head.continuation, env)})
-    return None, _bind(config, {i: (head.continuation, env)}, i, head.binders, arg)
+    heads = {i: (head.forced(arg) if kind is _MEASURE else head.continuation, env)}
+    if kind is _TAU:
+        qvec = _applied(move[4], config.qstate)
+        if isinstance(head, QbitAlloc):
+            fresh = range(config.qstate.num_qubits, qvec.num_qubits)
+            return _bind(config, heads, i, head.binders, [QubitVal(q) for q in fresh], qstate=qvec)
+        if isinstance(head, NewChannel):
+            channel = (ChannelVal(config.next_channel),)
+            return _bind(config, heads, i, (head.binder,), channel, next_channel=config.next_channel + 1)
+        return _advance(config, heads, qstate=qvec)
+    if kind is _RECEIVE:
+        return _bind(config, heads, i, head.binders, arg)
+    return _advance(config, heads)
 
 
 def _moves(config: Configuration):
-    """The moves ``step`` enumerates on a configuration with no
-    deterministic τ head, in its order, each as a tuple of what its
-    transitions are built from; the part of ``step`` that reads no
-    amplitude, and raises any runtime error a head holds:
+    """The moves of a configuration with no deterministic τ head, in
+    ``step``'s order, each as a tuple of what its transitions are built
+    from; the part of a step that reads no amplitude, and raises any
+    runtime error a head holds:
 
     - ``(_MEASURE, i, head, env, qids)``: component ``i`` forces the
       leftmost ``measure`` of its output, on qubits ``qids``;
@@ -1135,12 +1089,12 @@ class SkeletonCache:
     the same skeletons. Each skeleton holds the objects of its key, so no
     identity is reused while the cache lives. A skeleton records, as each
     is first needed: its checked live set, its ``canonical_key``, its
-    settle step (the deterministic τ, or else the private communication,
-    ``_private_redex``), its ``step`` moves (``_moves``) and, for each
-    move, the skeleton it builds (``_successor``) per measurement outcome
-    or received value tuple, with the state operation it applies, and from
-    that one the skeleton left per set of dropped dead qubits (``_compact``;
-    ``_follow``).
+    settle move (the deterministic τ with its state operation,
+    ``_tau_move``, or else the private communication, ``_private_redex``),
+    its other moves (``_moves``) and, for each move, the skeleton it builds
+    (``_successor``) per measurement outcome or received value tuple, and
+    from that one the skeleton left per set of dropped dead qubits
+    (``_compact``; ``_follow``).
 
     So the work that reads no amplitude is done once per skeleton, not
     once per configuration met: the ownership check, key and redex of a
@@ -1160,7 +1114,7 @@ class SkeletonCache:
       anew from the amplitudes each time. Runtime names come from
       ``next_fresh``, qubit ids from the qubit count and hidden channel ids
       from ``next_channel``, all part of the key.
-    - The state operation is kept with the step: the gate and the qubit ids
+    - The state operation is kept with the move: the gate and the qubit ids
       it acts on, or the qubits appended, as ``_state_op`` gives it to the
       step that builds the successor, so the new state gets the operation
       building the step would apply. Received test qubits are appended by
@@ -1200,38 +1154,34 @@ class SkeletonCache:
         a configuration an earlier sibling's run met, which was interned as
         the PLTS state ``sid`` (see ``settle``)."""
         while True:
-            if skel.tau is _UNKNOWN:
-                move = _tau_move(skel.config.procs)
-                skel.tau = None if move is None else (move, {})
-            if skel.tau is not None:
-                move, built = skel.tau
-                skel, qvec = self._follow(skel, qvec, move, built)
-                continue
-            if skel.redex is _UNKNOWN:
-                redex = _private_redex(skel.at(qvec))
-                skel.redex = None if redex is None else ((_COMMUNICATE, *redex), {})
-            if skel.redex is None:
+            if skel.settling is _UNKNOWN:
+                move = _tau_move(skel.config)
+                if move is None:
+                    redex = _private_redex(skel.config)
+                    move = None if redex is None else (_COMMUNICATE, *redex)
+                skel.settling = None if move is None else (move, {})
+            if skel.settling is None:
                 return skel, qvec, None
-            if siblings is not None:
+            move, built = skel.settling
+            if siblings is not None and move[0] is _COMMUNICATE:
                 sid = siblings.find(skel, qvec)
                 if sid is not None:
                     return skel, qvec, sid
-            move, built = skel.redex
             skel, qvec = self._follow(skel, qvec, move, built)
 
     def transitions(self, skel: _Skeleton, qvec: StateVector, alphabet: dict) -> list[tuple]:
-        """``step``'s transitions of the settled ``skel`` at state ``qvec``,
-        in its order, as ``(label, outcomes)`` with each outcome a
+        """The enabled transitions of the settled ``skel`` at state ``qvec``,
+        in ``step``'s order, as ``(label, outcomes)`` with each outcome a
         ``(probability, (skeleton, state))``. The moves are enumerated once
         per skeleton (``_moves``), and the labels and distributions read
         the amplitudes each time (``_move_transitions``)."""
         moves = skel.moves
         if moves is None:
-            moves = _planned(skel, _moves(skel.at(qvec)))
+            moves = _planned(skel, _moves(skel.config))
         names = skel.config.channel_names
         found = []
         for move, built in moves:
-            for label, outcomes, _drawn in _move_transitions(move, qvec, names, alphabet, None):
+            for label, outcomes in _move_transitions(move, qvec, names, alphabet):
                 dist = [(p, self._follow(skel, qvec, move, built, arg, o)) for p, arg, o in outcomes]
                 found.append((label, dist))
         return found
@@ -1245,26 +1195,23 @@ class SkeletonCache:
 
         ``built`` maps the bits of each outcome, or each value tuple
         received with its test qubits blanked, to the skeleton the move
-        built with it and the state operation it applied. Only an ``arg``
-        not met before builds a ``Configuration`` (``_successor``); a met
-        one runs the operation, or appends the received test qubits as
-        ``_bind`` does (``_received``). The amplitudes then decide which
-        dead qubits drop (``_basis_drops``), and the skeleton left is built
-        once per set of dropped qubits (``_compact``)."""
-        receives = move[0] is _RECEIVE
-        slot = tuple(None if isinstance(v, TestQubit) else v for v in arg) if receives else arg
-        hit = built.get(slot)
-        if hit is None:
-            op, config = _successor(skel.at(qvec), move, arg)
-            pre = _Skeleton(config)
-            built[slot] = pre, op
+        built with it. Only an ``arg`` not met before builds a
+        ``Configuration`` (``_successor``); a met one runs a deterministic
+        τ's state operation (``_applied``), or appends the received test
+        qubits as ``_bind`` does (``_received``). The amplitudes then decide
+        which dead qubits drop (``_basis_drops``), and the skeleton left is
+        built once per set of dropped qubits (``_compact``)."""
+        kind = move[0]
+        slot = tuple(None if isinstance(v, TestQubit) else v for v in arg) if kind is _RECEIVE else arg
+        pre = built.get(slot)
+        if pre is None:
+            config = _successor(skel.at(qvec), move, arg)
+            pre = built[slot] = _Skeleton(config)
             qvec = config.qstate
-        else:
-            pre, op = hit
-            if receives:
-                qvec = _received(qvec, arg)
-            elif op is not None:
-                qvec = getattr(qstate, op[0])(qvec, *op[1:])
+        elif kind is _RECEIVE:
+            qvec = _received(qvec, arg)
+        elif kind is _TAU:
+            qvec = _applied(move[4], qvec)
         found = _basis_drops(qvec, pre.live, branch)
         if found is None:
             return pre, qvec
@@ -1274,7 +1221,7 @@ class SkeletonCache:
         gone = frozenset(dropped)
         left = pre.drops.get(gone)
         if left is None:
-            left = pre.drops[gone] = _Skeleton(_compact(pre.at(qvec), dropped, qout))
+            left = pre.drops[gone] = _Skeleton(_compact(pre.config, dropped, qout))
         return left, qout
 
 
@@ -1283,27 +1230,26 @@ class _Skeleton:
     out so far (``SkeletonCache``). ``config`` is the first configuration
     met with this skeleton, and ``live`` its checked live set, which
     ``SkeletonCache._follow`` reads on the successors ``_advance`` builds;
-    None for any other configuration, which has not been checked.
-    ``tau`` and ``redex`` are ``_UNKNOWN`` until computed, and then None or
-    the move (``_tau_move``, or a ``_COMMUNICATE`` move) with its table of
-    what it built (``SkeletonCache._follow``). ``moves`` holds such pairs
-    for each move of ``step``, and ``drops`` maps a set of dropped dead
-    qubits to the skeleton left."""
+    None for any other configuration, which has not been checked. The
+    cache reads ``config`` for everything but its state, and ``at`` makes
+    the configuration at a given state where one is handed out.
+    ``settling`` is ``_UNKNOWN`` until computed, and then None or the
+    settle move (``_tau_move``, or else a ``_COMMUNICATE`` move) with its
+    table of what it built (``SkeletonCache._follow``). ``moves`` holds
+    such pairs for each move of ``_moves``, and ``drops`` maps a set of
+    dropped dead qubits to the skeleton left."""
 
-    __slots__ = ("config", "live", "_key", "tau", "redex", "moves", "drops")
+    __slots__ = ("config", "live", "_key", "settling", "moves", "drops")
 
     def __init__(self, config: Configuration):
         self.config = config
         self.live = config._live
         self._key = self.moves = self.drops = None
-        self.tau = self.redex = _UNKNOWN
+        self.settling = _UNKNOWN
 
     def at(self, qvec: StateVector) -> Configuration:
-        """The configuration of this skeleton with state ``qvec``: the first
-        one met when ``qvec`` is its state, else a new one."""
+        """A new configuration of this skeleton with state ``qvec``."""
         config = self.config
-        if qvec is config.qstate:
-            return config
         return Configuration(
             qvec,
             config.bindings,
@@ -1314,10 +1260,10 @@ class _Skeleton:
             config.program,
         )
 
-    def key(self, qvec: StateVector) -> tuple:
+    def key(self) -> tuple:
         """``canonical_key`` of this skeleton at any state of its size."""
         if self._key is None:
-            self._key = canonical_key(self.at(qvec))
+            self._key = canonical_key(self.config)
         return self._key
 
 
@@ -1385,7 +1331,8 @@ def explore(
     *,
     cache: SkeletonCache | None = None,
 ) -> PLTS:
-    """Breadth-first closure of a configuration under ``step``.
+    """Breadth-first closure of a configuration under its enabled
+    transitions (``_moves``, in ``step``'s order).
 
     Configurations whose components (``Configuration.procs``) are equal in
     order up to bound-name renaming and hidden-channel bijection
@@ -1395,16 +1342,16 @@ def explore(
     plays no part. Transitions with more than one outcome go through an
     intermediate probabilistic state.
 
-    ``step`` has already dropped the dead basis-state qubits of every
-    successor (see ``Configuration``).
+    Every successor has already dropped its dead basis-state qubits (see
+    ``Configuration``).
 
     Every configuration is settled (``settle``) before it is interned, the
     initial one and every successor, so no state of the PLTS has a
     deterministic τ step or a private communication: each state on a run
     of them is folded into the state that ends the run, its τ-confluent
     representative (Blom & van de Pol, "State space reduction by proving
-    confluence", CAV 2002). Verdicts cannot change. Under ``step``'s
-    priority rule a configuration with a deterministic τ step has exactly
+    confluence", CAV 2002). Verdicts cannot change. Under the priority
+    rule (``settle``) a configuration with a deterministic τ step has exactly
     one transition, a τ to one successor, and the run ends in a state
     without one. ``equiv._classify`` always puts such a state in its
     target's class, since every move of the state is the τ into that class,
@@ -1454,7 +1401,7 @@ def explore(
         return sid
 
     def add(skel: _Skeleton, qvec: StateVector) -> int:
-        key = skel.key(qvec)
+        key = skel.key()
         for sid in buckets.get(key, []):
             if qstate.states_equal_up_to_global_phase(states[sid].config.qstate, qvec):
                 return sid
@@ -1504,9 +1451,9 @@ def run_sampled(
     max_steps: int | None = None,
 ) -> list[TraceStep]:
     """One seeded path: at each step the first enabled transition in
-    enumeration order, with a measurement of several outcomes resolved by
-    one draw from a PRNG seeded with ``seed``. ``step`` is given that PRNG,
-    so it builds only the configuration the path takes: one per step.
+    ``step``'s order, with a measurement of several outcomes resolved by
+    one draw from a PRNG seeded with ``seed``, which ``step`` is given. It
+    builds only the configuration the path takes: one per step.
 
     A step's ``probability`` is the Born probability of the drawn branch,
     or None when the step had one outcome. Since the transitions the path

@@ -53,7 +53,6 @@ from cqpkit.semantics import (
     initial_configuration,
     input_alphabet,
     render_label,
-    step,
 )
 from cqpkit.syntax import (
     BitLit,
@@ -953,7 +952,7 @@ def check_ownership_oracle(config) -> set[int]:
 # ---------------------------------------------------------------------------
 
 def run_sampled_oracle(config, seed: int, alphabet: dict | None = None):
-    """``semantics.run_sampled`` by asking ``step`` for every enabled
+    """``semantics.run_sampled`` by asking ``step_oracle`` for every enabled
     transition, building every outcome of each, and taking the first
     transition; several outcomes are resolved by one draw from
     ``random.Random(seed)`` against their cumulative probabilities.
@@ -966,7 +965,7 @@ def run_sampled_oracle(config, seed: int, alphabet: dict | None = None):
     current = config
     while True:
         try:
-            transitions = step(current, alphabet)
+            transitions = step_oracle(current, alphabet)
         except (SemanticsError, CapacityError) as exc:
             return trace, rng, exc
         if not transitions:
@@ -1085,12 +1084,45 @@ def digest_explorations(reduces=(True, False)):
                 yield f"{name}:{set_name}:{'reduce' if reduce else 'full'}", alphabet, reduce, outcome
 
 
+def step_oracle(config, alphabet: dict | None = None) -> list[Transition]:
+    """The transitions ``semantics.step`` picks the first of, each with
+    every outcome built: the first deterministic τ step on its own when a
+    component is headed by a qubit allocation, a ``new`` or a gate (the
+    priority rule, see ``semantics.settle``), and otherwise every enabled
+    transition (``step_full_oracle``)."""
+    for i, (head, *_) in enumerate(config.procs):
+        if isinstance(head, semantics._DETERMINISTIC_TAU):
+            return [deterministic_tau_oracle(config, i)]
+    return step_full_oracle(config, alphabet)
+
+
+def deterministic_tau_oracle(config, i: int) -> Transition:
+    """The τ step of component ``i``, headed by a qubit allocation, a
+    ``new`` or a gate, built by calling the ``qstate`` kernel and
+    ``_bind`` or ``_advance`` directly."""
+    head, env, *_ = config.procs[i]
+    heads = {i: (head.continuation, env)}
+    n = config.qstate.num_qubits
+    if isinstance(head, QbitAlloc):
+        qvec = qstate.append_qubits(config.qstate, [(1.0, 0.0)] * len(head.binders))
+        fresh = [QubitVal(q) for q in range(n, qvec.num_qubits)]
+        cfg = semantics._bind(config, heads, i, head.binders, fresh, qstate=qvec)
+    elif isinstance(head, NewChannel):
+        channel = (ChannelVal(config.next_channel),)
+        cfg = semantics._bind(config, heads, i, (head.binder,), channel, next_channel=config.next_channel + 1)
+    else:
+        qids = semantics._qubit_ids(config, env, head.targets)
+        gate = semantics._gate_for(config, env, head.gate)
+        cfg = semantics._advance(config, heads, qstate=qstate.apply_gate(config.qstate, gate, qids))
+    return Transition(TAU, ((1.0, semantics._drop_dead(cfg)),))
+
+
 def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
-    """``semantics.step`` with nothing given priority: every enabled
+    """``step_oracle`` with nothing given priority: every enabled
     transition, each deterministic τ step of every component included, in
-    the order ``step`` enumerates them once no component is headed by one.
+    the order ``step`` takes them once no component is headed by one.
     It is the every-interleaving reference the partial τ-confluence
-    reduction of ``step`` is tested against. Each helper is looked up on
+    reduction is tested against. Each helper is looked up on
     ``semantics`` when it is called, so a test that patches one there
     patches this step too."""
     alphabet = alphabet or {}
@@ -1098,9 +1130,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
     senders, receivers = [], []  # (index, channel id) ready to communicate
     for i, (head, env, *_) in enumerate(config.procs):
         if isinstance(head, semantics._DETERMINISTIC_TAU):
-            _op, cfg = semantics._deterministic_tau(config, i, head, env)
-            cfg = semantics._drop_dead(cfg)
-            transitions.append(Transition(TAU, ((1.0, cfg),)))
+            transitions.append(deterministic_tau_oracle(config, i))
             continue
 
         if isinstance(head, Output):
@@ -1171,11 +1201,11 @@ def explore_unsettled_oracle(
     """``semantics.explore`` that interns every successor as it is, one
     state per deterministic τ step, instead of settling it first: the loop
     ``explore`` ran before it settled. Successors come from ``step``, by
-    default ``semantics.step``; with ``step_full_oracle`` every
-    interleaving is explored. ``step`` and ``canonical_key`` are looked up
-    on ``semantics`` when the exploration runs, so a test that patches
-    either there patches this exploration too."""
-    step = step or semantics.step
+    default ``step_oracle``; with ``step_full_oracle`` every interleaving
+    is explored. ``canonical_key`` is looked up on ``semantics`` when the
+    exploration runs, so a test that patches it there patches this
+    exploration too."""
+    step = step or step_oracle
     states: list[PLTSState] = []
     edges: list[PLTSEdge] = []
     buckets: dict[tuple, list[int]] = {}

@@ -19,10 +19,10 @@ form left out, all 1,288 digests were identical before and after.
 
 A sampled run gives ``step`` its PRNG, so each step builds only the
 configuration the run takes; its traces are checked against the same path
-taken over the full ``step`` (``run_sampled_oracle``), and on every
-configuration of both kinds of exploration of the corpus and of
-``chain_source(2, GATES)`` its one transition is checked to be the first
-that ``step`` enumerates without a PRNG.
+taken over every transition of ``step_oracle``, the enumerating step
+(``run_sampled_oracle``), and on every configuration of both kinds of
+exploration of the corpus and of ``chain_source(2, GATES)`` its one
+transition is checked to be the first that ``step_oracle`` enumerates.
 
 ``explore`` settles every configuration before it interns it, so it stores no state with a deterministic τ step or a private
 communication (a send on a hidden channel that only its sender and its
@@ -74,7 +74,7 @@ from pathlib import Path
 
 import pytest
 
-from cqpkit import congruence, semantics
+from cqpkit import congruence, corpus, qstate, semantics
 from cqpkit.equiv import branching_bisim, check_equivalence, input_instantiations
 from cqpkit.qstate import CapacityError, StateVector
 from cqpkit.semantics import (
@@ -126,6 +126,7 @@ from support import (
     random_term,
     random_typed_program,
     run_sampled_oracle,
+    step_oracle,
     trace_step_summary,
 )
 
@@ -173,6 +174,61 @@ def test_settling_siblings_through_one_table_changes_no_exploration(explorations
     assert reduced == with_table
 
 
+WRONG_CORRECTION = corpus.read_corpus_file("teleport.cqp") + """
+//: Alice2 : Qbit, ^[Qbit], ^[Bit,Bit]
+Alice2(q, in, out) = in?[u] . {u,q *= CNot} . {u *= H} . out![measure q,u] . 0
+//: Relay : ^[Qbit], ^[Qbit]
+Relay(i, o) = i?[z] . o![z] . 0
+//: Wrong : ^[Qbit], ^[Qbit]
+Wrong(a, b) = (qbit x,y) {x *= H} . {x,y *= CNot} . (new c) (new m) (Alice2(x,a,c) | Bob(y,c,m) | Relay(m,b))
+"""
+
+
+def test_siblings_with_one_key_and_other_amplitudes_stay_apart(monkeypatch):
+    """A teleport whose sender swaps the two bits, so Bob's correction is
+    wrong in two of the four branches, sent on through a relay on the
+    hidden ``m``. The branches meet before the private send on ``m`` with
+    one ``canonical_key`` but amplitudes that differ beyond global phase,
+    so the sibling table must compare them: it fails some comparisons and
+    hits on others. Explored once under each default input, every digest
+    is the one with every lookup made to miss."""
+    program, signatures = parse_program(WRONG_CORRECTION), parse_signatures(WRONG_CORRECTION)
+    config = initial_configuration(program, "Wrong", signatures=signatures)
+    find, compare = semantics._Siblings.find, qstate.states_equal_up_to_global_phase
+    finding = False
+    failed = hits = 0
+
+    def counted_find(table, skel, qvec):
+        nonlocal finding, hits
+        finding = True
+        try:
+            sid = find(table, skel, qvec)
+        finally:
+            finding = False
+        hits += sid is not None
+        return sid
+
+    def counted_compare(a, b):
+        nonlocal failed
+        equal = compare(a, b)
+        failed += finding and not equal
+        return equal
+
+    def digests():
+        return [
+            exploration_digest(explore(config, alphabet={0: [(test_qubit,)]}))
+            for test_qubit in DEFAULT_TEST_QUBITS
+        ]
+
+    monkeypatch.setattr(semantics._Siblings, "find", lambda table, skel, qvec: None)
+    without = digests()
+    monkeypatch.setattr(semantics._Siblings, "find", counted_find)
+    monkeypatch.setattr(qstate, "states_equal_up_to_global_phase", counted_compare)
+    assert digests() == without
+    assert failed > 0
+    assert hits > 0
+
+
 def test_canonical_key_matches_the_term_walk(explorations):
     configs = list(explored_configurations(explorations))
     assert len(configs) > 10_000
@@ -212,7 +268,7 @@ def test_a_sampled_step_takes_the_first_transition(explorations):
         for s in outcome.states:
             if s.config is None:
                 continue
-            enumerated = step(s.config, alphabet)
+            enumerated = step_oracle(s.config, alphabet)
             sampled = step(s.config, alphabet, rng=random.Random(0))
             assert [render_label(t.label) for t in sampled] == [
                 render_label(t.label) for t in enumerated[:1]
@@ -302,9 +358,9 @@ def test_a_continuation_keeps_its_sets_only_while_its_free_names_stay():
     sends its qubit goes on with fewer free names, so its sets are resolved
     again, and the qubit it sent is dead."""
     program = parse_program("P(c, d) = (qbit q) {q *= H} . c![q] . d![0] . 0")
-    allocated = step(initial_configuration(program, "P"))[0].outcomes[0][1]
-    gated = step(allocated)[0].outcomes[0][1]
-    sent = step(gated)[0].outcomes[0][1]
+    allocated = step_oracle(initial_configuration(program, "P"))[0].outcomes[0][1]
+    gated = step_oracle(allocated)[0].outcomes[0][1]
+    sent = step_oracle(gated)[0].outcomes[0][1]
     (allocated_record,), (gated_record,), (sent_record,) = allocated.procs, gated.procs, sent.procs
     assert gated_record[2] is allocated_record[2] == frozenset({0})
     assert gated_record[3] is allocated_record[3]
@@ -342,7 +398,7 @@ def test_shared_qubit_rejected_like_the_term_walk():
     program = parse_program("P(c) = (qbit q) (c![q] . 0 | {q *= H} . 0)")
     config = initial_configuration(program, "P")
     with pytest.raises(OwnershipViolation):
-        step(config)
+        step_oracle(config)
     bindings = {**config.bindings, "q": QubitVal(0)}
     procs = _flatten(
         parse_process("(c![q] . 0 | {q *= H} . 0)"), {}, bindings, config.channel_names, program

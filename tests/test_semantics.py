@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import types
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ from support import (
     random_typed_program,
     reachable_outputs,
     step_full_oracle,
+    step_oracle,
     successors,
 )
 
@@ -99,7 +101,7 @@ def test_entry_must_expose_channels(teleport_program):
 def test_step_teleport_initial_is_single_allocation(teleport_program):
     program, signatures = teleport_program
     config = initial_configuration(program, "Teleport", signatures=signatures)
-    transitions = step(config, teleport_alphabet())
+    transitions = step_oracle(config, teleport_alphabet())
     assert len(transitions) == 1
     (t,) = transitions
     assert isinstance(t.label, Tau)
@@ -110,7 +112,8 @@ def test_step_teleport_initial_is_single_allocation(teleport_program):
 def test_step_nil_is_terminal():
     program = parse_program("P() = 0")
     config = initial_configuration(program, "P")
-    assert step(config) == []
+    assert step_oracle(config) == []
+    assert step(config, rng=random.Random(0)) == []
 
 
 def test_measure_and_send_has_four_quarter_outcomes(teleport_program):
@@ -122,7 +125,7 @@ def test_measure_and_send_has_four_quarter_outcomes(teleport_program):
         alphabet = {0: [(test_state,)]}
         # Drive deterministically until the measurement fork appears.
         for _ in range(40):
-            transitions = step(config, alphabet)
+            transitions = step_oracle(config, alphabet)
             assert transitions, "reached a terminal state before measuring"
             t = transitions[0]
             if len(t.outcomes) > 1:
@@ -240,7 +243,7 @@ def test_reduced_diamond_is_one_path():
     # Under the priority rule each configuration has one τ step: init,
     # allocated, left gate done, both gates done.
     path = [config]
-    while transitions := step(path[-1]):
+    while transitions := step_oracle(path[-1]):
         (t,) = transitions
         assert t.label == TAU
         ((_p, nxt),) = t.outcomes
@@ -536,7 +539,7 @@ def measurement_step(config):
     ``config`` that can take a measurement with several outcomes, and that
     transition."""
     while True:
-        transitions = step(config)
+        transitions = step_oracle(config)
         for t in transitions:
             if len(t.outcomes) > 1:
                 return config, t
@@ -650,7 +653,7 @@ def test_sequential_programs_run_past_the_qubit_cap():
     trace = run_sampled(config, seed=1)
     outputs = [ts for ts in trace if isinstance(ts.label, CommLabel)]
     assert len(outputs) == 13
-    assert step(trace[-1].config) == []
+    assert step_oracle(trace[-1].config) == []
     assert len(explore(config).states) == 53
 
 
@@ -854,6 +857,23 @@ def test_harness_teleports_plus_state_for_any_seed():
         (r_name,) = [n for n in final.bindings if n.startswith("r~")]
         seen_branches.add(final.bindings[r_name])
     assert len(seen_branches) >= 2  # different seeds collapse differently
+
+
+def fixed_draw(value: float):
+    """A PRNG stub whose every ``random()`` is ``value``."""
+    return types.SimpleNamespace(random=lambda: value)
+
+
+def test_draw_falls_back_to_the_last_outcome_when_rounding_leaves_the_sum_short():
+    """``_draw`` takes the first ``(p, arg, branch)`` outcome whose summed
+    probability reaches the draw. When the probabilities, rounded, sum to
+    less than a draw, no outcome reaches it, and the last is taken."""
+    outcomes = [(0.25, (0, 0), "b00"), (0.25, (0, 1), "b01"), (0.5 - 1e-12, (1, 0), "b10")]
+    assert semantics._draw(outcomes, fixed_draw(0.3)) is outcomes[1]
+    assert semantics._draw(outcomes, fixed_draw(0.5)) is outcomes[1]
+    short = 1.0 - 1e-13
+    assert short > sum(p for p, _arg, _branch in outcomes)
+    assert semantics._draw(outcomes, fixed_draw(short)) is outcomes[-1]
 
 
 def test_a_sampled_run_builds_one_configuration_per_step(monkeypatch):
