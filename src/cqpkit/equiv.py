@@ -419,13 +419,12 @@ def check_equivalence(
     passing the qubit cap, is raised before any error that exploring side a
     would raise.
 
-    Each side's explorations share one ``semantics.SkeletonCache``, made
-    here and dropped on return, so the work that reads no amplitude is
-    done once per check rather than once per instantiation; later
-    instantiations run only the ``qstate`` kernels and the decisions that
-    read amplitudes. ``semantics.SkeletonCache`` says why every verdict is
-    still the one exploring each instantiation through a cache of its own
-    gives.
+    Each side's explorations start at its settled configuration, so they
+    share its skeleton, and the work that reads no amplitude is done once
+    per check rather than once per instantiation; later instantiations run
+    only the ``qstate`` kernels and the decisions that read amplitudes.
+    ``semantics._Skeleton`` says why every verdict is still the one
+    exploring each instantiation from a fresh skeleton gives.
     """
     if signatures_b is None:
         signatures_b = signatures_a
@@ -438,10 +437,9 @@ def check_equivalence(
     cfg_b = semantics.settle(
         semantics.initial_configuration(program_b, entry_b, signatures=signatures_b)
     )
-    cache_a, cache_b = semantics.SkeletonCache(), semantics.SkeletonCache()
     for alphabet in instantiations:
-        plts_a = semantics.explore(cfg_a, max_states=max_states, alphabet=alphabet, cache=cache_a)
-        plts_b = semantics.explore(cfg_b, max_states=max_states, alphabet=alphabet, cache=cache_b)
+        plts_a = semantics.explore(cfg_a, max_states=max_states, alphabet=alphabet)
+        plts_b = semantics.explore(cfg_b, max_states=max_states, alphabet=alphabet)
         verdict = branching_bisim(plts_a, plts_b)
         if not verdict.equivalent:
             witness = verdict.witness

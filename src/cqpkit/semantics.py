@@ -59,13 +59,14 @@ a qubit held by two components (dynamic no-cloning,
 in a basis state (``Configuration`` says which drop and why that is
 sound).
 
-``explore`` does the work that reads no amplitude once per *skeleton*,
-everything of a configuration but its state, through a ``SkeletonCache``:
-every step taken from a skeleton is built once, and a configuration that
-meets the skeleton again runs only the state kernels. ``SkeletonCache``
-gives the argument that replaying a step builds what building it anew
-would. ``equiv.check_equivalence`` shares one cache per side between the
-explorations of a check's input instantiations.
+A configuration is its *skeleton*, everything but its state, plus its
+state (``Configuration``). ``explore`` does the work that reads no
+amplitude once per skeleton, which keeps what it finds: every step taken
+from a skeleton is built once, and a configuration that meets the skeleton
+again runs only the state kernels. ``_Skeleton`` gives the argument that
+replaying a step builds what building it anew would. Explorations from one
+configuration share its skeleton, such as those of
+``equiv.check_equivalence`` under a side's input instantiations.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,14 +228,17 @@ def render_label(label) -> str:
 # Configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Configuration:
-    """Snapshot of one run: quantum state, name bindings, running components.
+    """Snapshot of one run: its skeleton ``skel`` (``_Skeleton``), which
+    holds the name bindings and the running components, and its quantum
+    state ``qstate``, of ``skel.num_qubits`` qubits.
 
     Treated as immutable; every step produces fresh copies, sharing the
-    components it leaves unchanged. ``procs`` holds the parallel components
-    in left-to-right order as ``(term, env, qubits, hidden)`` records; no
-    term is a parallel composition, a call or ``0`` (``_flatten``), so a
+    components it leaves unchanged. The skeleton's fields read through as
+    properties of the same names. ``procs`` holds the parallel components in
+    left-to-right order as ``(term, env, qubits, hidden)`` records; no term
+    is a parallel composition, a call or ``0`` (``_flatten``), so a
     finished run has none. ``qubits`` holds the ids of the qubits a free
     name of the component resolves to, computed when the component is made
     and renumbered when qubits are dropped; ``hidden`` holds the ids of the
@@ -267,17 +271,36 @@ class Configuration:
     state of its partners.
     """
 
+    skel: _Skeleton
     qstate: StateVector
-    bindings: dict
-    procs: tuple  # of (term, env, qubits: frozenset[int], hidden: frozenset[int])
-    channel_names: dict[int, str]
-    next_channel: int
-    next_fresh: int
-    program: Program
-    # The live qubits once ``check_ownership`` has scanned them. Not an init
-    # field, so every new configuration, ``dataclasses.replace`` included,
-    # starts from None.
-    _live: frozenset | None = field(default=None, init=False, repr=False)
+
+    @property
+    def bindings(self) -> dict:
+        return self.skel.bindings
+
+    @property
+    def procs(self) -> tuple:
+        return self.skel.procs
+
+    @property
+    def channel_names(self) -> dict[int, str]:
+        return self.skel.channel_names
+
+    @property
+    def next_channel(self) -> int:
+        return self.skel.next_channel
+
+    @property
+    def next_fresh(self) -> int:
+        return self.skel.next_fresh
+
+    @property
+    def program(self) -> Program:
+        return self.skel.program
+
+    @property
+    def num_qubits(self) -> int:
+        return self.skel.num_qubits
 
     @property
     def term(self) -> ProcessTerm:
@@ -289,24 +312,102 @@ class Configuration:
         return functools.reduce(lambda l, r: Parallel(left=l, right=r), terms)
 
     def is_visible(self, cid: int) -> bool:
-        return cid in self.channel_names
+        return cid in self.skel.channel_names
 
     def check_ownership(self) -> frozenset[int]:
         """Raise OwnershipViolation if a qubit is held by two components;
         otherwise return the live qubits, the union of their qubit sets.
         Reads only the cached sets, so no free name is looked up. The result
-        is kept, so a later call returns it."""
-        if self._live is not None:
-            return self._live
+        is kept as the skeleton's ``live``, so a later call returns it."""
+        skel = self.skel
+        if skel.live is not None:
+            return skel.live
         live = set()
-        for _term, _env, mine, _hidden in self.procs:
+        for _term, _env, mine, _hidden in skel.procs:
             if not live.isdisjoint(mine):
                 raise OwnershipViolation(
                     f"qubit id(s) {sorted(live & mine)} bound under two parallel components"
                 )
             live |= mine
-        self._live = live = frozenset(live)
+        skel.live = live = frozenset(live)
         return live
+
+
+_UNKNOWN = object()  # a field of a ``_Skeleton`` not computed yet
+
+
+class _Skeleton:
+    """Everything of a configuration but its state: ``bindings``,
+    ``procs``, ``channel_names``, ``next_channel``, ``next_fresh``,
+    ``program`` and the qubit count ``num_qubits`` (``Configuration`` says
+    what each holds), with what exploring it has found out so far. Every
+    step makes new skeletons; ``channel_names`` and ``program`` are those of
+    the initial configuration throughout. A skeleton never holds a state.
+
+    What exploring finds out is recorded as each is first needed, and kept
+    as long as the skeleton is: ``live``, the live set of the ownership
+    check (``Configuration.check_ownership``); the ``canonical_key``
+    (``key``); ``settling``, ``_UNKNOWN`` until computed and then None or
+    the settle move (the deterministic τ with its state operation,
+    ``_tau_move``, or else the private communication, ``_private_redex``)
+    with its table of what it built (``_follow``); ``moves``, such pairs for
+    each move of ``_moves``; and ``drops``, the skeleton left per set of
+    dropped dead qubits (``_compact``). A table maps each measurement
+    outcome or received value tuple to the skeleton the move built.
+
+    So the work that reads no amplitude is done once per skeleton, not
+    once per configuration met: the ownership check, key and redex of a
+    skeleton, its settle steps and moves, and the skeletons of its
+    successors. An exploration that meets a skeleton again, later on, under
+    another value received on one channel, or as a later exploration from
+    the same configuration, runs only the ``qstate`` kernels and the
+    decisions that read amplitudes: which outcomes a measurement has, which
+    dead qubits drop, sibling hits, merges when interning, and the density
+    matrices of labels. Replaying a recorded successor builds the
+    configuration that building it anew would build, for three reasons:
+
+    - A step's effect on the skeleton depends only on the skeleton, the
+      move taken, the bits of its outcome or the values received (a test
+      qubit stands for the fresh qubit id it is bound as, whatever its
+      amplitudes), and the set of dead qubits dropped, which is decided
+      anew from the amplitudes each time. Runtime names come from
+      ``next_fresh``, qubit ids from the qubit count and hidden channel ids
+      from ``next_channel``, all skeleton fields.
+    - The state operation is kept with the move: the gate and the qubit ids
+      it acts on, or the qubits appended, as ``_state_op`` gives it to the
+      step that builds the successor, so the new state gets the operation
+      building the step would apply. Received test qubits are appended by
+      ``_received``, as ``_bind`` appends them.
+    - Errors are raised anew. Every error the skeleton work of a step can
+      raise (an unbound name, an arity mismatch, an ownership violation,
+      the component cap) depends only on the skeleton, and a step that
+      raises records nothing, so every exploration that takes the step
+      raises it again. The kernels, and with them the qubit cap, and the
+      state cap run every time.
+
+    So every kernel call, every PLTS and every verdict is the one exploring
+    from a fresh skeleton gives."""
+
+    live = None
+    _key = None
+    settling = _UNKNOWN
+    moves = None
+    drops = None
+
+    def __init__(self, bindings, procs, channel_names, next_channel, next_fresh, program, num_qubits):
+        self.bindings = bindings
+        self.procs = procs
+        self.channel_names = channel_names
+        self.next_channel = next_channel
+        self.next_fresh = next_fresh
+        self.program = program
+        self.num_qubits = num_qubits
+
+    def key(self) -> tuple:
+        """``canonical_key`` of this skeleton at any state of its size."""
+        if self._key is None:
+            self._key = canonical_key(self)
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -342,14 +443,9 @@ def initial_configuration(
                 raise RuntimeProcessError(f"entry parameter {p!r} of {entry!r} is not a channel")
     bindings = {p: ChannelVal(i) for i, p in enumerate(d.params)}
     channel_names = dict(enumerate(d.params))
+    procs = _flatten(d.body, {}, bindings, channel_names, program)
     return Configuration(
-        qstate=StateVector.empty(),
-        bindings=bindings,
-        procs=_flatten(d.body, {}, bindings, channel_names, program),
-        channel_names=channel_names,
-        next_channel=len(d.params),
-        next_fresh=0,
-        program=program,
+        _Skeleton(bindings, procs, channel_names, len(d.params), 0, program, 0), StateVector.empty()
     )
 
 
@@ -398,25 +494,27 @@ def _flatten(
     return ((term, env, frozenset(qubits), frozenset(hidden)),)
 
 
-def _lookup(config: Configuration, env: dict, name: str):
-    """The value of ``name`` in a component with environment ``env``."""
+def _lookup(skel: _Skeleton, env: dict, name: str):
+    """The value of ``name`` in a component of ``skel`` with environment
+    ``env``. This helper and those below that read names take a skeleton or
+    a configuration, which reads the same fields."""
     try:
-        return config.bindings[env.get(name, name)]
+        return skel.bindings[env.get(name, name)]
     except KeyError:
         raise RuntimeProcessError(f"unbound name {name!r} at runtime") from None
 
 
-def _channel_id(config: Configuration, env: dict, name: str) -> int:
-    v = _lookup(config, env, name)
+def _channel_id(skel: _Skeleton, env: dict, name: str) -> int:
+    v = _lookup(skel, env, name)
     if not isinstance(v, ChannelVal):
         raise RuntimeProcessError(f"{name!r} is not a channel at runtime")
     return v.cid
 
 
-def _qubit_ids(config: Configuration, env: dict, names) -> list[int]:
+def _qubit_ids(skel: _Skeleton, env: dict, names) -> list[int]:
     qids = []
     for n in names:
-        v = _lookup(config, env, n)
+        v = _lookup(skel, env, n)
         if not isinstance(v, QubitVal):
             raise RuntimeProcessError(f"{n!r} is not a qubit at runtime")
         qids.append(v.qid)
@@ -425,14 +523,14 @@ def _qubit_ids(config: Configuration, env: dict, names) -> list[int]:
     return qids
 
 
-def _eval_slots(config: Configuration, env: dict, exprs) -> list:
+def _eval_slots(skel: _Skeleton, env: dict, exprs) -> list:
     """Evaluate fully-forced payload expressions into a flat slot list."""
     slots = []
     for e in exprs:
         if isinstance(e, BitLit):
             slots.append(e.value)
         elif isinstance(e, Var):
-            v = _lookup(config, env, e.name)
+            v = _lookup(skel, env, e.name)
             if isinstance(v, tuple):
                 slots.extend(v)
             else:
@@ -468,9 +566,10 @@ def _advance(
     parallel composition, a call or ``0`` still goes through ``_flatten``,
     and so does every closure under a new ``env`` (``_bind``).
     """
-    bindings = config.bindings if bindings is None else bindings
-    visible = config.channel_names
-    procs = config.procs
+    skel = config.skel
+    bindings = skel.bindings if bindings is None else bindings
+    visible = skel.channel_names
+    procs = skel.procs
     pending = len(heads)
     for i in sorted(heads, reverse=True):  # splicing from the right keeps indices valid
         others = len(procs) - pending  # the components that stay beside this head's
@@ -485,17 +584,21 @@ def _advance(
                 raise ExplorationLimitError(MAX_COMPONENTS, "component")
             parts = ((term, env, qubits, hidden),)
         else:
-            parts = _flatten(term, env, bindings, visible, config.program, others)
+            parts = _flatten(term, env, bindings, visible, skel.program, others)
         procs = procs[:i] + parts + procs[i + 1 :]
         pending -= 1
+    qvec = config.qstate if qstate is None else qstate
     config = Configuration(
-        config.qstate if qstate is None else qstate,
-        bindings,
-        procs,
-        visible,
-        config.next_channel if next_channel is None else next_channel,
-        config.next_fresh if next_fresh is None else next_fresh,
-        config.program,
+        _Skeleton(
+            bindings,
+            procs,
+            visible,
+            skel.next_channel if next_channel is None else next_channel,
+            skel.next_fresh if next_fresh is None else next_fresh,
+            skel.program,
+            qvec.num_qubits,
+        ),
+        qvec,
     )
     config.check_ownership()
     return config
@@ -527,11 +630,11 @@ def _drop_dead(config: Configuration, outcome: MeasurementOutcome | None = None)
     branch is collapsed once, with the measured qubits that are now dead
     already sliced out. Without a dead qubit to drop or a branch to
     collapse (the common case) the configuration is returned as it is."""
-    found = _basis_drops(config.qstate, config._live, outcome)
+    found = _basis_drops(config.qstate, config.skel.live, outcome)
     if found is None:
         return config
     qvec, dropped = found
-    return _compact(config, dropped, qvec)
+    return Configuration(_compact(config.skel, dropped), qvec)
 
 
 def _basis_drops(
@@ -563,37 +666,31 @@ def _basis_drops(
     return qvec, dropped
 
 
-def _compact(config: Configuration, dropped, qvec: StateVector) -> Configuration:
-    """``config`` with the qubits ``dropped`` gone and state ``qvec``: the
-    others renumbered in their old order, the bindings and qubit sets of
-    the survivors rewritten, and the bindings of the dropped qubits
-    deleted; bit and channel bindings stay. Terms and environments refer to
-    qubits only through bindings, so they are shared unchanged, and so is
-    every qubit set below the lowest dropped qubit, which no renumbering
-    moves. Reads no amplitude."""
-    n = config.qstate.num_qubits
+def _compact(skel: _Skeleton, dropped) -> _Skeleton:
+    """``skel`` with the qubits ``dropped`` gone: the others renumbered in
+    their old order, the bindings and qubit sets of the survivors
+    rewritten, and the bindings of the dropped qubits deleted; bit and
+    channel bindings stay. Terms and environments refer to qubits only
+    through bindings, so they are shared unchanged, and so is every qubit
+    set below the lowest dropped qubit, which no renumbering moves."""
+    n = skel.num_qubits
     kept = [q for q in range(n) if q not in dropped]
     renumber = {q: i for i, q in enumerate(kept)}
     lowest = min(dropped, default=n)
     bindings = {}
-    for name, v in config.bindings.items():
+    for name, v in skel.bindings.items():
         if not isinstance(v, QubitVal):
             bindings[name] = v
         elif v.qid in renumber:
             bindings[name] = QubitVal(renumber[v.qid])
-    return Configuration(
-        qvec,
-        bindings,
-        tuple(
-            record
-            if max(record[2], default=-1) < lowest
-            else (record[0], record[1], frozenset(renumber[q] for q in record[2]), record[3])
-            for record in config.procs
-        ),
-        config.channel_names,
-        config.next_channel,
-        config.next_fresh,
-        config.program,
+    procs = tuple(
+        record
+        if max(record[2], default=-1) < lowest
+        else (record[0], record[1], frozenset(renumber[q] for q in record[2]), record[3])
+        for record in skel.procs
+    )
+    return _Skeleton(
+        bindings, procs, skel.channel_names, skel.next_channel, skel.next_fresh, skel.program, len(kept)
     )
 
 
@@ -622,8 +719,9 @@ def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes
         raise RuntimeProcessError(
             f"input binds {len(binders)} name(s) but {len(values)} value(s) arrived"
         )
-    bindings = dict(config.bindings)
-    fresh = config.next_fresh
+    skel = config.skel
+    bindings = dict(skel.bindings)
+    fresh = skel.next_fresh
     term, env = heads[i]
     env = dict(env)
     for binder, value in pairs:
@@ -641,11 +739,11 @@ def _received(qvec: StateVector, values) -> StateVector:
     return qstate.append_qubits(qvec, qubits) if qubits else qvec
 
 
-def _gate_for(config: Configuration, env: dict, ref) -> qstate.Gate:
+def _gate_for(skel: _Skeleton, env: dict, ref) -> qstate.Gate:
     if isinstance(ref, FixedGate):
         return qstate.standard_gate(ref.name)
     if isinstance(ref, SigmaGate):
-        v = _lookup(config, env, ref.index_var)
+        v = _lookup(skel, env, ref.index_var)
         if not (isinstance(v, tuple) and len(v) == 2 and all(b in (0, 1) for b in v)):
             raise RuntimeProcessError(
                 f"sigma index {ref.index_var!r} must hold a two-bit value, got {v!r}"
@@ -663,15 +761,15 @@ _UNFOLDED = (Parallel, Call, Nil)
 _DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
 
 
-def _state_op(config: Configuration, head: ProcessTerm, env: dict) -> tuple | None:
+def _state_op(skel: _Skeleton, head: ProcessTerm, env: dict) -> tuple | None:
     """The state operation of the deterministic τ step of ``head``, as the
     name of a ``qstate`` function and its arguments after the state: a
     gate's ``apply_gate`` on the qubits it names, an allocation's
     ``append_qubits`` of one |0> qubit per binder; None for ``new``. It
     reads only names and bindings, never amplitudes (``_applied``)."""
     if isinstance(head, GateAction):
-        qids = _qubit_ids(config, env, head.targets)
-        return "apply_gate", _gate_for(config, env, head.gate), qids
+        qids = _qubit_ids(skel, env, head.targets)
+        return "apply_gate", _gate_for(skel, env, head.gate), qids
     if isinstance(head, QbitAlloc):
         return "append_qubits", [(_KET0.amp0, _KET0.amp1)] * len(head.binders)
     return None
@@ -688,14 +786,15 @@ def _communicate(config: Configuration, out_i: int, in_i: int) -> Configuration:
     sends to component ``in_i``, headed by an input on the same channel:
     the receiver binds the sender's slots while the sender moves on to its
     continuation; before its dead qubits drop (``_drop_dead``)."""
-    out_head, out_env, _out_qubits, _out_hidden = config.procs[out_i]
-    in_head, in_env, _in_qubits, _in_hidden = config.procs[in_i]
-    values = _eval_slots(config, out_env, out_head.payload)
+    skel = config.skel
+    out_head, out_env, _out_qubits, _out_hidden = skel.procs[out_i]
+    in_head, in_env, _in_qubits, _in_hidden = skel.procs[in_i]
+    values = _eval_slots(skel, out_env, out_head.payload)
     heads = {out_i: (out_head.continuation, out_env), in_i: (in_head.continuation, in_env)}
     return _bind(config, heads, in_i, in_head.binders, values)
 
 
-def _private_redex(config: Configuration) -> tuple[int, int] | None:
+def _private_redex(skel: _Skeleton) -> tuple[int, int] | None:
     """``(sender, receiver)``, the component indices of the first private
     communication in ``step``'s order of internal communications, or None.
 
@@ -706,8 +805,8 @@ def _private_redex(config: Configuration) -> tuple[int, int] | None:
     the records' ``hidden`` sets, so no free name is resolved again. A head
     whose channel does not resolve to a channel is passed over, and
     ``_moves`` raises on it as it would without settling."""
-    procs = config.procs
-    bindings = config.bindings
+    procs = skel.procs
+    bindings = skel.bindings
     for out_i, (head, env, _qubits, hidden) in enumerate(procs):
         if not hidden or not isinstance(head, Output) or head.measure_index is not None:
             continue
@@ -733,8 +832,9 @@ def settle(config: Configuration) -> Configuration:
     component headed by a qubit allocation, a ``new`` or a gate moves
     (``_tau_move``); only when none is left does the first private
     communication go (``_communicate``). A configuration that has neither
-    comes back with the same fields. The run is ``SkeletonCache.settle``'s,
-    through a cache of its own.
+    comes back with the same fields. The run is ``_settle``'s from the
+    configuration's skeleton, so the skeletons it meets keep what it found
+    (``_Skeleton``).
 
     Priority rule: a deterministic τ step is confluent with every other
     enabled step and inert, so it goes first, and no other successor of
@@ -791,16 +891,15 @@ def settle(config: Configuration) -> Configuration:
     why that is sound), so a run may stop where an earlier outcome's run
     went on.
     """
-    cache = SkeletonCache()
-    skel, qvec, _sid = cache.settle(cache.skeleton(config), config.qstate, None)
-    return skel.at(qvec)
+    skel, qvec, _sid = _settle(config.skel, config.qstate)
+    return Configuration(skel, qvec)
 
 
 class _Siblings:
     """The states at which the settle runs of one transition's earlier
     outcomes met a private communication, filed under their configuration's
     ``canonical_key``, each with the PLTS state its run was interned as
-    (``SkeletonCache.settle``). It lives only as long as ``explore``
+    (``_settle``). It lives only as long as ``explore``
     interns that one transition's outcomes.
 
     Before each private communication, a run looks its configuration up
@@ -893,9 +992,10 @@ def step(config: Configuration, alphabet: dict | None = None, *, rng: random.Ran
     The successor is built by ``_successor`` and then drops its dead basis
     qubits (``_drop_dead``; ``Configuration`` says which).
     """
-    tau = _tau_move(config)
-    for move in (tau,) if tau is not None else _moves(config):
-        for label, outcomes in _move_transitions(move, config.qstate, config.channel_names, alphabet or {}):
+    skel = config.skel
+    tau = _tau_move(skel)
+    for move in (tau,) if tau is not None else _moves(skel):
+        for label, outcomes in _move_transitions(move, config.qstate, skel.channel_names, alphabet or {}):
             drawn = len(outcomes) > 1
             p, arg, branch = _draw(outcomes, rng) if drawn else outcomes[0]
             return [Transition(label, ((p, _drop_dead(_successor(config, move, arg), branch)),), drawn)]
@@ -907,14 +1007,14 @@ def step(config: Configuration, alphabet: dict | None = None, *, rng: random.Ran
 _TAU, _MEASURE, _SEND, _RECEIVE, _COMMUNICATE = "tau", "measure", "send", "receive", "communicate"
 
 
-def _tau_move(config: Configuration) -> tuple | None:
+def _tau_move(skel: _Skeleton) -> tuple | None:
     """``(_TAU, i, head, env, op)`` for the first component ``i`` headed by
     a qubit allocation, a ``new`` or a gate, which has priority
     (``settle``), with the state operation ``op`` of its step
     (``_state_op``); or None."""
-    for i, (head, env, _qubits, _hidden) in enumerate(config.procs):
+    for i, (head, env, _qubits, _hidden) in enumerate(skel.procs):
         if isinstance(head, _DETERMINISTIC_TAU):
-            return _TAU, i, head, env, _state_op(config, head, env)
+            return _TAU, i, head, env, _state_op(skel, head, env)
     return None
 
 
@@ -962,16 +1062,16 @@ def _successor(config: Configuration, move: tuple, arg=None) -> Configuration:
             fresh = range(config.qstate.num_qubits, qvec.num_qubits)
             return _bind(config, heads, i, head.binders, [QubitVal(q) for q in fresh], qstate=qvec)
         if isinstance(head, NewChannel):
-            channel = (ChannelVal(config.next_channel),)
-            return _bind(config, heads, i, (head.binder,), channel, next_channel=config.next_channel + 1)
+            cid = config.skel.next_channel
+            return _bind(config, heads, i, (head.binder,), (ChannelVal(cid),), next_channel=cid + 1)
         return _advance(config, heads, qstate=qvec)
     if kind is _RECEIVE:
         return _bind(config, heads, i, head.binders, arg)
     return _advance(config, heads)
 
 
-def _moves(config: Configuration):
-    """The moves of a configuration with no deterministic τ head, in
+def _moves(skel: _Skeleton):
+    """The moves of a skeleton with no deterministic τ head, in
     ``step``'s order, each as a tuple of what its transitions are built
     from; the part of a step that reads no amplitude, and raises any
     runtime error a head holds:
@@ -986,23 +1086,24 @@ def _moves(config: Configuration):
     - ``(_COMMUNICATE, out_i, in_i)``: an internal communication between
       any two components sharing a channel, hidden or visible, after every
       move of a single component."""
+    visible = skel.channel_names
     senders, receivers = [], []  # (index, channel id) ready to communicate
-    for i, (head, env, _qubits, _hidden) in enumerate(config.procs):
+    for i, (head, env, _qubits, _hidden) in enumerate(skel.procs):
         if isinstance(head, Output):
             k = head.measure_index
             if k is not None:
-                yield _MEASURE, i, head, env, _qubit_ids(config, env, head.payload[k].names)
+                yield _MEASURE, i, head, env, _qubit_ids(skel, env, head.payload[k].names)
                 continue
-            cid = _channel_id(config, env, head.channel)
+            cid = _channel_id(skel, env, head.channel)
             senders.append((i, cid))
-            if config.is_visible(cid):
+            if cid in visible:
                 label_values = []
                 sent_qubits = []
-                for v in _eval_slots(config, env, head.payload):
+                for v in _eval_slots(skel, env, head.payload):
                     if isinstance(v, QubitVal):
                         label_values.append(QubitSlot(len(sent_qubits)))
                         sent_qubits.append(v.qid)
-                    elif isinstance(v, ChannelVal) and not config.is_visible(v.cid):
+                    elif isinstance(v, ChannelVal) and v.cid not in visible:
                         # The channel would stay hidden once sent, so no label can name it.
                         raise RuntimeProcessError(
                             f"cannot send a hidden channel on {head.channel!r} (scope extrusion)"
@@ -1013,9 +1114,9 @@ def _moves(config: Configuration):
             continue
 
         if isinstance(head, Input):
-            cid = _channel_id(config, env, head.channel)
+            cid = _channel_id(skel, env, head.channel)
             receivers.append((i, cid))
-            if config.is_visible(cid):
+            if cid in visible:
                 yield _RECEIVE, i, head, env, cid
             continue
 
@@ -1031,11 +1132,12 @@ def _moves(config: Configuration):
 # Canonical configuration keys (deduplication)
 # ---------------------------------------------------------------------------
 
-def canonical_key(config: Configuration) -> tuple:
+def canonical_key(config: Configuration | _Skeleton) -> tuple:
     """Discrete part of configuration identity: the number of qubits and
     the ``canonical_form`` of each component in order, with every free name
     replaced by the value it is bound to and hidden channels numbered by
-    first occurrence across all components.
+    first occurrence across all components. It reads only skeleton fields,
+    so a skeleton has the key of each of its configurations.
     Configurations with equal keys are merged when their amplitudes agree
     within ATOL up to global phase.
 
@@ -1043,6 +1145,7 @@ def canonical_key(config: Configuration) -> tuple:
     whose slots are resolved through the component's environment and then
     ``bindings``; no term is walked once it has been keyed."""
     bindings = config.bindings
+    visible = config.channel_names
     hidden: dict[int, str] = {}
 
     def resolve(name: str) -> str:
@@ -1052,7 +1155,7 @@ def canonical_key(config: Configuration) -> tuple:
         if isinstance(v, QubitVal):
             return f"q{v.qid}"
         if isinstance(v, ChannelVal):
-            if config.is_visible(v.cid):
+            if v.cid in visible:
                 return f"C{v.cid}"
             return hidden.setdefault(v.cid, f"h{len(hidden)}")
         if isinstance(v, tuple):
@@ -1063,208 +1166,88 @@ def canonical_key(config: Configuration) -> tuple:
     for term, env, _qubits, _hidden in config.procs:
         fmt, slots = term.key_template
         forms.append(fmt.format(*[resolve(env.get(n, n)) for n in slots]))
-    return (config.qstate.num_qubits, tuple(forms))
+    return (config.num_qubits, tuple(forms))
 
 
 # ---------------------------------------------------------------------------
-# Skeletons: the amplitude-free work of exploring, shared between inputs
+# Exploring skeletons: the amplitude-free work, done once per skeleton
 # ---------------------------------------------------------------------------
 
-_UNKNOWN = object()  # a field of a ``_Skeleton`` not computed yet
+def _settle(skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None = None) -> tuple:
+    """``settle``'s run from ``skel`` at state ``qvec``, as ``(skeleton,
+    state, None)``; or, with ``siblings``, ``(skeleton, state, sid)`` where
+    the run stopped, once it meets before a private communication a
+    configuration an earlier sibling's run met, which was interned as the
+    PLTS state ``sid`` (see ``settle``)."""
+    while True:
+        if skel.settling is _UNKNOWN:
+            move = _tau_move(skel)
+            if move is None:
+                redex = _private_redex(skel)
+                move = None if redex is None else (_COMMUNICATE, *redex)
+            skel.settling = None if move is None else (move, {})
+        if skel.settling is None:
+            return skel, qvec, None
+        move, built = skel.settling
+        if siblings is not None and move[0] is _COMMUNICATE:
+            sid = siblings.find(skel, qvec)
+            if sid is not None:
+                return skel, qvec, sid
+        skel, qvec = _follow(skel, qvec, move, built)
 
 
-class SkeletonCache:
-    """What exploring configurations finds out without reading their
-    amplitudes, kept for the length of one ``explore`` call, or of one
-    ``equiv.check_equivalence`` call, which shares one between the
-    explorations of a side under its input instantiations.
-
-    A *skeleton* is everything of a configuration but its state: the
-    ``bindings`` and ``procs`` objects, held by identity, ``next_channel``,
-    ``next_fresh`` and the qubit count; ``channel_names`` and ``program``
-    are those of the initial configuration throughout. The cache finds the
-    initial configuration of each exploration by that key (``skeleton``),
-    and every other skeleton through the table of the step that built it,
-    so two explorations that take the same steps from one skeleton meet
-    the same skeletons. Each skeleton holds the objects of its key, so no
-    identity is reused while the cache lives. A skeleton records, as each
-    is first needed: its checked live set, its ``canonical_key``, its
-    settle move (the deterministic τ with its state operation,
-    ``_tau_move``, or else the private communication, ``_private_redex``),
-    its other moves (``_moves``) and, for each move, the skeleton it builds
-    (``_successor``) per measurement outcome or received value tuple, and
-    from that one the skeleton left per set of dropped dead qubits
-    (``_compact``; ``_follow``).
-
-    So the work that reads no amplitude is done once per skeleton, not
-    once per configuration met: the ownership check, key and redex of a
-    skeleton, its settle steps and moves, and the skeletons of its
-    successors. An exploration that meets a skeleton again, under a later
-    input or under another value received on one channel, runs only the
-    ``qstate`` kernels and the decisions that read amplitudes: which
-    outcomes a measurement has, which dead qubits drop, sibling hits,
-    merges when interning, and the density matrices of labels. Replaying a
-    cached successor builds the configuration that building it anew would
-    build, for three reasons:
-
-    - A step's effect on the skeleton depends only on the skeleton, the
-      move taken, the bits of its outcome or the values received (a test
-      qubit stands for the fresh qubit id it is bound as, whatever its
-      amplitudes), and the set of dead qubits dropped, which is decided
-      anew from the amplitudes each time. Runtime names come from
-      ``next_fresh``, qubit ids from the qubit count and hidden channel ids
-      from ``next_channel``, all part of the key.
-    - The state operation is kept with the move: the gate and the qubit ids
-      it acts on, or the qubits appended, as ``_state_op`` gives it to the
-      step that builds the successor, so the new state gets the operation
-      building the step would apply. Received test qubits are appended by
-      ``_received``, as ``_bind`` appends them.
-    - Errors come from the first time. Every error the skeleton work of a
-      step can raise (an unbound name, an arity mismatch, an ownership
-      violation, the component cap) depends only on the skeleton, so the
-      first exploration that takes the step raises it and the check stops.
-      The kernels, and with them the qubit cap, and the state cap run
-      every time.
-
-    So every kernel call, every PLTS and every verdict is the one building
-    each configuration anew, through a cache of its own, gives."""
-
-    def __init__(self):
-        self._skeletons: dict[tuple, _Skeleton] = {}
-
-    def skeleton(self, config: Configuration) -> _Skeleton:
-        """The skeleton of ``config``, an exploration's initial
-        configuration, made the first time it is met."""
-        ident = (
-            id(config.bindings),
-            id(config.procs),
-            config.next_channel,
-            config.next_fresh,
-            config.qstate.num_qubits,
-        )
-        skel = self._skeletons.get(ident)
-        if skel is None:
-            skel = self._skeletons[ident] = _Skeleton(config)
-        return skel
-
-    def settle(self, skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None) -> tuple:
-        """``settle``'s run from ``skel`` at state ``qvec``, as ``(skeleton,
-        state, None)``; or, with ``siblings``, ``(skeleton, state, sid)``
-        where the run stopped, once it meets before a private communication
-        a configuration an earlier sibling's run met, which was interned as
-        the PLTS state ``sid`` (see ``settle``)."""
-        while True:
-            if skel.settling is _UNKNOWN:
-                move = _tau_move(skel.config)
-                if move is None:
-                    redex = _private_redex(skel.config)
-                    move = None if redex is None else (_COMMUNICATE, *redex)
-                skel.settling = None if move is None else (move, {})
-            if skel.settling is None:
-                return skel, qvec, None
-            move, built = skel.settling
-            if siblings is not None and move[0] is _COMMUNICATE:
-                sid = siblings.find(skel, qvec)
-                if sid is not None:
-                    return skel, qvec, sid
-            skel, qvec = self._follow(skel, qvec, move, built)
-
-    def transitions(self, skel: _Skeleton, qvec: StateVector, alphabet: dict) -> list[tuple]:
-        """The enabled transitions of the settled ``skel`` at state ``qvec``,
-        in ``step``'s order, as ``(label, outcomes)`` with each outcome a
-        ``(probability, (skeleton, state))``. The moves are enumerated once
-        per skeleton (``_moves``), and the labels and distributions read
-        the amplitudes each time (``_move_transitions``)."""
-        moves = skel.moves
-        if moves is None:
-            moves = _planned(skel, _moves(skel.config))
-        names = skel.config.channel_names
-        found = []
-        for move, built in moves:
-            for label, outcomes in _move_transitions(move, qvec, names, alphabet):
-                dist = [(p, self._follow(skel, qvec, move, built, arg, o)) for p, arg, o in outcomes]
-                found.append((label, dist))
-        return found
-
-    def _follow(
-        self, skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=None, branch=None
-    ) -> tuple:
-        """``(skeleton, state)``: the successor of ``move`` from ``skel`` at
-        state ``qvec`` with ``arg``, with its dead qubits dropped as
-        ``_drop_dead`` drops them.
-
-        ``built`` maps the bits of each outcome, or each value tuple
-        received with its test qubits blanked, to the skeleton the move
-        built with it. Only an ``arg`` not met before builds a
-        ``Configuration`` (``_successor``); a met one runs a deterministic
-        τ's state operation (``_applied``), or appends the received test
-        qubits as ``_bind`` does (``_received``). The amplitudes then decide
-        which dead qubits drop (``_basis_drops``), and the skeleton left is
-        built once per set of dropped qubits (``_compact``)."""
-        kind = move[0]
-        slot = tuple(None if isinstance(v, TestQubit) else v for v in arg) if kind is _RECEIVE else arg
-        pre = built.get(slot)
-        if pre is None:
-            config = _successor(skel.at(qvec), move, arg)
-            pre = built[slot] = _Skeleton(config)
-            qvec = config.qstate
-        elif kind is _RECEIVE:
-            qvec = _received(qvec, arg)
-        elif kind is _TAU:
-            qvec = _applied(move[4], qvec)
-        found = _basis_drops(qvec, pre.live, branch)
-        if found is None:
-            return pre, qvec
-        qout, dropped = found
-        if pre.drops is None:
-            pre.drops = {}
-        gone = frozenset(dropped)
-        left = pre.drops.get(gone)
-        if left is None:
-            left = pre.drops[gone] = _Skeleton(_compact(pre.config, dropped, qout))
-        return left, qout
+def _transitions(skel: _Skeleton, qvec: StateVector, alphabet: dict) -> list[tuple]:
+    """The enabled transitions of the settled ``skel`` at state ``qvec``, in
+    ``step``'s order, as ``(label, outcomes)`` with each outcome a
+    ``(probability, (skeleton, state))``. The moves are enumerated once per
+    skeleton (``_moves``), and the labels and distributions read the
+    amplitudes each time (``_move_transitions``)."""
+    moves = skel.moves
+    if moves is None:
+        moves = _planned(skel, _moves(skel))
+    names = skel.channel_names
+    found = []
+    for move, built in moves:
+        for label, outcomes in _move_transitions(move, qvec, names, alphabet):
+            found.append((label, [(p, _follow(skel, qvec, move, built, arg, o)) for p, arg, o in outcomes]))
+    return found
 
 
-class _Skeleton:
-    """A configuration less its state, with what exploring it has found
-    out so far (``SkeletonCache``). ``config`` is the first configuration
-    met with this skeleton, and ``live`` its checked live set, which
-    ``SkeletonCache._follow`` reads on the successors ``_advance`` builds;
-    None for any other configuration, which has not been checked. The
-    cache reads ``config`` for everything but its state, and ``at`` makes
-    the configuration at a given state where one is handed out.
-    ``settling`` is ``_UNKNOWN`` until computed, and then None or the
-    settle move (``_tau_move``, or else a ``_COMMUNICATE`` move) with its
-    table of what it built (``SkeletonCache._follow``). ``moves`` holds
-    such pairs for each move of ``_moves``, and ``drops`` maps a set of
-    dropped dead qubits to the skeleton left."""
+def _follow(skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=None, branch=None) -> tuple:
+    """``(skeleton, state)``: the successor of ``move`` from ``skel`` at
+    state ``qvec`` with ``arg``, with its dead qubits dropped as
+    ``_drop_dead`` drops them.
 
-    __slots__ = ("config", "live", "_key", "settling", "moves", "drops")
-
-    def __init__(self, config: Configuration):
-        self.config = config
-        self.live = config._live
-        self._key = self.moves = self.drops = None
-        self.settling = _UNKNOWN
-
-    def at(self, qvec: StateVector) -> Configuration:
-        """A new configuration of this skeleton with state ``qvec``."""
-        config = self.config
-        return Configuration(
-            qvec,
-            config.bindings,
-            config.procs,
-            config.channel_names,
-            config.next_channel,
-            config.next_fresh,
-            config.program,
-        )
-
-    def key(self) -> tuple:
-        """``canonical_key`` of this skeleton at any state of its size."""
-        if self._key is None:
-            self._key = canonical_key(self.config)
-        return self._key
+    ``built`` maps the bits of each outcome, or each value tuple received
+    with its test qubits blanked, to the skeleton the move built with it.
+    Only an ``arg`` not met before builds a successor (``_successor``); a
+    met one runs a deterministic τ's state operation (``_applied``), or
+    appends the received test qubits as ``_bind`` does (``_received``). The
+    amplitudes then decide which dead qubits drop (``_basis_drops``), and
+    the skeleton left is built once per set of dropped qubits
+    (``_compact``)."""
+    kind = move[0]
+    slot = tuple(None if isinstance(v, TestQubit) else v for v in arg) if kind is _RECEIVE else arg
+    pre = built.get(slot)
+    if pre is None:
+        config = _successor(Configuration(skel, qvec), move, arg)
+        pre = built[slot] = config.skel
+        qvec = config.qstate
+    elif kind is _RECEIVE:
+        qvec = _received(qvec, arg)
+    elif kind is _TAU:
+        qvec = _applied(move[4], qvec)
+    found = _basis_drops(qvec, pre.live, branch)
+    if found is None:
+        return pre, qvec
+    qout, dropped = found
+    if pre.drops is None:
+        pre.drops = {}
+    gone = frozenset(dropped)
+    left = pre.drops.get(gone)
+    if left is None:
+        left = pre.drops[gone] = _compact(pre, dropped)
+    return left, qout
 
 
 def _planned(skel: _Skeleton, moves):
@@ -1328,8 +1311,6 @@ def explore(
     config: Configuration,
     max_states: int = DEFAULT_MAX_STATES,
     alphabet: dict | None = None,
-    *,
-    cache: SkeletonCache | None = None,
 ) -> PLTS:
     """Breadth-first closure of a configuration under its enabled
     transitions (``_moves``, in ``step``'s order).
@@ -1373,27 +1354,23 @@ def explore(
     says why the PLTS is the one interning each branch's settled
     configuration gives).
 
-    Every exploration goes through a ``SkeletonCache``, its own or
-    ``cache``, which ``equiv.check_equivalence`` shares between the
-    explorations of one side under its input instantiations. The cache's
-    docstring says which work is done once per skeleton, and why every
-    kernel call and every PLTS is still the one building each
-    configuration anew gives.
+    The exploration starts at ``config``'s skeleton, and every skeleton it
+    meets keeps the work that reads no amplitude (``_Skeleton``, which says
+    why every kernel call and every PLTS is still the one a fresh skeleton
+    gives). So explorations from one configuration share that work.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     alphabet = alphabet or {}
-    cache = SkeletonCache() if cache is None else cache
     states: list[PLTSState] = []
     edges: list[PLTSEdge] = []
     buckets: dict[tuple, list[int]] = {}
     prob_cache: dict[tuple, int] = {}
     queue: list[int] = []
-    skeletons: dict[int, _Skeleton] = {}  # the skeleton of each nondet state
 
     def intern(skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None = None) -> int:
         """Settle and intern the configuration ``skel`` at state ``qvec``."""
-        skel, qvec, sid = cache.settle(skel, qvec, siblings)
+        skel, qvec, sid = _settle(skel, qvec, siblings)
         if sid is None:
             sid = add(skel, qvec)
         if siblings is not None:
@@ -1408,18 +1385,18 @@ def explore(
         if len(states) >= max_states:
             raise ExplorationLimitError(max_states)
         sid = len(states)
-        states.append(PLTSState(sid, "nondet", config=skel.at(qvec)))
-        skeletons[sid] = skel
+        states.append(PLTSState(sid, "nondet", config=Configuration(skel, qvec)))
         buckets.setdefault(key, []).append(sid)
         queue.append(sid)
         return sid
 
-    initial = intern(cache.skeleton(config), config.qstate)
+    initial = intern(config.skel, config.qstate)
     head = 0
     while head < len(queue):
         sid = queue[head]
         head += 1
-        transitions = cache.transitions(skeletons[sid], states[sid].config.qstate, alphabet)
+        current = states[sid].config
+        transitions = _transitions(current.skel, current.qstate, alphabet)
         if not transitions:
             states[sid].terminal = True
             continue

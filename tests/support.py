@@ -893,32 +893,46 @@ def basis_drops_oracle(state, live, outcome=None):
     return StateVector(n - len(dropped), amps), dropped
 
 
-def compact_oracle(config, dropped, qvec):
+def compact_oracle(skel, dropped):
     """``semantics._compact`` by the slow paths: the survivors renumbered in
     order and every qubit set walked again from the terms
     (``qubit_sets_oracle``)."""
-    n = config.qstate.num_qubits
+    n = skel.num_qubits
     renumber = {q: i for i, q in enumerate(q for q in range(n) if q not in dropped)}
     bindings = {
         name: QubitVal(renumber[v.qid]) if isinstance(v, QubitVal) else v
-        for name, v in config.bindings.items()
+        for name, v in skel.bindings.items()
         if not (isinstance(v, QubitVal) and v.qid in dropped)
     }
     procs = tuple(
         (term, env, mine, hidden)
         for (term, env, _qubits, hidden), mine in zip(
-            config.procs, qubit_sets_oracle(bindings, config.procs)
+            skel.procs, qubit_sets_oracle(bindings, skel.procs)
         )
     )
-    return Configuration(
-        qvec,
+    return semantics._Skeleton(
         bindings,
         procs,
-        config.channel_names,
-        config.next_channel,
-        config.next_fresh,
-        config.program,
+        skel.channel_names,
+        skel.next_channel,
+        skel.next_fresh,
+        skel.program,
+        len(renumber),
     )
+
+
+def fresh_skeleton(config, **changes) -> Configuration:
+    """``config`` with its fields copied into a new skeleton, each field
+    named in ``changes``, ``qstate`` included, replaced: a configuration
+    that shares nothing an exploration has recorded on ``config``'s
+    skeleton, so exploring it builds every configuration it meets anew."""
+    fields = {
+        name: changes.pop(name, getattr(config, name))
+        for name in ("qstate", "bindings", "procs", "channel_names", "next_channel", "next_fresh", "program")
+    }
+    assert not changes, f"not a configuration field: {sorted(changes)}"
+    qvec = fields.pop("qstate")
+    return Configuration(semantics._Skeleton(**fields, num_qubits=qvec.num_qubits), qvec)
 
 
 def hidden_sets_oracle(config) -> tuple:

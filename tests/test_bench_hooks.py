@@ -139,11 +139,11 @@ def test_every_successor_is_checked_for_ownership_once(monkeypatch):
     on one ``Chain2`` against ``Identity`` check, ``_advance`` calls it
     exactly once for each successor it builds, and nothing else calls it.
 
-    The check explores each side under 4 inputs through one
-    ``SkeletonCache``, which builds a successor only the first time a step
-    is taken from a skeleton, and keeps its live set. So each distinct
-    skeleton is checked once, 42 checks where exploring each input
-    through a cache of its own makes 141."""
+    The check explores each side under 4 inputs from one settled
+    configuration, so they share its skeleton, and a successor is built
+    only the first time a step is taken from a skeleton, which keeps its
+    live set. So each distinct skeleton is checked once, 42 checks where
+    exploring each input from a fresh skeleton makes 141."""
     counts = {"_advance": 0, "check_ownership": 0}
     checked = []
     advance = semantics._advance

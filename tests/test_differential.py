@@ -47,18 +47,20 @@ sets, and the live set each ownership check scans from them, are checked
 against the term walks on every configuration the digest explorations
 check and on sampled runs.
 
-``explore`` goes through a ``SkeletonCache``, which replays the work that
-reads no amplitude, and ``check_equivalence`` shares one per side between
-its input instantiations. Exploring every instantiation through one shared
-cache is checked against exploring each through a cache of its own, which,
-with one value tuple per channel, builds every configuration it meets
-anew; digest for digest and verdict for verdict: on the corpus, on
+``explore`` keeps the work that reads no amplitude on the skeletons it
+meets and replays it, and ``check_equivalence`` explores a side's input
+instantiations from one configuration, so they share its skeleton.
+Exploring every instantiation from one shared skeleton is checked against
+exploring each from a fresh skeleton (``fresh_skeleton``), which, with one
+value tuple per channel, builds every configuration it meets anew; digest
+for digest and verdict for verdict: on the corpus, on
 ``chain_source(3, GATES)`` under the ``chain`` workload's test sets, on
 the seed-2024 congruence contexts and on the random pairs; and on hand
 programs whose inputs split on a decision that reads amplitudes, so that a
-later input misses the cache. The golden digests, made before the cache,
-pin the explorations of a full alphabet, in which one exploration meets a
-skeleton again under each value received on a channel.
+later input takes a step no earlier one recorded. The golden digests, made
+before skeletons kept anything, pin the explorations of a full alphabet, in
+which one exploration meets a skeleton again under each value received on
+a channel.
 
 ``free_names`` and ``input_used_channels`` fold over ``syntax.scopes``; they
 are checked against walks that write out each constructor's binders, on
@@ -66,7 +68,6 @@ every definition of the corpus, of ``chain_source(3, GATES)`` and of 300
 random well-typed programs, on hand cases and on random terms.
 """
 
-import dataclasses
 import random
 import types
 import weakref
@@ -117,6 +118,7 @@ from support import (
     digest_programs,
     explore_unsettled_oracle,
     exploration_digest,
+    fresh_skeleton,
     free_names_oracle,
     hidden_sets_oracle,
     input_used_channels_oracle,
@@ -314,7 +316,7 @@ def test_scanned_live_sets_match_the_term_walk(monkeypatch):
 
     def compared(config):
         nonlocal scanned
-        fresh = config._live is None
+        fresh = config.skel.live is None
         live = check(config)
         if fresh:
             scanned += 1
@@ -403,12 +405,7 @@ def test_shared_qubit_rejected_like_the_term_walk():
     procs = _flatten(
         parse_process("(c![q] . 0 | {q *= H} . 0)"), {}, bindings, config.channel_names, program
     )
-    shared = dataclasses.replace(
-        config,
-        qstate=StateVector(1, [1.0, 0.0]),
-        bindings=bindings,
-        procs=procs,
-    )
+    shared = fresh_skeleton(config, qstate=StateVector(1, [1.0, 0.0]), bindings=bindings, procs=procs)
     assert [qubits for _term, _env, qubits, _hidden in procs] == [frozenset({0})] * 2
     assert qubit_sets_oracle(bindings, procs) == (frozenset({0}),) * 2
     with pytest.raises(OwnershipViolation):
@@ -557,6 +554,32 @@ def test_an_arity_mismatch_in_a_private_communication_raises_like_the_oracle():
     assert got == want == "RuntimeProcessError"
 
 
+# The private send on h and the scope extrusion of c![k] are both enabled
+# at the start. Settling takes the send first, and the receiver then passes
+# the 12-qubit cap, so ``explore`` raises CapacityError; the unsettled
+# oracle enumerates ``c![k]`` first and raises RuntimeProcessError on the
+# extrusion. Choosing the settle move from ``_moves``' order would not mend
+# it: in the mirror case a received qubit passes the cap before a later
+# ``d![k]`` extrudes, and there both raise CapacityError today.
+SETTLE_BEFORE_EXTRUSION = (
+    "//: P : ^[^[Bit]]\n"
+    "P(c) = (new h) (new k) (h![0] . 0 | (h?[x] . (qbit a1,a2,a3,a4,a5,a6,a7,a8,a9,a10,a11,a12,a13) 0"
+    " | (k![0] . 0 | c![k] . 0)))\n"
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="settling changes which error an exploration raises: the private send on h "
+    "goes before the scope extrusion of c![k] is reached (CapacityError against "
+    "the unsettled oracle's RuntimeProcessError)",
+)
+def test_settling_raises_the_error_the_unsettled_oracle_raises():
+    got, want = settled_and_oracle(SETTLE_BEFORE_EXTRUSION)
+    assert got == want == "RuntimeProcessError"
+
+
 def typed_program_pairs():
     """Pairs of ``random_typed_program`` of seeds 0-299 with the same entry
     signature, each program paired with the next of its signature."""
@@ -568,9 +591,9 @@ def typed_program_pairs():
         yield from zip(group, group[1:])
 
 
-def unsettled_without_cache(config, *, max_states, alphabet, cache):
-    """``explore_unsettled_oracle`` in the place of ``explore``, leaving
-    unused the skeleton cache ``check_equivalence`` passes."""
+def unsettled(config, *, max_states, alphabet):
+    """``explore_unsettled_oracle`` in the place of ``explore``, called as
+    ``check_equivalence`` calls ``explore``."""
     return explore_unsettled_oracle(config, max_states, alphabet)
 
 
@@ -587,7 +610,7 @@ def test_check_equivalence_matches_the_unsettled_oracle():
             args = (program_a, "Gen", program_b, "Gen", sigs_a, sigs_b, test_qubits, 5000)
             got = program_errors(check_equivalence, *args)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(semantics, "explore", unsettled_without_cache)
+                mp.setattr(semantics, "explore", unsettled)
                 mp.setattr(semantics, "settle", lambda config: config)
                 want = program_errors(check_equivalence, *args)
             case = f"random{seed_a} vs random{seed_b}:{set_name}"
@@ -601,7 +624,7 @@ def test_check_equivalence_matches_the_unsettled_oracle():
 
 
 # ---------------------------------------------------------------------------
-# The skeleton cache against exploring each input anew
+# A shared skeleton against exploring each input anew
 # ---------------------------------------------------------------------------
 
 def outcome_or_error(fn, *args, **kwargs):
@@ -615,15 +638,15 @@ def outcome_or_error(fn, *args, **kwargs):
 
 def explore_each_input(config, instantiations, max_states=5000):
     """``(got, want)``: the digest of exploring ``config`` under each of
-    ``instantiations`` in turn, through one ``SkeletonCache`` shared by all
-    of them (``got``) and each through a cache of its own (``want``). An
+    ``instantiations`` in turn, from one fresh skeleton shared by all of
+    them (``got``) and each from a fresh skeleton of its own (``want``). An
     error shows as its type and message, and the explorations go on after
     it."""
-    cache = semantics.SkeletonCache()
+    shared = fresh_skeleton(config)
     got, want = [], []
     for alphabet in instantiations:
-        got.append(exploration_digest(outcome_or_error(explore, config, max_states, alphabet, cache=cache)))
-        want.append(exploration_digest(outcome_or_error(explore, config, max_states, alphabet)))
+        got.append(exploration_digest(outcome_or_error(explore, shared, max_states, alphabet)))
+        want.append(exploration_digest(outcome_or_error(explore, fresh_skeleton(config), max_states, alphabet)))
     return got, want
 
 
@@ -632,16 +655,16 @@ def instantiations_of(program, signatures, entry, test_qubits):
 
 
 def check_anew(*args):
-    """``check_equivalence`` with every exploration made through a cache of
-    its own instead of the one it shares; the verdict's text or the
+    """``check_equivalence`` with every exploration made from a fresh
+    skeleton instead of the one its side shares; the verdict's text or the
     error's."""
-    explore_anew = semantics.explore
+    explore_shared = semantics.explore
 
-    def without_cache(config, *, max_states, alphabet, cache):
-        return explore_anew(config, max_states=max_states, alphabet=alphabet)
+    def anew(config, *, max_states, alphabet):
+        return explore_shared(fresh_skeleton(config), max_states=max_states, alphabet=alphabet)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semantics, "explore", without_cache)
+        mp.setattr(semantics, "explore", anew)
         verdict = outcome_or_error(check_equivalence, *args)
     return verdict if isinstance(verdict, str) else verdict.render()
 
@@ -669,7 +692,7 @@ def built(monkeypatch):
 
 def test_the_cache_explores_the_corpus_as_each_input_anew():
     """Every corpus entry under both digest test sets: exploring each input
-    instantiation through one shared cache gives the digests, errors
+    instantiation from one shared skeleton gives the digests, errors
     included, that exploring each anew gives."""
     cases = 0
     for name, program, signatures, entry in corpus_entries():
@@ -686,7 +709,8 @@ def test_the_cache_explores_the_corpus_as_each_input_anew():
 def test_the_cache_explores_the_teleport_chains_as_each_input_anew(built):
     """Every entry of ``chain_source(3, GATES)`` under the ``chain``
     workload's default, basis and {|+>} test sets. With 4 inputs, the
-    cached explorations build about a third of the successors."""
+    explorations from a shared skeleton build about a third of the
+    successors."""
     workloads = bench_workloads()
     source = workloads.chain_source(3, workloads.GATES)
     program, signatures = parse_program(source), parse_signatures(source)
@@ -703,7 +727,7 @@ def test_the_cache_explores_the_teleport_chains_as_each_input_anew(built):
                 both = built["_advance"] - before
                 before = built["_advance"]
                 for alphabet in instantiations:
-                    explore(config, 5000, alphabet)
+                    explore(fresh_skeleton(config), 5000, alphabet)
                 anew += built["_advance"] - before
                 cached += both - (built["_advance"] - before)
     assert 0 < cached * 2 < anew
@@ -775,18 +799,19 @@ def test_a_later_input_takes_the_cache_miss_path_like_each_input_anew(source, bu
     brings the other, and |+> and |i> meet both. ``DEAD_UNDER_ONE_INPUT``
     leaves its input dead after an H: only under |+> is it in a basis
     state, so only then does it drop, through a compaction not met before.
-    Each input's exploration has the digest of exploring it anew."""
+    Each input's exploration from the shared skeleton has the digest of
+    exploring it anew."""
     program, signatures = parse_program(source), parse_signatures(source)
     config = initial_configuration(program, "P", signatures=signatures)
     instantiations = instantiations_of(program, signatures, "P", DEFAULT_TEST_QUBITS)
     assert len(instantiations) == 4
-    cache = semantics.SkeletonCache()
+    shared = fresh_skeleton(config)
     made = []
     for alphabet in instantiations:
         before = dict(built)
-        got = exploration_digest(explore(config, 5000, alphabet, cache=cache))
+        got = exploration_digest(explore(shared, 5000, alphabet))
         made.append({name: built[name] - before[name] for name in built})
-        assert got == exploration_digest(explore(config, 5000, alphabet))
+        assert got == exploration_digest(explore(fresh_skeleton(config), 5000, alphabet))
     # Each new skeleton also builds the send that follows it.
     if source == MEASURED_INPUT:
         assert [m["_advance"] for m in made[1:]] == [2, 0, 0]
@@ -796,22 +821,23 @@ def test_a_later_input_takes_the_cache_miss_path_like_each_input_anew(source, bu
 
 
 def test_the_cache_is_gone_once_the_check_returns(monkeypatch):
-    """``check_equivalence`` makes a cache per side and keeps none: once it
-    returns, nothing refers to either."""
+    """``check_equivalence`` explores each side from the skeleton of its
+    settled configuration and keeps neither: once it returns, nothing
+    refers to either skeleton, nor to what exploring recorded on them."""
     explore_with = semantics.explore
-    caches = []
+    skeletons = []
 
     def kept(config, **kwargs):
-        if kwargs["cache"] is not None and all(c() is not kwargs["cache"] for c in caches):
-            caches.append(weakref.ref(kwargs["cache"]))
+        if all(s() is not config.skel for s in skeletons):
+            skeletons.append(weakref.ref(config.skel))
         return explore_with(config, **kwargs)
 
     monkeypatch.setattr(semantics, "explore", kept)
     workloads = bench_workloads()
     program, signatures = workloads.load(workloads.chain_source(2))
     assert check_equivalence(program, "Chain2", program, "Identity", signatures).equivalent
-    assert len(caches) == 2
-    assert [c() for c in caches] == [None, None]
+    assert len(skeletons) == 2
+    assert [s() for s in skeletons] == [None, None]
 
 
 # Both inputs die at one gate, and which of them then sit in a basis state
@@ -871,18 +897,21 @@ CAP_UNDER_ONE_INPUT = (
     ids=["qubit cap", "state cap"],
 )
 def test_an_error_under_a_later_input_is_the_uncached_error(source, max_states, error):
-    """An error that only a later input meets is raised through the cache
-    with the type and message that exploring that input anew raises, and
-    ``check_equivalence`` raises it too."""
+    """An error that only a later input meets is raised from the shared
+    skeleton with the type and message that exploring that input anew
+    raises, and ``check_equivalence`` raises it too."""
     program, signatures = parse_program(source), parse_signatures(source)
     config = initial_configuration(program, "P", signatures=signatures)
     instantiations = instantiations_of(program, signatures, "P", DEFAULT_TEST_QUBITS)
     got, want = explore_each_input(config, instantiations, max_states)
     assert got == want
-    first = next(i for i, alphabet in enumerate(instantiations)
-                 if isinstance(outcome_or_error(explore, config, max_states, alphabet), str))
+
+    def anew(alphabet):
+        return outcome_or_error(explore, fresh_skeleton(config), max_states, alphabet)
+
+    first = next(i for i, alphabet in enumerate(instantiations) if isinstance(anew(alphabet), str))
     assert first > 0
-    raised = outcome_or_error(explore, config, max_states, instantiations[first])
+    raised = anew(instantiations[first])
     assert raised.startswith(error)
     args = (program, "P", program, "P", signatures, signatures, DEFAULT_TEST_QUBITS, max_states)
     assert check_cached(*args) == check_anew(*args) == raised

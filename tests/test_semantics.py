@@ -1,6 +1,5 @@
 """Operational semantics: stepping, exploration, sampling."""
 
-import dataclasses
 import itertools
 import random
 import types
@@ -23,6 +22,7 @@ from cqpkit.semantics import (
     canonical_key,
     explore,
     initial_configuration,
+    input_alphabet,
     input_used_channels,
     render_label,
     run_sampled,
@@ -38,6 +38,7 @@ from support import (
     compact_oracle,
     exploration_digest,
     explore_unsettled_oracle,
+    fresh_skeleton,
     load_corpus_file,
     random_typed_program,
     reachable_outputs,
@@ -560,7 +561,7 @@ def test_measurement_branches_drop_as_the_zero_fill_path_does(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(semantics, "_basis_drops", basis_drops_oracle)
             mp.setattr(semantics, "_compact", compact_oracle)
-            want = explore_or_full(config, reduce=reduce)
+            want = explore_or_full(fresh_skeleton(config), reduce=reduce)
         assert [(e.src, render_label(e.label), e.dst) for e in got.edges] == [
             (e.src, render_label(e.label), e.dst) for e in want.edges
         ]
@@ -689,9 +690,43 @@ def test_dynamic_ownership_violation_detected(monkeypatch):
             with pytest.raises(OwnershipViolation) as err:
                 run_sampled(config, seed=0)
             with pytest.raises(OwnershipViolation) as full:
-                dataclasses.replace(checked[-1]).check_ownership()
+                fresh_skeleton(checked[-1]).check_ownership()
             assert str(err.value) == str(full.value)
             assert str(err.value).endswith("bound under two parallel components")
+
+
+def test_no_skeleton_reaches_a_state(teleport_program):
+    """A skeleton is everything of a configuration but its state, and what
+    exploring records on it holds no state either. From the skeleton of
+    every state of ``Teleport`` explored under its default alphabet, a walk
+    through the attributes of skeletons and configurations and through the
+    contents of dicts, lists, tuples and sets reaches every move, settle
+    move, successor table and drop table the exploration recorded, and
+    meets no ``StateVector``."""
+    program, signatures = teleport_program
+    config = initial_configuration(program, "Teleport", signatures=signatures)
+    alphabet = input_alphabet(program, "Teleport", signatures["Teleport"], DEFAULT_TEST_QUBITS)
+    plts = explore(config, alphabet=alphabet)
+    todo = [s.config.skel for s in plts.states if s.config is not None]
+    seen, skeletons, states = set(), 0, 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, qstate.StateVector):
+            states += 1
+        elif isinstance(obj, semantics._Skeleton):
+            skeletons += 1
+            todo += vars(obj).values()
+        elif isinstance(obj, semantics.Configuration):
+            todo += [obj.skel, obj.qstate]
+        elif isinstance(obj, dict):
+            todo += [*obj, *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo += obj
+    assert skeletons == 22
+    assert states == 0
 
 
 def test_qubit_capacity_respected():
@@ -707,7 +742,7 @@ def test_canonical_key_identifies_alpha_variants(teleport_program):
     config = initial_configuration(program, "Teleport", signatures=signatures)
     from cqpkit.syntax import substitute
 
-    renamed = dataclasses.replace(
+    renamed = fresh_skeleton(
         config,
         procs=tuple(
             (substitute(term, {"a": "left", "b": "right"}), env, qubits, hidden)
