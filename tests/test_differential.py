@@ -658,10 +658,10 @@ def check_anew(*args):
     """``check_equivalence`` with every exploration made from a fresh
     skeleton instead of the one its side shares; the verdict's text or the
     error's."""
-    explore_shared = semantics.explore
+    explore_with = semantics.explore
 
     def anew(config, *, max_states, alphabet):
-        return explore_shared(fresh_skeleton(config), max_states=max_states, alphabet=alphabet)
+        return explore_with(fresh_skeleton(config), max_states=max_states, alphabet=alphabet)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "explore", anew)
@@ -823,7 +823,7 @@ def test_a_later_input_takes_the_cache_miss_path_like_each_input_anew(source, bu
 def test_the_cache_is_gone_once_the_check_returns(monkeypatch):
     """``check_equivalence`` explores each side from the skeleton of its
     settled configuration and keeps neither: once it returns, nothing
-    refers to either skeleton, nor to what exploring recorded on them."""
+    refers to either skeleton."""
     explore_with = semantics.explore
     skeletons = []
 
