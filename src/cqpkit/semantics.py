@@ -66,7 +66,8 @@ from a skeleton is built once, and a configuration that meets the skeleton
 again runs only the state kernels. ``_Skeleton`` gives the argument that
 replaying a step builds what building it anew would. Explorations from one
 configuration share its skeleton, such as those of
-``equiv.check_equivalence`` under a side's input instantiations.
+``equiv.check_equivalence`` under a side's input instantiations, and so do
+seeded runs from one configuration.
 """
 
 from __future__ import annotations
@@ -386,7 +387,17 @@ class _Skeleton:
       state cap run every time.
 
     So every kernel call, every PLTS and every verdict is the one exploring
-    from a fresh skeleton gives."""
+    from a fresh skeleton gives.
+
+    Seeded runs (``step``, ``run_sampled``) use the records too, so runs
+    from one configuration, such as the seeds of a batch, replay the steps
+    an earlier run built. A measurement branch a run draws is the
+    exception: it is built fresh, through a table of its own, and not
+    recorded. Each branch binds its outcome bits, which no later step
+    unbinds, so recorded branches would multiply the skeletons kept by the
+    outcome count at every measurement on a path, 4^k through k teleport
+    hops. So the records runs keep are the steps before their first drawn
+    measurement, which every run from the configuration shares."""
 
     live = None
     _key = None
@@ -551,7 +562,7 @@ def _advance(
 ) -> Configuration:
     """The successor with each given field replaced and each component
     ``i`` in ``heads`` replaced by the components of the closure
-    ``heads[i]`` (``_flatten``), checked for ownership; ``_drop_dead`` then
+    ``heads[i]`` (``_flatten``), checked for ownership; ``_follow`` then
     drops its dead basis qubits. The other components are shared with
     ``config``, qubit sets included; only the new components compute theirs.
 
@@ -618,23 +629,6 @@ def _keeps_sets(names: frozenset, held: frozenset, env: dict, bindings: dict, vi
         if isinstance(v, QubitVal) or (isinstance(v, ChannelVal) and v.cid not in visible):
             return False
     return True
-
-
-def _drop_dead(config: Configuration, outcome: MeasurementOutcome | None = None) -> Configuration:
-    """``config``, a successor ``_advance`` built and checked, with its
-    dead qubits that sit in a basis state removed (see ``Configuration``)
-    and the others renumbered in their old order: ``_basis_drops`` decides
-    which drop, reading amplitudes, and ``_compact`` rebuilds the rest. A
-    measurement step passes its branch as ``outcome``, a measurement of
-    ``config.qstate``: the components are built and checked first, so the
-    branch is collapsed once, with the measured qubits that are now dead
-    already sliced out. Without a dead qubit to drop or a branch to
-    collapse (the common case) the configuration is returned as it is."""
-    found = _basis_drops(config.qstate, config.skel.live, outcome)
-    if found is None:
-        return config
-    qvec, dropped = found
-    return Configuration(_compact(config.skel, dropped), qvec)
 
 
 def _basis_drops(
@@ -785,7 +779,7 @@ def _communicate(config: Configuration, out_i: int, in_i: int) -> Configuration:
     ``out_i``, headed by an output with no ``measure`` left in its payload,
     sends to component ``in_i``, headed by an input on the same channel:
     the receiver binds the sender's slots while the sender moves on to its
-    continuation; before its dead qubits drop (``_drop_dead``)."""
+    continuation; before its dead qubits drop (``_follow``)."""
     skel = config.skel
     out_head, out_env, _out_qubits, _out_hidden = skel.procs[out_i]
     in_head, in_env, _in_qubits, _in_hidden = skel.procs[in_i]
@@ -989,16 +983,18 @@ def step(config: Configuration, alphabet: dict | None = None, *, rng: random.Ran
     several outcomes draws one from ``rng`` (``_draw``) and builds only
     that branch; the transition is then ``drawn``.
 
-    The successor is built by ``_successor`` and then drops its dead basis
-    qubits (``_drop_dead``; ``Configuration`` says which).
+    The successor is built through the skeleton's records (``_follow``),
+    except that a drawn branch is built fresh; ``_Skeleton`` says why.
     """
-    skel = config.skel
-    tau = _tau_move(skel)
-    for move in (tau,) if tau is not None else _moves(skel):
-        for label, outcomes in _move_transitions(move, config.qstate, skel.channel_names, alphabet or {}):
+    skel, qvec = config.skel, config.qstate
+    settling = _settling(skel)
+    moves = (settling,) if settling is not None and settling[0][0] is _TAU else _recorded_moves(skel)
+    for move, built in moves:
+        for label, outcomes in _move_transitions(move, qvec, skel.channel_names, alphabet or {}):
             drawn = len(outcomes) > 1
             p, arg, branch = _draw(outcomes, rng) if drawn else outcomes[0]
-            return [Transition(label, ((p, _drop_dead(_successor(config, move, arg), branch)),), drawn)]
+            successor = Configuration(*_follow(skel, qvec, move, {} if drawn else built, arg, branch))
+            return [Transition(label, ((p, successor),), drawn)]
     return []
 
 
@@ -1021,10 +1017,10 @@ def _tau_move(skel: _Skeleton) -> tuple | None:
 def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alphabet: dict) -> list:
     """The transitions of ``move`` (``_tau_move`` or ``_moves``) at state
     ``qvec``, in ``step``'s order, as ``(label, outcomes)``, each outcome a
-    ``(probability, arg, branch)`` of what ``_successor`` and
-    ``_drop_dead`` take: a measurement's outcome bits and branch, or a
-    received value tuple. The kernels that a label or a distribution reads
-    run here; no successor is built."""
+    ``(probability, arg, branch)`` of what ``_follow`` takes: a
+    measurement's outcome bits and branch, or a received value tuple. The
+    kernels that a label or a distribution reads run here; no successor is
+    built."""
     kind = move[0]
     if kind is _MEASURE:
         return [(TAU, [(o.probability, o.result, o) for o in qstate.measure(qvec, move[4])])]
@@ -1046,7 +1042,7 @@ _ONE_OUTCOME = [(1.0, None, None)]  # of a τ, a send or a communication; never 
 
 def _successor(config: Configuration, move: tuple, arg=None) -> Configuration:
     """The successor ``move`` builds from ``config`` with ``arg``
-    (``_move_transitions``), before its dead qubits drop (``_drop_dead``).
+    (``_move_transitions``), before its dead qubits drop (``_follow``).
     ``step``, ``settle`` and ``explore`` build every successor here. A
     deterministic τ applies its state operation (``_applied``); allocation
     binds one fresh |0> qubit per binder and ``new`` one fresh channel,
@@ -1180,15 +1176,10 @@ def _settle(skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None = Non
     configuration an earlier sibling's run met, which was interned as the
     PLTS state ``sid`` (see ``settle``)."""
     while True:
-        if skel.settling is _UNKNOWN:
-            move = _tau_move(skel)
-            if move is None:
-                redex = _private_redex(skel)
-                move = None if redex is None else (_COMMUNICATE, *redex)
-            skel.settling = None if move is None else (move, {})
-        if skel.settling is None:
+        settling = _settling(skel)
+        if settling is None:
             return skel, qvec, None
-        move, built = skel.settling
+        move, built = settling
         if siblings is not None and move[0] is _COMMUNICATE:
             sid = siblings.find(skel, qvec)
             if sid is not None:
@@ -1196,18 +1187,28 @@ def _settle(skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None = Non
         skel, qvec = _follow(skel, qvec, move, built)
 
 
+def _settling(skel: _Skeleton) -> tuple | None:
+    """``skel.settling``, found on the first call: the deterministic τ of
+    ``_tau_move``, or else the private communication of ``_private_redex``,
+    with an empty table of what it builds; or None."""
+    if skel.settling is _UNKNOWN:
+        move = _tau_move(skel)
+        if move is None:
+            redex = _private_redex(skel)
+            move = None if redex is None else (_COMMUNICATE, *redex)
+        skel.settling = None if move is None else (move, {})
+    return skel.settling
+
+
 def _transitions(skel: _Skeleton, qvec: StateVector, alphabet: dict) -> list[tuple]:
     """The enabled transitions of the settled ``skel`` at state ``qvec``, in
     ``step``'s order, as ``(label, outcomes)`` with each outcome a
     ``(probability, (skeleton, state))``. The moves are enumerated once per
-    skeleton (``_moves``), and the labels and distributions read the
-    amplitudes each time (``_move_transitions``)."""
-    moves = skel.moves
-    if moves is None:
-        moves = _planned(skel, _moves(skel))
+    skeleton (``_recorded_moves``), and the labels and distributions read
+    the amplitudes each time (``_move_transitions``)."""
     names = skel.channel_names
     found = []
-    for move, built in moves:
+    for move, built in _recorded_moves(skel):
         for label, outcomes in _move_transitions(move, qvec, names, alphabet):
             found.append((label, [(p, _follow(skel, qvec, move, built, arg, o)) for p, arg, o in outcomes]))
     return found
@@ -1215,8 +1216,12 @@ def _transitions(skel: _Skeleton, qvec: StateVector, alphabet: dict) -> list[tup
 
 def _follow(skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=None, branch=None) -> tuple:
     """``(skeleton, state)``: the successor of ``move`` from ``skel`` at
-    state ``qvec`` with ``arg``, with its dead qubits dropped as
-    ``_drop_dead`` drops them.
+    state ``qvec`` with ``arg``, with its dead qubits that sit in a basis
+    state removed and the others renumbered in their old order (see
+    ``Configuration``). A measurement passes its branch as ``branch``, a
+    measurement of ``qvec``: the components are built and checked first,
+    so the branch is collapsed once, with the measured qubits that are now
+    dead already sliced out.
 
     ``built`` maps the bits of each outcome, or each value tuple received
     with its test qubits blanked, to the skeleton the move built with it.
@@ -1250,14 +1255,18 @@ def _follow(skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=No
     return left, qout
 
 
-def _planned(skel: _Skeleton, moves):
-    """Each of ``moves`` with an empty table of what it builds, recorded as
-    ``skel.moves`` once the last is enumerated."""
-    planned = []
-    for move in moves:
-        planned.append((move, {}))
-        yield planned[-1]
-    skel.moves = planned
+def _recorded_moves(skel: _Skeleton):
+    """``skel.moves``: each move of ``_moves`` with an empty table of what
+    it builds, enumerated whole and recorded on the first call. When
+    enumerating raises, nothing is recorded and the moves come lazily, so
+    a caller takes the moves before the failing one, and meets what they
+    raise, first, as without records."""
+    if skel.moves is None:
+        try:
+            skel.moves = [(move, {}) for move in _moves(skel)]
+        except SemanticsError:
+            return ((move, {}) for move in _moves(skel))
+    return skel.moves
 
 
 # ---------------------------------------------------------------------------
@@ -1430,7 +1439,9 @@ def run_sampled(
     """One seeded path: at each step the first enabled transition in
     ``step``'s order, with a measurement of several outcomes resolved by
     one draw from a PRNG seeded with ``seed``, which ``step`` is given. It
-    builds only the configuration the path takes: one per step.
+    builds only the configuration the path takes: one per step. Runs from
+    one configuration replay the skeletons earlier runs recorded
+    (``_Skeleton``).
 
     A step's ``probability`` is the Born probability of the drawn branch,
     or None when the step had one outcome. Since the transitions the path

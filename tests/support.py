@@ -935,6 +935,34 @@ def fresh_skeleton(config, **changes) -> Configuration:
     return Configuration(semantics._Skeleton(**fields, num_qubits=qvec.num_qubits), qvec)
 
 
+def walk_records(roots) -> tuple[int, int]:
+    """``(skeletons, states)``: how many ``_Skeleton`` and ``StateVector``
+    objects a walk from ``roots`` meets through the attributes of skeletons
+    and configurations and through the contents of dicts, lists, tuples and
+    sets. From a skeleton, it reaches every move, settle move, successor
+    table and drop table recorded on it and on the skeletons they lead
+    to."""
+    todo = list(roots)
+    seen, skeletons, states = set(), 0, 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, StateVector):
+            states += 1
+        elif isinstance(obj, semantics._Skeleton):
+            skeletons += 1
+            todo += vars(obj).values()
+        elif isinstance(obj, Configuration):
+            todo += [obj.skel, obj.qstate]
+        elif isinstance(obj, dict):
+            todo += [*obj, *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo += obj
+    return skeletons, states
+
+
 def hidden_sets_oracle(config) -> tuple:
     """The hidden channels each component of ``config`` holds, found as
     ``qubit_sets_oracle`` finds its qubits: by walking the component's
@@ -1098,6 +1126,21 @@ def digest_explorations(reduces=(True, False)):
                 yield f"{name}:{set_name}:{'reduce' if reduce else 'full'}", alphabet, reduce, outcome
 
 
+def drop_dead(config, outcome=None):
+    """``config``, a successor ``semantics._advance`` built and checked,
+    with its dead qubits that sit in a basis state removed and the others
+    renumbered, as ``semantics._follow`` removes them: ``_basis_drops``
+    decides which drop, collapsing ``config.qstate`` onto the measurement
+    branch ``outcome`` when given, and ``_compact`` rebuilds the rest.
+    Without a dead qubit to drop or a branch to collapse the configuration
+    is returned as it is."""
+    found = semantics._basis_drops(config.qstate, config.skel.live, outcome)
+    if found is None:
+        return config
+    qvec, dropped = found
+    return Configuration(semantics._compact(config.skel, dropped), qvec)
+
+
 def step_oracle(config, alphabet: dict | None = None) -> list[Transition]:
     """The transitions ``semantics.step`` picks the first of, each with
     every outcome built: the first deterministic τ step on its own when a
@@ -1128,7 +1171,7 @@ def deterministic_tau_oracle(config, i: int) -> Transition:
         qids = semantics._qubit_ids(config, env, head.targets)
         gate = semantics._gate_for(config, env, head.gate)
         cfg = semantics._advance(config, heads, qstate=qstate.apply_gate(config.qstate, gate, qids))
-    return Transition(TAU, ((1.0, semantics._drop_dead(cfg)),))
+    return Transition(TAU, ((1.0, drop_dead(cfg)),))
 
 
 def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
@@ -1154,7 +1197,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
                 dist = []
                 for o in qstate.measure(config.qstate, qids):
                     cfg = semantics._advance(config, {i: (head.forced(o.result), env)})
-                    cfg = semantics._drop_dead(cfg, o)
+                    cfg = drop_dead(cfg, o)
                     dist.append((o.probability, cfg))
                 transitions.append(Transition(TAU, tuple(dist)))
                 continue
@@ -1179,7 +1222,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
                     else None
                 )
                 label = CommLabel("out", cid, config.channel_names[cid], tuple(label_values), dm)
-                cfg = semantics._drop_dead(semantics._advance(config, {i: (head.continuation, env)}))
+                cfg = drop_dead(semantics._advance(config, {i: (head.continuation, env)}))
                 transitions.append(Transition(label, ((1.0, cfg),)))
             continue
 
@@ -1188,7 +1231,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
             receivers.append((i, cid))
             if config.is_visible(cid) and cid in alphabet:
                 for value_tuple in alphabet[cid]:
-                    cfg = semantics._drop_dead(semantics._bind(
+                    cfg = drop_dead(semantics._bind(
                         config, {i: (head.continuation, env)}, i, head.binders, value_tuple
                     ))
                     label = CommLabel("in", cid, config.channel_names[cid], tuple(value_tuple))
@@ -1200,7 +1243,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
     for out_i, out_cid in senders:
         for in_i, in_cid in receivers:
             if in_cid == out_cid:
-                cfg = semantics._drop_dead(semantics._communicate(config, out_i, in_i))
+                cfg = drop_dead(semantics._communicate(config, out_i, in_i))
                 transitions.append(Transition(TAU, ((1.0, cfg),)))
     return transitions
 

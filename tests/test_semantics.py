@@ -45,6 +45,7 @@ from support import (
     step_full_oracle,
     step_oracle,
     successors,
+    walk_records,
 )
 
 
@@ -699,34 +700,51 @@ def test_no_skeleton_reaches_a_state(teleport_program):
     """A skeleton is everything of a configuration but its state, and what
     exploring records on it holds no state either. From the skeleton of
     every state of ``Teleport`` explored under its default alphabet, a walk
-    through the attributes of skeletons and configurations and through the
-    contents of dicts, lists, tuples and sets reaches every move, settle
-    move, successor table and drop table the exploration recorded, and
-    meets no ``StateVector``."""
+    (``walk_records``) reaches every move, settle move, successor table and
+    drop table the exploration recorded, and meets no ``StateVector``."""
     program, signatures = teleport_program
     config = initial_configuration(program, "Teleport", signatures=signatures)
     alphabet = input_alphabet(program, "Teleport", signatures["Teleport"], DEFAULT_TEST_QUBITS)
     plts = explore(config, alphabet=alphabet)
-    todo = [s.config.skel for s in plts.states if s.config is not None]
-    seen, skeletons, states = set(), 0, 0
-    while todo:
-        obj = todo.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, qstate.StateVector):
-            states += 1
-        elif isinstance(obj, semantics._Skeleton):
-            skeletons += 1
-            todo += vars(obj).values()
-        elif isinstance(obj, semantics.Configuration):
-            todo += [obj.skel, obj.qstate]
-        elif isinstance(obj, dict):
-            todo += [*obj, *obj.values()]
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            todo += obj
-    assert skeletons == 22
-    assert states == 0
+    assert walk_records(s.config.skel for s in plts.states if s.config is not None) == (22, 0)
+
+
+def test_sampled_runs_record_a_bounded_set_of_skeletons():
+    """Seeded runs from one configuration replay the records of its
+    skeleton, and a measurement branch a run draws is built fresh, not
+    recorded (``_Skeleton``): the 5-hop harness records as many skeletons
+    after 200 runs as after 1, and none of them reaches a state."""
+    workloads = bench_workloads()
+    program, signatures = workloads.load(workloads.harness_source(5))
+    config = initial_configuration(program, "Harness", signatures=signatures)
+    run_sampled(config, 0)
+    after_one = walk_records([config.skel])
+    for seed in range(1, 200):
+        run_sampled(config, seed)
+    assert walk_records([config.skel]) == after_one == (32, 0)
+
+
+def test_sampled_runs_raise_only_on_the_moves_they_take():
+    """A step takes the first enabled move even where a later move of the
+    same skeleton holds a runtime error, here the scope extrusion of
+    ``d![k]``: in a run from a fresh configuration, in a second run that
+    replays the first one's records, and after ``explore`` has recorded the
+    settle step and then raised the error. A run that goes on to that move
+    raises the same error."""
+    program = parse_program("P(c, d) = (new k) (c![0] . 0 | d![k] . 0)")
+    config = initial_configuration(program, "P")
+
+    def labels():
+        return [render_label(ts.label) for ts in run_sampled(config, 0, max_steps=2)]
+
+    assert labels() == ["tau", "c![0]"]
+    assert labels() == ["tau", "c![0]"]
+    with pytest.raises(RuntimeProcessError, match="scope extrusion") as explored:
+        explore(config)
+    assert labels() == ["tau", "c![0]"]
+    with pytest.raises(RuntimeProcessError) as ran:
+        run_sampled(config, 0)
+    assert str(ran.value) == str(explored.value)
 
 
 def test_qubit_capacity_respected():
@@ -914,7 +932,9 @@ def test_draw_falls_back_to_the_last_outcome_when_rounding_leaves_the_sum_short(
 def test_a_sampled_run_builds_one_configuration_per_step(monkeypatch):
     """Counted as the benchmark counts ``simulate``'s states: every outcome
     of every transition that ``step``, looked up as a global of
-    ``semantics``, returns. A run builds only the configurations it takes."""
+    ``semantics``, returns. A run builds only the configurations it takes,
+    and each of 50 runs from one configuration, as a ``simulate`` round
+    makes them, counts every step it takes, replayed ones included."""
     workloads = bench_workloads()
     program, signatures = workloads.load(workloads.harness_source(5))
     config = initial_configuration(program, "Harness", signatures=signatures)
@@ -928,7 +948,7 @@ def test_a_sampled_run_builds_one_configuration_per_step(monkeypatch):
         return transitions
 
     monkeypatch.setattr(semantics, "step", counted_step)
-    for seed in range(3):
+    for seed in range(50):
         built = 0
         trace = run_sampled(config, seed)
         assert built == len(trace) == 59
