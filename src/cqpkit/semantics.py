@@ -53,10 +53,11 @@ in one pass when the component is made. A continuation that goes on under
 its component's environment and drops no name bound to a qubit or a hidden
 channel, such as that of a gate, keeps the component's sets instead
 (``_advance``). ``settle`` counts the holders of a hidden channel on the
-``hidden`` sets. Every successor is checked against the ``qubits`` sets for
-a qubit held by two components (dynamic no-cloning,
-``Configuration.check_ownership``) and then drops its dead qubits that sit
-in a basis state (``Configuration`` says which drop and why that is
+``hidden`` sets. Every successor is made by ``_follow``: it applies the
+step's state operation, checks each skeleton it builds against the
+``qubits`` sets for a qubit held by two components (dynamic no-cloning,
+``Configuration.check_ownership``), and then drops the dead qubits that
+sit in a basis state (``Configuration`` says which drop and why that is
 sound).
 
 A configuration is its *skeleton*, everything but its state, plus its
@@ -236,11 +237,11 @@ class Configuration:
     state ``qstate``, of ``skel.num_qubits`` qubits.
 
     Treated as immutable; every step produces fresh copies, sharing the
-    components it leaves unchanged. The skeleton's fields read through as
-    properties of the same names. ``procs`` holds the parallel components in
-    left-to-right order as ``(term, env, qubits, hidden)`` records; no term
-    is a parallel composition, a call or ``0`` (``_flatten``), so a
-    finished run has none. ``qubits`` holds the ids of the qubits a free
+    components it leaves unchanged. The skeleton's fields but ``program``
+    read through as properties of the same names. ``procs`` holds the
+    parallel components in left-to-right order as ``(term, env, qubits,
+    hidden)`` records; no term is a parallel composition, a call or ``0``
+    (``_flatten``), so a finished run has none. ``qubits`` holds the ids of the qubits a free
     name of the component resolves to, computed when the component is made
     and renumbered when qubits are dropped; ``hidden`` holds the ids of the
     hidden channels they resolve to. Bindings are never rebound, so a
@@ -296,10 +297,6 @@ class Configuration:
         return self.skel.next_fresh
 
     @property
-    def program(self) -> Program:
-        return self.skel.program
-
-    @property
     def num_qubits(self) -> int:
         return self.skel.num_qubits
 
@@ -311,9 +308,6 @@ class Configuration:
             return Nil()
         terms = (substitute(term, env) for term, env, *_ in self.procs)
         return functools.reduce(lambda l, r: Parallel(left=l, right=r), terms)
-
-    def is_visible(self, cid: int) -> bool:
-        return cid in self.skel.channel_names
 
     def check_ownership(self) -> frozenset[int]:
         """Raise OwnershipViolation if a qubit is held by two components;
@@ -374,11 +368,9 @@ class _Skeleton:
       anew from the amplitudes each time. Runtime names come from
       ``next_fresh``, qubit ids from the qubit count and hidden channel ids
       from ``next_channel``, all skeleton fields.
-    - The state operation is kept with the move: the gate and the qubit ids
-      it acts on, or the qubits appended, as ``_state_op`` gives it to the
-      step that builds the successor, so the new state gets the operation
-      building the step would apply. Received test qubits are appended by
-      ``_received``, as ``_bind`` appends them.
+    - The state operation is kept with the move (``_state_op``), or is
+      the received test qubits (``_received``). ``_follow`` applies it on
+      every path; no builder reads or writes amplitudes.
     - Errors are raised anew. Every error the skeleton work of a step can
       raise (an unbound name, an arity mismatch, an ownership violation,
       the component cap) depends only on the skeleton, and a step that
@@ -507,8 +499,7 @@ def _flatten(
 
 def _lookup(skel: _Skeleton, env: dict, name: str):
     """The value of ``name`` in a component of ``skel`` with environment
-    ``env``. This helper and those below that read names take a skeleton or
-    a configuration, which reads the same fields."""
+    ``env``."""
     try:
         return skel.bindings[env.get(name, name)]
     except KeyError:
@@ -552,19 +543,19 @@ def _eval_slots(skel: _Skeleton, env: dict, exprs) -> list:
 
 
 def _advance(
-    config: Configuration,
+    skel: _Skeleton,
     heads: dict,
     *,
-    qstate: StateVector | None = None,
+    num_qubits: int | None = None,
     bindings: dict | None = None,
     next_channel: int | None = None,
     next_fresh: int | None = None,
-) -> Configuration:
-    """The successor with each given field replaced and each component
-    ``i`` in ``heads`` replaced by the components of the closure
-    ``heads[i]`` (``_flatten``), checked for ownership; ``_follow`` then
+) -> _Skeleton:
+    """The successor of ``skel`` with each given field replaced and each
+    component ``i`` in ``heads`` replaced by the components of the closure
+    ``heads[i]`` (``_flatten``); ``_follow`` then checks its ownership and
     drops its dead basis qubits. The other components are shared with
-    ``config``, qubit sets included; only the new components compute theirs.
+    ``skel``, qubit sets included; only the new components compute theirs.
 
     A closure that goes on under its component's own ``env`` keeps the
     component's ``qubits`` and ``hidden`` sets instead of resolving its
@@ -577,7 +568,6 @@ def _advance(
     parallel composition, a call or ``0`` still goes through ``_flatten``,
     and so does every closure under a new ``env`` (``_bind``).
     """
-    skel = config.skel
     bindings = skel.bindings if bindings is None else bindings
     visible = skel.channel_names
     procs = skel.procs
@@ -598,21 +588,15 @@ def _advance(
             parts = _flatten(term, env, bindings, visible, skel.program, others)
         procs = procs[:i] + parts + procs[i + 1 :]
         pending -= 1
-    qvec = config.qstate if qstate is None else qstate
-    config = Configuration(
-        _Skeleton(
-            bindings,
-            procs,
-            visible,
-            skel.next_channel if next_channel is None else next_channel,
-            skel.next_fresh if next_fresh is None else next_fresh,
-            skel.program,
-            qvec.num_qubits,
-        ),
-        qvec,
+    return _Skeleton(
+        bindings,
+        procs,
+        visible,
+        skel.next_channel if next_channel is None else next_channel,
+        skel.next_fresh if next_fresh is None else next_fresh,
+        skel.program,
+        skel.num_qubits if num_qubits is None else num_qubits,
     )
-    config.check_ownership()
-    return config
 
 
 def _keeps_sets(names: frozenset, held: frozenset, env: dict, bindings: dict, visible: dict) -> bool:
@@ -688,7 +672,7 @@ def _compact(skel: _Skeleton, dropped) -> _Skeleton:
     )
 
 
-def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes) -> Configuration:
+def _bind(skel: _Skeleton, heads: dict, i: int, binders, values, **changes) -> _Skeleton:
     """The successor in which component ``i`` goes on as the closure
     ``heads[i]`` with ``binders`` bound to ``values``; ``heads`` and
     ``changes`` otherwise as in ``_advance``.
@@ -696,15 +680,14 @@ def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes
     This is the only place that makes runtime names: each binder gets the
     fresh name ``binder~n`` in the component's environment, so no two
     bindings clash and nothing can name a dead qubit again. Each
-    ``TestQubit`` among the values is first appended to the state as a new
-    qubit, in order (``_received``), and bound as its id.
-    One binder receiving several bits binds them as one tuple.
+    ``TestQubit`` among the values, a received one or the |0> of an
+    allocation, is bound as the id of a new qubit, numbered in order from
+    ``skel.num_qubits``, which rises by their count; ``_follow`` appends
+    them to the state. One binder receiving several bits binds them as
+    one tuple.
     """
-    qvec = _received(config.qstate, values)
-    if qvec is not config.qstate:
-        changes["qstate"] = qvec
-        new_ids = itertools.count(config.qstate.num_qubits)
-        values = [QubitVal(next(new_ids)) if isinstance(v, TestQubit) else v for v in values]
+    new_ids = itertools.count(skel.num_qubits)
+    values = [QubitVal(next(new_ids)) if isinstance(v, TestQubit) else v for v in values]
     if len(binders) == len(values):
         pairs = zip(binders, values)
     elif len(binders) == 1 and len(values) > 1 and all(isinstance(v, int) for v in values):
@@ -713,7 +696,6 @@ def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes
         raise RuntimeProcessError(
             f"input binds {len(binders)} name(s) but {len(values)} value(s) arrived"
         )
-    skel = config.skel
     bindings = dict(skel.bindings)
     fresh = skel.next_fresh
     term, env = heads[i]
@@ -723,7 +705,8 @@ def _bind(config: Configuration, heads: dict, i: int, binders, values, **changes
         bindings[runtime_name] = value
         fresh += 1
     heads = {**heads, i: (term, env)}
-    return _advance(config, heads, bindings=bindings, next_fresh=fresh, **changes)
+    num_qubits = next(new_ids)  # the first id no value took
+    return _advance(skel, heads, num_qubits=num_qubits, bindings=bindings, next_fresh=fresh, **changes)
 
 
 def _received(qvec: StateVector, values) -> StateVector:
@@ -774,18 +757,17 @@ def _applied(op: tuple | None, qvec: StateVector) -> StateVector:
     return qvec if op is None else getattr(qstate, op[0])(qvec, *op[1:])
 
 
-def _communicate(config: Configuration, out_i: int, in_i: int) -> Configuration:
+def _communicate(skel: _Skeleton, out_i: int, in_i: int) -> _Skeleton:
     """The successor of the internal communication in which component
     ``out_i``, headed by an output with no ``measure`` left in its payload,
     sends to component ``in_i``, headed by an input on the same channel:
     the receiver binds the sender's slots while the sender moves on to its
-    continuation; before its dead qubits drop (``_follow``)."""
-    skel = config.skel
+    continuation."""
     out_head, out_env, _out_qubits, _out_hidden = skel.procs[out_i]
     in_head, in_env, _in_qubits, _in_hidden = skel.procs[in_i]
     values = _eval_slots(skel, out_env, out_head.payload)
     heads = {out_i: (out_head.continuation, out_env), in_i: (in_head.continuation, in_env)}
-    return _bind(config, heads, in_i, in_head.binders, values)
+    return _bind(skel, heads, in_i, in_head.binders, values)
 
 
 def _private_redex(skel: _Skeleton) -> tuple[int, int] | None:
@@ -1040,30 +1022,26 @@ def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alpha
 _ONE_OUTCOME = [(1.0, None, None)]  # of a τ, a send or a communication; never mutated
 
 
-def _successor(config: Configuration, move: tuple, arg=None) -> Configuration:
-    """The successor ``move`` builds from ``config`` with ``arg``
-    (``_move_transitions``), before its dead qubits drop (``_follow``).
-    ``step``, ``settle`` and ``explore`` build every successor here. A
-    deterministic τ applies its state operation (``_applied``); allocation
-    binds one fresh |0> qubit per binder and ``new`` one fresh channel,
-    both through ``_bind``, which also appends received test qubits."""
+def _successor(skel: _Skeleton, move: tuple, arg=None) -> _Skeleton:
+    """The skeleton ``move`` builds from ``skel`` with ``arg``
+    (``_move_transitions``), before its ownership is checked and its dead
+    qubits drop (``_follow``, which also applies the move's state
+    operation). ``step``, ``settle`` and ``explore`` build every successor
+    here. Allocation binds one fresh |0> qubit per binder and ``new`` one
+    fresh channel, both through ``_bind``, as a receive binds its values."""
     kind = move[0]
     if kind is _COMMUNICATE:
-        return _communicate(config, move[1], move[2])
+        return _communicate(skel, move[1], move[2])
     i, head, env = move[1:4]
     heads = {i: (head.forced(arg) if kind is _MEASURE else head.continuation, env)}
-    if kind is _TAU:
-        qvec = _applied(move[4], config.qstate)
-        if isinstance(head, QbitAlloc):
-            fresh = range(config.qstate.num_qubits, qvec.num_qubits)
-            return _bind(config, heads, i, head.binders, [QubitVal(q) for q in fresh], qstate=qvec)
-        if isinstance(head, NewChannel):
-            cid = config.skel.next_channel
-            return _bind(config, heads, i, (head.binder,), (ChannelVal(cid),), next_channel=cid + 1)
-        return _advance(config, heads, qstate=qvec)
+    if isinstance(head, QbitAlloc):
+        return _bind(skel, heads, i, head.binders, [_KET0] * len(head.binders))
+    if isinstance(head, NewChannel):
+        cid = skel.next_channel
+        return _bind(skel, heads, i, (head.binder,), (ChannelVal(cid),), next_channel=cid + 1)
     if kind is _RECEIVE:
-        return _bind(config, heads, i, head.binders, arg)
-    return _advance(config, heads)
+        return _bind(skel, heads, i, head.binders, arg)
+    return _advance(skel, heads)
 
 
 def _moves(skel: _Skeleton):
@@ -1223,25 +1201,29 @@ def _follow(skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=No
     so the branch is collapsed once, with the measured qubits that are now
     dead already sliced out.
 
-    ``built`` maps the bits of each outcome, or each value tuple received
-    with its test qubits blanked, to the skeleton the move built with it.
-    Only an ``arg`` not met before builds a successor (``_successor``); a
-    met one runs a deterministic τ's state operation (``_applied``), or
-    appends the received test qubits as ``_bind`` does (``_received``). The
+    This is the one place a step touches the state. The move's state
+    operation goes first, on every path: a deterministic τ's
+    (``_applied``), or the received test qubits appended in order
+    (``_received``). ``built`` maps the bits of each outcome, or each
+    value tuple received with its test qubits blanked, to the skeleton
+    the move built with it. Only an ``arg`` not met before builds a
+    skeleton (``_successor``), which is checked for ownership
+    (``Configuration.check_ownership``) before it is recorded. The
     amplitudes then decide which dead qubits drop (``_basis_drops``), and
     the skeleton left is built once per set of dropped qubits
     (``_compact``)."""
     kind = move[0]
-    slot = tuple(None if isinstance(v, TestQubit) else v for v in arg) if kind is _RECEIVE else arg
-    pre = built.get(slot)
-    if pre is None:
-        config = _successor(Configuration(skel, qvec), move, arg)
-        pre = built[slot] = config.skel
-        qvec = config.qstate
-    elif kind is _RECEIVE:
+    slot = arg
+    if kind is _RECEIVE:
         qvec = _received(qvec, arg)
+        slot = tuple(None if isinstance(v, TestQubit) else v for v in arg)
     elif kind is _TAU:
         qvec = _applied(move[4], qvec)
+    pre = built.get(slot)
+    if pre is None:
+        pre = _successor(skel, move, arg)
+        Configuration(pre, qvec).check_ownership()
+        built[slot] = pre
     found = _basis_drops(qvec, pre.live, branch)
     if found is None:
         return pre, qvec

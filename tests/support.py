@@ -1,11 +1,22 @@
 """Shared oracles and generators for the test suite.
 
-Everything here recomputes expected values by routes independent of the
+Most oracles here recompute expected values by routes independent of the
 package's own computation paths: explicit matrix expansion instead of
 tensor reshaping, explicit index loops instead of einsum-style transposes,
-and direct construction of transition systems. The transpose kernels that
-``qstate`` replaced with cached layouts, and the zero-fill collapse that
-``qstate.collapse`` replaced with a slice, are kept here as slow paths too.
+and term walks instead of cached sets and key templates. The transpose
+kernels that ``qstate`` replaced with cached layouts, and the zero-fill
+collapse that ``qstate.collapse`` replaced with a slice, are kept here as
+slow paths too.
+
+The step oracles are the exception. ``deterministic_tau_oracle``,
+``step_full_oracle``, ``step_oracle``, ``drop_dead``,
+``explore_unsettled_oracle`` and ``run_sampled_oracle`` build successors
+with ``semantics``' own rule helpers (``_advance``, ``_bind``,
+``_communicate``, ``_basis_drops``, ``_compact`` and the name readers).
+So they check the orchestration, that is settling, the skeleton records,
+sibling tables and the order in which dead qubits drop, but not the rules
+or the observer model that labels outputs; ROADMAP item 15 plans the
+independent reference semantics that would.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from cqpkit.semantics import (
     QubitVal,
     RuntimeProcessError,
     SemanticsError,
+    TestQubit,
     TraceStep,
     Transition,
     canonical_key,
@@ -854,7 +866,7 @@ def canonical_key_oracle(config) -> tuple:
         if isinstance(v, QubitVal):
             return f"q{v.qid}"
         if isinstance(v, ChannelVal):
-            if config.is_visible(v.cid):
+            if v.cid in config.channel_names:
                 return f"C{v.cid}"
             return hidden.setdefault(v.cid, f"h{len(hidden)}")
         if isinstance(v, tuple):
@@ -927,11 +939,11 @@ def fresh_skeleton(config, **changes) -> Configuration:
     that shares nothing an exploration has recorded on ``config``'s
     skeleton, so exploring it builds every configuration it meets anew."""
     fields = {
-        name: changes.pop(name, getattr(config, name))
-        for name in ("qstate", "bindings", "procs", "channel_names", "next_channel", "next_fresh", "program")
+        name: changes.pop(name, getattr(config.skel, name))
+        for name in ("bindings", "procs", "channel_names", "next_channel", "next_fresh", "program")
     }
+    qvec = changes.pop("qstate", config.qstate)
     assert not changes, f"not a configuration field: {sorted(changes)}"
-    qvec = fields.pop("qstate")
     return Configuration(semantics._Skeleton(**fields, num_qubits=qvec.num_qubits), qvec)
 
 
@@ -972,7 +984,7 @@ def hidden_sets_oracle(config) -> tuple:
         frozenset(
             v.cid
             for n in free_names_oracle(substitute(term, env))
-            if isinstance(v := config.bindings.get(n), ChannelVal) and not config.is_visible(v.cid)
+            if isinstance(v := config.bindings.get(n), ChannelVal) and v.cid not in config.channel_names
         )
         for term, env, *_ in config.procs
     )
@@ -1126,9 +1138,18 @@ def digest_explorations(reduces=(True, False)):
                 yield f"{name}:{set_name}:{'reduce' if reduce else 'full'}", alphabet, reduce, outcome
 
 
+def checked(skel, qvec) -> Configuration:
+    """The configuration of ``skel``, a skeleton a ``semantics`` builder
+    made, at state ``qvec``, checked for ownership as ``semantics._follow``
+    checks every skeleton it builds."""
+    config = Configuration(skel, qvec)
+    config.check_ownership()
+    return config
+
+
 def drop_dead(config, outcome=None):
-    """``config``, a successor ``semantics._advance`` built and checked,
-    with its dead qubits that sit in a basis state removed and the others
+    """``config``, a successor built and checked (``checked``), with its
+    dead qubits that sit in a basis state removed and the others
     renumbered, as ``semantics._follow`` removes them: ``_basis_drops``
     decides which drop, collapsing ``config.qstate`` onto the measurement
     branch ``outcome`` when given, and ``_compact`` rebuilds the rest.
@@ -1155,23 +1176,25 @@ def step_oracle(config, alphabet: dict | None = None) -> list[Transition]:
 
 def deterministic_tau_oracle(config, i: int) -> Transition:
     """The τ step of component ``i``, headed by a qubit allocation, a
-    ``new`` or a gate, built by calling the ``qstate`` kernel and
-    ``_bind`` or ``_advance`` directly."""
-    head, env, *_ = config.procs[i]
+    ``new`` or a gate, built by calling the ``qstate`` kernel directly and
+    ``_bind`` or ``_advance`` on the skeleton."""
+    skel = config.skel
+    head, env, *_ = skel.procs[i]
     heads = {i: (head.continuation, env)}
-    n = config.qstate.num_qubits
+    qvec = config.qstate
     if isinstance(head, QbitAlloc):
-        qvec = qstate.append_qubits(config.qstate, [(1.0, 0.0)] * len(head.binders))
-        fresh = [QubitVal(q) for q in range(n, qvec.num_qubits)]
-        cfg = semantics._bind(config, heads, i, head.binders, fresh, qstate=qvec)
+        qvec = qstate.append_qubits(qvec, [(1.0, 0.0)] * len(head.binders))
+        fresh = [DEFAULT_TEST_QUBITS[0]] * len(head.binders)  # |0>, bound as the new ids
+        pre = semantics._bind(skel, heads, i, head.binders, fresh)
     elif isinstance(head, NewChannel):
-        channel = (ChannelVal(config.next_channel),)
-        cfg = semantics._bind(config, heads, i, (head.binder,), channel, next_channel=config.next_channel + 1)
+        channel = (ChannelVal(skel.next_channel),)
+        pre = semantics._bind(skel, heads, i, (head.binder,), channel, next_channel=skel.next_channel + 1)
     else:
-        qids = semantics._qubit_ids(config, env, head.targets)
-        gate = semantics._gate_for(config, env, head.gate)
-        cfg = semantics._advance(config, heads, qstate=qstate.apply_gate(config.qstate, gate, qids))
-    return Transition(TAU, ((1.0, drop_dead(cfg)),))
+        qids = semantics._qubit_ids(skel, env, head.targets)
+        gate = semantics._gate_for(skel, env, head.gate)
+        qvec = qstate.apply_gate(qvec, gate, qids)
+        pre = semantics._advance(skel, heads)
+    return Transition(TAU, ((1.0, drop_dead(checked(pre, qvec))),))
 
 
 def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
@@ -1183,9 +1206,11 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
     ``semantics`` when it is called, so a test that patches one there
     patches this step too."""
     alphabet = alphabet or {}
+    skel, qvec = config.skel, config.qstate
+    visible = skel.channel_names
     transitions = []
     senders, receivers = [], []  # (index, channel id) ready to communicate
-    for i, (head, env, *_) in enumerate(config.procs):
+    for i, (head, env, *_) in enumerate(skel.procs):
         if isinstance(head, semantics._DETERMINISTIC_TAU):
             transitions.append(deterministic_tau_oracle(config, i))
             continue
@@ -1193,48 +1218,45 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
         if isinstance(head, Output):
             k = head.measure_index
             if k is not None:
-                qids = semantics._qubit_ids(config, env, head.payload[k].names)
+                qids = semantics._qubit_ids(skel, env, head.payload[k].names)
                 dist = []
-                for o in qstate.measure(config.qstate, qids):
-                    cfg = semantics._advance(config, {i: (head.forced(o.result), env)})
+                for o in qstate.measure(qvec, qids):
+                    cfg = checked(semantics._advance(skel, {i: (head.forced(o.result), env)}), qvec)
                     cfg = drop_dead(cfg, o)
                     dist.append((o.probability, cfg))
                 transitions.append(Transition(TAU, tuple(dist)))
                 continue
-            cid = semantics._channel_id(config, env, head.channel)
+            cid = semantics._channel_id(skel, env, head.channel)
             senders.append((i, cid))
-            if config.is_visible(cid):
+            if cid in visible:
                 label_values = []
                 sent_qubits = []
-                for v in semantics._eval_slots(config, env, head.payload):
+                for v in semantics._eval_slots(skel, env, head.payload):
                     if isinstance(v, QubitVal):
                         label_values.append(QubitSlot(len(sent_qubits)))
                         sent_qubits.append(v.qid)
-                    elif isinstance(v, ChannelVal) and not config.is_visible(v.cid):
+                    elif isinstance(v, ChannelVal) and v.cid not in visible:
                         raise RuntimeProcessError(
                             f"cannot send a hidden channel on {head.channel!r} (scope extrusion)"
                         )
                     else:
                         label_values.append(v)
-                dm = (
-                    qstate.reduced_density_matrix(config.qstate, sent_qubits)
-                    if sent_qubits
-                    else None
-                )
-                label = CommLabel("out", cid, config.channel_names[cid], tuple(label_values), dm)
-                cfg = drop_dead(semantics._advance(config, {i: (head.continuation, env)}))
+                dm = qstate.reduced_density_matrix(qvec, sent_qubits) if sent_qubits else None
+                label = CommLabel("out", cid, visible[cid], tuple(label_values), dm)
+                cfg = drop_dead(checked(semantics._advance(skel, {i: (head.continuation, env)}), qvec))
                 transitions.append(Transition(label, ((1.0, cfg),)))
             continue
 
         if isinstance(head, Input):
-            cid = semantics._channel_id(config, env, head.channel)
+            cid = semantics._channel_id(skel, env, head.channel)
             receivers.append((i, cid))
-            if config.is_visible(cid) and cid in alphabet:
+            if cid in visible and cid in alphabet:
                 for value_tuple in alphabet[cid]:
-                    cfg = drop_dead(semantics._bind(
-                        config, {i: (head.continuation, env)}, i, head.binders, value_tuple
-                    ))
-                    label = CommLabel("in", cid, config.channel_names[cid], tuple(value_tuple))
+                    received = [(v.amp0, v.amp1) for v in value_tuple if isinstance(v, TestQubit)]
+                    after = qstate.append_qubits(qvec, received) if received else qvec
+                    pre = semantics._bind(skel, {i: (head.continuation, env)}, i, head.binders, value_tuple)
+                    cfg = drop_dead(checked(pre, after))
+                    label = CommLabel("in", cid, visible[cid], tuple(value_tuple))
                     transitions.append(Transition(label, ((1.0, cfg),)))
             continue
 
@@ -1243,7 +1265,7 @@ def step_full_oracle(config, alphabet: dict | None = None) -> list[Transition]:
     for out_i, out_cid in senders:
         for in_i, in_cid in receivers:
             if in_cid == out_cid:
-                cfg = drop_dead(semantics._communicate(config, out_i, in_i))
+                cfg = drop_dead(checked(semantics._communicate(skel, out_i, in_i), qvec))
                 transitions.append(Transition(TAU, ((1.0, cfg),)))
     return transitions
 

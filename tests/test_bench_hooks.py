@@ -136,8 +136,9 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
 def test_every_successor_is_checked_for_ownership_once(monkeypatch):
     """``bench/spans.py`` times ``semantics.ownership`` by wrapping
     ``Configuration.check_ownership``, so the span covers the whole check:
-    on one ``Chain2`` against ``Identity`` check, ``_advance`` calls it
-    exactly once for each successor it builds, and nothing else calls it.
+    on one ``Chain2`` against ``Identity`` check, ``_follow`` calls it
+    exactly once for each successor skeleton it builds, each built by one
+    ``_advance`` call, and nothing else calls it.
 
     The check explores each side under 4 inputs from one settled
     configuration, so they share its skeleton, and a successor is built

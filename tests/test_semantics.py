@@ -1,5 +1,6 @@
 """Operational semantics: stepping, exploration, sampling."""
 
+import inspect
 import itertools
 import random
 import types
@@ -330,22 +331,23 @@ def test_measurement_branches_with_equal_keys_and_different_states_stay_apart(mo
     The PLTS digest in the golden file was recorded before that table
     existed."""
     met = []
-    communicate = semantics._communicate
+    follow = semantics._follow
 
-    def recording(config, out_i, in_i):
-        met.append(config)
-        return communicate(config, out_i, in_i)
+    def recording(skel, qvec, move, built, *args):
+        if move[0] is semantics._COMMUNICATE and not built:
+            met.append((skel, qvec))
+        return follow(skel, qvec, move, built, *args)
 
-    monkeypatch.setattr(semantics, "_communicate", recording)
+    monkeypatch.setattr(semantics, "_follow", recording)
     program, signatures = parse_program(SIBLINGS_APART), parse_signatures(SIBLINGS_APART)
     config = initial_configuration(program, "P", signatures=signatures)
     plts = explore(config)
     golden = Path(__file__).parent / "golden" / "siblings_apart_digest.txt"
     assert exploration_digest(plts) == golden.read_text().strip()
     assert [s.kind for s in plts.states].count("nondet") == 4
-    _on_e0, on_f0, _on_e1, on_f1 = met
+    _on_e0, (on_f0, state_f0), _on_e1, (on_f1, state_f1) = met
     assert canonical_key(on_f0) == canonical_key(on_f1)
-    assert not qstate.states_equal_up_to_global_phase(on_f0.qstate, on_f1.qstate)
+    assert not qstate.states_equal_up_to_global_phase(state_f0, state_f1)
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +709,51 @@ def test_no_skeleton_reaches_a_state(teleport_program):
     alphabet = input_alphabet(program, "Teleport", signatures["Teleport"], DEFAULT_TEST_QUBITS)
     plts = explore(config, alphabet=alphabet)
     assert walk_records(s.config.skel for s in plts.states if s.config is not None) == (22, 0)
+
+
+def test_no_skeleton_builder_calls_a_kernel(monkeypatch, teleport_program):
+    """The builders make skeletons only, and ``_follow`` applies each
+    step's state operation itself: no function of ``qstate``, the kernels
+    ``semantics`` calls among them, runs while ``_successor`` is on the
+    stack. ``Teleport`` explored under its default alphabet builds receives
+    of test qubits, allocations, gates, measurements, a ``new`` and
+    communications; seeded runs of the teleport harness build their steps
+    through the same builders."""
+    building, reached, built = [], [], set()
+    successor = semantics._successor
+
+    def watched(skel, move, arg=None):
+        built.add(type(move[2]).__name__ if move[0] is semantics._TAU else move[0])
+        building.append(move)
+        try:
+            return successor(skel, move, arg)
+        finally:
+            building.pop()
+
+    def guarded(name, fn):
+        def wrapped(*args, **kwargs):
+            if building:
+                reached.append(name)
+                raise AssertionError(f"a skeleton builder called qstate.{name}")
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(semantics, "_successor", watched)
+    for name, fn in list(vars(qstate).items()):
+        if inspect.isfunction(fn) and fn.__module__ == qstate.__name__:
+            monkeypatch.setattr(qstate, name, guarded(name, fn))
+    program, signatures = teleport_program
+    config = initial_configuration(program, "Teleport", signatures=signatures)
+    alphabet = input_alphabet(program, "Teleport", signatures["Teleport"], DEFAULT_TEST_QUBITS)
+    assert explore(config, alphabet=alphabet).states
+    assert built == {"QbitAlloc", "GateAction", "NewChannel", "receive", "measure", "send", "communicate"}
+    workloads = bench_workloads()
+    program, signatures = workloads.load(workloads.harness_source(2))
+    harness = initial_configuration(program, "Harness", signatures=signatures)
+    for seed in range(4):
+        assert run_sampled(harness, seed)
+    assert reached == []
 
 
 def test_sampled_runs_record_a_bounded_set_of_skeletons():
