@@ -16,8 +16,9 @@ probability distributions. It first settles each configuration
 priority (``settle`` says why), and then the communications on a hidden
 channel that only their sender and receiver hold, until neither is left,
 so no state of the PLTS is one that could take such a step. ``explore``
-says why settling changes no verdict. The branches of one measurement
-settle through one table (``_Siblings``, which says why that is sound), so
+says why settling changes no verdict. One table per exploration decides
+which configurations are one state, and every settle run probes it before
+each private communication (``_meet``, which says why that is sound), so
 branches that a correction has made equal run the rest once.
 ``run_sampled`` walks one seeded path for simulation: each ``step`` takes
 the first enabled transition, builds only the configuration the path
@@ -357,7 +358,7 @@ class _Skeleton:
     another value received on one channel, or as a later exploration from
     the same configuration, runs only the ``qstate`` kernels and the
     decisions that read amplitudes: which outcomes a measurement has, which
-    dead qubits drop, sibling hits, merges when interning, and the density
+    dead qubits drop, hits in the intern table (``_meet``), and the density
     matrices of labels. Replaying a recorded successor builds the
     configuration that building it anew would build, for three reasons:
 
@@ -862,29 +863,36 @@ def settle(config: Configuration) -> Configuration:
     "Confluence for process verification", TCS 1996). Every step consumes
     a prefix, so every run of these steps is finite.
 
-    ``explore`` settles the outcomes of one transition, such as the
-    branches of a measurement, through one table (``_Siblings``, which says
-    why that is sound), so a run may stop where an earlier outcome's run
-    went on.
+    ``explore`` settles every configuration through the one table in which
+    it interns its states (``_meet``, which says why that is sound), so a
+    run may stop where an earlier run of the exploration went on.
     """
     skel, qvec, _sid = _settle(config.skel, config.qstate)
     return Configuration(skel, qvec)
 
 
-class _Siblings:
-    """The states at which the settle runs of one transition's earlier
-    outcomes met a private communication, filed under their configuration's
-    ``canonical_key``, each with the PLTS state its run was interned as
-    (``_settle``). It lives only as long as ``explore``
-    interns that one transition's outcomes.
+def _meet(table: dict, run: list, skel: _Skeleton, qvec: StateVector) -> int | None:
+    """The PLTS state of an entry of ``table`` under the ``canonical_key``
+    of ``skel`` whose amplitudes equal ``qvec``'s up to global phase; or
+    None, after noting this configuration as an entry of the run in
+    progress, ``run``, whose sid ``explore`` fills in once it is interned.
 
-    Before each private communication, a run looks its configuration up
-    here; on a hit it stops, and the outcome takes the state the earlier
-    run was interned as. The four branches of a teleport hop so meet after
-    Bob's correction, and only the first runs the send on the next link and
-    the next hop's gates. A hit is the relation by which ``explore`` merges
-    states: an equal ``canonical_key`` and amplitudes equal within ATOL up
-    to global phase. It is sound for three reasons:
+    ``explore`` keeps one table per exploration, filed under
+    ``canonical_key``, with an entry ``[state, sid]`` for each
+    configuration it has settled and interned and for each at which a
+    settle run met a private communication (``_settle``). This is the one
+    place it decides that two configurations are one PLTS state: an equal
+    key and amplitudes equal within ATOL up to global phase. A settled
+    configuration and one before a private communication never share a
+    key, since an equal key gives an equal ``_private_redex``, so the two
+    kinds of entry never match each other.
+
+    Before each private communication, a run probes its configuration
+    here; on a hit it stops, and it takes the state the earlier run was
+    interned as. The four branches of a teleport hop so meet after Bob's
+    correction, and only the first runs the send on the next link and the
+    next hop's gates; two paths of one exploration meet the same way. A
+    hit is sound for three reasons:
 
     - Unitary steps keep distances. Every step of a run applies one gate
       to both states, or binds names and appends the same fresh qubits to
@@ -896,7 +904,7 @@ class _Siblings:
       channels up to renaming included, so it fixes which step goes next,
       which qubits it touches and who holds which channel; the two runs
       take the same steps and end in states that ``explore`` would merge.
-    - Errors come from the first sibling. Had the skipped steps raised (an
+    - Errors come from the first run. Had the skipped steps raised (an
       arity mismatch, an ownership violation or a cap), the earlier run
       would have raised the same error from the same configuration, and
       the exploration would have stopped before this run began.
@@ -904,35 +912,17 @@ class _Siblings:
     A miss only costs the run in full, so it never causes a merge, and a
     hit merges no more than interning the settled configurations would,
     beyond the tolerance by which that interning itself merges. The table
-    is probed only before private communications, not before every step,
-    which costs more than it saves."""
-
-    __slots__ = ("_met", "_run")
-
-    def __init__(self):
-        self._met: dict[tuple, list[list]] = {}  # canonical key -> [state, sid]
-        self._run: list[list] = []  # entries of the run in progress, sid still None
-
-    def find(self, skel: _Skeleton, qvec: StateVector) -> int | None:
-        """The state of an earlier sibling's run that met a configuration
-        with the key of ``skel`` at ``qvec`` and, up to global phase, its
-        amplitudes; or None, after noting this one for the run in
-        progress."""
-        entries = self._met.setdefault(skel.key(), [])
-        for met, sid in entries:
-            # An entry with no sid yet was met by this very run.
-            if sid is not None and qstate.states_equal_up_to_global_phase(met, qvec):
-                return sid
-        entry = [qvec, None]
-        entries.append(entry)
-        self._run.append(entry)
-        return None
-
-    def close(self, sid: int) -> None:
-        """End the run in progress, which was interned as state ``sid``."""
-        for entry in self._run:
-            entry[1] = sid
-        self._run = []
+    is probed only before private communications and at the end of a run,
+    not before every step, which costs more than it saves."""
+    entries = table.setdefault(skel.key(), [])
+    for met, sid in entries:
+        # An entry with no sid yet was met by this very run.
+        if sid is not None and qstate.states_equal_up_to_global_phase(met, qvec):
+            return sid
+    entry = [qvec, None]
+    entries.append(entry)
+    run.append(entry)
+    return None
 
 
 def _draw(outcomes: list, rng: random.Random) -> tuple:
@@ -1147,19 +1137,20 @@ def canonical_key(config: Configuration | _Skeleton) -> tuple:
 # Exploring skeletons: the amplitude-free work, done once per skeleton
 # ---------------------------------------------------------------------------
 
-def _settle(skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None = None) -> tuple:
+def _settle(skel: _Skeleton, qvec: StateVector, table: dict | None = None, run: list | None = None) -> tuple:
     """``settle``'s run from ``skel`` at state ``qvec``, as ``(skeleton,
-    state, None)``; or, with ``siblings``, ``(skeleton, state, sid)`` where
-    the run stopped, once it meets before a private communication a
-    configuration an earlier sibling's run met, which was interned as the
-    PLTS state ``sid`` (see ``settle``)."""
+    state, None)``; or, with ``explore``'s ``table`` and the entries of the
+    run in progress, ``(skeleton, state, sid)`` where the run stopped, once
+    it meets before a private communication a configuration that an
+    earlier run met, which was interned as the PLTS state ``sid``
+    (``_meet``)."""
     while True:
         settling = _settling(skel)
         if settling is None:
             return skel, qvec, None
         move, built = settling
-        if siblings is not None and move[0] is _COMMUNICATE:
-            sid = siblings.find(skel, qvec)
+        if table is not None and move[0] is _COMMUNICATE:
+            sid = _meet(table, run, skel, qvec)
             if sid is not None:
                 return skel, qvec, sid
         skel, qvec = _follow(skel, qvec, move, built)
@@ -1309,7 +1300,7 @@ def explore(
     Configurations whose components (``Configuration.procs``) are equal in
     order up to bound-name renaming and hidden-channel bijection
     (``canonical_key``), and whose amplitudes agree within ATOL once their
-    global phases are aligned, are merged.
+    global phases are aligned, are merged (``_meet``).
     Since the components are held flat, how a composition was bracketed
     plays no part. Transitions with more than one outcome go through an
     intermediate probabilistic state.
@@ -1340,10 +1331,10 @@ def explore(
     the corpus, of the chain goldens or of the random pairs the
     differential tests check changed.
 
-    The outcomes of one transition with several, such as the branches of
-    a measurement, are settled through one table (``_Siblings``, which
-    says why the PLTS is the one interning each branch's settled
-    configuration gives).
+    One table per exploration holds the interned states and the
+    configurations at which settle runs met a private communication, and
+    one probe (``_meet``) decides both kinds of merge; it says why the PLTS
+    is the one interning each settled configuration gives.
 
     The exploration starts at ``config``'s skeleton, and every skeleton it
     meets keeps the work that reads no amplitude (``_Skeleton``, which says
@@ -1355,30 +1346,24 @@ def explore(
     alphabet = alphabet or {}
     states: list[PLTSState] = []
     edges: list[PLTSEdge] = []
-    buckets: dict[tuple, list[int]] = {}
+    table: dict[tuple, list[list]] = {}  # canonical key -> [state, sid] (``_meet``)
     prob_cache: dict[tuple, int] = {}
     queue: list[int] = []
 
-    def intern(skel: _Skeleton, qvec: StateVector, siblings: _Siblings | None = None) -> int:
+    def intern(skel: _Skeleton, qvec: StateVector) -> int:
         """Settle and intern the configuration ``skel`` at state ``qvec``."""
-        skel, qvec, sid = _settle(skel, qvec, siblings)
+        run: list[list] = []
+        skel, qvec, sid = _settle(skel, qvec, table, run)
         if sid is None:
-            sid = add(skel, qvec)
-        if siblings is not None:
-            siblings.close(sid)
-        return sid
-
-    def add(skel: _Skeleton, qvec: StateVector) -> int:
-        key = skel.key()
-        for sid in buckets.get(key, []):
-            if qstate.states_equal_up_to_global_phase(states[sid].config.qstate, qvec):
-                return sid
-        if len(states) >= max_states:
-            raise ExplorationLimitError(max_states)
-        sid = len(states)
-        states.append(PLTSState(sid, "nondet", config=Configuration(skel, qvec)))
-        buckets.setdefault(key, []).append(sid)
-        queue.append(sid)
+            sid = _meet(table, run, skel, qvec)
+        if sid is None:
+            if len(states) >= max_states:
+                raise ExplorationLimitError(max_states)
+            sid = len(states)
+            states.append(PLTSState(sid, "nondet", config=Configuration(skel, qvec)))
+            queue.append(sid)
+        for entry in run:
+            entry[1] = sid
         return sid
 
     initial = intern(config.skel, config.qstate)
@@ -1396,8 +1381,7 @@ def explore(
                 dst = intern(*outcomes[0][1])
                 edges.append(PLTSEdge(sid, label, dst))
                 continue
-            siblings = _Siblings()
-            dist = tuple((round(p, 12), intern(*child, siblings)) for p, child in outcomes)
+            dist = tuple((round(p, 12), intern(*child)) for p, child in outcomes)
             pid = prob_cache.get(dist)
             if pid is None:
                 if len(states) >= max_states:

@@ -14,9 +14,10 @@ The step oracles are the exception. ``deterministic_tau_oracle``,
 with ``semantics``' own rule helpers (``_advance``, ``_bind``,
 ``_communicate``, ``_basis_drops``, ``_compact`` and the name readers).
 So they check the orchestration, that is settling, the skeleton records,
-sibling tables and the order in which dead qubits drop, but not the rules
-or the observer model that labels outputs; ROADMAP item 15 plans the
-independent reference semantics that would.
+the intern table that settle runs probe (``semantics._meet``) and the
+order in which dead qubits drop, but not the rules or the observer model
+that labels outputs; ROADMAP item 15 plans the independent reference
+semantics that would.
 """
 
 from __future__ import annotations

@@ -151,29 +151,75 @@ def test_exploration_digest_matches_golden(explorations):
     assert got == GOLDEN.read_text().splitlines()
 
 
+def missing_before_communications(meet):
+    """``meet`` (``semantics._meet``) with every probe before a private
+    communication made to miss. Only those probes find a configuration
+    whose skeleton has a settle move, since ``explore`` interns only
+    settled ones."""
+    def probe(table, run, skel, qvec):
+        return None if skel.settling is not None else meet(table, run, skel, qvec)
+
+    return probe
+
+
 def test_settling_siblings_through_one_table_changes_no_exploration(explorations, monkeypatch):
-    """``explore`` settles the outcomes of one transition through one table
-    and stops a run at a configuration an earlier outcome's run met
-    (``semantics._Siblings``). With every lookup made to miss, each run goes
-    on to its end, and every reduced exploration of the digest programs has
-    the same digest as with the table, which stops some of their runs."""
-    find = semantics._Siblings.find
+    """``explore`` settles every configuration through the one table in
+    which it interns its states, and stops a run before a private
+    communication at a configuration an earlier run met
+    (``semantics._meet``). With every such probe made to miss, each run
+    goes on to its end, and every reduced exploration of the digest
+    programs has the same digest as with the probes, which stop some of
+    their runs."""
+    meet = semantics._meet
     hits = 0
 
-    def counted(table, skel, qvec):
+    def counted(table, run, skel, qvec):
         nonlocal hits
-        sid = find(table, skel, qvec)
-        hits += sid is not None
+        sid = meet(table, run, skel, qvec)
+        hits += skel.settling is not None and sid is not None
         return sid
 
-    monkeypatch.setattr(semantics._Siblings, "find", counted)
+    monkeypatch.setattr(semantics, "_meet", counted)
     with_table = {name: exploration_digest(o) for name, *_, o in digest_explorations((True,))}
     assert hits > 100
-    monkeypatch.setattr(semantics._Siblings, "find", lambda table, skel, qvec: None)
+    monkeypatch.setattr(semantics, "_meet", missing_before_communications(meet))
     without = {name: exploration_digest(o) for name, *_, o in digest_explorations((True,))}
     assert with_table == without
     reduced = {name: exploration_digest(o) for name, _a, reduce, o in explorations if reduce}
     assert reduced == with_table
+
+
+DIAMOND = (
+    "//: P : ^[Bit], ^[Bit]\n"
+    "P(a, b) = (new h) (a![0] . h![0] . 0 | b![1] . h?[x] . 0)\n"
+)
+
+
+def test_two_paths_meet_before_a_private_communication(monkeypatch):
+    """The sends on ``a`` and ``b`` go in either order, and both paths
+    reach the private send on ``h`` in one configuration. The table is the
+    exploration's, not one transition's, so the second path's settle run
+    stops there at the first path's entry, although each of its
+    transitions has one outcome. The PLTS has four states, and its digest
+    is the one with every probe before a private communication made to
+    miss."""
+    program, signatures = parse_program(DIAMOND), parse_signatures(DIAMOND)
+    config = initial_configuration(program, "P", signatures=signatures)
+    meet = semantics._meet
+    hits = 0
+
+    def counted(table, run, skel, qvec):
+        nonlocal hits
+        sid = meet(table, run, skel, qvec)
+        hits += skel.settling is not None and sid is not None
+        return sid
+
+    monkeypatch.setattr(semantics, "_meet", counted)
+    plts = explore(config)
+    assert len(plts.states) == 4
+    assert hits >= 1
+    monkeypatch.setattr(semantics, "_meet", missing_before_communications(meet))
+    assert exploration_digest(explore(config)) == exploration_digest(plts)
 
 
 WRONG_CORRECTION = corpus.read_corpus_file("teleport.cqp") + """
@@ -191,29 +237,31 @@ def test_siblings_with_one_key_and_other_amplitudes_stay_apart(monkeypatch):
     wrong in two of the four branches, sent on through a relay on the
     hidden ``m``. The branches meet before the private send on ``m`` with
     one ``canonical_key`` but amplitudes that differ beyond global phase,
-    so the sibling table must compare them: it fails some comparisons and
-    hits on others. Explored once under each default input, every digest
-    is the one with every lookup made to miss."""
+    so the probe before that send must compare them: it fails some
+    comparisons and hits on others. Explored once under each default input,
+    every digest is the one with every such probe made to miss."""
     program, signatures = parse_program(WRONG_CORRECTION), parse_signatures(WRONG_CORRECTION)
     config = initial_configuration(program, "Wrong", signatures=signatures)
-    find, compare = semantics._Siblings.find, qstate.states_equal_up_to_global_phase
-    finding = False
+    meet, compare = semantics._meet, qstate.states_equal_up_to_global_phase
+    probing = False
     failed = hits = 0
 
-    def counted_find(table, skel, qvec):
-        nonlocal finding, hits
-        finding = True
+    def counted_meet(table, run, skel, qvec):
+        nonlocal probing, hits
+        if skel.settling is None:
+            return meet(table, run, skel, qvec)
+        probing = True
         try:
-            sid = find(table, skel, qvec)
+            sid = meet(table, run, skel, qvec)
         finally:
-            finding = False
+            probing = False
         hits += sid is not None
         return sid
 
     def counted_compare(a, b):
         nonlocal failed
         equal = compare(a, b)
-        failed += finding and not equal
+        failed += probing and not equal
         return equal
 
     def digests():
@@ -222,9 +270,9 @@ def test_siblings_with_one_key_and_other_amplitudes_stay_apart(monkeypatch):
             for test_qubit in DEFAULT_TEST_QUBITS
         ]
 
-    monkeypatch.setattr(semantics._Siblings, "find", lambda table, skel, qvec: None)
+    monkeypatch.setattr(semantics, "_meet", missing_before_communications(meet))
     without = digests()
-    monkeypatch.setattr(semantics._Siblings, "find", counted_find)
+    monkeypatch.setattr(semantics, "_meet", counted_meet)
     monkeypatch.setattr(qstate, "states_equal_up_to_global_phase", counted_compare)
     assert digests() == without
     assert failed > 0

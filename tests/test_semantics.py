@@ -354,30 +354,6 @@ def test_measurement_branches_with_equal_keys_and_different_states_stay_apart(mo
 # Reduction against full interleaving
 # ---------------------------------------------------------------------------
 
-def chain_source(max_k: int) -> str:
-    """Teleport chains Chain_k(a,b) = (new m)(Chain_{k-1}(a,m) | Teleport(m,b)),
-    with Chain_1 = Teleport, and Chain_kH: Chain_k followed by a hop
-    applying H."""
-    def entry(k):
-        return "Teleport" if k == 1 else f"Chain{k}"
-
-    lines = [
-        corpus.read_corpus_file("teleport.cqp"),
-        "//: Identity : ^[Qbit], ^[Qbit]",
-        "Identity(c, d) = c?[x] . d![x] . 0",
-        "//: HopH : ^[Qbit], ^[Qbit]",
-        "HopH(c, d) = c?[x] . {x *= H} . d![x] . 0",
-    ]
-    for k in range(2, max_k + 1):
-        lines += [
-            f"//: Chain{k} : ^[Qbit], ^[Qbit]",
-            f"Chain{k}(a, b) = (new m) ({entry(k - 1)}(a, m) | Teleport(m, b))",
-            f"//: Chain{k}H : ^[Qbit], ^[Qbit]",
-            f"Chain{k}H(a, b) = (new m) (Chain{k}(a, m) | HopH(m, b))",
-        ]
-    return "\n".join(lines) + "\n"
-
-
 def assert_reduction_bisimilar(program, signatures, entry):
     config = initial_configuration(program, entry, signatures=signatures)
     for alphabet in input_instantiations(
@@ -395,7 +371,7 @@ def corpus_and_chain_entries():
         if entry.entry is not None:
             program, signatures, _src = load_corpus_file(entry.path)
             yield program, signatures, entry.entry
-    source = chain_source(2)
+    source = bench_workloads().chain_source(2, ("H",))
     program, signatures = parse_program(source), parse_signatures(source)
     for entry in ("Chain2", "Chain2H"):
         yield program, signatures, entry
@@ -422,7 +398,7 @@ def test_no_configuration_holds_a_call():
             program, entry, program, entry, signatures, signatures, DEFAULT_TEST_QUBITS
         )
     ]
-    source = chain_source(3)
+    source = bench_workloads().chain_source(3, ("H",))
     program, signatures = parse_program(source), parse_signatures(source)
     config = initial_configuration(program, "Chain3", signatures=signatures)
     explorations.append((config, teleport_alphabet()))
@@ -445,7 +421,7 @@ def test_reduction_bisimilar_on_random_typed_programs():
 
 
 def test_four_hop_chain_equals_identity_under_default_cap():
-    source = chain_source(5)
+    source = bench_workloads().chain_source(5, ("H",))
     program, signatures = parse_program(source), parse_signatures(source)
     verdict = check_equivalence(
         program, "Chain4", program, "Identity", signatures,
@@ -829,7 +805,7 @@ def test_running_renames_no_term_and_walks_each_node_once(monkeypatch):
     forced output is made once per output node and outcome
     (``Output.forced``), so the four outcomes of Alice's one ``measure``
     make four nodes, shared by every hop of both entries."""
-    source = chain_source(5)
+    source = bench_workloads().chain_source(5, ("H",))
     program, signatures = parse_program(source), parse_signatures(source)
 
     def nodes(term):
