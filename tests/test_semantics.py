@@ -1,5 +1,6 @@
 """Operational semantics: stepping, exploration, sampling."""
 
+import hashlib
 import inspect
 import itertools
 import random
@@ -975,6 +976,39 @@ def test_a_sampled_run_builds_one_configuration_per_step(monkeypatch):
         built = 0
         trace = run_sampled(config, seed)
         assert built == len(trace) == 59
+
+
+def sampled_trace_digest(configs) -> str:
+    """A SHA-256 digest of ``run_sampled(config, seed)`` for each seed and
+    configuration of ``configs``: per step its rendered label, probability,
+    qubit count, bindings and amplitudes, rounded to 12 digits with -0.0
+    made 0.0."""
+    h = hashlib.sha256()
+    for seed, config in configs:
+        h.update(f"seed {seed}\n".encode())
+        for ts in run_sampled(config, seed):
+            cfg = ts.config
+            h.update(f"{render_label(ts.label)} {ts.probability!r} {cfg.num_qubits}\n".encode())
+            h.update(repr(sorted(cfg.bindings.items())).encode())
+            h.update((np.round(cfg.qstate.amplitudes, 12) + 0.0).tobytes())
+    return h.hexdigest()
+
+
+def test_sampled_traces_match_the_golden_digest():
+    """Seeds 0 to 99 of the 5-hop harness, all run from one configuration,
+    trace what the golden digest recorded, and so do the same seeds each
+    run from a fresh configuration: what runs from one configuration share
+    never changes a trace."""
+    workloads = bench_workloads()
+    program, signatures = workloads.load(workloads.harness_source(5))
+
+    def fresh():
+        return initial_configuration(program, "Harness", signatures=signatures)
+
+    shared = fresh()
+    golden = Path(__file__).parent / "golden" / "sampled_trace_digest.txt"
+    assert sampled_trace_digest((seed, shared) for seed in range(100)) == golden.read_text().strip()
+    assert sampled_trace_digest((seed, fresh()) for seed in range(100)) == golden.read_text().strip()
 
 
 def test_bell_measurement_frequency_over_seeds(coin_program):
