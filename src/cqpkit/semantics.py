@@ -21,8 +21,11 @@ which configurations are one state, and every settle run probes it before
 each private communication (``_meet``, which says why that is sound), so
 branches that a correction has made equal run the rest once.
 ``run_sampled`` walks one seeded path for simulation: each ``step`` takes
-the first enabled transition, builds only the configuration the path
+the first enabled transition, builds at most the configuration the path
 takes, and collapses the state only onto the measurement branch it draws.
+A configuration keeps the step of its deterministic τ once built, so the
+traces of runs from one configuration share the configurations of their
+τ prefix.
 
 Communication is synchronous (handshake), as in pi-calculus. A payload is
 a flat list of expressions. Before an output can send, the leftmost
@@ -78,7 +81,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -237,8 +240,12 @@ class Configuration:
     holds the name bindings and the running components, and its quantum
     state ``qstate``, of ``skel.num_qubits`` qubits.
 
-    Treated as immutable; every step produces fresh copies, sharing the
-    components it leaves unchanged. The skeleton's fields but ``program``
+    Treated as immutable; a step produces a fresh successor, sharing the
+    components it leaves unchanged. The exception is ``_tau``, the
+    transition of the configuration's deterministic τ, which ``step``
+    keeps once built: its successor depends on the configuration alone, so
+    runs from one configuration share the configurations of their τ
+    prefix. The skeleton's fields but ``program``
     read through as properties of the same names. ``procs`` holds the
     parallel components in left-to-right order as ``(term, env, qubits,
     hidden)`` records; no term is a parallel composition, a call or ``0``
@@ -276,6 +283,7 @@ class Configuration:
 
     skel: _Skeleton
     qstate: StateVector
+    _tau: Transition | None = field(default=None, init=False, repr=False)
 
     @property
     def bindings(self) -> dict:
@@ -390,7 +398,11 @@ class _Skeleton:
     unbinds, so recorded branches would multiply the skeletons kept by the
     outcome count at every measurement on a path, 4^k through k teleport
     hops. So the records runs keep are the steps before their first drawn
-    measurement, which every run from the configuration shares."""
+    measurement, which every run from the configuration shares. The
+    deterministic τ steps of that prefix are kept further, with their
+    states, on the configurations, not here (``step``): a later run from
+    one configuration reads them back, and its trace shares their
+    configurations with the earlier run's."""
 
     live = None
     _key = None
@@ -956,12 +968,24 @@ def step(config: Configuration, alphabet: dict | None = None, *, rng: random.Ran
     that branch; the transition is then ``drawn``.
 
     The successor is built through the skeleton's records (``_follow``),
-    except that a drawn branch is built fresh; ``_Skeleton`` says why.
+    except that a drawn branch is built fresh; ``_Skeleton`` says why. A
+    deterministic τ is built once: ``config`` keeps its transition, and
+    every later call returns it, so runs from one configuration share the
+    configurations of their τ prefix. It has priority over every other
+    move and reads neither ``alphabet`` nor ``rng``, so its successor
+    depends on ``config`` alone; a step that raises keeps nothing. No
+    other move is kept: a private communication keeps its place in
+    ``_moves``' order, where an input that ``alphabet`` enables may come
+    before it.
     """
     skel, qvec = config.skel, config.qstate
     settling = _settling(skel)
-    moves = (settling,) if settling is not None and settling[0][0] is _TAU else _recorded_moves(skel)
-    for move, built in moves:
+    if settling is not None and settling[0][0] is _TAU:
+        if config._tau is None:
+            successor = Configuration(*_follow(skel, qvec, *settling))
+            config._tau = Transition(TAU, ((1.0, successor),))
+        return [config._tau]
+    for move, built in _recorded_moves(skel):
         for label, outcomes in _move_transitions(move, qvec, skel.channel_names, alphabet or {}):
             drawn = len(outcomes) > 1
             p, arg, branch = _draw(outcomes, rng) if drawn else outcomes[0]
@@ -987,7 +1011,7 @@ def _tau_move(skel: _Skeleton) -> tuple | None:
 
 
 def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alphabet: dict) -> list:
-    """The transitions of ``move`` (``_tau_move`` or ``_moves``) at state
+    """The transitions of ``move`` (of ``_moves``) at state
     ``qvec``, in ``step``'s order, as ``(label, outcomes)``, each outcome a
     ``(probability, arg, branch)`` of what ``_follow`` takes: a
     measurement's outcome bits and branch, or a received value tuple. The
@@ -1009,7 +1033,7 @@ def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alpha
     return [(TAU, _ONE_OUTCOME)]
 
 
-_ONE_OUTCOME = [(1.0, None, None)]  # of a τ, a send or a communication; never mutated
+_ONE_OUTCOME = [(1.0, None, None)]  # of a send or a communication; never mutated
 
 
 def _successor(skel: _Skeleton, move: tuple, arg=None) -> _Skeleton:
@@ -1405,9 +1429,10 @@ def run_sampled(
     """One seeded path: at each step the first enabled transition in
     ``step``'s order, with a measurement of several outcomes resolved by
     one draw from a PRNG seeded with ``seed``, which ``step`` is given. It
-    builds only the configuration the path takes: one per step. Runs from
-    one configuration replay the skeletons earlier runs recorded
-    (``_Skeleton``).
+    builds at most the configuration the path takes, one per step. Runs
+    from one configuration replay the skeletons earlier runs recorded
+    (``_Skeleton``), and read back the configurations of the τ prefix an
+    earlier run took (``step``), so their traces share them.
 
     A step's ``probability`` is the Born probability of the drawn branch,
     or None when the step had one outcome. Since the transitions the path

@@ -219,3 +219,21 @@ def test_bench_pairs_runs_as_long_as_the_benchmark_by_default():
     required = ["--parent", "HEAD", "--workload", "chain", "--pairs", "2"]
     assert bench_pairs.parse_args(required, {"run_seconds": 7}).seconds == 7.0
     assert bench_pairs.parse_args([*required, "--seconds", "3"], {"run_seconds": 7}).seconds == 3.0
+
+
+def test_bench_pairs_keeps_each_runs_operation_counts():
+    """A pair keeps each run's attempted and failed operation counts next
+    to its correctness and metric values, so a paired file can show that a
+    metric rose with the operations a run completed."""
+    summary = {
+        "correct": True,
+        "attempted": 17800,
+        "failed": 0,
+        "metrics": {"wall_s": {"value": 0.097, "unit": "s"}, "peak_rss_mb": {"value": 51.2, "unit": "MB"}},
+    }
+    assert load_bench_pairs().run_record(summary) == {
+        "correct": True,
+        "attempted": 17800,
+        "failed": 0,
+        "metrics": {"wall_s": 0.097, "peak_rss_mb": 51.2},
+    }

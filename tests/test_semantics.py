@@ -748,6 +748,77 @@ def test_sampled_runs_record_a_bounded_set_of_skeletons():
     assert walk_records([config.skel]) == after_one == (32, 0)
 
 
+def five_hop_harness():
+    workloads = bench_workloads()
+    program, signatures = workloads.load(workloads.harness_source(5))
+    return lambda: initial_configuration(program, "Harness", signatures=signatures)
+
+
+def test_runs_from_one_configuration_take_its_deterministic_steps_once(monkeypatch):
+    """A configuration keeps the transition of its deterministic τ, so a
+    later run from it reads the step back (``step``). Counted through the
+    attributes of ``qstate``, as ``bench/spans.py`` counts the kernels, up
+    to the first drawn measurement of a 5-hop harness run.
+
+    A run from a fresh configuration first takes 28 deterministic τ steps:
+    per hop an allocation of two qubits, an H, a CNot and a ``new``, 20;
+    the ``new`` of the 4 links between hops and of ``a`` and ``b``, 6; and
+    the harness's allocation of ``z`` and its H, 2. That is 6 allocations
+    and 11 gates. It then sends |+> on ``a``, a private communication, and
+    Alice's CNot and H of the first hop make 2 gates more before her
+    measurement: 6 ``append_qubits`` and 13 ``apply_gate`` calls. A second
+    run from the same configuration reads the 28 steps back and makes
+    only the 2 gates after the send, since a communication is not kept and
+    the configurations after it are new. A run from another fresh
+    configuration makes all of them again."""
+    counts = {}
+    for name in ("append_qubits", "apply_gate"):
+        fn = getattr(qstate, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(qstate, name, counted)
+
+    def until_drawn(config, seed):
+        counts.update(append_qubits=0, apply_gate=0)
+        rng = random.Random(seed)
+        while True:
+            (t,) = step(config, rng=rng)
+            if t.drawn:
+                return dict(counts)
+            ((_p, config),) = t.outcomes
+
+    fresh = five_hop_harness()
+    config = fresh()
+    assert until_drawn(config, 0) == {"append_qubits": 6, "apply_gate": 13}
+    assert until_drawn(config, 1) == {"append_qubits": 0, "apply_gate": 2}
+    assert until_drawn(fresh(), 1) == {"append_qubits": 6, "apply_gate": 13}
+
+
+def test_runs_from_one_configuration_share_their_tau_prefix():
+    """Two runs from one configuration, with one seed, share the
+    configurations of their 28 deterministic τ steps, and no later one:
+    the send on ``a`` and every step after it is built anew."""
+    config = five_hop_harness()()
+    first, second = run_sampled(config, 0), run_sampled(config, 0)
+    assert len(first) == len(second) == 59
+    shared = [a.config is b.config for a, b in zip(first, second)]
+    assert shared == [True] * 28 + [False] * 31
+
+
+def test_a_deterministic_step_that_raises_is_not_kept():
+    """A τ step that raises keeps nothing on its configuration, so every
+    run from it raises the same error."""
+    program = parse_program("P() = (qbit q1,q2,q3,q4,q5,q6,q7,q8,q9,q10,q11,q12,q13) 0")
+    config = initial_configuration(program, "P")
+    for seed in range(2):
+        with pytest.raises(qstate.CapacityError, match="exceed cap"):
+            run_sampled(config, seed)
+    assert config._tau is None
+
+
 def test_sampled_runs_raise_only_on_the_moves_they_take():
     """A step takes the first enabled move even where a later move of the
     same skeleton holds a runtime error, here the scope extrusion of

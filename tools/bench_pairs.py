@@ -10,9 +10,13 @@ fresh process with the benchmark's default seed and the same duration.
 Writes one JSON file at the root of the repository (``--out``), with one
 entry per workload: the machine, both commits (the working tree as its
 ``HEAD`` and the hash of its uncommitted diff to the files a benchmark run
-reads, if any: ``fingerprint``), and per end-to-end
-metric of ``BENCHMARK.json`` the per-pair values of both sides, their
-medians and quartiles, and the number of pairs the working tree won. A
+reads, if any: ``fingerprint``), each run's correctness, attempted and
+failed operation counts, the median attempted count of each side, and per
+end-to-end metric of ``BENCHMARK.json`` the per-pair values of both sides,
+their medians and quartiles, and the number of pairs the working tree won.
+The attempted counts tell a metric that grows with the operations a run
+completes, such as ``peak_rss_mb`` (the benchmark keeps every operation's
+record until its summary), from one that grows with the program. A
 later call with another workload adds its entry to the same file, and one
 with the same workload replaces it. ``median_gain`` is the
 parent's median less the working tree's, signed so that a gain is
@@ -79,6 +83,18 @@ def run_bench(tree: Path, workload: str, seconds: float) -> dict:
     if result.returncode != 0:
         raise SystemExit(f"bench/run.py failed in {tree}:\n{result.stderr}")
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def run_record(summary: dict) -> dict:
+    """What a pair keeps of one ``bench/run.py`` summary: whether its
+    outputs were correct, how many operations it attempted and how many
+    failed, and each metric's value."""
+    return {
+        "correct": summary["correct"],
+        "attempted": summary["attempted"],
+        "failed": summary["failed"],
+        "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
+    }
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -149,12 +165,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                summary = run_bench(trees[side], args.workload, args.seconds)
-                pair[side] = {
-                    "correct": summary["correct"],
-                    "failed": summary["failed"],
-                    "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
-                }
+                pair[side] = run_record(run_bench(trees[side], args.workload, args.seconds))
             runs.append(pair)
             wall = {side: pair[side]["metrics"]["wall_s"] for side in ("parent", "change")}
             print(f"pair {i + 1}/{args.pairs}: wall_s parent {wall['parent']:.4f} change {wall['change']:.4f}",
@@ -167,6 +178,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "all_correct": all(r[s]["correct"] and r[s]["failed"] == 0 for r in runs for s in ("parent", "change")),
+        "attempted_median": {s: statistics.median(r[s]["attempted"] for r in runs) for s in ("parent", "change")},
         "metrics": {
             name: summarize(
                 metric,
@@ -181,6 +193,8 @@ def main(argv=None) -> int:
     report = json.loads(out.read_text()) if out.exists() else {}
     report.setdefault("workloads", {})[args.workload] = entry
     out.write_text(json.dumps(report, indent=1) + "\n")
+    attempted = entry["attempted_median"]
+    print(f"attempted ops per run: parent median {attempted['parent']:g} change median {attempted['change']:g}")
     for name, m in entry["metrics"].items():
         print(f"{name}: parent {m['parent_median']:.6g} change {m['change_median']:.6g} {m['unit']},"
               f" gain {m['median_gain']:+.6g} (parent IQR {m['parent_iqr']:.3g}),"
