@@ -1027,9 +1027,11 @@ def test_draw_falls_back_to_the_last_outcome_when_rounding_leaves_the_sum_short(
 def test_a_sampled_run_builds_one_configuration_per_step(monkeypatch):
     """Counted as the benchmark counts ``simulate``'s states: every outcome
     of every transition that ``step``, looked up as a global of
-    ``semantics``, returns. A run builds only the configurations it takes,
-    and each of 50 runs from one configuration, as a ``simulate`` round
-    makes them, counts every step it takes, replayed ones included."""
+    ``semantics``, returns, kept ones included. A run builds at most the
+    configurations it takes, and each of 50 runs from one configuration,
+    as a ``simulate`` round makes them, counts every step it takes: 59,
+    though after the first run 28 of them are the kept transitions of the
+    τ prefix, read back and not built again (``step``)."""
     workloads = bench_workloads()
     program, signatures = workloads.load(workloads.harness_source(5))
     config = initial_configuration(program, "Harness", signatures=signatures)
