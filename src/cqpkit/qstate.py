@@ -66,8 +66,9 @@ import numpy as np
 
 # User-facing tolerance for normalization, unitarity and equality checks.
 ATOL = 1e-9
-# Amplitudes below this are snapped to exact zero after gate application so
-# that measurement-outcome enumeration stays stable across interleavings.
+# Amplitudes below this are snapped to exact zero in every state a kernel
+# makes, so that measurement-outcome enumeration stays stable across
+# interleavings.
 PRUNE_TOL = 1e-12
 # Ceiling on simultaneously allocated qubits.
 DEFAULT_QUBIT_CAP = 12
@@ -302,7 +303,9 @@ def _prune(amps: np.ndarray) -> np.ndarray:
 
 def append_qubits(state: StateVector, qubits) -> StateVector:
     """Tensor fresh qubits onto the high end of ``state``. ``qubits`` lists
-    the ``(amp0, amp1)`` of each; the first takes the lowest new index."""
+    the ``(amp0, amp1)`` of each; the first takes the lowest new index. The
+    result is pruned, as every state a kernel makes is, so a state built
+    from kernels alone holds no amplitude an identity gate would zero."""
     if not qubits:
         raise ValueError("no qubits to append")
     n = state.num_qubits + len(qubits)
@@ -313,7 +316,7 @@ def append_qubits(state: StateVector, qubits) -> StateVector:
     amps = state.amplitudes
     for amp0, amp1 in qubits:
         amps = np.multiply.outer(np.array([amp0, amp1], dtype=np.complex128), amps).reshape(-1)
-    return _fresh(StateVector, n, amps)
+    return _fresh(StateVector, n, _prune(amps))
 
 
 def _check_targets(n: int, targets) -> None:

@@ -23,9 +23,10 @@ branches that a correction has made equal run the rest once.
 ``run_sampled`` walks one seeded path for simulation: each ``step`` takes
 the first enabled transition, builds at most the configuration the path
 takes, and collapses the state only onto the measurement branch it draws.
-A configuration keeps the step of its deterministic τ once built, so the
-traces of runs from one configuration share the configurations of their
-τ prefix.
+A configuration keeps the first step that it alone fixes once it is
+built: its deterministic τ, and for a run with no alphabet any step with
+one outcome and a measurement's outcome list. So the traces of runs from
+one configuration share the configurations up to their first draw.
 
 Communication is synchronous (handshake), as in pi-calculus. A payload is
 a flat list of expressions. Before an output can send, the leftmost
@@ -71,8 +72,8 @@ from a skeleton is built once, and a configuration that meets the skeleton
 again runs only the state kernels. ``_Skeleton`` gives the argument that
 replaying a step builds what building it anew would. Explorations from one
 configuration share its skeleton, such as those of
-``equiv.check_equivalence`` under a side's input instantiations, and so do
-seeded runs from one configuration.
+``equiv.check_equivalence`` under a side's input instantiations. Seeded
+runs build no records (``step``).
 """
 
 from __future__ import annotations
@@ -241,11 +242,11 @@ class Configuration:
     state ``qstate``, of ``skel.num_qubits`` qubits.
 
     Treated as immutable; a step produces a fresh successor, sharing the
-    components it leaves unchanged. The exception is ``_tau``, the
-    transition of the configuration's deterministic τ, which ``step``
-    keeps once built: its successor depends on the configuration alone, so
-    runs from one configuration share the configurations of their τ
-    prefix. The skeleton's fields but ``program``
+    components it leaves unchanged. The exception is ``_kept_step``, the
+    configuration's first step as ``step`` finds it (``_first_step``),
+    which ``step`` keeps when the configuration alone fixes it, so runs
+    from one configuration share the configurations of those steps. The
+    skeleton's fields but ``program``
     read through as properties of the same names. ``procs`` holds the
     parallel components in left-to-right order as ``(term, env, qubits,
     hidden)`` records; no term is a parallel composition, a call or ``0``
@@ -283,7 +284,7 @@ class Configuration:
 
     skel: _Skeleton
     qstate: StateVector
-    _tau: Transition | None = field(default=None, init=False, repr=False)
+    _kept_step: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def bindings(self) -> dict:
@@ -388,21 +389,8 @@ class _Skeleton:
       state cap run every time.
 
     So every kernel call, every PLTS and every verdict is the one exploring
-    from a fresh skeleton gives.
-
-    Seeded runs (``step``, ``run_sampled``) use the records too, so runs
-    from one configuration, such as the seeds of a batch, replay the steps
-    an earlier run built. A measurement branch a run draws is the
-    exception: it is built fresh, through a table of its own, and not
-    recorded. Each branch binds its outcome bits, which no later step
-    unbinds, so recorded branches would multiply the skeletons kept by the
-    outcome count at every measurement on a path, 4^k through k teleport
-    hops. So the records runs keep are the steps before their first drawn
-    measurement, which every run from the configuration shares. The
-    deterministic τ steps of that prefix are kept further, with their
-    states, on the configurations, not here (``step``): a later run from
-    one configuration reads them back, and its trace shares their
-    configurations with the earlier run's."""
+    from a fresh skeleton gives. The records are ``explore``'s alone:
+    seeded runs (``step``) build every step with none."""
 
     live = None
     _key = None
@@ -751,15 +739,24 @@ _UNFOLDED = (Parallel, Call, Nil)
 _DETERMINISTIC_TAU = (QbitAlloc, NewChannel, GateAction)
 
 
+# The gates whose matrix is the identity. ``qstate`` keeps every state it
+# makes pruned, so applying one would copy the state and change nothing.
+_IDENTITY_GATES = (qstate.standard_gate("I"), qstate.standard_gate("sigma00"))
+
+
 def _state_op(skel: _Skeleton, head: ProcessTerm, env: dict) -> tuple | None:
     """The state operation of the deterministic τ step of ``head``, as the
     name of a ``qstate`` function and its arguments after the state: a
     gate's ``apply_gate`` on the qubits it names, an allocation's
-    ``append_qubits`` of one |0> qubit per binder; None for ``new``. It
-    reads only names and bindings, never amplitudes (``_applied``)."""
+    ``append_qubits`` of one |0> qubit per binder; None for ``new`` and
+    for an identity gate on as many qubits as it acts on. It reads only
+    names and bindings, never amplitudes (``_applied``)."""
     if isinstance(head, GateAction):
         qids = _qubit_ids(skel, env, head.targets)
-        return "apply_gate", _gate_for(skel, env, head.gate), qids
+        gate = _gate_for(skel, env, head.gate)
+        if gate in _IDENTITY_GATES and len(qids) == gate.arity:
+            return None
+        return "apply_gate", gate, qids
     if isinstance(head, QbitAlloc):
         return "append_qubits", [(_KET0.amp0, _KET0.amp1)] * len(head.binders)
     return None
@@ -962,36 +959,61 @@ def step(config: Configuration, alphabet: dict | None = None, *, rng: random.Ran
     a ``new`` or a gate takes its deterministic τ, which has priority (see
     ``settle``), one at a time, so ``run_sampled`` traces show each.
     Otherwise the moves of ``_moves`` come in their order, an input once
-    per value tuple. Only the transition taken is built, so a runtime error
-    that only a later one would raise is not raised. A measurement with
-    several outcomes draws one from ``rng`` (``_draw``) and builds only
-    that branch; the transition is then ``drawn``.
+    per value tuple. The moves are enumerated lazily and only the
+    transition taken is built, so a runtime error that only a later one
+    would raise is not raised. A measurement with several outcomes draws
+    one from ``rng`` (``_draw``) and builds only that branch; the
+    transition is then ``drawn``. Nothing is built through the records of
+    ``explore`` (``_Skeleton``), and nothing is recorded on a skeleton.
 
-    The successor is built through the skeleton's records (``_follow``),
-    except that a drawn branch is built fresh; ``_Skeleton`` says why. A
-    deterministic τ is built once: ``config`` keeps its transition, and
-    every later call returns it, so runs from one configuration share the
-    configurations of their τ prefix. It has priority over every other
-    move and reads neither ``alphabet`` nor ``rng``, so its successor
-    depends on ``config`` alone; a step that raises keeps nothing. No
-    other move is kept: a private communication keeps its place in
-    ``_moves``' order, where an input that ``alphabet`` enables may come
-    before it.
+    ``config`` keeps its first step (``_first_step``) once it is found, so
+    runs from one configuration share the configurations of the steps that
+    it alone fixes:
+
+    - a deterministic τ, under any ``alphabet``: it has priority over every
+      other move and reads neither ``alphabet`` nor ``rng``;
+    - without an alphabet, any step with one outcome, such as a private
+      communication or a send, and the outcome list of a measurement with
+      several, from which each run draws and builds its own branch. These
+      read no ``rng``, and with no input enabled no other move can come
+      first. A run under an alphabet passes them over and finds its own
+      step, which it does not keep: an input the alphabet enables may come
+      before them in ``_moves``' order.
+
+    A step that raises keeps nothing, so every run from ``config`` raises
+    it again.
     """
-    skel, qvec = config.skel, config.qstate
-    settling = _settling(skel)
-    if settling is not None and settling[0][0] is _TAU:
-        if config._tau is None:
-            successor = Configuration(*_follow(skel, qvec, *settling))
-            config._tau = Transition(TAU, ((1.0, successor),))
-        return [config._tau]
-    for move, built in _recorded_moves(skel):
-        for label, outcomes in _move_transitions(move, qvec, skel.channel_names, alphabet or {}):
-            drawn = len(outcomes) > 1
-            p, arg, branch = _draw(outcomes, rng) if drawn else outcomes[0]
-            successor = Configuration(*_follow(skel, qvec, move, {} if drawn else built, arg, branch))
-            return [Transition(label, ((p, successor),), drawn)]
-    return []
+    kept = config._kept_step
+    if kept is None or (alphabet and kept[0][0] is not _TAU):
+        kept = _first_step(config.skel, config.qstate, alphabet or {})
+        if kept is None:
+            return []
+        if not alphabet or kept[0][0] is _TAU:
+            config._kept_step = kept
+    move, label, taken = kept
+    if isinstance(taken, Transition):
+        return [taken]
+    p, arg, branch = _draw(taken, rng)
+    successor = Configuration(*_follow(config.skel, config.qstate, move, None, arg, branch))
+    return [Transition(label, ((p, successor),), True)]
+
+
+def _first_step(skel: _Skeleton, qvec: StateVector, alphabet: dict) -> tuple | None:
+    """``(move, label, taken)`` for ``step``'s first enabled transition
+    from ``skel`` at state ``qvec``, or None: the deterministic τ of
+    ``_tau_move``, or else the first move of ``_moves`` with a transition
+    under ``alphabet``. ``taken`` is the ``Transition`` built when it has
+    one outcome, or else the measurement's outcome list to draw from. The
+    successor is built with no records (``_follow``)."""
+    tau = _tau_move(skel)
+    for move in _moves(skel) if tau is None else (tau,):
+        for label, outcomes in _move_transitions(move, qvec, skel.channel_names, alphabet):
+            if len(outcomes) > 1:
+                return move, label, outcomes
+            ((p, arg, branch),) = outcomes
+            successor = Configuration(*_follow(skel, qvec, move, None, arg, branch))
+            return move, label, Transition(label, ((p, successor),))
+    return None
 
 
 # The kinds of a move: a deterministic τ (``_tau_move``), and those of
@@ -1011,8 +1033,8 @@ def _tau_move(skel: _Skeleton) -> tuple | None:
 
 
 def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alphabet: dict) -> list:
-    """The transitions of ``move`` (of ``_moves``) at state
-    ``qvec``, in ``step``'s order, as ``(label, outcomes)``, each outcome a
+    """The transitions of ``move``, a deterministic τ or a move of
+    ``_moves``, at state ``qvec``, in ``step``'s order, as ``(label, outcomes)``, each outcome a
     ``(probability, arg, branch)`` of what ``_follow`` takes: a
     measurement's outcome bits and branch, or a received value tuple. The
     kernels that a label or a distribution reads run here; no successor is
@@ -1207,7 +1229,9 @@ def _transitions(skel: _Skeleton, qvec: StateVector, alphabet: dict) -> list[tup
     return found
 
 
-def _follow(skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=None, branch=None) -> tuple:
+def _follow(
+    skel: _Skeleton, qvec: StateVector, move: tuple, built: dict | None, arg=None, branch=None
+) -> tuple:
     """``(skeleton, state)``: the successor of ``move`` from ``skel`` at
     state ``qvec`` with ``arg``, with its dead qubits that sit in a basis
     state removed and the others renumbered in their old order (see
@@ -1226,7 +1250,8 @@ def _follow(skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=No
     (``Configuration.check_ownership``) before it is recorded. The
     amplitudes then decide which dead qubits drop (``_basis_drops``), and
     the skeleton left is built once per set of dropped qubits
-    (``_compact``)."""
+    (``_compact``). With ``built`` None, as from ``step``, every skeleton
+    is built anew and nothing is recorded."""
     kind = move[0]
     slot = arg
     if kind is _RECEIVE:
@@ -1234,15 +1259,18 @@ def _follow(skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=No
         slot = tuple(None if isinstance(v, TestQubit) else v for v in arg)
     elif kind is _TAU:
         qvec = _applied(move[4], qvec)
-    pre = built.get(slot)
+    pre = None if built is None else built.get(slot)
     if pre is None:
         pre = _successor(skel, move, arg)
         Configuration(pre, qvec).check_ownership()
-        built[slot] = pre
+        if built is not None:
+            built[slot] = pre
     found = _basis_drops(qvec, pre.live, branch)
     if found is None:
         return pre, qvec
     qout, dropped = found
+    if built is None:
+        return _compact(pre, dropped), qout
     if pre.drops is None:
         pre.drops = {}
     gone = frozenset(dropped)
@@ -1253,11 +1281,12 @@ def _follow(skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=No
 
 
 def _recorded_moves(skel: _Skeleton):
-    """``skel.moves``: each move of ``_moves`` with an empty table of what
-    it builds, enumerated whole and recorded on the first call. When
-    enumerating raises, nothing is recorded and the moves come lazily, so
-    a caller takes the moves before the failing one, and meets what they
-    raise, first, as without records."""
+    """``skel.moves``, for ``explore``'s ``_transitions``: each move of
+    ``_moves`` with an empty table of what it builds, enumerated whole and
+    recorded on the first call. When enumerating raises, nothing is
+    recorded and the moves come lazily, so ``explore`` takes the moves
+    before the failing one, and meets what they raise, first, as without
+    records."""
     if skel.moves is None:
         try:
             skel.moves = [(move, {}) for move in _moves(skel)]
@@ -1430,9 +1459,11 @@ def run_sampled(
     ``step``'s order, with a measurement of several outcomes resolved by
     one draw from a PRNG seeded with ``seed``, which ``step`` is given. It
     builds at most the configuration the path takes, one per step. Runs
-    from one configuration replay the skeletons earlier runs recorded
-    (``_Skeleton``), and read back the configurations of the τ prefix an
-    earlier run took (``step``), so their traces share them.
+    from one configuration read back the steps that an earlier run kept on
+    the configurations it passed (``step``), so their traces share them:
+    the deterministic τ steps from its start, and with no ``alphabet`` every
+    step up to the first drawn measurement, whose outcome list they share
+    and whose branch each run draws and builds itself.
 
     A step's ``probability`` is the Born probability of the drawn branch,
     or None when the step had one outcome. Since the transitions the path

@@ -92,7 +92,9 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
     the configuration branch 1 met there after its correction, and take
     its state: 76 - 2 * 3 * 4 = 52 gates again. Each stop costs the phase
     comparison the merge in ``explore``'s intern would have made, so the
-    24 comparisons stay.
+    24 comparisons stay. The correction of the 00 branch, ``sigma00``, is
+    the identity and has no state operation, one per hop, 2 hops, for each
+    of the 4 inputs: 52 - 2 * 4 = 44 gates.
 
     Each of the 8 measurements is collapsed once per outcome, 32 times,
     by ``collapse``, which slices out the measured qubits: they are dead
@@ -124,7 +126,7 @@ def test_semantics_calls_the_wrapped_kernels_by_module_attribute(monkeypatch):
     program, sigs = workloads.load(workloads.chain_source(2))
     assert check_equivalence(program, "Chain2", program, "Identity", sigs).equivalent
     assert counts == {
-        "apply_gate": 52,
+        "apply_gate": 44,
         "measure": 8,
         "collapse": 32,
         "drop_basis_qubits": 8,

@@ -106,6 +106,20 @@ def test_append_qubit_arbitrary_state():
 # Gates
 # ---------------------------------------------------------------------------
 
+def test_an_identity_gate_leaves_a_kernel_made_state_bit_for_bit():
+    """Every state a kernel makes is pruned, ``append_qubits``' included,
+    so ``I`` and ``sigma00`` give back the amplitudes of such a state bit
+    for bit, and ``semantics`` applies neither (``_state_op``). Here an
+    appended qubit holds an amplitude below ``PRUNE_TOL``."""
+    tiny = qstate.PRUNE_TOL / 10
+    state = append_qubits(StateVector.empty(), [(SQ2, SQ2), (tiny, np.sqrt(1 - tiny**2))])
+    assert np.count_nonzero(state.amplitudes) == 2
+    for name in ("I", "sigma00"):
+        for target in (0, 1):
+            out = apply_gate(state, standard_gate(name), [target])
+            assert out.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
 def test_three_qubit_worked_example():
     # Inverting the second-from-left qubit of a three-qubit superposition:
     # (1/2)(|000> + |010> - |110> - |111>)  ->  (1/2)(|010> + |000> - |100> - |101>)

@@ -38,6 +38,7 @@ from support import (
     basis_drops_oracle,
     bench_workloads,
     compact_oracle,
+    corpus_entries,
     exploration_digest,
     explore_unsettled_oracle,
     fresh_skeleton,
@@ -733,19 +734,36 @@ def test_no_skeleton_builder_calls_a_kernel(monkeypatch, teleport_program):
     assert reached == []
 
 
+def kept_configurations(config) -> int:
+    """How many configurations runs from ``config`` keep: the successors
+    of each kept step (``Configuration._kept_step``) that holds a built
+    transition, followed from ``config`` on."""
+    count = 0
+    while config._kept_step is not None and isinstance(config._kept_step[2], semantics.Transition):
+        ((_p, config),) = config._kept_step[2].outcomes
+        count += 1
+    return count
+
+
 def test_sampled_runs_record_a_bounded_set_of_skeletons():
-    """Seeded runs from one configuration replay the records of its
-    skeleton, and a measurement branch a run draws is built fresh, not
-    recorded (``_Skeleton``): the 5-hop harness records as many skeletons
-    after 200 runs as after 1, and none of them reaches a state."""
+    """Seeded runs record nothing on skeletons (``step``): after 1 and
+    after 200 runs of the 5-hop harness from one configuration, a walk of
+    the records from its skeleton meets that skeleton alone. What runs
+    share is kept on configurations, and each run builds the branch it
+    draws, so the configurations kept from one configuration are as many
+    after 200 runs as after 1: the 31 successors of the steps before hop
+    1's measurement (``test_runs_from_one_configuration_share_their_
+    first_steps``)."""
     workloads = bench_workloads()
     program, signatures = workloads.load(workloads.harness_source(5))
     config = initial_configuration(program, "Harness", signatures=signatures)
     run_sampled(config, 0)
-    after_one = walk_records([config.skel])
+    assert walk_records([config.skel]) == (1, 0)
+    assert kept_configurations(config) == 31
     for seed in range(1, 200):
         run_sampled(config, seed)
-    assert walk_records([config.skel]) == after_one == (32, 0)
+    assert walk_records([config.skel]) == (1, 0)
+    assert kept_configurations(config) == 31
 
 
 def five_hop_harness():
@@ -755,10 +773,10 @@ def five_hop_harness():
 
 
 def test_runs_from_one_configuration_take_its_deterministic_steps_once(monkeypatch):
-    """A configuration keeps the transition of its deterministic τ, so a
-    later run from it reads the step back (``step``). Counted through the
-    attributes of ``qstate``, as ``bench/spans.py`` counts the kernels, up
-    to the first drawn measurement of a 5-hop harness run.
+    """A configuration keeps its first step, so a later run from it reads
+    the step back (``step``). Counted through the attributes of
+    ``qstate``, as ``bench/spans.py`` counts the kernels, up to and
+    including the first drawn measurement of a closed 5-hop harness run.
 
     A run from a fresh configuration first takes 28 deterministic τ steps:
     per hop an allocation of two qubits, an H, a CNot and a ``new``, 20;
@@ -766,13 +784,15 @@ def test_runs_from_one_configuration_take_its_deterministic_steps_once(monkeypat
     the harness's allocation of ``z`` and its H, 2. That is 6 allocations
     and 11 gates. It then sends |+> on ``a``, a private communication, and
     Alice's CNot and H of the first hop make 2 gates more before her
-    measurement: 6 ``append_qubits`` and 13 ``apply_gate`` calls. A second
-    run from the same configuration reads the 28 steps back and makes
-    only the 2 gates after the send, since a communication is not kept and
-    the configurations after it are new. A run from another fresh
+    measurement, which measures once: 6 ``append_qubits``, 13
+    ``apply_gate`` and 1 ``measure`` call. A second run from the same
+    configuration reads back the 31 steps before the measurement, the send
+    included since the run has no alphabet, and the measurement's outcome
+    list, from which it draws: 0 calls of each. A run from another fresh
     configuration makes all of them again."""
     counts = {}
-    for name in ("append_qubits", "apply_gate"):
+    names = ("append_qubits", "apply_gate", "measure")
+    for name in names:
         fn = getattr(qstate, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -782,7 +802,7 @@ def test_runs_from_one_configuration_take_its_deterministic_steps_once(monkeypat
         monkeypatch.setattr(qstate, name, counted)
 
     def until_drawn(config, seed):
-        counts.update(append_qubits=0, apply_gate=0)
+        counts.update(dict.fromkeys(names, 0))
         rng = random.Random(seed)
         while True:
             (t,) = step(config, rng=rng)
@@ -792,20 +812,102 @@ def test_runs_from_one_configuration_take_its_deterministic_steps_once(monkeypat
 
     fresh = five_hop_harness()
     config = fresh()
-    assert until_drawn(config, 0) == {"append_qubits": 6, "apply_gate": 13}
-    assert until_drawn(config, 1) == {"append_qubits": 0, "apply_gate": 2}
-    assert until_drawn(fresh(), 1) == {"append_qubits": 6, "apply_gate": 13}
+    assert until_drawn(config, 0) == {"append_qubits": 6, "apply_gate": 13, "measure": 1}
+    assert until_drawn(config, 1) == {"append_qubits": 0, "apply_gate": 0, "measure": 0}
+    assert until_drawn(fresh(), 1) == {"append_qubits": 6, "apply_gate": 13, "measure": 1}
 
 
-def test_runs_from_one_configuration_share_their_tau_prefix():
-    """Two runs from one configuration, with one seed, share the
-    configurations of their 28 deterministic τ steps, and no later one:
-    the send on ``a`` and every step after it is built anew."""
+def test_runs_from_one_configuration_share_their_first_steps():
+    """Two closed runs from one configuration, with one seed, share the
+    configurations of their first 31 steps: the 28 deterministic τ steps,
+    the send on ``a`` and Alice's CNot and H of hop 1. Step 31 is her
+    measurement, whose branch each run builds itself, so no later step is
+    shared."""
     config = five_hop_harness()()
     first, second = run_sampled(config, 0), run_sampled(config, 0)
     assert len(first) == len(second) == 59
     shared = [a.config is b.config for a, b in zip(first, second)]
-    assert shared == [True] * 28 + [False] * 31
+    assert shared == [True] * 31 + [False] * 28
+
+
+def test_closed_runs_measure_hop_one_once_and_build_their_own_branches(monkeypatch):
+    """Over 50 closed runs of the 5-hop harness from one configuration,
+    hop 1's measurement runs once, as the first run keeps its outcome list,
+    and hops 2 to 5 measure once per run: 1 + 4 * 50 = 201 calls. Every
+    run draws from the kept list and builds its own branch, so the 50
+    configurations after the draw are 50 objects, and the outcomes drawn
+    are not all one."""
+    counts = {"measure": 0}
+    measure = qstate.measure
+
+    def counted(*args, **kwargs):
+        counts["measure"] += 1
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(qstate, "measure", counted)
+    config = five_hop_harness()()
+    branches = []
+    for seed in range(50):
+        trace = run_sampled(config, seed)
+        assert trace[31].probability is not None
+        branches.append(trace[31].config)
+    assert counts["measure"] == 1 + 4 * 50
+    assert len({id(branch) for branch in branches}) == 50
+    assert len({canonical_key(branch) for branch in branches}) == 4
+
+
+def test_a_run_under_an_alphabet_passes_over_a_kept_closed_step():
+    """A closed run keeps the private communication on ``h`` as its
+    configuration's step after the ``new``. A later run from the same
+    configuration under an alphabet for ``c`` takes the input on ``c``,
+    which comes first in ``_moves``' order, and not the kept step; it keeps
+    nothing, so a closed run after it reads the kept step back."""
+    source = "//: P : ^[Bit]\nP(c) = (new h) (c?[x] . 0 | h![0] . 0 | h?[y] . 0)\n"
+    program, signatures = parse_program(source), parse_signatures(source)
+    config = initial_configuration(program, "P", signatures=signatures)
+    alphabet = input_alphabet(program, "P", signatures["P"], DEFAULT_TEST_QUBITS)
+
+    def labels(trace):
+        return [render_label(ts.label) for ts in trace]
+
+    closed = run_sampled(config, 0)
+    assert labels(closed) == ["tau", "tau"]
+    after_new = closed[0].config
+    kept = after_new._kept_step
+    assert kept[0][0] is semantics._COMMUNICATE
+    assert labels(run_sampled(config, 0, alphabet, max_steps=2)) == ["tau", "c?[0]"]
+    assert after_new._kept_step is kept
+    assert run_sampled(config, 0)[1].config is closed[1].config
+
+
+@pytest.mark.parametrize("bits, gates", [("0,0", 0), ("0,1", 1)])
+def test_an_identity_correction_has_no_state_operation(monkeypatch, bits, gates):
+    """A correction ``sigma[r]`` with ``r`` = 00 is the identity, and so is
+    ``I``: neither calls ``apply_gate``, in a seeded run or in ``explore``,
+    while ``sigma[r]`` with ``r`` = 01 calls it once in each. The trace
+    and the PLTS are those with every gate applied, 2 per run and per
+    exploration, since every state a kernel makes is pruned and an
+    identity changes none of it."""
+    source = f"P(c) = (new h) ((qbit q) h?[r] . {{q *= sigma[r]}} . {{q *= I}} . c![q] . 0 | h![{bits}] . 0)"
+    applied = []
+    apply_gate = qstate.apply_gate
+
+    def counted(state, gate, targets):
+        applied.append(gate.name)
+        return apply_gate(state, gate, targets)
+
+    def counted_run():
+        applied.clear()
+        config = initial_configuration(parse_program(source), "P")
+        return sampled_trace_digest([(0, config)]), explore(config).dump_json(), len(applied)
+
+    monkeypatch.setattr(qstate, "apply_gate", counted)
+    *skipped, calls = counted_run()
+    assert calls == 2 * gates
+    monkeypatch.setattr(semantics, "_IDENTITY_GATES", ())
+    *unskipped, calls = counted_run()
+    assert calls == 2 * 2
+    assert skipped == unskipped
 
 
 def test_a_deterministic_step_that_raises_is_not_kept():
@@ -816,7 +918,7 @@ def test_a_deterministic_step_that_raises_is_not_kept():
     for seed in range(2):
         with pytest.raises(qstate.CapacityError, match="exceed cap"):
             run_sampled(config, seed)
-    assert config._tau is None
+    assert config._kept_step is None
 
 
 def test_sampled_runs_raise_only_on_the_moves_they_take():
@@ -1051,15 +1153,21 @@ def test_a_sampled_run_builds_one_configuration_per_step(monkeypatch):
         assert built == len(trace) == 59
 
 
-def sampled_trace_digest(configs) -> str:
-    """A SHA-256 digest of ``run_sampled(config, seed)`` for each seed and
-    configuration of ``configs``: per step its rendered label, probability,
-    qubit count, bindings and amplitudes, rounded to 12 digits with -0.0
-    made 0.0."""
+def sampled_trace_digest(runs) -> str:
+    """A SHA-256 digest of ``run_sampled(config, seed, alphabet)`` for each
+    ``(seed, config)`` or ``(seed, config, alphabet)`` of ``runs``: per step
+    its rendered label, probability, qubit count, bindings and amplitudes,
+    rounded to 12 digits with -0.0 made 0.0, and the error of a run that
+    raises."""
     h = hashlib.sha256()
-    for seed, config in configs:
+    for seed, config, *alphabet in runs:
         h.update(f"seed {seed}\n".encode())
-        for ts in run_sampled(config, seed):
+        try:
+            trace = run_sampled(config, seed, *alphabet)
+        except (semantics.SemanticsError, qstate.CapacityError) as exc:
+            h.update(f"{type(exc).__name__}: {exc}\n".encode())
+            continue
+        for ts in trace:
             cfg = ts.config
             h.update(f"{render_label(ts.label)} {ts.probability!r} {cfg.num_qubits}\n".encode())
             h.update(repr(sorted(cfg.bindings.items())).encode())
@@ -1082,6 +1190,42 @@ def test_sampled_traces_match_the_golden_digest():
     golden = Path(__file__).parent / "golden" / "sampled_trace_digest.txt"
     assert sampled_trace_digest((seed, shared) for seed in range(100)) == golden.read_text().strip()
     assert sampled_trace_digest((seed, fresh()) for seed in range(100)) == golden.read_text().strip()
+
+
+def test_runs_under_an_alphabet_trace_what_fresh_configurations_trace():
+    """Seeded runs from one shared configuration, closed runs and runs
+    under the entry's input alphabet in turn, trace what the same runs each
+    from a fresh configuration trace: on every channel-only corpus entry
+    with an input and on the ``Gen`` of ``random_typed_program`` for seeds
+    0-199. A closed run keeps steps that a run under an alphabet must pass
+    over, and the other way round (``step``)."""
+    entries = [
+        (program, signatures, entry)
+        for _name, program, signatures, entry in corpus_entries()
+        if input_used_channels(program, entry)
+    ]
+    assert len(entries) >= 2
+    for program_seed in range(200):
+        program, signatures = random_typed_program(random.Random(program_seed))
+        entries.append((program, signatures, "Gen"))
+    runs = []
+    for program, signatures, entry in entries:
+        alphabet = input_alphabet(program, entry, signatures[entry], DEFAULT_TEST_QUBITS)
+        seeds = [(seed, alphabet if seed % 2 else None) for seed in range(6)]
+        runs.append((program, signatures, entry, seeds))
+
+    def digest(shared: bool) -> str:
+        def each():
+            for program, signatures, entry, seeds in runs:
+                config = initial_configuration(program, entry, signatures=signatures)
+                for seed, alphabet in seeds:
+                    if not shared:
+                        config = initial_configuration(program, entry, signatures=signatures)
+                    yield seed, config, alphabet
+
+        return sampled_trace_digest(each())
+
+    assert digest(shared=True) == digest(shared=False)
 
 
 def test_bell_measurement_frequency_over_seeds(coin_program):
