@@ -389,8 +389,8 @@ class _Skeleton:
       state cap run every time.
 
     So every kernel call, every PLTS and every verdict is the one exploring
-    from a fresh skeleton gives. The records are ``explore``'s alone:
-    seeded runs (``step``) build every step with none."""
+    from a fresh skeleton gives. The records serve ``settle`` and
+    ``explore`` alone: seeded runs (``step``) build every step with none."""
 
     live = None
     _key = None
@@ -1034,11 +1034,11 @@ def _tau_move(skel: _Skeleton) -> tuple | None:
 
 def _move_transitions(move: tuple, qvec: StateVector, channel_names: dict, alphabet: dict) -> list:
     """The transitions of ``move``, a deterministic τ or a move of
-    ``_moves``, at state ``qvec``, in ``step``'s order, as ``(label, outcomes)``, each outcome a
-    ``(probability, arg, branch)`` of what ``_follow`` takes: a
-    measurement's outcome bits and branch, or a received value tuple. The
-    kernels that a label or a distribution reads run here; no successor is
-    built."""
+    ``_moves``, at state ``qvec``, in ``step``'s order, as ``(label,
+    outcomes)``, each outcome a ``(probability, arg, branch)`` of what
+    ``_follow`` takes: a measurement's outcome bits and branch, or a
+    received value tuple. The kernels that a label or a distribution reads
+    run here; no successor is built."""
     kind = move[0]
     if kind is _MEASURE:
         return [(TAU, [(o.probability, o.result, o) for o in qstate.measure(qvec, move[4])])]

@@ -751,9 +751,8 @@ def test_sampled_runs_record_a_bounded_set_of_skeletons():
     the records from its skeleton meets that skeleton alone. What runs
     share is kept on configurations, and each run builds the branch it
     draws, so the configurations kept from one configuration are as many
-    after 200 runs as after 1: the 31 successors of the steps before hop
-    1's measurement (``test_runs_from_one_configuration_share_their_
-    first_steps``)."""
+    after 200 runs as after 1: the successors of the 31 steps before hop
+    1's measurement, which every run shares."""
     workloads = bench_workloads()
     program, signatures = workloads.load(workloads.harness_source(5))
     config = initial_configuration(program, "Harness", signatures=signatures)
@@ -925,9 +924,9 @@ def test_sampled_runs_raise_only_on_the_moves_they_take():
     """A step takes the first enabled move even where a later move of the
     same skeleton holds a runtime error, here the scope extrusion of
     ``d![k]``: in a run from a fresh configuration, in a second run that
-    replays the first one's records, and after ``explore`` has recorded the
-    settle step and then raised the error. A run that goes on to that move
-    raises the same error."""
+    reads back the steps the first one kept, and after ``explore`` has
+    recorded the settle step and then raised the error. A run that goes on
+    to that move raises the same error."""
     program = parse_program("P(c, d) = (new k) (c![0] . 0 | d![k] . 0)")
     config = initial_configuration(program, "P")
 
