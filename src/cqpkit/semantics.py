@@ -23,10 +23,10 @@ branches that a correction has made equal run the rest once.
 ``run_sampled`` walks one seeded path for simulation: each ``step`` takes
 the first enabled transition, builds at most the configuration the path
 takes, and collapses the state only onto the measurement branch it draws.
-A configuration keeps the first step that it alone fixes once it is
-built: its deterministic τ, and for a run with no alphabet any step with
-one outcome and a measurement's outcome list. So the traces of runs from
-one configuration share the configurations up to their first draw.
+A configuration keeps its first step once a run with no alphabet has
+built it: a step with one outcome, or a measurement's outcome list. So
+the traces of such runs from one configuration share the configurations
+up to their first draw.
 
 Communication is synchronous (handshake), as in pi-calculus. A payload is
 a flat list of expressions. Before an output can send, the leftmost
@@ -243,11 +243,10 @@ class Configuration:
 
     Treated as immutable; a step produces a fresh successor, sharing the
     components it leaves unchanged. The exception is ``_kept_step``, the
-    configuration's first step as ``step`` finds it (``_first_step``),
-    which ``step`` keeps when the configuration alone fixes it, so runs
-    from one configuration share the configurations of those steps. The
-    skeleton's fields but ``program``
-    read through as properties of the same names. ``procs`` holds the
+    configuration's first step as ``step`` finds it (``_first_step``) for
+    a run with no alphabet, which ``step`` keeps, so such runs from one
+    configuration share the configurations of those steps. The
+    skeleton's fields but ``program`` read through as properties of the same names. ``procs`` holds the
     parallel components in left-to-right order as ``(term, env, qubits,
     hidden)`` records; no term is a parallel composition, a call or ``0``
     (``_flatten``), so a finished run has none. ``qubits`` holds the ids of the qubits a free
@@ -963,38 +962,33 @@ def step(config: Configuration, alphabet: dict | None = None, *, rng: random.Ran
     transition taken is built, so a runtime error that only a later one
     would raise is not raised. A measurement with several outcomes draws
     one from ``rng`` (``_draw``) and builds only that branch; the
-    transition is then ``drawn``. Nothing is built through the records of
-    ``explore`` (``_Skeleton``), and nothing is recorded on a skeleton.
+    transition is then ``drawn``. Each successor is built through a
+    table of its own, never through the records of ``explore``
+    (``_Skeleton``), so nothing is recorded on a skeleton.
 
-    ``config`` keeps its first step (``_first_step``) once it is found, so
-    runs from one configuration share the configurations of the steps that
-    it alone fixes:
-
-    - a deterministic τ, under any ``alphabet``: it has priority over every
-      other move and reads neither ``alphabet`` nor ``rng``;
-    - without an alphabet, any step with one outcome, such as a private
-      communication or a send, and the outcome list of a measurement with
-      several, from which each run draws and builds its own branch. These
-      read no ``rng``, and with no input enabled no other move can come
-      first. A run under an alphabet passes them over and finds its own
-      step, which it does not keep: an input the alphabet enables may come
-      before them in ``_moves``' order.
-
-    A step that raises keeps nothing, so every run from ``config`` raises
-    it again.
+    With no ``alphabet``, ``config`` keeps its first step (``_first_step``)
+    once it is found, so runs from one configuration share the
+    configurations of those steps: a step with one outcome, such as a
+    deterministic τ, a private communication or a send, and the outcome
+    list of a measurement with several, from which each run draws and
+    builds its own branch. With no input enabled, the first step reads no
+    ``rng`` and depends on ``config`` alone. A run under an alphabet
+    neither reads nor keeps a step: an input the alphabet enables may come
+    before a kept one in ``_moves``' order. A step that raises keeps
+    nothing, so every run from ``config`` raises it again.
     """
-    kept = config._kept_step
-    if kept is None or (alphabet and kept[0][0] is not _TAU):
+    kept = None if alphabet else config._kept_step
+    if kept is None:
         kept = _first_step(config.skel, config.qstate, alphabet or {})
         if kept is None:
             return []
-        if not alphabet or kept[0][0] is _TAU:
+        if not alphabet:
             config._kept_step = kept
     move, label, taken = kept
     if isinstance(taken, Transition):
         return [taken]
     p, arg, branch = _draw(taken, rng)
-    successor = Configuration(*_follow(config.skel, config.qstate, move, None, arg, branch))
+    successor = Configuration(*_follow(config.skel, config.qstate, move, {}, arg, branch))
     return [Transition(label, ((p, successor),), True)]
 
 
@@ -1004,14 +998,14 @@ def _first_step(skel: _Skeleton, qvec: StateVector, alphabet: dict) -> tuple | N
     ``_tau_move``, or else the first move of ``_moves`` with a transition
     under ``alphabet``. ``taken`` is the ``Transition`` built when it has
     one outcome, or else the measurement's outcome list to draw from. The
-    successor is built with no records (``_follow``)."""
+    successor is built through a throwaway table (``_follow``)."""
     tau = _tau_move(skel)
     for move in _moves(skel) if tau is None else (tau,):
         for label, outcomes in _move_transitions(move, qvec, skel.channel_names, alphabet):
             if len(outcomes) > 1:
                 return move, label, outcomes
             ((p, arg, branch),) = outcomes
-            successor = Configuration(*_follow(skel, qvec, move, None, arg, branch))
+            successor = Configuration(*_follow(skel, qvec, move, {}, arg, branch))
             return move, label, Transition(label, ((p, successor),))
     return None
 
@@ -1229,9 +1223,7 @@ def _transitions(skel: _Skeleton, qvec: StateVector, alphabet: dict) -> list[tup
     return found
 
 
-def _follow(
-    skel: _Skeleton, qvec: StateVector, move: tuple, built: dict | None, arg=None, branch=None
-) -> tuple:
+def _follow(skel: _Skeleton, qvec: StateVector, move: tuple, built: dict, arg=None, branch=None) -> tuple:
     """``(skeleton, state)``: the successor of ``move`` from ``skel`` at
     state ``qvec`` with ``arg``, with its dead qubits that sit in a basis
     state removed and the others renumbered in their old order (see
@@ -1250,8 +1242,7 @@ def _follow(
     (``Configuration.check_ownership``) before it is recorded. The
     amplitudes then decide which dead qubits drop (``_basis_drops``), and
     the skeleton left is built once per set of dropped qubits
-    (``_compact``). With ``built`` None, as from ``step``, every skeleton
-    is built anew and nothing is recorded."""
+    (``_compact``)."""
     kind = move[0]
     slot = arg
     if kind is _RECEIVE:
@@ -1259,18 +1250,15 @@ def _follow(
         slot = tuple(None if isinstance(v, TestQubit) else v for v in arg)
     elif kind is _TAU:
         qvec = _applied(move[4], qvec)
-    pre = None if built is None else built.get(slot)
+    pre = built.get(slot)
     if pre is None:
         pre = _successor(skel, move, arg)
         Configuration(pre, qvec).check_ownership()
-        if built is not None:
-            built[slot] = pre
+        built[slot] = pre
     found = _basis_drops(qvec, pre.live, branch)
     if found is None:
         return pre, qvec
     qout, dropped = found
-    if built is None:
-        return _compact(pre, dropped), qout
     if pre.drops is None:
         pre.drops = {}
     gone = frozenset(dropped)
@@ -1459,11 +1447,11 @@ def run_sampled(
     ``step``'s order, with a measurement of several outcomes resolved by
     one draw from a PRNG seeded with ``seed``, which ``step`` is given. It
     builds at most the configuration the path takes, one per step. Runs
-    from one configuration read back the steps that an earlier run kept on
-    the configurations it passed (``step``), so their traces share them:
-    the deterministic τ steps from its start, and with no ``alphabet`` every
-    step up to the first drawn measurement, whose outcome list they share
-    and whose branch each run draws and builds itself.
+    from one configuration with no ``alphabet`` read back the steps that an
+    earlier such run kept on the configurations it passed (``step``), so
+    their traces share every step up to the first drawn measurement, whose
+    outcome list they share and whose branch each run draws and builds
+    itself. Runs under an alphabet keep and read back nothing.
 
     A step's ``probability`` is the Born probability of the drawn branch,
     or None when the step had one outcome. Since the transitions the path

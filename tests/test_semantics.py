@@ -1197,7 +1197,7 @@ def test_runs_under_an_alphabet_trace_what_fresh_configurations_trace():
     from a fresh configuration trace: on every channel-only corpus entry
     with an input and on the ``Gen`` of ``random_typed_program`` for seeds
     0-199. A closed run keeps steps that a run under an alphabet must pass
-    over, and the other way round (``step``)."""
+    over, and a run under an alphabet keeps none (``step``)."""
     entries = [
         (program, signatures, entry)
         for _name, program, signatures, entry in corpus_entries()
